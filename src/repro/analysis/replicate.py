@@ -2,8 +2,7 @@
 
 The simulator is deterministic by contract: the same schedule on the
 same machine configuration produces a byte-identical event trace, in
-the compiled kernel and in the NumPy fallback, under the batched drain
-and the single-pop reference drain.  That contract is what makes
+the compiled kernel and in the NumPy fallback.  That contract is what makes
 replication embarrassingly parallel — N replicas of a run (or N
 distinct workloads) can fan out over a process pool and the digests
 must still agree, so the parallel harnesses (``perf --jobs``,

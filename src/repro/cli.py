@@ -47,7 +47,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from .analysis import paper_data
 from .analysis.experiments import (
@@ -586,23 +586,39 @@ def _parse_fault_plan(args: argparse.Namespace):
 
     if args.plan is not None:
         return _load_plan_file(args.plan)
-    faults = []
-    for spec in args.straggler or ():
-        rank, _, factor = spec.partition(":")
-        faults.append(NodeStraggler(int(rank), float(factor or 8.0)))
-    for spec in args.degrade or ():
+
+    def flag_fault(flag: str, form: str, spec: Any, parse: Callable):
+        # Malformed numbers, wrong arity and out-of-range fields all
+        # surface as one CLIError line instead of a traceback.
         try:
-            level, index, factor = spec.split(":")
+            return parse(spec)
         except ValueError as exc:
-            raise SystemExit(
-                f"--degrade wants LEVEL:INDEX:FACTOR, got {spec!r}"
-            ) from exc
-        faults.append(LinkDegrade(int(level), int(index), float(factor)))
+            raise CLIError(f"{flag} wants {form}, got {spec!r}: {exc}") from None
+
+    def straggler(spec: str):
+        rank, _, factor = spec.partition(":")
+        return NodeStraggler(int(rank), float(factor or 8.0))
+
+    def degrade(spec: str):
+        level, index, factor = spec.split(":")
+        return LinkDegrade(int(level), int(index), float(factor))
+
+    def delay(spec: str):
+        prob, _, seconds = spec.partition(":")
+        return MessageDelay(float(prob), float(seconds or 500e-6))
+
+    faults = [
+        flag_fault("--straggler", "RANK:FACTOR", spec, straggler)
+        for spec in args.straggler or ()
+    ]
+    faults += [
+        flag_fault("--degrade", "LEVEL:INDEX:FACTOR", spec, degrade)
+        for spec in args.degrade or ()
+    ]
     if args.drop:
-        faults.append(MessageDrop(args.drop))
+        faults.append(flag_fault("--drop", "PROB", args.drop, MessageDrop))
     if args.delay:
-        prob, _, seconds = args.delay.partition(":")
-        faults.append(MessageDelay(float(prob), float(seconds or 500e-6)))
+        faults.append(flag_fault("--delay", "PROB[:SECONDS]", args.delay, delay))
     if not faults:
         # Default demo: one 8x straggler mid-machine plus light loss.
         faults = [NodeStraggler(5, 8.0), MessageDrop(0.02)]

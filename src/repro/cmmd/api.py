@@ -147,19 +147,39 @@ class Comm:
         :class:`~repro.sim.trace.Trace` as a retry record.  Use with
         ``yield from``.
         """
+        outcome = yield Send(dst, nbytes, payload, tag)
+        if outcome is DROPPED:
+            outcome = yield from self.resend_dropped(dst, nbytes, payload, tag, policy)
+        return outcome
+
+    def resend_dropped(
+        self,
+        dst: int,
+        nbytes: int,
+        payload: Any = None,
+        tag: int = 0,
+        policy: Optional[RetryPolicy] = None,
+    ) -> Generator[Any, Any, Any]:
+        """The retry loop of :meth:`reliable_send` after a first drop.
+
+        Backs off per ``policy`` and resends until an attempt is not
+        reported :data:`DROPPED`, raising :class:`MessageLostError` once
+        ``max_retries`` resends have also been lost.  Exposed for rank
+        programs that yield the first :class:`Send` themselves (the
+        schedule executor's flat program).  Use with ``yield from``.
+        """
         policy = policy or DEFAULT_RETRY_POLICY
         attempt = 0
-        while True:
-            outcome = yield self.send(dst, nbytes, payload, tag)
+        while attempt < policy.max_retries:
+            yield Delay(policy.backoff(attempt))
+            attempt += 1
+            outcome = yield Send(dst, nbytes, payload, tag)
             if outcome is not DROPPED:
                 return outcome
-            if attempt >= policy.max_retries:
-                raise MessageLostError(
-                    f"rank {self.rank}: send to {dst} ({nbytes}B, tag {tag}) "
-                    f"lost after {attempt + 1} attempts"
-                )
-            yield self.delay(policy.backoff(attempt))
-            attempt += 1
+        raise MessageLostError(
+            f"rank {self.rank}: send to {dst} ({nbytes}B, tag {tag}) "
+            f"lost after {attempt + 1} attempts"
+        )
 
     def swap(
         self,

@@ -18,7 +18,8 @@ phase           owns
                 flow begin/complete
 ``arm``         network-event arming and the fluid-network solver
 ``trace``       message/phase/retry records and rank-op spans
-``queue``       event-heap push/pop
+``queue``       event-heap push and the inline drain's pops
+                (``EventQueue.push``, ``Engine.run``)
 ``other``       everything else (schedule build glue, numpy, ...)
 ==============  ======================================================
 
@@ -104,7 +105,7 @@ def marker_table() -> Dict[object, str]:
         "rendezvous",
         RendezvousTable.post_send,
         RendezvousTable.post_recv,
-        RendezvousTable._compatible,
+        RendezvousTable.purge_rank,
         Engine._post_send,
         Engine._post_isend,
         Engine._post_recv,
@@ -135,14 +136,9 @@ def marker_table() -> Dict[object, str]:
         Tracer.op_begin,
         Tracer.op_end,
     )
-    mark(
-        "queue",
-        EventQueue.push,
-        EventQueue.pop,
-        EventQueue.pop_batch,
-        EventQueue.peek_time,
-        Engine._schedule,
-    )
+    # The drain loop lives in Engine.run: its own frame's calls are the
+    # inline heappops; the handlers it invokes carry their own markers.
+    mark("queue", EventQueue.push, Engine.run)
     return table
 
 

@@ -24,7 +24,7 @@ Ordering rules inside one step, per rank:
 Pack/unpack bytes on a transfer are charged as local memcpy around the
 wire operation (REX's store-and-forward reshuffle).
 
-All sends go through :meth:`Comm.reliable_send` — free on a healthy
+Every send has :meth:`Comm.reliable_send` semantics — free on a healthy
 machine, and under a fault plan with message drops every schedule still
 completes via timeout/retry-with-backoff (the retries are visible in the
 trace).
@@ -33,14 +33,14 @@ trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..cmmd.api import Comm
 from ..cmmd.program import run_spmd
 from ..faults.plan import FaultPlan
 from ..machine.params import MachineConfig
 from ..sim.engine import SimResult
-from ..sim.process import RankProgram
+from ..sim.process import DROPPED, RankProgram, Recv, Send
 from .schedule import LOWER_SEND_FIRST, Schedule, Transfer
 
 __all__ = [
@@ -108,28 +108,6 @@ def step_actions(
     return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
 
 
-def _emit_actions(
-    comm: Comm,
-    actions: List[tuple],
-    tag: int,
-    outbox: Optional[Dict[int, Any]],
-    inbox: Optional[Dict[int, Any]],
-) -> Iterator[object]:
-    """Yield the requests realizing one step's action list."""
-    for kind, t in actions:
-        if kind == "send":
-            if t.pack_bytes:
-                yield comm.memcpy(t.pack_bytes)
-            payload = outbox.get(t.dst) if outbox is not None else None
-            yield from comm.reliable_send(t.dst, t.nbytes, payload, tag=tag)
-        else:
-            got = yield comm.recv(t.src, tag=tag)
-            if t.unpack_bytes:
-                yield comm.memcpy(t.unpack_bytes)
-            if inbox is not None:
-                inbox[t.src] = got
-
-
 def schedule_program(
     comm: Comm,
     schedule: Schedule,
@@ -143,14 +121,32 @@ def schedule_program(
     keyed by source rank.  Both default to pure timing (no data moves).
     Store-and-forward schedules (REX) must not use payload mode — their
     wire transfers carry staged aggregates, not per-pair payloads.
+
+    One flat generator yields every request; the step index doubles as
+    the message tag.  A send reported :data:`DROPPED` enters the retry
+    loop of :meth:`Comm.reliable_send` (:meth:`Comm.resend_dropped`).
     """
     rank = comm.rank
+    order = schedule.exchange_order
     for step_idx in range(schedule.nsteps):
         sends, recvs = schedule.rank_ops(rank, step_idx)
         if not sends and not recvs:
             continue
-        actions = step_actions(rank, sends, recvs, schedule.exchange_order)
-        yield from _emit_actions(comm, actions, step_idx, outbox, inbox)
+        for kind, t in step_actions(rank, sends, recvs, order):
+            if kind == "send":
+                if t.pack_bytes:
+                    yield comm.memcpy(t.pack_bytes)
+                payload = outbox.get(t.dst) if outbox is not None else None
+                if (yield Send(t.dst, t.nbytes, payload, step_idx)) is DROPPED:
+                    yield from comm.resend_dropped(
+                        t.dst, t.nbytes, payload, step_idx
+                    )
+            else:
+                got = yield Recv(t.src, step_idx)
+                if t.unpack_bytes:
+                    yield comm.memcpy(t.unpack_bytes)
+                if inbox is not None:
+                    inbox[t.src] = got
 
 
 def execute_schedule(

@@ -29,9 +29,9 @@ give identical timelines.
 from __future__ import annotations
 
 import gc
+import heapq
 import itertools
 import operator
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,6 +70,19 @@ __all__ = ["Engine", "SimResult", "DeadlockError"]
 
 #: Events closer together than this are treated as simultaneous.
 _TIME_ATOL = 1e-12
+
+# Enum member lookups cost a descriptor call each (~150 ns on CPython
+# 3.11) and the hot path makes about a dozen per message, so the engine
+# compares states against module-level aliases.
+_BLOCKED_BARRIER = ProcState.BLOCKED_BARRIER
+_BLOCKED_COLLECTIVE = ProcState.BLOCKED_COLLECTIVE
+_BLOCKED_RECV = ProcState.BLOCKED_RECV
+_BLOCKED_SEND = ProcState.BLOCKED_SEND
+_DEAD = ProcState.DEAD
+_DELAYED = ProcState.DELAYED
+_DONE = ProcState.DONE
+_RUNNING = ProcState.RUNNING
+_BLOCKED = (_BLOCKED_SEND, _BLOCKED_RECV, _BLOCKED_BARRIER, _BLOCKED_COLLECTIVE)
 
 
 class DeadlockError(RuntimeError):
@@ -116,6 +129,22 @@ class _InFlight:
     #: None = clean delivery; else seconds after the wire drains at
     #: which the sender's loss timeout fires (the message is dropped).
     drop_detect: Optional[float] = None
+
+
+def _message_cause(inf: _InFlight, side: str, delivered: float) -> dict:
+    """Tracer cause for the resume that closes one side of a message."""
+    send = inf.send
+    return {
+        "kind": "message",
+        "side": side,
+        "src": send.src,
+        "dst": send.dst,
+        "nbytes": send.nbytes,
+        "tag": send.tag,
+        "send_posted": send.posted_at,
+        "matched_at": inf.matched_at,
+        "delivered_at": delivered,
+    }
 
 
 class Engine:
@@ -172,6 +201,8 @@ class Engine:
         self._recv_service = self.costs.recv_service()
         self.control = ControlNetwork(self.params)
         self.queue = EventQueue()
+        #: ``_schedule(t, fn, *args)`` fires ``fn(*args)`` at ``t``.
+        self._schedule = self.queue.push
         self.rendezvous = RendezvousTable()
         self.now = 0.0
         self.trace: Trace = (
@@ -190,8 +221,8 @@ class Engine:
         #: events stay in the heap as stale no-ops on purpose: their
         #: *times* still define drain instants, and a live completion
         #: within ``_TIME_ATOL`` of such an instant must retire at the
-        #: stale instant's timestamp to stay byte-identical with the
-        #: reference engine.
+        #: stale instant's timestamp (MODEL.md §13, pinned by the trace
+        #: digests in tests/sim/test_batched_drain.py).
         self._net_changed = False
         self._net_gen = 0
         self._in_flight: Dict[int, _InFlight] = {}
@@ -209,9 +240,6 @@ class Engine:
         #: Optional hook called as ``on_death(rank, now)`` right after a
         #: rank is torn down (the resilience layer's failure detector).
         self.on_death: Optional[Callable[[int, float], None]] = None
-        #: Batched per-instant drain (the default); the env knob selects
-        #: the reference one-pop-per-event drain for equivalence tests.
-        self._batched_drain = not os.environ.get("REPRO_SINGLE_POP_DRAIN")
 
     # ==================================================================
     # Public API
@@ -224,14 +252,13 @@ class Engine:
             )
         self.procs = [Process(rank=r, gen=g) for r, g in enumerate(programs)]
         for proc in self.procs:
-            self._schedule(0.0, lambda p=proc: self._resume(p, None))
+            self._schedule(0.0, self._resume, proc, None)
         for rank, (at, detect) in sorted(self.faults.failure_times().items()):
-            self._schedule(at, lambda r=rank, d=detect: self._kill_rank(r, d))
+            self._schedule(at, self._kill_rank, rank, detect)
 
-        queue = self.queue
-        heap = queue._heap  # hot loop: peeks inline, pops via pop_batch
-        batched = self._batched_drain
-        # The loop allocates heavily (events, lambdas, in-flight records)
+        heap = self.queue.heap
+        pop = heapq.heappop
+        # The loop allocates heavily (events, in-flight records)
         # but creates no cycles the collector could free mid-run; pausing
         # generational GC avoids repeated full-heap scans over the
         # long-lived schedule/trace structures.
@@ -249,28 +276,15 @@ class Engine:
                     self.now = t
                 threshold = self.now + _TIME_ATOL
                 # Drain every event at the current instant (including
-                # cascades triggered by the handlers themselves) before
-                # touching the network: synchronized waves then cost one
-                # rate reallocation.  Events are pulled in equal-time
-                # batches (EventQueue.pop_batch) rather than one
-                # peek/pop per event; a batch is an equal-time run, so
-                # heap order — (time, seq), FIFO among simultaneous
-                # events — is preserved exactly, and cascades scheduled
-                # by the batch land in a later batch of the same instant.
-                if batched:
-                    while heap and heap[0][0] <= threshold:
-                        _, batch = queue.pop_batch()
-                        for cb in batch:
-                            cb()
-                else:
-                    # Reference single-pop drain
-                    # (REPRO_SINGLE_POP_DRAIN=1): kept for the
-                    # batched-vs-single equivalence regression test, not
-                    # used in production.
-                    while heap and heap[0][0] <= threshold:
-                        _, cb = queue.pop()
-                        cb()
-                self._arm_network_event()
+                # cascades triggered by the handlers themselves) in heap
+                # order — (time, seq), FIFO among simultaneous events —
+                # before touching the network: synchronized waves then
+                # cost one rate reallocation.
+                while heap and heap[0][0] <= threshold:
+                    ev = pop(heap)
+                    ev[2](*ev[3])
+                if self._net_changed:
+                    self._arm_network_event()
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -278,7 +292,7 @@ class Engine:
         unfinished = [
             p
             for p in self.procs
-            if not p.done and p.state is not ProcState.DEAD
+            if not p.done and p.state is not _DEAD
         ]
         if unfinished:
             raise DeadlockError(self._deadlock_report(unfinished))
@@ -303,31 +317,23 @@ class Engine:
     # ==================================================================
     # Scheduling primitives
     # ==================================================================
-    def _schedule(self, t: float, fn: Callable[[], None]) -> None:
-        self.queue.push(t, fn)
-
     def _resume(self, proc: Process, value: Any) -> None:
         """Advance one rank's generator with ``value`` and dispatch."""
-        if proc.state is ProcState.DEAD:
+        if proc.state is _DEAD:
             return  # a callback armed before the rank was killed
         if self.tracer is not None:
             self.tracer.op_end(
                 proc.rank, self.now, self._op_causes.pop(proc.rank, None)
             )
-        if proc.state in (
-            ProcState.BLOCKED_SEND,
-            ProcState.BLOCKED_RECV,
-            ProcState.BLOCKED_BARRIER,
-            ProcState.BLOCKED_COLLECTIVE,
-        ):
+        if proc.state in _BLOCKED:
             proc.wait_time += self.now - proc.last_event_time
-        proc.state = ProcState.RUNNING
+        proc.state = _RUNNING
         try:
             # A fresh generator must be primed with None; send(None) is
             # exactly next() in that case, so one call covers both.
             request = proc.gen.send(value)
         except StopIteration as stop:
-            proc.state = ProcState.DONE
+            proc.state = _DONE
             proc.finish_time = self.now
             proc.result = stop.value
             return
@@ -360,26 +366,30 @@ class Engine:
         if self.tracer is not None:
             self._trace_op_begin(proc, request)
         if isinstance(request, Send):
-            proc.state = ProcState.BLOCKED_SEND
+            proc.state = _BLOCKED_SEND
             # The request object doubles as the wait description; the
             # deadlock report formats it lazily (hot path: no f-string).
             proc.waiting_on = request
             self._check_dst(proc, request.dst)
             self._schedule(
                 self.now + self._send_setup * self._overhead_slow[proc.rank],
-                lambda: self._post_send(proc, request),
+                self._post_send,
+                proc,
+                request,
             )
         elif isinstance(request, Recv):
-            proc.state = ProcState.BLOCKED_RECV
+            proc.state = _BLOCKED_RECV
             proc.waiting_on = request
             self._post_recv(proc, request)
         elif isinstance(request, Delay):
-            proc.state = ProcState.DELAYED
+            proc.state = _DELAYED
             proc.waiting_on = request
             # Stragglers stretch local work (compute, pack/unpack).
             self._schedule(
                 self.now + request.seconds * self._compute_slow[proc.rank],
-                lambda: self._resume(proc, None),
+                self._resume,
+                proc,
+                None,
             )
         elif isinstance(request, Isend):
             self._check_dst(proc, request.dst)
@@ -388,14 +398,17 @@ class Engine:
             # message completes (and the handle flips) on its own.
             self._schedule(
                 self.now + self._send_setup * self._overhead_slow[proc.rank],
-                lambda: self._post_isend(proc, request, handle),
+                self._post_isend,
+                proc,
+                request,
+                handle,
             )
         elif isinstance(request, Wait):
             handle = request.handle
             if handle.done:
-                self._schedule(self.now, lambda: self._resume(proc, None))
+                self._schedule(self.now, self._resume, proc, None)
             else:
-                proc.state = ProcState.BLOCKED_SEND
+                proc.state = _BLOCKED_SEND
                 proc.waiting_on = f"wait on isend #{handle.seq}"
                 if handle.seq in self._waiters:
                     raise RuntimeError(
@@ -403,7 +416,7 @@ class Engine:
                     )
                 self._waiters[handle.seq] = proc
         elif isinstance(request, Barrier):
-            proc.state = ProcState.BLOCKED_BARRIER
+            proc.state = _BLOCKED_BARRIER
             proc.waiting_on = "barrier"
             self._barrier_waiting.append(proc)
             self._check_barrier(proc.rank)
@@ -435,7 +448,7 @@ class Engine:
                     "last_rank": last_rank,
                     "last_arrival": self.now,
                 }
-            self._schedule(done_at, lambda p=p: self._resume(p, None))
+            self._schedule(done_at, self._resume, p, None)
 
     # ==================================================================
     # Point-to-point
@@ -447,7 +460,7 @@ class Engine:
             raise ValueError(f"rank {proc.rank}: self-send is not supported")
 
     def _post_send(self, proc: Process, req: Send) -> None:
-        if proc.state is ProcState.DEAD:
+        if proc.state is _DEAD:
             return
         if req.dst in self.dead_ranks:
             self._fail_to_dead(
@@ -461,34 +474,27 @@ class Engine:
             self._start_transfer(send, recv)
 
     def _post_isend(self, proc: Process, req: Isend, handle: SendHandle) -> None:
-        if proc.state is ProcState.DEAD:
+        if proc.state is _DEAD:
             return
         if req.dst in self.dead_ranks:
             # The data is discarded; the handle completes at the
             # sender's failure-detection timeout, like a blocking send.
             self._record_dead_drop(proc.rank, req.dst, req.nbytes, req.tag, self.now)
-            self._schedule(self.now, lambda: self._resume(proc, handle))
+            self._schedule(self.now, self._resume, proc, handle)
             detect = self._death_detect.get(req.dst, 0.0)
-
-            def _flip() -> None:
-                handle.done = True
-                waiter = self._waiters.pop(handle.seq, None)
-                if waiter is not None:
-                    self._schedule(self.now, lambda: self._resume(waiter, None))
-
-            self._schedule(self.now + detect, _flip)
+            self._schedule(self.now + detect, self._flip_handle, handle)
             return
         send, recv = self.rendezvous.post_send(
             proc.rank, req.dst, req.nbytes, req.payload, req.tag, self.now
         )
         self._send_handles[send.seq] = handle
         # The sender resumes immediately with the handle.
-        self._schedule(self.now, lambda: self._resume(proc, handle))
+        self._schedule(self.now, self._resume, proc, handle)
         if recv is not None:
             self._start_transfer(send, recv)
 
     def _post_recv(self, proc: Process, req: Recv) -> None:
-        if proc.state is ProcState.DEAD:
+        if proc.state is _DEAD:
             return
         if req.src >= 0 and req.src in self.dead_ranks:
             detect = self._death_detect.get(req.src, 0.0)
@@ -499,9 +505,7 @@ class Engine:
                     "dst": proc.rank,
                     "failed_at": self.now,
                 }
-            self._schedule(
-                self.now + detect, lambda: self._resume(proc, DROPPED)
-            )
+            self._schedule(self.now + detect, self._resume, proc, DROPPED)
             return
         recv, send = self.rendezvous.post_recv(
             proc.rank, req.src, req.tag, self.now
@@ -539,7 +543,7 @@ class Engine:
                 "tag": tag,
                 "failed_at": self.now,
             }
-        self._schedule(self.now + detect, lambda: self._resume(sender, DROPPED))
+        self._schedule(self.now + detect, self._resume, sender, DROPPED)
 
     def _start_transfer(self, send: PostedSend, recv: PostedRecv) -> None:
         key = next(self._flow_seq)
@@ -571,7 +575,7 @@ class Engine:
         )
         # First-packet pipeline fill before the fluid drain begins.
         start_at = self.now + self.params.wire_latency + extra_latency
-        self._schedule(start_at, lambda: self._flow_begin(key))
+        self._schedule(start_at, self._flow_begin, key)
 
     def _flow_begin(self, key: int) -> None:
         inf = self._in_flight[key]
@@ -597,43 +601,33 @@ class Engine:
             self._attempts.pop((inf.send.src, inf.send.dst, inf.send.tag), None)
         self._messages_done += 1
         trc = self.tracer
-
-        def _cause(side: str, delivered: float) -> dict:
-            return {
-                "kind": "message",
-                "side": side,
-                "src": inf.send.src,
-                "dst": inf.send.dst,
-                "nbytes": inf.send.nbytes,
-                "tag": inf.send.tag,
-                "send_posted": inf.send.posted_at,
-                "matched_at": inf.matched_at,
-                "delivered_at": delivered,
-            }
-
         if inf.handle is not None:
             # Non-blocking send: flip the handle, release any waiter.
             inf.handle.done = True
             waiter = self._waiters.pop(inf.handle.seq, None)
             if waiter is not None:
                 if trc is not None:
-                    self._op_causes[waiter.rank] = _cause("send", self.now)
-                self._schedule(self.now, lambda: self._resume(waiter, None))
+                    self._op_causes[waiter.rank] = _message_cause(
+                        inf, "send", self.now
+                    )
+                self._schedule(self.now, self._resume, waiter, None)
         else:
             # Synchronous send: the rendezvous ack resumes the sender.
             if trc is not None:
-                self._op_causes[inf.sender.rank] = _cause("send", self.now)
-            self._schedule(self.now, lambda: self._resume(inf.sender, None))
+                self._op_causes[inf.sender.rank] = _message_cause(
+                    inf, "send", self.now
+                )
+            self._schedule(self.now, self._resume, inf.sender, None)
         # Receiver pays its software service time, then gets the payload.
         done_at = self.now + self._recv_service * self._overhead_slow[
             inf.send.dst
         ]
         if trc is not None:
-            self._op_causes[inf.receiver.rank] = _cause("recv", done_at)
+            self._op_causes[inf.receiver.rank] = _message_cause(
+                inf, "recv", done_at
+            )
             trc.metrics.counter("sim.bytes_delivered").inc(inf.send.nbytes)
-        payload = inf.send.payload
-        receiver = inf.receiver
-        self._schedule(done_at, lambda: self._resume(receiver, payload))
+        self._schedule(done_at, self._resume, inf.receiver, inf.send.payload)
         if self.trace is not NULL_TRACE:
             self.trace.add_message(
                 MessageRecord(
@@ -671,7 +665,7 @@ class Engine:
                 failed_at=self.now,
             )
         )
-        if inf.receiver.state is not ProcState.DEAD:
+        if inf.receiver.state is not _DEAD:
             recv, send = self.rendezvous.post_recv(
                 inf.recv.dst, inf.recv.src, inf.recv.tag, self.now
             )
@@ -689,9 +683,7 @@ class Engine:
                 "failed_at": self.now,
             }
             self.tracer.metrics.counter("sim.drops").inc()
-        self._schedule(
-            self.now + inf.drop_detect, lambda: self._resume(sender, DROPPED)
-        )
+        self._schedule(self.now + inf.drop_detect, self._resume, sender, DROPPED)
 
     def _abort_dead_flow(self, inf: _InFlight) -> None:
         """Resolve an in-flight transfer one of whose endpoints died."""
@@ -715,10 +707,8 @@ class Engine:
                 inf.handle.done = True
                 waiter = self._waiters.pop(inf.handle.seq, None)
                 if waiter is not None:
-                    self._schedule(
-                        self.now + detect, lambda: self._resume(waiter, None)
-                    )
-            elif inf.sender.state is not ProcState.DEAD:
+                    self._schedule(self.now + detect, self._resume, waiter, None)
+            elif inf.sender.state is not _DEAD:
                 if self.tracer is not None:
                     self._op_causes[inf.sender.rank] = {
                         "kind": "dead",
@@ -728,10 +718,9 @@ class Engine:
                         "failed_at": self.now,
                     }
                 self._schedule(
-                    self.now + detect,
-                    lambda: self._resume(inf.sender, DROPPED),
+                    self.now + detect, self._resume, inf.sender, DROPPED
                 )
-        if inf.send.src in self.dead_ranks and inf.receiver.state is not ProcState.DEAD:
+        if inf.send.src in self.dead_ranks and inf.receiver.state is not _DEAD:
             # Receiver survives: its blocking receive fails.
             if self.tracer is not None:
                 self._op_causes[inf.receiver.rank] = {
@@ -742,7 +731,7 @@ class Engine:
                     "failed_at": self.now,
                 }
             self._schedule(
-                self.now + detect, lambda: self._resume(inf.receiver, DROPPED)
+                self.now + detect, self._resume, inf.receiver, DROPPED
             )
 
     # ==================================================================
@@ -759,7 +748,7 @@ class Engine:
         the reduced live count so survivors are not stranded.
         """
         proc = self.procs[rank]
-        if proc.state in (ProcState.DONE, ProcState.DEAD):
+        if proc.state is _DONE or proc.state is _DEAD:
             return
         if self.tracer is not None:
             self.tracer.op_end(
@@ -767,7 +756,7 @@ class Engine:
             )
             self._op_causes.pop(rank, None)
             self.tracer.metrics.counter("sim.node_failures").inc()
-        proc.state = ProcState.DEAD
+        proc.state = _DEAD
         proc.finish_time = self.now
         proc.waiting_on = "dead"
         proc.gen.close()
@@ -784,17 +773,14 @@ class Engine:
                 self._record_dead_drop(
                     send.src, send.dst, send.nbytes, send.tag, send.posted_at
                 )
-                self._schedule(
-                    self.now + detect,
-                    lambda h=handle: self._flip_handle(h),
-                )
-            elif sender.state is not ProcState.DEAD:
+                self._schedule(self.now + detect, self._flip_handle, handle)
+            elif sender.state is not _DEAD:
                 self._fail_to_dead(
                     sender, rank, send.nbytes, send.tag, send.posted_at
                 )
         for recv in recvs_on:
             receiver = self.procs[recv.dst]
-            if receiver.state is ProcState.DEAD:
+            if receiver.state is _DEAD:
                 continue
             if self.tracer is not None:
                 self._op_causes[receiver.rank] = {
@@ -803,10 +789,7 @@ class Engine:
                     "dst": recv.dst,
                     "failed_at": self.now,
                 }
-            self._schedule(
-                self.now + detect,
-                lambda p=receiver: self._resume(p, DROPPED),
-            )
+            self._schedule(self.now + detect, self._resume, receiver, DROPPED)
         # A dead rank stuck in a barrier/collective must not gate the
         # survivors — drop it from the membership and re-check.
         self._barrier_waiting = [
@@ -824,18 +807,16 @@ class Engine:
         handle.done = True
         waiter = self._waiters.pop(handle.seq, None)
         if waiter is not None:
-            self._schedule(self.now, lambda: self._resume(waiter, None))
+            self._schedule(self.now, self._resume, waiter, None)
 
     def _arm_network_event(self) -> None:
-        # Called after every drained instant.  When no flow was added or
-        # retired since the last arm, the armed event (if any) is still
-        # valid — its completion instant is memoized and unchanged — so
-        # the re-arm is skipped entirely instead of invalidating and
-        # re-pushing an identical event every instant.  Superseded
-        # events are left in the heap and skipped by generation number
-        # when popped; see __init__ for why their times must survive.
-        if not self._net_changed:
-            return
+        # Called after a drained instant only when a flow was added or
+        # retired; otherwise the armed event (if any) is still valid —
+        # its completion instant is memoized and unchanged — and the
+        # re-arm is skipped instead of re-pushing an identical event.
+        # Superseded events are left in the heap and skipped by
+        # generation number when popped; see __init__ for why their
+        # times must survive.
         self._net_changed = False
         self._net_gen += 1
         if self.net.active_count == 0:
@@ -844,7 +825,7 @@ class Engine:
         if t is None:
             return
         gen = self._net_gen
-        self._schedule(max(t, self.now), lambda: self._net_check(gen))
+        self._schedule(max(t, self.now), self._net_check, gen)
 
     def _net_check(self, gen: int) -> None:
         if gen != self._net_gen:
@@ -859,7 +840,7 @@ class Engine:
     # Control-network collectives
     # ==================================================================
     def _join_collective(self, proc: Process, kind: str, req: Any) -> None:
-        proc.state = ProcState.BLOCKED_COLLECTIVE
+        proc.state = _BLOCKED_COLLECTIVE
         proc.waiting_on = kind
         if self._collective is None:
             self._collective = (kind, [])
@@ -907,9 +888,7 @@ class Engine:
             payload = root_req.payload if root_req else None
             done_at = self.now + self.control.broadcast(nbytes, n)
             for p, _ in members:
-                self._schedule(
-                    done_at, lambda p=p: self._resume(p, payload)
-                )
+                self._schedule(done_at, self._resume, p, payload)
             self.trace.add_phase(
                 PhaseRecord(root, "sys-bcast", self.now, done_at)
             )
@@ -922,7 +901,7 @@ class Engine:
             nbytes = max(req.nbytes for _, req in members)
             done_at = self.now + self.control.reduce(nbytes, n)
             for p, _ in members:
-                self._schedule(done_at, lambda p=p, acc=acc: self._resume(p, acc))
+                self._schedule(done_at, self._resume, p, acc)
         else:  # pragma: no cover - kinds are internal
             raise RuntimeError(f"unknown collective kind: {kind}")
 

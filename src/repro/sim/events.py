@@ -1,63 +1,54 @@
 """Event queue for the discrete-event engine.
 
-A thin priority queue of ``(time, seq, callback)`` with a monotonically
-increasing sequence number to break ties deterministically (FIFO among
-simultaneous events).  Determinism matters: the whole reproduction is
-seeded and repeatable, so two runs of the same schedule produce identical
-timelines.
+A min-heap of ``(time, seq, fn, args)`` entries: an event fires as
+``fn(*args)``, so scheduling one allocates a tuple, not a closure.  The
+monotonically increasing sequence number breaks ties deterministically
+(FIFO among simultaneous events) and keeps ``fn`` out of comparisons.
+Determinism matters: the whole reproduction is seeded and repeatable, so
+two runs of the same schedule produce identical timelines.
+
+The engine pushes through :meth:`EventQueue.push` and drains
+:attr:`EventQueue.heap` with an inline ``heappop`` loop.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 __all__ = ["EventQueue"]
 
-Callback = Callable[[], None]
+#: One heap entry: ``(time, seq, fn, args)``.
+Event = Tuple[float, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class EventQueue:
-    """Min-heap of timestamped callbacks with stable FIFO tie-breaking."""
+    """Min-heap of timestamped calls with stable FIFO tie-breaking."""
+
+    __slots__ = ("heap", "_seq")
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callback]] = []
+        self.heap: List[Event] = []
         self._seq = itertools.count()
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self.heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self.heap)
 
-    def push(self, time: float, callback: Callback) -> None:
-        """Schedule ``callback`` to fire at simulated ``time``."""
+    def push(self, time: float, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` to fire at simulated ``time``."""
         if time != time:  # NaN guard
             raise ValueError("event time is NaN")
-        heapq.heappush(self._heap, (time, next(self._seq), callback))
+        heapq.heappush(self.heap, (time, next(self._seq), fn, args))
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
+        return self.heap[0][0] if self.heap else None
 
-    def pop(self) -> Tuple[float, Callback]:
-        """Remove and return the earliest ``(time, callback)``."""
-        time, _, callback = heapq.heappop(self._heap)
-        return time, callback
-
-    def pop_batch(self, atol: float = 0.0) -> Tuple[float, List[Callback]]:
-        """Remove every event sharing the earliest timestamp.
-
-        ``atol`` merges events within a small absolute tolerance, which
-        coalesces the per-wave flow arrivals of synchronized exchange
-        algorithms so fair-share rates are recomputed once per wave.
-        """
-        if not self._heap:
-            raise IndexError("pop from empty event queue")
-        t0, _, cb = heapq.heappop(self._heap)
-        batch = [cb]
-        while self._heap and self._heap[0][0] <= t0 + atol:
-            _, _, cb = heapq.heappop(self._heap)
-            batch.append(cb)
-        return t0, batch
+    def pop(self) -> Tuple[float, Callable[..., None], Tuple[Any, ...]]:
+        """Remove and return the earliest ``(time, fn, args)``."""
+        time, _, fn, args = heapq.heappop(self.heap)
+        return time, fn, args

@@ -104,6 +104,17 @@ def test_reliable_send_raises_past_retry_budget():
         run_spmd(MachineConfig(4), program, faults=plan)
 
 
+def test_schedule_program_uses_the_reliable_send_retry_loop():
+    # The executor yields its sends itself; after a drop it must run the
+    # same retry loop as reliable_send: same budget, same error text.
+    plan = FaultPlan((MessageDrop(1.0, max_consecutive=20),))
+    with pytest.raises(
+        MessageLostError,
+        match=r"^rank \d: send to \d \(64B, tag 0\) lost after 9 attempts$",
+    ):
+        execute_schedule(pairwise_exchange(4, 64), MachineConfig(4), faults=plan)
+
+
 def test_retry_policy_budget_is_respected():
     # max_consecutive=2 < max_retries, so a tight policy still succeeds.
     plan = FaultPlan((MessageDrop(1.0, max_consecutive=2),))

@@ -1,51 +1,98 @@
-"""Byte-identity regression tests for the batched event-core drain.
+"""Byte-identity regression tests for the engine's event-core drain.
 
-The engine's hot loop drains every event of an instant in one batch
-(``EventQueue.pop_batch``) instead of popping one callback at a time;
-``REPRO_SINGLE_POP_DRAIN=1`` selects the single-pop reference drain.
-These tests pin the tentpole contract: the two drains — and the C
-kernel vs the NumPy fallback — produce byte-identical traces, including
-the nasty corner where two events are separated by exactly
-``_TIME_ATOL`` (the batching threshold is inclusive, so both land in
-one instant and must retire at the *first* event's timestamp).
+The engine drains each instant with one inline ``heappop`` loop over
+``(time, seq, fn, args)`` entries.  These tests pin its observable
+behaviour to SHA-256 trace digests recorded with the earlier engine
+(closure events, equal-time batched drain, list-scan rendezvous), so any
+change to event order or to a single timestamp bit fails here.  They
+also check that the C kernel and the NumPy fallback agree, and that
+large-N runs are deterministic across processes.
 """
 
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis.replicate import digest_result, replicate, run_digest
 from repro.cmmd import run_spmd
 from repro.machine import CM5Params, MachineConfig
-from repro.schedules import execute_schedule, pairwise_exchange
+from repro.schedules import (
+    CommPattern,
+    balanced_exchange,
+    execute_schedule,
+    linear_exchange,
+    pairwise_exchange,
+    schedule_irregular,
+)
 from repro.sim.engine import _TIME_ATOL
 
+#: ``digest_result(..., trace=True)`` of each case, recorded before the
+#: event core was rewritten.  Never regenerate these to make a test pass:
+#: a mismatch means simulated behaviour changed.
+PINNED_DIGESTS = {
+    "pex_n32_b512": "2f1281c3bcd508fd78ff31bbbe99a0b6735daa223a35826a719618b2547cebe2",
+    "pex_n64_b0": "a7c2ad720f4fa422e002a143a0288bba5be8b300666558165b03f61df9742c07",
+    "pex_n64_b1920": "cad69f9ebb05e789b4d9bd47e186436c731caf38cecd480cf4552f37e6a4a292",
+    "bex_n64_b0": "e173b758e6efaeaa73988bd115fe9dee7255f3ea260791f4434eccf6d1e5f2e0",
+    "bex_n64_b1920": "6f34a0fae49f16f7f24178f10056c8fff9cd61ea2b57778a8f921b1e43cc4ab2",
+    "lex_n64_b0": "e9e7c0c1cf89972f989a223a994ac67cd50eec9b52e8c3c337b2ae41f64e5b63",
+    "lex_n64_b1920": "bc1244e05079b87705879c988ac8e3b4c2f29e981e89c294613307a9fcde6b24",
+    "gs_n32_d25_b1024": "1158cdc785b615baebbadf5761c3f8fdc1a05a1be9b85faf1cc4755ac4bb3989",
+    "atol_delay_n4": "0d3e02b2807e6088f72032f9c82a28849fe550c1d43626e4ba0230c3278b65a8",
+}
 
-def _pex32_digest():
-    res = execute_schedule(
-        pairwise_exchange(32, 512), MachineConfig(32), trace=True
+_EXCHANGES = {
+    "pex": pairwise_exchange,
+    "bex": balanced_exchange,
+    "lex": linear_exchange,
+}
+
+
+def _exchange_digest(case):
+    algo, n, b = case.split("_")
+    nprocs, nbytes = int(n[1:]), int(b[1:])
+    sched = _EXCHANGES[algo](nprocs, nbytes)
+    return digest_result(
+        execute_schedule(sched, MachineConfig(nprocs), trace=True)
     )
-    return digest_result(res)
 
 
-def test_batched_vs_single_pop_pex32(monkeypatch):
-    """The reference single-pop drain yields byte-identical traces."""
-    monkeypatch.delenv("REPRO_SINGLE_POP_DRAIN", raising=False)
-    batched = _pex32_digest()
-    monkeypatch.setenv("REPRO_SINGLE_POP_DRAIN", "1")
-    single_pop = _pex32_digest()
-    assert batched == single_pop
+@pytest.mark.parametrize(
+    "case",
+    [
+        "pex_n32_b512",
+        "pex_n64_b0",
+        "pex_n64_b1920",
+        "bex_n64_b0",
+        "bex_n64_b1920",
+        "lex_n64_b0",
+        "lex_n64_b1920",
+    ],
+)
+def test_pinned_trace_digest(case):
+    """PEX/BEX/LEX exchanges reproduce the recorded traces bit for bit."""
+    assert _exchange_digest(case) == PINNED_DIGESTS[case]
 
 
-def test_atol_separated_events_drain_identically(monkeypatch):
-    """Events exactly ``_TIME_ATOL`` apart batch into one instant.
+def test_pinned_greedy_table11_digest():
+    """A Table 11-style GS schedule (25% density, 1 KB) at N=32."""
+    pat = CommPattern.synthetic(32, 0.25, 1024, seed=11)
+    res = execute_schedule(
+        schedule_irregular(pat, "greedy"), MachineConfig(32), trace=True
+    )
+    assert digest_result(res) == PINNED_DIGESTS["gs_n32_d25_b1024"]
+
+
+def test_atol_separated_events_drain_identically():
+    """Events exactly ``_TIME_ATOL`` apart drain into one instant.
 
     Rank ``r`` wakes at ``r * _TIME_ATOL``: consecutive wake-ups sit
-    exactly on the inclusive batching threshold, the regime where an
+    exactly on the inclusive drain threshold, the regime where an
     off-by-one-ulp drain boundary would reorder or re-timestamp events.
-    Both drains must agree bit-for-bit (``repr``-level timestamps).
+    The digest covers ``repr``-level timestamps.
     """
 
     def prog(comm):
@@ -55,13 +102,10 @@ def test_atol_separated_events_drain_identically(monkeypatch):
         yield Delay(_TIME_ATOL)
 
     cfg = MachineConfig(4, CM5Params(routing_jitter=0.0))
-    monkeypatch.delenv("REPRO_SINGLE_POP_DRAIN", raising=False)
-    a = run_spmd(cfg, prog, trace=True)
-    monkeypatch.setenv("REPRO_SINGLE_POP_DRAIN", "1")
-    b = run_spmd(cfg, prog, trace=True)
-    assert a.trace.event_stream() == b.trace.event_stream()
-    assert repr(a.makespan) == repr(b.makespan)
-    assert [repr(t) for t in a.finish_times] == [repr(t) for t in b.finish_times]
+    sim = run_spmd(cfg, prog, trace=True)
+    assert digest_result(SimpleNamespace(sim=sim)) == PINNED_DIGESTS[
+        "atol_delay_n4"
+    ]
 
 
 @pytest.mark.parametrize("n", [512, 1024])

@@ -13,8 +13,8 @@ class TestEventQueue:
         q.push(1.0, lambda: fired.append("a"))
         q.push(3.0, lambda: fired.append("c"))
         while q:
-            _, cb = q.pop()
-            cb()
+            _, fn, args = q.pop()
+            fn(*args)
         assert fired == ["a", "b", "c"]
 
     def test_fifo_among_simultaneous(self):
@@ -25,6 +25,20 @@ class TestEventQueue:
         while q:
             q.pop()[1]()
         assert fired == list("abcde")
+
+    def test_args_are_stored_not_closed_over(self):
+        q = EventQueue()
+        fired = []
+        q.push(1.0, fired.append, "x")
+        q.push(0.5, fired.extend, ("y", "z"))
+        while q:
+            _, fn, args = q.pop()
+            fn(*args)
+        assert fired == ["y", "z", "x"]
+        # Entries are plain tuples: (time, seq, fn, args).
+        q.push(2.0, fired.append, 1)
+        time, seq, fn, args = q.heap[0]
+        assert (time, fn, args) == (2.0, fired.append, (1,))
 
     def test_peek_time(self):
         q = EventQueue()
@@ -39,27 +53,10 @@ class TestEventQueue:
         q.push(0.0, lambda: None)
         assert len(q) == 1 and q
 
-    def test_pop_batch_merges_equal_times(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        t, batch = q.pop_batch()
-        assert t == 1.0
-        assert len(batch) == 2
-        assert len(q) == 1
-
-    def test_pop_batch_tolerance(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.push(1.0 + 1e-13, lambda: None)
-        _, batch = q.pop_batch(atol=1e-12)
-        assert len(batch) == 2
-
     def test_pop_empty_raises(self):
         q = EventQueue()
         with pytest.raises(IndexError):
-            q.pop_batch()
+            q.pop()
 
     def test_nan_time_rejected(self):
         q = EventQueue()

@@ -409,6 +409,23 @@ class TestChaosCLI:
         assert err.startswith("error:")
         assert "\n" not in err.rstrip("\n")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--straggler", "3:-2"],
+            ["--straggler", "x:2"],
+            ["--degrade", "1:2"],
+            ["--degrade", "1:0:-0.5"],
+            ["--drop", "1.5"],
+            ["--delay", "0.5:-1e-4"],
+        ],
+    )
+    def test_invalid_fault_flag_exits_2(self, capsys, flags):
+        assert main(["faults", "--quick", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} wants ")
+        assert "\n" not in err.rstrip("\n")
+
     @pytest.mark.parametrize("command", ["faults", "chaos"])
     def test_missing_plan_file_exits_2(self, tmp_path, capsys, command):
         missing = tmp_path / "no-such-plan.json"
