@@ -12,7 +12,7 @@ cache + single-flight dedup + warm-start tiers.
 Outputs:
 
 * full scale: ``BENCH_service.json`` at the repo root — the committed
-  artifact (schema ``repro-bench-service/1``, ``"scale": "full"``),
+  artifact (schema ``repro-bench-service/3``, ``"scale": "full"``),
   comparable with ``python -m repro perfcmp``;
 * ``--quick``: ``BENCH_service_quick.json`` — a side path, so a CI
   smoke run can never clobber the committed full-scale artifact

@@ -16,12 +16,11 @@ simulated milliseconds).
 
 Both BENCH families are accepted — ``repro-bench-sim/*`` (the hot-path
 perf harness) and ``repro-bench-service/*`` (the scheduling-service
-bench) — but baseline and current must come from the *same* family.
-Different *versions* within a family (``repro-bench-service/1`` vs
-``/2``) compare on the fields both carry: the ``sim_ms`` drift check
-applies only to workloads where *both* documents carry the field, and
-a cross-version or missing-field comparison is noted with one line in
-the report rather than silently judged or rejected.
+bench) — but baseline and current must carry the *same* schema: a
+different family or a different version within one family is a hard
+error.  A workload whose ``sim_ms`` is present on one side only counts
+as a simulated-time drift (the service schema carries it on neither
+side).
 
 Both documents must also declare the *same* ``"scale"`` (``"quick"`` vs
 ``"full"``): a quick run judged against a full baseline (or vice versa)
@@ -70,11 +69,6 @@ DEFAULT_MIN_DELTA = 0.05
 _SCHEMA_FAMILIES = ("repro-bench-sim/", "repro-bench-service/")
 
 
-def _schema_family(doc: Dict[str, object]) -> str:
-    schema = str(doc.get("schema", ""))
-    return schema.split("/")[0] + "/"
-
-
 def load_bench(path) -> Dict[str, object]:
     """Load and minimally validate one BENCH document."""
     doc = json.loads(Path(path).read_text())
@@ -109,9 +103,6 @@ class PerfComparison:
     deltas: List[PerfDelta] = field(default_factory=list)
     only_baseline: List[str] = field(default_factory=list)
     only_current: List[str] = field(default_factory=list)
-    #: One-line notices (cross-version compare, skipped drift checks) —
-    #: informational, never failures.
-    notes: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[PerfDelta]:
@@ -137,11 +128,11 @@ def compare_benches(
         raise ValueError(f"threshold must be positive, got {threshold}")
     if min_delta < 0:
         raise ValueError(f"min_delta must be non-negative, got {min_delta}")
-    if _schema_family(baseline) != _schema_family(current):
+    if baseline.get("schema") != current.get("schema"):
         raise ValueError(
             f"schema mismatch: baseline {baseline.get('schema')!r} vs "
-            f"current {current.get('schema')!r}; comparing a sim bench "
-            "against a service bench is meaningless"
+            f"current {current.get('schema')!r}; only documents of one "
+            "schema version compare"
         )
     b_scale, c_scale = baseline.get("scale"), current.get("scale")
     if b_scale is None or c_scale is None:
@@ -166,15 +157,8 @@ def compare_benches(
     base_wl: Dict[str, dict] = baseline["workloads"]  # type: ignore[assignment]
     cur_wl: Dict[str, dict] = current["workloads"]  # type: ignore[assignment]
     cmp = PerfComparison(threshold=threshold, min_delta=min_delta)
-    if baseline.get("schema") != current.get("schema"):
-        cmp.notes.append(
-            f"cross-version compare: baseline {baseline.get('schema')!r} "
-            f"vs current {current.get('schema')!r}; judging shared fields "
-            "only"
-        )
     cmp.only_baseline = sorted(set(base_wl) - set(cur_wl))
     cmp.only_current = sorted(set(cur_wl) - set(base_wl))
-    drift_skipped: List[str] = []
     for name in (n for n in cur_wl if n in base_wl):
         b, c = base_wl[name], cur_wl[name]
         base_s = float(b["wall_seconds"])
@@ -188,12 +172,6 @@ def compare_benches(
                 f"{base_s}; recapture the baseline BENCH file"
             )
         ratio = (cur_s - base_s) / base_s
-        # Simulated time must be identical — but only when both sides
-        # recorded it.  One-sided sim_ms (a cross-version compare, or a
-        # field the schema never had) is a skipped check, not a drift.
-        both_sim = "sim_ms" in b and "sim_ms" in c
-        if ("sim_ms" in b) != ("sim_ms" in c):
-            drift_skipped.append(name)
         cmp.deltas.append(
             PerfDelta(
                 name=name,
@@ -201,14 +179,10 @@ def compare_benches(
                 current_s=cur_s,
                 ratio=ratio,
                 regressed=ratio > threshold and (cur_s - base_s) > min_delta,
-                sim_drift=both_sim and b["sim_ms"] != c["sim_ms"],
+                # Absent on both sides (the service schema) is no drift;
+                # absent on one side is.
+                sim_drift=b.get("sim_ms") != c.get("sim_ms"),
             )
-        )
-    if drift_skipped:
-        cmp.notes.append(
-            "sim_ms drift check skipped for "
-            f"{len(drift_skipped)} workload(s) with the field on one "
-            f"side only: {', '.join(sorted(drift_skipped))}"
         )
     return cmp
 
@@ -230,8 +204,6 @@ def render_comparison(cmp: PerfComparison) -> str:
             f"{d.name:<24} {d.baseline_s:9.2f} {d.current_s:9.2f} "
             f"{d.ratio:+7.1%}  {verdict}"
         )
-    for note in cmp.notes:
-        lines.append(f"note: {note}")
     for name in cmp.only_baseline:
         lines.append(f"{name:<24} (baseline only — skipped)")
     for name in cmp.only_current:

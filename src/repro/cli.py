@@ -550,13 +550,14 @@ def cmd_topology(args: argparse.Namespace) -> None:
         print()
 
 
-def _load_plan_file(path: str):
+def _load_plan_file(path: str, config):
     """Load and validate a FaultPlan JSON file, with CLI-grade errors.
 
-    A missing file, malformed JSON, an unknown fault kind, or an
+    A missing file, malformed JSON, an unknown fault kind, an
     out-of-range field (negative probability/seconds, zero factor, ...)
-    all surface as a one-line :class:`CLIError` (exit code 2) instead of
-    a traceback.
+    or a rank or link the machine ``config`` does not have all surface
+    as a one-line :class:`CLIError` (exit code 2) instead of a
+    traceback.
     """
     from json import JSONDecodeError
 
@@ -567,15 +568,17 @@ def _load_plan_file(path: str):
     except OSError as exc:
         raise CLIError(f"cannot read fault plan {path}: {exc}")
     try:
-        return FaultPlan.from_json(text)
+        plan = FaultPlan.from_json(text)
+        plan.check_machine(config)
     except JSONDecodeError as exc:
         raise CLIError(f"malformed fault plan {path}: {exc}")
     except (ValueError, TypeError) as exc:
         raise CLIError(f"invalid fault plan {path}: {exc}")
+    return plan
 
 
-def _parse_fault_plan(args: argparse.Namespace):
-    """Build a FaultPlan from the CLI's fault options."""
+def _parse_fault_plan(args: argparse.Namespace, config):
+    """Build a FaultPlan for machine ``config`` from the fault options."""
     from .faults import (
         FaultPlan,
         LinkDegrade,
@@ -585,13 +588,16 @@ def _parse_fault_plan(args: argparse.Namespace):
     )
 
     if args.plan is not None:
-        return _load_plan_file(args.plan)
+        return _load_plan_file(args.plan, config)
 
     def flag_fault(flag: str, form: str, spec: Any, parse: Callable):
-        # Malformed numbers, wrong arity and out-of-range fields all
-        # surface as one CLIError line instead of a traceback.
+        # Malformed numbers, wrong arity, out-of-range fields and ranks
+        # or links the machine lacks all surface as one CLIError line
+        # instead of a traceback.
         try:
-            return parse(spec)
+            fault = parse(spec)
+            FaultPlan((fault,)).check_machine(config)
+            return fault
         except ValueError as exc:
             raise CLIError(f"{flag} wants {form}, got {spec!r}: {exc}") from None
 
@@ -648,7 +654,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     n = 8 if args.quick else 32
     nbytes = 256 if args.quick else 512
     cfg = MachineConfig(n, CM5Params(routing_jitter=0.0))
-    plan = _parse_fault_plan(args)
+    plan = _parse_fault_plan(args, cfg)
     print(f"fault plan: {plan.describe()}  (seed {plan.seed}, {n} nodes)")
     print(f"{'algorithm':<10} {'healthy':>10} {'faulty':>10} {'repaired':>10} {'retries':>8}")
     builders = [
@@ -686,11 +692,13 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     CI-sized 20-run grid; ``--plan FILE`` probes one specific plan
     through the same invariant battery instead.
     """
+    from .machine import MachineConfig
     from .resilience import probe_plan, render_chaos, run_campaign, write_chaos
 
     if args.plan is not None:
-        plan = _load_plan_file(args.plan)
-        run = probe_plan(plan)
+        nprocs = 16
+        plan = _load_plan_file(args.plan, MachineConfig(nprocs))
+        run = probe_plan(plan, nprocs)
         print(f"plan: {plan.describe()}  (seed {plan.seed})")
         print(
             f"N={run.nprocs} {run.algorithm}: makespan "
@@ -724,7 +732,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> None:
     Serves a stream of scheduling requests through the content-addressed
     cache / warm-start / single-flight tiers of :mod:`repro.service` and
     writes the scale-routed BENCH document (schema
-    ``repro-bench-service/1``): full runs go to ``BENCH_service.json``,
+    ``repro-bench-service/3``): full runs go to ``BENCH_service.json``,
     ``--quick``/custom runs to the ``BENCH_service_quick.json`` side
     path so a smoke run can never clobber the committed full-scale
     artifact (``--force`` overrides the guard).  A text table lands in

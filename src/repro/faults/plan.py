@@ -261,6 +261,30 @@ class FaultPlan:
                 parts.append(f"delay p={f.probability:g} +{f.seconds:.0e}s")
         return ", ".join(parts)
 
+    def check_machine(self, config) -> None:
+        """Raise ``ValueError`` on the first fault the machine lacks.
+
+        The fault model silently skips ranks and links that a partition
+        does not have (one plan may drive a machine-size sweep); an
+        input boundary that runs a plan on one known machine calls this
+        instead, so a typo'd rank or link cannot pass as a healthy run.
+        """
+        from ..machine.fattree import fat_tree_for
+
+        n = config.nprocs
+        for f in self.faults:
+            if isinstance(f, (NodeStraggler, NodeFailure)) and f.rank >= n:
+                raise ValueError(
+                    f"{_KIND_NAMES[type(f)]} rank {f.rank} is outside the "
+                    f"{n}-node machine (ranks 0..{n - 1})"
+                )
+            if isinstance(f, LinkDegrade):
+                if ("up", f.level, f.index) not in fat_tree_for(config).links:
+                    raise ValueError(
+                        f"link_degrade L{f.level}#{f.index} is not a link of "
+                        f"the {n}-node fat tree ({config.levels} levels)"
+                    )
+
     # ------------------------------------------------------------------
     # JSON round-trip (the CLI accepts plan files)
     # ------------------------------------------------------------------

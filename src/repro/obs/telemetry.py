@@ -98,10 +98,6 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
         "counter",
         "requests rejected by admission control (ServiceOverloaded)",
     ),
-    "service.guard.worker_crashed": (
-        "counter",
-        "requests failed with WorkerCrashed (failover disabled/exhausted)",
-    ),
     "service.guard.retries": (
         "counter",
         "build attempts retried after a transient failure or crash",

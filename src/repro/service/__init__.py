@@ -74,7 +74,6 @@ from .guard import (
     ServiceError,
     ServiceOverloaded,
     TransientBuildError,
-    WorkerCrashed,
 )
 from .keys import (
     KEY_VERSION,
@@ -126,7 +125,6 @@ __all__ = [
     "ServiceError",
     "ServiceOverloaded",
     "TransientBuildError",
-    "WorkerCrashed",
     "KEY_VERSION",
     "ScheduleKey",
     "canonical_form",

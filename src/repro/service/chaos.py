@@ -18,7 +18,7 @@ mix:
   so no tier is allowed to drift the bytes);
 * **counter reconciliation** — the scheduler's ``service.guard.*``
   counters reconcile *exactly* against per-request traces and observed
-  outcomes: shed/deadline/crash outcome counts, retry and backoff
+  outcomes: shed and deadline outcome counts, retry and backoff
   totals, worker-crash and inline-failover totals, chaos injections,
   and the breaker's trip/probe lifetime counts (with the soundness
   bound ``crashes >= threshold + trips - 1``);
@@ -235,7 +235,6 @@ def _make_scenario(seed: int) -> _Scenario:
         admission_capacity=rng.randint(1, 2) if admission else None,
         admission_queue=rng.randint(0, 2),
         shed_policy=rng.choice(SHED_POLICIES),
-        inline_failover=True,
     )
     return _Scenario(
         seed=seed,
@@ -317,11 +316,6 @@ def _reconcile(
         "DeadlineExceeded outcomes",
     )
     check(
-        "service.guard.worker_crashed",
-        err_counts.get("WorkerCrashed", 0),
-        "WorkerCrashed outcomes",
-    )
-    check(
         "service.guard.retries",
         sum(t.retries for t in traces),
         "sum of trace retries",
@@ -343,20 +337,15 @@ def _reconcile(
     )
 
     breaker = sched._breaker
-    if breaker is not None:
-        check(
-            "service.guard.breaker_trips", breaker.trips, "breaker trips"
+    check("service.guard.breaker_trips", breaker.trips, "breaker trips")
+    check("service.guard.breaker_probes", breaker.probes, "breaker probes")
+    crashes = stats.get("service.guard.worker_crashes", 0)
+    threshold = scenario.guard.breaker_threshold
+    if breaker.trips and crashes < threshold + breaker.trips - 1:
+        violations.append(
+            f"reconcile: {breaker.trips} trip(s) need at least "
+            f"{threshold + breaker.trips - 1} crashes, saw {crashes}"
         )
-        check(
-            "service.guard.breaker_probes", breaker.probes, "breaker probes"
-        )
-        crashes = stats.get("service.guard.worker_crashes", 0)
-        threshold = scenario.guard.breaker_threshold
-        if breaker.trips and crashes < threshold + breaker.trips - 1:
-            violations.append(
-                f"reconcile: {breaker.trips} trip(s) need at least "
-                f"{threshold + breaker.trips - 1} crashes, saw {crashes}"
-            )
     return violations
 
 
@@ -540,8 +529,7 @@ def _run_scenario(seed: int, registry: MetricsRegistry) -> ServiceChaosRun:
                         injected,
                     )
                 )
-            if sched._breaker is not None:
-                trips = sched._breaker.trips
+            trips = sched._breaker.trips
             merge_state(registry, registry_state(sched.metrics))
         finally:
             sched.close()

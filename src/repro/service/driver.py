@@ -51,9 +51,8 @@ on top of ``/1``'s shared fields.  Schema ``/3`` adds the guard view:
 the fraction of offered requests that missed their deadline
 (``deadline_miss_rate``) or were shed by admission control
 (``shed_rate``); both are exactly ``0.0`` when the cell runs without a
-:class:`~repro.service.guard.GuardConfig`, and the serving path is
-byte-identical to ``/2`` in that case.  ``perfcmp`` compares across
-versions on the shared fields.
+:class:`~repro.service.guard.GuardConfig` and without a deadline.
+``perfcmp`` compares only documents of the same schema version.
 
 ``repro serve-bench`` drives this and fails (exit 1) when a served
 schedule fails the linter or the hit rate is zero — the regression a
@@ -324,7 +323,8 @@ def run_service_cell(
     """One bench cell: corpus -> Zipf stream -> scheduler -> metrics.
 
     ``guard``/``deadline`` arm the reliability guardrails for the cell;
-    the default (both None) serves exactly as before and reports
+    structured failures are counted instead of raised.  The default
+    (both None) can neither miss a deadline nor shed, so it reports
     ``deadline_miss_rate`` / ``shed_rate`` of 0.0.
     """
     corpus = pattern_corpus(
@@ -333,11 +333,8 @@ def run_service_cell(
     mix = zipf_mix(requests, len(corpus), skew, seed=seed)
     stream = request_stream(corpus, mix, drift=drift, seed=seed)
     config = MachineConfig(nprocs)
-    if deadline is not None and guard is None:
-        guard = GuardConfig()  # a deadline needs the guard machinery
     errors: List[ServiceError] = []
     served: List[Tuple[str, CommPattern]] = []
-    guarded = guard is not None
     with Scheduler(
         store=store,
         workers=workers,
@@ -351,12 +348,10 @@ def run_service_cell(
             config,
             progress,
             deadline=deadline,
-            errors=errors if guarded else None,
-            served=served if guarded else None,
+            errors=errors,
+            served=served,
         )
         counters = scheduler.stats()
-    if not guarded:
-        served = stream
 
     lint_failures = 0
     # Memoized per (schedule, pattern) *pair* — the same serialized

@@ -27,11 +27,11 @@ require, threaded through the scheduler's cold-build path:
   last dropping the waiter whose deadline is least likely to be met
   given the queue depth and the observed cold-build latency EWMA.
 
-Everything here is **opt-in and zero-cost when off**: a scheduler built
-without a :class:`GuardConfig` takes exactly the pre-guard code path
-(the acceptance bar is byte-identical serve-bench behavior), and even a
-guarded scheduler with no faults and generous limits serves the same
-bytes as an unguarded one.
+A scheduler built without a :class:`GuardConfig` runs the same code
+under the fixed policy ``GuardConfig(max_retries=0)``: no deadline, no
+admission gate, no retries, and the default breaker over the worker
+tier.  Cache hits never consult the guard, and every policy serves the
+same bytes when no fault fires.
 
 All guard activity is observable through frozen ``service.guard.*``
 metric names (see :data:`repro.obs.telemetry.METRIC_NAMES`) and through
@@ -53,7 +53,6 @@ __all__ = [
     "ServiceError",
     "DeadlineExceeded",
     "ServiceOverloaded",
-    "WorkerCrashed",
     "TransientBuildError",
     "SHED_POLICIES",
     "BREAKER_STATES",
@@ -138,19 +137,6 @@ class ServiceOverloaded(ServiceError):
     counter = "shed"
 
 
-class WorkerCrashed(ServiceError):
-    """A cold build lost its worker process and every recovery failed.
-
-    Normally a crash is invisible to callers — the scheduler respawns
-    the pool, retries, and finally fails over to an inline build.  This
-    error only escapes when the guard is configured with
-    ``inline_failover=False`` (the chaos harness uses that to observe
-    the raw taxonomy).  ``fields``: ``attempts``, ``breaker_state``.
-    """
-
-    counter = "worker_crashed"
-
-
 class TransientBuildError(RuntimeError):
     """A retryable, non-crash build failure (chaos fault injection).
 
@@ -178,8 +164,9 @@ class GuardConfig:
     half-open probe through.  ``admission_capacity`` bounds concurrent
     cold builds (``None`` disables admission control entirely);
     ``admission_queue`` bounds waiters beyond that, shed according to
-    ``shed_policy``.  ``inline_failover=False`` surfaces
-    :class:`WorkerCrashed` instead of degrading to an inline build.
+    ``shed_policy``.  A build whose retries are exhausted always fails
+    over to an inline build, so worker crashes never reach the caller.
+    A scheduler given no config uses ``GuardConfig(max_retries=0)``.
 
     ``clock`` and ``sleep`` are injectable for deterministic tests; the
     defaults are :func:`time.monotonic` and :func:`time.sleep`.
@@ -201,7 +188,6 @@ class GuardConfig:
     admission_capacity: Optional[int] = None
     admission_queue: int = 8
     shed_policy: str = "reject-newest"
-    inline_failover: bool = True
     clock: Callable[[], float] = time.monotonic
     sleep: Callable[[float], None] = time.sleep
     chaos_hook: Optional[

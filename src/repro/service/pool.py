@@ -59,16 +59,19 @@ class WorkerPool:
         the whole executor — every subsequent submit fails instantly.
         Recovery is a swap: discard the broken executor without waiting
         on it (its workers are already dead) and stand up a fresh one.
-        Inline pools (``jobs == 0``) have no executor and nothing to do.
+        The new executor is in place before the old one is dropped: a
+        concurrent :meth:`submit` must never see ``None`` and run its
+        job inline in the parent.  Inline pools (``jobs == 0``) have no
+        executor and nothing to do.
         """
         if self.jobs <= 0:
             return
-        old, self._executor = self._executor, None
-        if old is not None:
-            old.shutdown(wait=False)
+        old = self._executor
         self._executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs
         )
+        if old is not None:
+            old.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     def submit(self, fn: Callable[..., R], *args) -> "concurrent.futures.Future[R]":

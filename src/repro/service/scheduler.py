@@ -78,7 +78,6 @@ from .guard import (
     ServiceError,
     ServiceOverloaded,
     TransientBuildError,
-    WorkerCrashed,
 )
 from .pool import WorkerPool
 from .store import ScheduleStore, StoreEntry
@@ -105,11 +104,20 @@ _TIER_LATENCY = {
 _OUTCOME_COUNTERS = {
     "deadline_exceeded": "service.guard.deadline_exceeded",
     "shed": "service.guard.shed",
-    "worker_crashed": "service.guard.worker_crashed",
 }
 
 #: params_fingerprint(None), precomputed for the common no-params call.
 _NO_PARAMS_FP = params_fingerprint(None)
+
+#: The policy ``guard=None`` stands for: no deadline, no admission
+#: control, no retries.  A worker crash still feeds the default breaker,
+#: respawns the pool and fails the build over inline.
+_UNGUARDED = GuardConfig(max_retries=0)
+
+#: Cap on each internal memo (keys, parsed schedules, adapted results):
+#: a long-lived service under drifting traffic sheds stale memo entries
+#: instead of growing without bound.  The store stays the durable tier.
+_MEMO_LIMIT = 4096
 
 
 def _crash_worker() -> None:
@@ -308,21 +316,18 @@ class Scheduler:
     how far a donor pattern may drift before warm start gives way to a
     cold build; ``lint_responses`` additionally lints *every* response
     before it leaves the service (cold, isomorphic and warm results are
-    always linted regardless).  ``memo_limit`` caps each internal memo
-    (keys, parsed schedules, adapted results) so a truly long-lived
-    service under drifting traffic sheds stale memo entries instead of
-    growing without bound — memos are pure latency devices; the store
-    remains the durable tier.
+    always linted regardless).
 
-    ``guard`` (a :class:`~repro.service.guard.GuardConfig`) opts into
-    the overload-and-failure protection layer: per-request deadline
-    budgets, bounded seeded-backoff retries around worker crashes, a
-    circuit breaker over the worker tier, and admission control in
-    front of the cold-build tier.  ``guard=None`` (the default) keeps
-    the exact unguarded code path — zero cost when off — except for one
-    unconditional safety net: a worker crash always respawns the pool
-    and fails the build over to an inline rebuild, so single-flight
-    waiters get a result instead of a poisoned executor.
+    ``guard`` (a :class:`~repro.service.guard.GuardConfig`) sets the
+    overload-and-failure policy of the cold-build tier: per-request
+    deadline budgets, bounded seeded-backoff retries around worker
+    crashes, a circuit breaker over the worker tier, and admission
+    control.  ``guard=None`` (the default) is the fixed policy
+    ``GuardConfig(max_retries=0)``: no deadline unless a request passes
+    one, no admission gate, no retries.  A worker crash still trips the
+    default breaker after ``breaker_threshold`` in a row, respawns the
+    pool and fails the build over inline, so single-flight waiters get
+    a result instead of a poisoned executor.
     """
 
     def __init__(
@@ -332,41 +337,35 @@ class Scheduler:
         warm_edit_limit: int = 4,
         canonicalize: bool = True,
         lint_responses: bool = False,
-        memo_limit: int = 4096,
         guard: Optional[GuardConfig] = None,
     ):
-        if memo_limit < 1:
-            raise ValueError(f"memo_limit must be >= 1, got {memo_limit}")
+        guard = guard or _UNGUARDED
         self.store = store if store is not None else ScheduleStore()
         self.workers = workers
         self.warm_edit_limit = warm_edit_limit
         self.canonicalize = canonicalize
         self.lint_responses = lint_responses
-        self.memo_limit = memo_limit
         self.guard = guard
         self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
-        self._backoff: Optional[BackoffPolicy] = None
-        self._breaker: Optional[CircuitBreaker] = None
+        self._backoff = BackoffPolicy.from_config(guard)
+        self._breaker = CircuitBreaker(
+            failure_threshold=guard.breaker_threshold,
+            cooldown=guard.breaker_cooldown,
+            clock=guard.clock,
+            on_transition=self._on_breaker_transition,
+            on_probe=lambda: self._count("service.guard.breaker_probes"),
+        )
         self._gate: Optional[AdmissionGate] = None
-        if guard is not None:
-            self._backoff = BackoffPolicy.from_config(guard)
-            self._breaker = CircuitBreaker(
-                failure_threshold=guard.breaker_threshold,
-                cooldown=guard.breaker_cooldown,
+        if guard.admission_capacity is not None:
+            self._gate = AdmissionGate(
+                capacity=guard.admission_capacity,
+                queue_limit=guard.admission_queue,
+                policy=guard.shed_policy,
                 clock=guard.clock,
-                on_transition=self._on_breaker_transition,
-                on_probe=lambda: self._count("service.guard.breaker_probes"),
             )
-            if guard.admission_capacity is not None:
-                self._gate = AdmissionGate(
-                    capacity=guard.admission_capacity,
-                    queue_limit=guard.admission_queue,
-                    policy=guard.shed_policy,
-                    clock=guard.clock,
-                )
         #: Per-thread DeadlineBudget of the request being served (only
-        #: populated when a guard is configured).
+        #: populated while a deadline is in force).
         self._budget_slot = threading.local()
         #: Per-thread slot holding the RequestTrace of the request this
         #: thread is currently serving (tier methods record into it
@@ -477,8 +476,7 @@ class Scheduler:
         trace.latency = time.perf_counter() - t0
         if isinstance(err, ServiceOverloaded):
             trace.shed_reason = str(err.fields.get("shed_reason", ""))
-        if self._breaker is not None:
-            trace.breaker_state = self._breaker.state
+        trace.breaker_state = self._breaker.state
         err.trace = trace
         name = _OUTCOME_COUNTERS.get(err.counter)
         if name is not None:
@@ -510,7 +508,7 @@ class Scheduler:
             )
 
     def _memo_put(self, memo: Dict, key, value) -> None:
-        """Bounded memo insert: evict oldest entries past ``memo_limit``.
+        """Bounded memo insert: evict oldest entries past ``_MEMO_LIMIT``.
 
         Insertion-order (FIFO) eviction, not true LRU — the memos are
         re-populated from the store on the next request, so shedding a
@@ -518,7 +516,7 @@ class Scheduler:
         """
         with self._lock:
             memo[key] = value
-            while len(memo) > self.memo_limit:
+            while len(memo) > _MEMO_LIMIT:
                 memo.pop(next(iter(memo)))
 
     def _lint(self, schedule: Schedule, pattern: CommPattern):
@@ -549,9 +547,9 @@ class Scheduler:
     ) -> ServiceResponse:
         """Serve one schedule, consulting every tier (see module doc).
 
-        ``deadline`` (seconds, guarded schedulers only) overrides the
-        guard's default per-request budget; when the budget runs out the
-        request fails with :class:`DeadlineExceeded` instead of waiting.
+        ``deadline`` (seconds) overrides the guard's default per-request
+        budget; when the budget runs out the request fails with
+        :class:`DeadlineExceeded` instead of waiting.
         """
         if algorithm not in IRREGULAR_ALGORITHMS:
             raise ValueError(
@@ -568,16 +566,17 @@ class Scheduler:
         t0 = time.perf_counter()
         self._count("service.requests")
         trace = RequestTrace()
-        guard = self.guard
-        budget: Optional[DeadlineBudget] = None
-        prev_budget: Optional[DeadlineBudget] = None
-        if guard is not None:
-            effective = deadline if deadline is not None else guard.deadline
-            budget = DeadlineBudget(effective, clock=guard.clock)
-            if effective is not None:
-                trace.deadline = effective
+        if deadline is None:
+            deadline = self.guard.deadline
+        # The budget slot is touched only while a deadline is in force:
+        # a thread-local read costs about as much as a breaker lookup,
+        # and the hit path pays for neither.
+        if deadline is not None:
+            trace.deadline = deadline
             prev_budget = self._budget()
-            self._budget_slot.budget = budget
+            self._budget_slot.budget = DeadlineBudget(
+                deadline, clock=self.guard.clock
+            )
         prev_trace = self._trace()
         self._trace_slot.trace = trace
         try:
@@ -612,14 +611,12 @@ class Scheduler:
             raise self._fail(exc, trace, t0) from exc
         finally:
             self._trace_slot.trace = prev_trace
-            if guard is not None:
+            if deadline is not None:
                 self._budget_slot.budget = prev_budget
         trace.source = response.source
         trace.latency = response.latency
         trace.deduped = response.deduped
         trace.edit_distance = response.edit_distance
-        if self._breaker is not None:
-            trace.breaker_state = self._breaker.state
         self._count("service.latency", response.latency)
         self._count(_TIER_LATENCY[response.source], response.latency)
         if trace.lint_seconds:
@@ -629,19 +626,6 @@ class Scheduler:
                 "service.singleflight_wait_seconds", trace.singleflight_wait
             )
         return replace(response, trace=trace)
-
-    def request_many(
-        self,
-        requests: List[Tuple[CommPattern, str]],
-        config: Optional[MachineConfig] = None,
-        params: Optional[Mapping[str, object]] = None,
-        deadline: Optional[float] = None,
-    ) -> List[ServiceResponse]:
-        """Serve a batch in order (identical keys coalesce via the store)."""
-        return [
-            self.request(pattern, algorithm, config, params, deadline=deadline)
-            for pattern, algorithm in requests
-        ]
 
     # ------------------------------------------------------------------
     def _serve_cached(
@@ -813,7 +797,7 @@ class Scheduler:
         if not owner:
             t_wait = time.perf_counter()
             budget = self._budget()
-            if budget is not None and budget.budget is not None:
+            if budget is not None:
                 # Deadline-bounded wait on the owner.  The wait itself
                 # runs on real time while the budget runs on the
                 # guard's (possibly injected) clock, so a timeout is
@@ -911,14 +895,12 @@ class Scheduler:
             category="service",
             nprocs=pattern.nprocs,
         ):
-            if self.guard is not None:
-                serialized = self._guarded_build(key, pattern, kwargs)
-            else:
-                serialized = self._plain_build(key, pattern, kwargs)
+            serialized = self._guarded_build(key, pattern, kwargs)
         build_dt = time.perf_counter() - t_build
         trace = self._trace()
         if trace is not None:
             trace.build_seconds += build_dt
+            trace.breaker_state = self._breaker.state
         self._count("service.build_seconds", build_dt)
         schedule = schedule_from_json(serialized)
         validate_schedule(schedule, pattern)
@@ -942,82 +924,17 @@ class Scheduler:
         return serialized
 
     # ------------------------------------------------------------------
-    def _plain_build(
-        self,
-        key: ScheduleKey,
-        pattern: CommPattern,
-        kwargs: Dict[str, object],
-    ) -> str:
-        """Unguarded worker/inline build (the pre-guard fast path).
-
-        Byte-identical to the original cold build except for one
-        unconditional safety net: a worker crash respawns the pool and
-        fails over to an inline rebuild, so single-flight waiters get a
-        result and later requests get a working executor instead of a
-        poisoned one.
-        """
-        pool = self._ensure_pool()
-        matrix = pattern.matrix.tolist()
-        if self.workers > 0:
-            # Subprocess build: trace in the child and merge the
-            # shipped delta, so worker time reaches parent metrics.
-            try:
-                serialized, delta = pool.submit(
-                    _build_with_telemetry, matrix, key.algorithm, kwargs
-                ).result()
-            except BrokenExecutor:
-                self._count("service.guard.worker_crashes")
-                trace = self._trace()
-                if trace is not None:
-                    trace.worker_crashes += 1
-                    trace.inline_failover = True
-                pool.respawn()
-                self._count("service.guard.inline_failovers")
-                return _build_serialized(matrix, key.algorithm, kwargs)
-            self._merge_worker_delta(delta)
-            return serialized
-        # Inline build: already on this thread, already traced.
-        return pool.submit(
-            _build_serialized, matrix, key.algorithm, kwargs
-        ).result()
-
     def _chaos_action(self, attempt: int) -> Tuple[Optional[str], float]:
         """Consult the guard's chaos port; ``(None, 0.0)`` when quiet."""
-        guard = self.guard
-        if guard is None or guard.chaos_hook is None:
+        hook = self.guard.chaos_hook
+        if hook is None:
             return None, 0.0
-        injected = guard.chaos_hook("build", attempt)
+        injected = hook("build", attempt)
         if injected is None:
             return None, 0.0
         action, value = injected
         self._count("service.guard.chaos_injections")
         return action, float(value)
-
-    def _exhausted(
-        self,
-        exc: BaseException,
-        attempts: int,
-        matrix: List[List[int]],
-        key: ScheduleKey,
-        kwargs: Dict[str, object],
-    ) -> str:
-        """Retries exhausted: inline failover or structured surrender."""
-        guard = self.guard
-        assert guard is not None
-        if guard.inline_failover:
-            self._count("service.guard.inline_failovers")
-            trace = self._trace()
-            if trace is not None:
-                trace.inline_failover = True
-            return _build_serialized(matrix, key.algorithm, kwargs)
-        raise WorkerCrashed(
-            f"cold build failed after {attempts} attempt(s) "
-            f"({type(exc).__name__})",
-            attempts=attempts,
-            breaker_state=(
-                self._breaker.state if self._breaker is not None else ""
-            ),
-        ) from exc
 
     def _guarded_build(
         self,
@@ -1025,20 +942,16 @@ class Scheduler:
         pattern: CommPattern,
         kwargs: Dict[str, object],
     ) -> str:
-        """Cold build under the full guard.
+        """Cold build under the guard policy.
 
         One loop iteration is one attempt: consult the chaos port,
         honor the deadline, then build on the worker tier when the
         breaker allows it (inline otherwise).  Worker crashes feed the
         breaker, respawn the pool and retry after a seeded backoff;
-        exhausted retries fail over inline (or surface
-        :class:`WorkerCrashed` when ``inline_failover=False``).
+        exhausted retries fail over to an inline build.
         """
         guard = self.guard
         breaker = self._breaker
-        backoff = self._backoff
-        assert guard is not None
-        assert breaker is not None and backoff is not None
         budget = self._budget()
         trace = self._trace()
         matrix = pattern.matrix.tolist()
@@ -1092,10 +1005,11 @@ class Scheduler:
             except (BrokenExecutor, TransientBuildError) as exc:
                 attempt += 1
                 if attempt > guard.max_retries:
-                    return self._exhausted(
-                        exc, attempt, matrix, key, kwargs
-                    )
-                delay = backoff.delay(attempt)
+                    self._count("service.guard.inline_failovers")
+                    if trace is not None:
+                        trace.inline_failover = True
+                    return _build_serialized(matrix, key.algorithm, kwargs)
+                delay = self._backoff.delay(attempt)
                 if budget is not None:
                     rem = budget.remaining()
                     if rem is not None and delay >= rem:

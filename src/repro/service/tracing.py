@@ -72,8 +72,8 @@ class RequestTrace:
     inline_failover: bool = False
     #: Why admission shed this request ("" when it was not shed).
     shed_reason: str = ""
-    #: Circuit-breaker state observed when the request finished
-    #: ("" when the scheduler has no guard).
+    #: Circuit-breaker state observed after the cold build this request
+    #: owned, or when it failed ("" for requests served without a build).
     breaker_state: str = ""
 
     def to_json(self) -> Dict[str, object]:

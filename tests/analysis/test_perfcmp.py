@@ -197,7 +197,7 @@ class TestLoad:
 
 def service_bench(workloads, scale="full"):
     return {
-        "schema": "repro-bench-service/1",
+        "schema": "repro-bench-service/3",
         "scale": scale,
         "workloads": workloads,
     }
@@ -287,36 +287,21 @@ class TestScaleGuard:
             )
 
 
-def service_bench_v2(workloads, scale="full"):
-    return {
-        "schema": "repro-bench-service/2",
-        "scale": scale,
-        "workloads": workloads,
-    }
-
-
 class TestCrossVersion:
-    def test_versions_within_family_compare_with_note(self):
-        cmp = compare_benches(
-            service_bench({"w": service_row(1.0)}),
-            service_bench_v2({"w": service_row(1.02)}),
-        )
-        assert cmp.ok
-        assert any("cross-version" in n for n in cmp.notes)
+    def test_versions_within_family_are_hard_error(self):
+        base = service_bench({"w": service_row(1.0)})
+        cur = dict(base, schema="repro-bench-service/2")
+        with pytest.raises(ValueError, match="schema mismatch"):
+            compare_benches(base, cur)
 
-    def test_same_version_emits_no_note(self):
-        doc = service_bench({"w": service_row(1.0)})
-        assert compare_benches(doc, doc).notes == []
-
-    def test_one_sided_sim_ms_is_skipped_not_drifted(self):
+    def test_one_sided_sim_ms_is_drift(self):
         base = bench({"w": row(1.0)})
         cur = bench({"w": row(1.0)})
         del cur["workloads"]["w"]["sim_ms"]
         cmp = compare_benches(base, cur)
-        assert cmp.ok
-        assert cmp.sim_drifts == []
-        assert any("drift check skipped" in n for n in cmp.notes)
-        assert any("w" in n for n in cmp.notes)
+        assert not cmp.ok
+        assert [d.name for d in cmp.sim_drifts] == ["w"]
+        assert "SIM-DRIFT" in render_comparison(cmp)
 
     def test_two_sided_sim_ms_mismatch_still_drifts(self):
         cmp = compare_benches(
@@ -325,31 +310,6 @@ class TestCrossVersion:
         )
         assert not cmp.ok
         assert [d.name for d in cmp.sim_drifts] == ["w"]
-
-    def test_notes_render_as_lines(self):
-        cmp = compare_benches(
-            service_bench({"w": service_row(1.0)}),
-            service_bench_v2({"w": service_row(1.0)}),
-        )
-        report = render_comparison(cmp)
-        assert "note: cross-version compare" in report
-        assert report.splitlines()[-1].startswith("OK:")
-
-    def test_cross_version_regressions_still_fail(self):
-        cmp = compare_benches(
-            service_bench({"w": service_row(1.0)}),
-            service_bench_v2({"w": service_row(2.0)}),
-        )
-        assert not cmp.ok
-        assert [d.name for d in cmp.regressions] == ["w"]
-
-
-def service_bench_v3(workloads, scale="full"):
-    return {
-        "schema": "repro-bench-service/3",
-        "scale": scale,
-        "workloads": workloads,
-    }
 
 
 def service_row_v3(wall, miss_rate=0.0, shed_rate=0.0):
@@ -360,30 +320,13 @@ def service_row_v3(wall, miss_rate=0.0, shed_rate=0.0):
 
 
 class TestServiceV3:
-    """A /2 baseline compares against a /3 current on shared fields;
-    the guard-only fields (deadline_miss_rate, shed_rate) on one side
-    never trip a drift or an error."""
-
-    def test_v2_vs_v3_compares_on_shared_fields(self):
-        cmp = compare_benches(
-            service_bench_v2({"w": service_row(1.0)}),
-            service_bench_v3({"w": service_row_v3(1.02)}),
-        )
-        assert cmp.ok
-        assert any("cross-version" in n for n in cmp.notes)
-
-    def test_v2_vs_v3_regression_still_detected(self):
-        cmp = compare_benches(
-            service_bench_v2({"w": service_row(1.0)}),
-            service_bench_v3({"w": service_row_v3(1.8)}),
-        )
-        assert not cmp.ok
-        assert [d.name for d in cmp.regressions] == ["w"]
+    """The guard-only fields (deadline_miss_rate, shed_rate) never trip
+    a drift."""
 
     def test_v3_vs_v3_guard_fields_ignored_by_drift_check(self):
         cmp = compare_benches(
-            service_bench_v3({"w": service_row_v3(1.0, miss_rate=0.0)}),
-            service_bench_v3({"w": service_row_v3(1.0, miss_rate=0.4)}),
+            service_bench({"w": service_row_v3(1.0, miss_rate=0.0)}),
+            service_bench({"w": service_row_v3(1.0, miss_rate=0.4)}),
         )
         assert cmp.ok
         assert cmp.sim_drifts == []

@@ -49,6 +49,32 @@ class TestRespawn:
             assert pool.submit(_square, 3).result() == 9
 
 
+    def test_respawn_never_exposes_an_empty_executor(self, monkeypatch):
+        """A submit racing a respawn must reach a process pool, never
+        fall through to inline execution in the parent."""
+        import concurrent.futures
+
+        pool = WorkerPool(jobs=1)
+        seen = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                seen.append(pool._executor)
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", FakeExecutor
+        )
+        pool.__enter__()
+        pool.respawn()
+        assert seen[0] is None  # first executor
+        assert seen[1] is not None  # the old one stays until replaced
+        assert isinstance(pool._executor, FakeExecutor)
+        assert pool._executor is not seen[1]
+
+
 class TestSchedulerCrashRecovery:
     def test_unguarded_scheduler_fails_over_inline_and_respawns(self):
         """Crash safety is unconditional — no GuardConfig required."""
@@ -122,3 +148,53 @@ class TestSchedulerCrashRecovery:
             assert not errors, errors
             assert all(r is not None for r in responses)
             assert len({r.serialized for r in responses}) == 1
+
+
+class _FakeClock:
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self):
+        return self.t
+
+
+class TestUnguardedBreaker:
+    def test_repeated_kills_trip_the_default_breaker_then_a_probe_closes_it(
+        self,
+    ):
+        """``guard=None`` is ``GuardConfig(max_retries=0)``: three kills
+        in a row trip the default breaker, requests keep being served
+        inline, and after the cooldown one probe closes it again."""
+        with Scheduler(workers=1) as sched:
+            threshold = sched.guard.breaker_threshold
+            assert sched.guard.max_retries == 0
+            clock = _FakeClock()
+            sched._breaker._clock = clock
+            first = sched.request(pattern(seed=30), "greedy")
+            assert first.trace.breaker_state == "closed"
+            hit = sched.request(pattern(seed=30), "greedy")
+            assert hit.source == "hit"
+            assert hit.trace.breaker_state == ""  # hits skip the breaker
+            for i in range(threshold):
+                sched._pool.submit(_die).exception()
+                resp = sched.request(pattern(seed=31 + i), "greedy")
+                assert resp.source == "cold"
+                assert resp.trace.worker_crashes == 1
+                assert resp.trace.retries == 0
+                assert resp.trace.inline_failover
+            assert resp.trace.breaker_state == "open"
+            # Open breaker: cold builds run inline, no worker involved.
+            inline = sched.request(pattern(seed=40), "greedy")
+            assert inline.source == "cold"
+            assert inline.trace.breaker_state == "open"
+            assert inline.trace.worker_build_seconds == 0
+            assert not inline.trace.inline_failover
+            clock.t += sched.guard.breaker_cooldown
+            probe = sched.request(pattern(seed=41), "greedy")
+            assert probe.trace.worker_build_seconds > 0
+            assert probe.trace.breaker_state == "closed"
+            stats = sched.stats()
+            assert stats["service.guard.worker_crashes"] == threshold
+            assert stats["service.guard.inline_failovers"] == threshold
+            assert stats["service.guard.breaker_trips"] == 1
+            assert stats["service.guard.breaker_probes"] == 1

@@ -426,6 +426,51 @@ class TestChaosCLI:
         assert err.startswith(f"error: {flags[0]} wants ")
         assert "\n" not in err.rstrip("\n")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--straggler", "99:2"],
+            ["--straggler", "8:2"],
+            ["--degrade", "1:8:0.5"],
+            ["--degrade", "2:2:0.5"],
+            ["--degrade", "3:0:0.5"],
+        ],
+    )
+    def test_fault_flag_outside_the_machine_exits_2(self, capsys, flags):
+        # --quick runs on 8 nodes: ranks 0..7, links L1#0..7 and L2#0..1.
+        assert main(["faults", "--quick", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0]} wants ")
+        assert "8-node" in err
+        assert "\n" not in err.rstrip("\n")
+
+    def test_fault_flags_at_the_machine_edge_run(self, capsys):
+        flags = ["--straggler", "7:2", "--degrade", "2:1:0.5"]
+        assert main(["faults", "--quick", *flags]) == 0
+        out = capsys.readouterr().out
+        assert "straggler rank 7" in out and "L2#1" in out
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            {"kind": "node_straggler", "rank": 500, "factor": 2.0},
+            {"kind": "node_failure", "rank": 16, "at": 1e-3},
+            {"kind": "link_degrade", "level": 9, "index": 0, "factor": 0.5},
+            {"kind": "link_degrade", "level": 1, "index": 16, "factor": 0.5},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["faults", "chaos"])
+    def test_plan_outside_the_machine_exits_2(
+        self, tmp_path, capsys, command, fault
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"faults": [fault]}))
+        assert main([command, "--plan", str(plan), "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid fault plan")
+        assert "-node" in err
+        assert "\n" not in err.rstrip("\n")
+
     @pytest.mark.parametrize("command", ["faults", "chaos"])
     def test_missing_plan_file_exits_2(self, tmp_path, capsys, command):
         missing = tmp_path / "no-such-plan.json"
