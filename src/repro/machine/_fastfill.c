@@ -1,6 +1,8 @@
-/* Progressive-filling inner loop of max-min fair allocation.
+/* Fluid-network kernel: max-min progressive filling plus the per-event
+ * flow-store operations of repro.machine.contention.FluidNetwork, as a
+ * CPython extension module (loaded by _fastfill.py).
  *
- * This is a line-for-line transliteration of the NumPy round loop in
+ * The filling loop is a transliteration of the NumPy round loop in
  * bandwidth.py (the fallback path): every floating-point operation is
  * performed in the same order on the same IEEE-754 doubles, and every
  * reduction used is order-independent (min / boolean-or / integer
@@ -8,24 +10,64 @@
  * Compile WITHOUT -ffast-math and with -ffp-contract=off: fused
  * multiply-adds or reassociation would break that equivalence.
  *
- * Returns 0 on success, 1 for an unbounded flow, 2 when a round makes
- * no progress, 3 when the loop fails to converge (all three map to the
- * RuntimeErrors raised by the Python caller).
+ * Entry points (all METH_FASTCALL, so a call converts only its scalar
+ * arguments):
+ *
+ *   max_min_fill(12 arrays)           cold path of bandwidth.max_min_rates
+ *   add(tab, slot, key, wire, rate_cap, now, payload, src, dst,
+ *       routes, off, length)          append one flow
+ *   advance(tab, n, dt)               drain every flow by dt
+ *   recompute(tab, n, c, cap)         reallocate rates
+ *   recompute_scan(tab, n, c, cap, eps) -> offset | None
+ *   scan(tab, n, eps)                 -> offset | None
+ *   retire(tab, n, dt, eps)           -> list of completed keys
+ *
+ * The hot entry points take ``tab``, the address of the FluidNetwork's
+ * pointer table: one address per buffer, in the order of the TABLE tuple
+ * this module exports (the T_* enum below).  ``routes`` is the address
+ * of the fat tree's flat route table (FatTree.route_buffer), passed per
+ * call because that table is shared by every network over the tree and
+ * may be reallocated by any of them.  The Python side owns every
+ * buffer, keeps the table current across reallocations, and guarantees
+ * n <= slot capacity.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 
-/* Round loop shared by max_min_fill and fluid_recompute.  The caller
- * has already initialized remaining_cap (effective link caps), counts
- * (per-link active-flow counts), rates (0), cap_left (flow caps) and
- * active (1), and collected the distinct links the flows touch into
- * touched[0..ntouched).  Only touched links are ever read through an
- * active flow's path, so all per-link work iterates the touched list
- * instead of all nlinks (the NumPy path computes full-length arrays;
- * untouched entries are never read, so the rates stay bit-identical).
+enum {
+    T_LINK_CAPS, T_LINK_SCALES, T_FLOW_PTR, T_CSR, T_RATE_CAP, T_RATE,
+    T_SAT_THRESH, T_CAP_THRESH, T_REMAINING, T_COUNTS, T_CAP_LEFT,
+    T_ACTIVE, T_TOUCHED, T_WIRE, T_STARTED, T_PAYLOAD, T_SRCS, T_DSTS,
+    T_KEYS, T_SIZE
+};
+
+static const char *const table_names[T_SIZE] = {
+    "link_caps", "link_scales", "flow_ptr", "csr_links", "rate_cap", "rate",
+    "sat_thresh", "cap_thresh", "remaining", "counts", "cap_left",
+    "active", "touched", "wire", "started", "payload", "srcs", "dsts",
+    "keys",
+};
+
+/* Round loop shared by every entry point.  The caller has initialized
+ * remaining_cap (effective link caps), counts (per-link active-flow
+ * counts), rates (0), cap_left (flow caps) and active (1), and collected
+ * the distinct links the flows touch into touched[0..ntouched).
+ *
+ * The round's delta is the minimum of remaining_cap/counts over links
+ * with counts > 0 and of cap_left over active flows.  The NumPy path
+ * takes, per active flow, the minimum of its path's link increments and
+ * its cap_left, then the minimum over flows.  Both minimize the same
+ * set of doubles: every link of an active path has counts > 0, and
+ * every link with counts > 0 lies on an active path.  min is exact, so
+ * delta is bit-identical while reading each touched link once instead
+ * of every path entry.
+ *
  * On success every flow froze exactly once, so counts — incremented
  * per path entry up front and decremented per path entry on freeze —
- * has returned to all zeros. */
+ * has returned to all zeros; on failure fill() restores that. */
 static int fill_rounds(
     int64_t nflows,
     const int64_t *flow_ptr,
@@ -37,7 +79,6 @@ static int fill_rounds(
     double *rates,
     double *remaining_cap,
     int64_t *counts,
-    double *link_incr,
     double *cap_left,
     uint8_t *active
 ) {
@@ -48,31 +89,19 @@ static int fill_rounds(
         if (remaining == 0) {
             return 0;
         }
-        /* Allowable uniform rate increment through each link. */
+        double delta = INFINITY;
         for (i = 0; i < ntouched; i++) {
             l = touched[i];
             if (counts[l] > 0) {
-                link_incr[l] = remaining_cap[l] / (double)counts[l];
-            } else {
-                link_incr[l] = INFINITY;
-            }
-        }
-        /* delta = min over active flows of min(path bottleneck, cap). */
-        double delta = INFINITY;
-        for (f = 0; f < nflows; f++) {
-            if (!active[f]) {
-                continue;
-            }
-            double path_incr = INFINITY;
-            for (s = flow_ptr[f]; s < flow_ptr[f + 1]; s++) {
-                double v = link_incr[flow_links[s]];
-                if (v < path_incr) {
-                    path_incr = v;
+                double v = remaining_cap[l] / (double)counts[l];
+                if (v < delta) {
+                    delta = v;
                 }
             }
-            double incr = cap_left[f] < path_incr ? cap_left[f] : path_incr;
-            if (incr < delta) {
-                delta = incr;
+        }
+        for (f = 0; f < nflows; f++) {
+            if (active[f] && cap_left[f] < delta) {
+                delta = cap_left[f];
             }
         }
         if (!isfinite(delta)) {
@@ -93,9 +122,9 @@ static int fill_rounds(
             }
         }
         /* Freeze flows that hit their cap or whose path saturated a
-         * link.  counts is only read by the NEXT round's link_incr, so
-         * decrementing it inside the freeze scan matches the NumPy
-         * path's subtract-after-the-mask exactly. */
+         * link.  counts is only read by the NEXT round, so decrementing
+         * it inside the freeze scan matches the NumPy path's
+         * subtract-after-the-mask exactly. */
         int64_t frozen = 0;
         for (f = 0; f < nflows; f++) {
             if (!active[f]) {
@@ -126,24 +155,441 @@ static int fill_rounds(
     return remaining == 0 ? 0 : 3;
 }
 
-int max_min_fill(
-    int64_t nflows,
-    int64_t nlinks,
-    const double *link_caps,      /* effective caps, length nlinks */
-    const int64_t *flow_ptr,      /* length nflows + 1 */
-    const int64_t *flow_links,    /* length flow_ptr[nflows] */
-    const double *flow_caps,      /* length nflows */
-    const double *sat_thresh,     /* length nlinks */
-    const double *cap_thresh,     /* length nflows */
-    double *rates,                /* out, length nflows */
-    double *remaining_cap,        /* work, length nlinks */
-    int64_t *counts,              /* work, length nlinks */
-    double *link_incr,            /* work, length nlinks */
-    double *cap_left,             /* work, length nflows */
-    uint8_t *active,              /* work, length nflows */
-    int64_t *touched              /* work, length nlinks */
+/* fill_rounds, raising the RuntimeError the NumPy path raises on
+ * failure (after restoring the all-zero counts invariant).  Returns 0
+ * on success, -1 with an exception set. */
+static int fill(
+    int64_t nflows, const int64_t *flow_ptr, const int64_t *flow_links,
+    const int64_t *touched, int64_t ntouched, const double *sat_thresh,
+    const double *cap_thresh, double *rates, double *remaining_cap,
+    int64_t *counts, double *cap_left, uint8_t *active
 ) {
-    int64_t f, l, s, ntouched = 0;
+    int64_t i;
+    int rc = fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
+                         sat_thresh, cap_thresh, rates, remaining_cap,
+                         counts, cap_left, active);
+    if (rc == 0) {
+        return 0;
+    }
+    for (i = 0; i < ntouched; i++) {
+        counts[touched[i]] = 0;
+    }
+    PyErr_SetString(
+        PyExc_RuntimeError,
+        rc == 1 ? "unbounded flow: a path has no finite constraint"
+        : rc == 2 ? "progressive filling made no progress"
+        : "max-min allocation failed to converge");
+    return -1;
+}
+
+/* Fused rate reallocation: per-link flow counts, switch-contention
+ * penalty, freeze thresholds and the progressive fill.  Mirrors
+ * FluidNetwork._recompute + max_min_rates (check=False) with the same
+ * operation order on the same doubles:
+ *
+ *   counts  = bincount(flow_links)
+ *   penalty = min(max(counts - 1, 0) * contention_c + 1.0, contention_cap)
+ *   eff     = link_caps / penalty            (skipped when c <= 0)
+ *   eff     = eff * link_scales[l]           (when scales != NULL)
+ *   sat     = eff * 1e-12 + 1e-15
+ *   capt    = flow_caps * 1e-12 + 1e-15
+ *
+ * 1e-12 is bandwidth._REL_EPS.  Relies on the all-zero counts
+ * invariant (the workspace allocates counts zeroed; every fill
+ * restores it), so only the links on this wave's paths are visited —
+ * the rest of the per-link arrays hold stale values nothing reads. */
+static int recompute(void **p, int64_t nflows, double contention_c,
+                     double contention_cap) {
+    const double *link_caps = p[T_LINK_CAPS];
+    const double *link_scales = p[T_LINK_SCALES];
+    const int64_t *flow_ptr = p[T_FLOW_PTR];
+    const int64_t *flow_links = p[T_CSR];
+    const double *flow_caps = p[T_RATE_CAP];
+    double *rates = p[T_RATE];
+    double *sat_thresh = p[T_SAT_THRESH];
+    double *cap_thresh = p[T_CAP_THRESH];
+    double *remaining_cap = p[T_REMAINING];
+    int64_t *counts = p[T_COUNTS];
+    double *cap_left = p[T_CAP_LEFT];
+    uint8_t *active = p[T_ACTIVE];
+    int64_t *touched = p[T_TOUCHED];
+    int64_t f, l, s, i, ntouched = 0;
+
+    for (s = 0; s < flow_ptr[nflows]; s++) {
+        l = flow_links[s];
+        if (counts[l]++ == 0) {
+            touched[ntouched++] = l;
+        }
+    }
+    for (i = 0; i < ntouched; i++) {
+        l = touched[i];
+        double cap = link_caps[l];
+        if (contention_c > 0.0) {
+            int64_t pen = counts[l] - 1;
+            if (pen < 0) {
+                pen = 0;
+            }
+            double pf = (double)pen * contention_c;
+            pf = pf + 1.0;
+            if (pf > contention_cap) {
+                pf = contention_cap;
+            }
+            cap = cap / pf;
+        }
+        if (link_scales != NULL) {
+            cap = cap * link_scales[l];
+        }
+        remaining_cap[l] = cap;
+        sat_thresh[l] = cap * 1e-12 + 1e-15;
+    }
+    for (f = 0; f < nflows; f++) {
+        cap_thresh[f] = flow_caps[f] * 1e-12 + 1e-15;
+        rates[f] = 0.0;
+        cap_left[f] = flow_caps[f];
+        active[f] = 1;
+    }
+    return fill(nflows, flow_ptr, flow_links, touched, ntouched, sat_thresh,
+                cap_thresh, rates, remaining_cap, counts, cap_left, active);
+}
+
+/* Drain every flow by dt at its current rate, clamping at zero — the C
+ * twin of advance_to's `wire -= rate*dt; maximum(wire, 0)`. */
+static void advance(void **p, int64_t nflows, double dt) {
+    double *wire = p[T_WIRE];
+    const double *rate = p[T_RATE];
+    int64_t f;
+    for (f = 0; f < nflows; f++) {
+        double w = wire[f] - rate[f] * dt;
+        wire[f] = w > 0.0 ? w : 0.0;
+    }
+}
+
+/* Earliest-completion scan with the NumPy scan's precedence: a done
+ * flow first (offset 0.0), a zero-rate flow second (None: the caller
+ * assembles the NetworkStallError), else the minimum of wire/rate. */
+static PyObject *scan(void **p, int64_t nflows, double done_eps) {
+    const double *wire = p[T_WIRE];
+    const double *rate = p[T_RATE];
+    double best = INFINITY;
+    int stalled = 0;
+    int64_t f;
+    for (f = 0; f < nflows; f++) {
+        if (wire[f] <= done_eps) {
+            return PyFloat_FromDouble(0.0);
+        }
+        if (rate[f] <= 0.0) {
+            stalled = 1;
+        } else {
+            double v = wire[f] / rate[f];
+            if (v < best) {
+                best = v;
+            }
+        }
+    }
+    if (stalled) {
+        Py_RETURN_NONE;
+    }
+    return PyFloat_FromDouble(best);
+}
+
+/* ------------------------------------------------------------------
+ * Argument conversion.  Each helper returns 0, or -1 with an exception
+ * set; the entry points check arity first. */
+
+static int arg_ptr(PyObject *o, void ***out) {
+    *out = (void **)PyLong_AsVoidPtr(o);
+    return (*out == NULL && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int arg_i64(PyObject *o, int64_t *out) {
+    *out = (int64_t)PyLong_AsLongLong(o);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int arg_f64(PyObject *o, double *out) {
+    *out = PyFloat_AsDouble(o);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return -1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------
+ * Hot entry points. */
+
+static PyObject *py_add(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    void **p;
+    void **routes;
+    int64_t slot, payload, src, dst, off, length;
+    double wire, rate_cap, now;
+    if (check_nargs("add", nargs, 12) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &slot) < 0 || arg_f64(args[3], &wire) < 0
+        || arg_f64(args[4], &rate_cap) < 0 || arg_f64(args[5], &now) < 0
+        || arg_i64(args[6], &payload) < 0 || arg_i64(args[7], &src) < 0
+        || arg_i64(args[8], &dst) < 0 || arg_ptr(args[9], &routes) < 0
+        || arg_i64(args[10], &off) < 0 || arg_i64(args[11], &length) < 0) {
+        return NULL;
+    }
+    int64_t *ptr = p[T_FLOW_PTR];
+    int64_t used = ptr[slot];
+    memcpy((int64_t *)p[T_CSR] + used, (const int64_t *)routes + off,
+           (size_t)length * sizeof(int64_t));
+    ptr[slot + 1] = used + length;
+    ((double *)p[T_WIRE])[slot] = wire;
+    ((double *)p[T_RATE])[slot] = 0.0;
+    ((double *)p[T_RATE_CAP])[slot] = rate_cap;
+    ((double *)p[T_STARTED])[slot] = now;
+    ((int64_t *)p[T_PAYLOAD])[slot] = payload;
+    ((int64_t *)p[T_SRCS])[slot] = src;
+    ((int64_t *)p[T_DSTS])[slot] = dst;
+    PyObject **keys = p[T_KEYS];
+    PyObject *key = args[2];
+    PyObject *old = keys[slot];
+    Py_INCREF(key);
+    keys[slot] = key;
+    Py_XDECREF(old);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_advance(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    void **p;
+    int64_t n;
+    double dt;
+    if (check_nargs("advance", nargs, 3) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &dt) < 0) {
+        return NULL;
+    }
+    advance(p, n, dt);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_recompute(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    void **p;
+    int64_t n;
+    double c, cap;
+    if (check_nargs("recompute", nargs, 4) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &c) < 0
+        || arg_f64(args[3], &cap) < 0) {
+        return NULL;
+    }
+    if (recompute(p, n, c, cap) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_recompute_scan(PyObject *mod, PyObject *const *args,
+                                   Py_ssize_t nargs) {
+    void **p;
+    int64_t n;
+    double c, cap, eps;
+    if (check_nargs("recompute_scan", nargs, 5) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &c) < 0
+        || arg_f64(args[3], &cap) < 0 || arg_f64(args[4], &eps) < 0) {
+        return NULL;
+    }
+    if (recompute(p, n, c, cap) < 0) {
+        return NULL;
+    }
+    return scan(p, n, eps);
+}
+
+static PyObject *py_scan(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    void **p;
+    int64_t n;
+    double eps;
+    if (check_nargs("scan", nargs, 3) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &eps) < 0) {
+        return NULL;
+    }
+    return scan(p, n, eps);
+}
+
+/* Advance by dt (when positive), retire every drained flow and compact
+ * the slot columns, the CSR incidence and the object key column in
+ * place, preserving insertion order.  The completed keys come back as
+ * a list in slot order; the list takes over the key column's
+ * references, survivors' references move with them, and the vacated
+ * tail slots are reset to None, so no key's refcount changes and no
+ * retired key stays reachable from the column. */
+static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    void **p;
+    int64_t n, f, s, ndone = 0;
+    double dt, eps;
+    if (check_nargs("retire", nargs, 4) < 0 || arg_ptr(args[0], &p) < 0
+        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &dt) < 0
+        || arg_f64(args[3], &eps) < 0) {
+        return NULL;
+    }
+    double *wire = p[T_WIRE];
+    if (dt > 0.0) {
+        advance(p, n, dt);
+    }
+    for (f = 0; f < n; f++) {
+        if (wire[f] <= eps) {
+            ndone++;
+        }
+    }
+    PyObject *done = PyList_New((Py_ssize_t)ndone);
+    if (done == NULL || ndone == 0) {
+        return done;
+    }
+    double *rate = p[T_RATE];
+    double *rate_cap = p[T_RATE_CAP];
+    double *started = p[T_STARTED];
+    int64_t *payload = p[T_PAYLOAD];
+    int64_t *srcs = p[T_SRCS];
+    int64_t *dsts = p[T_DSTS];
+    int64_t *csr = p[T_CSR];
+    int64_t *ptr = p[T_FLOW_PTR];
+    PyObject **keys = p[T_KEYS];
+    int64_t w = 0, links_w = 0, d = 0;
+    for (f = 0; f < n; f++) {
+        if (wire[f] <= eps) {
+            PyList_SET_ITEM(done, (Py_ssize_t)d++, keys[f]);
+            continue;
+        }
+        if (w != f) {
+            wire[w] = wire[f];
+            rate[w] = rate[f];
+            rate_cap[w] = rate_cap[f];
+            started[w] = started[f];
+            payload[w] = payload[f];
+            srcs[w] = srcs[f];
+            dsts[w] = dsts[f];
+            keys[w] = keys[f];
+        }
+        for (s = ptr[f]; s < ptr[f + 1]; s++) {
+            csr[links_w++] = csr[s];
+        }
+        w++;
+        ptr[w] = links_w;
+    }
+    for (f = w; f < n; f++) {
+        Py_INCREF(Py_None);
+        keys[f] = Py_None;
+    }
+    return done;
+}
+
+/* ------------------------------------------------------------------
+ * Cold entry point: bandwidth.max_min_rates on caller-owned arrays. */
+
+/* Argument spec of max_min_fill: dtype ('d' float64, 'q' int64, 'B'
+ * uint8), whether it is written, and the length it needs ('L' links,
+ * 'F' flows; '-' checked separately). */
+static const struct {
+    const char *name;
+    char kind;
+    char writable;
+    char len;
+} fill_args[] = {
+    {"link_caps", 'd', 0, '-'}, {"flow_ptr", 'q', 0, '-'},
+    {"flow_links", 'q', 0, '-'}, {"flow_caps", 'd', 0, 'F'},
+    {"sat_thresh", 'd', 0, 'L'}, {"cap_thresh", 'd', 0, 'F'},
+    {"rates", 'd', 1, 'F'}, {"remaining", 'd', 1, 'L'},
+    {"counts", 'q', 1, 'L'}, {"cap_left", 'd', 1, 'F'},
+    {"active", 'B', 1, 'F'}, {"touched", 'q', 1, 'L'},
+};
+
+enum {
+    F_LINK_CAPS, F_FLOW_PTR, F_FLOW_LINKS, F_FLOW_CAPS, F_SAT_THRESH,
+    F_CAP_THRESH, F_RATES, F_REMAINING, F_COUNTS, F_CAP_LEFT, F_ACTIVE,
+    F_TOUCHED, F_NARGS
+};
+
+/* Acquire argument i as a C-contiguous 1-D buffer of its spec'd dtype. */
+static int get_buf(PyObject *o, Py_buffer *view, int i) {
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
+    if (fill_args[i].writable) {
+        flags |= PyBUF_WRITABLE;
+    }
+    if (PyObject_GetBuffer(o, view, flags) < 0) {
+        return -1;
+    }
+    const char *fmt = view->format ? view->format : "B";
+    if (*fmt == '@' || *fmt == '=' || *fmt == '<') {
+        fmt++;
+    }
+    int ok = view->ndim == 1;
+    switch (fill_args[i].kind) {
+    case 'd':
+        ok = ok && view->itemsize == 8 && strcmp(fmt, "d") == 0;
+        break;
+    case 'q':
+        ok = ok && view->itemsize == 8
+             && (strcmp(fmt, "q") == 0 || strcmp(fmt, "l") == 0);
+        break;
+    default:
+        ok = ok && view->itemsize == 1 && strcmp(fmt, "B") == 0;
+        break;
+    }
+    if (!ok) {
+        PyErr_Format(PyExc_TypeError, "max_min_fill: %s has the wrong dtype",
+                     fill_args[i].name);
+        PyBuffer_Release(view);
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *py_max_min_fill(PyObject *mod, PyObject *const *args,
+                                 Py_ssize_t nargs) {
+    Py_buffer v[F_NARGS];
+    int i, held = 0;
+    PyObject *result = NULL;
+    int64_t f, l, s, nflows, nlinks, nnz, ntouched = 0;
+
+    if (check_nargs("max_min_fill", nargs, F_NARGS) < 0) {
+        return NULL;
+    }
+    for (; held < F_NARGS; held++) {
+        if (get_buf(args[held], &v[held], held) < 0) {
+            goto done;
+        }
+    }
+    nlinks = v[F_LINK_CAPS].shape[0];
+    nflows = v[F_FLOW_PTR].shape[0] - 1;
+    nnz = v[F_FLOW_LINKS].shape[0];
+    for (i = 0; i < F_NARGS; i++) {
+        int64_t need = fill_args[i].len == 'L' ? nlinks
+                       : fill_args[i].len == 'F' ? nflows : 0;
+        if (v[i].shape[0] < need) {
+            PyErr_Format(PyExc_ValueError,
+                         "max_min_fill: %s has %zd items, needs %lld",
+                         fill_args[i].name, v[i].shape[0], (long long)need);
+            goto done;
+        }
+    }
+    /* Validate the incidence before indexing with it. */
+    const int64_t *flow_ptr = v[F_FLOW_PTR].buf;
+    const int64_t *flow_links = v[F_FLOW_LINKS].buf;
+    int valid = nflows >= 0 && flow_ptr[0] == 0;
+    for (f = 0; valid && f < nflows; f++) {
+        valid = flow_ptr[f] <= flow_ptr[f + 1] && flow_ptr[f + 1] <= nnz;
+    }
+    for (s = 0; valid && s < flow_ptr[nflows]; s++) {
+        valid = flow_links[s] >= 0 && flow_links[s] < nlinks;
+    }
+    if (!valid) {
+        PyErr_SetString(PyExc_ValueError,
+                        "max_min_fill: malformed CSR flow->link incidence");
+        goto done;
+    }
+    const double *link_caps = v[F_LINK_CAPS].buf;
+    const double *flow_caps = v[F_FLOW_CAPS].buf;
+    double *rates = v[F_RATES].buf;
+    double *remaining_cap = v[F_REMAINING].buf;
+    int64_t *counts = v[F_COUNTS].buf;
+    double *cap_left = v[F_CAP_LEFT].buf;
+    uint8_t *active = v[F_ACTIVE].buf;
+    int64_t *touched = v[F_TOUCHED].buf;
 
     /* Cold entry point: counts may hold garbage, so zero it fully. */
     for (l = 0; l < nlinks; l++) {
@@ -164,267 +610,66 @@ int max_min_fill(
         cap_left[f] = flow_caps[f];
         active[f] = 1;
     }
-    return fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
-                       sat_thresh, cap_thresh, rates, remaining_cap, counts,
-                       link_incr, cap_left, active);
+    if (fill(nflows, flow_ptr, flow_links, touched, ntouched,
+             v[F_SAT_THRESH].buf, v[F_CAP_THRESH].buf, rates, remaining_cap,
+             counts, cap_left, active) == 0) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    }
+done:
+    while (held > 0) {
+        PyBuffer_Release(&v[--held]);
+    }
+    return result;
 }
 
-/* Fused rate reallocation: per-link flow counts, switch-contention
- * penalty, freeze thresholds and the progressive fill in one call.
- * Mirrors FluidNetwork._recompute + max_min_rates (check=False) with
- * the same operation order on the same doubles:
- *
- *   counts  = bincount(flow_links)
- *   penalty = min(max(counts - 1, 0) * contention_c + 1.0, contention_cap)
- *   eff     = link_caps / penalty            (skipped when c <= 0)
- *   eff     = eff * link_scales[l]           (when scales != NULL)
- *   sat     = eff * 1e-12 + 1e-15
- *   capt    = flow_caps * 1e-12 + 1e-15
- *
- * then fills.  1e-12 is bandwidth._REL_EPS.  Returns the fill rc. */
-int fluid_recompute(
-    int64_t nflows,
-    int64_t nlinks,
-    double contention_c,
-    double contention_cap,
-    const double *link_caps,      /* raw caps, length nlinks */
-    const double *link_scales,    /* length nlinks, or NULL (healthy) */
-    const int64_t *flow_ptr,      /* length nflows + 1 */
-    const int64_t *flow_links,    /* length flow_ptr[nflows] */
-    const double *flow_caps,      /* length nflows */
-    double *rates,                /* out, length nflows */
-    double *sat_thresh,           /* work, length nlinks */
-    double *cap_thresh,           /* work, length nflows */
-    double *remaining_cap,        /* work, length nlinks */
-    int64_t *counts,              /* work, length nlinks */
-    double *link_incr,            /* work, length nlinks */
-    double *cap_left,             /* work, length nflows */
-    uint8_t *active,              /* work, length nflows */
-    int64_t *touched              /* work, length nlinks */
-) {
-    int64_t f, l, s, i, ntouched = 0;
-    int rc;
+/* ------------------------------------------------------------------ */
 
-    /* Hot entry point: relies on the all-zero counts invariant (the
-     * workspace allocates counts zeroed; every fill restores it), so
-     * only the links on this wave's paths are ever visited — the rest
-     * of the per-link arrays hold stale values that nothing reads. */
-    for (s = 0; s < flow_ptr[nflows]; s++) {
-        l = flow_links[s];
-        if (counts[l]++ == 0) {
-            touched[ntouched++] = l;
-        }
-    }
-    for (i = 0; i < ntouched; i++) {
-        l = touched[i];
-        double cap = link_caps[l];
-        if (contention_c > 0.0) {
-            int64_t pen = counts[l] - 1;
-            if (pen < 0) {
-                pen = 0;
-            }
-            double p = (double)pen * contention_c;
-            p = p + 1.0;
-            if (p > contention_cap) {
-                p = contention_cap;
-            }
-            cap = cap / p;
-        }
-        if (link_scales != 0) {
-            cap = cap * link_scales[l];
-        }
-        remaining_cap[l] = cap;
-        sat_thresh[l] = cap * 1e-12 + 1e-15;
-    }
-    for (f = 0; f < nflows; f++) {
-        cap_thresh[f] = flow_caps[f] * 1e-12 + 1e-15;
-        rates[f] = 0.0;
-        cap_left[f] = flow_caps[f];
-        active[f] = 1;
-    }
-    rc = fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
-                     sat_thresh, cap_thresh, rates, remaining_cap, counts,
-                     link_incr, cap_left, active);
-    if (rc != 0) {
-        /* Failure aborts the run in the caller, but restore the counts
-         * invariant anyway in case the workspace outlives the error. */
-        for (i = 0; i < ntouched; i++) {
-            counts[touched[i]] = 0;
-        }
-    }
-    return rc;
-}
+#define FASTCALL(name, fn, doc) \
+    {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL, doc}
 
-/* Drain all flows by dt at their current rates, clamping at zero —
- * the C twin of advance_to's `wire -= rate*dt; maximum(wire, 0)`. */
-void fluid_advance(
-    int64_t nflows,
-    double dt,
-    double *wire,
-    const double *rate
-) {
-    int64_t f;
-    for (f = 0; f < nflows; f++) {
-        double w = wire[f] - rate[f] * dt;
-        wire[f] = w > 0.0 ? w : 0.0;
-    }
-}
+static PyMethodDef methods[] = {
+    FASTCALL("max_min_fill", py_max_min_fill,
+             "Progressive filling on caller-owned arrays (bandwidth.max_min_rates)."),
+    FASTCALL("add", py_add, "Append one flow to slot `slot`."),
+    FASTCALL("advance", py_advance, "Drain every flow by dt."),
+    FASTCALL("recompute", py_recompute, "Reallocate max-min rates."),
+    FASTCALL("recompute_scan", py_recompute_scan,
+             "Reallocate, then return the earliest completion offset or None."),
+    FASTCALL("scan", py_scan, "Earliest completion offset, or None on a stall."),
+    FASTCALL("retire", py_retire,
+             "Advance by dt, retire drained flows, return their keys."),
+    {NULL, NULL, 0, NULL},
+};
 
-/* Earliest-completion scan: done flows first, stalls second, else the
- * minimum of wire/rate — identical to the NumPy three-pass scan.
- * Returns 0 (best_out holds seconds-from-now), 1 (a flow is already
- * done), or 2 (a flow has zero rate: the caller raises the stall). */
-int fluid_scan(
-    int64_t nflows,
-    double done_eps,
-    const double *wire,
-    const double *rate,
-    double *best_out
-) {
-    int64_t f;
-    for (f = 0; f < nflows; f++) {
-        if (wire[f] <= done_eps) {
-            return 1;
-        }
-    }
-    for (f = 0; f < nflows; f++) {
-        if (rate[f] <= 0.0) {
-            return 2;
-        }
-    }
-    double best = INFINITY;
-    for (f = 0; f < nflows; f++) {
-        double v = wire[f] / rate[f];
-        if (v < best) {
-            best = v;
-        }
-    }
-    *best_out = best;
-    return 0;
-}
+static struct PyModuleDef moduledef = {
+    PyModuleDef_HEAD_INIT, "fastfill",
+    "Compiled fluid-network kernel (see repro.machine._fastfill).", -1, methods,
+};
 
-/* Advance by dt, mark every drained flow, and compact the slot arrays
- * and the CSR incidence in place (insertion order preserved — the
- * same data movement _compact performs).  Completed slot indices
- * (pre-compaction, ascending) are written to done_out; returns how
- * many completed.  The caller compacts the object-dtype key column
- * itself and flips the dirty/memo flags. */
-int64_t fluid_retire(
-    int64_t nflows,
-    double dt,
-    double done_eps,
-    double *wire,
-    double *rate,
-    double *rate_cap,
-    double *started,
-    int64_t *payload,
-    int64_t *srcs,
-    int64_t *dsts,
-    int64_t *csr_links,
-    int64_t *ptr,                 /* length nflows + 1 */
-    int64_t *done_out             /* out, capacity >= nflows */
-) {
-    int64_t f, s, ndone = 0;
-
-    if (dt > 0.0) {
-        for (f = 0; f < nflows; f++) {
-            double w = wire[f] - rate[f] * dt;
-            wire[f] = w > 0.0 ? w : 0.0;
-        }
+PyMODINIT_FUNC PyInit_fastfill(void) {
+    PyObject *m = PyModule_Create(&moduledef);
+    if (m == NULL) {
+        return NULL;
     }
-    for (f = 0; f < nflows; f++) {
-        if (wire[f] <= done_eps) {
-            done_out[ndone++] = f;
-        }
+    PyObject *names = PyTuple_New(T_SIZE);
+    if (names == NULL) {
+        Py_DECREF(m);
+        return NULL;
     }
-    if (ndone == 0) {
-        return 0;
-    }
-    int64_t w = 0;
-    int64_t links_w = 0;
-    for (f = 0; f < nflows; f++) {
-        if (wire[f] <= done_eps) {
-            continue;
+    for (int i = 0; i < T_SIZE; i++) {
+        PyObject *s = PyUnicode_FromString(table_names[i]);
+        if (s == NULL) {
+            Py_DECREF(names);
+            Py_DECREF(m);
+            return NULL;
         }
-        if (w != f) {
-            wire[w] = wire[f];
-            rate[w] = rate[f];
-            rate_cap[w] = rate_cap[f];
-            started[w] = started[f];
-            payload[w] = payload[f];
-            srcs[w] = srcs[f];
-            dsts[w] = dsts[f];
-        }
-        for (s = ptr[f]; s < ptr[f + 1]; s++) {
-            csr_links[links_w++] = csr_links[s];
-        }
-        w++;
-        ptr[w] = links_w;
+        PyTuple_SET_ITEM(names, i, s);
     }
-    return ndone;
-}
-
-/* ------------------------------------------------------------------
- * Pointer-table entry points.
- *
- * The hot wrappers in repro.machine.contention call into this file
- * ~2x per simulated message; at 18 ctypes arguments the per-argument
- * conversion overhead rivals the kernel itself.  These variants take
- * one table of raw pointers (built once per buffer (re)allocation on
- * the Python side) so each call converts four or five scalars only.
- * The table layout is fixed:
- *
- *   [0] link_caps   [1] link_scales (or NULL)  [2] flow_ptr
- *   [3] flow_links  [4] flow_caps (rate caps)  [5] rates
- *   [6] sat_thresh  [7] cap_thresh  [8] remaining_cap  [9] counts
- *   [10] link_incr  [11] cap_left   [12] active        [13] touched
- *   [14] wire       [15] best_out   [16] started       [17] payload
- *   [18] srcs       [19] dsts       [20] done_out
- *
- * Each variant delegates to the positional function above, so the
- * IEEE-754 operation sequence is unchanged by construction. */
-
-int fluid_recompute_tab(
-    int64_t nflows, int64_t nlinks,
-    double contention_c, double contention_cap, void **p
-) {
-    return fluid_recompute(
-        nflows, nlinks, contention_c, contention_cap,
-        (const double *)p[0], (const double *)p[1],
-        (const int64_t *)p[2], (const int64_t *)p[3],
-        (const double *)p[4], (double *)p[5], (double *)p[6],
-        (double *)p[7], (double *)p[8], (int64_t *)p[9],
-        (double *)p[10], (double *)p[11], (uint8_t *)p[12],
-        (int64_t *)p[13]);
-}
-
-/* Fused recompute + earliest-completion scan for the arm path.
- * Returns the scan rc (0: best_out written, 1: a flow already done,
- * 2: stall) on success, or -recompute_rc on allocation failure. */
-int fluid_recompute_scan(
-    int64_t nflows, int64_t nlinks,
-    double contention_c, double contention_cap,
-    double done_eps, void **p
-) {
-    int rc = fluid_recompute_tab(nflows, nlinks, contention_c,
-                                 contention_cap, p);
-    if (rc != 0) {
-        return -rc;
+    if (PyModule_AddObject(m, "TABLE", names) < 0) {
+        Py_DECREF(names);
+        Py_DECREF(m);
+        return NULL;
     }
-    return fluid_scan(nflows, done_eps, (const double *)p[14],
-                      (const double *)p[5], (double *)p[15]);
-}
-
-int64_t fluid_retire_tab(
-    int64_t nflows, double dt, double done_eps, void **p
-) {
-    return fluid_retire(
-        nflows, dt, done_eps, (double *)p[14], (double *)p[5],
-        (double *)p[4], (double *)p[16], (int64_t *)p[17],
-        (int64_t *)p[18], (int64_t *)p[19], (int64_t *)p[3],
-        (int64_t *)p[2], (int64_t *)p[20]);
-}
-
-void fluid_advance_tab(int64_t nflows, double dt, void **p) {
-    fluid_advance(nflows, dt, (double *)p[14], (const double *)p[5]);
+    return m;
 }

@@ -1,17 +1,21 @@
-"""Compile-on-first-use loader for the C progressive-filling kernel.
+"""Compile-on-first-use loader for the C fluid-network kernel.
 
 The allocation inner loop (:func:`repro.machine.bandwidth.max_min_rates`)
-runs on every flow arrival/departure wave of every simulation — at 256
-nodes a single exchange sweep makes ~10^5 calls on small arrays, where
-NumPy's per-ufunc dispatch overhead dominates.  ``_fastfill.c`` is a
-bit-identical transliteration of that loop; this module compiles it with
-the system C compiler into a cached shared object and exposes it via
-:mod:`ctypes`.
+and the per-event flow-store operations of
+:class:`repro.machine.contention.FluidNetwork` run on every flow
+arrival/departure of every simulation — at 256 nodes a single exchange
+sweep makes ~10^5 calls on small arrays, where NumPy's per-ufunc
+dispatch overhead dominates.  ``_fastfill.c`` implements them as a
+CPython extension module with ``METH_FASTCALL`` entry points, so each
+network operation is one C call that converts only its scalar
+arguments.  This module compiles it with the system C compiler, against
+the running interpreter's headers, into a cached shared object and
+imports it.
 
 The kernel is strictly optional:
 
-* no compiler, a failed compile, or a failed load -> :func:`kernel`
-  returns ``None`` and callers fall back to the NumPy loop;
+* no compiler or Python headers, a failed compile, or a failed import
+  -> :func:`kernel` returns ``None`` and callers fall back to NumPy;
 * ``REPRO_NO_FASTFILL=1`` disables it explicitly (the equivalence tests
   use this to exercise both paths).
 
@@ -22,25 +26,33 @@ compiled with ``-ffp-contract=off`` and without ``-ffast-math``).
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
 import subprocess
+import sys
+import sysconfig
 import tempfile
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
-import numpy as np
-
-__all__ = ["kernel", "step_kernel", "kernel_description"]
+__all__ = ["kernel", "kernel_description"]
 
 _SOURCE = Path(__file__).with_name("_fastfill.c")
 _BUILD_DIR = Path(__file__).with_name("_fastfill_build")
 
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+#: Name the extension initializes under (``PyInit_fastfill`` in the C file).
+_MODULE = "fastfill"
 
-_kernel = None
+_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+if sys.platform == "darwin":
+    # Python symbols resolve against the host interpreter at import.
+    _CFLAGS += ["-undefined", "dynamic_lookup"]
+
+_kernel: Optional[ModuleType] = None
 _kernel_state = "unloaded"
 
 
@@ -59,20 +71,22 @@ def _compile() -> Optional[Path]:
     cc = _find_compiler()
     if cc is None:
         return None
-    tag = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    include = sysconfig.get_paths()["include"]
+    # The object is built against this interpreter's ABI: key the cache
+    # on it as well as on the source.
+    abi = f"{include}\0{sysconfig.get_config_var('EXT_SUFFIX')}".encode()
+    tag = hashlib.sha256(_SOURCE.read_bytes() + abi).hexdigest()[:16]
     so_path = _BUILD_DIR / f"fastfill-{tag}.so"
     if so_path.exists():
         return so_path
     try:
         _BUILD_DIR.mkdir(exist_ok=True)
-        build_dir = _BUILD_DIR
     except OSError:
-        build_dir = Path(tempfile.mkdtemp(prefix="repro-fastfill-"))
-        so_path = build_dir / f"fastfill-{tag}.so"
+        so_path = Path(tempfile.mkdtemp(prefix="repro-fastfill-")) / so_path.name
     tmp = so_path.with_suffix(f".tmp{os.getpid()}.so")
     try:
         subprocess.run(
-            [cc, *_CFLAGS, "-o", str(tmp), str(_SOURCE)],
+            [cc, *_CFLAGS, f"-I{include}", "-o", str(tmp), str(_SOURCE)],
             check=True,
             capture_output=True,
             timeout=60,
@@ -84,53 +98,8 @@ def _compile() -> Optional[Path]:
     return so_path
 
 
-class StepKernel:
-    """The batched event-core entry points of the shared object.
-
-    ``recompute`` fuses per-link counting, the switch-contention
-    penalty, the freeze thresholds and the progressive fill into one
-    call; ``advance`` drains flows by a time delta; ``scan`` finds the
-    earliest completion; ``retire`` drains, removes and compacts
-    completed flows.  All four are bit-identical to the NumPy
-    expressions they replace (see ``_fastfill.c``).
-    """
-
-    def __init__(self, lib: ctypes.CDLL):
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        self.recompute = lib.fluid_recompute
-        self.recompute.restype = ctypes.c_int
-        self.recompute.argtypes = [i64, i64, f64, f64] + [ptr] * 14
-        self.advance = lib.fluid_advance
-        self.advance.restype = None
-        self.advance.argtypes = [i64, f64, ptr, ptr]
-        self.scan = lib.fluid_scan
-        self.scan.restype = ctypes.c_int
-        self.scan.argtypes = [i64, f64, ptr, ptr, ptr]
-        self.retire = lib.fluid_retire
-        self.retire.restype = ctypes.c_int64
-        self.retire.argtypes = [i64, f64, f64] + [ptr] * 10
-        # Pointer-table variants: one prebuilt table argument instead
-        # of 10-18 per-call pointer conversions (see _fastfill.c for
-        # the fixed table layout).
-        self.recompute_tab = lib.fluid_recompute_tab
-        self.recompute_tab.restype = ctypes.c_int
-        self.recompute_tab.argtypes = [i64, i64, f64, f64, ptr]
-        self.recompute_scan = lib.fluid_recompute_scan
-        self.recompute_scan.restype = ctypes.c_int
-        self.recompute_scan.argtypes = [i64, i64, f64, f64, f64, ptr]
-        self.retire_tab = lib.fluid_retire_tab
-        self.retire_tab.restype = ctypes.c_int64
-        self.retire_tab.argtypes = [i64, f64, f64, ptr]
-        self.advance_tab = lib.fluid_advance_tab
-        self.advance_tab.restype = None
-        self.advance_tab.argtypes = [i64, f64, ptr]
-
-
-_step_kernel: "Optional[StepKernel]" = None
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    global _kernel_state, _step_kernel
+def _load() -> Optional[ModuleType]:
+    global _kernel_state
     if os.environ.get("REPRO_NO_FASTFILL"):
         _kernel_state = "disabled (REPRO_NO_FASTFILL)"
         return None
@@ -138,37 +107,25 @@ def _load() -> Optional[ctypes.CDLL]:
     if so_path is None:
         _kernel_state = "unavailable (no compiler or build failed)"
         return None
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(so_path))
     try:
-        lib = ctypes.CDLL(str(so_path))
-        fn = lib.max_min_fill
-        step = StepKernel(lib)
-    except (OSError, AttributeError):
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(_MODULE, loader)
+        )
+        loader.exec_module(module)
+    except (ImportError, OSError):
         _kernel_state = "unavailable (load failed)"
         return None
-    # Raw pointers, not np.ctypeslib.ndpointer: ndpointer's from_param
-    # validation costs ~60us per call on 12 array arguments, comparable
-    # to the kernel itself at typical sizes.  Callers pass
-    # ``arr.ctypes.data`` of C-contiguous arrays of the right dtype
-    # (bandwidth.max_min_rates guarantees this).
-    fn.restype = ctypes.c_int
-    fn.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 13
     _kernel_state = f"loaded ({so_path.name})"
-    _step_kernel = step
-    return fn
+    return module
 
 
-def kernel():
-    """The compiled ``max_min_fill`` entry point, or None (fallback)."""
-    global _kernel, _kernel_state
+def kernel() -> Optional[ModuleType]:
+    """The compiled extension module, or None (NumPy fallback)."""
+    global _kernel
     if _kernel_state == "unloaded":
         _kernel = _load()
     return _kernel
-
-
-def step_kernel() -> "Optional[StepKernel]":
-    """The batched :class:`StepKernel`, or None (NumPy fallback)."""
-    kernel()
-    return _step_kernel
 
 
 def kernel_description() -> str:

@@ -70,19 +70,6 @@ class AllocationWorkspace:
             self.cap_left = np.empty(self._fcap)
             self.cap_thresh = np.empty(self._fcap)
             self.active = np.empty(self._fcap, dtype=np.uint8)
-            # Raw data pointers for the ctypes kernel call, refreshed
-            # only when a buffer is reallocated (ndarray.ctypes costs
-            # ~1us per access, which adds up over ~10^5 calls per run).
-            self.ptrs = (
-                self.sat_thresh.ctypes.data,
-                self.cap_thresh.ctypes.data,
-                self.remaining.ctypes.data,
-                self.counts.ctypes.data,
-                self.link_incr.ctypes.data,
-                self.cap_left.ctypes.data,
-                self.active.ctypes.data,
-                self.touched.ctypes.data,
-            )
 
 
 def max_min_rates(
@@ -198,32 +185,21 @@ def max_min_rates(
         out = np.empty(nflows)
     kern = _fastfill.kernel()
     if kern is not None:
-        sat_p, capt_p, rem_p, cnt_p, incr_p, left_p, act_p, tch_p = ws.ptrs
-        rc = kern(
-            nflows,
-            nlinks,
-            link_caps.ctypes.data,
-            flow_ptr.ctypes.data,
-            flow_links.ctypes.data,
-            flow_caps.ctypes.data,
-            sat_p,
-            capt_p,
-            out.ctypes.data,
-            rem_p,
-            cnt_p,
-            incr_p,
-            left_p,
-            act_p,
-            tch_p,
+        # Raises the NumPy path's RuntimeErrors on a failed fill.
+        kern.max_min_fill(
+            link_caps,
+            flow_ptr,
+            flow_links,
+            flow_caps,
+            ws.sat_thresh,
+            cap_thresh,
+            out,
+            ws.remaining,
+            ws.counts,
+            ws.cap_left,
+            ws.active,
+            ws.touched,
         )
-        if rc == 1:
-            raise RuntimeError("unbounded flow: a path has no finite constraint")
-        if rc:  # pragma: no cover - defensive, mirrors the NumPy path
-            raise RuntimeError(
-                "progressive filling made no progress"
-                if rc == 2
-                else "max-min allocation failed to converge"
-            )
         return out
     return _fill_numpy(
         link_caps, flow_ptr, flow_links, flow_caps, ws, cap_thresh, out

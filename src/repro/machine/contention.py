@@ -35,7 +35,6 @@ original per-flow-object implementation.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
@@ -55,6 +54,14 @@ _DONE_EPS = 1e-6
 
 #: Initial slot capacity of the struct-of-arrays flow store.
 _MIN_SLOTS = 16
+
+#: Jitter normals drawn per RNG call.
+_Z_BLOCK = 256
+
+
+def _address(arr: np.ndarray) -> int:
+    """Address of an array's first element (for the kernel's table)."""
+    return arr.__array_interface__["data"][0]
 
 
 class NetworkStallError(RuntimeError):
@@ -125,11 +132,18 @@ class FluidNetwork:
             )
         self._now = 0.0
         self._dirty = False
-        self._rng = np.random.default_rng(seed)
         self._seed = seed
+        self._jitter = tree.params.routing_jitter
+        self._rng = np.random.default_rng(seed)
+        #: Pre-drawn |N(0, 1)| jitter normals, consumed one per flow.
+        #: ``standard_normal(k)`` yields the same doubles as k scalar
+        #: draws, so blocks leave every flow's jitter unchanged.
+        self._z: List[float] = []
+        self._z_next = 0
 
         # Struct-of-arrays flow store.  Slots [0, _n) are in flight;
-        # arrays grow by doubling and are compacted in pop_completed.
+        # arrays grow by doubling and are compacted on retirement.
+        # Slots [_n, _cap) of the key column hold None.
         self._n = 0
         self._cap = _MIN_SLOTS
         self._wire = np.zeros(self._cap)
@@ -142,30 +156,35 @@ class FluidNetwork:
         self._keys = np.empty(self._cap, dtype=object)
         self._key_set: set = set()
         # Persistent CSR incidence: slot i uses link indices
-        # _csr_links[_ptr[i]:_ptr[i+1]].  Appended on add, compacted on pop.
-        self._csr_cap = 4 * self._cap
-        self._csr_links = np.zeros(self._csr_cap, dtype=np.int64)
+        # _csr_links[_ptr[i]:_ptr[i+1]].  Appended on add, compacted on
+        # retirement.  No route exceeds _max_path links, so sizing it
+        # at _max_path per slot means it only grows with the slots.
+        self._max_path = 2 * tree.levels
+        self._csr_links = np.zeros(self._max_path * self._cap, dtype=np.int64)
         self._ptr = np.zeros(self._cap + 1, dtype=np.int64)
-        #: Completed-slot index buffer for the C retire kernel.
-        self._done_idx = np.empty(self._cap, dtype=np.int64)
 
-        # Batched C event-core kernels (None -> NumPy fallback) plus the
-        # raw data pointers they consume.  Pointers are cached and only
-        # refreshed when an array is reallocated (_grow_slots/_grow_csr);
-        # ndarray.ctypes costs ~1us per access, which dominates the
-        # kernels themselves at ~10^5 calls per run.
-        self._step = _fastfill.step_kernel()
-        self._nlinks = nlinks
+        # Reused per-recompute workspaces (contention penalty pipeline
+        # plus the progressive-filling buffers shared with max_min_rates);
+        # the flow-sized ones always cover every slot.
+        self._pen_int = np.zeros(nlinks, dtype=np.int64)
+        self._penalty = np.zeros(nlinks)
+        self._eff_caps = np.zeros(nlinks)
+        self._alloc_ws = AllocationWorkspace(nlinks)
+        self._alloc_ws.ensure_flows(self._cap)
+
+        # The compiled kernel (None -> NumPy fallback) and the pointer
+        # table its hot entry points read every buffer from: one address
+        # per array, in the kernel's TABLE order, rebuilt only when an
+        # array is reallocated (_grow_slots).  Each call then converts
+        # a handful of scalars.
+        self._k = _fastfill.kernel()
         self._cc = float(tree.params.switch_contention)
         self._ccap = float(tree.params.contention_cap)
-        self._p_caps = self._link_caps.ctypes.data
-        self._p_scales = (
-            self._link_scales.ctypes.data
-            if self._link_scales is not None
-            else 0
-        )
-        self._best_c = ctypes.c_double()
-        self._p_best = ctypes.addressof(self._best_c)
+        if self._k is not None:
+            self._ptab = np.zeros(len(self._k.TABLE), dtype=np.uintp)
+            self._p_tab = _address(self._ptab)
+            self._refresh_ptab()
+        self._route_slots = tree.route_slots
         self._wire_cache: Dict[int, Tuple[float, float]] = {}
         #: Rate cap by route level; a path of 2k links peaks at level k,
         #: so add_flow reads caps from here instead of the tree's
@@ -174,23 +193,6 @@ class FluidNetwork:
             tree.params.level_bandwidth(lvl)
             for lvl in range(1, tree.levels + 1)
         ]
-        self._refresh_slot_ptrs()
-        self._p_csr = self._csr_links.ctypes.data
-
-        # Reused per-recompute workspaces (contention penalty pipeline
-        # plus the progressive-filling buffers shared with max_min_rates).
-        self._pen_int = np.zeros(nlinks, dtype=np.int64)
-        self._penalty = np.zeros(nlinks)
-        self._eff_caps = np.zeros(nlinks)
-        self._alloc_ws = AllocationWorkspace(nlinks)
-        # One shared pointer table for the *_tab kernel entry points
-        # (fixed layout documented in _fastfill.c); rebuilt only when a
-        # backing array is reallocated.  Each hot call then converts a
-        # handful of scalars instead of 10-18 pointer arguments.
-        self._ptab = (ctypes.c_void_p * 21)()
-        self._p_tab = ctypes.addressof(self._ptab)
-        self._ws_ptrs: Optional[tuple] = None
-        self._refresh_ptab()
 
         #: Memoized absolute time of the next completion; valid while the
         #: flow set and rates are unchanged (completion instants are
@@ -217,42 +219,38 @@ class FluidNetwork:
     def _path_indices(self, src: int, dst: int) -> np.ndarray:
         return self.tree.path_indices(src, dst)
 
-    def _refresh_slot_ptrs(self) -> None:
-        self._p_wire = self._wire.ctypes.data
-        self._p_rate = self._rate.ctypes.data
-        self._p_rate_cap = self._rate_cap.ctypes.data
-        self._p_started = self._started.ctypes.data
-        self._p_payload = self._payload.ctypes.data
-        self._p_srcs = self._srcs.ctypes.data
-        self._p_dsts = self._dsts.ctypes.data
-        self._p_ptr = self._ptr.ctypes.data
-        self._p_done = self._done_idx.ctypes.data
-        if hasattr(self, "_ptab"):
-            self._refresh_ptab()
-
     def _refresh_ptab(self) -> None:
-        """Rebuild the kernel pointer table (layout: see _fastfill.c)."""
+        """Rebuild the kernel pointer table (layout: ``kernel().TABLE``)."""
         ws = self._alloc_ws
-        self._ws_ptrs = ws.ptrs
-        tab = self._ptab
-        tab[0] = self._p_caps
-        tab[1] = self._p_scales or None
-        tab[2] = self._p_ptr
-        tab[3] = self._p_csr
-        tab[4] = self._p_rate_cap
-        tab[5] = self._p_rate
-        for i, p in enumerate(ws.ptrs):
-            tab[6 + i] = p
-        tab[14] = self._p_wire
-        tab[15] = self._p_best
-        tab[16] = self._p_started
-        tab[17] = self._p_payload
-        tab[18] = self._p_srcs
-        tab[19] = self._p_dsts
-        tab[20] = self._p_done
+        arrays = {
+            "link_caps": self._link_caps,
+            "link_scales": self._link_scales,
+            "flow_ptr": self._ptr,
+            "csr_links": self._csr_links,
+            "rate_cap": self._rate_cap,
+            "rate": self._rate,
+            "sat_thresh": ws.sat_thresh,
+            "cap_thresh": ws.cap_thresh,
+            "remaining": ws.remaining,
+            "counts": ws.counts,
+            "cap_left": ws.cap_left,
+            "active": ws.active,
+            "touched": ws.touched,
+            "wire": self._wire,
+            "started": self._started,
+            "payload": self._payload,
+            "srcs": self._srcs,
+            "dsts": self._dsts,
+            "keys": self._keys,
+        }
+        self._ptab[:] = [
+            0 if arrays[name] is None else _address(arrays[name])
+            for name in self._k.TABLE
+        ]
 
     def _grow_slots(self, need: int) -> None:
-        new_cap = max(2 * self._cap, need, _MIN_SLOTS)
+        new_cap = max(2 * self._cap, need)
+        n = self._n
         for name in (
             "_wire",
             "_rate",
@@ -264,25 +262,20 @@ class FluidNetwork:
             "_keys",
         ):
             old = getattr(self, name)
-            fresh = np.empty(new_cap, dtype=old.dtype)
-            fresh[: self._n] = old[: self._n]
+            fresh = np.empty(new_cap, dtype=old.dtype)  # object -> None
+            fresh[:n] = old[:n]
             setattr(self, name, fresh)
         ptr = np.zeros(new_cap + 1, dtype=np.int64)
-        ptr[: self._n + 1] = self._ptr[: self._n + 1]
+        ptr[: n + 1] = self._ptr[: n + 1]
         self._ptr = ptr
-        self._done_idx = np.empty(new_cap, dtype=np.int64)
+        used = int(ptr[n])
+        csr = np.empty(self._max_path * new_cap, dtype=np.int64)
+        csr[:used] = self._csr_links[:used]
+        self._csr_links = csr
+        self._alloc_ws.ensure_flows(new_cap)
         self._cap = new_cap
-        self._refresh_slot_ptrs()
-
-    def _grow_csr(self, need: int) -> None:
-        new_cap = max(2 * self._csr_cap, need)
-        fresh = np.empty(new_cap, dtype=np.int64)
-        used = int(self._ptr[self._n])
-        fresh[:used] = self._csr_links[:used]
-        self._csr_links = fresh
-        self._csr_cap = new_cap
-        self._p_csr = self._csr_links.ctypes.data
-        self._refresh_ptab()
+        if self._k is not None:
+            self._refresh_ptab()
 
     # ------------------------------------------------------------------
     def add_flow(self, key: Hashable, src: int, dst: int, payload: int) -> None:
@@ -302,29 +295,52 @@ class FluidNetwork:
             cached = (w, math.sqrt(w / 20.0))
             self._wire_cache[payload] = cached
         wire, sqrt_packets = cached
-        jitter = self.tree.params.routing_jitter
-        if jitter > 0:
+        if self._jitter > 0:
             # Random-routing variance: relative inflation ~ j*|Z|/sqrt(p)
             # over p packets (conflicts average out for long messages).
-            z = abs(self._rng.standard_normal())
-            wire *= 1.0 + jitter * z / sqrt_packets
-        path = self._path_indices(src, dst)
+            i = self._z_next
+            if i == len(self._z):
+                self._z = np.abs(self._rng.standard_normal(_Z_BLOCK)).tolist()
+                i = 0
+            self._z_next = i + 1
+            wire *= 1.0 + self._jitter * self._z[i] / sqrt_packets
+        route = self._route_slots.get((src, dst))
+        if route is None:
+            route = self.tree.route_slot(src, dst)
+        off, length = route
         slot = self._n
-        if slot + 1 > self._cap:
+        if slot == self._cap:
             self._grow_slots(slot + 1)
-        used = int(self._ptr[slot])
-        if used + len(path) > self._csr_cap:
-            self._grow_csr(used + len(path))
-        self._csr_links[used : used + len(path)] = path
-        self._ptr[slot + 1] = used + len(path)
-        self._wire[slot] = wire
-        self._rate[slot] = 0.0
-        self._rate_cap[slot] = self._level_bw[len(path) >> 1]
-        self._started[slot] = self._now
-        self._payload[slot] = payload
-        self._srcs[slot] = src
-        self._dsts[slot] = dst
-        self._keys[slot] = key
+        # Read after the route lookup: this table holds the route, and
+        # the local reference keeps it alive through the copy.
+        routes, routes_addr = self.tree.route_buffer
+        if self._k is not None:
+            self._k.add(
+                self._p_tab,
+                slot,
+                key,
+                wire,
+                self._level_bw[length >> 1],
+                self._now,
+                payload,
+                src,
+                dst,
+                routes_addr,
+                off,
+                length,
+            )
+        else:
+            used = int(self._ptr[slot])
+            self._csr_links[used : used + length] = routes[off : off + length]
+            self._ptr[slot + 1] = used + length
+            self._wire[slot] = wire
+            self._rate[slot] = 0.0
+            self._rate_cap[slot] = self._level_bw[length >> 1]
+            self._started[slot] = self._now
+            self._payload[slot] = payload
+            self._srcs[slot] = src
+            self._dsts[slot] = dst
+            self._keys[slot] = key
         self._key_set.add(key)
         self._n = slot + 1
         self._dirty = True
@@ -345,8 +361,8 @@ class FluidNetwork:
         if dt > 0 and self._n:
             if self._dirty:
                 self._recompute()
-            if self._step is not None:
-                self._step.advance_tab(self._n, dt, self._p_tab)
+            if self._k is not None:
+                self._k.advance(self._p_tab, self._n, dt)
             else:
                 wire = self._wire[: self._n]
                 wire -= self._rate[: self._n] * dt
@@ -362,43 +378,22 @@ class FluidNetwork:
         strictly positive).
         """
         n = self._n
+        k = self._k
         if self._dirty:
-            if n and self._step is not None and self.observer is None:
+            if n and k is not None and self.observer is None:
                 # Fused C path for the engine's arm: reallocation and
                 # completion scan in one call (same operations in the
                 # same order as _recompute + scan, see _fastfill.c).
                 obs.count("net.allocations")
-                ws = self._alloc_ws
-                ws.ensure_flows(n)
-                if ws.ptrs is not self._ws_ptrs:
-                    self._refresh_ptab()
-                rc = self._step.recompute_scan(
-                    n,
-                    self._nlinks,
-                    self._cc,
-                    self._ccap,
-                    _DONE_EPS,
-                    self._p_tab,
+                best = k.recompute_scan(
+                    self._p_tab, n, self._cc, self._ccap, _DONE_EPS
                 )
-                if rc < 0:
-                    raise RuntimeError(
-                        "unbounded flow: a path has no finite constraint"
-                        if rc == -1
-                        else (
-                            "progressive filling made no progress"
-                            if rc == -2
-                            else "max-min allocation failed to converge"
-                        )
-                    )
                 self._dirty = False
-                self._next_completion = None
-                if rc == 1:
-                    return self._now
-                if rc == 0:
-                    self._next_completion = self._now + self._best_c.value
+                if best is not None:
+                    self._next_completion = self._now + best
                     return self._next_completion
-                # rc == 2: a flow stalled — fall through to the NumPy
-                # scan below, which assembles the NetworkStallError.
+                # A flow stalled: the NumPy scan below assembles the
+                # NetworkStallError.
             else:
                 self._recompute()
         if n == 0:
@@ -409,17 +404,11 @@ class FluidNetwork:
             # caller overshot) reads as finishing "now", as it would on
             # a fresh scan.
             return max(self._next_completion, self._now)
-        if self._step is not None:
-            rc = self._step.scan(
-                n, _DONE_EPS, self._p_wire, self._p_rate, self._p_best
-            )
-            if rc == 1:
-                return self._now
-            if rc == 0:
-                self._next_completion = self._now + self._best_c.value
+        if k is not None:
+            best = k.scan(self._p_tab, n, _DONE_EPS)
+            if best is not None:
+                self._next_completion = self._now + best
                 return self._next_completion
-            # rc == 2: a flow stalled — fall through to the NumPy scan,
-            # which assembles the detailed NetworkStallError.
         wire = self._wire[:n]
         rate = self._rate[:n]
         # Done-flows first, zero rates second — consistently, in one pass.
@@ -445,41 +434,26 @@ class FluidNetwork:
         ``[f.key for f in self.pop_completed(t)]`` (same drain, same
         retire condition, same compaction) without materializing
         :class:`FlowState` records.  Drain, completion scan and
-        compaction run in one C kernel call when available.
+        compaction of every column, keys included, run in one C call
+        when the kernel is available.
         """
         n = self._n
-        sk = self._step
-        if n == 0 or sk is None:
+        k = self._k
+        if n == 0 or k is None:
             return [f.key for f in self.pop_completed(t)]
         if t < self._now - 1e-12:
             raise ValueError(f"time moved backwards: {t} < {self._now}")
         dt = t - self._now
         if dt > 0 and self._dirty:
             self._recompute()
-        ndone = sk.retire_tab(
-            n, dt if dt > 0 else 0.0, _DONE_EPS, self._p_tab
-        )
+        done = k.retire(self._p_tab, n, dt, _DONE_EPS)
         if t > self._now:
             self._now = t
-        if ndone == 0:
-            return []
-        # The kernel compacted the numeric columns and the CSR; the
-        # object-dtype key column is compacted here, in the same order.
-        keys = self._keys
-        if ndone == 1:
-            i = int(self._done_idx[0])
-            done = [keys[i]]
-            keys[i : n - 1] = keys[i + 1 : n]
-        else:
-            idx = self._done_idx[:ndone]
-            done = [keys[int(i)] for i in idx]
-            keep = np.ones(n, dtype=bool)
-            keep[idx] = False
-            keys[: n - ndone] = keys[:n][keep]
-        self._key_set.difference_update(done)
-        self._n = n - ndone
-        self._dirty = True
-        self._next_completion = None
+        if done:
+            self._key_set.difference_update(done)
+            self._n = n - len(done)
+            self._dirty = True
+            self._next_completion = None
         return done
 
     def pop_completed(self, t: float) -> List[FlowState]:
@@ -538,34 +512,19 @@ class FluidNetwork:
         ):
             arr = getattr(self, name)
             arr[:m] = arr[:n][keep]
+        self._keys[m:n] = None
         self._n = m
 
     # ------------------------------------------------------------------
     def _recompute(self) -> None:
         n = self._n
-        if n and self._step is not None and self.observer is None:
+        if n and self._k is not None and self.observer is None:
             # Fused C path: per-link counts, contention penalty, freeze
             # thresholds and the progressive fill in one call — the same
             # operations in the same order as the NumPy pipeline below,
             # so rates stay bit-identical (see _fastfill.c).
             obs.count("net.allocations")
-            ws = self._alloc_ws
-            ws.ensure_flows(n)
-            if ws.ptrs is not self._ws_ptrs:
-                self._refresh_ptab()
-            rc = self._step.recompute_tab(
-                n, self._nlinks, self._cc, self._ccap, self._p_tab
-            )
-            if rc == 1:
-                raise RuntimeError(
-                    "unbounded flow: a path has no finite constraint"
-                )
-            if rc:  # pragma: no cover - defensive, mirrors bandwidth.py
-                raise RuntimeError(
-                    "progressive filling made no progress"
-                    if rc == 2
-                    else "max-min allocation failed to converge"
-                )
+            self._k.recompute(self._p_tab, n, self._cc, self._ccap)
             self._dirty = False
             self._next_completion = None
             return
@@ -640,3 +599,5 @@ class FluidNetwork:
         self._dirty = False
         self._next_completion = None
         self._rng = np.random.default_rng(self._seed)
+        self._z = []
+        self._z_next = 0

@@ -23,6 +23,7 @@ duplex, so an exchange between two nodes does not self-contend.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -89,7 +90,7 @@ class FatTree:
         # Dense-index bases of the regular link layout: within one
         # (direction, level) block the node ids are contiguous from 0,
         # so index(("up", level, node)) == up_base[level] + node.
-        # path_indices builds routes by this arithmetic instead of
+        # route_slot builds routes by this arithmetic instead of
         # string-tuple construction plus dict lookups per hop.
         self._up_base = [0] * (self.levels + 1)
         self._down_base = [0] * (self.levels + 1)
@@ -99,7 +100,21 @@ class FatTree:
         # Cross-run caches: FatTree instances are shared via
         # :func:`fat_tree_for`, so routes derived during one simulation
         # are reused by every later run on the same partition.
-        self._path_idx_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Flat route table: route (src, dst) is ``table[off:off +
+        #: length]`` with ``(off, length) = route_slots[(src, dst)]`` and
+        #: ``(table, address) = route_buffer``.  Routes are appended on
+        #: first use; growth replaces ``route_buffer`` in one assignment,
+        #: so a reader that looks up a route and then reads the pair gets
+        #: a table holding that route, and keeps it alive while it holds
+        #: the pair.
+        self.route_slots: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        table = np.empty(max(64, 2 * self.levels * self.nprocs), dtype=np.int64)
+        self.route_buffer: Tuple[np.ndarray, int] = (
+            table,
+            table.__array_interface__["data"][0],
+        )
+        self._route_used = 0
+        self._route_lock = threading.Lock()
         self._route_level_cache: Dict[Tuple[int, int], int] = {}
         self._rate_cap_cache: Dict[Tuple[int, int], float] = {}
 
@@ -153,36 +168,58 @@ class FatTree:
             self._route_level_cache[(src, dst)] = level
         return level
 
-    def path_indices(self, src: int, dst: int) -> np.ndarray:
-        """Dense link indices of :meth:`path`, cached across runs.
+    def route_slot(self, src: int, dst: int) -> Tuple[int, int]:
+        """``(offset, length)`` of the ``src -> dst`` route in the
+        :attr:`route_buffer` table, appending the route on first use.
 
-        The returned array is read-only and shared: every
-        :class:`~repro.machine.contention.FluidNetwork` over this tree
-        (one per simulation run) sees the same object, so benchmark
-        sweeps stop re-deriving routes run after run.
+        The route holds the dense link indices of :meth:`path`.
         """
-        cached = self._path_idx_cache.get((src, dst))
-        if cached is None:
-            if src == dst:
-                raise ValueError(f"no self-path: src == dst == {src}")
-            self.config._check_rank(src)
-            self.config._check_rank(dst)
-            s, d, top = src, dst, 0
-            while s != d:
-                s //= FAT_TREE_ARITY
-                d //= FAT_TREE_ARITY
-                top += 1
-            cached = np.empty(2 * top, dtype=np.int64)
+        slot = self.route_slots.get((src, dst))
+        if slot is not None:
+            return slot
+        if src == dst:
+            raise ValueError(f"no self-path: src == dst == {src}")
+        self.config._check_rank(src)
+        self.config._check_rank(dst)
+        s, d, top = src, dst, 0
+        while s != d:
+            s //= FAT_TREE_ARITY
+            d //= FAT_TREE_ARITY
+            top += 1
+        with self._route_lock:  # trees are shared: appends must not race
+            slot = self.route_slots.get((src, dst))
+            if slot is not None:
+                return slot
+            off = self._route_used
+            table = self.route_buffer[0]
+            if off + 2 * top > len(table):
+                grown = np.empty(2 * len(table), dtype=np.int64)
+                grown[:off] = table[:off]
+                table = grown
             up_base, down_base = self._up_base, self._down_base
             s, d = src, dst
             for level in range(1, top + 1):
-                cached[level - 1] = up_base[level] + s
-                cached[2 * top - level] = down_base[level] + d
+                table[off + level - 1] = up_base[level] + s
+                table[off + 2 * top - level] = down_base[level] + d
                 s //= FAT_TREE_ARITY
                 d //= FAT_TREE_ARITY
-            cached.setflags(write=False)
-            self._path_idx_cache[(src, dst)] = cached
-        return cached
+            if table is not self.route_buffer[0]:
+                self.route_buffer = (table, table.__array_interface__["data"][0])
+            self._route_used = off + 2 * top
+            slot = (off, 2 * top)
+            self.route_slots[(src, dst)] = slot
+        return slot
+
+    def path_indices(self, src: int, dst: int) -> np.ndarray:
+        """Dense link indices of :meth:`path`, cached across runs.
+
+        Returns a read-only view of the route's slice of the
+        :attr:`route_buffer` table.
+        """
+        off, length = self.route_slot(src, dst)
+        view = self.route_buffer[0][off : off + length]
+        view.setflags(write=False)
+        return view
 
     def path(self, src: int, dst: int) -> Tuple[LinkId, ...]:
         """The up-over-down sequence of links from ``src`` to ``dst``.

@@ -116,6 +116,13 @@ class TestBasic:
         with pytest.raises(ValueError):
             rates_for([[0]], [1.0], flow_caps=[0.0])
 
+    def test_link_index_out_of_range_rejected(self):
+        # The compiled kernel validates the incidence before indexing
+        # link arrays with it; the NumPy path fails on the shape.
+        ptr, links = build_incidence([[0], [5]])
+        with pytest.raises(ValueError):
+            max_min_rates(np.array([1.0, 1.0]), ptr, links, np.array([1.0, 1.0]))
+
 
 @st.composite
 def allocation_problems(draw):

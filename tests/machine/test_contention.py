@@ -1,5 +1,10 @@
 """Unit tests for the fluid-flow contention network."""
 
+import math
+import sys
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.machine import (
@@ -10,6 +15,7 @@ from repro.machine import (
     fat_tree_for,
 )
 from repro.machine.params import wire_bytes
+from tests.machine.test_hotpath_equivalence import ReferenceFluidNetwork
 
 
 def make_net(nprocs=16, **overrides):
@@ -231,3 +237,104 @@ class TestJitter:
             return (hi - lo) / lo
 
         assert spread(64) > spread(65536)
+
+    def test_jitter_stream_crosses_blocks_and_survives_reset(self):
+        # More flows than one pre-drawn block of normals, then reset()
+        # and a replay: every flow's jitter must match a fresh network
+        # and per-flow scalar draws, so a stale block would show.
+        seed = 11
+        tree = fat_tree_for(MachineConfig(32, CM5Params(routing_jitter=1.0)))
+        flows = [
+            (i, i % 32, (i % 32 + 1 + i % 31) % 32, 64 * (1 + i % 5))
+            for i in range(300)
+        ]
+
+        def run(net):
+            for key, src, dst, payload in flows:
+                net.add_flow(key, src, dst, payload)
+            if isinstance(net, ReferenceFluidNetwork):
+                remaining = {k: f.wire_remaining for k, f in net._flows.items()}
+            else:
+                remaining = net.snapshot_remaining()
+            events = []
+            while net.active_count:
+                t = net.earliest_completion()
+                events.append((t, [f.key for f in net.pop_completed(t)]))
+            return remaining, events
+
+        rng = np.random.default_rng(seed)
+        scalar_wire = {}
+        for key, _, _, payload in flows:
+            wire = float(wire_bytes(payload))
+            z = abs(rng.standard_normal())
+            scalar_wire[key] = wire * (1.0 + 1.0 * z / math.sqrt(wire / 20.0))
+
+        net = FluidNetwork(tree, seed=seed)
+        first = run(net)
+        net.reset()
+        replay = run(net)
+        fresh = run(FluidNetwork(tree, seed=seed))
+        reference = run(ReferenceFluidNetwork(tree, seed=seed))
+        assert first[0] == scalar_wire
+        assert replay == first
+        assert fresh == first
+        assert reference == first
+
+
+class _Key:
+    """A weakref-able flow key with identity equality."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return f"_Key({self.name})"
+
+
+class TestKeyCompaction:
+    """Retiring flows moves key references without leaking any."""
+
+    def test_retire_is_refcount_safe_against_pop_completed(self):
+        net = make_net(switch_contention=0.0)
+        twin = make_net(switch_contention=0.0)
+        live, base, refs, order, batch_sizes = {}, {}, [], [], set()
+
+        def add_wave(names):
+            for i in names:
+                key = _Key(i)
+                src = i % 16
+                dst = (src + 1 + i % 15) % 16
+                payload = 160 * (1 + (i * 7) % 4)
+                net.add_flow(key, src, dst, payload)
+                twin.add_flow(key, src, dst, payload)
+                live[i] = key
+                refs.append(weakref.ref(key))
+            del key
+            base.update({i: sys.getrefcount(live[i]) for i in names})
+
+        def retire_once():
+            t = net.earliest_completion()
+            assert twin.earliest_completion() == t
+            got = net.pop_completed_keys(t)
+            want = [f.key for f in twin.pop_completed(t)]
+            assert got == want
+            batch_sizes.add(len(got))
+            order.extend(done.name for done in got)
+            for done in got:
+                del live[done.name]
+
+        def survivors_unchanged():
+            now = {i: sys.getrefcount(live[i]) for i in live}
+            assert now == {i: base[i] for i in live}
+
+        add_wave(range(24))
+        while net.active_count:
+            retire_once()
+            survivors_unchanged()
+            if len(order) >= 8 and len(base) == 24:
+                add_wave(range(24, 40))  # refill vacated slots mid-run
+                survivors_unchanged()
+        assert twin.active_count == 0
+        assert sorted(order) == list(range(40)) and order != sorted(order)
+        assert 1 in batch_sizes and max(batch_sizes) > 1
+        assert [r for r in refs if r() is not None] == []

@@ -1,5 +1,8 @@
 """Unit tests for the fat-tree topology and routing."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.machine import FatTree, MachineConfig, fat_tree_for
@@ -107,3 +110,49 @@ class TestCache:
         cfg_a = MachineConfig(16)
         cfg_b = MachineConfig(16, cfg_a.params.scaled(bw_level3=4e6))
         assert fat_tree_for(cfg_a) is not fat_tree_for(cfg_b)
+
+
+class TestRouteTable:
+    def test_path_indices_match_path(self, tree32):
+        index = tree32.link_index
+        for src in range(32):
+            for dst in range(32):
+                if src != dst:
+                    want = [index[l] for l in tree32.path(src, dst)]
+                    assert tree32.path_indices(src, dst).tolist() == want
+
+    def test_concurrent_first_use_appends_every_route_once(self):
+        # Trees are shared across runs (fat_tree_for), so two threads
+        # may append routes at once: no route may land on another's
+        # slice, and growth must keep every published route.
+        tree = FatTree(MachineConfig(64))
+        pairs = [(s, d) for s in range(64) for d in range(64) if s != d]
+        errors = []
+
+        def worker(seed):
+            try:
+                order = pairs[seed::8] + pairs
+                for src, dst in order:
+                    tree.route_slot(src, dst)
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        index = tree.link_index
+        spans = sorted(tree.route_slots.values())
+        assert sum(length for _, length in spans) == tree._route_used
+        assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
+        for src, dst in pairs:
+            want = [index[l] for l in tree.path(src, dst)]
+            assert tree.path_indices(src, dst).tolist() == want
