@@ -33,7 +33,7 @@ trace).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cmmd.api import Comm
 from ..cmmd.program import run_spmd
@@ -46,6 +46,7 @@ from .schedule import LOWER_SEND_FIRST, Schedule, Transfer
 __all__ = [
     "ExecutionResult",
     "execute_schedule",
+    "rank_programs",
     "schedule_program",
     "step_actions",
 ]
@@ -85,15 +86,19 @@ def step_actions(
     action implies the pack memcpy before the wire op; a "recv" action
     implies the unpack memcpy after it.
     """
-    if len(sends) == 1 and len(recvs) == 1 and sends[0].dst == recvs[0].src:
-        out, inc = sends[0], recvs[0]
-        partner = out.dst
-        # Figure 3 (LOWER_SEND_FIRST): lower rank sends first;
-        # Figure 2 (LOWER_RECV_FIRST): lower rank receives first.
-        send_first = (rank < partner) == (exchange_order == LOWER_SEND_FIRST)
-        if send_first:
-            return [("send", out), ("recv", inc)]
-        return [("recv", inc), ("send", out)]
+    if len(sends) == 1:
+        out = sends[0]
+        if not recvs:
+            return [("send", out)]
+        if len(recvs) == 1 and out.dst == recvs[0].src:
+            inc = recvs[0]
+            # Figure 3 (LOWER_SEND_FIRST): lower rank sends first;
+            # Figure 2 (LOWER_RECV_FIRST): lower rank receives first.
+            if (rank < out.dst) == (exchange_order == LOWER_SEND_FIRST):
+                return [("send", out), ("recv", inc)]
+            return [("recv", inc), ("send", out)]
+    elif not sends and len(recvs) == 1:
+        return [("recv", recvs[0])]
     if sends:
         # Mixed partners (greedy): receive-before-send iff the source
         # outranks us downward; see module docstring.
@@ -106,6 +111,49 @@ def step_actions(
         )
     # Linear-family step: the receiver drains sources in order.
     return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
+
+
+#: One blocking rendezvous of a rank program: ``(is_send, step, transfer)``.
+Op = Tuple[bool, int, Transfer]
+
+
+def rank_programs(schedule: Schedule) -> List[List[Op]]:
+    """Every rank's blocking program, in :func:`step_actions` order.
+
+    ``rank_programs(schedule)[rank]`` lists the rank's wire operations
+    over all steps as flat ``(is_send, step, transfer)`` triples.  Both
+    :func:`schedule_program` and the linter's deadlock replay consume
+    this one list, so the schedule that is checked is the schedule that
+    runs.  Built once per schedule and cached on the frozen object; a
+    transfer naming a rank outside ``0..nprocs-1`` has no program seat.
+    """
+    try:
+        return schedule._programs  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    nprocs = schedule.nprocs
+    order = schedule.exchange_order
+    programs: List[List[Op]] = [[] for _ in range(nprocs)]
+    for step_idx, step in enumerate(schedule.steps):
+        by_rank: Dict[int, Tuple[List[Transfer], List[Transfer]]] = {}
+        for t in step.transfers:
+            ops = by_rank.get(t.src)
+            if ops is None:
+                by_rank[t.src] = ([t], [])
+            else:
+                ops[0].append(t)
+            ops = by_rank.get(t.dst)
+            if ops is None:
+                by_rank[t.dst] = ([], [t])
+            else:
+                ops[1].append(t)
+        for rank, (sends, recvs) in by_rank.items():
+            if 0 <= rank < nprocs:
+                program = programs[rank]
+                for kind, t in step_actions(rank, sends, recvs, order):
+                    program.append((kind == "send", step_idx, t))
+    object.__setattr__(schedule, "_programs", programs)
+    return programs
 
 
 def schedule_program(
@@ -122,31 +170,24 @@ def schedule_program(
     Store-and-forward schedules (REX) must not use payload mode — their
     wire transfers carry staged aggregates, not per-pair payloads.
 
-    One flat generator yields every request; the step index doubles as
-    the message tag.  A send reported :data:`DROPPED` enters the retry
-    loop of :meth:`Comm.reliable_send` (:meth:`Comm.resend_dropped`).
+    One flat generator walks the rank's :func:`rank_programs` entry; the
+    step index doubles as the message tag.  A send reported
+    :data:`DROPPED` enters the retry loop of :meth:`Comm.reliable_send`
+    (:meth:`Comm.resend_dropped`).
     """
-    rank = comm.rank
-    order = schedule.exchange_order
-    for step_idx in range(schedule.nsteps):
-        sends, recvs = schedule.rank_ops(rank, step_idx)
-        if not sends and not recvs:
-            continue
-        for kind, t in step_actions(rank, sends, recvs, order):
-            if kind == "send":
-                if t.pack_bytes:
-                    yield comm.memcpy(t.pack_bytes)
-                payload = outbox.get(t.dst) if outbox is not None else None
-                if (yield Send(t.dst, t.nbytes, payload, step_idx)) is DROPPED:
-                    yield from comm.resend_dropped(
-                        t.dst, t.nbytes, payload, step_idx
-                    )
-            else:
-                got = yield Recv(t.src, step_idx)
-                if t.unpack_bytes:
-                    yield comm.memcpy(t.unpack_bytes)
-                if inbox is not None:
-                    inbox[t.src] = got
+    for is_send, step_idx, t in rank_programs(schedule)[comm.rank]:
+        if is_send:
+            if t.pack_bytes:
+                yield comm.memcpy(t.pack_bytes)
+            payload = outbox.get(t.dst) if outbox is not None else None
+            if (yield Send(t.dst, t.nbytes, payload, step_idx)) is DROPPED:
+                yield from comm.resend_dropped(t.dst, t.nbytes, payload, step_idx)
+        else:
+            got = yield Recv(t.src, step_idx)
+            if t.unpack_bytes:
+                yield comm.memcpy(t.unpack_bytes)
+            if inbox is not None:
+                inbox[t.src] = got
 
 
 def execute_schedule(

@@ -172,9 +172,10 @@ class Schedule:
     def rank_ops(self, rank: int, step_idx: int) -> Tuple[List[Transfer], List[Transfer]]:
         """This rank's (sends, recvs) within one step, schedule order.
 
-        Backed by a lazily built per-step index: the executor asks for
-        every (rank, step) pair, and rescanning the step each time is
-        O(nprocs * n_messages) over a run — quadratic in machine size.
+        Backed by a lazily built per-step index: the adaptive executor
+        asks for every (rank, step) pair, and rescanning the step each
+        time is O(nprocs * n_messages) over a run — quadratic in machine
+        size.
         """
         try:
             index = self._rank_index

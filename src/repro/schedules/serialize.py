@@ -8,9 +8,10 @@ partition) and later runs can replay it without re-scheduling:
 * :func:`schedule_to_json` / :func:`schedule_from_json` — strings,
 * :func:`save_schedule` / :func:`load_schedule` — files.
 
-The format is versioned and validated on load; transfers keep their
-pack/unpack byte charges, so store-and-forward schedules (REX)
-round-trip exactly.
+The format is versioned and validated on load (ranks, byte counts and
+``nprocs`` must be JSON integers: a float or boolean is rejected, never
+truncated); transfers keep their pack/unpack byte charges, so
+store-and-forward schedules (REX) round-trip exactly.
 """
 
 from __future__ import annotations
@@ -67,26 +68,40 @@ def schedule_from_json(text: str) -> Schedule:
         steps = tuple(
             Step(
                 tuple(
-                    Transfer(
-                        src=int(src),
-                        dst=int(dst),
-                        nbytes=int(nbytes),
-                        pack_bytes=int(pack),
-                        unpack_bytes=int(unpack),
-                    )
-                    for src, dst, nbytes, pack, unpack in step
+                    _transfer(step_no, index, fields)
+                    for index, fields in enumerate(step, start=1)
                 )
             )
-            for step in doc["steps"]
+            for step_no, step in enumerate(doc["steps"], start=1)
         )
+        nprocs = doc["nprocs"]
+        if type(nprocs) is not int:
+            raise _not_int("nprocs", nprocs)
         return Schedule(
-            nprocs=int(doc["nprocs"]),
+            nprocs=nprocs,
             steps=steps,
             name=str(doc["name"]),
             exchange_order=str(doc["exchange_order"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScheduleError(f"malformed schedule document: {exc}") from exc
+
+
+_TRANSFER_FIELDS = ("src", "dst", "nbytes", "pack_bytes", "unpack_bytes")
+
+
+def _not_int(field: str, value: object) -> ScheduleError:
+    """Ranks and byte counts must be plain ``int``s: a float or bool is
+    rejected rather than truncated into a different schedule."""
+    return ScheduleError(f"{field} must be an integer, got {value!r}")
+
+
+def _transfer(step_no: int, index: int, fields: list) -> Transfer:
+    src, dst, nbytes, pack, unpack = values = tuple(fields)
+    for name, value in zip(_TRANSFER_FIELDS, values):
+        if type(value) is not int:
+            raise _not_int(f"step {step_no} transfer {index} {name}", value)
+    return Transfer(src, dst, nbytes, pack, unpack)
 
 
 def save_schedule(schedule: Schedule, path: Union[str, Path]) -> Path:

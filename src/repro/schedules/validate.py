@@ -20,9 +20,12 @@ Four families of checks:
   store-and-forward schedules whose wire transfers carry staged
   aggregates);
 * **deadlock** — the executor's Figure-2/3 orderings induce, per rank,
-  a sequence of blocking rendezvous operations; the linter
-  abstract-executes the rendezvous matching and, on a stall, names the
-  cycle in the wait-for graph (rank A waits for B waits for ... A);
+  a sequence of blocking rendezvous operations.  The linter replays the
+  executor's own per-rank programs
+  (:func:`~repro.schedules.executor.rank_programs`, the list
+  :func:`~repro.schedules.executor.schedule_program` runs) with one
+  cursor per rank, in O(messages), and on a stall names the cycle in
+  the wait-for graph (rank A waits for B waits for ... A);
 * **payload mode** — REX-style store-and-forward schedules must not be
   executed in payload mode (their transfers carry staged aggregates,
   not per-pair payloads); ``payload_mode=True`` turns that into an
@@ -34,11 +37,13 @@ raise :class:`LintError` on the first failing report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .executor import Op, rank_programs
 from .pattern import CommPattern
-from .schedule import LOWER_SEND_FIRST, Schedule
+from .schedule import Schedule
 
 __all__ = [
     "LintIssue",
@@ -122,25 +127,26 @@ class LintReport:
 def _check_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
     n = schedule.nprocs
     for step_idx, step in enumerate(schedule.steps):
+        where = f"step {step_idx + 1}"
         seen_pairs: Set[Tuple[int, int]] = set()
-        send_count: Dict[int, int] = {}
-        for t in step:
-            where = f"step {step_idx + 1}"
-            if not (0 <= t.src < n and 0 <= t.dst < n):
+        senders: List[int] = []
+        for t in step.transfers:
+            src, dst = t.src, t.dst
+            if not (0 <= src < n and 0 <= dst < n):
                 issues.append(
                     LintIssue(
                         "structure.rank-range",
                         ERROR,
-                        f"{where}: transfer {t.src}->{t.dst} outside "
+                        f"{where}: transfer {src}->{dst} outside "
                         f"ranks 0..{n - 1}",
                     )
                 )
-            if t.src == t.dst:
+            if src == dst:
                 issues.append(
                     LintIssue(
                         "structure.self-transfer",
                         ERROR,
-                        f"{where}: rank {t.src} sends to itself",
+                        f"{where}: rank {src} sends to itself",
                     )
                 )
             if t.nbytes < 0 or t.pack_bytes < 0 or t.unpack_bytes < 0:
@@ -148,28 +154,30 @@ def _check_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
                     LintIssue(
                         "structure.negative-bytes",
                         ERROR,
-                        f"{where}: transfer {t.src}->{t.dst} has a "
+                        f"{where}: transfer {src}->{dst} has a "
                         f"negative byte count",
                     )
                 )
-            key = (t.src, t.dst)
+            key = (src, dst)
             if key in seen_pairs:
                 issues.append(
                     LintIssue(
                         "structure.duplicate-pair",
                         ERROR,
-                        f"{where}: duplicate transfer {t.src}->{t.dst}",
+                        f"{where}: duplicate transfer {src}->{dst}",
                     )
                 )
             seen_pairs.add(key)
-            send_count[t.src] = send_count.get(t.src, 0) + 1
-        for rank, c in send_count.items():
+            senders.append(src)
+        if len(set(senders)) == len(senders):
+            continue
+        for rank, c in Counter(senders).items():
             if c > 1:
                 issues.append(
                     LintIssue(
                         "structure.multi-send",
                         ERROR,
-                        f"step {step_idx + 1}: rank {rank} sends {c} "
+                        f"{where}: rank {rank} sends {c} "
                         f"messages (one network interface)",
                     )
                 )
@@ -178,10 +186,13 @@ def _check_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
 # ----------------------------------------------------------------------
 # Conservation
 # ----------------------------------------------------------------------
-def _is_staged(schedule: Schedule) -> bool:
-    """True for store-and-forward schedules (REX-style staging)."""
-    return any(
-        t.pack_bytes or t.unpack_bytes for _, t in schedule.all_transfers()
+def _staged_count(schedule: Schedule) -> int:
+    """Transfers carrying staged aggregates (REX-style store-and-forward)."""
+    return sum(
+        1
+        for step in schedule.steps
+        for t in step.transfers
+        if t.pack_bytes or t.unpack_bytes
     )
 
 
@@ -189,57 +200,68 @@ def _check_conservation(
     schedule: Schedule, pattern: CommPattern, issues: List[LintIssue]
 ) -> None:
     """Every pattern byte in exactly one transfer, nothing extra."""
-    if schedule.nprocs != pattern.nprocs:
+    n = pattern.nprocs
+    if schedule.nprocs != n:
         issues.append(
             LintIssue(
                 "conservation.size-mismatch",
                 ERROR,
-                f"schedule is for {schedule.nprocs} procs, pattern for "
-                f"{pattern.nprocs}",
+                f"schedule is for {schedule.nprocs} procs, pattern for {n}",
             )
         )
         return
+    matrix = pattern.matrix.tolist()
     seen: Dict[Tuple[int, int], int] = {}
-    for step_idx, t in schedule.all_transfers():
-        key = (t.src, t.dst)
-        in_range = 0 <= t.src < pattern.nprocs and 0 <= t.dst < pattern.nprocs
-        if t.nbytes == 0 and in_range and int(pattern[key]) == 0:
-            # Zero-byte sync message (the Figure 5 axis includes size 0):
-            # carries no pattern bytes, so conservation has no claim on it.
-            continue
-        if key in seen:
-            issues.append(
-                LintIssue(
-                    "conservation.duplicate",
-                    ERROR,
-                    f"transfer {t.src}->{t.dst} appears in steps "
-                    f"{seen[key] + 1} and {step_idx + 1}: bytes would be "
-                    f"delivered twice",
+    covered = 0  # distinct pattern entries some transfer claims
+    for step_idx, step in enumerate(schedule.steps):
+        for t in step.transfers:
+            src, dst, nbytes = t.src, t.dst, t.nbytes
+            if 0 <= src < n and 0 <= dst < n:
+                required = matrix[src][dst]
+                if not nbytes and not required:
+                    # Zero-byte sync message (the Figure 5 axis includes
+                    # size 0): carries no pattern bytes, so conservation
+                    # has no claim on it.
+                    continue
+            else:
+                required = None  # already reported by the structure check
+            key = (src, dst)
+            if key in seen:
+                issues.append(
+                    LintIssue(
+                        "conservation.duplicate",
+                        ERROR,
+                        f"transfer {src}->{dst} appears in steps "
+                        f"{seen[key] + 1} and {step_idx + 1}: bytes would "
+                        f"be delivered twice",
+                    )
                 )
-            )
-            continue
-        seen[key] = step_idx
-        if not (0 <= t.src < pattern.nprocs and 0 <= t.dst < pattern.nprocs):
-            continue  # already reported by the structure check
-        required = int(pattern[t.src, t.dst])
-        if required == 0:
-            issues.append(
-                LintIssue(
-                    "conservation.spurious",
-                    ERROR,
-                    f"step {step_idx + 1}: transfer {t.src}->{t.dst} "
-                    f"carries {t.nbytes}B but the pattern requires none",
+                continue
+            seen[key] = step_idx
+            if required is None:
+                continue
+            if not required:
+                issues.append(
+                    LintIssue(
+                        "conservation.spurious",
+                        ERROR,
+                        f"step {step_idx + 1}: transfer {src}->{dst} "
+                        f"carries {nbytes}B but the pattern requires none",
+                    )
                 )
-            )
-        elif t.nbytes != required:
-            issues.append(
-                LintIssue(
-                    "conservation.byte-count",
-                    ERROR,
-                    f"step {step_idx + 1}: transfer {t.src}->{t.dst} "
-                    f"carries {t.nbytes}B, pattern requires {required}B",
+                continue
+            covered += 1
+            if nbytes != required:
+                issues.append(
+                    LintIssue(
+                        "conservation.byte-count",
+                        ERROR,
+                        f"step {step_idx + 1}: transfer {src}->{dst} "
+                        f"carries {nbytes}B, pattern requires {required}B",
+                    )
                 )
-            )
+    if covered == pattern.n_operations:
+        return
     for src, dst, nbytes in pattern.operations():
         if (src, dst) not in seen:
             issues.append(
@@ -255,119 +277,62 @@ def _check_conservation(
 # ----------------------------------------------------------------------
 # Deadlock
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _Op:
-    """One blocking rendezvous operation from a rank's seat."""
-
-    kind: str  # "send" | "recv"
-    partner: int
-    step: int  # 0-based step index; doubles as the message tag
-
-    def describe(self) -> str:
-        arrow = "->" if self.kind == "send" else "<-"
-        return f"{self.kind}{arrow}{self.partner} (step {self.step + 1})"
+def _partner(op: Op) -> int:
+    is_send, _, t = op
+    return t.dst if is_send else t.src
 
 
-def _rank_op_sequence(schedule: Schedule, rank: int) -> List[_Op]:
-    """The rank's blocking ops in program order.
-
-    Mirrors :func:`repro.schedules.executor.schedule_program` exactly:
-    paired exchanges follow the schedule's ``exchange_order`` (Figure 2
-    or 3), mixed-partner steps receive-from-lower-ranks first, and
-    receive-only steps drain sources in ascending order.  Memcpy and
-    compute requests never block on a partner, so they are irrelevant
-    to deadlock and omitted.
-    """
-    ops: List[_Op] = []
-    for step_idx in range(schedule.nsteps):
-        sends, recvs = schedule.rank_ops(rank, step_idx)
-        if not sends and not recvs:
-            continue
-        if len(sends) == 1 and len(recvs) == 1 and sends[0].dst == recvs[0].src:
-            partner = sends[0].dst
-            if schedule.exchange_order == LOWER_SEND_FIRST:
-                first = "send" if rank < partner else "recv"
-            else:
-                first = "recv" if rank < partner else "send"
-            second = "recv" if first == "send" else "send"
-            ops.append(_Op(first, partner, step_idx))
-            ops.append(_Op(second, partner, step_idx))
-            continue
-        if sends:
-            early = sorted(t.src for t in recvs if t.src < rank)
-            late = sorted(t.src for t in recvs if t.src > rank)
-            ops.extend(_Op("recv", src, step_idx) for src in early)
-            ops.extend(
-                _Op("send", t.dst, step_idx)
-                for t in sorted(sends, key=lambda t: t.dst)
-            )
-            ops.extend(_Op("recv", src, step_idx) for src in late)
-        else:
-            for src in sorted(t.src for t in recvs):
-                ops.append(_Op("recv", src, step_idx))
-    return ops
-
-
-def _matches(a: _Op, a_rank: int, b: Optional[_Op], b_rank: int) -> bool:
-    """Do two head ops form a completable rendezvous?"""
-    if b is None:
-        return False
-    return (
-        {a.kind, b.kind} == {"send", "recv"}
-        and a.partner == b_rank
-        and b.partner == a_rank
-        and a.step == b.step
-    )
+def _describe(op: Op) -> str:
+    is_send, step, t = op
+    if is_send:
+        return f"send->{t.dst} (step {step + 1})"
+    return f"recv<-{t.src} (step {step + 1})"
 
 
 def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
-    """Abstract-execute the rendezvous matching; name any wait cycle.
+    """Replay the executor's rank programs; name any wait cycle.
 
     Each rank's head op waits for its partner's matching op (synchronous
     CMMD semantics: a send blocks until the receive is posted and vice
-    versa).  Matching pairs retire together; when no head matches, the
+    versa).  The replay keeps one cursor per rank over
+    :func:`~repro.schedules.executor.rank_programs`.  A rank that
+    advances re-examines its own new head, and its partner goes on the
+    work list; a match is symmetric, so whichever side of a completable
+    rendezvous advanced last finds it.  Every op retires at most once,
+    so the replay is O(messages).  Matching is confluent, so the stuck
+    set does not depend on visit order.  When no head matches, the
     remaining ranks form a wait-for graph in which every stuck rank has
     exactly one outgoing edge, so a stall is either a cycle (classic
     rendezvous deadlock) or a dangling wait on a rank that already
     finished (an unmatched operation).
     """
-    seqs = {r: _rank_op_sequence(schedule, r) for r in range(schedule.nprocs)}
-    pos = {r: 0 for r in seqs}
-
-    def head(r: int) -> Optional[_Op]:
-        s = seqs.get(r)
-        if s is None:
-            return None
-        return s[pos[r]] if pos[r] < len(s) else None
-
-    # Work-list matching: a rank is re-examined when it advances or when
-    # a rank it might be waiting on advances.
-    waiting_on: Dict[int, Set[int]] = {r: set() for r in seqs}
-    queue: List[int] = list(seqs)
-    queued: Set[int] = set(queue)
-    while queue:
-        r = queue.pop()
-        queued.discard(r)
-        op = head(r)
-        if op is None:
-            continue
-        mate = head(op.partner)
-        if _matches(op, r, mate, op.partner):
-            p = op.partner
-            pos[r] += 1
+    programs = rank_programs(schedule)
+    n = len(programs)
+    ends = [len(prog) for prog in programs]
+    pos = [0] * n
+    todo = list(range(n))
+    while todo:
+        r = todo.pop()
+        prog = programs[r]
+        i, end = pos[r], ends[r]
+        while i < end:
+            is_send, step, t = prog[i]
+            p = t.dst if is_send else t.src
+            if not 0 <= p < n or pos[p] == ends[p]:
+                break
+            mate_send, mate_step, m = programs[p][pos[p]]
+            if (
+                mate_send is is_send
+                or mate_step != step
+                or (m.dst if mate_send else m.src) != r
+            ):
+                break
+            i += 1
             pos[p] += 1
-            for nxt in (r, p):
-                wakeups = waiting_on.get(nxt, set())
-                wakeups.add(nxt)
-                for w in wakeups:
-                    if w not in queued:
-                        queue.append(w)
-                        queued.add(w)
-                waiting_on[nxt] = set()
-        elif 0 <= op.partner < schedule.nprocs:
-            waiting_on.setdefault(op.partner, set()).add(r)
+            todo.append(p)
+        pos[r] = i
 
-    stuck = {r: h for r in seqs if (h := head(r)) is not None}
+    stuck = {r: programs[r][pos[r]] for r in range(n) if pos[r] < ends[r]}
     if not stuck:
         return
 
@@ -381,12 +346,12 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
         while r in stuck and r not in order:
             order[r] = len(chain)
             chain.append(r)
-            r = stuck[r].partner
+            r = _partner(stuck[r])
         if r in order:
             cycle = chain[order[r]:]
             break
     if cycle is not None:
-        described = ", ".join(f"rank {r} {stuck[r].describe()}" for r in cycle)
+        described = ", ".join(f"rank {r} {_describe(stuck[r])}" for r in cycle)
         issues.append(
             LintIssue(
                 "deadlock.cycle",
@@ -397,13 +362,14 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
         )
     else:
         for r in sorted(stuck):
-            if stuck[r].partner not in stuck:
+            partner = _partner(stuck[r])
+            if partner not in stuck:
                 issues.append(
                     LintIssue(
                         "deadlock.unmatched",
                         ERROR,
                         f"rank {r} blocks forever on "
-                        f"{stuck[r].describe()}: rank {stuck[r].partner} "
+                        f"{_describe(stuck[r])}: rank {partner} "
                         f"posts no matching operation",
                     )
                 )
@@ -413,13 +379,10 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
 # Payload mode
 # ----------------------------------------------------------------------
 def _check_payload_mode(
-    schedule: Schedule, payload_mode: bool, issues: List[LintIssue]
+    staged: int, payload_mode: bool, issues: List[LintIssue]
 ) -> None:
-    if not _is_staged(schedule):
+    if not staged:
         return
-    staged = sum(
-        1 for _, t in schedule.all_transfers() if t.pack_bytes or t.unpack_bytes
-    )
     if payload_mode:
         issues.append(
             LintIssue(
@@ -465,8 +428,9 @@ def lint_schedule(
     )
     report.checks.append("structure")
     _check_structure(schedule, report.issues)
+    staged = _staged_count(schedule)
     if pattern is not None:
-        if _is_staged(schedule):
+        if staged:
             report.checks.append("conservation(skipped)")
             report.issues.append(
                 LintIssue(
@@ -482,7 +446,7 @@ def lint_schedule(
     report.checks.append("deadlock")
     _check_deadlock(schedule, report.issues)
     report.checks.append("payload")
-    _check_payload_mode(schedule, payload_mode, report.issues)
+    _check_payload_mode(staged, payload_mode, report.issues)
     return report
 
 

@@ -1,5 +1,7 @@
 """Round-trip tests for schedule serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -88,6 +90,40 @@ class TestValidation:
                 ' "nprocs": 4, "exchange_order": "lower_recv_first",'
                 ' "steps": [[[1, 1, 8, 0, 0]]]}'
             )
+
+
+#: Schedule documents whose numbers are not plain JSON integers, each
+#: of which ``int()`` would once have truncated into a different,
+#: lint-clean schedule.
+_NON_INTEGER = {
+    "float-nprocs": (lambda doc: doc.update(nprocs=4.9), "nprocs"),
+    "float-ranks": (
+        lambda doc: doc["steps"][0].__setitem__(0, [0.7, 1.2, 64, 0, 0]),
+        "step 1 transfer 1 src",
+    ),
+    "bool-nbytes": (
+        lambda doc: doc["steps"][0][0].__setitem__(2, True),
+        "step 1 transfer 1 nbytes",
+    ),
+    "float-nbytes": (
+        lambda doc: doc["steps"][1][0].__setitem__(2, 64.0),
+        "step 2 transfer 1 nbytes",
+    ),
+}
+
+
+def non_integer_document(case: str) -> str:
+    doc = json.loads(schedule_to_json(pairwise_exchange(4, 64)))
+    _NON_INTEGER[case][0](doc)
+    return json.dumps(doc)
+
+
+class TestNonIntegerFields:
+    @pytest.mark.parametrize("case", sorted(_NON_INTEGER))
+    def test_rejected_naming_the_field(self, case):
+        field = _NON_INTEGER[case][1]
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            schedule_from_json(non_integer_document(case))
 
 
 class TestSerializeProperties:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.schedules.test_serialize import _NON_INTEGER, non_integer_document
 
 
 @pytest.fixture(autouse=True)
@@ -137,6 +138,19 @@ class TestValidateCommand:
     def test_unreadable_schedule_file_exits_2(self, capsys):
         assert main(["validate", "--schedule", "/no/such/file.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "case", ["bool-nbytes", "float-nbytes", "float-nprocs", "float-ranks"]
+    )
+    def test_non_integer_schedule_file_exits_2(self, tmp_path, capsys, case):
+        path = tmp_path / "typo.json"
+        path.write_text(non_integer_document(case))
+        assert main(["validate", "--schedule", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{_NON_INTEGER[case][1]} must be an integer" in lines[0]
 
 
 class TestPerfcmpRobustness:
