@@ -1,6 +1,8 @@
-/* Fluid-network kernel: max-min progressive filling plus the per-event
- * flow-store operations of repro.machine.contention.FluidNetwork, as a
- * CPython extension module (loaded by _fastfill.py).
+/* Compiled kernels of the simulator, as one CPython extension module
+ * (loaded by _fastfill.py): the fluid network's max-min progressive
+ * filling and per-event flow-store operations of
+ * repro.machine.contention.FluidNetwork, and the discrete-event
+ * engine's event queue with its drain loop (repro.sim.events).
  *
  * The filling loop is a transliteration of the NumPy round loop in
  * bandwidth.py (the fallback path): every floating-point operation is
@@ -30,6 +32,10 @@
  * may be reallocated by any of them.  The Python side owns every
  * buffer, keeps the table current across reallocations, and guarantees
  * n <= slot capacity.
+ *
+ * The EventQueue type (end of file) is the compiled twin of
+ * repro.sim.events.EventQueue: push / pop / peek_time / len, and
+ * run(engine), the engine's drain loop.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -623,6 +629,293 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------
+ * Event queue: the compiled twin of repro.sim.events.EventQueue.
+ *
+ * A binary min-heap of (time, seq, fn, args) entries in one C array,
+ * ordered by (time, seq): seq is a per-queue counter, so simultaneous
+ * events fire FIFO and fn is never compared.  An entry fires as
+ * fn(*args) through vectorcall.  run(engine) is the engine's drain
+ * loop, statement for statement the same as EventQueue.run in
+ * events.py.
+ *
+ * Queued handlers are bound methods of the engine, which holds the
+ * queue, so the type takes part in cyclic GC: an engine abandoned
+ * mid-run with events still queued is collectable. */
+
+/* repro.sim.events._TIME_ATOL: events closer than this to the current
+ * instant drain with it (the test suite checks the two agree). */
+#define TIME_ATOL 1e-12
+/* Tolerance of the event-in-the-past check. */
+#define PAST_TOL 1e-9
+
+typedef struct {
+    double time;
+    uint64_t seq;
+    PyObject *fn;
+    PyObject *args; /* tuple */
+} Event;
+
+typedef struct {
+    PyObject_HEAD
+    Event *heap;
+    Py_ssize_t size;
+    Py_ssize_t cap;
+    uint64_t seq;
+} QueueObject;
+
+static PyObject *str_now, *str_net_changed, *str_arm;
+
+static inline int ev_less(const Event *a, const Event *b) {
+    return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* Remove the root into *out; the heap must be non-empty. */
+static void heap_pop(QueueObject *q, Event *out) {
+    Event *h = q->heap;
+    Py_ssize_t n = --q->size, pos = 0, child;
+    *out = h[0];
+    if (n == 0) {
+        return;
+    }
+    Event item = h[n];
+    while ((child = 2 * pos + 1) < n) {
+        if (child + 1 < n && ev_less(&h[child + 1], &h[child])) {
+            child++;
+        }
+        if (!ev_less(&h[child], &item)) {
+            break;
+        }
+        h[pos] = h[child];
+        pos = child;
+    }
+    h[pos] = item;
+}
+
+static PyObject *queue_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    if (PyTuple_GET_SIZE(args) != 0 || (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)) {
+        PyErr_SetString(PyExc_TypeError, "EventQueue() takes no arguments");
+        return NULL;
+    }
+    return type->tp_alloc(type, 0);
+}
+
+static int queue_traverse(QueueObject *q, visitproc visit, void *arg) {
+    for (Py_ssize_t i = 0; i < q->size; i++) {
+        Py_VISIT(q->heap[i].fn);
+        Py_VISIT(q->heap[i].args);
+    }
+    return 0;
+}
+
+/* Detach the array before releasing its references: a finalizer run by
+ * a decref may push to this queue again. */
+static int queue_clear(QueueObject *q) {
+    Event *h = q->heap;
+    Py_ssize_t n = q->size;
+    q->heap = NULL;
+    q->size = q->cap = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_DECREF(h[i].fn);
+        Py_DECREF(h[i].args);
+    }
+    PyMem_Free(h);
+    return 0;
+}
+
+static void queue_dealloc(QueueObject *q) {
+    PyObject_GC_UnTrack(q);
+    queue_clear(q);
+    Py_TYPE(q)->tp_free((PyObject *)q);
+}
+
+static Py_ssize_t queue_len(QueueObject *q) {
+    return q->size;
+}
+
+static PyObject *queue_push(QueueObject *q, PyObject *const *args,
+                            Py_ssize_t nargs) {
+    double t;
+    if (nargs < 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "push() takes at least 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    if (PyFloat_CheckExact(args[0])) {
+        t = PyFloat_AS_DOUBLE(args[0]);
+    } else if (arg_f64(args[0], &t) < 0) {
+        return NULL;
+    }
+    if (t != t) {
+        PyErr_SetString(PyExc_ValueError, "event time is NaN");
+        return NULL;
+    }
+    if (q->size == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 64;
+        Event *h = PyMem_Realloc(q->heap, (size_t)cap * sizeof(Event));
+        if (h == NULL) {
+            PyErr_NoMemory();
+            return NULL;
+        }
+        q->heap = h;
+        q->cap = cap;
+    }
+    PyObject *tup = PyTuple_New(nargs - 2);
+    if (tup == NULL) {
+        return NULL;
+    }
+    for (Py_ssize_t i = 2; i < nargs; i++) {
+        Py_INCREF(args[i]);
+        PyTuple_SET_ITEM(tup, i - 2, args[i]);
+    }
+    /* Sift the new entry up from the end. */
+    Event item = {t, q->seq++, args[1], tup};
+    Py_INCREF(args[1]);
+    Event *h = q->heap;
+    Py_ssize_t pos = q->size++;
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!ev_less(&item, &h[parent])) {
+            break;
+        }
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = item;
+    Py_RETURN_NONE;
+}
+
+static PyObject *queue_pop(QueueObject *q, PyObject *unused) {
+    Event e;
+    if (q->size == 0) {
+        PyErr_SetString(PyExc_IndexError, "pop from an empty event queue");
+        return NULL;
+    }
+    heap_pop(q, &e);
+    PyObject *t = PyFloat_FromDouble(e.time);
+    PyObject *res = t == NULL ? NULL : PyTuple_Pack(3, t, e.fn, e.args);
+    Py_XDECREF(t);
+    Py_DECREF(e.fn);
+    Py_DECREF(e.args);
+    return res;
+}
+
+static PyObject *queue_peek_time(QueueObject *q, PyObject *unused) {
+    if (q->size == 0) {
+        Py_RETURN_NONE;
+    }
+    return PyFloat_FromDouble(q->heap[0].time);
+}
+
+/* Set engine.now; 0, or -1 with an exception set. */
+static int set_now(PyObject *engine, double now) {
+    PyObject *f = PyFloat_FromDouble(now);
+    if (f == NULL) {
+        return -1;
+    }
+    int rc = PyObject_SetAttr(engine, str_now, f);
+    Py_DECREF(f);
+    return rc;
+}
+
+static PyObject *queue_run(QueueObject *q, PyObject *engine) {
+    double now;
+    PyObject *o = PyObject_GetAttr(engine, str_now);
+    if (o == NULL) {
+        return NULL;
+    }
+    int rc = arg_f64(o, &now);
+    Py_DECREF(o);
+    if (rc < 0) {
+        return NULL;
+    }
+    while (q->size > 0) {
+        double t = q->heap[0].time;
+        if (t < now - PAST_TOL) {
+            PyObject *pt = PyFloat_FromDouble(t);
+            PyObject *pn = PyFloat_FromDouble(now);
+            if (pt != NULL && pn != NULL) {
+                PyErr_Format(PyExc_RuntimeError, "event in the past: %R < %R",
+                             pt, pn);
+            }
+            Py_XDECREF(pt);
+            Py_XDECREF(pn);
+            return NULL;
+        }
+        if (t > now) {
+            now = t;
+            if (set_now(engine, now) < 0) {
+                return NULL;
+            }
+        }
+        /* Drain the instant, cascades included, in (time, seq) order. */
+        double threshold = now + TIME_ATOL;
+        while (q->size > 0 && q->heap[0].time <= threshold) {
+            Event e;
+            heap_pop(q, &e);
+            PyObject *r = PyObject_Vectorcall(
+                e.fn, ((PyTupleObject *)e.args)->ob_item,
+                (size_t)PyTuple_GET_SIZE(e.args), NULL);
+            Py_DECREF(e.fn);
+            Py_DECREF(e.args);
+            if (r == NULL) {
+                return NULL;
+            }
+            Py_DECREF(r);
+        }
+        o = PyObject_GetAttr(engine, str_net_changed);
+        if (o == NULL) {
+            return NULL;
+        }
+        rc = PyObject_IsTrue(o);
+        Py_DECREF(o);
+        if (rc < 0) {
+            return NULL;
+        }
+        if (rc) {
+            o = PyObject_VectorcallMethod(str_arm, &engine, 1, NULL);
+            if (o == NULL) {
+                return NULL;
+            }
+            Py_DECREF(o);
+        }
+    }
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef queue_methods[] = {
+    {"push", (PyCFunction)(void (*)(void))queue_push, METH_FASTCALL,
+     "push(time, fn, *args): schedule fn(*args) at simulated time."},
+    {"pop", (PyCFunction)queue_pop, METH_NOARGS,
+     "Remove and return the earliest (time, fn, args)."},
+    {"peek_time", (PyCFunction)queue_peek_time, METH_NOARGS,
+     "Timestamp of the earliest pending event, or None when empty."},
+    {"run", (PyCFunction)queue_run, METH_O,
+     "run(engine): drain every event, advancing engine.now instant by "
+     "instant and arming the network after each one.  Nothing but this "
+     "loop writes engine.now."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PySequenceMethods queue_as_sequence = {
+    .sq_length = (lenfunc)queue_len,
+};
+
+static PyTypeObject QueueType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "fastfill.EventQueue",
+    .tp_doc = "Compiled min-heap of timestamped calls with FIFO tie-breaking.",
+    .tp_basicsize = sizeof(QueueObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = queue_new,
+    .tp_free = PyObject_GC_Del,
+    .tp_dealloc = (destructor)queue_dealloc,
+    .tp_traverse = (traverseproc)queue_traverse,
+    .tp_clear = (inquiry)queue_clear,
+    .tp_as_sequence = &queue_as_sequence,
+    .tp_methods = queue_methods,
+};
+
 /* ------------------------------------------------------------------ */
 
 #define FASTCALL(name, fn, doc) \
@@ -644,12 +937,34 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "fastfill",
-    "Compiled fluid-network kernel (see repro.machine._fastfill).", -1, methods,
+    "Compiled fluid-network kernel and event queue (see repro.machine._fastfill).",
+    -1, methods,
 };
 
 PyMODINIT_FUNC PyInit_fastfill(void) {
+    if (PyType_Ready(&QueueType) < 0) {
+        return NULL;
+    }
+    str_now = PyUnicode_InternFromString("now");
+    str_net_changed = PyUnicode_InternFromString("_net_changed");
+    str_arm = PyUnicode_InternFromString("_arm_network_event");
+    if (str_now == NULL || str_net_changed == NULL || str_arm == NULL) {
+        return NULL;
+    }
     PyObject *m = PyModule_Create(&moduledef);
     if (m == NULL) {
+        return NULL;
+    }
+    Py_INCREF(&QueueType);
+    if (PyModule_AddObject(m, "EventQueue", (PyObject *)&QueueType) < 0) {
+        Py_DECREF(&QueueType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    PyObject *atol = PyFloat_FromDouble(TIME_ATOL);
+    if (atol == NULL || PyModule_AddObject(m, "TIME_ATOL", atol) < 0) {
+        Py_XDECREF(atol);
+        Py_DECREF(m);
         return NULL;
     }
     PyObject *names = PyTuple_New(T_SIZE);

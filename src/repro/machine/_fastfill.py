@@ -1,27 +1,35 @@
-"""Compile-on-first-use loader for the C fluid-network kernel.
+"""Compile-on-first-use loader for the simulator's C kernels.
 
-The allocation inner loop (:func:`repro.machine.bandwidth.max_min_rates`)
-and the per-event flow-store operations of
-:class:`repro.machine.contention.FluidNetwork` run on every flow
-arrival/departure of every simulation — at 256 nodes a single exchange
-sweep makes ~10^5 calls on small arrays, where NumPy's per-ufunc
-dispatch overhead dominates.  ``_fastfill.c`` implements them as a
-CPython extension module with ``METH_FASTCALL`` entry points, so each
-network operation is one C call that converts only its scalar
-arguments.  This module compiles it with the system C compiler, against
-the running interpreter's headers, into a cached shared object and
-imports it.
+``_fastfill.c`` is one CPython extension module holding two kernels:
+
+* the fluid network's allocation inner loop
+  (:func:`repro.machine.bandwidth.max_min_rates`) and the per-event
+  flow-store operations of :class:`repro.machine.contention.FluidNetwork`,
+  which run on every flow arrival/departure of every simulation — at
+  256 nodes a single exchange sweep makes ~10^5 calls on small arrays,
+  where NumPy's per-ufunc dispatch overhead dominates;
+* ``EventQueue``, the discrete-event engine's heap and drain loop, the
+  compiled twin of :class:`repro.sim.events.EventQueue` (about six
+  events per message, each a Python call and a tuple-compared heap
+  operation in the pure-Python queue).
+
+Every entry point is a ``METH_FASTCALL`` call that converts only its
+scalar arguments.  This module compiles the source with the system C
+compiler, against the running interpreter's headers, into a cached
+shared object and imports it.
 
 The kernel is strictly optional:
 
 * no compiler or Python headers, a failed compile, or a failed import
-  -> :func:`kernel` returns ``None`` and callers fall back to NumPy;
+  -> :func:`kernel` returns ``None`` and callers fall back to NumPy and
+  to the pure-Python event queue;
 * ``REPRO_NO_FASTFILL=1`` disables it explicitly (the equivalence tests
   use this to exercise both paths).
 
-Nothing outside this module needs to know which path ran — results are
-bit-for-bit identical by construction (same IEEE-754 operation order,
-compiled with ``-ffp-contract=off`` and without ``-ffast-math``).
+Which path ran never shows in a result — results are bit-for-bit
+identical by construction (same IEEE-754 operation order, compiled with
+``-ffp-contract=off`` and without ``-ffast-math``; the event queue
+fires events in the same ``(time, seq)`` order).
 """
 
 from __future__ import annotations
@@ -64,6 +72,22 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
+def _so_path(cc: str) -> Path:
+    """Cache path of the object ``cc`` builds from the current source.
+
+    The key covers everything the object depends on: the source, the
+    interpreter's ABI (headers and extension suffix), the resolved
+    compiler and the flags, so an object built any other way is never
+    reused.
+    """
+    include = sysconfig.get_paths()["include"]
+    how = "\0".join(
+        [include, sysconfig.get_config_var("EXT_SUFFIX") or "", cc, *_CFLAGS]
+    )
+    tag = hashlib.sha256(_SOURCE.read_bytes() + how.encode()).hexdigest()[:16]
+    return _BUILD_DIR / f"fastfill-{tag}.so"
+
+
 def _compile() -> Optional[Path]:
     """Build (or reuse) the cached shared object; None when impossible."""
     if not _SOURCE.exists():
@@ -72,11 +96,7 @@ def _compile() -> Optional[Path]:
     if cc is None:
         return None
     include = sysconfig.get_paths()["include"]
-    # The object is built against this interpreter's ABI: key the cache
-    # on it as well as on the source.
-    abi = f"{include}\0{sysconfig.get_config_var('EXT_SUFFIX')}".encode()
-    tag = hashlib.sha256(_SOURCE.read_bytes() + abi).hexdigest()[:16]
-    so_path = _BUILD_DIR / f"fastfill-{tag}.so"
+    so_path = _so_path(cc)
     if so_path.exists():
         return so_path
     try:
@@ -121,7 +141,7 @@ def _load() -> Optional[ModuleType]:
 
 
 def kernel() -> Optional[ModuleType]:
-    """The compiled extension module, or None (NumPy fallback)."""
+    """The compiled extension module, or None (NumPy and Python fallbacks)."""
     global _kernel
     if _kernel_state == "unloaded":
         _kernel = _load()

@@ -18,15 +18,19 @@ phase           owns
                 flow begin/complete
 ``arm``         network-event arming and the fluid-network solver
 ``trace``       message/phase/retry records and rank-op spans
-``queue``       event-heap push and the inline drain's pops
-                (``EventQueue.push``, ``Engine.run``)
+``queue``       event-heap push and the drain loop (``EventQueue.push``
+                / ``EventQueue.run``, ``Engine.run``; with the compiled
+                queue, the C calls of its ``push`` and ``run``)
 ``other``       everything else (schedule build glue, numpy, ...)
 ==============  ======================================================
 
 Attribution is by *stack inheritance*: a frame whose code object is in
 the marker table switches to its own phase; any other frame inherits
 its caller's phase, so helpers and C calls land in the phase that
-invoked them.  The engine is deterministic, so counts are exactly
+invoked them.  The one exception is the compiled event queue
+(:func:`repro.sim.events.event_queue`): its methods have no code
+object, so a C call bound to a queue of that type counts as ``queue``
+wherever it is made.  The engine is deterministic, so counts are exactly
 reproducible; a second plain-counter run (no phase logic) provides the
 ``direct_total`` cross-check the acceptance criterion compares against
 — the two count the same events, so they agree exactly, but the table
@@ -136,9 +140,8 @@ def marker_table() -> Dict[object, str]:
         Tracer.op_begin,
         Tracer.op_end,
     )
-    # The drain loop lives in Engine.run: its own frame's calls are the
-    # inline heappops; the handlers it invokes carry their own markers.
-    mark("queue", EventQueue.push, Engine.run)
+    # The handlers the drain loop invokes carry their own markers.
+    mark("queue", EventQueue.push, EventQueue.run, Engine.run)
     return table
 
 
@@ -216,12 +219,16 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
     directly comparable (the acceptance bar is 10 %; in practice they
     are equal because both count the same 'call'/'c_call' stream).
     """
+    from ..sim.events import event_queue
+
     wl = _find_workload(name)
     # Warm up with the workload itself: the first execution populates
     # lazy per-size caches (path tables, ufunc setup), so both counted
     # runs below see the identical deterministic call stream.
     wl.execute(wl.build())
     markers = marker_table()
+    # Only a compiled queue's methods show up as C calls bound to it.
+    queue_type = type(event_queue())
     counts: Dict[str, int] = {p: 0 for p in PHASES}
     stack: List[str] = ["other"]
 
@@ -236,7 +243,10 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
             if len(stack) > 1:
                 stack.pop()
         elif event == "c_call":
-            counts[stack[-1]] += 1
+            if type(getattr(arg, "__self__", None)) is queue_type:
+                counts["queue"] += 1
+            else:
+                counts[stack[-1]] += 1
 
     sched = wl.build()
     t0 = time.perf_counter()

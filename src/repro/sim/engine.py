@@ -29,7 +29,6 @@ give identical timelines.
 from __future__ import annotations
 
 import gc
-import heapq
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from ..machine.fattree import fat_tree_for
 from ..machine.node import NodeCostModel
 from ..machine.params import MachineConfig
 from .channels import PostedRecv, PostedSend, RendezvousTable
-from .events import EventQueue
+from .events import event_queue
 from .process import (
     DROPPED,
     Barrier,
@@ -67,9 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Tracer
 
 __all__ = ["Engine", "SimResult", "DeadlockError"]
-
-#: Events closer together than this are treated as simultaneous.
-_TIME_ATOL = 1e-12
 
 # Enum member lookups cost a descriptor call each (~150 ns on CPython
 # 3.11) and the hot path makes about a dozen per message, so the engine
@@ -200,10 +196,11 @@ class Engine:
         self._send_setup = self.costs.send_setup()
         self._recv_service = self.costs.recv_service()
         self.control = ControlNetwork(self.params)
-        self.queue = EventQueue()
+        self.queue = event_queue()
         #: ``_schedule(t, fn, *args)`` fires ``fn(*args)`` at ``t``.
         self._schedule = self.queue.push
         self.rendezvous = RendezvousTable()
+        #: Simulated time; only the queue's drain loop advances it.
         self.now = 0.0
         self.trace: Trace = (
             Trace(max_records=max_trace_records) if trace else NULL_TRACE
@@ -256,9 +253,7 @@ class Engine:
         for rank, (at, detect) in sorted(self.faults.failure_times().items()):
             self._schedule(at, self._kill_rank, rank, detect)
 
-        heap = self.queue.heap
-        pop = heapq.heappop
-        # The loop allocates heavily (events, in-flight records)
+        # The drain allocates heavily (events, in-flight records)
         # but creates no cycles the collector could free mid-run; pausing
         # generational GC avoids repeated full-heap scans over the
         # long-lived schedule/trace structures.
@@ -266,25 +261,7 @@ class Engine:
         if gc_was_enabled:
             gc.disable()
         try:
-            while heap:
-                t = heap[0][0]
-                if t < self.now - 1e-9:
-                    raise RuntimeError(
-                        f"event in the past: {t} < {self.now}"
-                    )
-                if t > self.now:
-                    self.now = t
-                threshold = self.now + _TIME_ATOL
-                # Drain every event at the current instant (including
-                # cascades triggered by the handlers themselves) in heap
-                # order — (time, seq), FIFO among simultaneous events —
-                # before touching the network: synchronized waves then
-                # cost one rate reallocation.
-                while heap and heap[0][0] <= threshold:
-                    ev = pop(heap)
-                    ev[2](*ev[3])
-                if self._net_changed:
-                    self._arm_network_event()
+            self.queue.run(self)
         finally:
             if gc_was_enabled:
                 gc.enable()

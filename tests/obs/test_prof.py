@@ -44,6 +44,15 @@ class TestPhaseProfile:
         assert report.calls["dispatch"] > 0
         assert report.calls["queue"] > 0
 
+    def test_compiled_queue_calls_count_as_queue(self, report):
+        from repro.machine._fastfill import kernel
+
+        if kernel() is None:
+            pytest.skip("compiled kernel not loaded")
+        # About six event pushes per message, each one C call.
+        assert 4.0 <= report.calls["queue"] / report.messages <= 8.0
+        assert report.calls_per_message <= 80.0
+
     def test_attributed_total_matches_direct_count(self, report):
         # Acceptance bar from the issue: attributed total within 10 %
         # of an independent plain-counter sys.setprofile run.

@@ -1,14 +1,16 @@
 """Byte-identity regression tests for the engine's event-core drain.
 
-The engine drains each instant with one inline ``heappop`` loop over
-``(time, seq, fn, args)`` entries.  These tests pin its observable
-behaviour to SHA-256 trace digests recorded with the earlier engine
-(closure events, equal-time batched drain, list-scan rendezvous), so any
-change to event order or to a single timestamp bit fails here.  They
-also check that the C kernel and the NumPy fallback agree, and that
-large-N runs are deterministic across processes.
+The engine drains each instant through ``EventQueue.run`` over
+``(time, seq, fn, args)`` entries, compiled or pure Python.  These
+tests pin its observable behaviour to SHA-256 trace digests recorded
+with the earlier engine (closure events, equal-time batched drain,
+list-scan rendezvous), so any change to event order or to a single
+timestamp bit fails here.  They also check that the C kernels and the
+NumPy/Python fallbacks agree, and that large-N runs are deterministic
+across processes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from repro.schedules import (
     pairwise_exchange,
     schedule_irregular,
 )
-from repro.sim.engine import _TIME_ATOL
+from repro.sim.events import _TIME_ATOL
 
 #: ``digest_result(..., trace=True)`` of each case, recorded before the
 #: event core was rewritten.  Never regenerate these to make a test pass:
@@ -60,6 +62,37 @@ def _exchange_digest(case):
     )
 
 
+def _greedy_digest():
+    """A Table 11-style GS schedule (25% density, 1 KB) at N=32."""
+    pat = CommPattern.synthetic(32, 0.25, 1024, seed=11)
+    res = execute_schedule(
+        schedule_irregular(pat, "greedy"), MachineConfig(32), trace=True
+    )
+    return digest_result(res)
+
+
+def _atol_delay_digest():
+    """Rank ``r`` wakes at ``r * _TIME_ATOL``, then sleeps ``_TIME_ATOL``."""
+
+    def prog(comm):
+        from repro.sim.process import Delay
+
+        yield Delay(comm.rank * _TIME_ATOL)
+        yield Delay(_TIME_ATOL)
+
+    cfg = MachineConfig(4, CM5Params(routing_jitter=0.0))
+    sim = run_spmd(cfg, prog, trace=True)
+    return digest_result(SimpleNamespace(sim=sim))
+
+
+def _pinned_digest(case):
+    if case == "gs_n32_d25_b1024":
+        return _greedy_digest()
+    if case == "atol_delay_n4":
+        return _atol_delay_digest()
+    return _exchange_digest(case)
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -79,11 +112,7 @@ def test_pinned_trace_digest(case):
 
 def test_pinned_greedy_table11_digest():
     """A Table 11-style GS schedule (25% density, 1 KB) at N=32."""
-    pat = CommPattern.synthetic(32, 0.25, 1024, seed=11)
-    res = execute_schedule(
-        schedule_irregular(pat, "greedy"), MachineConfig(32), trace=True
-    )
-    assert digest_result(res) == PINNED_DIGESTS["gs_n32_d25_b1024"]
+    assert _greedy_digest() == PINNED_DIGESTS["gs_n32_d25_b1024"]
 
 
 def test_atol_separated_events_drain_identically():
@@ -94,18 +123,7 @@ def test_atol_separated_events_drain_identically():
     off-by-one-ulp drain boundary would reorder or re-timestamp events.
     The digest covers ``repr``-level timestamps.
     """
-
-    def prog(comm):
-        from repro.sim.process import Delay
-
-        yield Delay(comm.rank * _TIME_ATOL)
-        yield Delay(_TIME_ATOL)
-
-    cfg = MachineConfig(4, CM5Params(routing_jitter=0.0))
-    sim = run_spmd(cfg, prog, trace=True)
-    assert digest_result(SimpleNamespace(sim=sim)) == PINNED_DIGESTS[
-        "atol_delay_n4"
-    ]
+    assert _atol_delay_digest() == PINNED_DIGESTS["atol_delay_n4"]
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -129,15 +147,15 @@ _SRC = os.path.abspath(
 )
 
 
-def _subprocess_digest(n, extra_env):
+_ROOT = os.path.dirname(os.path.dirname(_SRC))
+
+
+def _run_script(script, extra_env):
+    """stdout of ``script`` in a fresh interpreter over this checkout."""
     env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_FASTFILL"}
     env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (env.get("PYTHONPATH"), str(_SRC)) if p
-    )
-    script = (
-        "from repro.analysis.replicate import run_digest; "
-        f"print(run_digest(('rex', {n}, 64))['digest'])"
+        p for p in (env.get("PYTHONPATH"), str(_SRC), _ROOT) if p
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -147,6 +165,14 @@ def _subprocess_digest(n, extra_env):
         check=True,
     )
     return proc.stdout.strip()
+
+
+def _subprocess_digest(n, extra_env):
+    script = (
+        "from repro.analysis.replicate import run_digest; "
+        f"print(run_digest(('rex', {n}, 64))['digest'])"
+    )
+    return _run_script(script, extra_env)
 
 
 @pytest.mark.parametrize("n", [512, 1024])
@@ -159,3 +185,25 @@ def test_kernel_vs_numpy_fallback_large_n(n):
     with_kernel = _subprocess_digest(n, {})
     fallback = _subprocess_digest(n, {"REPRO_NO_FASTFILL": "1"})
     assert with_kernel == fallback
+
+
+def test_pinned_digests_on_the_fallback_queue():
+    """Every pinned case also reproduces on the Python queue and NumPy.
+
+    The in-process tests above run on the compiled event queue whenever
+    the kernel is loaded; this replays them with ``REPRO_NO_FASTFILL=1``
+    in a fresh interpreter, where the engine drains through the
+    pure-Python :class:`repro.sim.EventQueue`.
+    """
+    script = (
+        "import json\n"
+        "from repro.machine import MachineConfig\n"
+        "from repro.sim import Engine\n"
+        "from tests.sim.test_batched_drain import PINNED_DIGESTS, _pinned_digest\n"
+        "queue = type(Engine(MachineConfig(2)).queue)\n"
+        "digests = {case: _pinned_digest(case) for case in PINNED_DIGESTS}\n"
+        "print(json.dumps([queue.__module__, digests]))"
+    )
+    module, digests = json.loads(_run_script(script, {"REPRO_NO_FASTFILL": "1"}))
+    assert module == "repro.sim.events"
+    assert digests == PINNED_DIGESTS
