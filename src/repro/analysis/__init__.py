@@ -53,7 +53,6 @@ from .experiments import (
 )
 from .calibrate import Anchor, CalibrationResult, anchors_from_table11, evaluate, fit
 from .perf import perf_workloads, render_report, run_perf, write_bench
-from .replicate import digest_result, replicate, run_digest
 from .perfcmp import (
     PerfComparison,
     PerfDelta,
@@ -119,9 +118,6 @@ __all__ = [
     "render_report",
     "run_perf",
     "write_bench",
-    "digest_result",
-    "replicate",
-    "run_digest",
     "PerfComparison",
     "PerfDelta",
     "compare_benches",

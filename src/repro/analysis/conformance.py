@@ -36,12 +36,12 @@ drift violation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..apps.workloads import paper_workload, workload_names
+from ..campaign import write_artifacts
 from ..machine.params import CM5Params, MachineConfig
 from ..schedules.estimate import estimate_schedule_time
 from ..schedules.executor import execute_schedule
@@ -496,12 +496,9 @@ def write_conformance(
     report: ConformanceReport, results_dir: Path = Path("results")
 ) -> Tuple[Path, Path]:
     """Write the text and JSON artifacts; return their paths."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    txt = results_dir / "conformance.txt"
-    txt.write_text(render_conformance(report) + "\n")
-    js = results_dir / "conformance.json"
-    with open(js, "w") as fh:
-        json.dump(conformance_json(report), fh, indent=2)
-        fh.write("\n")
-    return txt, js
+    return write_artifacts(
+        results_dir,
+        "conformance",
+        render_conformance(report),
+        conformance_json(report),
+    )

@@ -26,12 +26,12 @@ non-zero when any gap dips below 1.0 or any schedule fails the linter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..apps.workloads import paper_workload, workload_names
+from ..campaign import write_artifacts
 from ..machine.params import CM5Params, MachineConfig
 from ..schedules.bound import LowerBound, makespan_lower_bound
 from ..schedules.coloring import coloring_schedule
@@ -332,12 +332,6 @@ def write_optgap(
     report: OptgapReport, results_dir: Path = Path("results")
 ) -> Tuple[Path, Path]:
     """Write the text and JSON artifacts; return their paths."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    txt = results_dir / "optgap.txt"
-    txt.write_text(render_optgap(report) + "\n")
-    js = results_dir / "optgap.json"
-    with open(js, "w") as fh:
-        json.dump(optgap_json(report), fh, indent=2)
-        fh.write("\n")
-    return txt, js
+    return write_artifacts(
+        results_dir, "optgap", render_optgap(report), optgap_json(report)
+    )

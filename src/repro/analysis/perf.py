@@ -166,8 +166,8 @@ def _time_workload(spec: "Tuple[str, bool]") -> "Tuple[str, Dict[str, object]]":
     """Worker: time one named workload of the ``quick``/full list.
 
     Module-level and addressed by *name* (the workload lambdas don't
-    pickle) so ``run_perf`` can fan workloads out over a process pool
-    via :func:`repro.analysis.replicate.replicate`.
+    pickle) so ``run_perf`` can fan workloads out over a
+    :class:`repro.service.pool.WorkerPool`.
     """
     name, quick = spec
     _warm_up()
@@ -220,7 +220,7 @@ def run_perf(
     ``perfcmp`` at a tight threshold.  ``sim_ms`` and ``messages`` are
     deterministic at any job count.
     """
-    from .replicate import replicate
+    from ..service.pool import WorkerPool
 
     _warm_up()
     specs = [(wl.name, quick) for wl in perf_workloads(quick)]
@@ -233,7 +233,8 @@ def run_perf(
                 f"{row['sim_ms']:10.3f} sim-ms"
             )
 
-    rows = replicate(_time_workload, specs, jobs=jobs, progress=_report)
+    with WorkerPool(jobs) as pool:
+        rows = pool.map_ordered(_time_workload, specs, progress=_report)
     return {
         "schema": BENCH_SCHEMA,
         "scale": "quick" if quick else "full",

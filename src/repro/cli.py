@@ -38,8 +38,9 @@ snapshot (``--format prom|json``, ``--check`` validates); ``profile``
 attributes the engine hot loop per message (``--mode phases``) or emits
 collapsed-stack flamegraph samples (``--mode sample``).
 
-Exit status: 0 success, 1 check failure (lint / conformance / perfcmp),
-2 usage error (bad ``--algorithm``/``--nprocs``, unreadable files).
+Exit status: 0 success, 1 check failure (lint / conformance / optgap /
+perfcmp / a chaos or serve-chaos invariant violation), 2 usage error
+(bad ``--algorithm``/``--nprocs``, unreadable files).
 """
 
 from __future__ import annotations
@@ -480,9 +481,7 @@ def cmd_roottraffic(args: argparse.Namespace) -> None:
         results.append(
             root_traffic_from_trace(res.sim.trace.messages, label, nprocs)
         )
-    print(render_root_traffic(results))
-    txt, js = write_root_traffic(results)
-    print(f"[written to {txt} and {js}]")
+    _finish(True, write_root_traffic(results), render_root_traffic(results))
 
 
 def cmd_gantt(args: argparse.Namespace) -> None:
@@ -681,6 +680,21 @@ def cmd_faults(args: argparse.Namespace) -> None:
         )
 
 
+def _finish(ok: bool, paths, text: str) -> None:
+    """Shared ending of the artifact-writing checks.
+
+    The artifacts are already written (``paths``); print the report
+    and where it went, then exit 1 on a failed check — after the
+    artifacts, so a failing run still leaves its evidence behind.
+    """
+    *head, last = paths
+    print()
+    print(text)
+    print(f"[written to {', '.join(map(str, head))} and {last}]")
+    if not ok:
+        raise SystemExit(1)
+
+
 def cmd_chaos(args: argparse.Namespace) -> None:
     """Chaos campaign: random fault plans vs. the adaptive executor.
 
@@ -690,7 +704,8 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     makespan bounds, and byte-identical replay on every run.  Results
     land in ``results/chaos.{txt,json}``.  ``--quick`` runs the
     CI-sized 20-run grid; ``--plan FILE`` probes one specific plan
-    through the same invariant battery instead.
+    through the same invariant battery instead.  Exits 1 on any
+    invariant violation.
     """
     from .machine import MachineConfig
     from .resilience import probe_plan, render_chaos, run_campaign, write_chaos
@@ -705,10 +720,10 @@ def cmd_chaos(args: argparse.Namespace) -> None:
             f"{run.makespan * 1e3:.3f} ms (healthy {run.healthy * 1e3:.3f} ms,"
             f" bound {run.bound * 1e3:.3f} ms)"
         )
-        if not run.ok:
-            raise CLIError(
-                "invariant violations: " + "; ".join(run.violations)
-            )
+        for v in run.violations:
+            print(f"  !! {v}")
+        if run.violations:
+            raise SystemExit(1)
         print("all invariants held")
         return
     if args.jobs < 0:
@@ -716,14 +731,7 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     report = run_campaign(
         quick=args.quick, seed_base=args.fault_seed, jobs=args.jobs
     )
-    txt, js = write_chaos(report, "results")
-    print(render_chaos(report))
-    print(f"[chaos report written to {txt} and {js}]")
-    if not report.ok:
-        raise CLIError(
-            f"{len(report.violations)} of {report.total} chaos runs "
-            "violated invariants"
-        )
+    _finish(report.ok, write_chaos(report, "results"), render_chaos(report))
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> None:
@@ -812,8 +820,10 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
     ``--fault-seed`` offsets the scenario seeds.  Results land in
     ``results/service_chaos.{txt,json}`` plus a merged
     ``repro-metrics/1`` snapshot in
-    ``results/service_chaos_metrics.json``.
+    ``results/service_chaos_metrics.json``.  Exits 1 on any invariant
+    violation.
     """
+    from .obs.metrics import MetricsRegistry
     from .service.chaos import (
         render_service_chaos,
         run_service_campaign,
@@ -822,21 +832,19 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
 
     if args.runs is not None and args.runs < 1:
         raise CLIError(f"--runs must be >= 1, got {args.runs}")
+    registry = MetricsRegistry()
     report = run_service_campaign(
         quick=args.quick,
         runs=args.runs,
         seed_base=args.fault_seed,
         progress=print,
+        registry=registry,
     )
-    txt, js, mx = write_service_chaos(report, "results")
-    print()
-    print(render_service_chaos(report))
-    print(f"[service chaos report written to {txt}, {js} and {mx}]")
-    if not report.ok:
-        raise CLIError(
-            f"{len(report.violations)} of {report.total} service chaos "
-            "runs violated invariants"
-        )
+    _finish(
+        report.ok,
+        write_service_chaos(report, registry, "results"),
+        render_service_chaos(report),
+    )
 
 
 def cmd_perf(args: argparse.Namespace) -> None:
@@ -984,12 +992,7 @@ def cmd_conformance(args: argparse.Namespace) -> None:
     )
 
     report = run_conformance(quick=args.quick, progress=print)
-    txt, js = write_conformance(report)
-    print()
-    print(render_conformance(report))
-    print(f"[written to {txt} and {js}]")
-    if not report.ok:
-        raise SystemExit(1)
+    _finish(report.ok, write_conformance(report), render_conformance(report))
 
 
 def cmd_optgap(args: argparse.Namespace) -> None:
@@ -1005,12 +1008,7 @@ def cmd_optgap(args: argparse.Namespace) -> None:
     from .analysis.optgap import render_optgap, run_optgap, write_optgap
 
     report = run_optgap(quick=args.quick, progress=print)
-    txt, js = write_optgap(report)
-    print()
-    print(render_optgap(report))
-    print(f"[written to {txt} and {js}]")
-    if not report.ok:
-        raise SystemExit(1)
+    _finish(report.ok, write_optgap(report), render_optgap(report))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> None:

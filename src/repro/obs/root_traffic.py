@@ -20,10 +20,11 @@ per-step series falls straight out of a traced run's message records.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+
+from ..campaign import write_artifacts
 
 if TYPE_CHECKING:  # pragma: no cover — avoid an import cycle with repro.sim
     from ..sim.trace import MessageRecord
@@ -143,23 +144,17 @@ def render_root_traffic(results: Sequence[RootTraffic]) -> str:
     return "\n".join(lines)
 
 
-def write_root_traffic(results: Sequence[RootTraffic], outdir="results") -> List[Path]:
+def write_root_traffic(
+    results: Sequence[RootTraffic], outdir="results"
+) -> Tuple[Path, Path]:
     """Write results/obs_root_traffic.{txt,json}; returns the paths."""
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    txt = out / "obs_root_traffic.txt"
-    txt.write_text(render_root_traffic(results) + "\n")
-    js = out / "obs_root_traffic.json"
-    js.write_text(
-        json.dumps(
-            {
-                "schema": "repro-root-traffic/1",
-                "metric": "root_link_bytes_per_step",
-                "runs": [rt.to_dict() for rt in results],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    return write_artifacts(
+        outdir,
+        "obs_root_traffic",
+        render_root_traffic(results),
+        {
+            "schema": "repro-root-traffic/1",
+            "metric": "root_link_bytes_per_step",
+            "runs": [rt.to_dict() for rt in results],
+        },
     )
-    return [txt, js]

@@ -34,7 +34,6 @@ from .adaptive import (
 )
 from .chaos import (
     CHAOS_SCHEMA,
-    ChaosReport,
     ChaosRun,
     probe_plan,
     random_plan,
@@ -52,7 +51,6 @@ __all__ = [
     "TransferOutcome",
     "adaptive_execute",
     "CHAOS_SCHEMA",
-    "ChaosReport",
     "ChaosRun",
     "probe_plan",
     "random_plan",

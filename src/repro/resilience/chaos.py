@@ -31,12 +31,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..campaign import CampaignReport, render_report, run_specs, write_artifacts
 from ..faults.plan import (
     FaultPlan,
     LinkDegrade,
@@ -54,7 +55,6 @@ from .adaptive import AdaptiveResult, adaptive_execute
 __all__ = [
     "CHAOS_SCHEMA",
     "ChaosRun",
-    "ChaosReport",
     "random_plan",
     "probe_plan",
     "run_campaign",
@@ -153,52 +153,6 @@ class ChaosRun:
     failed_ranks: Tuple[int, ...]
     violations: Tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class ChaosReport:
-    """A full campaign's worth of runs."""
-
-    runs: List[ChaosRun] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.runs)
-
-    @property
-    def violations(self) -> List[ChaosRun]:
-        return [r for r in self.runs if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": CHAOS_SCHEMA,
-            "total": self.total,
-            "violations": len(self.violations),
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "nprocs": r.nprocs,
-                    "algorithm": r.algorithm,
-                    "plan": r.plan,
-                    "makespan": r.makespan,
-                    "healthy": r.healthy,
-                    "bound": r.bound,
-                    "digest": r.digest,
-                    "bytes": r.bytes,
-                    "failed_ranks": list(r.failed_ranks),
-                    "violations": list(r.violations),
-                }
-                for r in self.runs
-            ],
-        }
-
 
 def _digest(result: AdaptiveResult) -> str:
     """Replay fingerprint: engine events + manifest + exact makespan."""
@@ -276,11 +230,20 @@ def _check_run(
     return tuple(violations)
 
 
-def _cell_schedule(nprocs: int, algorithm: str) -> Schedule:
+@functools.lru_cache(maxsize=None)
+def _cell(nprocs: int, algorithm: str) -> Tuple[Schedule, MachineConfig]:
+    """Per-process cell cache so parallel workers build each cell once."""
     pattern = CommPattern.synthetic(
         nprocs, _PATTERN_DENSITY, _PATTERN_NBYTES, seed=_PATTERN_SEED
     )
-    return schedule_irregular(pattern, algorithm)
+    return schedule_irregular(pattern, algorithm), MachineConfig(nprocs)
+
+
+def _baseline(nprocs: int, algorithm: str) -> Tuple[float, int]:
+    """A cell's healthy makespan and message count."""
+    schedule, config = _cell(nprocs, algorithm)
+    healthy = adaptive_execute(schedule, config, trace=False).time
+    return healthy, sum(1 for _ in schedule.all_transfers())
 
 
 def _run_one(
@@ -302,53 +265,40 @@ def _run_one(
 
     try:
         result = _go()
-        violations = _check_run(result, plan, healthy, bound, _go)
-        return ChaosRun(
-            seed=seed,
-            nprocs=config.nprocs,
-            algorithm=algorithm,
-            plan=plan.describe(),
+        outcome = dict(
+            violations=_check_run(result, plan, healthy, bound, _go),
             makespan=result.time,
-            healthy=healthy,
-            bound=bound,
             digest=_digest(result),
             bytes=result.manifest.bytes_by_status(),
             failed_ranks=tuple(result.sim.failed_ranks),
-            violations=violations,
         )
     except Exception as exc:  # termination invariant
-        return ChaosRun(
-            seed=seed,
-            nprocs=config.nprocs,
-            algorithm=algorithm,
-            plan=plan.describe(),
+        outcome = dict(
+            violations=(f"termination: {type(exc).__name__}: {exc}",),
             makespan=float("nan"),
-            healthy=healthy,
-            bound=bound,
             digest="",
             bytes={},
             failed_ranks=(),
-            violations=(f"termination: {type(exc).__name__}: {exc}",),
         )
+    return ChaosRun(
+        seed=seed,
+        nprocs=config.nprocs,
+        algorithm=algorithm,
+        plan=plan.describe(),
+        healthy=healthy,
+        bound=bound,
+        **outcome,
+    )
 
 
 def probe_plan(
     plan: FaultPlan, nprocs: int = 16, algorithm: str = "greedy"
 ) -> ChaosRun:
     """Run one user-supplied plan through the full invariant battery."""
-    config = MachineConfig(nprocs)
-    schedule = _cell_schedule(nprocs, algorithm)
-    healthy = adaptive_execute(schedule, config, trace=False).time
-    message_count = sum(1 for _ in schedule.all_transfers())
+    schedule, config = _cell(nprocs, algorithm)
     return _run_one(
-        schedule, config, plan, plan.seed, algorithm, healthy, message_count
+        schedule, config, plan, plan.seed, algorithm, *_baseline(nprocs, algorithm)
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _cell_context(nprocs: int, algorithm: str) -> Tuple[Schedule, MachineConfig]:
-    """Per-process cell cache so parallel workers build each cell once."""
-    return _cell_schedule(nprocs, algorithm), MachineConfig(nprocs)
 
 
 def _campaign_run(
@@ -362,7 +312,7 @@ def _campaign_run(
     would.
     """
     seed, nprocs, algorithm, healthy, message_count = spec
-    schedule, config = _cell_context(nprocs, algorithm)
+    schedule, config = _cell(nprocs, algorithm)
     plan = random_plan(seed, nprocs)
     return _run_one(
         schedule, config, plan, seed, algorithm, healthy, message_count
@@ -374,83 +324,57 @@ def run_campaign(
     seed_base: int = 0,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 0,
-) -> ChaosReport:
+) -> CampaignReport:
     """Run the chaos grid and return every run's verdicts.
 
     ``quick`` shrinks the grid to one machine size and 5 plans per
     algorithm (20 runs, CI-sized); the full campaign is 204 runs.
     ``seed_base`` offsets every plan seed, giving disjoint campaigns.
-    ``jobs`` fans runs out over a process pool
-    (:class:`repro.service.WorkerPool`); every run is fully specified by
-    its spec, so the report — ordering, digests, violations — is
-    identical at any job count.
+    ``jobs`` fans runs out over a process pool; every run is fully
+    specified by its spec, so the report — ordering, digests,
+    violations — is identical at any job count.
     """
-    from ..service.pool import WorkerPool
-
     sizes = (16,) if quick else _SIZES
     plans_per_cell = _QUICK_PLANS if quick else _PLANS_PER_CELL
     specs: List[Tuple[int, int, str, float, int]] = []
     seed = seed_base
     for nprocs in sizes:
-        config = MachineConfig(nprocs)
         for algorithm in _ALGORITHMS:
-            schedule = _cell_schedule(nprocs, algorithm)
-            healthy = adaptive_execute(schedule, config, trace=False).time
-            message_count = sum(1 for _ in schedule.all_transfers())
+            cell = (nprocs, algorithm, *_baseline(nprocs, algorithm))
             for _ in range(plans_per_cell):
-                specs.append((seed, nprocs, algorithm, healthy, message_count))
+                specs.append((seed, *cell))
                 seed += 1
-
-    def _note(run: ChaosRun) -> None:
-        if progress is not None:
-            mark = "ok" if run.ok else "VIOLATION"
-            progress(
-                f"seed {run.seed:4d} N={run.nprocs:<3d} {run.algorithm:<9s}"
-                f" {mark}"
-            )
-
-    report = ChaosReport()
-    with WorkerPool(jobs) as pool:
-        report.runs.extend(pool.map_ordered(_campaign_run, specs, _note))
-    return report
+    return run_specs(
+        CHAOS_SCHEMA,
+        _campaign_run,
+        specs,
+        lambda r: f"seed {r.seed:4d} N={r.nprocs:<3d} {r.algorithm:<9s}",
+        progress,
+        jobs,
+    )
 
 
-def render_chaos(report: ChaosReport) -> str:
+def _row(r: ChaosRun) -> str:
+    ms = "failed" if r.makespan != r.makespan else f"{r.makespan*1e3:.3f} ms"
+    return (
+        f"{r.seed:>5} {r.nprocs:>3} {r.algorithm:<9} {ms:>12} "
+        f"{r.healthy*1e3:>9.3f} ms {r.bound*1e3:>9.3f} ms  {r.plan}"
+    )
+
+
+def render_chaos(report: CampaignReport) -> str:
     """Human-readable campaign summary."""
-    lines = [
+    return render_report(
+        report,
         "Chaos campaign — seeded random fault plans vs. adaptive executor",
-        f"runs: {report.total}   violations: {len(report.violations)}",
-        "",
         f"{'seed':>5} {'N':>3} {'algorithm':<9} {'makespan':>12} "
         f"{'healthy':>12} {'bound':>12}  plan",
-    ]
-    for r in report.runs:
-        ms = "failed" if r.makespan != r.makespan else f"{r.makespan*1e3:.3f} ms"
-        lines.append(
-            f"{r.seed:>5} {r.nprocs:>3} {r.algorithm:<9} {ms:>12} "
-            f"{r.healthy*1e3:>9.3f} ms {r.bound*1e3:>9.3f} ms  {r.plan}"
-        )
-        for v in r.violations:
-            lines.append(f"      !! {v}")
-    lines.append("")
-    if report.ok:
-        lines.append(
-            "all invariants held: termination, byte conservation, "
-            "bounded makespan, byte-identical replay"
-        )
-    else:
-        lines.append(f"{len(report.violations)} run(s) violated invariants")
-    return "\n".join(lines)
+        _row,
+        "termination, byte conservation, bounded makespan, "
+        "byte-identical replay",
+    )
 
 
-def write_chaos(report: ChaosReport, outdir: str) -> Tuple[str, str]:
+def write_chaos(report: CampaignReport, outdir) -> Tuple[Path, Path]:
     """Write ``chaos.txt`` and ``chaos.json`` under ``outdir``."""
-    os.makedirs(outdir, exist_ok=True)
-    txt = os.path.join(outdir, "chaos.txt")
-    with open(txt, "w") as f:
-        f.write(render_chaos(report) + "\n")
-    js = os.path.join(outdir, "chaos.json")
-    with open(js, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    return txt, js
+    return write_artifacts(outdir, "chaos", render_chaos(report), report.to_dict())

@@ -45,7 +45,6 @@ from .arrivals import (
 )
 from .chaos import (
     SERVICE_CHAOS_SCHEMA,
-    ServiceChaosReport,
     ServiceChaosRun,
     render_service_chaos,
     run_service_campaign,
@@ -100,7 +99,6 @@ __all__ = [
     "make_arrivals",
     "register_arrival",
     "SERVICE_CHAOS_SCHEMA",
-    "ServiceChaosReport",
     "ServiceChaosRun",
     "render_service_chaos",
     "run_service_campaign",

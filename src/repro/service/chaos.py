@@ -37,16 +37,17 @@ for ``repro metrics --check``.
 
 from __future__ import annotations
 
+import functools
 import json
-import os
 import random
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..campaign import CampaignReport, render_report, run_specs, write_artifacts
 from ..obs.metrics import MetricsRegistry
 from ..obs.telemetry import merge_state, metrics_to_json, registry_state
 from ..schedules.pattern import CommPattern
@@ -58,8 +59,8 @@ from .store import ScheduleStore
 __all__ = [
     "SERVICE_CHAOS_SCHEMA",
     "ServiceChaosRun",
-    "ServiceChaosReport",
     "run_service_campaign",
+    "service_metrics_doc",
     "render_service_chaos",
     "write_service_chaos",
 ]
@@ -108,62 +109,6 @@ class ServiceChaosRun:
     quarantined: int
     breaker_trips: int
     violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class ServiceChaosReport:
-    """A full campaign's runs plus the merged service registry."""
-
-    runs: List[ServiceChaosRun] = field(default_factory=list)
-    #: Every scenario scheduler's metrics merged (for the exposition
-    #: artifact; names are all frozen ``service.*`` names).
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    @property
-    def total(self) -> int:
-        return len(self.runs)
-
-    @property
-    def violations(self) -> List[ServiceChaosRun]:
-        return [r for r in self.runs if not r.ok]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": SERVICE_CHAOS_SCHEMA,
-            "total": self.total,
-            "violations": len(self.violations),
-            "runs": [
-                {
-                    "seed": r.seed,
-                    "kind": r.kind,
-                    "nprocs": r.nprocs,
-                    "workers": r.workers,
-                    "requests": r.requests,
-                    "responses": r.responses,
-                    "errors": dict(sorted(r.errors.items())),
-                    "injected": dict(sorted(r.injected.items())),
-                    "quarantined": r.quarantined,
-                    "breaker_trips": r.breaker_trips,
-                    "violations": list(r.violations),
-                }
-                for r in self.runs
-            ],
-        }
-
-    def metrics_doc(self) -> Dict[str, object]:
-        """Merged registry as a ``repro-metrics/1`` document."""
-        return metrics_to_json(
-            self.metrics,
-            meta={"source": "serve-chaos", "runs": self.total},
-        )
 
 
 # ----------------------------------------------------------------------
@@ -401,6 +346,8 @@ def _run_scenario(seed: int, registry: MetricsRegistry) -> ServiceChaosRun:
             mangled = _corrupt_store_dir(store_path, scenario.corrupt, crng)
             store = ScheduleStore(store_path)
             quarantined = store.quarantined
+            # Equal counts also prove the torn .tmp was never loaded:
+            # loading it would have quarantined one file more.
             if quarantined != mangled:
                 violations.append(
                     f"quarantine: mangled {mangled} file(s) but store "
@@ -413,13 +360,6 @@ def _run_scenario(seed: int, registry: MetricsRegistry) -> ServiceChaosRun:
                     f"quarantine: {moved} file(s) in corrupt/ for "
                     f"{mangled} mangled"
                 )
-            if list(store_path.glob("*.tmp")):
-                # The torn partial write survives on disk by design —
-                # but it must never have been loaded as an entry.  Its
-                # digest is not a real key, so loading it would have
-                # quarantined it; reaching here with matching counts
-                # proves it was simply never seen.
-                pass
         else:
             store = ScheduleStore()
 
@@ -560,80 +500,77 @@ def run_service_campaign(
     runs: Optional[int] = None,
     seed_base: int = 0,
     progress: Optional[Callable[[str], None]] = None,
-) -> ServiceChaosReport:
+    registry: Optional[MetricsRegistry] = None,
+) -> CampaignReport:
     """Run the service chaos campaign sequentially.
 
     ``quick`` shrinks to 14 runs (two per scenario kind, CI-sized); the
     full campaign is 105.  ``runs`` overrides either count.
     ``seed_base`` offsets every scenario seed for disjoint campaigns.
-    Runs are sequential by design: each scenario already drives its own
-    thread burst (and possibly a subprocess pool), and nesting that
-    under another process fan-out would blur the per-run registries the
-    reconciliation invariant depends on.
+    Every scenario scheduler's metrics are merged into ``registry``
+    (the exposition artifact; names are all frozen ``service.*``
+    names).  Runs are sequential by design: each scenario already
+    drives its own thread burst (and possibly a subprocess pool), and
+    nesting that under another process fan-out would blur the per-run
+    registries the reconciliation invariant depends on.
     """
     n = runs if runs is not None else (_QUICK_RUNS if quick else _FULL_RUNS)
     if n < 1:
         raise ValueError(f"runs must be >= 1, got {n}")
-    report = ServiceChaosReport()
-    for seed in range(seed_base, seed_base + n):
-        run = _run_scenario(seed, report.metrics)
-        report.runs.append(run)
-        if progress is not None:
-            mark = "ok" if run.ok else "VIOLATION"
-            progress(
-                f"seed {run.seed:4d} {run.kind:<14s} N={run.nprocs:<3d} "
-                f"req={run.requests:<3d} {mark}"
-            )
-    return report
+    return run_specs(
+        SERVICE_CHAOS_SCHEMA,
+        functools.partial(
+            _run_scenario,
+            registry=registry if registry is not None else MetricsRegistry(),
+        ),
+        range(seed_base, seed_base + n),
+        lambda r: (
+            f"seed {r.seed:4d} {r.kind:<14s} N={r.nprocs:<3d} "
+            f"req={r.requests:<3d}"
+        ),
+        progress,
+    )
 
 
-def render_service_chaos(report: ServiceChaosReport) -> str:
+def _row(r: ServiceChaosRun) -> str:
+    err = ",".join(f"{k}:{v}" for k, v in sorted(r.errors.items())) or "-"
+    return (
+        f"{r.seed:>5} {r.kind:<14} {r.nprocs:>3} {r.requests:>4} "
+        f"{r.responses:>5} {err:<28} {sum(r.injected.values()):>4} "
+        f"{r.quarantined:>4} {r.breaker_trips:>4}"
+    )
+
+
+def render_service_chaos(report: CampaignReport) -> str:
     """Human-readable campaign summary."""
-    lines = [
+    return render_report(
+        report,
         "Service chaos campaign — seeded faults vs. the guarded scheduler",
-        f"runs: {report.total}   violations: {len(report.violations)}",
-        "",
         f"{'seed':>5} {'kind':<14} {'N':>3} {'req':>4} {'resp':>5} "
         f"{'errors':<28} {'inj':>4} {'quar':>4} {'trip':>4}",
-    ]
-    for r in report.runs:
-        err = (
-            ",".join(f"{k}:{v}" for k, v in sorted(r.errors.items()))
-            or "-"
-        )
-        lines.append(
-            f"{r.seed:>5} {r.kind:<14} {r.nprocs:>3} {r.requests:>4} "
-            f"{r.responses:>5} {err:<28} {sum(r.injected.values()):>4} "
-            f"{r.quarantined:>4} {r.breaker_trips:>4}"
-        )
-        for v in r.violations:
-            lines.append(f"      !! {v}")
-    lines.append("")
-    if report.ok:
-        lines.append(
-            "all invariants held: termination, structured errors, "
-            "byte-identical serving, counter reconciliation, quarantine "
-            "accounting"
-        )
-    else:
-        lines.append(f"{len(report.violations)} run(s) violated invariants")
-    return "\n".join(lines)
+        _row,
+        "termination, structured errors, byte-identical serving, "
+        "counter reconciliation, quarantine accounting",
+    )
+
+
+def service_metrics_doc(
+    registry: MetricsRegistry, runs: int
+) -> Dict[str, object]:
+    """Merged campaign registry as a ``repro-metrics/1`` document."""
+    return metrics_to_json(
+        registry, meta={"source": "serve-chaos", "runs": runs}
+    )
 
 
 def write_service_chaos(
-    report: ServiceChaosReport, outdir: str
-) -> Tuple[str, str, str]:
+    report: CampaignReport, registry: MetricsRegistry, outdir
+) -> Tuple[Path, Path, Path]:
     """Write ``service_chaos.{txt,json}`` + the merged metrics snapshot."""
-    os.makedirs(outdir, exist_ok=True)
-    txt = os.path.join(outdir, "service_chaos.txt")
-    with open(txt, "w") as f:
-        f.write(render_service_chaos(report) + "\n")
-    js = os.path.join(outdir, "service_chaos.json")
-    with open(js, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-    mx = os.path.join(outdir, "service_chaos_metrics.json")
-    with open(mx, "w") as f:
-        json.dump(report.metrics_doc(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    txt, js = write_artifacts(
+        outdir, "service_chaos", render_service_chaos(report), report.to_dict()
+    )
+    mx = Path(outdir) / "service_chaos_metrics.json"
+    doc = service_metrics_doc(registry, report.total)
+    mx.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return txt, js, mx

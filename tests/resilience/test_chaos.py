@@ -65,7 +65,7 @@ def test_campaign_seed_base_shifts_plans():
 
 def test_probe_plan_runs_one_plan():
     run = probe_plan(random_plan(3, 16))
-    assert run.ok, run.violations
+    assert run.violations == ()
     assert run.nprocs == 16
 
 
@@ -90,12 +90,17 @@ def test_report_schema_and_files(tmp_path):
     assert "all invariants held" in rendered
     assert rendered.strip() == render_chaos(report).strip()
 
-def test_campaign_parallel_jobs_byte_identical():
-    # The worker-pool path must not change a single digit of the report:
-    # specs are computed in the parent, results return in input order.
+def test_campaign_parallel_jobs_byte_identical(tmp_path):
+    # The worker-pool path must not change a single digit of the report
+    # or its artifacts: specs are computed in the parent, results return
+    # in input order.
     serial = run_campaign(quick=True, jobs=0)
     parallel = run_campaign(quick=True, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+    a = write_chaos(serial, tmp_path / "serial")
+    b = write_chaos(parallel, tmp_path / "parallel")
+    for x, y in zip(a, b):
+        assert x.read_bytes() == y.read_bytes()
 
 
 def test_campaign_progress_order_stable_across_jobs():

@@ -13,6 +13,7 @@ from repro.service.chaos import (
     _run_scenario,
     render_service_chaos,
     run_service_campaign,
+    service_metrics_doc,
     write_service_chaos,
 )
 
@@ -69,10 +70,13 @@ class TestCampaign:
         json.dumps(doc)  # JSON-serializable throughout
 
     def test_metrics_doc_validates_against_frozen_names(self, capsys):
-        report = run_service_campaign(runs=2)
+        registry = MetricsRegistry()
+        report = run_service_campaign(runs=2, registry=registry)
         capsys.readouterr()
         # raises ValueError on any schema violation
-        n_metrics, n_obs = validate_metrics_json(report.metrics_doc())
+        n_metrics, n_obs = validate_metrics_json(
+            service_metrics_doc(registry, report.total)
+        )
         assert n_metrics > 0
         assert n_obs > 0
 
@@ -85,11 +89,12 @@ class TestCampaign:
         assert "violations: 0" in text
 
     def test_write_produces_three_artifacts(self, tmp_path, capsys):
-        report = run_service_campaign(runs=2)
+        registry = MetricsRegistry()
+        report = run_service_campaign(runs=2, registry=registry)
         capsys.readouterr()
         from pathlib import Path
 
-        txt, js, mx = write_service_chaos(report, tmp_path)
+        txt, js, mx = write_service_chaos(report, registry, tmp_path)
         assert Path(txt).read_text().startswith("Service chaos campaign")
         doc = json.loads(Path(js).read_text())
         assert doc["schema"] == SERVICE_CHAOS_SCHEMA

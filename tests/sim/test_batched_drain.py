@@ -10,6 +10,7 @@ NumPy/Python fallbacks agree, and that large-N runs are deterministic
 across processes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis.replicate import digest_result, replicate, run_digest
 from repro.cmmd import run_spmd
 from repro.machine import CM5Params, MachineConfig
 from repro.schedules import (
@@ -27,8 +27,10 @@ from repro.schedules import (
     execute_schedule,
     linear_exchange,
     pairwise_exchange,
+    recursive_exchange,
     schedule_irregular,
 )
+from repro.service.pool import WorkerPool
 from repro.sim.events import _TIME_ATOL
 
 #: ``digest_result(..., trace=True)`` of each case, recorded before the
@@ -46,20 +48,46 @@ PINNED_DIGESTS = {
     "atol_delay_n4": "0d3e02b2807e6088f72032f9c82a28849fe550c1d43626e4ba0230c3278b65a8",
 }
 
-_EXCHANGES = {
+EXCHANGE_BUILDERS = {
     "pex": pairwise_exchange,
     "bex": balanced_exchange,
     "lex": linear_exchange,
+    "rex": recursive_exchange,
 }
+
+
+def digest_result(res):
+    """SHA-256 of one traced execution's observable behaviour.
+
+    Covers the full event stream plus the exact (``repr``-level, every
+    bit of every float) makespan, message count, total wait time and
+    finish times.  Requires a traced run.
+    """
+    sim = res.sim
+    h = hashlib.sha256()
+    h.update(sim.trace.event_stream().encode())
+    h.update(repr(sim.makespan).encode())
+    h.update(str(sim.message_count).encode())
+    h.update(repr(sum(sim.wait_times)).encode())
+    h.update(",".join(repr(f) for f in sim.finish_times).encode())
+    return h.hexdigest()
+
+
+def run_digest(spec):
+    """Worker: execute one ``(algorithm, nprocs, nbytes)`` exchange.
+
+    Module-level so it pickles into a worker process; returns the
+    digest plus the message count.
+    """
+    algo, nprocs, nbytes = spec
+    sched = EXCHANGE_BUILDERS[algo](nprocs, nbytes)
+    res = execute_schedule(sched, MachineConfig(nprocs), trace=True)
+    return {"digest": digest_result(res), "messages": res.sim.message_count}
 
 
 def _exchange_digest(case):
     algo, n, b = case.split("_")
-    nprocs, nbytes = int(n[1:]), int(b[1:])
-    sched = _EXCHANGES[algo](nprocs, nbytes)
-    return digest_result(
-        execute_schedule(sched, MachineConfig(nprocs), trace=True)
-    )
+    return run_digest((algo, int(n[1:]), int(b[1:])))["digest"]
 
 
 def _greedy_digest():
@@ -130,11 +158,13 @@ def test_atol_separated_events_drain_identically():
 def test_large_n_determinism(n):
     """Two replicas at N=512/1024 produce the identical trace digest.
 
-    Runs the replicas through :func:`repro.analysis.replicate.replicate`
-    with two worker processes, covering the process-parallel replication
-    path at the same time: parallel and inline execution must agree.
+    Runs the replicas through a two-process
+    :class:`repro.service.pool.WorkerPool`, covering the
+    process-parallel path at the same time: parallel and inline
+    execution must agree.
     """
-    out = replicate(run_digest, [("rex", n, 64)] * 2, jobs=2)
+    with WorkerPool(2) as pool:
+        out = pool.map_ordered(run_digest, [("rex", n, 64)] * 2)
     assert out[0]["digest"] == out[1]["digest"]
     inline = run_digest(("rex", n, 64))
     assert inline["digest"] == out[0]["digest"]
@@ -169,7 +199,7 @@ def _run_script(script, extra_env):
 
 def _subprocess_digest(n, extra_env):
     script = (
-        "from repro.analysis.replicate import run_digest; "
+        "from tests.sim.test_batched_drain import run_digest; "
         f"print(run_digest(('rex', {n}, 64))['digest'])"
     )
     return _run_script(script, extra_env)

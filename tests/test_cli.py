@@ -501,6 +501,74 @@ class TestChaosCLI:
         assert err.startswith("error:") and "malformed" in err
 
 
+class TestCampaignViolationsExit1:
+    """A campaign that catches an invariant violation is a failed check.
+
+    It exits 1 (not 2, the usage-error code) and leaves its artifacts
+    behind.  One run of each path is wrapped to report a synthetic
+    violation.
+    """
+
+    @staticmethod
+    def _violate_first(monkeypatch, module, name):
+        import dataclasses
+
+        real = getattr(module, name)
+        seen = []
+
+        def wrapped(*args, **kwargs):
+            run = real(*args, **kwargs)
+            seen.append(run)
+            if len(seen) > 1:
+                return run
+            return dataclasses.replace(
+                run, violations=run.violations + ("synthetic: injected",)
+            )
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    def _exit_code(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    def test_chaos_campaign(self, tmp_path, monkeypatch, capsys):
+        import repro.resilience.chaos as chaos
+
+        monkeypatch.chdir(tmp_path)
+        self._violate_first(monkeypatch, chaos, "_run_one")
+        assert self._exit_code(["chaos", "--quick"]) == 1
+        out = capsys.readouterr().out
+        assert "!! synthetic: injected" in out
+        assert "1 run(s) violated invariants" in out
+        doc = json.loads((tmp_path / "results" / "chaos.json").read_text())
+        assert doc["violations"] == 1
+        assert (tmp_path / "results" / "chaos.txt").exists()
+
+    def test_chaos_plan_probe(self, tmp_path, monkeypatch, capsys):
+        import repro.resilience.chaos as chaos
+
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 3, "faults": []}))
+        self._violate_first(monkeypatch, chaos, "_run_one")
+        assert self._exit_code(["chaos", "--plan", str(plan)]) == 1
+        assert "!! synthetic: injected" in capsys.readouterr().out
+
+    def test_serve_chaos_campaign(self, tmp_path, monkeypatch, capsys):
+        import repro.service.chaos as service_chaos
+
+        monkeypatch.chdir(tmp_path)
+        self._violate_first(monkeypatch, service_chaos, "_run_scenario")
+        assert self._exit_code(["serve-chaos", "--runs", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "!! synthetic: injected" in out
+        results = tmp_path / "results"
+        doc = json.loads((results / "service_chaos.json").read_text())
+        assert doc["violations"] == 1
+        assert (results / "service_chaos.txt").exists()
+        assert (results / "service_chaos_metrics.json").exists()
+
+
 class TestMetricsCommand:
     def test_prom_exposition_to_file(self, tmp_path, capsys):
         out = tmp_path / "metrics.prom"
