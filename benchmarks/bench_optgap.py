@@ -13,28 +13,23 @@ the harness's teeth:
   Table 12 application pattern.
 
 Artifacts land in ``results/optgap.{txt,json}`` (schema
-``repro-optgap/1``).  Run standalone (``python
-benchmarks/bench_optgap.py [--quick]``) or under pytest
-(``PYTHONPATH=src python -m pytest benchmarks/bench_optgap.py``; quick
-scale when ``REPRO_BENCH_SCALE=small``).
+``repro-optgap/1``).  Run under pytest (``PYTHONPATH=src python -m
+pytest benchmarks/bench_optgap.py``; quick scale when
+``REPRO_BENCH_SCALE=small``); from the command line, ``python -m repro
+optgap [--quick]`` runs the same sweep.
 """
 
-import argparse
 import os
-import sys
 from pathlib import Path
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.analysis.optgap import render_optgap, run_optgap, write_optgap
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
-def run_and_save(quick: bool, progress=None) -> tuple:
+
+def run_and_save(quick: bool) -> tuple:
     """Run the sweep and persist results/optgap.{txt,json}."""
-    report = run_optgap(quick=quick, progress=progress)
+    report = run_optgap(quick=quick)
     paths = write_optgap(report, results_dir=_REPO_ROOT / "results")
     return report, paths
 
@@ -57,17 +52,3 @@ def test_optgap(emit):
             f"Table 12 application pattern; wins={wins}"
         )
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="N=8/16 grid (CI smoke scale) instead of the 32-node sweep",
-    )
-    cli_args = parser.parse_args()
-    doc, out_paths = run_and_save(cli_args.quick, progress=print)
-    print()
-    print(render_optgap(doc))
-    print(f"[saved to {' and '.join(str(p) for p in out_paths)}]")
-    sys.exit(0 if doc.ok else 1)

@@ -15,28 +15,23 @@ Outputs:
   the committed ``benchmarks/BENCH_baseline.json``);
 * ``results/perf_hotpath.txt`` — the human-readable table.
 
-Run standalone (``python benchmarks/bench_perf_hotpath.py [--quick]``)
-or under pytest (``PYTHONPATH=src python -m pytest
+Run under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_perf_hotpath.py``; quick scale when
-``REPRO_BENCH_SCALE=small``).
+``REPRO_BENCH_SCALE=small``); from the command line, ``python -m repro
+perf [--quick] [--jobs N]`` run at the repo root writes the same files.
 """
 
-import argparse
 import os
-import sys
 from pathlib import Path
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.analysis.perf import render_report, run_perf, write_bench
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
-def run_and_save(quick: bool, progress=None, jobs: int = 0) -> dict:
+
+def run_and_save(quick: bool) -> dict:
     """Run the workloads and persist BENCH_sim.json + the text report."""
-    bench = run_perf(quick=quick, progress=progress, jobs=jobs)
+    bench = run_perf(quick=quick)
     write_bench(bench, _REPO_ROOT / "BENCH_sim.json")
     results = _REPO_ROOT / "results"
     results.mkdir(exist_ok=True)
@@ -52,24 +47,3 @@ def test_perf_hotpath(emit):
         assert row["wall_seconds"] > 0, f"{name}: no time elapsed?"
         assert row["messages"] > 0, f"{name}: workload sent no messages"
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small machines only (CI smoke scale)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the workload fan-out (0 = inline; "
-        "parallel timings are noisier — see repro.analysis.perf)",
-    )
-    cli_args = parser.parse_args()
-    doc = run_and_save(cli_args.quick, progress=print, jobs=cli_args.jobs)
-    print()
-    print(render_report(doc))
-    print(f"[saved to {_REPO_ROOT / 'BENCH_sim.json'}]")

@@ -19,21 +19,14 @@ Outputs:
   (``--force`` overrides the guard when a path collision does occur);
 * ``results/service_bench.txt`` — the human-readable table.
 
-Run standalone (``python benchmarks/bench_service.py [--quick]``) or
-under pytest (``PYTHONPATH=src python -m pytest
+Run under pytest (``PYTHONPATH=src python -m pytest
 benchmarks/bench_service.py``; quick scale when
-``REPRO_BENCH_SCALE=small``).
+``REPRO_BENCH_SCALE=small``); from the command line, ``python -m repro
+serve-bench [--quick] [--force]`` writes the same files.
 """
 
-import argparse
 import os
-import sys
 from pathlib import Path
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
-
-if __name__ == "__main__":  # standalone: make src/ importable
-    sys.path.insert(0, str(_REPO_ROOT / "src"))
 
 from repro.service import (
     render_service_bench,
@@ -41,8 +34,10 @@ from repro.service import (
     write_service_bench,
 )
 
+_REPO_ROOT = Path(__file__).resolve().parent.parent
 
-def run_and_save(quick: bool, progress=None, force: bool = False) -> tuple:
+
+def run_and_save(quick: bool) -> tuple:
     """Run the bench; persist the scale-routed JSON + the text report.
 
     Returns ``(bench, path)`` — quick runs land in
@@ -50,8 +45,8 @@ def run_and_save(quick: bool, progress=None, force: bool = False) -> tuple:
     (see :func:`repro.service.write_service_bench` for the clobber
     guard).
     """
-    bench = run_service_bench(quick=quick, progress=progress)
-    path = write_service_bench(bench, root=_REPO_ROOT, force=force)
+    bench = run_service_bench(quick=quick)
+    path = write_service_bench(bench, root=_REPO_ROOT)
     results = _REPO_ROOT / "results"
     results.mkdir(exist_ok=True)
     (results / "service_bench.txt").write_text(
@@ -70,25 +65,3 @@ def test_service_bench(emit):
         assert row["hit_rate"] > 0, f"{name}: cache never hit"
         assert row["schedules_per_sec"] > 0, f"{name}: no throughput"
 
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small corpus and request counts (CI smoke scale); writes "
-        "BENCH_service_quick.json instead of the committed artifact",
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="overwrite a full-scale BENCH_service.json even from a "
-        "non-full run",
-    )
-    cli_args = parser.parse_args()
-    doc, out_path = run_and_save(
-        cli_args.quick, progress=print, force=cli_args.force
-    )
-    print()
-    print(render_service_bench(doc))
-    print(f"[saved to {out_path}]")

@@ -45,7 +45,11 @@ from ..campaign import write_artifacts
 from ..machine.params import CM5Params, MachineConfig
 from ..schedules.estimate import estimate_schedule_time
 from ..schedules.executor import execute_schedule
-from ..schedules.irregular import algorithm_names, schedule_irregular
+from ..schedules.irregular import (
+    EXCHANGE_ALGORITHMS,
+    algorithm_names,
+    schedule_irregular,
+)
 from ..schedules.pattern import CommPattern
 from ..schedules.schedule import Schedule
 from ..schedules.validate import validate_schedule
@@ -94,29 +98,6 @@ _FIG5_SIZES_QUICK = (256, 1024)
 _TABLE11_DENSITIES_FULL = (0.10, 0.25, 0.50, 0.75)
 _TABLE11_DENSITIES_QUICK = (0.10, 0.75)
 _TABLE11_SEED = 42
-
-#: Regular complete-exchange builders, keyed by the irregular-style
-#: names the report uses.
-_EXCHANGE_BUILDERS: Dict[str, Callable[[int, int], Schedule]] = {}
-
-
-def _exchange_builders() -> Dict[str, Callable[[int, int], Schedule]]:
-    if not _EXCHANGE_BUILDERS:
-        from ..schedules.bex import balanced_exchange
-        from ..schedules.lex import linear_exchange
-        from ..schedules.pex import pairwise_exchange
-        from ..schedules.rex import recursive_exchange
-
-        _EXCHANGE_BUILDERS.update(
-            {
-                "linear": linear_exchange,
-                "pairwise": pairwise_exchange,
-                "recursive": recursive_exchange,
-                "balanced": balanced_exchange,
-            }
-        )
-    return _EXCHANGE_BUILDERS
-
 
 @dataclass(frozen=True)
 class RankInversion:
@@ -291,7 +272,7 @@ def _conformance_groups(
         pattern = CommPattern.complete_exchange(nprocs, nbytes)
         group = GroupResult(name, nprocs)
         for alg in algorithms:
-            sched = _exchange_builders()[alg](nprocs, nbytes)
+            sched = EXCHANGE_ALGORITHMS[alg](nprocs, nbytes)
             group.times[alg] = backend_times(sched, cfg, pattern)
         groups.append(group)
         note(f"  {name}: {len(group.times)} algorithms priced")

@@ -25,14 +25,17 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps.fft2d import fft2d_time
-from ..apps.transpose import EXCHANGE_ALGORITHMS
 from ..apps.workloads import Workload, paper_workload, workload_names
 from ..cmmd.api import Comm
 from ..cmmd.collectives import broadcast_linear, broadcast_recursive
 from ..cmmd.program import run_spmd
 from ..machine.params import CM5Params, DEFAULT_PARAMS, MachineConfig
 from ..schedules.executor import execute_schedule
-from ..schedules.irregular import algorithm_names, schedule_irregular
+from ..schedules.irregular import (
+    EXCHANGE_ALGORITHMS,
+    algorithm_names,
+    schedule_irregular,
+)
 from ..schedules.pattern import CommPattern
 from .cache import default_cache
 from .figures import FigureData

@@ -10,14 +10,11 @@ workloads (Section 3, citing Johnsson & Ho).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import List
 
 import numpy as np
 
-from ..schedules.bex import balanced_exchange
-from ..schedules.lex import linear_exchange
-from ..schedules.pex import pairwise_exchange
-from ..schedules.rex import recursive_exchange
+from ..schedules.irregular import EXCHANGE_ALGORITHMS
 from ..schedules.schedule import Schedule
 
 __all__ = [
@@ -26,15 +23,6 @@ __all__ = [
     "transpose_schedule",
     "local_transpose_blocks",
 ]
-
-#: The paper's four complete-exchange algorithms, by Table 5's names.
-EXCHANGE_ALGORITHMS: Dict[str, Callable[[int, int], Schedule]] = {
-    "linear": linear_exchange,
-    "pairwise": pairwise_exchange,
-    "recursive": recursive_exchange,
-    "balanced": balanced_exchange,
-}
-
 
 def block_bytes(n: int, nprocs: int, elem_bytes: int = 8) -> int:
     """Bytes of one ``(n/P) x (n/P)`` transpose block.

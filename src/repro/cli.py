@@ -2,53 +2,38 @@
 
 Usage::
 
-    python -m repro <experiment> [--quick] [--csv DIR]
-    cm5-repro table11
+    python -m repro <command> [options]
+    cm5-repro table11 --quick
+    cm5-repro <command> --help     # the options that command accepts
 
-Experiments: ``schedules`` (Tables 1-4, 6-10), ``fig5``, ``fig6``,
-``fig7``, ``fig8``, ``table5``, ``fig10``, ``fig11``, ``table11``,
-``table12``, ``calibrate``, ``all``.  ``--quick`` shrinks sweeps to
-small machines for a fast smoke run; ``--csv DIR`` additionally writes
-figure data as CSV files.
+The exhibits (``schedules``, ``fig5``-``fig11``, ``table5/11/12``,
+``all``) print paper-vs-measured comparisons; ``--quick`` shrinks
+sweeps to small machines and ``--csv DIR`` also writes figure data.
+The oracles (``validate``, ``conformance``, ``optgap``, ``chaos``,
+``serve-chaos``, ``perfcmp``) exit 1 on a failed check, after writing
+their artifacts under ``results/``; ``perf`` and ``serve-bench`` write
+the BENCH documents; ``trace``, ``critpath``, ``roottraffic``,
+``gantt``, ``metrics`` and ``profile`` observe one run.
 
-Performance: ``perf`` times the canonical hot-path workloads and writes
-``BENCH_sim.json``; ``perfcmp`` diffs two such files and exits non-zero
-on wall-clock regressions (see ``--baseline/--current/--threshold``);
-``serve-bench`` drives the scheduling service under a Zipf request
-stream and writes ``BENCH_service.json`` (see
-``--requests/--corpus/--skew/--arrival/--jobs``).
+Each command accepts exactly the options it reads: :data:`COMMANDS`
+names its function and options, and :data:`OPTIONS` defines every
+option once, with the type, range and choices the parser enforces.
 
-Validation: ``validate`` lints generator schedules (or ``--schedule
-FILE``) for conservation, deadlock-freedom and payload-mode staging;
-``conformance`` runs the canonical workloads through all three cost
-backends and fails on ranking inversions or drift (artifacts land in
-``results/conformance.{txt,json}``); ``optgap`` divides every irregular
-scheduler's measured makespans by the flow/LP lower bounds and fails if
-any gap dips below 1.0 (artifacts land in ``results/optgap.{txt,json}``).
-
-Observability: ``trace`` runs one seeded exchange under the tracer and
-exports a Perfetto/Chrome trace-event JSON (``--check FILE`` validates
-an existing export instead); ``critpath`` walks the simulated critical
-path and attributes it to wire/wait/local/sync time (``--trace FILE``
-analyzes an export); ``roottraffic`` writes the per-step root-link byte
-series behind the BEX-vs-PEX argument; ``gantt --trace FILE`` renders
-an exported trace instead of running; ``metrics`` exposes a traced
-run's metric registry as Prometheus text or a ``repro-metrics/1`` JSON
-snapshot (``--format prom|json``, ``--check`` validates); ``profile``
-attributes the engine hot loop per message (``--mode phases``) or emits
-collapsed-stack flamegraph samples (``--mode sample``).
-
-Exit status: 0 success, 1 check failure (lint / conformance / optgap /
-perfcmp / a chaos or serve-chaos invariant violation), 2 usage error
-(bad ``--algorithm``/``--nprocs``, unreadable files).
+Exit status: 0 success, 1 check failure, 2 usage error.  A usage
+error — an unknown command or option, a malformed, out-of-range or
+unknown value, a missing argument, unreadable input or unwritable
+output — prints one ``error: …`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
+import re
 import sys
 from pathlib import Path
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .analysis import paper_data
 from .analysis.experiments import (
@@ -61,8 +46,11 @@ from .analysis.experiments import (
     table12_data,
 )
 from .analysis.figures import FigureData
-from .analysis.tables import format_comparison, format_table
+from .analysis.tables import format_comparison
+from .obs.prof import profile_workload_names
 from .schedules import (
+    EXCHANGE_ALGORITHMS,
+    IRREGULAR_ALGORITHMS,
     balanced_exchange,
     balanced_schedule,
     greedy_schedule,
@@ -73,43 +61,38 @@ from .schedules import (
     pairwise_schedule,
     recursive_exchange,
 )
+from .service.arrivals import arrival_names
 
-__all__ = ["main", "CLIError"]
+__all__ = ["main", "CLIError", "COMMANDS", "OPTIONS"]
 
 
 class CLIError(Exception):
     """A user-input problem: report one line on stderr and exit 2."""
 
 
-#: Algorithm names `validate --algorithm` accepts: the union of the
-#: regular-exchange builders and the irregular registry.
-_VALIDATE_ALGORITHMS = (
-    "linear",
-    "pairwise",
-    "recursive",
-    "balanced",
-    "greedy",
-    "local",
-)
+@contextlib.contextmanager
+def _writing():
+    """Around an artifact write: an unwritable destination exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise CLIError(f"cannot write output: {exc}") from None
 
 
-def _parse_nprocs(value: int) -> int:
-    """Partition sizes must be powers of two >= 2 (CM-5 allocation rule)."""
-    if value < 2 or value & (value - 1):
-        raise CLIError(
-            f"--nprocs must be a power of two >= 2 (CM-5 partition rule), "
-            f"got {value}"
-        )
-    return value
+def _save(path, text: str) -> Path:
+    """Write one text artifact, creating its directory."""
+    path = Path(path)
+    with _writing():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return path
 
 
 def _emit_figure(fig: FigureData, csv_dir: Optional[Path]) -> None:
     print(fig.render())
     if csv_dir is not None:
-        csv_dir.mkdir(parents=True, exist_ok=True)
         slug = fig.name.split(":")[0].strip().lower().replace(" ", "_")
-        path = csv_dir / f"{slug}.csv"
-        path.write_text(fig.to_csv())
+        path = _save(csv_dir / f"{slug}.csv", fig.to_csv())
         print(f"[csv written to {path}]")
 
 
@@ -133,39 +116,37 @@ def cmd_schedules(args: argparse.Namespace) -> None:
 
 
 def cmd_fig5(args: argparse.Namespace) -> None:
-    nprocs = 8 if args.quick else 32
-    sizes = (0, 256, 1024) if args.quick else None
-    fig = fig5_data(sizes=sizes or fig5_sizes_default(), nprocs=nprocs)
+    """Figure 5: complete-exchange time vs message size."""
+    fig = fig5_data(sizes=(0, 256, 1024), nprocs=8) if args.quick else fig5_data()
     _emit_figure(fig, args.csv)
 
 
-def fig5_sizes_default():
-    from .analysis.experiments import FIG5_SIZES
-
-    return FIG5_SIZES
-
-
 def _fig678(args: argparse.Namespace, nbytes_list: List[int]) -> None:
-    machines = (4, 8, 16) if args.quick else None
     for nbytes in nbytes_list:
-        kwargs = {} if machines is None else {"machines": machines}
-        fig = fig678_data(nbytes, **kwargs)
+        if args.quick:
+            fig = fig678_data(nbytes, machines=(4, 8, 16))
+        else:
+            fig = fig678_data(nbytes)
         _emit_figure(fig, args.csv)
 
 
 def cmd_fig6(args: argparse.Namespace) -> None:
+    """Figure 6: exchange time vs machine size at 0 and 256 bytes."""
     _fig678(args, [0, 256])
 
 
 def cmd_fig7(args: argparse.Namespace) -> None:
+    """Figure 7: exchange time vs machine size at 512 bytes."""
     _fig678(args, [512])
 
 
 def cmd_fig8(args: argparse.Namespace) -> None:
+    """Figure 8: exchange time vs machine size at 1920 bytes."""
     _fig678(args, [1920])
 
 
 def cmd_table5(args: argparse.Namespace) -> None:
+    """Table 5: 2-D FFT time under each complete-exchange algorithm."""
     machines = (8,) if args.quick else (32, 256)
     arrays = (256, 512) if args.quick else (256, 512, 1024, 2048)
     data = table5_data(machine_sizes=machines, array_sizes=arrays)
@@ -184,19 +165,19 @@ def cmd_table5(args: argparse.Namespace) -> None:
 
 
 def cmd_fig10(args: argparse.Namespace) -> None:
-    nprocs = 8 if args.quick else 32
-    fig = fig10_data(nprocs=nprocs)
+    """Figure 10: broadcast time vs message size."""
+    fig = fig10_data(nprocs=8 if args.quick else 32)
     _emit_figure(fig, args.csv)
 
 
 def cmd_fig11(args: argparse.Namespace) -> None:
-    machines = (4, 8, 16) if args.quick else None
-    kwargs = {} if machines is None else {"machines": machines}
-    fig = fig11_data(**kwargs)
+    """Figure 11: broadcast time vs machine size."""
+    fig = fig11_data(machines=(4, 8, 16)) if args.quick else fig11_data()
     _emit_figure(fig, args.csv)
 
 
 def cmd_table11(args: argparse.Namespace) -> None:
+    """Table 11: synthetic irregular patterns under LS/PS/BS/GS."""
     nprocs = 8 if args.quick else 32
     data = table11_data(nprocs=nprocs)
     blocks = []
@@ -218,6 +199,7 @@ def cmd_table11(args: argparse.Namespace) -> None:
 
 
 def cmd_table12(args: argparse.Namespace) -> None:
+    """Table 12: real application patterns under LS/PS/BS/GS."""
     nprocs = 8 if args.quick else 32
     times, loads = table12_data(nprocs=nprocs)
     blocks = []
@@ -237,30 +219,16 @@ def cmd_table12(args: argparse.Namespace) -> None:
         print(" ", wl.describe())
 
 
-#: Exchange builders the observability commands can run directly.
-_OBS_BUILDERS = {
-    "linear": linear_exchange,
-    "pairwise": pairwise_exchange,
-    "recursive": recursive_exchange,
-    "balanced": balanced_exchange,
-}
-
-
 def _obs_run(algorithm: str, nprocs: int, nbytes: int):
     """One seeded, traced exchange run; returns ``(tracer, result)``."""
     from . import obs
     from .machine import CM5Params, MachineConfig
     from .schedules import execute_schedule
 
-    build = _OBS_BUILDERS.get(algorithm)
-    if build is None:
-        raise CLIError(
-            f"unknown --algorithm {algorithm!r} for tracing; choose from "
-            f"{', '.join(_OBS_BUILDERS)}"
-        )
     cfg = MachineConfig(nprocs, CM5Params(routing_jitter=0.0))
+    sched = EXCHANGE_ALGORITHMS[algorithm](nprocs, nbytes)
     with obs.tracing() as tracer:
-        res = execute_schedule(build(nprocs, nbytes), cfg, trace=True)
+        res = execute_schedule(sched, cfg, trace=True)
     return tracer, res
 
 
@@ -269,8 +237,6 @@ def cmd_trace(args: argparse.Namespace) -> None:
     from .obs import build_perfetto, load_perfetto, write_perfetto
 
     if args.check is not None:
-        if not isinstance(args.check, str):
-            raise CLIError("trace --check needs a FILE to validate")
         try:
             doc = load_perfetto(args.check)
         except ValueError as exc:
@@ -280,17 +246,13 @@ def cmd_trace(args: argparse.Namespace) -> None:
             f"{len(doc['traceEvents'])} events"
         )
         return
-    if args.format != "perfetto":
-        raise CLIError(
-            f"unknown --format {args.format!r}; only 'perfetto' is supported"
-        )
-    algo = args.algorithm or "balanced"
-    nprocs = _parse_nprocs(args.nprocs)
+    algo, nprocs = args.algorithm, args.nprocs
     tracer, res = _obs_run(algo, nprocs, args.nbytes)
     doc = build_perfetto(tracer, trace=res.sim.trace)
     out = Path(args.out or f"results/trace_{algo}_n{nprocs}.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_perfetto(doc, out)
+    with _writing():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_perfetto(doc, out)
     print(f"{algo} n={nprocs} b={args.nbytes}: {res.time_ms:.3f} ms simulated")
     print(f"[perfetto trace written to {out}: {len(doc['traceEvents'])} events]")
     print("open in https://ui.perfetto.dev or chrome://tracing")
@@ -305,6 +267,8 @@ def cmd_metrics(args: argparse.Namespace) -> None:
     ``--check FILE`` instead validates an existing metrics artifact and
     runs nothing.  ``--out FILE`` writes the document (default stdout).
     """
+    import json
+
     from .obs import (
         check_prom,
         metrics_to_json,
@@ -312,11 +276,7 @@ def cmd_metrics(args: argparse.Namespace) -> None:
         validate_metrics_json,
     )
 
-    fmt = "json" if args.format == "perfetto" else args.format
-    if fmt not in ("prom", "json"):
-        raise CLIError(
-            f"unknown --format {fmt!r} for metrics; choose 'prom' or 'json'"
-        )
+    fmt = args.format
     if isinstance(args.check, str):
         try:
             text = Path(args.check).read_text()
@@ -326,17 +286,14 @@ def cmd_metrics(args: argparse.Namespace) -> None:
             if fmt == "prom":
                 metrics, samples = check_prom(text)
             else:
-                import json as _json
-
-                metrics, samples = validate_metrics_json(_json.loads(text))
+                metrics, samples = validate_metrics_json(json.loads(text))
         except ValueError as exc:
             raise CLIError(f"{args.check}: {exc}")
         print(f"{args.check}: valid {fmt} exposition, "
               f"{metrics} metric(s), {samples} sample(s)")
         return
 
-    algo = args.algorithm or "balanced"
-    nprocs = _parse_nprocs(args.nprocs)
+    algo, nprocs = args.algorithm, args.nprocs
     tracer, res = _obs_run(algo, nprocs, args.nbytes)
     meta = {
         "algorithm": algo,
@@ -354,17 +311,13 @@ def cmd_metrics(args: argparse.Namespace) -> None:
                 file=sys.stderr,
             )
     else:
-        import json as _json
-
         doc = metrics_to_json(tracer.metrics, meta=meta)
         if args.check:
             validate_metrics_json(doc)
             print("# json snapshot valid", file=sys.stderr)
-        text = _json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        out = _save(args.out, text)
         print(f"[metrics written to {out}]")
     else:
         print(text, end="")
@@ -385,19 +338,11 @@ def cmd_profile(args: argparse.Namespace) -> None:
     from .obs import prof
 
     workload = args.workload
-    known = prof.profile_workload_names()
-    if workload not in known:
-        raise CLIError(
-            f"unknown --workload {workload!r}; choose from {', '.join(known)}"
-        )
-    results = Path("results")
     if args.mode == "phases":
         print(f"profiling {workload} (phase counters)...")
         report = prof.run_phase_profile(workload)
         table = prof.render_phase_table(report)
-        out = Path(args.out or results / f"profile_{workload}.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(table)
+        out = _save(args.out or f"results/profile_{workload}.txt", table)
         print(table, end="")
         print(f"[attribution table written to {out}]")
         if report.direct_total:
@@ -409,28 +354,21 @@ def cmd_profile(args: argparse.Namespace) -> None:
                     file=sys.stderr,
                 )
                 raise SystemExit(1)
-    elif args.mode == "sample":
-        if args.interval <= 0:
-            raise CLIError(
-                f"--interval must be positive seconds, got {args.interval}"
-            )
+    else:
         print(f"profiling {workload} (sampling every {args.interval * 1e3:g} ms)...")
         lines, taken, wall = prof.run_sampling_profile(
             workload, interval=args.interval
         )
-        out = Path(args.out or results / f"flame_{workload}.txt")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(lines) + ("\n" if lines else ""))
+        out = _save(
+            args.out or f"results/flame_{workload}.txt",
+            "\n".join(lines) + ("\n" if lines else ""),
+        )
         print(
             f"{taken} samples over {wall:.1f}s, "
             f"{len(lines)} distinct stacks"
         )
         print(f"[collapsed stacks written to {out}; feed to flamegraph.pl "
               "or speedscope]")
-    else:
-        raise CLIError(
-            f"unknown --mode {args.mode!r}; choose 'phases' or 'sample'"
-        )
 
 
 def cmd_critpath(args: argparse.Namespace) -> None:
@@ -455,8 +393,7 @@ def cmd_critpath(args: argparse.Namespace) -> None:
         if not rank_ops:
             raise CLIError(f"trace file {args.trace} contains no rank ops")
     else:
-        algo = args.algorithm or "balanced"
-        nprocs = _parse_nprocs(args.nprocs)
+        algo, nprocs = args.algorithm, args.nprocs
         tracer, res = _obs_run(algo, nprocs, args.nbytes)
         rank_ops, makespan = tracer.rank_ops, tracer.meta["makespan"]
         print(f"{algo} n={nprocs} b={args.nbytes}: {res.time_ms:.3f} ms simulated")
@@ -474,14 +411,13 @@ def cmd_roottraffic(args: argparse.Namespace) -> None:
         write_root_traffic,
     )
 
-    nprocs = _parse_nprocs(args.nprocs)
     results = []
     for algo, label in (("balanced", "BEX"), ("pairwise", "PEX")):
-        _, res = _obs_run(algo, nprocs, args.nbytes)
+        _, res = _obs_run(algo, args.nprocs, args.nbytes)
         results.append(
-            root_traffic_from_trace(res.sim.trace.messages, label, nprocs)
+            root_traffic_from_trace(res.sim.trace.messages, label, args.nprocs)
         )
-    _finish(True, write_root_traffic(results), render_root_traffic(results))
+    _finish(True, render_root_traffic(results), lambda: write_root_traffic(results))
 
 
 def cmd_gantt(args: argparse.Namespace) -> None:
@@ -534,12 +470,12 @@ def cmd_report(args: argparse.Namespace) -> None:
     from .analysis.report import build_experiments_markdown
 
     text = build_experiments_markdown()
-    out = Path("EXPERIMENTS.md")
-    out.write_text(text)
+    out = _save("EXPERIMENTS.md", text)
     print(f"wrote {out} ({len(text.splitlines())} lines)")
 
 
 def cmd_topology(args: argparse.Namespace) -> None:
+    """Fat-tree diagrams with per-level link bandwidths."""
     from .analysis.visualize import render_fat_tree
     from .machine import MachineConfig
 
@@ -642,11 +578,7 @@ def cmd_faults(args: argparse.Namespace) -> None:
     from .schedules import (
         CommPattern,
         ScheduleError,
-        balanced_exchange,
         execute_schedule,
-        greedy_schedule,
-        pairwise_exchange,
-        recursive_exchange,
         repair_schedule,
     )
 
@@ -680,14 +612,15 @@ def cmd_faults(args: argparse.Namespace) -> None:
         )
 
 
-def _finish(ok: bool, paths, text: str) -> None:
+def _finish(ok: bool, text: str, write: Callable[[], Sequence[Path]]) -> None:
     """Shared ending of the artifact-writing checks.
 
-    The artifacts are already written (``paths``); print the report
-    and where it went, then exit 1 on a failed check — after the
+    Write the artifacts (``write`` returns their paths), print the
+    report and where it went, then exit 1 on a failed check — after the
     artifacts, so a failing run still leaves its evidence behind.
     """
-    *head, last = paths
+    with _writing():
+        *head, last = write()
     print()
     print(text)
     print(f"[written to {', '.join(map(str, head))} and {last}]")
@@ -726,12 +659,12 @@ def cmd_chaos(args: argparse.Namespace) -> None:
             raise SystemExit(1)
         print("all invariants held")
         return
-    if args.jobs < 0:
-        raise CLIError(f"--jobs must be >= 0, got {args.jobs}")
     report = run_campaign(
         quick=args.quick, seed_base=args.fault_seed, jobs=args.jobs
     )
-    _finish(report.ok, write_chaos(report, "results"), render_chaos(report))
+    _finish(
+        report.ok, render_chaos(report), lambda: write_chaos(report, "results")
+    )
 
 
 def cmd_serve_bench(args: argparse.Namespace) -> None:
@@ -751,26 +684,11 @@ def cmd_serve_bench(args: argparse.Namespace) -> None:
     serves garbage) is broken, however fast.
     """
     from .service import (
-        ARRIVAL_PROCESSES,
-        arrival_names,
         render_service_bench,
         run_service_bench,
         write_service_bench,
     )
 
-    if args.arrival not in ARRIVAL_PROCESSES:
-        raise CLIError(
-            f"unknown --arrival {args.arrival!r}; choose from "
-            f"{', '.join(arrival_names())}"
-        )
-    if args.requests is not None and args.requests < 1:
-        raise CLIError(f"--requests must be >= 1, got {args.requests}")
-    if args.corpus is not None and args.corpus < 1:
-        raise CLIError(f"--corpus must be >= 1, got {args.corpus}")
-    if args.skew < 0:
-        raise CLIError(f"--skew must be non-negative, got {args.skew}")
-    if args.jobs < 0:
-        raise CLIError(f"--jobs must be >= 0, got {args.jobs}")
     bench = run_service_bench(
         quick=args.quick,
         skew=args.skew,
@@ -781,13 +699,12 @@ def cmd_serve_bench(args: argparse.Namespace) -> None:
         progress=print,
     )
     try:
-        out = write_service_bench(bench, force=args.force)
+        with _writing():
+            out = write_service_bench(bench, force=args.force)
     except ValueError as exc:
         raise CLIError(str(exc))
     report = render_service_bench(bench)
-    results = Path("results")
-    results.mkdir(exist_ok=True)
-    (results / "service_bench.txt").write_text(report + "\n")
+    _save("results/service_bench.txt", report + "\n")
     print()
     print(report)
     print(f"[bench written to {out}]")
@@ -830,8 +747,6 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
         write_service_chaos,
     )
 
-    if args.runs is not None and args.runs < 1:
-        raise CLIError(f"--runs must be >= 1, got {args.runs}")
     registry = MetricsRegistry()
     report = run_service_campaign(
         quick=args.quick,
@@ -842,8 +757,8 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
     )
     _finish(
         report.ok,
-        write_service_chaos(report, registry, "results"),
         render_service_chaos(report),
+        lambda: write_service_chaos(report, registry, "results"),
     )
 
 
@@ -858,15 +773,12 @@ def cmd_perf(args: argparse.Namespace) -> None:
     """
     from .analysis.perf import render_report, run_perf, write_bench
 
-    if args.jobs < 0:
-        raise CLIError(f"--jobs must be >= 0, got {args.jobs}")
     bench = run_perf(quick=args.quick, progress=print, jobs=args.jobs)
     out = Path(args.bench_out)
-    write_bench(bench, out)
+    with _writing():
+        write_bench(bench, out)
     report = render_report(bench)
-    results = Path("results")
-    results.mkdir(exist_ok=True)
-    (results / "perf_hotpath.txt").write_text(report + "\n")
+    _save("results/perf_hotpath.txt", report + "\n")
     print()
     print(report)
     print(f"[bench written to {out}]")
@@ -906,6 +818,11 @@ def cmd_perfcmp(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
+#: Names `validate --algorithm` accepts: the exchange registry, then the
+#: irregular names it does not already hold.
+_LINTABLE = tuple(dict.fromkeys((*EXCHANGE_ALGORITHMS, *IRREGULAR_ALGORITHMS)))
+
+
 def cmd_validate(args: argparse.Namespace) -> None:
     """Lint schedules statically; exit 1 if any report fails.
 
@@ -921,7 +838,6 @@ def cmd_validate(args: argparse.Namespace) -> None:
         load_schedule,
         schedule_irregular,
     )
-    from .schedules.irregular import IRREGULAR_ALGORITHMS
 
     if args.schedule is not None:
         try:
@@ -936,29 +852,16 @@ def cmd_validate(args: argparse.Namespace) -> None:
             raise SystemExit(1)
         return
 
-    if args.algorithm is not None and args.algorithm not in _VALIDATE_ALGORITHMS:
-        raise CLIError(
-            f"unknown --algorithm {args.algorithm!r}; choose from "
-            f"{', '.join(_VALIDATE_ALGORITHMS)}"
-        )
-    nprocs = _parse_nprocs(args.nprocs)
+    nprocs = args.nprocs
     nbytes = 256
-    wanted = (
-        _VALIDATE_ALGORITHMS if args.algorithm is None else (args.algorithm,)
-    )
-    exchange_builders = {
-        "linear": linear_exchange,
-        "pairwise": pairwise_exchange,
-        "recursive": recursive_exchange,
-        "balanced": balanced_exchange,
-    }
+    wanted = _LINTABLE if args.algorithm is None else (args.algorithm,)
     synthetic = CommPattern.synthetic(nprocs, 0.5, nbytes, seed=1)
     failures = 0
     for name in wanted:
-        if name in exchange_builders:
+        if name in EXCHANGE_ALGORITHMS:
             pattern = CommPattern.complete_exchange(nprocs, nbytes)
             report = lint_schedule(
-                exchange_builders[name](nprocs, nbytes), pattern
+                EXCHANGE_ALGORITHMS[name](nprocs, nbytes), pattern
             )
             print(report.render())
             failures += not report.ok
@@ -992,7 +895,9 @@ def cmd_conformance(args: argparse.Namespace) -> None:
     )
 
     report = run_conformance(quick=args.quick, progress=print)
-    _finish(report.ok, write_conformance(report), render_conformance(report))
+    _finish(
+        report.ok, render_conformance(report), lambda: write_conformance(report)
+    )
 
 
 def cmd_optgap(args: argparse.Namespace) -> None:
@@ -1008,10 +913,11 @@ def cmd_optgap(args: argparse.Namespace) -> None:
     from .analysis.optgap import render_optgap, run_optgap, write_optgap
 
     report = run_optgap(quick=args.quick, progress=print)
-    _finish(report.ok, write_optgap(report), render_optgap(report))
+    _finish(report.ok, render_optgap(report), lambda: write_optgap(report))
 
 
 def cmd_calibrate(args: argparse.Namespace) -> None:
+    """Fit the machine parameters to the paper's Table 11 anchors."""
     from .analysis.calibrate import fit
 
     if args.quick:
@@ -1029,295 +935,313 @@ def cmd_calibrate(args: argparse.Namespace) -> None:
     print("best parameters:", result.params)
 
 
-COMMANDS = {
-    "schedules": cmd_schedules,
-    "fig5": cmd_fig5,
-    "fig6": cmd_fig6,
-    "fig7": cmd_fig7,
-    "fig8": cmd_fig8,
-    "table5": cmd_table5,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "table11": cmd_table11,
-    "table12": cmd_table12,
-    "topology": cmd_topology,
-    "faults": cmd_faults,
-    "chaos": cmd_chaos,
-    "gantt": cmd_gantt,
-    "report": cmd_report,
-    "calibrate": cmd_calibrate,
-    "perf": cmd_perf,
-    "perfcmp": cmd_perfcmp,
-    "serve-bench": cmd_serve_bench,
-    "serve-chaos": cmd_serve_chaos,
-    "validate": cmd_validate,
-    "conformance": cmd_conformance,
-    "optgap": cmd_optgap,
-    "trace": cmd_trace,
-    "critpath": cmd_critpath,
-    "roottraffic": cmd_roottraffic,
-    "metrics": cmd_metrics,
-    "profile": cmd_profile,
-}
+#: What `all` runs, in order: every exhibit that writes nothing outside
+#: ``--csv`` and needs no input file.
+ALL_EXHIBITS = (
+    "schedules",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table5",
+    "fig10",
+    "fig11",
+    "table11",
+    "table12",
+    "topology",
+    "faults",
+    "gantt",
+    "calibrate",
+    "validate",
+)
 
 
 def cmd_all(args: argparse.Namespace) -> None:
-    for name, fn in COMMANDS.items():
-        if name in (
-            "report",
-            "perf",
-            "perfcmp",
-            "serve-bench",
-            "serve-chaos",
-            "conformance",
-            "optgap",
-            "trace",
-            "critpath",
-            "roottraffic",
-            "chaos",
-            "metrics",
-            "profile",
-        ):
-            continue  # writes files / needs file args; run explicitly
+    """Run every exhibit that needs no input file, each at its defaults."""
+    parser = build_parser()
+    for name in ALL_EXHIBITS:
+        options = COMMANDS[name].options
+        argv = [name]
+        if args.quick and "quick" in options:
+            argv.append("--quick")
+        if args.csv is not None and "csv" in options:
+            argv += ["--csv", str(args.csv)]
+        exhibit = parser.parse_args(argv)
         print(f"\n===== {name} =====")
-        fn(args)
+        exhibit.run(exhibit)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+# ----------------------------------------------------------------------
+# Argument specs
+# ----------------------------------------------------------------------
+def _checked(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[str], Any]:
+    """An argparse ``type=``: parse with ``kind``, then require ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse says "invalid int value"
+    return parse
+
+
+_POWER_OF_TWO = _checked(
+    int, lambda n: n >= 2 and not n & (n - 1),
+    "a power of two >= 2 (CM-5 partition rule)",
+)
+_NON_NEGATIVE_INT = _checked(int, lambda n: n >= 0, ">= 0")
+_POSITIVE_INT = _checked(int, lambda n: n > 0, "> 0")
+_NON_NEGATIVE_FLOAT = _checked(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
+_POSITIVE_FLOAT = _checked(float, lambda x: 0 < x < math.inf, "finite and > 0")
+
+
+def _option(flag: str, **kwargs: Any) -> Tuple[str, Dict[str, Any]]:
+    return flag, kwargs
+
+
+#: Every option any command takes, defined once: ``name -> (flag,
+#: add_argument keywords)``.  Two names share a flag where two commands
+#: give it different meanings (``--algorithm``, ``--check``).
+OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "quick": _option(
+        "--quick", action="store_true",
+        help="shrink sweeps to small machines (smoke run)",
+    ),
+    "csv": _option(
+        "--csv", type=Path, metavar="DIR",
+        help="also write figure data as CSV under DIR",
+    ),
+    # fault injection
+    "straggler": _option(
+        "--straggler", action="append", metavar="RANK:FACTOR",
+        help="slow one rank's local work by FACTOR (repeatable)",
+    ),
+    "degrade": _option(
+        "--degrade", action="append", metavar="LEVEL:INDEX:FACTOR",
+        help="scale one fat-tree link's bandwidth by FACTOR (repeatable)",
+    ),
+    "drop": _option(
+        "--drop", type=float, default=0.0, metavar="PROB",
+        help="drop each message with probability PROB (repaired by retries)",
+    ),
+    "delay": _option(
+        "--delay", metavar="PROB[:SECONDS]",
+        help="delay each message with probability PROB by SECONDS",
+    ),
+    "fault_seed": _option(
+        "--fault-seed", type=int, default=0, metavar="N",
+        help="seed for fault decisions; offsets the campaign seeds",
+    ),
+    "plan": _option(
+        "--plan", metavar="FILE",
+        help="load a FaultPlan from a JSON file (overrides the fault flags)",
+    ),
+    # performance benchmarking
+    "bench_out": _option(
+        "--bench-out", default="BENCH_sim.json", metavar="FILE",
+        help="where to write the BENCH document",
+    ),
+    "baseline": _option(
+        "--baseline", default="benchmarks/BENCH_baseline.json", metavar="FILE",
+        help="baseline BENCH document",
+    ),
+    "current": _option(
+        "--current", default="BENCH_sim.json", metavar="FILE",
+        help="current BENCH document",
+    ),
+    "threshold": _option(
+        "--threshold", type=_POSITIVE_FLOAT, default=0.10, metavar="FRACTION",
+        help="relative wall-clock slack before a workload fails (default 0.10)",
+    ),
+    "min_delta": _option(
+        "--min-delta", type=_NON_NEGATIVE_FLOAT, default=0.05, metavar="SECONDS",
+        help="absolute wall-clock floor below which a delta is scheduler "
+        "noise regardless of ratio (default 0.05)",
+    ),
+    # scheduling service
+    "requests": _option(
+        "--requests", type=_POSITIVE_INT, metavar="N",
+        help="requests per workload (default: scale preset)",
+    ),
+    "corpus": _option(
+        "--corpus", type=_POSITIVE_INT, metavar="N",
+        help="distinct patterns per workload (default: scale preset)",
+    ),
+    "skew": _option(
+        "--skew", type=_NON_NEGATIVE_FLOAT, default=1.1, metavar="S",
+        help="Zipf skew of the request mix (0 = uniform, default 1.1)",
+    ),
+    "arrival": _option(
+        "--arrival", choices=arrival_names(), default="poisson",
+        help="arrival process (default poisson)",
+    ),
+    "jobs": _option(
+        "--jobs", type=_NON_NEGATIVE_INT, default=0, metavar="N",
+        help="worker processes (0 = inline, the default)",
+    ),
+    "runs": _option(
+        "--runs", type=_POSITIVE_INT, metavar="N",
+        help="scenario count (default: scale preset)",
+    ),
+    "force": _option(
+        "--force", action="store_true",
+        help="overwrite a full-scale BENCH_service.json from a non-full run",
+    ),
+    # schedule validation and observability runs
+    "nprocs": _option(
+        "--nprocs", type=_POWER_OF_TWO, default=8, metavar="N",
+        help="partition size, a power of two >= 2 (default 8)",
+    ),
+    "lint_algorithm": _option(
+        "--algorithm", choices=_LINTABLE,
+        help="lint only this algorithm (default: all)",
+    ),
+    "schedule": _option(
+        "--schedule", metavar="FILE",
+        help="lint a saved schedule JSON instead of generator outputs",
+    ),
+    "algorithm": _option(
+        "--algorithm", choices=tuple(EXCHANGE_ALGORITHMS), default="balanced",
+        help="complete-exchange algorithm to run (default balanced)",
+    ),
+    "nbytes": _option(
+        "--nbytes", type=_NON_NEGATIVE_INT, default=512, metavar="B",
+        help="bytes per pair (default 512)",
+    ),
+    "out": _option(
+        "--out", metavar="FILE",
+        help="where to write the artifact (default under results/)",
+    ),
+    "trace": _option(
+        "--trace", metavar="FILE",
+        help="analyze a previously exported perfetto trace instead of running",
+    ),
+    "check_file": _option(
+        "--check", metavar="FILE",
+        help="validate FILE against repro-trace/1 instead of running",
+    ),
+    "check": _option(
+        "--check", nargs="?", const=True, metavar="FILE",
+        help="bare: validate the emitted document; with FILE: validate "
+        "an existing artifact instead of running",
+    ),
+    "format": _option(
+        "--format", choices=("json", "prom"), default="json",
+        help="repro-metrics/1 JSON snapshot (default) or Prometheus text",
+    ),
+    "mode": _option(
+        "--mode", choices=("phases", "sample"), default="phases",
+        help="deterministic per-phase call counters (default) or "
+        "collapsed-stack flamegraph samples",
+    ),
+    "workload": _option(
+        "--workload", choices=profile_workload_names(),
+        default="pex_n256_b512", metavar="NAME",
+        help="perf workload to profile (default pex_n256_b512)",
+    ),
+    "interval": _option(
+        "--interval", type=_POSITIVE_FLOAT, default=0.002, metavar="SECONDS",
+        help="sampling interval for --mode sample (default 0.002)",
+    ),
+}
+
+
+class Command(NamedTuple):
+    """One subcommand: its function and the options it reads."""
+
+    run: Callable[[argparse.Namespace], None]
+    #: Names in :data:`OPTIONS`: exactly the attributes ``run`` reads.
+    options: Tuple[str, ...] = ()
+
+
+_FIGURE = ("quick", "csv")
+_EXCHANGE_RUN = ("nprocs", "algorithm", "nbytes")
+
+COMMANDS: Dict[str, Command] = {
+    "schedules": Command(cmd_schedules),
+    "fig5": Command(cmd_fig5, _FIGURE),
+    "fig6": Command(cmd_fig6, _FIGURE),
+    "fig7": Command(cmd_fig7, _FIGURE),
+    "fig8": Command(cmd_fig8, _FIGURE),
+    "table5": Command(cmd_table5, ("quick",)),
+    "fig10": Command(cmd_fig10, _FIGURE),
+    "fig11": Command(cmd_fig11, _FIGURE),
+    "table11": Command(cmd_table11, ("quick",)),
+    "table12": Command(cmd_table12, ("quick",)),
+    "topology": Command(cmd_topology, ("quick",)),
+    "faults": Command(
+        cmd_faults,
+        ("quick", "straggler", "degrade", "drop", "delay", "fault_seed", "plan"),
+    ),
+    "chaos": Command(cmd_chaos, ("quick", "jobs", "fault_seed", "plan")),
+    "gantt": Command(cmd_gantt, ("quick", "trace")),
+    "report": Command(cmd_report),
+    "calibrate": Command(cmd_calibrate, ("quick",)),
+    "perf": Command(cmd_perf, ("quick", "jobs", "bench_out")),
+    "perfcmp": Command(
+        cmd_perfcmp, ("baseline", "current", "threshold", "min_delta")
+    ),
+    "serve-bench": Command(
+        cmd_serve_bench,
+        ("quick", "requests", "corpus", "skew", "arrival", "jobs", "force"),
+    ),
+    "serve-chaos": Command(cmd_serve_chaos, ("quick", "runs", "fault_seed")),
+    "validate": Command(cmd_validate, ("nprocs", "lint_algorithm", "schedule")),
+    "conformance": Command(cmd_conformance, ("quick",)),
+    "optgap": Command(cmd_optgap, ("quick",)),
+    "trace": Command(cmd_trace, (*_EXCHANGE_RUN, "out", "check_file")),
+    "critpath": Command(cmd_critpath, (*_EXCHANGE_RUN, "trace")),
+    "roottraffic": Command(cmd_roottraffic, ("nprocs", "nbytes")),
+    "metrics": Command(cmd_metrics, (*_EXCHANGE_RUN, "format", "out", "check")),
+    "profile": Command(cmd_profile, ("mode", "workload", "interval", "out")),
+    "all": Command(cmd_all, _FIGURE),
+}
+
+#: Flag -> the value it names in help, for "expected FILE" messages.
+_METAVARS = {
+    flag: kwargs["metavar"]
+    for flag, kwargs in OPTIONS.values()
+    if "metavar" in kwargs
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every complaint is one ``error:`` line and exit 2."""
+
+    def error(self, message: str):
+        # argparse names a bare option, not the value it lacks.
+        bare = re.fullmatch(r"argument (\S+): expected one argument", message)
+        if bare and bare[1] in _METAVARS:
+            message = f"argument {bare[1]}: expected {_METAVARS[bare[1]]}"
+        raise CLIError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per :data:`COMMANDS` entry, holding only its options."""
+    parser = _Parser(
         prog="cm5-repro",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(COMMANDS) + ["all"],
-        help="which exhibit to regenerate",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shrink sweeps to small machines (smoke run)",
-    )
-    parser.add_argument(
-        "--csv",
-        type=Path,
-        default=None,
-        metavar="DIR",
-        help="also write figure data as CSV under DIR",
-    )
-    fault_group = parser.add_argument_group(
-        "fault injection (the `faults` experiment)"
-    )
-    fault_group.add_argument(
-        "--straggler",
-        action="append",
-        metavar="RANK:FACTOR",
-        help="slow one rank's local work by FACTOR (repeatable)",
-    )
-    fault_group.add_argument(
-        "--degrade",
-        action="append",
-        metavar="LEVEL:INDEX:FACTOR",
-        help="scale one fat-tree link's bandwidth by FACTOR (repeatable)",
-    )
-    fault_group.add_argument(
-        "--drop",
-        type=float,
-        default=0.0,
-        metavar="PROB",
-        help="drop each message with probability PROB (repaired by retries)",
-    )
-    fault_group.add_argument(
-        "--delay",
-        metavar="PROB[:SECONDS]",
-        help="delay each message with probability PROB by SECONDS",
-    )
-    fault_group.add_argument(
-        "--fault-seed", type=int, default=0, help="seed for fault decisions"
-    )
-    fault_group.add_argument(
-        "--plan",
-        metavar="FILE",
-        help="load a FaultPlan from a JSON file (overrides the flags above)",
-    )
-    perf_group = parser.add_argument_group(
-        "performance benchmarking (`perf` / `perfcmp`)"
-    )
-    perf_group.add_argument(
-        "--bench-out",
-        default="BENCH_sim.json",
-        metavar="FILE",
-        help="where `perf` writes its BENCH document",
-    )
-    perf_group.add_argument(
-        "--baseline",
-        default="benchmarks/BENCH_baseline.json",
-        metavar="FILE",
-        help="baseline BENCH document for `perfcmp`",
-    )
-    perf_group.add_argument(
-        "--current",
-        default="BENCH_sim.json",
-        metavar="FILE",
-        help="current BENCH document for `perfcmp`",
-    )
-    perf_group.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative wall-clock slack before `perfcmp` fails (default 0.10)",
-    )
-    perf_group.add_argument(
-        "--min-delta",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="absolute wall-clock floor below which `perfcmp` treats a "
-        "delta as scheduler noise regardless of ratio (default 0.05)",
-    )
-    service_group = parser.add_argument_group(
-        "scheduling service (`serve-bench`; `--jobs` also serves `chaos`/`perf`)"
-    )
-    service_group.add_argument(
-        "--requests",
-        type=int,
-        default=None,
-        metavar="N",
-        help="requests per serve-bench workload (default: scale preset)",
-    )
-    service_group.add_argument(
-        "--corpus",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distinct patterns per serve-bench workload",
-    )
-    service_group.add_argument(
-        "--skew",
-        type=float,
-        default=1.1,
-        metavar="S",
-        help="Zipf skew of the request mix (0 = uniform, default 1.1)",
-    )
-    service_group.add_argument(
-        "--arrival",
-        default="poisson",
-        metavar="NAME",
-        help="arrival process: poisson, bursty, closed-loop",
-    )
-    service_group.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for cold builds / chaos runs / perf "
-        "workloads (0 = inline)",
-    )
-    service_group.add_argument(
-        "--runs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scenario count for `serve-chaos` (default: scale preset)",
-    )
-    service_group.add_argument(
-        "--force",
-        action="store_true",
-        help="let `serve-bench` overwrite a full-scale BENCH_service.json "
-        "from a non-full run",
-    )
-    validate_group = parser.add_argument_group(
-        "schedule validation (`validate` / `conformance`)"
-    )
-    validate_group.add_argument(
-        "--nprocs",
-        type=int,
-        default=8,
-        metavar="N",
-        help="partition size for `validate` (power of two >= 2)",
-    )
-    validate_group.add_argument(
-        "--algorithm",
-        default=None,
-        metavar="NAME",
-        help="restrict `validate` to one algorithm "
-        f"({', '.join(_VALIDATE_ALGORITHMS)})",
-    )
-    validate_group.add_argument(
-        "--schedule",
-        default=None,
-        metavar="FILE",
-        help="lint a saved schedule JSON instead of generator outputs",
-    )
-    obs_group = parser.add_argument_group(
-        "observability (`trace` / `critpath` / `roottraffic` / `gantt` / "
-        "`metrics` / `profile`)"
-    )
-    obs_group.add_argument(
-        "--format",
-        default="perfetto",
-        metavar="FMT",
-        help="trace export format for `trace` (only 'perfetto'); "
-        "exposition format for `metrics` ('prom' or 'json', default json)",
-    )
-    obs_group.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="where `trace` writes its export "
-        "(default results/trace_<algo>_n<N>.json)",
-    )
-    obs_group.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="analyze a previously exported perfetto trace "
-        "(`critpath` / `gantt`)",
-    )
-    obs_group.add_argument(
-        "--nbytes",
-        type=int,
-        default=512,
-        metavar="B",
-        help="bytes per pair for observability runs (default 512)",
-    )
-    obs_group.add_argument(
-        "--check",
-        nargs="?",
-        const=True,
-        default=None,
-        metavar="FILE",
-        help="`trace`: validate FILE against repro-trace/1 instead of "
-        "running; `metrics`: bare flag validates the emitted document, "
-        "with FILE validates an existing artifact",
-    )
-    obs_group.add_argument(
-        "--mode",
-        default="phases",
-        metavar="MODE",
-        help="`profile` mode: 'phases' (deterministic per-phase call "
-        "counters) or 'sample' (collapsed-stack flamegraph)",
-    )
-    obs_group.add_argument(
-        "--workload",
-        default="pex_n256_b512",
-        metavar="NAME",
-        help="perf workload for `profile` (default pex_n256_b512)",
-    )
-    obs_group.add_argument(
-        "--interval",
-        type=float,
-        default=0.002,
-        metavar="SECONDS",
-        help="sampling interval for `profile --mode sample` (default 0.002)",
-    )
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(metavar="command", required=True)
+    for name, (run, options) in COMMANDS.items():
+        doc = run.__doc__ or ""
+        sub = commands.add_parser(
+            name, help=doc.split("\n")[0], description=doc
+        )
+        for option in options:
+            flag, kwargs = OPTIONS[option]
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     try:
-        if args.experiment == "all":
-            cmd_all(args)
-        else:
-            COMMANDS[args.experiment](args)
+        args = build_parser().parse_args(argv)
+        args.run(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,8 @@ invariants on every run:
 * **byte-identical replay** — re-running the same seed reproduces the
   engine's event stream, the manifest, and the makespan exactly.
 
-Everything is derived from the seed: ``chaos --seed-base K`` is fully
-reproducible, and a failing seed is a standalone repro.  Results land in
+Everything is derived from the seed: ``repro chaos --fault-seed K`` is
+fully reproducible, and a failing seed is a standalone repro.  Results land in
 ``results/chaos.{txt,json}`` (schema ``repro-chaos/1``).
 """
 

@@ -4,7 +4,7 @@ Regular patterns (Section 3):
 
 * :func:`linear_exchange` (LEX), :func:`pairwise_exchange` (PEX),
   :func:`recursive_exchange` (REX), :func:`balanced_exchange` (BEX) —
-  complete exchange;
+  complete exchange, by name in the :data:`EXCHANGE_ALGORITHMS` registry;
 * :func:`linear_broadcast` (LIB), :func:`recursive_broadcast` (REB).
 
 Irregular patterns (Section 4), driven by a :class:`CommPattern`:
@@ -40,7 +40,12 @@ from .rex import recursive_exchange, rex_partner, verify_block_routing
 from .bex import balanced_exchange, balanced_schedule, bex_partner
 from .broadcast import linear_broadcast, recursive_broadcast
 from .greedy import greedy_schedule
-from .irregular import IRREGULAR_ALGORITHMS, algorithm_names, schedule_irregular
+from .irregular import (
+    EXCHANGE_ALGORITHMS,
+    IRREGULAR_ALGORITHMS,
+    algorithm_names,
+    schedule_irregular,
+)
 from .coloring import coloring_schedule, optimal_step_count
 from .localsearch import local_schedule
 from .bound import (
@@ -102,6 +107,7 @@ __all__ = [
     "linear_broadcast",
     "recursive_broadcast",
     "greedy_schedule",
+    "EXCHANGE_ALGORITHMS",
     "IRREGULAR_ALGORITHMS",
     "algorithm_names",
     "schedule_irregular",

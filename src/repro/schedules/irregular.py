@@ -1,24 +1,27 @@
-"""Facade over the four irregular-pattern schedulers (Section 4).
+"""Name registries of the schedulers: complete exchange and irregular.
 
-The paper evaluates Linear (LS), Pairwise (PS), Balanced (BS) and Greedy
-(GS) scheduling of a ``Pattern`` matrix.  This module gives them one
-dispatchable registry so the benchmark harness and CLI can sweep
-algorithms by name.
+The paper evaluates four complete-exchange algorithms (Section 3:
+LEX/PEX/REX/BEX) and Linear (LS), Pairwise (PS), Balanced (BS) and
+Greedy (GS) scheduling of a ``Pattern`` matrix (Section 4).  This
+module gives each family one dispatchable registry so the benchmark
+harness, the conformance harness and the CLI sweep algorithms by name.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .bex import balanced_schedule
+from .bex import balanced_exchange, balanced_schedule
 from .greedy import greedy_schedule
-from .lex import linear_schedule
+from .lex import linear_exchange, linear_schedule
 from .localsearch import local_schedule
 from .pattern import CommPattern
-from .pex import pairwise_schedule
+from .pex import pairwise_exchange, pairwise_schedule
+from .rex import recursive_exchange
 from .schedule import Schedule
 
 __all__ = [
+    "EXCHANGE_ALGORITHMS",
     "IRREGULAR_ALGORITHMS",
     "schedule_irregular",
     "linear_schedule",
@@ -27,6 +30,14 @@ __all__ = [
     "greedy_schedule",
     "local_schedule",
 ]
+
+#: The paper's four complete-exchange algorithms, by Table 5's names.
+EXCHANGE_ALGORITHMS: Dict[str, Callable[[int, int], Schedule]] = {
+    "linear": linear_exchange,
+    "pairwise": pairwise_exchange,
+    "recursive": recursive_exchange,
+    "balanced": balanced_exchange,
+}
 
 #: Paper Section 4's algorithms, keyed by the names used in Tables 11-12,
 #: plus the repository's local-search refinement ("local" — not in the

@@ -28,8 +28,14 @@ mix:
   the number of files the scenario mangled, while torn ``.tmp`` writes
   stay invisible.
 
-Everything is derived from the seed (``repro serve-chaos --seed-base
-K`` replays a campaign); a failing seed is a standalone repro.  Results
+A seed always reproduces its scenario: the corpus, the requests, the
+guard config and the injection stream (``repro serve-chaos --fault-seed
+K`` offsets the seeds of a campaign).  It reproduces the exact row only
+when the scenario runs one driver thread inline (no worker pool): with
+several threads or a worker, the order in which requests draw from the
+chaos hook's shared RNG follows thread interleaving and worker
+respawns, so injection and breaker-trip counts can differ between runs
+of the same seed.  Results
 land in ``results/service_chaos.{txt,json}`` plus a merged
 ``repro-metrics/1`` snapshot in ``results/service_chaos_metrics.json``
 for ``repro metrics --check``.

@@ -174,12 +174,8 @@ class Engine:
         self.net = FluidNetwork(
             self.tree, seed=seed, link_scales=self.faults.link_scales
         )
-        #: Bulk completion pop, resolved once: substitute network
-        #: implementations (the equivalence tests' reference network)
-        #: may only provide the per-FlowState pop_completed.
-        self._pop_completed_keys = getattr(
-            self.net, "pop_completed_keys", None
-        ) or (lambda t: [f.key for f in self.net.pop_completed(t)])
+        #: Bulk completion pop, bound once.
+        self._pop_completed_keys = self.net.pop_completed_keys
         self.tracer = tracer
         #: Cause dict for the resume that will close a rank's open op;
         #: set just before scheduling the resume, popped in _resume.

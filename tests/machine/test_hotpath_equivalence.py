@@ -146,6 +146,9 @@ class ReferenceFluidNetwork:
             self._dirty = True
         return done
 
+    def pop_completed_keys(self, t: float) -> List[Hashable]:
+        return [f.key for f in self.pop_completed(t)]
+
     def _recompute(self) -> None:
         flows = list(self._flows.values())
         if flows:

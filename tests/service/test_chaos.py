@@ -48,6 +48,16 @@ class TestRuns:
         # every request terminated: response or structured error
         assert run.responses + sum(run.errors.values()) == run.requests
 
+    def test_inline_scenario_replays_from_its_seed(self):
+        # One driver thread and no worker pool: nothing interleaves the
+        # chaos hook's draws, so the seed pins the whole row.
+        scenario = _make_scenario(1)
+        assert (scenario.kind, scenario.threads, scenario.workers) == (
+            "slow_build", 1, 0
+        )
+        first = _run_scenario(1, MetricsRegistry())
+        assert _run_scenario(1, MetricsRegistry()) == first
+
     def test_corruption_scenario_quarantines(self, capsys):
         run = _run_scenario(5, MetricsRegistry())  # disk_corruption kind
         capsys.readouterr()

@@ -52,9 +52,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "model ms" in out and "best parameters" in out
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["warp-drive"])
+    def test_unknown_experiment_rejected(self, capsys):
+        assert main(["warp-drive"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_topology_quick(self, capsys):
         assert main(["topology", "--quick"]) == 0
@@ -668,3 +669,67 @@ class TestProfileCommand:
             == 2
         )
         assert "interval" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Each command takes only its own options; bad input exits 2."""
+
+    @staticmethod
+    def _one_error_line(capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+        return captured
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--nprocs", "64"],
+            ["validate", "--nbytes", "9"],
+            ["validate", "--jobs", "4"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        captured = self._one_error_line(capsys)
+        assert argv[1] in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command", ["trace", "critpath", "roottraffic", "metrics"]
+    )
+    def test_negative_nbytes_exits_2(self, capsys, command):
+        assert main([command, "--nprocs", "8", "--nbytes", "-5"]) == 2
+        captured = self._one_error_line(capsys)
+        assert "--nbytes" in captured.err and captured.out == ""
+
+    def test_validate_algorithm_choices(self):
+        from repro.cli import OPTIONS
+
+        _, spec = OPTIONS["lint_algorithm"]
+        assert tuple(spec["choices"]) == (
+            "linear", "pairwise", "recursive", "balanced", "greedy", "local"
+        )
+
+    @staticmethod
+    def _blocked(tmp_path):
+        # A path under a regular file: creating or writing it fails.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return blocker / "sub"
+
+    def test_unwritable_csv_dir_exits_2(self, tmp_path, capsys):
+        csv = self._blocked(tmp_path)
+        assert main(["fig10", "--quick", "--csv", str(csv)]) == 2
+        assert "cannot write" in self._one_error_line(capsys).err
+
+    def test_unwritable_trace_out_exits_2(self, tmp_path, capsys):
+        out = self._blocked(tmp_path) / "trace.json"
+        argv = ["trace", "--nprocs", "8", "--nbytes", "128", "--out", str(out)]
+        assert main(argv) == 2
+        assert "cannot write" in self._one_error_line(capsys).err
+
+    def test_unwritable_metrics_out_exits_2(self, tmp_path, capsys):
+        out = self._blocked(tmp_path) / "metrics.json"
+        argv = ["metrics", "--nprocs", "8", "--nbytes", "128", "--out", str(out)]
+        assert main(argv) == 2
+        assert "cannot write" in self._one_error_line(capsys).err
