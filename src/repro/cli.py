@@ -32,6 +32,7 @@ import contextlib
 import math
 import re
 import sys
+import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -997,6 +998,19 @@ _NON_NEGATIVE_FLOAT = _checked(float, lambda x: 0 <= x < math.inf, "finite and >
 _POSITIVE_FLOAT = _checked(float, lambda x: 0 < x < math.inf, "finite and > 0")
 
 
+def _writable_dir(text: str) -> Path:
+    """An argparse ``type=`` for an output directory: created and probed
+    with a scratch file while parsing, so an unwritable one exits 2
+    before any work runs or prints."""
+    path = Path(text)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=path).close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write output: {exc}") from None
+    return path
+
+
 def _option(flag: str, **kwargs: Any) -> Tuple[str, Dict[str, Any]]:
     return flag, kwargs
 
@@ -1010,7 +1024,7 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
         help="shrink sweeps to small machines (smoke run)",
     ),
     "csv": _option(
-        "--csv", type=Path, metavar="DIR",
+        "--csv", type=_writable_dir, metavar="DIR",
         help="also write figure data as CSV under DIR",
     ),
     # fault injection

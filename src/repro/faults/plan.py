@@ -29,6 +29,7 @@ regression test relies on this).  Plans serialize to/from JSON for the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -96,11 +97,15 @@ class NodeStraggler:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank}")
-        if self.factor < 1.0:
-            raise ValueError(f"straggler factor must be >= 1, got {self.factor}")
-        if self.overhead_factor < 1.0:
+        # Written so NaN fails too (every comparison with NaN is False).
+        if not 1.0 <= self.factor < math.inf:
             raise ValueError(
-                f"overhead_factor must be >= 1, got {self.overhead_factor}"
+                f"straggler factor must be finite and >= 1, got {self.factor}"
+            )
+        if not 1.0 <= self.overhead_factor < math.inf:
+            raise ValueError(
+                "overhead_factor must be finite and >= 1, "
+                f"got {self.overhead_factor}"
             )
 
 
@@ -121,8 +126,10 @@ class MessageDelay:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.seconds < 0:
-            raise ValueError(f"delay seconds must be >= 0, got {self.seconds}")
+        if not 0.0 <= self.seconds < math.inf:
+            raise ValueError(
+                f"delay seconds must be finite and >= 0, got {self.seconds}"
+            )
 
 
 @dataclass(frozen=True)
@@ -149,9 +156,10 @@ class MessageDrop:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.detect_seconds < 0:
+        if not 0.0 <= self.detect_seconds < math.inf:
             raise ValueError(
-                f"detect_seconds must be >= 0, got {self.detect_seconds}"
+                "detect_seconds must be finite and >= 0, "
+                f"got {self.detect_seconds}"
             )
         if self.max_consecutive < 1:
             raise ValueError(
@@ -180,11 +188,12 @@ class NodeFailure:
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be >= 0, got {self.rank}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise ValueError(f"failure time must be >= 0, got {self.at}")
-        if self.detect_seconds < 0:
+        if not 0.0 <= self.detect_seconds < math.inf:
             raise ValueError(
-                f"detect_seconds must be >= 0, got {self.detect_seconds}"
+                "detect_seconds must be finite and >= 0, "
+                f"got {self.detect_seconds}"
             )
 
 

@@ -16,29 +16,31 @@
  * arguments):
  *
  *   max_min_fill(12 arrays)           cold path of bandwidth.max_min_rates
- *   add(tab, slot, key, wire, rate_cap, now, payload, src, dst,
- *       routes, off, length)          append one flow
- *   advance(tab, n, dt)               drain every flow by dt
- *   recompute(tab, n, c, cap)         reallocate rates
- *   recompute_scan(tab, n, c, cap, eps) -> offset | None
- *   scan(tab, n, eps)                 -> offset | None
- *   retire(tab, n, dt, eps)           -> list of completed keys
+ *   begin(st, t, key, wire, rate_cap, payload, src, dst,
+ *         routes, off, length) -> bool  advance to t, append one flow
+ *   advance(st, dt)                   drain every flow by dt
+ *   recompute(st)                     reallocate rates
+ *   earliest(st) -> time | None       next completion (None: a stall)
+ *   retire(st, t) -> keys             drain to t, retire drained flows
  *
- * The hot entry points take ``tab``, the address of the FluidNetwork's
- * pointer table: one address per buffer, in the order of the TABLE tuple
- * this module exports (the T_* enum below).  ``routes`` is the address
- * of the fat tree's flat route table (FatTree.route_buffer), passed per
+ * The hot entry points take ``st``, the network's FlowStore: the
+ * flow store's scalar state (live count, clock, dirty and changed
+ * flags, memoized next completion, arm generation) and its pointer
+ * table, one address per buffer in the order of the TABLE tuple this
+ * module exports (the T_* enum below).  ``routes`` is the address of
+ * the fat tree's flat route table (FatTree.route_buffer), passed per
  * call because that table is shared by every network over the tree and
  * may be reallocated by any of them.  The Python side owns every
- * buffer, keeps the table current across reallocations, and guarantees
- * n <= slot capacity.
+ * buffer and keeps the table current across reallocations.
  *
  * The EventQueue type (end of file) is the compiled twin of
  * repro.sim.events.EventQueue: push / pop / peek_time / len, and
- * run(engine), the engine's drain loop.
+ * run(engine), the engine's drain loop, which also runs the network's
+ * arm–check–retire cycle on the engine's FlowStore.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 #include <stdint.h>
 #include <string.h>
 #include <math.h>
@@ -271,171 +273,267 @@ static void advance(void **p, int64_t nflows, double dt) {
 }
 
 /* Earliest-completion scan with the NumPy scan's precedence: a done
- * flow first (offset 0.0), a zero-rate flow second (None: the caller
- * assembles the NetworkStallError), else the minimum of wire/rate. */
-static PyObject *scan(void **p, int64_t nflows, double done_eps) {
+ * flow first (offset 0.0), a zero-rate flow second (returns 0: the
+ * caller names the stall), else *best = the minimum of wire/rate. */
+static int scan(void **p, int64_t nflows, double done_eps, double *best) {
     const double *wire = p[T_WIRE];
     const double *rate = p[T_RATE];
-    double best = INFINITY;
     int stalled = 0;
     int64_t f;
+    *best = INFINITY;
     for (f = 0; f < nflows; f++) {
         if (wire[f] <= done_eps) {
-            return PyFloat_FromDouble(0.0);
+            *best = 0.0;
+            return 1;
         }
         if (rate[f] <= 0.0) {
             stalled = 1;
         } else {
             double v = wire[f] / rate[f];
-            if (v < best) {
-                best = v;
+            if (v < *best) {
+                *best = v;
             }
         }
     }
-    if (stalled) {
-        Py_RETURN_NONE;
-    }
-    return PyFloat_FromDouble(best);
+    return !stalled;
 }
 
 /* ------------------------------------------------------------------
- * Argument conversion.  Each helper returns 0, or -1 with an exception
- * set; the entry points check arity first. */
+ * The flow store: the scalar state of a FluidNetwork's flow columns
+ * (live count, clock, dirty and changed flags, memoized next
+ * completion, arm generation) and its pointer table, in one object
+ * that FluidNetwork and the kernels both read and write.  ``keys`` is
+ * the network's set of live keys (FluidNetwork._key_set): begin adds to
+ * it and retire discards from it.  ``buffers`` keeps the arrays the
+ * table points into alive for as long as the store is. */
 
-static int arg_ptr(PyObject *o, void ***out) {
-    *out = (void **)PyLong_AsVoidPtr(o);
-    return (*out == NULL && PyErr_Occurred()) ? -1 : 0;
-}
+typedef struct {
+    PyObject_HEAD
+    void *tab[T_SIZE];
+    PyObject *buffers;
+    PyObject *keys;
+    double contention;
+    double contention_cap;
+    double done_eps;
+    long long cap;
+    long long n;
+    double now;
+    double next;
+    char has_next;
+    char dirty;
+    char changed;
+    unsigned long long gen;
+    unsigned long long allocations;
+} StoreObject;
 
-static int arg_i64(PyObject *o, int64_t *out) {
-    *out = (int64_t)PyLong_AsLongLong(o);
-    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
-}
+static PyTypeObject StoreType;
 
-static int arg_f64(PyObject *o, double *out) {
-    *out = PyFloat_AsDouble(o);
-    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
-}
-
-static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
-    if (nargs != want) {
-        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
-                     name, want, nargs);
-        return -1;
+static PyObject *store_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
+    PyObject *keys;
+    double c, ccap, eps;
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
+        PyErr_SetString(PyExc_TypeError, "FlowStore() takes no keyword arguments");
+        return NULL;
     }
+    if (!PyArg_ParseTuple(args, "O!ddd:FlowStore", &PySet_Type, &keys, &c,
+                          &ccap, &eps)) {
+        return NULL;
+    }
+    StoreObject *st = (StoreObject *)type->tp_alloc(type, 0);
+    if (st == NULL) {
+        return NULL;
+    }
+    Py_INCREF(keys);
+    st->keys = keys;
+    st->contention = c;
+    st->contention_cap = ccap;
+    st->done_eps = eps;
+    return (PyObject *)st;
+}
+
+static int store_traverse(StoreObject *st, visitproc visit, void *arg) {
+    Py_VISIT(st->buffers);
+    Py_VISIT(st->keys);
     return 0;
 }
 
-/* ------------------------------------------------------------------
- * Hot entry points. */
+static int store_clear(StoreObject *st) {
+    memset(st->tab, 0, sizeof(st->tab));
+    st->n = st->cap = 0;
+    Py_CLEAR(st->buffers);
+    Py_CLEAR(st->keys);
+    return 0;
+}
 
-static PyObject *py_add(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    void **p;
-    void **routes;
-    int64_t slot, payload, src, dst, off, length;
-    double wire, rate_cap, now;
-    if (check_nargs("add", nargs, 12) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &slot) < 0 || arg_f64(args[3], &wire) < 0
-        || arg_f64(args[4], &rate_cap) < 0 || arg_f64(args[5], &now) < 0
-        || arg_i64(args[6], &payload) < 0 || arg_i64(args[7], &src) < 0
-        || arg_i64(args[8], &dst) < 0 || arg_ptr(args[9], &routes) < 0
-        || arg_i64(args[10], &off) < 0 || arg_i64(args[11], &length) < 0) {
+static void store_dealloc(StoreObject *st) {
+    PyObject_GC_UnTrack(st);
+    store_clear(st);
+    Py_TYPE(st)->tp_free((PyObject *)st);
+}
+
+/* set_table(addresses, buffers, capacity): point the kernels at a new
+ * set of column arrays (one address per TABLE entry, 0 for an absent
+ * one) holding room for ``capacity`` flows. */
+static PyObject *store_set_table(StoreObject *st, PyObject *const *args,
+                                 Py_ssize_t nargs) {
+    void *tab[T_SIZE];
+    long long cap;
+    if (nargs != 3 || !PyTuple_Check(args[0]) || !PyTuple_Check(args[1])
+        || PyTuple_GET_SIZE(args[0]) != T_SIZE) {
+        PyErr_SetString(PyExc_TypeError,
+                        "set_table(addresses, buffers, capacity) takes a "
+                        "tuple of one address per TABLE entry");
         return NULL;
     }
-    int64_t *ptr = p[T_FLOW_PTR];
-    int64_t used = ptr[slot];
-    memcpy((int64_t *)p[T_CSR] + used, (const int64_t *)routes + off,
-           (size_t)length * sizeof(int64_t));
-    ptr[slot + 1] = used + length;
-    ((double *)p[T_WIRE])[slot] = wire;
-    ((double *)p[T_RATE])[slot] = 0.0;
-    ((double *)p[T_RATE_CAP])[slot] = rate_cap;
-    ((double *)p[T_STARTED])[slot] = now;
-    ((int64_t *)p[T_PAYLOAD])[slot] = payload;
-    ((int64_t *)p[T_SRCS])[slot] = src;
-    ((int64_t *)p[T_DSTS])[slot] = dst;
-    PyObject **keys = p[T_KEYS];
-    PyObject *key = args[2];
-    PyObject *old = keys[slot];
-    Py_INCREF(key);
-    keys[slot] = key;
-    Py_XDECREF(old);
+    cap = PyLong_AsLongLong(args[2]);
+    if (cap == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    for (int i = 0; i < T_SIZE; i++) {
+        tab[i] = PyLong_AsVoidPtr(PyTuple_GET_ITEM(args[0], i));
+        if (tab[i] == NULL && PyErr_Occurred()) {
+            return NULL;
+        }
+    }
+    memcpy(st->tab, tab, sizeof(tab));
+    st->cap = cap;
+    Py_INCREF(args[1]);
+    Py_XSETREF(st->buffers, args[1]);
     Py_RETURN_NONE;
 }
 
-static PyObject *py_advance(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    void **p;
-    int64_t n;
-    double dt;
-    if (check_nargs("advance", nargs, 3) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &dt) < 0) {
-        return NULL;
+static PyObject *store_get_next(StoreObject *st, void *unused) {
+    if (!st->has_next) {
+        Py_RETURN_NONE;
     }
-    advance(p, n, dt);
-    Py_RETURN_NONE;
+    return PyFloat_FromDouble(st->next);
 }
 
-static PyObject *py_recompute(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    void **p;
-    int64_t n;
-    double c, cap;
-    if (check_nargs("recompute", nargs, 4) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &c) < 0
-        || arg_f64(args[3], &cap) < 0) {
-        return NULL;
+static int store_set_next(StoreObject *st, PyObject *value, void *unused) {
+    if (value == NULL || value == Py_None) {
+        st->has_next = 0;
+        return 0;
     }
-    if (recompute(p, n, c, cap) < 0) {
-        return NULL;
+    double v = PyFloat_AsDouble(value);
+    if (v == -1.0 && PyErr_Occurred()) {
+        return -1;
     }
-    Py_RETURN_NONE;
+    st->next = v;
+    st->has_next = 1;
+    return 0;
 }
 
-static PyObject *py_recompute_scan(PyObject *mod, PyObject *const *args,
-                                   Py_ssize_t nargs) {
-    void **p;
-    int64_t n;
-    double c, cap, eps;
-    if (check_nargs("recompute_scan", nargs, 5) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &c) < 0
-        || arg_f64(args[3], &cap) < 0 || arg_f64(args[4], &eps) < 0) {
-        return NULL;
+static PyMemberDef store_members[] = {
+    {"n", T_LONGLONG, offsetof(StoreObject, n), 0, "flows in flight"},
+    {"now", T_DOUBLE, offsetof(StoreObject, now), 0,
+     "time the flows are drained up to"},
+    {"dirty", T_BOOL, offsetof(StoreObject, dirty), 0,
+     "rates are stale: the flow set changed since the last reallocation"},
+    {"changed", T_BOOL, offsetof(StoreObject, changed), 0,
+     "the flow set changed since the last arm"},
+    {"gen", T_ULONGLONG, offsetof(StoreObject, gen), 0,
+     "arm generation: a net check armed under an older one is stale"},
+    {"allocations", T_ULONGLONG, offsetof(StoreObject, allocations), READONLY,
+     "reallocations run by the compiled drain loop"},
+    {NULL},
+};
+
+static PyGetSetDef store_getset[] = {
+    {"next", (getter)store_get_next, (setter)store_set_next,
+     "memoized absolute time of the next completion, or None", NULL},
+    {NULL},
+};
+
+static PyMethodDef store_methods[] = {
+    {"set_table", (PyCFunction)(void (*)(void))store_set_table, METH_FASTCALL,
+     "set_table(addresses, buffers, capacity): repoint the column table."},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject StoreType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "fastfill.FlowStore",
+    .tp_doc = "FlowStore(keys, contention, contention_cap, done_eps): the "
+              "scalar state and column table of one fluid network.",
+    .tp_basicsize = sizeof(StoreObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_new = store_new,
+    .tp_free = PyObject_GC_Del,
+    .tp_dealloc = (destructor)store_dealloc,
+    .tp_traverse = (traverseproc)store_traverse,
+    .tp_clear = (inquiry)store_clear,
+    .tp_members = store_members,
+    .tp_getset = store_getset,
+    .tp_methods = store_methods,
+};
+
+/* Reallocate every rate; the memoized completion goes with them. */
+static int store_recompute(StoreObject *st) {
+    if (recompute(st->tab, st->n, st->contention, st->contention_cap) < 0) {
+        return -1;
     }
-    if (recompute(p, n, c, cap) < 0) {
-        return NULL;
-    }
-    return scan(p, n, eps);
+    st->dirty = 0;
+    st->has_next = 0;
+    return 0;
 }
 
-static PyObject *py_scan(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    void **p;
-    int64_t n;
-    double eps;
-    if (check_nargs("scan", nargs, 3) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &eps) < 0) {
-        return NULL;
+/* advance_to's ValueError for a clock that would move back. */
+static int check_forward(StoreObject *st, double t) {
+    if (t >= st->now - 1e-12) {
+        return 0;
     }
-    return scan(p, n, eps);
+    PyObject *pt = PyFloat_FromDouble(t);
+    PyObject *pn = PyFloat_FromDouble(st->now);
+    if (pt != NULL && pn != NULL) {
+        PyErr_Format(PyExc_ValueError, "time moved backwards: %R < %R", pt, pn);
+    }
+    Py_XDECREF(pt);
+    Py_XDECREF(pn);
+    return -1;
 }
 
-/* Advance by dt (when positive), retire every drained flow and compact
- * the slot columns, the CSR incidence and the object key column in
- * place, preserving insertion order.  The completed keys come back as
- * a list in slot order; the list takes over the key column's
- * references, survivors' references move with them, and the vacated
- * tail slots are reset to None, so no key's refcount changes and no
- * retired key stays reachable from the column. */
-static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    void **p;
-    int64_t n, f, s, ndone = 0;
-    double dt, eps;
-    if (check_nargs("retire", nargs, 4) < 0 || arg_ptr(args[0], &p) < 0
-        || arg_i64(args[1], &n) < 0 || arg_f64(args[2], &dt) < 0
-        || arg_f64(args[3], &eps) < 0) {
-        return NULL;
+/* FluidNetwork.earliest_completion on a non-empty store: reallocate if
+ * dirty, else reuse the memoized instant (completion instants do not
+ * move while the flow set and rates are fixed; a flow the clock has
+ * overshot finishes "now"), else scan and memoize.  0 with *t set, 1 on
+ * a stall (the caller names it), -1 with an exception set. */
+static int earliest(StoreObject *st, double *t) {
+    double best;
+    if (st->dirty) {
+        if (store_recompute(st) < 0) {
+            return -1;
+        }
+    } else if (st->has_next) {
+        *t = st->now > st->next ? st->now : st->next;
+        return 0;
     }
+    if (!scan(st->tab, st->n, st->done_eps, &best)) {
+        return 1;
+    }
+    st->next = st->now + best;
+    st->has_next = 1;
+    *t = st->next;
+    return 0;
+}
+
+/* FluidNetwork.pop_completed_keys on a non-empty store, rates current
+ * if t > now: drain to t, retire every drained flow and compact the
+ * slot columns, the CSR incidence and the object key column in place,
+ * preserving insertion order.  The completed keys come back as a list
+ * in slot order; the list takes over the key column's references,
+ * survivors' references move with them, and the vacated tail slots are
+ * reset to None, so no key's refcount changes and no retired key stays
+ * reachable from the column. */
+static PyObject *retire_at(StoreObject *st, double t) {
+    void **p = st->tab;
+    int64_t n = st->n, f, s, ndone = 0;
+    double eps = st->done_eps;
     double *wire = p[T_WIRE];
-    if (dt > 0.0) {
-        advance(p, n, dt);
+    if (check_forward(st, t) < 0) {
+        return NULL;
+    }
+    if (t > st->now) {
+        advance(p, n, t - st->now);
     }
     for (f = 0; f < n; f++) {
         if (wire[f] <= eps) {
@@ -443,7 +541,13 @@ static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t narg
         }
     }
     PyObject *done = PyList_New((Py_ssize_t)ndone);
-    if (done == NULL || ndone == 0) {
+    if (done == NULL) {
+        return NULL;
+    }
+    if (t > st->now) {
+        st->now = t;
+    }
+    if (ndone == 0) {
         return done;
     }
     double *rate = p[T_RATE];
@@ -481,7 +585,164 @@ static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t narg
         Py_INCREF(Py_None);
         keys[f] = Py_None;
     }
+    st->n = w;
+    st->dirty = 1;
+    st->has_next = 0;
+    st->changed = 1;
+    for (d = 0; d < ndone; d++) {
+        if (PySet_Discard(st->keys, PyList_GET_ITEM(done, d)) < 0) {
+            Py_DECREF(done);
+            return NULL;
+        }
+    }
     return done;
+}
+
+/* ------------------------------------------------------------------
+ * Argument conversion.  Each helper returns 0, or -1 with an exception
+ * set; the entry points check arity first. */
+
+static int arg_store(PyObject *o, StoreObject **out) {
+    if (!Py_IS_TYPE(o, &StoreType)) {
+        PyErr_Format(PyExc_TypeError, "expected a FlowStore, got %.100s",
+                     Py_TYPE(o)->tp_name);
+        return -1;
+    }
+    *out = (StoreObject *)o;
+    return 0;
+}
+
+static int arg_ptr(PyObject *o, void ***out) {
+    *out = (void **)PyLong_AsVoidPtr(o);
+    return (*out == NULL && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int arg_i64(PyObject *o, int64_t *out) {
+    *out = (int64_t)PyLong_AsLongLong(o);
+    return (*out == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int arg_f64(PyObject *o, double *out) {
+    *out = PyFloat_AsDouble(o);
+    return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return -1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------
+ * Hot entry points. */
+
+/* begin(st, t, key, wire, rate_cap, payload, src, dst, routes, off,
+ * length): advance_to(t), then append one flow — the engine's flow
+ * start in one call.  Returns False, changing nothing, when the slot
+ * columns are full or the drain to t needs a reallocation first (the
+ * caller grows or reallocates in Python and calls again). */
+static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    void **routes;
+    int64_t payload, src, dst, off, length;
+    double t, wire, rate_cap;
+    if (check_nargs("begin", nargs, 11) < 0 || arg_store(args[0], &st) < 0
+        || arg_f64(args[1], &t) < 0 || arg_f64(args[3], &wire) < 0
+        || arg_f64(args[4], &rate_cap) < 0 || arg_i64(args[5], &payload) < 0
+        || arg_i64(args[6], &src) < 0 || arg_i64(args[7], &dst) < 0
+        || arg_ptr(args[8], &routes) < 0 || arg_i64(args[9], &off) < 0
+        || arg_i64(args[10], &length) < 0 || check_forward(st, t) < 0) {
+        return NULL;
+    }
+    int64_t slot = st->n;
+    if (slot == st->cap || (st->dirty && slot > 0 && t > st->now)) {
+        Py_RETURN_FALSE;
+    }
+    if (t > st->now) {
+        if (slot > 0) {
+            advance(st->tab, slot, t - st->now);
+        }
+        st->now = t;
+    }
+    PyObject *key = args[2];
+    if (PySet_Add(st->keys, key) < 0) {
+        return NULL;
+    }
+    void **p = st->tab;
+    int64_t *ptr = p[T_FLOW_PTR];
+    int64_t used = ptr[slot];
+    memcpy((int64_t *)p[T_CSR] + used, (const int64_t *)routes + off,
+           (size_t)length * sizeof(int64_t));
+    ptr[slot + 1] = used + length;
+    ((double *)p[T_WIRE])[slot] = wire;
+    ((double *)p[T_RATE])[slot] = 0.0;
+    ((double *)p[T_RATE_CAP])[slot] = rate_cap;
+    ((double *)p[T_STARTED])[slot] = st->now;
+    ((int64_t *)p[T_PAYLOAD])[slot] = payload;
+    ((int64_t *)p[T_SRCS])[slot] = src;
+    ((int64_t *)p[T_DSTS])[slot] = dst;
+    PyObject **keys = p[T_KEYS];
+    PyObject *old = keys[slot];
+    Py_INCREF(key);
+    keys[slot] = key;
+    Py_XDECREF(old);
+    st->n = slot + 1;
+    st->dirty = 1;
+    st->has_next = 0;
+    st->changed = 1;
+    Py_RETURN_TRUE;
+}
+
+static PyObject *py_advance(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    double dt;
+    if (check_nargs("advance", nargs, 2) < 0 || arg_store(args[0], &st) < 0
+        || arg_f64(args[1], &dt) < 0) {
+        return NULL;
+    }
+    advance(st->tab, st->n, dt);
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_recompute(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    if (check_nargs("recompute", nargs, 1) < 0 || arg_store(args[0], &st) < 0
+        || store_recompute(st) < 0) {
+        return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *py_earliest(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    double t;
+    if (check_nargs("earliest", nargs, 1) < 0 || arg_store(args[0], &st) < 0) {
+        return NULL;
+    }
+    if (st->n == 0) {
+        Py_RETURN_NONE;
+    }
+    int rc = earliest(st, &t);
+    if (rc < 0) {
+        return NULL;
+    }
+    if (rc > 0) {
+        Py_RETURN_NONE;
+    }
+    return PyFloat_FromDouble(t);
+}
+
+static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    double t;
+    if (check_nargs("retire", nargs, 2) < 0 || arg_store(args[0], &st) < 0
+        || arg_f64(args[1], &t) < 0) {
+        return NULL;
+    }
+    return retire_at(st, t);
 }
 
 /* ------------------------------------------------------------------
@@ -637,7 +898,9 @@ done:
  * events fire FIFO and fn is never compared.  An entry fires as
  * fn(*args) through vectorcall.  run(engine) is the engine's drain
  * loop, statement for statement the same as EventQueue.run in
- * events.py.
+ * events.py, with one addition: when the engine hands it a flow store
+ * (engine._native_net), the loop runs that network's arm–check–retire
+ * cycle itself (see queue_run).
  *
  * Queued handlers are bound methods of the engine, which holds the
  * queue, so the type takes part in cyclic GC: an engine abandoned
@@ -652,8 +915,9 @@ done:
 typedef struct {
     double time;
     uint64_t seq;
-    PyObject *fn;
-    PyObject *args; /* tuple */
+    PyObject *fn;   /* handler; for a net check, its FlowStore */
+    PyObject *args; /* the handler's argument tuple; NULL for a net check */
+    uint64_t gen;   /* a net check's arm generation */
 } Event;
 
 typedef struct {
@@ -664,10 +928,39 @@ typedef struct {
     uint64_t seq;
 } QueueObject;
 
-static PyObject *str_now, *str_net_changed, *str_arm;
+static PyObject *str_now, *str_net_changed, *str_arm, *str_native_net,
+    *str_flow_complete;
 
 static inline int ev_less(const Event *a, const Event *b) {
     return a->time < b->time || (a->time == b->time && a->seq < b->seq);
+}
+
+/* Insert *item (its references now owned by the heap); 0, or -1 with
+ * an exception set and nothing taken over. */
+static int heap_push(QueueObject *q, const Event *item) {
+    if (q->size == q->cap) {
+        Py_ssize_t cap = q->cap ? 2 * q->cap : 64;
+        Event *h = PyMem_Realloc(q->heap, (size_t)cap * sizeof(Event));
+        if (h == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        q->heap = h;
+        q->cap = cap;
+    }
+    /* Sift the new entry up from the end. */
+    Event *h = q->heap;
+    Py_ssize_t pos = q->size++;
+    while (pos > 0) {
+        Py_ssize_t parent = (pos - 1) >> 1;
+        if (!ev_less(item, &h[parent])) {
+            break;
+        }
+        h[pos] = h[parent];
+        pos = parent;
+    }
+    h[pos] = *item;
+    return 0;
 }
 
 /* Remove the root into *out; the heap must be non-empty. */
@@ -717,7 +1010,7 @@ static int queue_clear(QueueObject *q) {
     q->size = q->cap = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
         Py_DECREF(h[i].fn);
-        Py_DECREF(h[i].args);
+        Py_XDECREF(h[i].args);
     }
     PyMem_Free(h);
     return 0;
@@ -750,16 +1043,6 @@ static PyObject *queue_push(QueueObject *q, PyObject *const *args,
         PyErr_SetString(PyExc_ValueError, "event time is NaN");
         return NULL;
     }
-    if (q->size == q->cap) {
-        Py_ssize_t cap = q->cap ? 2 * q->cap : 64;
-        Event *h = PyMem_Realloc(q->heap, (size_t)cap * sizeof(Event));
-        if (h == NULL) {
-            PyErr_NoMemory();
-            return NULL;
-        }
-        q->heap = h;
-        q->cap = cap;
-    }
     PyObject *tup = PyTuple_New(nargs - 2);
     if (tup == NULL) {
         return NULL;
@@ -768,23 +1051,17 @@ static PyObject *queue_push(QueueObject *q, PyObject *const *args,
         Py_INCREF(args[i]);
         PyTuple_SET_ITEM(tup, i - 2, args[i]);
     }
-    /* Sift the new entry up from the end. */
-    Event item = {t, q->seq++, args[1], tup};
-    Py_INCREF(args[1]);
-    Event *h = q->heap;
-    Py_ssize_t pos = q->size++;
-    while (pos > 0) {
-        Py_ssize_t parent = (pos - 1) >> 1;
-        if (!ev_less(&item, &h[parent])) {
-            break;
-        }
-        h[pos] = h[parent];
-        pos = parent;
+    Event item = {t, q->seq, args[1], tup, 0};
+    if (heap_push(q, &item) < 0) {
+        Py_DECREF(tup);
+        return NULL;
     }
-    h[pos] = item;
+    q->seq++;
+    Py_INCREF(args[1]);
     Py_RETURN_NONE;
 }
 
+/* A net check pops as (time, store, (gen,)). */
 static PyObject *queue_pop(QueueObject *q, PyObject *unused) {
     Event e;
     if (q->size == 0) {
@@ -792,11 +1069,10 @@ static PyObject *queue_pop(QueueObject *q, PyObject *unused) {
         return NULL;
     }
     heap_pop(q, &e);
-    PyObject *t = PyFloat_FromDouble(e.time);
-    PyObject *res = t == NULL ? NULL : PyTuple_Pack(3, t, e.fn, e.args);
-    Py_XDECREF(t);
+    PyObject *args = e.args != NULL ? e.args : Py_BuildValue("(K)", e.gen);
+    PyObject *res = args == NULL ? NULL : Py_BuildValue("(dOO)", e.time, e.fn, args);
     Py_DECREF(e.fn);
-    Py_DECREF(e.args);
+    Py_XDECREF(args);
     return res;
 }
 
@@ -818,8 +1094,103 @@ static int set_now(PyObject *engine, double now) {
     return rc;
 }
 
+/* The Python arm, engine._arm_network_event(); 0, or -1 with an
+ * exception set. */
+static int python_arm(PyObject *engine) {
+    PyObject *r = PyObject_VectorcallMethod(
+        str_arm, &engine, 1 | PY_VECTORCALL_ARGUMENTS_OFFSET, NULL);
+    if (r == NULL) {
+        return -1;
+    }
+    Py_DECREF(r);
+    return 0;
+}
+
+/* Engine._arm_network_event on the store, after an instant in which the
+ * flow set changed: bump the generation and queue a net check at the
+ * network's earliest completion (never before now).  A stall goes to
+ * the Python arm, which names the stalled flows in a
+ * NetworkStallError. */
+static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
+                      double now) {
+    double t = 0.0;
+    if (st->n > 0) {
+        if (st->dirty) {
+            st->allocations++;
+        }
+        int rc = earliest(st, &t);
+        if (rc != 0) {
+            return rc < 0 ? -1 : python_arm(engine);
+        }
+    }
+    st->changed = 0;
+    st->gen++;
+    if (st->n == 0) {
+        return 0;
+    }
+    Event e = {now > t ? now : t, q->seq, (PyObject *)st, NULL, st->gen};
+    if (heap_push(q, &e) < 0) {
+        return -1;
+    }
+    q->seq++;
+    Py_INCREF(st);
+    return 0;
+}
+
+/* Engine._net_check: unless a later arm superseded it, retire every
+ * flow drained by now and hand each key to engine._flow_complete. */
+static int net_check(StoreObject *st, PyObject *ev_store, uint64_t gen,
+                     double now, PyObject *complete) {
+    if (ev_store != (PyObject *)st) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "net check of a network this run does not drive");
+        return -1;
+    }
+    if (gen != st->gen) {
+        return 0; /* stale: the flow set changed since it was armed */
+    }
+    if (st->n == 0) {
+        if (check_forward(st, now) < 0) {
+            return -1;
+        }
+        if (now > st->now) {
+            st->now = now;
+        }
+        return 0;
+    }
+    if (st->dirty && now > st->now) {
+        st->allocations++;
+        if (store_recompute(st) < 0) {
+            return -1;
+        }
+    }
+    PyObject *done = retire_at(st, now);
+    if (done == NULL) {
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(done); i++) {
+        PyObject *r = PyObject_CallOneArg(complete, PyList_GET_ITEM(done, i));
+        if (r == NULL) {
+            Py_DECREF(done);
+            return -1;
+        }
+        Py_DECREF(r);
+    }
+    Py_DECREF(done);
+    return 0;
+}
+
+/* The drain loop.  With engine._native_net a FlowStore, the network's
+ * cycle never leaves C: after an instant in which the flow set changed
+ * the loop arms a net check itself (native_arm), and a popped net check
+ * retires in C and calls engine._flow_complete(key) per completed key.
+ * Otherwise (no store: an observed network, or an engine without one)
+ * it calls engine._arm_network_event() when engine._net_changed is
+ * set, like the Python loop. */
 static PyObject *queue_run(QueueObject *q, PyObject *engine) {
     double now;
+    StoreObject *st = NULL;
+    PyObject *complete = NULL, *result = NULL;
     PyObject *o = PyObject_GetAttr(engine, str_now);
     if (o == NULL) {
         return NULL;
@@ -828,6 +1199,21 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
     Py_DECREF(o);
     if (rc < 0) {
         return NULL;
+    }
+    o = PyObject_GetAttr(engine, str_native_net);
+    if (o == NULL) {
+        if (!PyErr_ExceptionMatches(PyExc_AttributeError)) {
+            return NULL;
+        }
+        PyErr_Clear();
+    } else if (Py_IS_TYPE(o, &StoreType)) {
+        st = (StoreObject *)o;
+        complete = PyObject_GetAttr(engine, str_flow_complete);
+        if (complete == NULL) {
+            goto done;
+        }
+    } else {
+        Py_DECREF(o);
     }
     while (q->size > 0) {
         double t = q->heap[0].time;
@@ -840,12 +1226,12 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
             }
             Py_XDECREF(pt);
             Py_XDECREF(pn);
-            return NULL;
+            goto done;
         }
         if (t > now) {
             now = t;
             if (set_now(engine, now) < 0) {
-                return NULL;
+                goto done;
             }
         }
         /* Drain the instant, cascades included, in (time, seq) order. */
@@ -853,34 +1239,46 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
         while (q->size > 0 && q->heap[0].time <= threshold) {
             Event e;
             heap_pop(q, &e);
+            if (e.args == NULL) {
+                rc = net_check(st, e.fn, e.gen, now, complete);
+                Py_DECREF(e.fn);
+                if (rc < 0) {
+                    goto done;
+                }
+                continue;
+            }
             PyObject *r = PyObject_Vectorcall(
                 e.fn, ((PyTupleObject *)e.args)->ob_item,
                 (size_t)PyTuple_GET_SIZE(e.args), NULL);
             Py_DECREF(e.fn);
             Py_DECREF(e.args);
             if (r == NULL) {
-                return NULL;
+                goto done;
             }
             Py_DECREF(r);
         }
+        if (st != NULL) {
+            if (st->changed && native_arm(q, st, engine, now) < 0) {
+                goto done;
+            }
+            continue;
+        }
         o = PyObject_GetAttr(engine, str_net_changed);
         if (o == NULL) {
-            return NULL;
+            goto done;
         }
         rc = PyObject_IsTrue(o);
         Py_DECREF(o);
-        if (rc < 0) {
-            return NULL;
-        }
-        if (rc) {
-            o = PyObject_VectorcallMethod(str_arm, &engine, 1, NULL);
-            if (o == NULL) {
-                return NULL;
-            }
-            Py_DECREF(o);
+        if (rc < 0 || (rc && python_arm(engine) < 0)) {
+            goto done;
         }
     }
-    Py_RETURN_NONE;
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    Py_XDECREF(complete);
+    Py_XDECREF(st);
+    return result;
 }
 
 static PyMethodDef queue_methods[] = {
@@ -924,14 +1322,15 @@ static PyTypeObject QueueType = {
 static PyMethodDef methods[] = {
     FASTCALL("max_min_fill", py_max_min_fill,
              "Progressive filling on caller-owned arrays (bandwidth.max_min_rates)."),
-    FASTCALL("add", py_add, "Append one flow to slot `slot`."),
+    FASTCALL("begin", py_begin,
+             "advance_to(t) and append one flow; False if Python must grow "
+             "or reallocate first."),
     FASTCALL("advance", py_advance, "Drain every flow by dt."),
     FASTCALL("recompute", py_recompute, "Reallocate max-min rates."),
-    FASTCALL("recompute_scan", py_recompute_scan,
-             "Reallocate, then return the earliest completion offset or None."),
-    FASTCALL("scan", py_scan, "Earliest completion offset, or None on a stall."),
+    FASTCALL("earliest", py_earliest,
+             "Earliest completion time (memoized), or None on a stall."),
     FASTCALL("retire", py_retire,
-             "Advance by dt, retire drained flows, return their keys."),
+             "Drain to t, retire drained flows, return their keys."),
     {NULL, NULL, 0, NULL},
 };
 
@@ -942,13 +1341,16 @@ static struct PyModuleDef moduledef = {
 };
 
 PyMODINIT_FUNC PyInit_fastfill(void) {
-    if (PyType_Ready(&QueueType) < 0) {
+    if (PyType_Ready(&QueueType) < 0 || PyType_Ready(&StoreType) < 0) {
         return NULL;
     }
     str_now = PyUnicode_InternFromString("now");
     str_net_changed = PyUnicode_InternFromString("_net_changed");
     str_arm = PyUnicode_InternFromString("_arm_network_event");
-    if (str_now == NULL || str_net_changed == NULL || str_arm == NULL) {
+    str_native_net = PyUnicode_InternFromString("_native_net");
+    str_flow_complete = PyUnicode_InternFromString("_flow_complete");
+    if (str_now == NULL || str_net_changed == NULL || str_arm == NULL
+        || str_native_net == NULL || str_flow_complete == NULL) {
         return NULL;
     }
     PyObject *m = PyModule_Create(&moduledef);
@@ -958,6 +1360,12 @@ PyMODINIT_FUNC PyInit_fastfill(void) {
     Py_INCREF(&QueueType);
     if (PyModule_AddObject(m, "EventQueue", (PyObject *)&QueueType) < 0) {
         Py_DECREF(&QueueType);
+        Py_DECREF(m);
+        return NULL;
+    }
+    Py_INCREF(&StoreType);
+    if (PyModule_AddObject(m, "FlowStore", (PyObject *)&StoreType) < 0) {
+        Py_DECREF(&StoreType);
         Py_DECREF(m);
         return NULL;
     }

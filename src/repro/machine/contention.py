@@ -12,11 +12,10 @@ piecewise-linear system and reports completion times.
 The discrete-event engine (:mod:`repro.sim.engine`) owns simulated time;
 this class is passive.  The intended protocol is::
 
-    net.advance_to(now)        # drain progress up to the current time
-    net.add_flow(key, src, dst, payload)     # possibly several, same time
-    ...
-    t = net.earliest_completion()            # engine schedules an event
-    done = net.pop_completed(t)              # at that event
+    net.begin_flow(now, key, src, dst, payload)  # drain to now, add a flow
+    ...                                          # possibly several, same time
+    t = net.earliest_completion()                # engine schedules an event
+    done = net.pop_completed_keys(t)             # at that event
 
 Batching matters: the synchronized exchange algorithms start whole waves
 of messages at identical times, and rates are recomputed once per wave,
@@ -31,6 +30,12 @@ earliest-completion scans are O(active) vectorized operations.  The
 layout is an internal detail: the public API still traffics in
 :class:`FlowState` records and produces bit-identical timelines to the
 original per-flow-object implementation.
+
+The flow store's scalar state (live count, clock, dirty and changed
+flags, memoized next completion, arm generation) lives in one object,
+:attr:`FluidNetwork.store`: the compiled kernel's ``FlowStore`` when it
+is loaded, which the engine's compiled drain loop reads and writes
+directly, else the pure-Python :class:`FlowStore` below.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .bandwidth import AllocationWorkspace, max_min_rates
 from .fattree import FatTree, LinkId
 from .params import wire_bytes
 
-__all__ = ["FluidNetwork", "FlowState", "NetworkStallError"]
+__all__ = ["FluidNetwork", "FlowState", "FlowStore", "NetworkStallError"]
 
 #: Remaining-byte threshold below which a flow counts as complete.
 _DONE_EPS = 1e-6
@@ -102,6 +107,29 @@ class FlowState:
     payload_bytes: int = 0
 
 
+class FlowStore:
+    """Scalar state of a flow store: the pure-Python twin of the
+    kernel's ``FlowStore`` (used when the kernel is not loaded).
+
+    ``n`` flows are in flight, drained up to ``now``.  ``dirty``: the
+    flow set changed since the last rate reallocation.  ``changed``: it
+    changed since the engine last armed a completion check.  ``next``:
+    the memoized absolute time of the next completion, or None.
+    ``gen``: the arm generation; a check armed under an older one is
+    stale.
+    """
+
+    __slots__ = ("n", "now", "dirty", "changed", "next", "gen")
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.now = 0.0
+        self.dirty = False
+        self.changed = False
+        self.next: Optional[float] = None
+        self.gen = 0
+
+
 class FluidNetwork:
     """Tracks active flows and their max-min fair rates over a fat tree.
 
@@ -130,8 +158,6 @@ class FluidNetwork:
                 [link_scales.get(l, 1.0) for l in tree.sorted_link_ids],
                 dtype=float,
             )
-        self._now = 0.0
-        self._dirty = False
         self._seed = seed
         self._jitter = tree.params.routing_jitter
         self._rng = np.random.default_rng(seed)
@@ -141,10 +167,9 @@ class FluidNetwork:
         self._z: List[float] = []
         self._z_next = 0
 
-        # Struct-of-arrays flow store.  Slots [0, _n) are in flight;
-        # arrays grow by doubling and are compacted on retirement.
-        # Slots [_n, _cap) of the key column hold None.
-        self._n = 0
+        # Struct-of-arrays flow store.  Slots [0, store.n) are in
+        # flight; arrays grow by doubling and are compacted on
+        # retirement.  Slots [store.n, _cap) of the key column hold None.
         self._cap = _MIN_SLOTS
         self._wire = np.zeros(self._cap)
         self._rate = np.zeros(self._cap)
@@ -172,18 +197,22 @@ class FluidNetwork:
         self._alloc_ws = AllocationWorkspace(nlinks)
         self._alloc_ws.ensure_flows(self._cap)
 
-        # The compiled kernel (None -> NumPy fallback) and the pointer
-        # table its hot entry points read every buffer from: one address
-        # per array, in the kernel's TABLE order, rebuilt only when an
-        # array is reallocated (_grow_slots).  Each call then converts
-        # a handful of scalars.
+        # The compiled kernel (None -> NumPy fallback) and the store its
+        # hot entry points take: the scalar state plus a table of every
+        # buffer's address, in the kernel's TABLE order, rebuilt only
+        # when an array is reallocated (_grow_slots).  Each call then
+        # converts a handful of scalars.
         self._k = _fastfill.kernel()
-        self._cc = float(tree.params.switch_contention)
-        self._ccap = float(tree.params.contention_cap)
         if self._k is not None:
-            self._ptab = np.zeros(len(self._k.TABLE), dtype=np.uintp)
-            self._p_tab = _address(self._ptab)
-            self._refresh_ptab()
+            self.store = self._k.FlowStore(
+                self._key_set,
+                float(tree.params.switch_contention),
+                float(tree.params.contention_cap),
+                _DONE_EPS,
+            )
+            self._refresh_table()
+        else:
+            self.store = FlowStore()
         self._route_slots = tree.route_slots
         self._wire_cache: Dict[int, Tuple[float, float]] = {}
         #: Rate cap by route level; a path of 2k links peaks at level k,
@@ -193,12 +222,6 @@ class FluidNetwork:
             tree.params.level_bandwidth(lvl)
             for lvl in range(1, tree.levels + 1)
         ]
-
-        #: Memoized absolute time of the next completion; valid while the
-        #: flow set and rates are unchanged (completion instants are
-        #: invariant under advance_to, which is why the engine's repeated
-        #: re-arming costs O(1)).
-        self._next_completion: Optional[float] = None
 
         #: Optional ``observer(now, per_link_rates)`` callback invoked
         #: after every rate reallocation with the aggregate bytes/s on
@@ -210,17 +233,24 @@ class FluidNetwork:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return self._now
+        return self.store.now
 
     @property
     def active_count(self) -> int:
-        return self._n
+        return self.store.n
+
+    def native_store(self):
+        """The kernel's store when the compiled drain loop may run this
+        network's arm–check–retire cycle itself, else None: without the
+        kernel, and with an :attr:`observer`, which needs every
+        reallocation's per-link rates from the Python path."""
+        return self.store if self._k is not None and self.observer is None else None
 
     def _path_indices(self, src: int, dst: int) -> np.ndarray:
         return self.tree.path_indices(src, dst)
 
-    def _refresh_ptab(self) -> None:
-        """Rebuild the kernel pointer table (layout: ``kernel().TABLE``)."""
+    def _refresh_table(self) -> None:
+        """Repoint the kernel store's table (layout: ``kernel().TABLE``)."""
         ws = self._alloc_ws
         arrays = {
             "link_caps": self._link_caps,
@@ -243,14 +273,16 @@ class FluidNetwork:
             "dsts": self._dsts,
             "keys": self._keys,
         }
-        self._ptab[:] = [
-            0 if arrays[name] is None else _address(arrays[name])
-            for name in self._k.TABLE
-        ]
+        buffers = tuple(arrays[name] for name in self._k.TABLE)
+        self.store.set_table(
+            tuple(0 if a is None else _address(a) for a in buffers),
+            buffers,
+            self._cap,
+        )
 
     def _grow_slots(self, need: int) -> None:
         new_cap = max(2 * self._cap, need)
-        n = self._n
+        n = self.store.n
         for name in (
             "_wire",
             "_rate",
@@ -275,7 +307,7 @@ class FluidNetwork:
         self._alloc_ws.ensure_flows(new_cap)
         self._cap = new_cap
         if self._k is not None:
-            self._refresh_ptab()
+            self._refresh_table()
 
     # ------------------------------------------------------------------
     def add_flow(self, key: Hashable, src: int, dst: int, payload: int) -> None:
@@ -283,7 +315,18 @@ class FluidNetwork:
 
         ``payload`` is user bytes; the flow carries the packetized wire
         size.  The caller must have brought the network to the flow's
-        start time with :meth:`advance_to` first.
+        start time with :meth:`advance_to` first (or use
+        :meth:`begin_flow`, which does both).
+        """
+        self.begin_flow(self.store.now, key, src, dst, payload)
+
+    def begin_flow(
+        self, t: float, key: Hashable, src: int, dst: int, payload: int
+    ) -> None:
+        """``advance_to(t)``, then ``add_flow(key, src, dst, payload)``.
+
+        The engine's flow start: one kernel call when the kernel is
+        loaded.
         """
         if key in self._key_set:
             raise ValueError(f"duplicate flow key: {key!r}")
@@ -308,43 +351,44 @@ class FluidNetwork:
         if route is None:
             route = self.tree.route_slot(src, dst)
         off, length = route
-        slot = self._n
-        if slot == self._cap:
-            self._grow_slots(slot + 1)
         # Read after the route lookup: this table holds the route, and
         # the local reference keeps it alive through the copy.
         routes, routes_addr = self.tree.route_buffer
-        if self._k is not None:
-            self._k.add(
-                self._p_tab,
-                slot,
-                key,
-                wire,
-                self._level_bw[length >> 1],
-                self._now,
-                payload,
-                src,
-                dst,
-                routes_addr,
-                off,
-                length,
-            )
-        else:
-            used = int(self._ptr[slot])
-            self._csr_links[used : used + length] = routes[off : off + length]
-            self._ptr[slot + 1] = used + length
-            self._wire[slot] = wire
-            self._rate[slot] = 0.0
-            self._rate_cap[slot] = self._level_bw[length >> 1]
-            self._started[slot] = self._now
-            self._payload[slot] = payload
-            self._srcs[slot] = src
-            self._dsts[slot] = dst
-            self._keys[slot] = key
+        rate_cap = self._level_bw[length >> 1]
+        st = self.store
+        k = self._k
+        if k is not None:
+            while not k.begin(
+                st, t, key, wire, rate_cap, payload, src, dst,
+                routes_addr, off, length,
+            ):
+                # Refused, nothing changed: the columns are full, or the
+                # drain to t needs a reallocation first (which an
+                # observer must see).  Neither can refuse it twice.
+                if st.n == self._cap:
+                    self._grow_slots(st.n + 1)
+                self.advance_to(t)
+            return
+        self.advance_to(t)
+        slot = st.n
+        if slot == self._cap:
+            self._grow_slots(slot + 1)
+        used = int(self._ptr[slot])
+        self._csr_links[used : used + length] = routes[off : off + length]
+        self._ptr[slot + 1] = used + length
+        self._wire[slot] = wire
+        self._rate[slot] = 0.0
+        self._rate_cap[slot] = rate_cap
+        self._started[slot] = st.now
+        self._payload[slot] = payload
+        self._srcs[slot] = src
+        self._dsts[slot] = dst
+        self._keys[slot] = key
         self._key_set.add(key)
-        self._n = slot + 1
-        self._dirty = True
-        self._next_completion = None
+        st.n = slot + 1
+        st.dirty = True
+        st.changed = True
+        st.next = None
 
     def advance_to(self, t: float) -> None:
         """Drain all active flows up to time ``t`` at their current rates.
@@ -355,65 +399,57 @@ class FluidNetwork:
         :meth:`snapshot_rates` diagnostics and the completion test
         against ``_DONE_EPS`` meaningful.
         """
-        if t < self._now - 1e-12:
-            raise ValueError(f"time moved backwards: {t} < {self._now}")
-        dt = t - self._now
-        if dt > 0 and self._n:
-            if self._dirty:
+        st = self.store
+        if t < st.now - 1e-12:
+            raise ValueError(f"time moved backwards: {t} < {st.now}")
+        dt = t - st.now
+        if dt > 0 and st.n:
+            if st.dirty:
                 self._recompute()
             if self._k is not None:
-                self._k.advance(self._p_tab, self._n, dt)
+                self._k.advance(st, dt)
             else:
-                wire = self._wire[: self._n]
-                wire -= self._rate[: self._n] * dt
+                wire = self._wire[: st.n]
+                wire -= self._rate[: st.n] * dt
                 np.maximum(wire, 0.0, out=wire)
-        self._now = max(self._now, t)
+        st.now = max(st.now, t)
 
     def earliest_completion(self) -> Optional[float]:
         """Absolute time the next flow (if any) finishes at current rates.
 
-        Raises :class:`NetworkStallError` naming the stalled
-        ``(src, dst, key)`` triples if any unfinished flow has zero rate
-        (impossible on a healthy network: max-min allocations are
-        strictly positive).
+        Memoized while the flow set and rates are unchanged (completion
+        instants are invariant under advance_to, which is why the
+        engine's repeated re-arming costs O(1)).  Raises
+        :class:`NetworkStallError` naming the stalled ``(src, dst,
+        key)`` triples if any unfinished flow has zero rate (impossible
+        on a healthy network: max-min allocations are strictly
+        positive).
         """
-        n = self._n
+        st = self.store
         k = self._k
-        if self._dirty:
-            if n and k is not None and self.observer is None:
-                # Fused C path for the engine's arm: reallocation and
-                # completion scan in one call (same operations in the
-                # same order as _recompute + scan, see _fastfill.c).
-                obs.count("net.allocations")
-                best = k.recompute_scan(
-                    self._p_tab, n, self._cc, self._ccap, _DONE_EPS
-                )
-                self._dirty = False
-                if best is not None:
-                    self._next_completion = self._now + best
-                    return self._next_completion
-                # A flow stalled: the NumPy scan below assembles the
-                # NetworkStallError.
-            else:
-                self._recompute()
-        if n == 0:
+        if st.dirty and (k is None or self.observer is not None or not st.n):
+            self._recompute()
+        if not st.n:
             return None
-        if self._next_completion is not None:
-            # Completion instants do not move while the flow set and
-            # rates are fixed; a flow already past its instant (the
-            # caller overshot) reads as finishing "now", as it would on
-            # a fresh scan.
-            return max(self._next_completion, self._now)
         if k is not None:
-            best = k.scan(self._p_tab, n, _DONE_EPS)
-            if best is not None:
-                self._next_completion = self._now + best
-                return self._next_completion
+            # Reallocation (when dirty), memo and scan in one call, the
+            # same operations in the same order as the NumPy path.
+            if st.dirty:
+                obs.count("net.allocations")
+            t = k.earliest(st)
+            if t is not None:
+                return t
+            # A flow stalled: the NumPy scan below names it.
+        elif st.next is not None:
+            # A flow already past its instant (the caller overshot)
+            # reads as finishing "now", as it would on a fresh scan.
+            return max(st.next, st.now)
+        n = st.n
         wire = self._wire[:n]
         rate = self._rate[:n]
         # Done-flows first, zero rates second — consistently, in one pass.
         if (wire <= _DONE_EPS).any():
-            return self._now
+            return st.now
         stalled = rate <= 0.0
         if stalled.any():
             idx = np.nonzero(stalled)[0]
@@ -423,9 +459,8 @@ class FluidNetwork:
                     for i in idx
                 ]
             )
-        best = float((wire / rate).min())
-        self._next_completion = self._now + best
-        return self._next_completion
+        st.next = st.now + float((wire / rate).min())
+        return st.next
 
     def pop_completed_keys(self, t: float) -> List[Hashable]:
         """Advance to ``t`` and retire every finished flow, keys only.
@@ -437,29 +472,18 @@ class FluidNetwork:
         compaction of every column, keys included, run in one C call
         when the kernel is available.
         """
-        n = self._n
-        k = self._k
-        if n == 0 or k is None:
+        st = self.store
+        if st.n == 0 or self._k is None:
             return [f.key for f in self.pop_completed(t)]
-        if t < self._now - 1e-12:
-            raise ValueError(f"time moved backwards: {t} < {self._now}")
-        dt = t - self._now
-        if dt > 0 and self._dirty:
+        if st.dirty and t > st.now:
             self._recompute()
-        done = k.retire(self._p_tab, n, dt, _DONE_EPS)
-        if t > self._now:
-            self._now = t
-        if done:
-            self._key_set.difference_update(done)
-            self._n = n - len(done)
-            self._dirty = True
-            self._next_completion = None
-        return done
+        return self._k.retire(st, t)
 
     def pop_completed(self, t: float) -> List[FlowState]:
         """Advance to ``t`` and remove every flow that has finished."""
         self.advance_to(t)
-        n = self._n
+        st = self.store
+        n = st.n
         if n == 0:
             return []
         wire = self._wire[:n]
@@ -471,8 +495,9 @@ class FluidNetwork:
         for f in done:
             self._key_set.discard(f.key)
         self._compact(~done_mask)
-        self._dirty = True
-        self._next_completion = None
+        st.dirty = True
+        st.changed = True
+        st.next = None
         return done
 
     def _flow_state(self, slot: int) -> FlowState:
@@ -492,7 +517,7 @@ class FluidNetwork:
 
     def _compact(self, keep: np.ndarray) -> None:
         """Drop slots where ``keep`` is False, preserving insertion order."""
-        n = self._n
+        n = self.store.n
         m = int(keep.sum())
         lengths = np.diff(self._ptr[: n + 1])
         seg_keep = np.repeat(keep, lengths)
@@ -513,20 +538,19 @@ class FluidNetwork:
             arr = getattr(self, name)
             arr[:m] = arr[:n][keep]
         self._keys[m:n] = None
-        self._n = m
+        self.store.n = m
 
     # ------------------------------------------------------------------
     def _recompute(self) -> None:
-        n = self._n
+        st = self.store
+        n = st.n
         if n and self._k is not None and self.observer is None:
             # Fused C path: per-link counts, contention penalty, freeze
             # thresholds and the progressive fill in one call — the same
             # operations in the same order as the NumPy pipeline below,
             # so rates stay bit-identical (see _fastfill.c).
             obs.count("net.allocations")
-            self._k.recompute(self._p_tab, n, self._cc, self._ccap)
-            self._dirty = False
-            self._next_completion = None
+            self._k.recompute(st)
             return
         if n:
             used = int(self._ptr[n])
@@ -561,8 +585,8 @@ class FluidNetwork:
                 workspace=self._alloc_ws,
                 out=self._rate[:n],
             )
-        self._dirty = False
-        self._next_completion = None
+        st.dirty = False
+        st.next = None
         if self.observer is not None:
             nlinks = len(self._link_caps)
             if n:
@@ -574,30 +598,32 @@ class FluidNetwork:
                 )
             else:
                 link_rates = np.zeros(nlinks)
-            self.observer(self._now, link_rates)
+            self.observer(st.now, link_rates)
 
     # ------------------------------------------------------------------
     def snapshot_rates(self) -> Dict[Hashable, float]:
         """Current fair rate of every active flow (diagnostics/tests)."""
-        if self._dirty:
+        if self.store.dirty:
             self._recompute()
-        n = self._n
+        n = self.store.n
         return {self._keys[i]: float(self._rate[i]) for i in range(n)}
 
     def snapshot_remaining(self) -> Dict[Hashable, float]:
         """Remaining wire bytes of every active flow (diagnostics/tests)."""
-        n = self._n
+        n = self.store.n
         return {self._keys[i]: float(self._wire[i]) for i in range(n)}
 
     def reset(self) -> None:
         """Drop all flows and rewind the clock (reuse across runs)."""
-        self._n = 0
+        st = self.store
+        st.n = 0
         self._ptr[0] = 0
         self._keys[:] = None
         self._key_set.clear()
-        self._now = 0.0
-        self._dirty = False
-        self._next_completion = None
+        st.now = 0.0
+        st.dirty = False
+        st.changed = False
+        st.next = None
         self._rng = np.random.default_rng(self._seed)
         self._z = []
         self._z_next = 0

@@ -17,6 +17,8 @@ phase           owns
 ``rendezvous``  send/recv posting and matching, transfer start,
                 flow begin/complete
 ``arm``         network-event arming and the fluid-network solver
+                (with the compiled kernel, every call into its network
+                entry points)
 ``trace``       message/phase/retry records and rank-op spans
 ``queue``       event-heap push and the drain loop (``EventQueue.push``
                 / ``EventQueue.run``, ``Engine.run``; with the compiled
@@ -27,11 +29,15 @@ phase           owns
 Attribution is by *stack inheritance*: a frame whose code object is in
 the marker table switches to its own phase; any other frame inherits
 its caller's phase, so helpers and C calls land in the phase that
-invoked them.  The one exception is the compiled event queue
-(:func:`repro.sim.events.event_queue`): its methods have no code
-object, so a C call bound to a queue of that type counts as ``queue``
-wherever it is made.  The engine is deterministic, so counts are exactly
-reproducible; a second plain-counter run (no phase logic) provides the
+invoked them.  The exceptions are the compiled kernel's types and
+functions, which have no code object: a C call bound to the compiled
+event queue (:func:`repro.sim.events.event_queue`) counts as ``queue``,
+and a call into the kernel's network entry points (its module functions
+and ``FlowStore`` methods) counts as ``arm``, wherever it is made.  The
+arm–check–retire cycle the compiled drain loop runs itself makes no
+call at all, so it shows only as the ``Engine._flow_complete`` calls it
+hands each retired flow to.  The engine is deterministic, so counts are
+exactly reproducible; a second plain-counter run (no phase logic) provides the
 ``direct_total`` cross-check the acceptance criterion compares against
 — the two count the same events, so they agree exactly, but the table
 records both so a future refactor of the profiler itself cannot
@@ -123,6 +129,7 @@ def marker_table() -> Dict[object, str]:
         Engine._arm_network_event,
         Engine._net_check,
         FluidNetwork.add_flow,
+        FluidNetwork.begin_flow,
         FluidNetwork.advance_to,
         FluidNetwork.earliest_completion,
         FluidNetwork.pop_completed_keys,
@@ -219,6 +226,7 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
     directly comparable (the acceptance bar is 10 %; in practice they
     are equal because both count the same 'call'/'c_call' stream).
     """
+    from ..machine._fastfill import kernel
     from ..sim.events import event_queue
 
     wl = _find_workload(name)
@@ -229,6 +237,8 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
     markers = marker_table()
     # Only a compiled queue's methods show up as C calls bound to it.
     queue_type = type(event_queue())
+    fast = kernel()
+    store_type = None if fast is None else fast.FlowStore
     counts: Dict[str, int] = {p: 0 for p in PHASES}
     stack: List[str] = ["other"]
 
@@ -243,8 +253,11 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
             if len(stack) > 1:
                 stack.pop()
         elif event == "c_call":
-            if type(getattr(arg, "__self__", None)) is queue_type:
+            owner = getattr(arg, "__self__", None)
+            if type(owner) is queue_type:
                 counts["queue"] += 1
+            elif fast is not None and (owner is fast or type(owner) is store_type):
+                counts["arm"] += 1
             else:
                 counts[stack[-1]] += 1
 

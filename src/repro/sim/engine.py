@@ -34,6 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import obs
 from ..faults.model import FaultModel
 from ..faults.plan import FaultPlan
 from ..machine.contention import FluidNetwork
@@ -174,8 +175,15 @@ class Engine:
         self.net = FluidNetwork(
             self.tree, seed=seed, link_scales=self.faults.link_scales
         )
-        #: Bulk completion pop, bound once.
+        #: Flow start and bulk completion pop, bound once.
+        self._begin_flow = self.net.begin_flow
         self._pop_completed_keys = self.net.pop_completed_keys
+        #: The flow store's scalar state, shared with the network (and
+        #: with the compiled drain loop, see run).
+        self._net_state = self.net.store
+        #: The store while the compiled drain loop runs the network's
+        #: cycle (set by run), else None.
+        self._native_net = None
         self.tracer = tracer
         #: Cause dict for the resume that will close a rank's open op;
         #: set just before scheduling the resume, popped in _resume.
@@ -208,16 +216,6 @@ class Engine:
         self._attempts: Dict[Tuple[int, int, int], int] = {}
         self.procs: List[Process] = []
         self._flow_seq = itertools.count()
-        #: True when the flow set changed since the last arm — the arm
-        #: in the drain loop is skipped otherwise (the armed completion
-        #: instant is memoized and still valid).  Superseded armed
-        #: events stay in the heap as stale no-ops on purpose: their
-        #: *times* still define drain instants, and a live completion
-        #: within ``_TIME_ATOL`` of such an instant must retire at the
-        #: stale instant's timestamp (MODEL.md §13, pinned by the trace
-        #: digests in tests/sim/test_batched_drain.py).
-        self._net_changed = False
-        self._net_gen = 0
         self._in_flight: Dict[int, _InFlight] = {}
         self._barrier_waiting: List[Process] = []
         self._collective: Optional[Tuple[str, List[Tuple[Process, Any]]]] = None
@@ -249,6 +247,11 @@ class Engine:
         for rank, (at, detect) in sorted(self.faults.failure_times().items()):
             self._schedule(at, self._kill_rank, rank, detect)
 
+        # With the kernel loaded and no observer, the compiled drain loop
+        # runs the network's arm–check–retire cycle itself and counts
+        # its reallocations on the store.
+        self._native_net = native = self.net.native_store()
+        allocations = native.allocations if native is not None else 0
         # The drain allocates heavily (events, in-flight records)
         # but creates no cycles the collector could free mid-run; pausing
         # generational GC avoids repeated full-heap scans over the
@@ -261,6 +264,8 @@ class Engine:
         finally:
             if gc_was_enabled:
                 gc.enable()
+            if native is not None and native.allocations != allocations:
+                obs.count("net.allocations", native.allocations - allocations)
 
         unfinished = [
             p
@@ -551,11 +556,8 @@ class Engine:
         self._schedule(start_at, self._flow_begin, key)
 
     def _flow_begin(self, key: int) -> None:
-        inf = self._in_flight[key]
-        send = inf.send
-        self.net.advance_to(self.now)
-        self.net.add_flow(key, send.src, send.dst, send.nbytes)
-        self._net_changed = True
+        send = self._in_flight[key].send
+        self._begin_flow(self.now, key, send.src, send.dst, send.nbytes)
 
     def _flow_complete(self, key: int) -> None:
         inf = self._in_flight.pop(key)
@@ -782,32 +784,36 @@ class Engine:
         if waiter is not None:
             self._schedule(self.now, self._resume, waiter, None)
 
+    @property
+    def _net_changed(self) -> bool:
+        """The flow set changed since the last arm (read by the drain
+        loop after each instant)."""
+        return self._net_state.changed
+
     def _arm_network_event(self) -> None:
         # Called after a drained instant only when a flow was added or
         # retired; otherwise the armed event (if any) is still valid —
         # its completion instant is memoized and unchanged — and the
         # re-arm is skipped instead of re-pushing an identical event.
-        # Superseded events are left in the heap and skipped by
-        # generation number when popped; see __init__ for why their
-        # times must survive.
-        self._net_changed = False
-        self._net_gen += 1
-        if self.net.active_count == 0:
-            return
-        t = self.net.earliest_completion()
-        if t is None:
-            return
-        gen = self._net_gen
-        self._schedule(max(t, self.now), self._net_check, gen)
+        # Superseded events stay in the heap as stale no-ops on purpose,
+        # skipped by generation number when popped: their *times* still
+        # define drain instants, and a live completion within
+        # ``_TIME_ATOL`` of such an instant must retire at the stale
+        # instant's timestamp (MODEL.md §13, pinned by the trace digests
+        # in tests/sim/test_batched_drain.py).  The compiled drain loop
+        # runs the same arm and check in C (see run).
+        st = self._net_state
+        st.changed = False
+        st.gen += 1
+        if self.net.active_count:
+            t = self.net.earliest_completion()
+            self._schedule(max(t, self.now), self._net_check, st.gen)
 
     def _net_check(self, gen: int) -> None:
-        if gen != self._net_gen:
+        if gen != self._net_state.gen:
             return  # stale: flow set changed since this was armed
-        keys = self._pop_completed_keys(self.now)
-        if keys:
-            self._net_changed = True
-            for key in keys:
-                self._flow_complete(key)
+        for key in self._pop_completed_keys(self.now):
+            self._flow_complete(key)
 
     # ==================================================================
     # Control-network collectives

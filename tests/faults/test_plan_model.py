@@ -9,6 +9,7 @@ from repro.faults import (
     LinkDegrade,
     MessageDelay,
     MessageDrop,
+    NodeFailure,
     NodeStraggler,
 )
 from repro.machine import CM5Params, MachineConfig
@@ -59,11 +60,19 @@ def test_plan_rejects_non_fault_entries():
         lambda: NodeStraggler(-1, 2.0),
         lambda: NodeStraggler(0, 0.5),
         lambda: NodeStraggler(0, 2.0, overhead_factor=0.9),
+        lambda: NodeStraggler(0, float("nan")),
+        lambda: NodeStraggler(0, float("inf")),
+        lambda: NodeStraggler(0, 2.0, overhead_factor=float("nan")),
+        lambda: NodeStraggler(0, 2.0, overhead_factor=float("inf")),
         lambda: MessageDelay(1.5, 1e-6),
         lambda: MessageDelay(0.5, -1e-6),
         lambda: MessageDrop(-0.1),
         lambda: MessageDrop(0.1, detect_seconds=-1.0),
         lambda: MessageDrop(0.1, max_consecutive=0),
+        lambda: MessageDelay(0.5, float("nan")),
+        lambda: MessageDrop(0.1, detect_seconds=float("nan")),
+        lambda: NodeFailure(1, float("nan")),
+        lambda: NodeFailure(1, 1e-3, detect_seconds=float("nan")),
     ],
 )
 def test_fault_validation(bad):

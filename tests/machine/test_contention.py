@@ -100,6 +100,28 @@ class TestDynamics:
         with pytest.raises(ValueError):
             net.add_flow("f", 2, 3, 16)
 
+    def test_duplicate_key_rejected_before_any_drain(self):
+        net = make_net()
+        net.add_flow("f", 0, 1, 1600)
+        with pytest.raises(ValueError, match="duplicate flow key: 'f'"):
+            net.begin_flow(50e-6, "f", 2, 3, 16)
+        assert net.now == 0.0 and net.active_count == 1
+
+    def test_begin_flow_is_advance_then_add(self):
+        # Draining a dirty network reallocates first, in the observer's
+        # view, before the new flow joins.
+        fused, stepwise = make_net(), make_net()
+        seen = []
+        fused.observer = lambda now, rates: seen.append(now)
+        for net in (fused, stepwise):
+            net.add_flow("a", 0, 1, 1600)
+        fused.begin_flow(50e-6, "b", 2, 3, 800)
+        stepwise.advance_to(50e-6)
+        stepwise.add_flow("b", 2, 3, 800)
+        assert fused.snapshot_remaining() == stepwise.snapshot_remaining()
+        assert fused.now == stepwise.now == 50e-6
+        assert seen == [0.0]
+
     def test_rates_rebalance_when_flow_departs(self):
         net = make_net(switch_contention=0.0)
         net.add_flow("short", 0, 4, 160)
@@ -168,7 +190,7 @@ class TestStallDetection:
         net.add_flow("k1", 0, 1, 1600)
         net.snapshot_rates()  # recompute, clearing the dirty flag
         net._rate[0] = 0.0
-        net._next_completion = None
+        net.store.next = None  # drop the memoized completion
         return net
 
     def test_stall_raises_with_named_triples(self):
@@ -194,7 +216,7 @@ class TestStallDetection:
         t = net.earliest_completion()
         net.advance_to(t)
         net._rate[:2] = 0.0
-        net._next_completion = None
+        net.store.next = None  # drop the memoized completion
         assert net.earliest_completion() == net.now
         popped = net.pop_completed(net.now)
         assert [f.key for f in popped] == ["done"]

@@ -22,6 +22,7 @@ import pytest
 import repro.sim.engine as engine_mod
 from repro.machine import MachineConfig
 from repro.machine.bandwidth import max_min_rates
+from repro.machine.contention import FlowStore
 from repro.machine.params import wire_bytes
 from repro.schedules import (
     CommPattern,
@@ -189,12 +190,36 @@ class ReferenceFluidNetwork:
         self._rng = np.random.default_rng(self._seed)
 
 
+class EngineFacingReference(ReferenceFluidNetwork):
+    """The reference behind the engine-facing surface added since: the
+    one-call flow start and the flow store's changed flag and arm
+    generation.  No native store, so the engine arms in Python."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.store = FlowStore()
+
+    def native_store(self):
+        return None
+
+    def begin_flow(self, t, key, src, dst, payload):
+        self.advance_to(t)
+        self.add_flow(key, src, dst, payload)
+        self.store.changed = True
+
+    def pop_completed_keys(self, t):
+        keys = super().pop_completed_keys(t)
+        if keys:
+            self.store.changed = True
+        return keys
+
+
 def _stream(schedule, config, monkeypatch=None, reference=False):
     if reference:
         res = None
         # Swap the engine's network class for the reference for one run.
         orig = engine_mod.FluidNetwork
-        engine_mod.FluidNetwork = ReferenceFluidNetwork
+        engine_mod.FluidNetwork = EngineFacingReference
         try:
             res = execute_schedule(schedule, config, trace=True)
         finally:

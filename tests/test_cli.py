@@ -433,13 +433,16 @@ class TestChaosCLI:
             ["--degrade", "1:0:-0.5"],
             ["--drop", "1.5"],
             ["--delay", "0.5:-1e-4"],
+            ["--straggler", "2:nan"],
+            ["--delay", "0.5:nan"],
         ],
     )
     def test_invalid_fault_flag_exits_2(self, capsys, flags):
         assert main(["faults", "--quick", *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flags[0]} wants ")
-        assert "\n" not in err.rstrip("\n")
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flags[0]} wants ")
+        assert "\n" not in captured.err.rstrip("\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "flags",
@@ -721,6 +724,13 @@ class TestUsageErrors:
         csv = self._blocked(tmp_path)
         assert main(["fig10", "--quick", "--csv", str(csv)]) == 2
         assert "cannot write" in self._one_error_line(capsys).err
+
+    def test_unwritable_csv_dir_fails_before_the_sweep(self, tmp_path, capsys):
+        # Checked while parsing: nothing is simulated or printed first.
+        csv = self._blocked(tmp_path)
+        assert main(["fig10", "--quick", "--csv", str(csv)]) == 2
+        captured = self._one_error_line(capsys)
+        assert "--csv" in captured.err and captured.out == ""
 
     def test_unwritable_trace_out_exits_2(self, tmp_path, capsys):
         out = self._blocked(tmp_path) / "trace.json"
