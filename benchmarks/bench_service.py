@@ -12,8 +12,7 @@ cache + single-flight dedup + warm-start tiers.
 Outputs:
 
 * full scale: ``BENCH_service.json`` at the repo root — the committed
-  artifact (schema ``repro-bench-service/3``, ``"scale": "full"``),
-  comparable with ``python -m repro perfcmp``;
+  artifact (schema ``repro-bench-service/3``, ``"scale": "full"``);
 * ``--quick``: ``BENCH_service_quick.json`` — a side path, so a CI
   smoke run can never clobber the committed full-scale artifact
   (``--force`` overrides the guard when a path collision does occur);

@@ -8,8 +8,7 @@
   crossovers);
 * :mod:`repro.analysis.calibrate` — provenance of the model constants;
 * :mod:`repro.analysis.cache` — persistent memo of expensive runs;
-* :mod:`repro.analysis.perf` / :mod:`repro.analysis.perfcmp` — hot-path
-  wall-clock benchmark (``BENCH_sim.json``) and regression diffing;
+* :mod:`repro.analysis.perf` — the canonical profile workloads;
 * :mod:`repro.analysis.conformance` — cross-backend agreement harness
   (``results/conformance.{txt,json}``);
 * :mod:`repro.analysis.optgap` — optimality gaps vs makespan lower
@@ -52,14 +51,7 @@ from .experiments import (
     table12_data,
 )
 from .calibrate import Anchor, CalibrationResult, anchors_from_table11, evaluate, fit
-from .perf import perf_workloads, render_report, run_perf, write_bench
-from .perfcmp import (
-    PerfComparison,
-    PerfDelta,
-    compare_benches,
-    load_bench,
-    render_comparison,
-)
+from .perf import perf_workloads
 from .conformance import (
     ConformanceReport,
     backend_times,
@@ -115,14 +107,6 @@ __all__ = [
     "table11_data",
     "table12_data",
     "perf_workloads",
-    "render_report",
-    "run_perf",
-    "write_bench",
-    "PerfComparison",
-    "PerfDelta",
-    "compare_benches",
-    "load_bench",
-    "render_comparison",
     "Anchor",
     "CalibrationResult",
     "anchors_from_table11",

@@ -10,10 +10,10 @@ The exhibits (``schedules``, ``fig5``-``fig11``, ``table5/11/12``,
 ``all``) print paper-vs-measured comparisons; ``--quick`` shrinks
 sweeps to small machines and ``--csv DIR`` also writes figure data.
 The oracles (``validate``, ``conformance``, ``optgap``, ``chaos``,
-``serve-chaos``, ``perfcmp``) exit 1 on a failed check, after writing
-their artifacts under ``results/``; ``perf`` and ``serve-bench`` write
-the BENCH documents; ``trace``, ``critpath``, ``roottraffic``,
-``gantt``, ``metrics`` and ``profile`` observe one run.
+``serve-chaos``) exit 1 on a failed check, after writing their
+artifacts under ``results/``; ``serve-bench`` writes the BENCH
+document; ``trace``, ``critpath``, ``roottraffic``, ``gantt``,
+``metrics`` and ``profile`` observe one run.
 
 Each command accepts exactly the options it reads: :data:`COMMANDS`
 names its function and options, and :data:`OPTIONS` defines every
@@ -325,14 +325,14 @@ def cmd_metrics(args: argparse.Namespace) -> None:
 
 
 def cmd_profile(args: argparse.Namespace) -> None:
-    """Profile one perf workload's hot loop (`--mode phases|sample`).
+    """Profile one workload's hot loop (`--mode phases|sample`).
 
     ``phases`` (default) counts interpreter-level calls per engine phase
     under :func:`sys.setprofile`, prints the per-message attribution
     table, and exits 1 if the attributed total drifts more than 10 %
     from a direct plain-counter run — the determinism contract.
     ``sample`` takes wall-clock stack samples and writes collapsed
-    stacks for flamegraph tools.  ``--workload`` names any perf
+    stacks for flamegraph tools.  ``--workload`` names any profile
     workload (default ``pex_n256_b512``); ``--out`` overrides the
     artifact path under ``results/``.
     """
@@ -763,62 +763,6 @@ def cmd_serve_chaos(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_perf(args: argparse.Namespace) -> None:
-    """Time the canonical hot-path workloads; write BENCH_sim.json.
-
-    ``--quick`` shrinks the exchange sweep for smoke runs; ``--bench-out``
-    moves the JSON (default ``BENCH_sim.json`` in the current directory);
-    ``--jobs N`` fans workloads out over N worker processes (timings get
-    noisier — compare like with like when feeding ``perfcmp``).
-    A text rendering also lands in ``results/perf_hotpath.txt``.
-    """
-    from .analysis.perf import render_report, run_perf, write_bench
-
-    bench = run_perf(quick=args.quick, progress=print, jobs=args.jobs)
-    out = Path(args.bench_out)
-    with _writing():
-        write_bench(bench, out)
-    report = render_report(bench)
-    _save("results/perf_hotpath.txt", report + "\n")
-    print()
-    print(report)
-    print(f"[bench written to {out}]")
-
-
-def cmd_perfcmp(args: argparse.Namespace) -> None:
-    """Diff two BENCH_sim.json files; exit non-zero on regressions.
-
-    Compares ``--baseline`` (default the committed
-    ``benchmarks/BENCH_baseline.json``) against ``--current`` (default
-    ``BENCH_sim.json``); workloads slower by more than ``--threshold``
-    (fraction, default 0.10) *and* more than ``--min-delta`` absolute
-    seconds fail the run, as does any simulated-time drift.  The
-    absolute floor keeps millisecond-scale quick workloads from failing
-    on scheduler noise; ``--min-delta 0`` disables it.
-    """
-    from .analysis.perfcmp import compare_benches, load_bench, render_comparison
-
-    def _load(path: str, role: str):
-        try:
-            return load_bench(path)
-        except OSError as exc:
-            raise CLIError(f"cannot read {role} BENCH file {path}: {exc}")
-        except ValueError as exc:
-            raise CLIError(f"malformed {role} BENCH file {path}: {exc}")
-
-    baseline = _load(args.baseline, "baseline")
-    current = _load(args.current, "current")
-    try:
-        cmp = compare_benches(
-            baseline, current, threshold=args.threshold, min_delta=args.min_delta
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    print(render_comparison(cmp))
-    if not cmp.ok:
-        raise SystemExit(1)
-
-
 #: Names `validate --algorithm` accepts: the exchange registry, then the
 #: irregular names it does not already hold.
 _LINTABLE = tuple(dict.fromkeys((*EXCHANGE_ALGORITHMS, *IRREGULAR_ALGORITHMS)))
@@ -1011,6 +955,13 @@ def _writable_dir(text: str) -> Path:
     return path
 
 
+def _writable_file(text: str) -> str:
+    """An argparse ``type=`` for an output file: its directory is
+    checked like ``_writable_dir``'s, so nothing runs before the error."""
+    _writable_dir(str(Path(text).parent))
+    return text
+
+
 def _option(flag: str, **kwargs: Any) -> Tuple[str, Dict[str, Any]]:
     return flag, kwargs
 
@@ -1051,28 +1002,6 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "plan": _option(
         "--plan", metavar="FILE",
         help="load a FaultPlan from a JSON file (overrides the fault flags)",
-    ),
-    # performance benchmarking
-    "bench_out": _option(
-        "--bench-out", default="BENCH_sim.json", metavar="FILE",
-        help="where to write the BENCH document",
-    ),
-    "baseline": _option(
-        "--baseline", default="benchmarks/BENCH_baseline.json", metavar="FILE",
-        help="baseline BENCH document",
-    ),
-    "current": _option(
-        "--current", default="BENCH_sim.json", metavar="FILE",
-        help="current BENCH document",
-    ),
-    "threshold": _option(
-        "--threshold", type=_POSITIVE_FLOAT, default=0.10, metavar="FRACTION",
-        help="relative wall-clock slack before a workload fails (default 0.10)",
-    ),
-    "min_delta": _option(
-        "--min-delta", type=_NON_NEGATIVE_FLOAT, default=0.05, metavar="SECONDS",
-        help="absolute wall-clock floor below which a delta is scheduler "
-        "noise regardless of ratio (default 0.05)",
     ),
     # scheduling service
     "requests": _option(
@@ -1125,7 +1054,7 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
         help="bytes per pair (default 512)",
     ),
     "out": _option(
-        "--out", metavar="FILE",
+        "--out", type=_writable_file, metavar="FILE",
         help="where to write the artifact (default under results/)",
     ),
     "trace": _option(
@@ -1153,7 +1082,7 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "workload": _option(
         "--workload", choices=profile_workload_names(),
         default="pex_n256_b512", metavar="NAME",
-        help="perf workload to profile (default pex_n256_b512)",
+        help="profile workload to run (default pex_n256_b512)",
     ),
     "interval": _option(
         "--interval", type=_POSITIVE_FLOAT, default=0.002, metavar="SECONDS",
@@ -1193,10 +1122,6 @@ COMMANDS: Dict[str, Command] = {
     "gantt": Command(cmd_gantt, ("quick", "trace")),
     "report": Command(cmd_report),
     "calibrate": Command(cmd_calibrate, ("quick",)),
-    "perf": Command(cmd_perf, ("quick", "jobs", "bench_out")),
-    "perfcmp": Command(
-        cmd_perfcmp, ("baseline", "current", "threshold", "min_delta")
-    ),
     "serve-bench": Command(
         cmd_serve_bench,
         ("quick", "requests", "corpus", "skew", "arrival", "jobs", "force"),

@@ -3,7 +3,7 @@
 ROADMAP item 2 claims the remaining wall time at N>=256 is "diffuse
 Python glue (~140 interpreter calls per message across
 resume/dispatch/rendezvous/trace)".  This module turns that sentence
-into a tracked artifact: :func:`run_phase_profile` executes one perf
+into a tracked artifact: :func:`run_phase_profile` executes one profile
 workload under :func:`sys.setprofile` with a **marker table** mapping
 engine code objects to phases, and attributes every interpreter-level
 call ('call' + 'c_call' events) to the innermost enclosing phase —
@@ -217,7 +217,7 @@ class PhaseReport:
 
 
 def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
-    """Profile one perf workload's execute step with phase attribution.
+    """Profile one workload's execute step with phase attribution.
 
     The schedule is built unprofiled; only the simulation runs under
     :func:`sys.setprofile`.  With ``direct_check`` (the default) a

@@ -4,8 +4,8 @@ Two kinds of interval live in one :class:`Tracer`:
 
 * **Spans** — wall-clock intervals opened with the :meth:`Tracer.span`
   context manager around host-side work (schedule construction, a
-  backend run).  They nest; each span records its parent, so the perf
-  harness can attribute a workload's wall time to a layer (``build`` vs
+  backend run).  They nest; each span records its parent, so a caller
+  can attribute a workload's wall time to a layer (``build`` vs
   ``execute`` vs ``sim``) instead of a whole run.
 * **Rank ops** — simulated-time intervals emitted by the discrete-event
   engine (:mod:`repro.sim.engine`), one per blocking request a rank

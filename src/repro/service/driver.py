@@ -52,7 +52,6 @@ the fraction of offered requests that missed their deadline
 (``deadline_miss_rate``) or were shed by admission control
 (``shed_rate``); both are exactly ``0.0`` when the cell runs without a
 :class:`~repro.service.guard.GuardConfig` and without a deadline.
-``perfcmp`` compares only documents of the same schema version.
 
 ``repro serve-bench`` drives this and fails (exit 1) when a served
 schedule fails the linter or the hit rate is zero — the regression a

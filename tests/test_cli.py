@@ -154,112 +154,6 @@ class TestValidateCommand:
         assert f"{_NON_INTEGER[case][1]} must be an integer" in lines[0]
 
 
-class TestPerfcmpRobustness:
-    def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "perfcmp",
-                    "--baseline",
-                    str(tmp_path / "missing.json"),
-                    "--current",
-                    str(tmp_path / "missing.json"),
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "cannot read baseline BENCH file" in err
-
-    def test_malformed_bench_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "something-else/9"}')
-        assert (
-            main(
-                ["perfcmp", "--baseline", str(bad), "--current", str(bad)]
-            )
-            == 2
-        )
-        assert "malformed baseline BENCH file" in capsys.readouterr().err
-
-    def test_zero_baseline_exits_2_with_one_line(self, tmp_path, capsys):
-        import json
-
-        doc = {
-            "schema": "repro-bench-sim/1",
-            "scale": "full",
-            "workloads": {
-                "w": {"wall_seconds": 0.0, "sim_ms": 1.0, "messages": 1}
-            },
-        }
-        zero = tmp_path / "zero.json"
-        zero.write_text(json.dumps(doc))
-        good = tmp_path / "good.json"
-        doc["workloads"]["w"]["wall_seconds"] = 1.0
-        good.write_text(json.dumps(doc))
-        assert (
-            main(
-                ["perfcmp", "--baseline", str(zero), "--current", str(good)]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "non-positive baseline wall time" in err
-        assert "\n" not in err.rstrip("\n")
-
-    def test_cross_scale_exits_2_with_one_line(self, tmp_path, capsys):
-        import json
-
-        doc = {
-            "schema": "repro-bench-sim/1",
-            "scale": "full",
-            "workloads": {
-                "w": {"wall_seconds": 1.0, "sim_ms": 1.0, "messages": 1}
-            },
-        }
-        full = tmp_path / "full.json"
-        full.write_text(json.dumps(doc))
-        doc["scale"] = "quick"
-        quick = tmp_path / "quick.json"
-        quick.write_text(json.dumps(doc))
-        assert (
-            main(
-                ["perfcmp", "--baseline", str(full), "--current", str(quick)]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "scale mismatch" in err
-        assert "\n" not in err.rstrip("\n")
-
-    def test_missing_scale_exits_2_with_one_line(self, tmp_path, capsys):
-        import json
-
-        doc = {
-            "schema": "repro-bench-sim/1",
-            "workloads": {
-                "w": {"wall_seconds": 1.0, "sim_ms": 1.0, "messages": 1}
-            },
-        }
-        unstamped = tmp_path / "unstamped.json"
-        unstamped.write_text(json.dumps(doc))
-        assert (
-            main(
-                [
-                    "perfcmp",
-                    "--baseline",
-                    str(unstamped),
-                    "--current",
-                    str(unstamped),
-                ]
-            )
-            == 2
-        )
-        err = capsys.readouterr().err
-        assert "missing the 'scale' field" in err
-        assert "\n" not in err.rstrip("\n")
-
-
 class TestConformanceCommand:
     def test_quick_conformance_passes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -743,3 +637,19 @@ class TestUsageErrors:
         argv = ["metrics", "--nprocs", "8", "--nbytes", "128", "--out", str(out)]
         assert main(argv) == 2
         assert "cannot write" in self._one_error_line(capsys).err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "--workload", "pex_n16_b512"],
+            ["trace", "--nprocs", "8"],
+            ["metrics", "--nprocs", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, argv):
+        # Checked while parsing: nothing is simulated or printed first.
+        out = self._blocked(tmp_path) / "artifact.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = self._one_error_line(capsys)
+        assert "--out" in captured.err and captured.out == ""

@@ -51,18 +51,12 @@ _INVALID = {
     "fault_seed": _NOT_A_NUMBER,
     "drop": _NOT_A_NUMBER,
     "interval": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _floats(max_value=0.0)),
-    "threshold": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _floats(max_value=0.0)),
     "skew": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _floats(max_value=-1e-9)),
-    "min_delta": st.one_of(
-        _NOT_A_NUMBER, _NON_FINITE, _floats(max_value=-1e-9)
-    ),
     "plan": _MISSING_FILE,
     "schedule": _MISSING_FILE,
     "trace": _MISSING_FILE,
     "check_file": _MISSING_FILE,
     "check": _MISSING_FILE,
-    "baseline": _MISSING_FILE,
-    "current": _MISSING_FILE,
 }
 for _name, (_, _spec) in OPTIONS.items():
     if "choices" in _spec:
@@ -71,8 +65,7 @@ for _name, (_, _spec) in OPTIONS.items():
         )
 
 #: Options whose every value is accepted at parse time.
-_FREE_FORM = {"quick", "csv", "straggler", "degrade", "delay", "bench_out",
-              "out", "force"}
+_FREE_FORM = {"quick", "csv", "straggler", "degrade", "delay", "out", "force"}
 
 
 def test_every_option_is_classified():
