@@ -22,6 +22,7 @@ table12   irregular scheduling of real application patterns
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..apps.fft2d import fft2d_time
@@ -291,6 +292,13 @@ def table11_data(
     return out
 
 
+def _workload_key(name: str, nprocs: int, pattern: CommPattern) -> str:
+    """Disk-cache key of one Table 12 workload: a digest of its byte
+    matrix, stable across processes (``hash`` of bytes is salted)."""
+    digest = hashlib.sha256(pattern.matrix.tobytes()).hexdigest()[:8]
+    return f"real/{name}/{nprocs}/{digest}"
+
+
 def table12_data(
     nprocs: int = 32,
     algorithms: Sequence[str] = tuple(algorithm_names()),
@@ -302,14 +310,9 @@ def table12_data(
     for name in workload_names():
         wl = paper_workload(name, nprocs)
         loads[name] = wl
-        pat_id = hash(wl.pattern) & 0xFFFFFFFF
+        key = _workload_key(name, nprocs, wl.pattern)
         times[name] = {
-            alg: irregular_time(
-                wl.pattern,
-                alg,
-                params,
-                cache_key=f"real/{name}/{nprocs}/{pat_id:08x}",
-            )
+            alg: irregular_time(wl.pattern, alg, params, cache_key=key)
             for alg in algorithms
         }
     return times, loads

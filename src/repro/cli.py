@@ -943,13 +943,15 @@ _POSITIVE_FLOAT = _checked(float, lambda x: 0 < x < math.inf, "finite and > 0")
 
 
 def _writable_dir(text: str) -> Path:
-    """An argparse ``type=`` for an output directory: created and probed
-    with a scratch file while parsing, so an unwritable one exits 2
-    before any work runs or prints."""
+    """An argparse ``type=`` for an output directory: its nearest
+    existing ancestor is probed with a scratch file while parsing, so an
+    unwritable one exits 2 before any work runs or prints.  The
+    directory itself is created only when an artifact is written
+    (``_save``), so a rejected command leaves nothing behind."""
     path = Path(text)
+    probe = next(p for p in (path, *path.parents) if p.exists())
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        tempfile.TemporaryFile(dir=path).close()
+        tempfile.TemporaryFile(dir=probe).close()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot write output: {exc}") from None
     return path

@@ -1,33 +1,34 @@
 /* Compiled kernels of the simulator, as one CPython extension module
- * (loaded by _fastfill.py): the fluid network's max-min progressive
- * filling and per-event flow-store operations of
- * repro.machine.contention.FluidNetwork, and the discrete-event
- * engine's event queue with its drain loop (repro.sim.events).
+ * (loaded by _fastfill.py): the per-event flow-store operations of
+ * repro.machine.contention.FluidNetwork, max-min progressive filling
+ * included, and the discrete-event engine's event queue with its drain
+ * loop (repro.sim.events).
  *
  * The filling loop is a transliteration of the NumPy round loop in
- * bandwidth.py (the fallback path): every floating-point operation is
- * performed in the same order on the same IEEE-754 doubles, and every
- * reduction used is order-independent (min / boolean-or / integer
- * counts), so the computed rates are bit-identical to the NumPy path.
- * Compile WITHOUT -ffast-math and with -ffp-contract=off: fused
- * multiply-adds or reassociation would break that equivalence.
+ * bandwidth.py (the reference the kernel-less build runs): every
+ * floating-point operation is performed in the same order on the same
+ * IEEE-754 doubles, and every reduction used is order-independent
+ * (min / boolean-or / integer counts), so the computed rates are
+ * bit-identical to the NumPy path.  Compile WITHOUT -ffast-math and
+ * with -ffp-contract=off: fused multiply-adds or reassociation would
+ * break that equivalence.
  *
  * Entry points (all METH_FASTCALL, so a call converts only its scalar
  * arguments):
  *
- *   max_min_fill(12 arrays)           cold path of bandwidth.max_min_rates
  *   begin(st, t, key, wire, rate_cap, payload, src, dst,
  *         routes, off, length) -> bool  advance to t, append one flow
  *   advance(st, dt)                   drain every flow by dt
- *   recompute(st)                     reallocate rates
+ *   recompute(st)                     reallocate rates, notify the observer
  *   earliest(st) -> time | None       next completion (None: a stall)
  *   retire(st, t) -> keys             drain to t, retire drained flows
  *
- * The hot entry points take ``st``, the network's FlowStore: the
- * flow store's scalar state (live count, clock, dirty and changed
- * flags, memoized next completion, arm generation) and its pointer
- * table, one address per buffer in the order of the TABLE tuple this
- * module exports (the T_* enum below).  ``routes`` is the address of
+ * Every entry point takes ``st``, the network's FlowStore: the flow
+ * store's scalar state (live count, clock, dirty and changed flags,
+ * memoized next completion, arm generation), its pointer table, one
+ * address per buffer in the order of the TABLE tuple this module
+ * exports (the T_* enum below), and its optional rate observer, called
+ * after every reallocation.  ``routes`` is the address of
  * the fat tree's flat route table (FatTree.route_buffer), passed per
  * call because that table is shared by every network over the tree and
  * may be reallocated by any of them.  The Python side owns every
@@ -59,7 +60,7 @@ static const char *const table_names[T_SIZE] = {
     "keys",
 };
 
-/* Round loop shared by every entry point.  The caller has initialized
+/* The round loop of recompute(), which has initialized
  * remaining_cap (effective link caps), counts (per-link active-flow
  * counts), rates (0), cap_left (flow caps) and active (1), and collected
  * the distinct links the flows touch into touched[0..ntouched).
@@ -75,7 +76,7 @@ static const char *const table_names[T_SIZE] = {
  *
  * On success every flow froze exactly once, so counts — incremented
  * per path entry up front and decremented per path entry on freeze —
- * has returned to all zeros; on failure fill() restores that. */
+ * has returned to all zeros; on failure recompute() restores that. */
 static int fill_rounds(
     int64_t nflows,
     const int64_t *flow_ptr,
@@ -163,33 +164,6 @@ static int fill_rounds(
     return remaining == 0 ? 0 : 3;
 }
 
-/* fill_rounds, raising the RuntimeError the NumPy path raises on
- * failure (after restoring the all-zero counts invariant).  Returns 0
- * on success, -1 with an exception set. */
-static int fill(
-    int64_t nflows, const int64_t *flow_ptr, const int64_t *flow_links,
-    const int64_t *touched, int64_t ntouched, const double *sat_thresh,
-    const double *cap_thresh, double *rates, double *remaining_cap,
-    int64_t *counts, double *cap_left, uint8_t *active
-) {
-    int64_t i;
-    int rc = fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
-                         sat_thresh, cap_thresh, rates, remaining_cap,
-                         counts, cap_left, active);
-    if (rc == 0) {
-        return 0;
-    }
-    for (i = 0; i < ntouched; i++) {
-        counts[touched[i]] = 0;
-    }
-    PyErr_SetString(
-        PyExc_RuntimeError,
-        rc == 1 ? "unbounded flow: a path has no finite constraint"
-        : rc == 2 ? "progressive filling made no progress"
-        : "max-min allocation failed to converge");
-    return -1;
-}
-
 /* Fused rate reallocation: per-link flow counts, switch-contention
  * penalty, freeze thresholds and the progressive fill.  Mirrors
  * FluidNetwork._recompute + max_min_rates (check=False) with the same
@@ -256,8 +230,23 @@ static int recompute(void **p, int64_t nflows, double contention_c,
         cap_left[f] = flow_caps[f];
         active[f] = 1;
     }
-    return fill(nflows, flow_ptr, flow_links, touched, ntouched, sat_thresh,
-                cap_thresh, rates, remaining_cap, counts, cap_left, active);
+    int rc = fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
+                         sat_thresh, cap_thresh, rates, remaining_cap, counts,
+                         cap_left, active);
+    if (rc == 0) {
+        return 0;
+    }
+    /* The NumPy path's RuntimeError, after restoring the all-zero
+     * counts invariant. */
+    for (i = 0; i < ntouched; i++) {
+        counts[touched[i]] = 0;
+    }
+    PyErr_SetString(
+        PyExc_RuntimeError,
+        rc == 1 ? "unbounded flow: a path has no finite constraint"
+        : rc == 2 ? "progressive filling made no progress"
+        : "max-min allocation failed to converge");
+    return -1;
 }
 
 /* Drain every flow by dt at its current rate, clamping at zero — the C
@@ -305,13 +294,17 @@ static int scan(void **p, int64_t nflows, double done_eps, double *best) {
  * that FluidNetwork and the kernels both read and write.  ``keys`` is
  * the network's set of live keys (FluidNetwork._key_set): begin adds to
  * it and retire discards from it.  ``buffers`` keeps the arrays the
- * table points into alive for as long as the store is. */
+ * table points into alive for as long as the store is.  ``observer``,
+ * when not None, is called as observer(now) after every reallocation
+ * (FluidNetwork._observe, which holds the network: hence the GC
+ * support). */
 
 typedef struct {
     PyObject_HEAD
     void *tab[T_SIZE];
     PyObject *buffers;
     PyObject *keys;
+    PyObject *observer;
     double contention;
     double contention_cap;
     double done_eps;
@@ -354,6 +347,7 @@ static PyObject *store_new(PyTypeObject *type, PyObject *args, PyObject *kwds) {
 static int store_traverse(StoreObject *st, visitproc visit, void *arg) {
     Py_VISIT(st->buffers);
     Py_VISIT(st->keys);
+    Py_VISIT(st->observer);
     return 0;
 }
 
@@ -362,6 +356,7 @@ static int store_clear(StoreObject *st) {
     st->n = st->cap = 0;
     Py_CLEAR(st->buffers);
     Py_CLEAR(st->keys);
+    Py_CLEAR(st->observer);
     return 0;
 }
 
@@ -435,6 +430,8 @@ static PyMemberDef store_members[] = {
      "arm generation: a net check armed under an older one is stale"},
     {"allocations", T_ULONGLONG, offsetof(StoreObject, allocations), READONLY,
      "reallocations run by the compiled drain loop"},
+    {"observer", T_OBJECT, offsetof(StoreObject, observer), 0,
+     "observer(now), called after every reallocation, or None"},
     {NULL},
 };
 
@@ -467,13 +464,29 @@ static PyTypeObject StoreType = {
     .tp_methods = store_methods,
 };
 
-/* Reallocate every rate; the memoized completion goes with them. */
+/* Reallocate every rate (none on an empty store); the memoized
+ * completion goes with them.  Then the observer, if any, sees the new
+ * rates; an exception it raises propagates. */
 static int store_recompute(StoreObject *st) {
-    if (recompute(st->tab, st->n, st->contention, st->contention_cap) < 0) {
+    if (st->n > 0
+        && recompute(st->tab, st->n, st->contention, st->contention_cap) < 0) {
         return -1;
     }
     st->dirty = 0;
     st->has_next = 0;
+    if (st->observer == NULL || st->observer == Py_None) {
+        return 0;
+    }
+    PyObject *now = PyFloat_FromDouble(st->now);
+    if (now == NULL) {
+        return -1;
+    }
+    PyObject *r = PyObject_CallOneArg(st->observer, now);
+    Py_DECREF(now);
+    if (r == NULL) {
+        return -1;
+    }
+    Py_DECREF(r);
     return 0;
 }
 
@@ -746,151 +759,6 @@ static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t narg
 }
 
 /* ------------------------------------------------------------------
- * Cold entry point: bandwidth.max_min_rates on caller-owned arrays. */
-
-/* Argument spec of max_min_fill: dtype ('d' float64, 'q' int64, 'B'
- * uint8), whether it is written, and the length it needs ('L' links,
- * 'F' flows; '-' checked separately). */
-static const struct {
-    const char *name;
-    char kind;
-    char writable;
-    char len;
-} fill_args[] = {
-    {"link_caps", 'd', 0, '-'}, {"flow_ptr", 'q', 0, '-'},
-    {"flow_links", 'q', 0, '-'}, {"flow_caps", 'd', 0, 'F'},
-    {"sat_thresh", 'd', 0, 'L'}, {"cap_thresh", 'd', 0, 'F'},
-    {"rates", 'd', 1, 'F'}, {"remaining", 'd', 1, 'L'},
-    {"counts", 'q', 1, 'L'}, {"cap_left", 'd', 1, 'F'},
-    {"active", 'B', 1, 'F'}, {"touched", 'q', 1, 'L'},
-};
-
-enum {
-    F_LINK_CAPS, F_FLOW_PTR, F_FLOW_LINKS, F_FLOW_CAPS, F_SAT_THRESH,
-    F_CAP_THRESH, F_RATES, F_REMAINING, F_COUNTS, F_CAP_LEFT, F_ACTIVE,
-    F_TOUCHED, F_NARGS
-};
-
-/* Acquire argument i as a C-contiguous 1-D buffer of its spec'd dtype. */
-static int get_buf(PyObject *o, Py_buffer *view, int i) {
-    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT;
-    if (fill_args[i].writable) {
-        flags |= PyBUF_WRITABLE;
-    }
-    if (PyObject_GetBuffer(o, view, flags) < 0) {
-        return -1;
-    }
-    const char *fmt = view->format ? view->format : "B";
-    if (*fmt == '@' || *fmt == '=' || *fmt == '<') {
-        fmt++;
-    }
-    int ok = view->ndim == 1;
-    switch (fill_args[i].kind) {
-    case 'd':
-        ok = ok && view->itemsize == 8 && strcmp(fmt, "d") == 0;
-        break;
-    case 'q':
-        ok = ok && view->itemsize == 8
-             && (strcmp(fmt, "q") == 0 || strcmp(fmt, "l") == 0);
-        break;
-    default:
-        ok = ok && view->itemsize == 1 && strcmp(fmt, "B") == 0;
-        break;
-    }
-    if (!ok) {
-        PyErr_Format(PyExc_TypeError, "max_min_fill: %s has the wrong dtype",
-                     fill_args[i].name);
-        PyBuffer_Release(view);
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *py_max_min_fill(PyObject *mod, PyObject *const *args,
-                                 Py_ssize_t nargs) {
-    Py_buffer v[F_NARGS];
-    int i, held = 0;
-    PyObject *result = NULL;
-    int64_t f, l, s, nflows, nlinks, nnz, ntouched = 0;
-
-    if (check_nargs("max_min_fill", nargs, F_NARGS) < 0) {
-        return NULL;
-    }
-    for (; held < F_NARGS; held++) {
-        if (get_buf(args[held], &v[held], held) < 0) {
-            goto done;
-        }
-    }
-    nlinks = v[F_LINK_CAPS].shape[0];
-    nflows = v[F_FLOW_PTR].shape[0] - 1;
-    nnz = v[F_FLOW_LINKS].shape[0];
-    for (i = 0; i < F_NARGS; i++) {
-        int64_t need = fill_args[i].len == 'L' ? nlinks
-                       : fill_args[i].len == 'F' ? nflows : 0;
-        if (v[i].shape[0] < need) {
-            PyErr_Format(PyExc_ValueError,
-                         "max_min_fill: %s has %zd items, needs %lld",
-                         fill_args[i].name, v[i].shape[0], (long long)need);
-            goto done;
-        }
-    }
-    /* Validate the incidence before indexing with it. */
-    const int64_t *flow_ptr = v[F_FLOW_PTR].buf;
-    const int64_t *flow_links = v[F_FLOW_LINKS].buf;
-    int valid = nflows >= 0 && flow_ptr[0] == 0;
-    for (f = 0; valid && f < nflows; f++) {
-        valid = flow_ptr[f] <= flow_ptr[f + 1] && flow_ptr[f + 1] <= nnz;
-    }
-    for (s = 0; valid && s < flow_ptr[nflows]; s++) {
-        valid = flow_links[s] >= 0 && flow_links[s] < nlinks;
-    }
-    if (!valid) {
-        PyErr_SetString(PyExc_ValueError,
-                        "max_min_fill: malformed CSR flow->link incidence");
-        goto done;
-    }
-    const double *link_caps = v[F_LINK_CAPS].buf;
-    const double *flow_caps = v[F_FLOW_CAPS].buf;
-    double *rates = v[F_RATES].buf;
-    double *remaining_cap = v[F_REMAINING].buf;
-    int64_t *counts = v[F_COUNTS].buf;
-    double *cap_left = v[F_CAP_LEFT].buf;
-    uint8_t *active = v[F_ACTIVE].buf;
-    int64_t *touched = v[F_TOUCHED].buf;
-
-    /* Cold entry point: counts may hold garbage, so zero it fully. */
-    for (l = 0; l < nlinks; l++) {
-        counts[l] = 0;
-    }
-    for (s = 0; s < flow_ptr[nflows]; s++) {
-        l = flow_links[s];
-        if (counts[l]++ == 0) {
-            touched[ntouched++] = l;
-        }
-    }
-    for (s = 0; s < ntouched; s++) {
-        l = touched[s];
-        remaining_cap[l] = link_caps[l];
-    }
-    for (f = 0; f < nflows; f++) {
-        rates[f] = 0.0;
-        cap_left[f] = flow_caps[f];
-        active[f] = 1;
-    }
-    if (fill(nflows, flow_ptr, flow_links, touched, ntouched,
-             v[F_SAT_THRESH].buf, v[F_CAP_THRESH].buf, rates, remaining_cap,
-             counts, cap_left, active) == 0) {
-        Py_INCREF(Py_None);
-        result = Py_None;
-    }
-done:
-    while (held > 0) {
-        PyBuffer_Release(&v[--held]);
-    }
-    return result;
-}
-
-/* ------------------------------------------------------------------
  * Event queue: the compiled twin of repro.sim.events.EventQueue.
  *
  * A binary min-heap of (time, seq, fn, args) entries in one C array,
@@ -1108,13 +976,18 @@ static int python_arm(PyObject *engine) {
 
 /* Engine._arm_network_event on the store, after an instant in which the
  * flow set changed: bump the generation and queue a net check at the
- * network's earliest completion (never before now).  A stall goes to
- * the Python arm, which names the stalled flows in a
- * NetworkStallError. */
+ * network's earliest completion (never before now).  After an instant
+ * that emptied the network the (empty) reallocation only shows the
+ * observer the idle links.  A stall goes to the Python arm, which
+ * names the stalled flows in a NetworkStallError. */
 static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
                       double now) {
     double t = 0.0;
-    if (st->n > 0) {
+    if (st->n == 0) {
+        if (st->dirty && store_recompute(st) < 0) {
+            return -1;
+        }
+    } else {
         if (st->dirty) {
             st->allocations++;
         }
@@ -1181,12 +1054,12 @@ static int net_check(StoreObject *st, PyObject *ev_store, uint64_t gen,
 }
 
 /* The drain loop.  With engine._native_net a FlowStore, the network's
- * cycle never leaves C: after an instant in which the flow set changed
- * the loop arms a net check itself (native_arm), and a popped net check
- * retires in C and calls engine._flow_complete(key) per completed key.
- * Otherwise (no store: an observed network, or an engine without one)
- * it calls engine._arm_network_event() when engine._net_changed is
- * set, like the Python loop. */
+ * cycle stays in C (but for an observer's call): after an instant in
+ * which the flow set changed the loop arms a net check itself
+ * (native_arm), and a popped net check retires in C and calls
+ * engine._flow_complete(key) per completed key.  Otherwise (an engine
+ * without a store) it calls engine._arm_network_event() when
+ * engine._net_changed is set, like the Python loop. */
 static PyObject *queue_run(QueueObject *q, PyObject *engine) {
     double now;
     StoreObject *st = NULL;
@@ -1320,8 +1193,6 @@ static PyTypeObject QueueType = {
     {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
-    FASTCALL("max_min_fill", py_max_min_fill,
-             "Progressive filling on caller-owned arrays (bandwidth.max_min_rates)."),
     FASTCALL("begin", py_begin,
              "advance_to(t) and append one flow; False if Python must grow "
              "or reallocate first."),

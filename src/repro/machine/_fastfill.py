@@ -2,16 +2,22 @@
 
 ``_fastfill.c`` is one CPython extension module holding two kernels:
 
-* the fluid network's allocation inner loop
-  (:func:`repro.machine.bandwidth.max_min_rates`) and the per-event
-  flow-store operations of :class:`repro.machine.contention.FluidNetwork`,
-  which run on every flow arrival/departure of every simulation — at
-  256 nodes a single exchange sweep makes ~10^5 calls on small arrays,
-  where NumPy's per-ufunc dispatch overhead dominates;
+* ``FlowStore`` and the per-event flow-store operations of
+  :class:`repro.machine.contention.FluidNetwork`, rate reallocation
+  (contention penalty plus the progressive fill of
+  :func:`repro.machine.bandwidth.max_min_rates`) included, which run on
+  every flow arrival/departure of every simulation — at 256 nodes a
+  single exchange sweep makes ~10^5 calls on small arrays, where
+  NumPy's per-ufunc dispatch overhead dominates;
 * ``EventQueue``, the discrete-event engine's heap and drain loop, the
   compiled twin of :class:`repro.sim.events.EventQueue` (about six
   events per message, each a Python call and a tuple-compared heap
-  operation in the pure-Python queue).
+  operation in the pure-Python queue), which also runs the network's
+  arm–check–retire cycle on the store, traced runs included.
+
+So a build has one network path: with the kernel, the compiled cycle
+and the C reallocation; without it, the engine's Python arm and the
+NumPy reference.
 
 Every entry point is a ``METH_FASTCALL`` call that converts only its
 scalar arguments.  This module compiles the source with the system C
@@ -24,7 +30,7 @@ The kernel is strictly optional:
   -> :func:`kernel` returns ``None`` and callers fall back to NumPy and
   to the pure-Python event queue;
 * ``REPRO_NO_FASTFILL=1`` disables it explicitly (the equivalence tests
-  use this to exercise both paths).
+  use this to run the kernel-less path).
 
 Which path ran never shows in a result — results are bit-for-bit
 identical by construction (same IEEE-754 operation order, compiled with

@@ -9,19 +9,18 @@ This is the classic *progressive filling* computation: the rates of all
 unfrozen flows rise together until a link saturates or a flow reaches its
 cap; those flows freeze, and filling continues on the rest.  It runs on
 every flow arrival/departure wave inside the fluid network simulation —
-~10^5 times per 256-node exchange sweep — so the inner loop has two
-implementations that produce bit-identical rates:
+~10^5 times per 256-node exchange sweep.
 
-* a compiled C kernel (:mod:`repro.machine._fastfill`), used when a C
-  compiler is available;
-* a vectorized NumPy fallback over the CSR flow->link incidence, with
-  per-link flow counts maintained incrementally across rounds (one
-  ``bincount`` up front, frozen paths subtracted per round) and the
-  freeze thresholds hoisted out of the loop.
-
-Hot callers (:class:`repro.machine.contention.FluidNetwork`) pass an
+:func:`max_min_rates` is the validated NumPy reference: vectorized over
+the CSR flow->link incidence, with per-link flow counts maintained
+incrementally across rounds (one ``bincount`` up front, frozen paths
+subtracted per round) and the freeze thresholds hoisted out of the
+loop.  The fluid network runs it when the compiled kernel
+(:mod:`repro.machine._fastfill`) is not loaded, passing an
 :class:`AllocationWorkspace` plus ``check=False`` so repeated calls over
-one topology reuse every buffer and skip input validation.
+one topology reuse every buffer and skip input validation; the
+kernel's fused ``recompute`` transliterates the same rounds and yields
+bit-identical rates.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import obs
-from . import _fastfill
 
 __all__ = ["AllocationWorkspace", "max_min_rates", "build_incidence"]
 
@@ -50,9 +48,9 @@ class AllocationWorkspace:
     def __init__(self, nlinks: int):
         self.nlinks = nlinks
         self.remaining = np.empty(nlinks)
-        # The C kernels keep counts at all-zero between calls (every
-        # fill decrements what it incremented), letting the hot fused
-        # path skip the O(nlinks) re-zeroing — so start it zeroed.
+        # The C kernel keeps counts at all-zero between calls (every
+        # fill decrements what it incremented), letting its fused
+        # recompute skip the O(nlinks) re-zeroing — so start it zeroed.
         self.counts = np.zeros(nlinks, dtype=np.int64)
         self.link_incr = np.empty(nlinks)
         self.sat_thresh = np.empty(nlinks)
@@ -181,43 +179,7 @@ def max_min_rates(
         np.multiply(flow_caps, _REL_EPS, out=cap_thresh)
     cap_thresh += 1e-15
 
-    if out is None:
-        out = np.empty(nflows)
-    kern = _fastfill.kernel()
-    if kern is not None:
-        # Raises the NumPy path's RuntimeErrors on a failed fill.
-        kern.max_min_fill(
-            link_caps,
-            flow_ptr,
-            flow_links,
-            flow_caps,
-            ws.sat_thresh,
-            cap_thresh,
-            out,
-            ws.remaining,
-            ws.counts,
-            ws.cap_left,
-            ws.active,
-            ws.touched,
-        )
-        return out
-    return _fill_numpy(
-        link_caps, flow_ptr, flow_links, flow_caps, ws, cap_thresh, out
-    )
-
-
-def _fill_numpy(
-    link_caps: np.ndarray,
-    flow_ptr: np.ndarray,
-    flow_links: np.ndarray,
-    flow_caps: np.ndarray,
-    ws: AllocationWorkspace,
-    cap_thresh: np.ndarray,
-    rates: np.ndarray,
-) -> np.ndarray:
-    """NumPy progressive filling (bit-identical to the C kernel)."""
-    nflows = len(flow_ptr) - 1
-    nlinks = len(link_caps)
+    rates = np.empty(nflows) if out is None else out
     path_lens = np.diff(flow_ptr)
     starts = flow_ptr[:-1]
 

@@ -223,14 +223,39 @@ class FluidNetwork:
             for lvl in range(1, tree.levels + 1)
         ]
 
-        #: Optional ``observer(now, per_link_rates)`` callback invoked
-        #: after every rate reallocation with the aggregate bytes/s on
-        #: each link (dense ``sorted_link_ids`` order), effective from
-        #: ``now`` until the next reallocation.  Used by ``repro.obs``
-        #: to build the link-utilization time series; None costs nothing.
         self.observer = None
 
     # ------------------------------------------------------------------
+    @property
+    def observer(self):
+        """Optional ``observer(now, per_link_rates)`` callback invoked
+        after every rate reallocation with the aggregate bytes/s on each
+        link (dense ``sorted_link_ids`` order), effective from ``now``
+        until the next reallocation; an all-zero sample marks the
+        network going idle.  Used by ``repro.obs`` to build the
+        link-utilization time series; None costs nothing."""
+        return self._observer
+
+    @observer.setter
+    def observer(self, fn) -> None:
+        self._observer = fn
+        if self._k is not None:
+            # The kernel store calls _observe after its reallocations,
+            # wherever they run (here or in the compiled drain loop).
+            self.store.observer = None if fn is None else self._observe
+
+    def _observe(self, now: float) -> None:
+        """Hand the observer the per-link rates of the current flows."""
+        n = self.store.n
+        lengths = np.diff(self._ptr[: n + 1])
+        link_rates = np.bincount(
+            self._csr_links[: int(self._ptr[n])],
+            weights=np.repeat(self._rate[:n], lengths),
+            minlength=len(self._link_caps),
+        )
+        # An empty bincount is int64 even with weights.
+        self._observer(now, link_rates.astype(float, copy=False))
+
     @property
     def now(self) -> float:
         return self.store.now
@@ -240,11 +265,10 @@ class FluidNetwork:
         return self.store.n
 
     def native_store(self):
-        """The kernel's store when the compiled drain loop may run this
-        network's arm–check–retire cycle itself, else None: without the
-        kernel, and with an :attr:`observer`, which needs every
-        reallocation's per-link rates from the Python path."""
-        return self.store if self._k is not None and self.observer is None else None
+        """The kernel's store, which the compiled drain loop runs this
+        network's arm–check–retire cycle on, or None without the
+        kernel."""
+        return self.store if self._k is not None else None
 
     def _path_indices(self, src: int, dst: int) -> np.ndarray:
         return self.tree.path_indices(src, dst)
@@ -363,8 +387,8 @@ class FluidNetwork:
                 routes_addr, off, length,
             ):
                 # Refused, nothing changed: the columns are full, or the
-                # drain to t needs a reallocation first (which an
-                # observer must see).  Neither can refuse it twice.
+                # drain to t needs a reallocation first.  Neither can
+                # refuse it twice.
                 if st.n == self._cap:
                     self._grow_slots(st.n + 1)
                 self.advance_to(t)
@@ -427,7 +451,7 @@ class FluidNetwork:
         """
         st = self.store
         k = self._k
-        if st.dirty and (k is None or self.observer is not None or not st.n):
+        if st.dirty and (k is None or not st.n):
             self._recompute()
         if not st.n:
             return None
@@ -544,12 +568,14 @@ class FluidNetwork:
     def _recompute(self) -> None:
         st = self.store
         n = st.n
-        if n and self._k is not None and self.observer is None:
+        if self._k is not None:
             # Fused C path: per-link counts, contention penalty, freeze
             # thresholds and the progressive fill in one call — the same
             # operations in the same order as the NumPy pipeline below,
-            # so rates stay bit-identical (see _fastfill.c).
-            obs.count("net.allocations")
+            # so rates stay bit-identical (see _fastfill.c).  The store
+            # calls the observer.
+            if n:
+                obs.count("net.allocations")
             self._k.recompute(st)
             return
         if n:
@@ -587,18 +613,8 @@ class FluidNetwork:
             )
         st.dirty = False
         st.next = None
-        if self.observer is not None:
-            nlinks = len(self._link_caps)
-            if n:
-                lengths = np.diff(self._ptr[: n + 1])
-                link_rates = np.bincount(
-                    self._csr_links[: int(self._ptr[n])],
-                    weights=np.repeat(self._rate[:n], lengths),
-                    minlength=nlinks,
-                )
-            else:
-                link_rates = np.zeros(nlinks)
-            self.observer(st.now, link_rates)
+        if self._observer is not None:
+            self._observe(st.now)
 
     # ------------------------------------------------------------------
     def snapshot_rates(self) -> Dict[Hashable, float]:

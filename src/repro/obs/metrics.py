@@ -7,10 +7,11 @@ are no-ops when no tracer is installed.
 
 :class:`LinkUtilization` is the fluid network's observer: every time
 the max-min rate allocation changes, it receives the instant and the
-per-link aggregate flow rate.  Rates are piecewise constant between
-samples, so the series is an exact record of where bytes were on which
-links at which times — the quantity the paper's BEX-vs-PEX root-traffic
-argument is about.
+per-link aggregate flow rate, and an all-zero sample when the network
+goes idle.  Rates are piecewise constant between samples, so the
+series is an exact record of where bytes were on which links at which
+times — the quantity the paper's BEX-vs-PEX root-traffic argument is
+about.
 """
 
 from __future__ import annotations
@@ -273,7 +274,8 @@ class LinkUtilization:
 
     One sample per rate reallocation: ``(t, rates)`` where ``rates[i]``
     is the aggregate bytes/s through link ``i`` (canonical dense link
-    order of the tree) from ``t`` until the next sample.
+    order of the tree) from ``t`` until the next sample; all zeros from
+    an instant that emptied the network.
     """
 
     def __init__(self, tree) -> None:

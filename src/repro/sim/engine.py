@@ -247,9 +247,9 @@ class Engine:
         for rank, (at, detect) in sorted(self.faults.failure_times().items()):
             self._schedule(at, self._kill_rank, rank, detect)
 
-        # With the kernel loaded and no observer, the compiled drain loop
-        # runs the network's arm–check–retire cycle itself and counts
-        # its reallocations on the store.
+        # With the kernel loaded, the compiled drain loop runs the
+        # network's arm–check–retire cycle itself (traced or not) and
+        # counts its reallocations on the store.
         self._native_net = native = self.net.native_store()
         allocations = native.allocations if native is not None else 0
         # The drain allocates heavily (events, in-flight records)
@@ -800,13 +800,15 @@ class Engine:
         # define drain instants, and a live completion within
         # ``_TIME_ATOL`` of such an instant must retire at the stale
         # instant's timestamp (MODEL.md §13, pinned by the trace digests
-        # in tests/sim/test_batched_drain.py).  The compiled drain loop
-        # runs the same arm and check in C (see run).
+        # in tests/sim/test_batched_drain.py).  After an instant that
+        # emptied the network, earliest_completion's (empty)
+        # reallocation only shows an observer the idle links.  The
+        # compiled drain loop runs the same arm and check in C (see run).
         st = self._net_state
         st.changed = False
         st.gen += 1
-        if self.net.active_count:
-            t = self.net.earliest_completion()
+        t = self.net.earliest_completion()
+        if t is not None:
             self._schedule(max(t, self.now), self._net_check, st.gen)
 
     def _net_check(self, gen: int) -> None:

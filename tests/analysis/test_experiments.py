@@ -16,6 +16,7 @@ from repro.analysis.experiments import (
     table12_data,
 )
 from repro.schedules import CommPattern
+from tests.sim.test_batched_drain import _run_script
 
 pytestmark = pytest.mark.usefixtures("isolated_cache")
 
@@ -118,3 +119,16 @@ class TestPaperData:
         for row in paper_data.TABLE12_REAL_MS.values():
             assert min(row, key=row.get) == "greedy"
             assert max(row, key=row.get) == "linear"
+
+
+def test_table12_cache_key_is_stable_across_processes():
+    """The disk-cache key digests the pattern's bytes, so every process
+    derives the same one whatever PYTHONHASHSEED salts ``hash`` with."""
+    script = (
+        "from repro.analysis.experiments import _workload_key\n"
+        "from repro.apps.workloads import paper_workload, workload_names\n"
+        "print([_workload_key(n, 8, paper_workload(n, 8).pattern)"
+        " for n in workload_names()])"
+    )
+    keys = {_run_script(script, {"PYTHONHASHSEED": seed}) for seed in "12"}
+    assert len(keys) == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import bandwidth
+from repro.machine import FluidNetwork, MachineConfig, _fastfill, bandwidth, fat_tree_for
 from repro.machine.bandwidth import build_incidence, max_min_rates
 
 
@@ -117,8 +117,7 @@ class TestBasic:
             rates_for([[0]], [1.0], flow_caps=[0.0])
 
     def test_link_index_out_of_range_rejected(self):
-        # The compiled kernel validates the incidence before indexing
-        # link arrays with it; the NumPy path fails on the shape.
+        # The per-link counts come out longer than the link arrays.
         ptr, links = build_incidence([[0], [5]])
         with pytest.raises(ValueError):
             max_min_rates(np.array([1.0, 1.0]), ptr, links, np.array([1.0, 1.0]))
@@ -232,20 +231,79 @@ class TestAgainstOracle:
         want = oracle_rates(caps, paths, flow_caps, link_scales=scales)
         assert got.tolist() == pytest.approx(want, rel=1e-9, abs=1e-12)
 
-    @given(scaled_allocation_problems())
-    @settings(max_examples=150, deadline=None)
-    def test_kernel_and_numpy_paths_bit_identical(self, problem):
-        """The C kernel and the NumPy fallback must agree to the bit.
 
-        Trivially true when no compiler is available (both calls take
-        the NumPy path); on machines with the kernel this is the
-        regression net under the byte-identical-trace guarantee.
-        """
-        caps, paths, flow_caps, scales = problem
-        fast = rates_for(paths, caps, flow_caps, link_scales=scales)
-        with mock.patch.object(bandwidth._fastfill, "kernel", return_value=None):
-            slow = rates_for(paths, caps, flow_caps, link_scales=scales)
-        assert np.array_equal(fast, slow)
+
+@st.composite
+def network_runs(draw):
+    """A fat tree, optional degraded links, and waves of flows.
+
+    Waves start at increasing times; pairs repeat and share links, so
+    the switch-contention penalty binds.
+    """
+    nprocs = draw(st.sampled_from([4, 8, 16]))
+    tree = fat_tree_for(MachineConfig(nprocs))
+    links = tree.sorted_link_ids
+    degraded = draw(
+        st.dictionaries(
+            st.sampled_from(links), st.floats(0.05, 1.0), max_size=4
+        )
+    )
+    flow = st.tuples(
+        st.integers(0, nprocs - 1), st.integers(1, nprocs - 1),
+        st.sampled_from([0, 64, 512, 4096]),
+    ).map(lambda f: (f[0], (f[0] + f[1]) % nprocs, f[2]))
+    waves = draw(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 2e-4), st.lists(flow, min_size=1, max_size=12)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return tree, degraded, waves
+
+
+def run_network(net, waves):
+    """Drive ``net`` through ``waves`` the way the engine does: each
+    wave starts once every completion before it has retired, and an
+    emptied network is asked for its next completion too (the idle
+    sample).  Returns the completions, the per-flow rates after each
+    wave joins and the observer's series, rates as exact bytes."""
+    series, log = [], []
+    net.observer = lambda now, rates: series.append((now, rates.tobytes()))
+
+    def drain(until):
+        while (t := net.earliest_completion()) is not None and t <= until:
+            log.append((t, net.pop_completed_keys(t)))
+
+    start, key = 0.0, 0
+    for gap, flows in waves:
+        start += gap
+        drain(start)
+        for src, dst, payload in flows:
+            net.begin_flow(start, key, src, dst, payload)
+            key += 1
+        rates = net.snapshot_rates()
+        log.append(np.array([rates[k] for k in sorted(rates)]).tobytes())
+    drain(math.inf)
+    return log, series
+
+
+class TestKernelNetwork:
+    @pytest.mark.skipif(_fastfill.kernel() is None, reason="kernel not loaded")
+    @given(network_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_and_numpy_networks_bit_identical(self, problem):
+        """A network on the compiled kernel (C reallocation, store-held
+        observer) and one built without it (NumPy reference) agree to
+        the bit: completions, rates and link-utilization series."""
+        tree, degraded, waves = problem
+        fast = FluidNetwork(tree, seed=3, link_scales=degraded)
+        with mock.patch.object(_fastfill, "kernel", return_value=None):
+            slow = FluidNetwork(tree, seed=3, link_scales=degraded)
+        assert type(fast.store) is not type(slow.store)
+        assert run_network(fast, waves) == run_network(slow, waves)
 
 
 class TestDegradedScales:

@@ -1,16 +1,19 @@
 """The network's arm–check–retire cycle in the compiled drain loop.
 
-With the kernel loaded and no observer on the network, the compiled
-``EventQueue.run`` arms net checks, retires completed flows and hands
-their keys to ``Engine._flow_complete`` itself; without the kernel
-(``REPRO_NO_FASTFILL=1``) the pure-Python queue calls the engine's
-Python arm and check.  These tests hold the two paths to the same
-traces under every fault kind, the same stall error, and the same
-collectability of an abandoned engine.  The pinned healthy-run digests
-are checked on both paths in ``test_batched_drain.py``.
+With the kernel loaded, the compiled ``EventQueue.run`` arms net
+checks, retires completed flows and hands their keys to
+``Engine._flow_complete`` itself, traced or not (a tracer's
+link-utilization observer hangs off the kernel's ``FlowStore``);
+without the kernel (``REPRO_NO_FASTFILL=1``) the pure-Python queue calls
+the engine's Python arm and check.  These tests hold the two paths to
+the same traces and link-utilization series under every fault kind,
+the same stall error, and the same collectability of an abandoned
+engine.  The pinned healthy-run digests are checked on both paths in
+``test_batched_drain.py``.
 """
 
 import gc
+import hashlib
 import json
 import weakref
 
@@ -28,6 +31,7 @@ from repro.faults import (
 from repro.machine import MachineConfig
 from repro.machine._fastfill import kernel
 from repro.machine.contention import NetworkStallError
+from repro.obs import Tracer
 from repro.sim import Engine
 from repro.sim.process import Delay, Recv, Send
 from tests.sim.test_batched_drain import _run_script, digest_result
@@ -85,18 +89,24 @@ def run_fault_case(name):
     """``(engine, SimResult)`` of one traced fault case at N=16."""
     faults, reliable = FAULT_CASES[name]
     config = MachineConfig(NPROCS)
-    engine = Engine(config, trace=True, faults=FaultPlan(faults, seed=7))
+    engine = Engine(
+        config, trace=True, faults=FaultPlan(faults, seed=7), tracer=Tracer()
+    )
     comms = [Comm(rank, config) for rank in range(NPROCS)]
     sim = engine.run([_exchange(c, reliable) for c in comms])
     return engine, sim
 
 
 def fault_digest(name):
-    sim = run_fault_case(name)[1]
+    engine, sim = run_fault_case(name)
+    series = hashlib.sha256()
+    for t, rates in engine.tracer.link_util.samples:
+        series.update(repr(t).encode() + rates.tobytes())
     return {
         "digest": digest_result(type("R", (), {"sim": sim})),
         "failed": sim.failed_ranks,
         "retries": len(sim.trace.retries),
+        "link_series": series.hexdigest(),
     }
 
 
@@ -129,21 +139,33 @@ def test_fault_cases_match_the_python_arm():
     assert fallback == {n: fault_digest(n) for n in sorted(FAULT_CASES)}
 
 
-def test_traced_run_keeps_the_python_arm():
-    """An observer needs every reallocation's per-link rates."""
-    from repro.obs import Tracer
+def _one_message(rank):
+    if rank == 0:
+        yield Send(dst=1, nbytes=64)
+    elif rank == 1:
+        yield Recv(src=0)
 
+
+@_needs_kernel
+def test_traced_run_takes_the_compiled_cycle():
+    """The store hands every reallocation to the tracer's observer, and
+    the arm after the last retirement records the idle network."""
     engine = Engine(MachineConfig(4), tracer=Tracer())
+    engine.run([_one_message(r) for r in range(4)])
+    assert engine._native_net is engine.net.store
+    assert engine.net.store.allocations == 1
+    (t0, busy), (t1, idle) = engine.tracer.link_util.samples
+    assert t0 < t1 and busy.any() and not idle.any()
 
-    def prog(rank):
-        if rank == 0:
-            yield Send(dst=1, nbytes=64)
-        elif rank == 1:
-            yield Recv(src=0)
 
-    engine.run([prog(r) for r in range(4)])
-    assert engine._native_net is None
-    assert engine.tracer.link_util is not None
+def test_observer_error_propagates_out_of_the_run():
+    def observer(now, rates):
+        raise KeyError("observer failed")
+
+    engine = Engine(MachineConfig(4))
+    engine.net.observer = observer
+    with pytest.raises(KeyError, match="observer failed"):
+        engine.run([_one_message(r) for r in range(4)])
 
 
 # ----------------------------------------------------------------------
@@ -234,9 +256,9 @@ def test_stall_error_text_matches_the_python_arm():
 # ----------------------------------------------------------------------
 # An abandoned engine with native net checks queued is collectable
 # ----------------------------------------------------------------------
-def _abort_with_flow_in_flight():
+def _abort_with_flow_in_flight(tracer=None):
     """An engine whose run dies on a bad Send dst while a flow drains."""
-    engine = Engine(MachineConfig(4))
+    engine = Engine(MachineConfig(4), tracer=tracer)
 
     def prog(rank):
         if rank == 0:
@@ -265,6 +287,11 @@ def test_aborted_run_leaves_a_native_net_check_queued():
 
 
 def test_aborted_engine_with_a_flow_in_flight_is_collected():
-    ref = weakref.ref(_abort_with_flow_in_flight())
+    # Traced, the network's store also holds the network's observer.
+    refs = []
+    for tracer in (None, Tracer()):
+        engine = _abort_with_flow_in_flight(tracer)
+        refs += [weakref.ref(engine), weakref.ref(engine.net)]
+    del engine
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 4

@@ -653,3 +653,19 @@ class TestUsageErrors:
         assert main([*argv, "--out", str(out)]) == 2
         captured = self._one_error_line(capsys)
         assert "--out" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--out", "{dir}/x.json", "--nbytes", "-1"],
+            ["fig5", "--csv", "{dir}", "--nprocs", "64"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_rejected_command_creates_no_directory(self, tmp_path, capsys, argv):
+        # The output directory is probed, not created, while parsing.
+        made = tmp_path / "zz"
+        argv = [arg.format(dir=made / "sub") for arg in argv]
+        assert main(argv) == 2
+        self._one_error_line(capsys)
+        assert not made.exists()
