@@ -73,10 +73,6 @@ class GapEntry:
     #: backend -> time / lower bound (1.0 when both are zero).
     gaps: Dict[str, float]
 
-    @property
-    def min_gap(self) -> float:
-        return min(self.gaps.values())
-
 
 @dataclass
 class GroupGaps:

@@ -23,7 +23,7 @@ from .params import (
 )
 from .fattree import FatTree, Link, LinkId, fat_tree_for
 from .bandwidth import AllocationWorkspace, build_incidence, max_min_rates
-from .contention import FlowState, FluidNetwork, NetworkStallError
+from .contention import FluidNetwork, NetworkStallError
 from .node import NodeCostModel
 from .control import ControlNetwork
 
@@ -42,7 +42,6 @@ __all__ = [
     "AllocationWorkspace",
     "build_incidence",
     "max_min_rates",
-    "FlowState",
     "FluidNetwork",
     "NetworkStallError",
     "NodeCostModel",

@@ -13,31 +13,30 @@
  * with -ffp-contract=off: fused multiply-adds or reassociation would
  * break that equivalence.
  *
- * Entry points (all METH_FASTCALL, so a call converts only its scalar
- * arguments):
+ * The module's one function is the engine's flow start (METH_FASTCALL,
+ * so a call converts only its scalar arguments):
  *
- *   begin(st, t, key, wire, rate_cap, payload, src, dst,
- *         routes, off, length) -> bool  advance to t, append one flow
- *   advance(st, dt)                   drain every flow by dt
- *   recompute(st)                     reallocate rates, notify the observer
- *   earliest(st) -> time | None       next completion (None: a stall)
- *   retire(st, t) -> keys             drain to t, retire drained flows
+ *   begin(st, t, key, wire, rate_cap, src, dst, routes, off, length)
+ *       -> bool   advance to t (reallocating first on a dirty store),
+ *                 append one flow; False, changing nothing, when the
+ *                 slot columns are full
  *
- * Every entry point takes ``st``, the network's FlowStore: the flow
- * store's scalar state (live count, clock, dirty and changed flags,
- * memoized next completion, arm generation), its pointer table, one
- * address per buffer in the order of the TABLE tuple this module
- * exports (the T_* enum below), and its optional rate observer, called
- * after every reallocation.  ``routes`` is the address of
- * the fat tree's flat route table (FatTree.route_buffer), passed per
- * call because that table is shared by every network over the tree and
- * may be reallocated by any of them.  The Python side owns every
- * buffer and keeps the table current across reallocations.
+ * ``st`` is the network's FlowStore: the flow store's scalar state
+ * (live count, clock, dirty and changed flags, memoized next
+ * completion, arm generation), its pointer table, one address per
+ * buffer in the order of the TABLE tuple this module exports (the T_*
+ * enum below), and its optional rate observer, called after every
+ * reallocation.  ``routes`` is the address of the fat tree's flat route
+ * table (FatTree.route_buffer), passed per call because that table is
+ * shared by every network over the tree and may be reallocated by any
+ * of them.  The Python side owns every buffer and keeps the table
+ * current across reallocations.
  *
  * The EventQueue type (end of file) is the compiled twin of
  * repro.sim.events.EventQueue: push / pop / peek_time / len, and
  * run(engine), the engine's drain loop, which also runs the network's
- * arm–check–retire cycle on the engine's FlowStore.
+ * arm–check–retire cycle on the engine's FlowStore: reallocation,
+ * completion scan and retirement have no other compiled caller.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -49,15 +48,13 @@
 enum {
     T_LINK_CAPS, T_LINK_SCALES, T_FLOW_PTR, T_CSR, T_RATE_CAP, T_RATE,
     T_SAT_THRESH, T_CAP_THRESH, T_REMAINING, T_COUNTS, T_CAP_LEFT,
-    T_ACTIVE, T_TOUCHED, T_WIRE, T_STARTED, T_PAYLOAD, T_SRCS, T_DSTS,
-    T_KEYS, T_SIZE
+    T_ACTIVE, T_TOUCHED, T_WIRE, T_SRCS, T_DSTS, T_KEYS, T_SIZE
 };
 
 static const char *const table_names[T_SIZE] = {
     "link_caps", "link_scales", "flow_ptr", "csr_links", "rate_cap", "rate",
     "sat_thresh", "cap_thresh", "remaining", "counts", "cap_left",
-    "active", "touched", "wire", "started", "payload", "srcs", "dsts",
-    "keys",
+    "active", "touched", "wire", "srcs", "dsts", "keys",
 };
 
 /* The round loop of recompute(), which has initialized
@@ -250,7 +247,7 @@ static int recompute(void **p, int64_t nflows, double contention_c,
 }
 
 /* Drain every flow by dt at its current rate, clamping at zero — the C
- * twin of advance_to's `wire -= rate*dt; maximum(wire, 0)`. */
+ * twin of FluidNetwork.advance_to's `wire -= rate*dt; maximum(wire, 0)`. */
 static void advance(void **p, int64_t nflows, double dt) {
     double *wire = p[T_WIRE];
     const double *rate = p[T_RATE];
@@ -293,7 +290,7 @@ static int scan(void **p, int64_t nflows, double done_eps, double *best) {
  * completion, arm generation) and its pointer table, in one object
  * that FluidNetwork and the kernels both read and write.  ``keys`` is
  * the network's set of live keys (FluidNetwork._key_set): begin adds to
- * it and retire discards from it.  ``buffers`` keeps the arrays the
+ * it and retire_at discards from it.  ``buffers`` keeps the arrays the
  * table points into alive for as long as the store is.  ``observer``,
  * when not None, is called as observer(now) after every reallocation
  * (FluidNetwork._observe, which holds the network: hence the GC
@@ -429,7 +426,7 @@ static PyMemberDef store_members[] = {
     {"gen", T_ULONGLONG, offsetof(StoreObject, gen), 0,
      "arm generation: a net check armed under an older one is stale"},
     {"allocations", T_ULONGLONG, offsetof(StoreObject, allocations), READONLY,
-     "reallocations run by the compiled drain loop"},
+     "reallocations run by the compiled drain loop and begin"},
     {"observer", T_OBJECT, offsetof(StoreObject, observer), 0,
      "observer(now), called after every reallocation, or None"},
     {NULL},
@@ -505,11 +502,12 @@ static int check_forward(StoreObject *st, double t) {
     return -1;
 }
 
-/* FluidNetwork.earliest_completion on a non-empty store: reallocate if
- * dirty, else reuse the memoized instant (completion instants do not
- * move while the flow set and rates are fixed; a flow the clock has
- * overshot finishes "now"), else scan and memoize.  0 with *t set, 1 on
- * a stall (the caller names it), -1 with an exception set. */
+/* FluidNetwork.earliest_completion on a non-empty store, for
+ * native_arm: reallocate if dirty, else reuse the memoized instant
+ * (completion instants do not move while the flow set and rates are
+ * fixed; a flow the clock has overshot finishes "now"), else scan and
+ * memoize.  0 with *t set, 1 on a stall (the caller names it), -1 with
+ * an exception set. */
 static int earliest(StoreObject *st, double *t) {
     double best;
     if (st->dirty) {
@@ -530,13 +528,13 @@ static int earliest(StoreObject *st, double *t) {
 }
 
 /* FluidNetwork.pop_completed_keys on a non-empty store, rates current
- * if t > now: drain to t, retire every drained flow and compact the
- * slot columns, the CSR incidence and the object key column in place,
- * preserving insertion order.  The completed keys come back as a list
- * in slot order; the list takes over the key column's references,
- * survivors' references move with them, and the vacated tail slots are
- * reset to None, so no key's refcount changes and no retired key stays
- * reachable from the column. */
+ * if t > now, for net_check: drain to t, retire every drained flow and
+ * compact the slot columns, the CSR incidence and the object key column
+ * in place, preserving insertion order.  The completed keys come back
+ * as a list in slot order; the list takes over the key column's
+ * references, survivors' references move with them, and the vacated
+ * tail slots are reset to None, so no key's refcount changes and no
+ * retired key stays reachable from the column. */
 static PyObject *retire_at(StoreObject *st, double t) {
     void **p = st->tab;
     int64_t n = st->n, f, s, ndone = 0;
@@ -565,8 +563,6 @@ static PyObject *retire_at(StoreObject *st, double t) {
     }
     double *rate = p[T_RATE];
     double *rate_cap = p[T_RATE_CAP];
-    double *started = p[T_STARTED];
-    int64_t *payload = p[T_PAYLOAD];
     int64_t *srcs = p[T_SRCS];
     int64_t *dsts = p[T_DSTS];
     int64_t *csr = p[T_CSR];
@@ -582,8 +578,6 @@ static PyObject *retire_at(StoreObject *st, double t) {
             wire[w] = wire[f];
             rate[w] = rate[f];
             rate_cap[w] = rate_cap[f];
-            started[w] = started[f];
-            payload[w] = payload[f];
             srcs[w] = srcs[f];
             dsts[w] = dsts[f];
             keys[w] = keys[f];
@@ -650,32 +644,39 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
 }
 
 /* ------------------------------------------------------------------
- * Hot entry points. */
+ * The entry point. */
 
-/* begin(st, t, key, wire, rate_cap, payload, src, dst, routes, off,
- * length): advance_to(t), then append one flow — the engine's flow
- * start in one call.  Returns False, changing nothing, when the slot
- * columns are full or the drain to t needs a reallocation first (the
- * caller grows or reallocates in Python and calls again). */
+/* begin(st, t, key, wire, rate_cap, src, dst, routes, off, length):
+ * advance_to(t), then append one flow — the engine's flow start in one
+ * call.  A drain on a dirty store reallocates first, as advance_to
+ * does, and counts it in allocations.  Returns False, changing nothing,
+ * when the slot columns are full (the caller grows them and calls
+ * again). */
 static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
     StoreObject *st;
     void **routes;
-    int64_t payload, src, dst, off, length;
+    int64_t src, dst, off, length;
     double t, wire, rate_cap;
-    if (check_nargs("begin", nargs, 11) < 0 || arg_store(args[0], &st) < 0
+    if (check_nargs("begin", nargs, 10) < 0 || arg_store(args[0], &st) < 0
         || arg_f64(args[1], &t) < 0 || arg_f64(args[3], &wire) < 0
-        || arg_f64(args[4], &rate_cap) < 0 || arg_i64(args[5], &payload) < 0
-        || arg_i64(args[6], &src) < 0 || arg_i64(args[7], &dst) < 0
-        || arg_ptr(args[8], &routes) < 0 || arg_i64(args[9], &off) < 0
-        || arg_i64(args[10], &length) < 0 || check_forward(st, t) < 0) {
+        || arg_f64(args[4], &rate_cap) < 0 || arg_i64(args[5], &src) < 0
+        || arg_i64(args[6], &dst) < 0 || arg_ptr(args[7], &routes) < 0
+        || arg_i64(args[8], &off) < 0 || arg_i64(args[9], &length) < 0
+        || check_forward(st, t) < 0) {
         return NULL;
     }
     int64_t slot = st->n;
-    if (slot == st->cap || (st->dirty && slot > 0 && t > st->now)) {
+    if (slot == st->cap) {
         Py_RETURN_FALSE;
     }
     if (t > st->now) {
         if (slot > 0) {
+            if (st->dirty) {
+                st->allocations++;
+                if (store_recompute(st) < 0) {
+                    return NULL;
+                }
+            }
             advance(st->tab, slot, t - st->now);
         }
         st->now = t;
@@ -693,8 +694,6 @@ static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs
     ((double *)p[T_WIRE])[slot] = wire;
     ((double *)p[T_RATE])[slot] = 0.0;
     ((double *)p[T_RATE_CAP])[slot] = rate_cap;
-    ((double *)p[T_STARTED])[slot] = st->now;
-    ((int64_t *)p[T_PAYLOAD])[slot] = payload;
     ((int64_t *)p[T_SRCS])[slot] = src;
     ((int64_t *)p[T_DSTS])[slot] = dst;
     PyObject **keys = p[T_KEYS];
@@ -707,55 +706,6 @@ static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs
     st->has_next = 0;
     st->changed = 1;
     Py_RETURN_TRUE;
-}
-
-static PyObject *py_advance(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    StoreObject *st;
-    double dt;
-    if (check_nargs("advance", nargs, 2) < 0 || arg_store(args[0], &st) < 0
-        || arg_f64(args[1], &dt) < 0) {
-        return NULL;
-    }
-    advance(st->tab, st->n, dt);
-    Py_RETURN_NONE;
-}
-
-static PyObject *py_recompute(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    StoreObject *st;
-    if (check_nargs("recompute", nargs, 1) < 0 || arg_store(args[0], &st) < 0
-        || store_recompute(st) < 0) {
-        return NULL;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *py_earliest(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    StoreObject *st;
-    double t;
-    if (check_nargs("earliest", nargs, 1) < 0 || arg_store(args[0], &st) < 0) {
-        return NULL;
-    }
-    if (st->n == 0) {
-        Py_RETURN_NONE;
-    }
-    int rc = earliest(st, &t);
-    if (rc < 0) {
-        return NULL;
-    }
-    if (rc > 0) {
-        Py_RETURN_NONE;
-    }
-    return PyFloat_FromDouble(t);
-}
-
-static PyObject *py_retire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    StoreObject *st;
-    double t;
-    if (check_nargs("retire", nargs, 2) < 0 || arg_store(args[0], &st) < 0
-        || arg_f64(args[1], &t) < 0) {
-        return NULL;
-    }
-    return retire_at(st, t);
 }
 
 /* ------------------------------------------------------------------
@@ -1189,19 +1139,10 @@ static PyTypeObject QueueType = {
 
 /* ------------------------------------------------------------------ */
 
-#define FASTCALL(name, fn, doc) \
-    {name, (PyCFunction)(void (*)(void))fn, METH_FASTCALL, doc}
-
 static PyMethodDef methods[] = {
-    FASTCALL("begin", py_begin,
-             "advance_to(t) and append one flow; False if Python must grow "
-             "or reallocate first."),
-    FASTCALL("advance", py_advance, "Drain every flow by dt."),
-    FASTCALL("recompute", py_recompute, "Reallocate max-min rates."),
-    FASTCALL("earliest", py_earliest,
-             "Earliest completion time (memoized), or None on a stall."),
-    FASTCALL("retire", py_retire,
-             "Drain to t, retire drained flows, return their keys."),
+    {"begin", (PyCFunction)(void (*)(void))py_begin, METH_FASTCALL,
+     "advance_to(t) and append one flow; False if the slot columns are "
+     "full."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,27 +2,28 @@
 
 ``_fastfill.c`` is one CPython extension module holding two kernels:
 
-* ``FlowStore`` and the per-event flow-store operations of
-  :class:`repro.machine.contention.FluidNetwork`, rate reallocation
-  (contention penalty plus the progressive fill of
-  :func:`repro.machine.bandwidth.max_min_rates`) included, which run on
-  every flow arrival/departure of every simulation — at 256 nodes a
-  single exchange sweep makes ~10^5 calls on small arrays, where
-  NumPy's per-ufunc dispatch overhead dominates;
+* ``FlowStore``, the flow store of a
+  :class:`repro.machine.contention.FluidNetwork`, and ``begin``, the
+  network's flow start, which append to it on every flow arrival of
+  every simulation — at 256 nodes a single exchange sweep makes ~10^5
+  calls on small arrays, where NumPy's per-ufunc dispatch overhead
+  dominates;
 * ``EventQueue``, the discrete-event engine's heap and drain loop, the
   compiled twin of :class:`repro.sim.events.EventQueue` (about six
   events per message, each a Python call and a tuple-compared heap
   operation in the pure-Python queue), which also runs the network's
-  arm–check–retire cycle on the store, traced runs included.
+  arm–check–retire cycle on the store, traced runs included: rate
+  reallocation (contention penalty plus the progressive fill of
+  :func:`repro.machine.bandwidth.max_min_rates`), completion scan and
+  retirement.
 
-So a build has one network path: with the kernel, the compiled cycle
-and the C reallocation; without it, the engine's Python arm and the
-NumPy reference.
-
-Every entry point is a ``METH_FASTCALL`` call that converts only its
-scalar arguments.  This module compiles the source with the system C
-compiler, against the running interpreter's headers, into a cached
-shared object and imports it.
+So a build has one network path: with the kernel, ``begin`` and the
+compiled cycle; without it, the engine's Python arm and the NumPy
+reference.  Besides the two types, the module exports ``begin`` (a
+``METH_FASTCALL`` call that converts only its scalar arguments),
+``TABLE`` and ``TIME_ATOL``.  This module compiles the source with the
+system C compiler, against the running interpreter's headers, into a
+cached shared object and imports it.
 
 The kernel is strictly optional:
 

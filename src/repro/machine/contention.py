@@ -10,7 +10,7 @@ flow arrivals and departures; the :class:`FluidNetwork` advances that
 piecewise-linear system and reports completion times.
 
 The discrete-event engine (:mod:`repro.sim.engine`) owns simulated time;
-this class is passive.  The intended protocol is::
+this class is passive.  The engine's protocol is::
 
     net.begin_flow(now, key, src, dst, payload)  # drain to now, add a flow
     ...                                          # possibly several, same time
@@ -21,38 +21,43 @@ Batching matters: the synchronized exchange algorithms start whole waves
 of messages at identical times, and rates are recomputed once per wave,
 not once per message.
 
-Flow state lives in struct-of-arrays form: parallel NumPy arrays for
-``wire_remaining`` / ``rate`` / ``rate_cap`` plus a persistent CSR
-flow->link incidence that is appended to on :meth:`add_flow` and
-compacted in bulk on :meth:`pop_completed`, instead of being rebuilt
-from Python lists on every rate reallocation.  Draining and
-earliest-completion scans are O(active) vectorized operations.  The
-layout is an internal detail: the public API still traffics in
-:class:`FlowState` records and produces bit-identical timelines to the
-original per-flow-object implementation.
+Flow state lives in struct-of-arrays form: parallel NumPy columns for
+the remaining wire bytes, rate, rate cap, endpoints and key of each
+flow, plus a persistent CSR flow->link incidence that is appended to
+on each flow start and compacted in bulk on retirement, instead of
+being rebuilt from Python lists on every rate reallocation.  Draining
+and earliest-completion scans are O(active) vectorized operations, and
+timelines are bit-identical to the original per-flow-object
+implementation.
 
 The flow store's scalar state (live count, clock, dirty and changed
 flags, memoized next completion, arm generation) lives in one object,
 :attr:`FluidNetwork.store`: the compiled kernel's ``FlowStore`` when it
-is loaded, which the engine's compiled drain loop reads and writes
-directly, else the pure-Python :class:`FlowStore` below.
+is loaded, else the pure-Python :class:`FlowStore` below.  With the
+kernel, :meth:`FluidNetwork.begin_flow` is one kernel call and the
+engine's compiled drain loop runs the rest of the protocol (rate
+reallocation, completion scan, retirement) on the store itself.
+:meth:`~FluidNetwork.advance_to`,
+:meth:`~FluidNetwork.earliest_completion`,
+:meth:`~FluidNetwork.pop_completed_keys` and
+:meth:`~FluidNetwork.snapshot_rates` are the NumPy reference: the
+kernel-less build runs them, and the compiled cycle matches them to
+the bit (same operations, same order, same doubles).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs
 from . import _fastfill
 from .bandwidth import AllocationWorkspace, max_min_rates
 from .fattree import FatTree, LinkId
 from .params import wire_bytes
 
-__all__ = ["FluidNetwork", "FlowState", "FlowStore", "NetworkStallError"]
+__all__ = ["FluidNetwork", "FlowStore", "NetworkStallError"]
 
 #: Remaining-byte threshold below which a flow counts as complete.
 _DONE_EPS = 1e-6
@@ -62,6 +67,10 @@ _MIN_SLOTS = 16
 
 #: Jitter normals drawn per RNG call.
 _Z_BLOCK = 256
+
+#: The per-slot flow columns (FluidNetwork attributes), which grow and
+#: compact together.
+_COLUMNS = ("_wire", "_rate", "_rate_cap", "_srcs", "_dsts", "_keys")
 
 
 def _address(arr: np.ndarray) -> int:
@@ -90,21 +99,6 @@ class NetworkStallError(RuntimeError):
             f"{len(self.stalled)} active flow(s) stalled with zero rate: "
             f"{shown}{more}"
         )
-
-
-@dataclass
-class FlowState:
-    """One in-flight message transfer (materialized view of a slot)."""
-
-    key: Hashable
-    src: int
-    dst: int
-    wire_remaining: float
-    path_idx: np.ndarray
-    rate_cap: float
-    rate: float = 0.0
-    started_at: float = 0.0
-    payload_bytes: int = 0
 
 
 class FlowStore:
@@ -146,7 +140,6 @@ class FluidNetwork:
         link_scales: Optional[Dict[LinkId, float]] = None,
     ):
         self.tree = tree
-        self._link_index: Dict[LinkId, int] = tree.link_index
         self._link_caps = tree.link_caps_array
         nlinks = len(self._link_caps)
         # Degraded-link injection (repro.faults): capacity multipliers
@@ -158,7 +151,6 @@ class FluidNetwork:
                 [link_scales.get(l, 1.0) for l in tree.sorted_link_ids],
                 dtype=float,
             )
-        self._seed = seed
         self._jitter = tree.params.routing_jitter
         self._rng = np.random.default_rng(seed)
         #: Pre-drawn |N(0, 1)| jitter normals, consumed one per flow.
@@ -174,15 +166,13 @@ class FluidNetwork:
         self._wire = np.zeros(self._cap)
         self._rate = np.zeros(self._cap)
         self._rate_cap = np.zeros(self._cap)
-        self._started = np.zeros(self._cap)
-        self._payload = np.zeros(self._cap, dtype=np.int64)
         self._srcs = np.zeros(self._cap, dtype=np.int64)
         self._dsts = np.zeros(self._cap, dtype=np.int64)
         self._keys = np.empty(self._cap, dtype=object)
         self._key_set: set = set()
         # Persistent CSR incidence: slot i uses link indices
-        # _csr_links[_ptr[i]:_ptr[i+1]].  Appended on add, compacted on
-        # retirement.  No route exceeds _max_path links, so sizing it
+        # _csr_links[_ptr[i]:_ptr[i+1]].  Appended on flow start, compacted
+        # on retirement.  No route exceeds _max_path links, so sizing it
         # at _max_path per slot means it only grows with the slots.
         self._max_path = 2 * tree.levels
         self._csr_links = np.zeros(self._max_path * self._cap, dtype=np.int64)
@@ -197,11 +187,11 @@ class FluidNetwork:
         self._alloc_ws = AllocationWorkspace(nlinks)
         self._alloc_ws.ensure_flows(self._cap)
 
-        # The compiled kernel (None -> NumPy fallback) and the store its
-        # hot entry points take: the scalar state plus a table of every
-        # buffer's address, in the kernel's TABLE order, rebuilt only
-        # when an array is reallocated (_grow_slots).  Each call then
-        # converts a handful of scalars.
+        # The compiled kernel (None -> NumPy reference) and the store
+        # its begin and drain loop take: the scalar state plus a table of
+        # every buffer's address, in the kernel's TABLE order, rebuilt
+        # only when an array is reallocated (_grow_slots).  Each begin
+        # then converts a handful of scalars.
         self._k = _fastfill.kernel()
         if self._k is not None:
             self.store = self._k.FlowStore(
@@ -216,7 +206,7 @@ class FluidNetwork:
         self._route_slots = tree.route_slots
         self._wire_cache: Dict[int, Tuple[float, float]] = {}
         #: Rate cap by route level; a path of 2k links peaks at level k,
-        #: so add_flow reads caps from here instead of the tree's
+        #: so begin_flow reads caps from here instead of the tree's
         #: per-(src, dst) cache (same floats: level_bandwidth is pure).
         self._level_bw = [0.0] + [
             tree.params.level_bandwidth(lvl)
@@ -241,7 +231,7 @@ class FluidNetwork:
         self._observer = fn
         if self._k is not None:
             # The kernel store calls _observe after its reallocations,
-            # wherever they run (here or in the compiled drain loop).
+            # wherever they run (begin or the compiled drain loop).
             self.store.observer = None if fn is None else self._observe
 
     def _observe(self, now: float) -> None:
@@ -270,9 +260,6 @@ class FluidNetwork:
         kernel."""
         return self.store if self._k is not None else None
 
-    def _path_indices(self, src: int, dst: int) -> np.ndarray:
-        return self.tree.path_indices(src, dst)
-
     def _refresh_table(self) -> None:
         """Repoint the kernel store's table (layout: ``kernel().TABLE``)."""
         ws = self._alloc_ws
@@ -291,8 +278,6 @@ class FluidNetwork:
             "active": ws.active,
             "touched": ws.touched,
             "wire": self._wire,
-            "started": self._started,
-            "payload": self._payload,
             "srcs": self._srcs,
             "dsts": self._dsts,
             "keys": self._keys,
@@ -307,16 +292,7 @@ class FluidNetwork:
     def _grow_slots(self, need: int) -> None:
         new_cap = max(2 * self._cap, need)
         n = self.store.n
-        for name in (
-            "_wire",
-            "_rate",
-            "_rate_cap",
-            "_started",
-            "_payload",
-            "_srcs",
-            "_dsts",
-            "_keys",
-        ):
+        for name in _COLUMNS:
             old = getattr(self, name)
             fresh = np.empty(new_cap, dtype=old.dtype)  # object -> None
             fresh[:n] = old[:n]
@@ -334,23 +310,15 @@ class FluidNetwork:
             self._refresh_table()
 
     # ------------------------------------------------------------------
-    def add_flow(self, key: Hashable, src: int, dst: int, payload: int) -> None:
-        """Register a message transfer starting at the current time.
-
-        ``payload`` is user bytes; the flow carries the packetized wire
-        size.  The caller must have brought the network to the flow's
-        start time with :meth:`advance_to` first (or use
-        :meth:`begin_flow`, which does both).
-        """
-        self.begin_flow(self.store.now, key, src, dst, payload)
-
     def begin_flow(
         self, t: float, key: Hashable, src: int, dst: int, payload: int
     ) -> None:
-        """``advance_to(t)``, then ``add_flow(key, src, dst, payload)``.
+        """Drain to ``t`` (:meth:`advance_to`), then start a message
+        transfer of ``payload`` user bytes from ``src`` to ``dst``.
 
         The engine's flow start: one kernel call when the kernel is
-        loaded.
+        loaded.  The flow carries the packetized wire size, inflated by
+        the routing jitter.
         """
         if key in self._key_set:
             raise ValueError(f"duplicate flow key: {key!r}")
@@ -383,15 +351,10 @@ class FluidNetwork:
         k = self._k
         if k is not None:
             while not k.begin(
-                st, t, key, wire, rate_cap, payload, src, dst,
-                routes_addr, off, length,
+                st, t, key, wire, rate_cap, src, dst, routes_addr, off, length
             ):
-                # Refused, nothing changed: the columns are full, or the
-                # drain to t needs a reallocation first.  Neither can
-                # refuse it twice.
-                if st.n == self._cap:
-                    self._grow_slots(st.n + 1)
-                self.advance_to(t)
+                # Refused, nothing changed: the slot columns are full.
+                self._grow_slots(st.n + 1)
             return
         self.advance_to(t)
         slot = st.n
@@ -403,8 +366,6 @@ class FluidNetwork:
         self._wire[slot] = wire
         self._rate[slot] = 0.0
         self._rate_cap[slot] = rate_cap
-        self._started[slot] = st.now
-        self._payload[slot] = payload
         self._srcs[slot] = src
         self._dsts[slot] = dst
         self._keys[slot] = key
@@ -420,22 +381,20 @@ class FluidNetwork:
         ``wire_remaining`` is clamped at zero: if the caller advances
         past a flow's true completion instant the flow reads as exactly
         finished rather than drifting negative, keeping
-        :meth:`snapshot_rates` diagnostics and the completion test
+        :meth:`snapshot_remaining` diagnostics and the completion test
         against ``_DONE_EPS`` meaningful.
         """
         st = self.store
         if t < st.now - 1e-12:
             raise ValueError(f"time moved backwards: {t} < {st.now}")
+        n = st.n
         dt = t - st.now
-        if dt > 0 and st.n:
+        if dt > 0 and n:
             if st.dirty:
                 self._recompute()
-            if self._k is not None:
-                self._k.advance(st, dt)
-            else:
-                wire = self._wire[: st.n]
-                wire -= self._rate[: st.n] * dt
-                np.maximum(wire, 0.0, out=wire)
+            wire = self._wire[:n]
+            wire -= self._rate[:n] * dt
+            np.maximum(wire, 0.0, out=wire)
         st.now = max(st.now, t)
 
     def earliest_completion(self) -> Optional[float]:
@@ -450,25 +409,15 @@ class FluidNetwork:
         positive).
         """
         st = self.store
-        k = self._k
-        if st.dirty and (k is None or not st.n):
+        if st.dirty:
             self._recompute()
-        if not st.n:
+        n = st.n
+        if not n:
             return None
-        if k is not None:
-            # Reallocation (when dirty), memo and scan in one call, the
-            # same operations in the same order as the NumPy path.
-            if st.dirty:
-                obs.count("net.allocations")
-            t = k.earliest(st)
-            if t is not None:
-                return t
-            # A flow stalled: the NumPy scan below names it.
-        elif st.next is not None:
+        if st.next is not None:
             # A flow already past its instant (the caller overshot)
             # reads as finishing "now", as it would on a fresh scan.
             return max(st.next, st.now)
-        n = st.n
         wire = self._wire[:n]
         rate = self._rate[:n]
         # Done-flows first, zero rates second — consistently, in one pass.
@@ -487,57 +436,23 @@ class FluidNetwork:
         return st.next
 
     def pop_completed_keys(self, t: float) -> List[Hashable]:
-        """Advance to ``t`` and retire every finished flow, keys only.
-
-        The engine's hot path: equivalent to
-        ``[f.key for f in self.pop_completed(t)]`` (same drain, same
-        retire condition, same compaction) without materializing
-        :class:`FlowState` records.  Drain, completion scan and
-        compaction of every column, keys included, run in one C call
-        when the kernel is available.
-        """
-        st = self.store
-        if st.n == 0 or self._k is None:
-            return [f.key for f in self.pop_completed(t)]
-        if st.dirty and t > st.now:
-            self._recompute()
-        return self._k.retire(st, t)
-
-    def pop_completed(self, t: float) -> List[FlowState]:
-        """Advance to ``t`` and remove every flow that has finished."""
+        """Advance to ``t`` and retire every finished flow; return their
+        keys in start order."""
         self.advance_to(t)
         st = self.store
         n = st.n
         if n == 0:
             return []
-        wire = self._wire[:n]
-        done_mask = wire <= _DONE_EPS
-        if not done_mask.any():
+        done = self._wire[:n] <= _DONE_EPS
+        if not done.any():
             return []
-        done_idx = np.nonzero(done_mask)[0]
-        done = [self._flow_state(int(i)) for i in done_idx]
-        for f in done:
-            self._key_set.discard(f.key)
-        self._compact(~done_mask)
+        keys = self._keys[:n][done].tolist()
+        self._key_set.difference_update(keys)
+        self._compact(~done)
         st.dirty = True
         st.changed = True
         st.next = None
-        return done
-
-    def _flow_state(self, slot: int) -> FlowState:
-        src = int(self._srcs[slot])
-        dst = int(self._dsts[slot])
-        return FlowState(
-            key=self._keys[slot],
-            src=src,
-            dst=dst,
-            wire_remaining=float(self._wire[slot]),
-            path_idx=self._path_indices(src, dst),
-            rate_cap=float(self._rate_cap[slot]),
-            rate=float(self._rate[slot]),
-            started_at=float(self._started[slot]),
-            payload_bytes=int(self._payload[slot]),
-        )
+        return keys
 
     def _compact(self, keep: np.ndarray) -> None:
         """Drop slots where ``keep`` is False, preserving insertion order."""
@@ -549,16 +464,7 @@ class FluidNetwork:
         kept_links = self._csr_links[:used][seg_keep]
         self._csr_links[: len(kept_links)] = kept_links
         np.cumsum(lengths[keep], out=self._ptr[1 : m + 1])
-        for name in (
-            "_wire",
-            "_rate",
-            "_rate_cap",
-            "_started",
-            "_payload",
-            "_srcs",
-            "_dsts",
-            "_keys",
-        ):
+        for name in _COLUMNS:
             arr = getattr(self, name)
             arr[:m] = arr[:n][keep]
         self._keys[m:n] = None
@@ -568,16 +474,6 @@ class FluidNetwork:
     def _recompute(self) -> None:
         st = self.store
         n = st.n
-        if self._k is not None:
-            # Fused C path: per-link counts, contention penalty, freeze
-            # thresholds and the progressive fill in one call — the same
-            # operations in the same order as the NumPy pipeline below,
-            # so rates stay bit-identical (see _fastfill.c).  The store
-            # calls the observer.
-            if n:
-                obs.count("net.allocations")
-            self._k.recompute(st)
-            return
         if n:
             used = int(self._ptr[n])
             flow_links = self._csr_links[:used]
@@ -628,18 +524,3 @@ class FluidNetwork:
         """Remaining wire bytes of every active flow (diagnostics/tests)."""
         n = self.store.n
         return {self._keys[i]: float(self._wire[i]) for i in range(n)}
-
-    def reset(self) -> None:
-        """Drop all flows and rewind the clock (reuse across runs)."""
-        st = self.store
-        st.n = 0
-        self._ptr[0] = 0
-        self._keys[:] = None
-        self._key_set.clear()
-        st.now = 0.0
-        st.dirty = False
-        st.changed = False
-        st.next = None
-        self._rng = np.random.default_rng(self._seed)
-        self._z = []
-        self._z_next = 0

@@ -17,8 +17,8 @@ phase           owns
 ``rendezvous``  send/recv posting and matching, transfer start,
                 flow begin/complete
 ``arm``         network-event arming and the fluid-network solver
-                (with the compiled kernel, every call into its network
-                entry points)
+                (with the compiled kernel, every call into its
+                ``begin`` or a ``FlowStore`` method)
 ``trace``       message/phase/retry records and rank-op spans
 ``queue``       event-heap push and the drain loop (``EventQueue.push``
                 / ``EventQueue.run``, ``Engine.run``; with the compiled
@@ -32,11 +32,11 @@ its caller's phase, so helpers and C calls land in the phase that
 invoked them.  The exceptions are the compiled kernel's types and
 functions, which have no code object: a C call bound to the compiled
 event queue (:func:`repro.sim.events.event_queue`) counts as ``queue``,
-and a call into the kernel's network entry points (its module functions
-and ``FlowStore`` methods) counts as ``arm``, wherever it is made.  The
-arm–check–retire cycle the compiled drain loop runs itself makes no
-call at all, so it shows only as the ``Engine._flow_complete`` calls it
-hands each retired flow to.  The engine is deterministic, so counts are
+and a call into the kernel's network entry point (its module function
+``begin`` and the ``FlowStore`` methods) counts as ``arm``, wherever it
+is made.  The arm–check–retire cycle the compiled drain loop runs
+itself makes no call at all, so it shows only as the
+``Engine._flow_complete`` calls it hands each retired flow to.  The engine is deterministic, so counts are
 exactly reproducible; a second plain-counter run (no phase logic) provides the
 ``direct_total`` cross-check the acceptance criterion compares against
 — the two count the same events, so they agree exactly, but the table
@@ -128,15 +128,12 @@ def marker_table() -> Dict[object, str]:
         "arm",
         Engine._arm_network_event,
         Engine._net_check,
-        FluidNetwork.add_flow,
         FluidNetwork.begin_flow,
         FluidNetwork.advance_to,
         FluidNetwork.earliest_completion,
         FluidNetwork.pop_completed_keys,
-        FluidNetwork.pop_completed,
         FluidNetwork._recompute,
         FluidNetwork._compact,
-        FluidNetwork._flow_state,
     )
     mark(
         "trace",

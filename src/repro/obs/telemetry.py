@@ -28,9 +28,8 @@ dashboard breakage.
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .metrics import Histogram, MetricsRegistry, bucket_bounds
 
@@ -418,16 +417,3 @@ def merge_state(registry: MetricsRegistry, state: Dict[str, object]) -> None:
     for name in sorted(state.get("histograms", {})):  # type: ignore[arg-type]
         delta = Histogram.from_state(state["histograms"][name])  # type: ignore[index]
         registry.histogram(name).merge(delta)
-
-
-def load_metrics_json(path) -> Dict[str, object]:
-    """Read and validate one metrics JSON document from disk."""
-    from pathlib import Path
-
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from None
-    validate_metrics_json(doc)
-    return doc

@@ -187,14 +187,6 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     # Inference output
     # ------------------------------------------------------------------
-    def compute_estimate(self, rank: int) -> float:
-        xs = self._compute_samples.get(rank)
-        return _median(xs) if xs else 1.0
-
-    def overhead_estimate(self, rank: int) -> float:
-        xs = self._overhead_samples.get(rank)
-        return _median(xs) if xs else 1.0
-
     def flagged_stragglers(self) -> Dict[int, Tuple[float, float]]:
         """``{rank: (compute_factor, overhead_factor)}`` beyond declared."""
         return dict(self._flagged_stragglers)

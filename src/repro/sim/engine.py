@@ -248,8 +248,8 @@ class Engine:
             self._schedule(at, self._kill_rank, rank, detect)
 
         # With the kernel loaded, the compiled drain loop runs the
-        # network's arm–check–retire cycle itself (traced or not) and
-        # counts its reallocations on the store.
+        # network's arm–check–retire cycle itself (traced or not); its
+        # reallocations and the kernel begin's are counted on the store.
         self._native_net = native = self.net.native_store()
         allocations = native.allocations if native is not None else 0
         # The drain allocates heavily (events, in-flight records)

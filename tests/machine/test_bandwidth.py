@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.machine import FluidNetwork, MachineConfig, _fastfill, bandwidth, fat_tree_for
 from repro.machine.bandwidth import build_incidence, max_min_rates
+from tests.machine.test_contention import DrainDriver
 
 
 def rates_for(paths, caps, flow_caps=None, link_scales=None):
@@ -265,29 +266,27 @@ def network_runs(draw):
 
 
 def run_network(net, waves):
-    """Drive ``net`` through ``waves`` the way the engine does: each
-    wave starts once every completion before it has retired, and an
-    emptied network is asked for its next completion too (the idle
-    sample).  Returns the completions, the per-flow rates after each
-    wave joins and the observer's series, rates as exact bytes."""
-    series, log = [], []
-    net.observer = lambda now, rates: series.append((now, rates.tobytes()))
+    """Drive ``net`` through ``waves`` on the engine's drain loop (the
+    compiled cycle for a kernel network): each wave's flows start at
+    its instant.  Returns the completions and, per reallocation, the
+    observer's per-link rates and the per-flow rates behind them, rates
+    as exact bytes; the series includes the all-zero idle samples."""
+    driver = DrainDriver(net)
+    series = []
+    net.observer = lambda now, rates: series.append(
+        (now, rates.tobytes(), net._rate[: net.active_count].tobytes())
+    )
 
-    def drain(until):
-        while (t := net.earliest_completion()) is not None and t <= until:
-            log.append((t, net.pop_completed_keys(t)))
+    def begin_wave(first, flows):
+        for key, (src, dst, payload) in enumerate(flows, first):
+            net.begin_flow(driver.now, key, src, dst, payload)
 
-    start, key = 0.0, 0
+    start, first = 0.0, 0
     for gap, flows in waves:
         start += gap
-        drain(start)
-        for src, dst, payload in flows:
-            net.begin_flow(start, key, src, dst, payload)
-            key += 1
-        rates = net.snapshot_rates()
-        log.append(np.array([rates[k] for k in sorted(rates)]).tobytes())
-    drain(math.inf)
-    return log, series
+        driver._schedule(start, begin_wave, first, flows)
+        first += len(flows)
+    return driver.run(), series
 
 
 class TestKernelNetwork:
@@ -295,9 +294,11 @@ class TestKernelNetwork:
     @given(network_runs())
     @settings(max_examples=60, deadline=None)
     def test_kernel_and_numpy_networks_bit_identical(self, problem):
-        """A network on the compiled kernel (C reallocation, store-held
-        observer) and one built without it (NumPy reference) agree to
-        the bit: completions, rates and link-utilization series."""
+        """A network on the compiled cycle (C reallocation, scan and
+        retirement, store-held observer) and one built without the
+        kernel (the engine's Python arm on the NumPy reference) agree to
+        the bit: completions, per-flow rates and link-utilization
+        series."""
         tree, degraded, waves = problem
         fast = FluidNetwork(tree, seed=3, link_scales=degraded)
         with mock.patch.object(_fastfill, "kernel", return_value=None):

@@ -14,7 +14,7 @@ def cfg16():
 
 def fluid_time(cfg, src, dst, payload):
     net = FluidNetwork(fat_tree_for(cfg))
-    net.add_flow("f", src, dst, payload)
+    net.begin_flow(net.now, "f", src, dst, payload)
     return net.earliest_completion()
 
 
@@ -61,12 +61,12 @@ class TestFluidAgreement:
 
         net = FluidNetwork(fat_tree_for(cfg))
         for i in range(4):
-            net.add_flow(i, i, i + 4, payload)
+            net.begin_flow(net.now, i, i, i + 4, payload)
         # Drain the fluid system completely.
         last = 0.0
         while net.active_count:
             t = net.earliest_completion()
-            net.pop_completed(t)
+            net.pop_completed_keys(t)
             last = t
         assert abs(max(packet_times) - last) / last < 0.2
 
