@@ -37,6 +37,11 @@
  * run(engine), the engine's drain loop, which also runs the network's
  * arm–check–retire cycle on the engine's FlowStore: reallocation,
  * completion scan and retirement have no other compiled caller.
+ * run(engine, program) also runs the ranks of a schedule: the schedule
+ * executor interprets flat rank programs (Engine._run_compiled) with
+ * the engine's rendezvous and message timing, starting flows through
+ * the same flow start as begin, and calls back into Python only to
+ * grow the slot columns and to draw the next block of jitter normals.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -527,40 +532,46 @@ static int earliest(StoreObject *st, double *t) {
     return 0;
 }
 
-/* FluidNetwork.pop_completed_keys on a non-empty store, rates current
- * if t > now, for net_check: drain to t, retire every drained flow and
- * compact the slot columns, the CSR incidence and the object key column
- * in place, preserving insertion order.  The completed keys come back
- * as a list in slot order; the list takes over the key column's
- * references, survivors' references move with them, and the vacated
- * tail slots are reset to None, so no key's refcount changes and no
- * retired key stays reachable from the column. */
-static PyObject *retire_at(StoreObject *st, double t) {
-    void **p = st->tab;
-    int64_t n = st->n, f, s, ndone = 0;
-    double eps = st->done_eps;
-    double *wire = p[T_WIRE];
+/* The first half of FluidNetwork.pop_completed_keys, rates current if
+ * t > now, for net_check: drain every flow to t and move the clock
+ * there.  Returns the number of drained flows (wire <= done_eps), or -1
+ * with an exception set. */
+static int64_t drain_to(StoreObject *st, double t) {
+    const double *wire = st->tab[T_WIRE];
+    int64_t f, ndone = 0;
     if (check_forward(st, t) < 0) {
-        return NULL;
+        return -1;
     }
     if (t > st->now) {
-        advance(p, n, t - st->now);
+        advance(st->tab, st->n, t - st->now);
+        st->now = t;
     }
-    for (f = 0; f < n; f++) {
-        if (wire[f] <= eps) {
+    for (f = 0; f < st->n; f++) {
+        if (wire[f] <= st->done_eps) {
             ndone++;
         }
     }
-    PyObject *done = PyList_New((Py_ssize_t)ndone);
-    if (done == NULL) {
-        return NULL;
-    }
-    if (t > st->now) {
-        st->now = t;
-    }
-    if (ndone == 0) {
-        return done;
-    }
+    return ndone;
+}
+
+/* take(ctx, st, f) receives a drained slot before compaction overwrites
+ * it, and takes over the reference in the slot's key column; 0, or -1
+ * with an exception set. */
+typedef int (*take_fn)(void *ctx, StoreObject *st, int64_t f);
+
+/* The second half, after drain_to: retire every drained flow and
+ * compact the slot columns, the CSR incidence and the object key column
+ * in place, preserving insertion order.  Each drained slot goes to
+ * take() in slot order; survivors' key references move with them and
+ * the vacated tail slots are reset to None, so no key's refcount
+ * changes and no retired key stays reachable from the column.  The
+ * compaction completes even when a take fails, and then returns -1. */
+static int compact(StoreObject *st, take_fn take, void *ctx) {
+    void **p = st->tab;
+    int64_t n = st->n, f, s;
+    int rc = 0;
+    double eps = st->done_eps;
+    double *wire = p[T_WIRE];
     double *rate = p[T_RATE];
     double *rate_cap = p[T_RATE_CAP];
     int64_t *srcs = p[T_SRCS];
@@ -568,10 +579,12 @@ static PyObject *retire_at(StoreObject *st, double t) {
     int64_t *csr = p[T_CSR];
     int64_t *ptr = p[T_FLOW_PTR];
     PyObject **keys = p[T_KEYS];
-    int64_t w = 0, links_w = 0, d = 0;
+    int64_t w = 0, links_w = 0;
     for (f = 0; f < n; f++) {
         if (wire[f] <= eps) {
-            PyList_SET_ITEM(done, (Py_ssize_t)d++, keys[f]);
+            if (take(ctx, st, f) < 0) {
+                rc = -1;
+            }
             continue;
         }
         if (w != f) {
@@ -596,13 +609,20 @@ static PyObject *retire_at(StoreObject *st, double t) {
     st->dirty = 1;
     st->has_next = 0;
     st->changed = 1;
-    for (d = 0; d < ndone; d++) {
-        if (PySet_Discard(st->keys, PyList_GET_ITEM(done, d)) < 0) {
-            Py_DECREF(done);
-            return NULL;
-        }
-    }
-    return done;
+    return rc;
+}
+
+/* The completed keys of a compaction, in slot order: the list takes
+ * over the key column's references. */
+typedef struct {
+    PyObject *list;
+    Py_ssize_t next;
+} KeyTake;
+
+static int take_key(void *ctx, StoreObject *st, int64_t f) {
+    KeyTake *kt = ctx;
+    PyList_SET_ITEM(kt->list, kt->next++, ((PyObject **)st->tab[T_KEYS])[f]);
+    return 0;
 }
 
 /* ------------------------------------------------------------------
@@ -643,53 +663,44 @@ static int check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want) {
     return 0;
 }
 
-/* ------------------------------------------------------------------
- * The entry point. */
-
-/* begin(st, t, key, wire, rate_cap, src, dst, routes, off, length):
- * advance_to(t), then append one flow — the engine's flow start in one
- * call.  A drain on a dirty store reallocates first, as advance_to
- * does, and counts it in allocations.  Returns False, changing nothing,
- * when the slot columns are full (the caller grows them and calls
- * again). */
-static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
-    StoreObject *st;
-    void **routes;
-    int64_t src, dst, off, length;
-    double t, wire, rate_cap;
-    if (check_nargs("begin", nargs, 10) < 0 || arg_store(args[0], &st) < 0
-        || arg_f64(args[1], &t) < 0 || arg_f64(args[3], &wire) < 0
-        || arg_f64(args[4], &rate_cap) < 0 || arg_i64(args[5], &src) < 0
-        || arg_i64(args[6], &dst) < 0 || arg_ptr(args[7], &routes) < 0
-        || arg_i64(args[8], &off) < 0 || arg_i64(args[9], &length) < 0
-        || check_forward(st, t) < 0) {
-        return NULL;
+/* The flow start of begin and of the schedule executor: advance_to(t),
+ * then append one flow whose route is links[0..length).  A drain on a
+ * dirty store reallocates first, as advance_to does, and counts it in
+ * allocations.  A NULL key appends a keyless flow (the executor's: a
+ * None key slot, not in the key set).  1 when appended; 0, changing
+ * nothing, when the slot columns are full (the caller grows them and
+ * calls again); -1 with an exception set. */
+static int begin_flow(StoreObject *st, double t, PyObject *key, double wire,
+                      double rate_cap, int64_t src, int64_t dst,
+                      const int64_t *links, int64_t length) {
+    if (check_forward(st, t) < 0) {
+        return -1;
     }
     int64_t slot = st->n;
     if (slot == st->cap) {
-        Py_RETURN_FALSE;
+        return 0;
     }
     if (t > st->now) {
         if (slot > 0) {
             if (st->dirty) {
                 st->allocations++;
                 if (store_recompute(st) < 0) {
-                    return NULL;
+                    return -1;
                 }
             }
             advance(st->tab, slot, t - st->now);
         }
         st->now = t;
     }
-    PyObject *key = args[2];
-    if (PySet_Add(st->keys, key) < 0) {
-        return NULL;
+    if (key == NULL) {
+        key = Py_None;
+    } else if (PySet_Add(st->keys, key) < 0) {
+        return -1;
     }
     void **p = st->tab;
     int64_t *ptr = p[T_FLOW_PTR];
     int64_t used = ptr[slot];
-    memcpy((int64_t *)p[T_CSR] + used, (const int64_t *)routes + off,
-           (size_t)length * sizeof(int64_t));
+    memcpy((int64_t *)p[T_CSR] + used, links, (size_t)length * sizeof(int64_t));
     ptr[slot + 1] = used + length;
     ((double *)p[T_WIRE])[slot] = wire;
     ((double *)p[T_RATE])[slot] = 0.0;
@@ -705,7 +716,34 @@ static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs
     st->dirty = 1;
     st->has_next = 0;
     st->changed = 1;
-    Py_RETURN_TRUE;
+    return 1;
+}
+
+/* ------------------------------------------------------------------
+ * The entry point. */
+
+/* begin(st, t, key, wire, rate_cap, src, dst, routes, off, length):
+ * advance_to(t), then append one flow — the engine's flow start in one
+ * call.  Returns False, changing nothing, when the slot columns are
+ * full (the caller grows them and calls again). */
+static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) {
+    StoreObject *st;
+    void **routes;
+    int64_t src, dst, off, length;
+    double t, wire, rate_cap;
+    if (check_nargs("begin", nargs, 10) < 0 || arg_store(args[0], &st) < 0
+        || arg_f64(args[1], &t) < 0 || arg_f64(args[3], &wire) < 0
+        || arg_f64(args[4], &rate_cap) < 0 || arg_i64(args[5], &src) < 0
+        || arg_i64(args[6], &dst) < 0 || arg_ptr(args[7], &routes) < 0
+        || arg_i64(args[8], &off) < 0 || arg_i64(args[9], &length) < 0) {
+        return NULL;
+    }
+    int rc = begin_flow(st, t, args[2], wire, rate_cap, src, dst,
+                        (const int64_t *)routes + off, length);
+    if (rc < 0) {
+        return NULL;
+    }
+    return PyBool_FromLong(rc);
 }
 
 /* ------------------------------------------------------------------
@@ -718,7 +756,9 @@ static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs
  * loop, statement for statement the same as EventQueue.run in
  * events.py, with one addition: when the engine hands it a flow store
  * (engine._native_net), the loop runs that network's arm–check–retire
- * cycle itself (see queue_run).
+ * cycle itself (see queue_run).  run(engine, program) also runs the
+ * ranks: it interprets a schedule's flat rank programs (the schedule
+ * executor, below) with no Python call per event.
  *
  * Queued handlers are bound methods of the engine, which holds the
  * queue, so the type takes part in cyclic GC: an engine abandoned
@@ -730,12 +770,16 @@ static PyObject *py_begin(PyObject *mod, PyObject *const *args, Py_ssize_t nargs
 /* Tolerance of the event-in-the-past check. */
 #define PAST_TOL 1e-9
 
+/* Three kinds of entry: a Python handler (fn and its argument tuple
+ * args), a net check (fn its FlowStore, args NULL, gen its arm
+ * generation) and an executor event (fn and args NULL, gen the rank
+ * shifted left by two over an EV_* code). */
 typedef struct {
     double time;
     uint64_t seq;
-    PyObject *fn;   /* handler; for a net check, its FlowStore */
-    PyObject *args; /* the handler's argument tuple; NULL for a net check */
-    uint64_t gen;   /* a net check's arm generation */
+    PyObject *fn;
+    PyObject *args;
+    uint64_t gen;
 } Event;
 
 typedef struct {
@@ -827,7 +871,7 @@ static int queue_clear(QueueObject *q) {
     q->heap = NULL;
     q->size = q->cap = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        Py_DECREF(h[i].fn);
+        Py_XDECREF(h[i].fn);
         Py_XDECREF(h[i].args);
     }
     PyMem_Free(h);
@@ -879,7 +923,8 @@ static PyObject *queue_push(QueueObject *q, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
-/* A net check pops as (time, store, (gen,)). */
+/* A net check pops as (time, store, (gen,)), an executor event as
+ * (time, None, (code,)). */
 static PyObject *queue_pop(QueueObject *q, PyObject *unused) {
     Event e;
     if (q->size == 0) {
@@ -888,8 +933,10 @@ static PyObject *queue_pop(QueueObject *q, PyObject *unused) {
     }
     heap_pop(q, &e);
     PyObject *args = e.args != NULL ? e.args : Py_BuildValue("(K)", e.gen);
-    PyObject *res = args == NULL ? NULL : Py_BuildValue("(dOO)", e.time, e.fn, args);
-    Py_DECREF(e.fn);
+    PyObject *res = args == NULL
+        ? NULL
+        : Py_BuildValue("(dOO)", e.time, e.fn != NULL ? e.fn : Py_None, args);
+    Py_XDECREF(e.fn);
     Py_XDECREF(args);
     return res;
 }
@@ -929,7 +976,8 @@ static int python_arm(PyObject *engine) {
  * network's earliest completion (never before now).  After an instant
  * that emptied the network the (empty) reallocation only shows the
  * observer the idle links.  A stall goes to the Python arm, which
- * names the stalled flows in a NetworkStallError. */
+ * names the stalled flows in a NetworkStallError (engine.now is set
+ * first: the executor's loop does not keep it current). */
 static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
                       double now) {
     double t = 0.0;
@@ -943,7 +991,7 @@ static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
         }
         int rc = earliest(st, &t);
         if (rc != 0) {
-            return rc < 0 ? -1 : python_arm(engine);
+            return rc < 0 || set_now(engine, now) < 0 ? -1 : python_arm(engine);
         }
     }
     st->changed = 0;
@@ -960,10 +1008,426 @@ static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
     return 0;
 }
 
+/* ------------------------------------------------------------------
+ * The schedule executor: run(engine, program) runs the flat rank
+ * programs of repro.schedules.executor (rank_programs(schedule), one
+ * op per Send, Recv or pack/unpack Delay the generator
+ * schedule_program yields) on a healthy machine, with the engine's
+ * semantics and none of its Python calls: per rank a program cursor,
+ * a state, Process.wait_time / last_event_time / finish_time, and one
+ * rendezvous slot for its posted send or receive.  A schedule rank has
+ * at most one blocked op and every receive names its source and tag,
+ * so these slots match exactly as RendezvousTable does.  Each handler
+ * below is the engine method it names, minus the fault, trace and
+ * tracer branches, with the same floating-point expressions, pushing
+ * the same events in the same order, so every timestamp, the jitter
+ * stream and the slot order match the generator path bit for bit.
+ *
+ * program is the tuple Engine._run_compiled builds:
+ *
+ *   (ops, starts, delays, send_setup, recv_service, wire_latency,
+ *    wire, sqrt_packets, jitter, z, z_next, z_block, grow,
+ *    up_base, down_base, level_bw, arity)
+ *
+ * ops (int64, four per op: OP_* kind, peer, tag, index) holds every
+ * rank's ops, rank r's at [starts[r], starts[r+1]); a send's index
+ * names its size in wire / sqrt_packets, a delay's its seconds in
+ * delays.  The remaining items are the network's (FluidNetwork.
+ * _executor_part): the jitter scale and the normals stream (block z
+ * from z_next on, then z_block() for each next block), grow(need)
+ * (FluidNetwork._grow_slots) for full slot columns, and the fat tree's
+ * per-level link bases and level bandwidths, from which a route is
+ * built by FatTree.route_slot's arithmetic. */
+
+enum { OP_SEND, OP_RECV, OP_DELAY };
+enum { EV_RESUME, EV_POST_SEND, EV_FLOW_BEGIN };
+/* Route buffer bound: 2 links per level. */
+#define MAX_LEVELS 31
+#define EX_VIEWS 8
+#define EX_ITEMS 17
+
+typedef struct {
+    int64_t pc;   /* next op */
+    int64_t end;  /* one past the rank's last op */
+    int64_t cur;  /* the op it last started */
+    double wait;
+    double last;
+    double finish;
+    char blocked;     /* in a send or receive: accrues wait time */
+    char done;
+    char send_posted; /* its current send waits in the rendezvous */
+    char recv_posted; /* its current receive waits in the rendezvous */
+} Rank;
+
+typedef struct {
+    Py_buffer views[EX_VIEWS];
+    int nviews;
+    const int64_t *ops;
+    const double *delays, *wire, *sqrt_packets, *level_bw;
+    const int64_t *up_base, *down_base;
+    int64_t nprocs, arity;
+    double send_setup, recv_service, wire_latency, jitter;
+    PyObject *z;      /* the current block of normals */
+    Py_ssize_t zi;    /* its next unread entry */
+    PyObject *z_block;
+    PyObject *grow;
+    Rank *ranks;
+    unsigned long long messages;
+} Exec;
+
+/* A contiguous 8-byte buffer of kind 'd' (float64) or 'q' (int64) with
+ * at least min_len items; its length goes to *len. */
+static int exec_view(Exec *ex, PyObject *o, char kind, Py_ssize_t min_len,
+                     const void **out, Py_ssize_t *len) {
+    Py_buffer *v = &ex->views[ex->nviews];
+    if (PyObject_GetBuffer(o, v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        return -1;
+    }
+    ex->nviews++;
+    const char *fmt = v->format != NULL ? v->format : "B";
+    if (*fmt == '@' || *fmt == '=' || *fmt == '<') {
+        fmt++;
+    }
+    int ok = v->itemsize == 8 && fmt[0] != '\0' && fmt[1] == '\0'
+        && (kind == 'd' ? fmt[0] == 'd' : (fmt[0] == 'q' || fmt[0] == 'l'));
+    if (!ok || v->len / 8 < min_len) {
+        PyErr_Format(PyExc_ValueError,
+                     "schedule program: expected %s buffer of at least %zd "
+                     "items", kind == 'd' ? "a float64" : "an int64", min_len);
+        return -1;
+    }
+    *out = v->buf;
+    if (len != NULL) {
+        *len = v->len / 8;
+    }
+    return 0;
+}
+
+static void exec_close(Exec *ex) {
+    for (int i = 0; i < ex->nviews; i++) {
+        PyBuffer_Release(&ex->views[i]);
+    }
+    Py_CLEAR(ex->z);
+    PyMem_Free(ex->ranks);
+    ex->ranks = NULL;
+}
+
+static int exec_bad(const char *what) {
+    PyErr_Format(PyExc_ValueError, "schedule program: %s", what);
+    return -1;
+}
+
+/* Unpack and check program (every index the loop follows is checked
+ * here, once) for a run on the empty store st; 0, or -1 with an
+ * exception set (exec_close releases what was taken either way). */
+static int exec_open(Exec *ex, PyObject *program, StoreObject *st) {
+    PyObject **it;
+    const int64_t *starts;
+    Py_ssize_t nops, nstarts, ndelays, nsizes, nlevels, zlen;
+    int64_t r, i, reach = 1;
+    memset(ex, 0, sizeof(*ex));
+    if (!PyTuple_Check(program) || PyTuple_GET_SIZE(program) != EX_ITEMS) {
+        PyErr_Format(PyExc_TypeError,
+                     "schedule program must be a tuple of %d items", EX_ITEMS);
+        return -1;
+    }
+    it = ((PyTupleObject *)program)->ob_item;
+    if (exec_view(ex, it[0], 'q', 0, (const void **)&ex->ops, &nops) < 0
+        || exec_view(ex, it[1], 'q', 2, (const void **)&starts, &nstarts) < 0
+        || exec_view(ex, it[2], 'd', 0, (const void **)&ex->delays, &ndelays) < 0
+        || arg_f64(it[3], &ex->send_setup) < 0
+        || arg_f64(it[4], &ex->recv_service) < 0
+        || arg_f64(it[5], &ex->wire_latency) < 0
+        || exec_view(ex, it[6], 'd', 0, (const void **)&ex->wire, &nsizes) < 0
+        || exec_view(ex, it[7], 'd', nsizes, (const void **)&ex->sqrt_packets,
+                     NULL) < 0
+        || arg_f64(it[8], &ex->jitter) < 0
+        || arg_i64(it[10], &i) < 0
+        || exec_view(ex, it[13], 'q', 1, (const void **)&ex->up_base,
+                     &nlevels) < 0
+        || exec_view(ex, it[14], 'q', nlevels, (const void **)&ex->down_base,
+                     NULL) < 0
+        || exec_view(ex, it[15], 'd', nlevels, (const void **)&ex->level_bw,
+                     NULL) < 0
+        || arg_i64(it[16], &ex->arity) < 0) {
+        return -1;
+    }
+    if (!PyList_Check(it[9]) || !PyCallable_Check(it[11])
+        || !PyCallable_Check(it[12])) {
+        PyErr_SetString(PyExc_TypeError,
+                        "schedule program: z must be a list, z_block and "
+                        "grow callables");
+        return -1;
+    }
+    zlen = PyList_GET_SIZE(it[9]);
+    if (i < 0 || i > zlen) {
+        return exec_bad("z_next outside the block");
+    }
+    Py_INCREF(it[9]);
+    ex->z = it[9];
+    ex->zi = (Py_ssize_t)i;
+    ex->z_block = it[11];
+    ex->grow = it[12];
+    nops /= 4;
+    ex->nprocs = nstarts - 1;
+    nlevels -= 1;
+    if (ex->arity < 2 || ex->arity > 1024 || nlevels > MAX_LEVELS) {
+        return exec_bad("unsupported fat tree");
+    }
+    for (i = 0; i < nlevels && reach < ex->nprocs; i++) {
+        reach *= ex->arity;
+    }
+    if (reach < ex->nprocs) {
+        return exec_bad("more ranks than the fat tree has leaves");
+    }
+    if (st->n != 0) {
+        return exec_bad("the network has flows in flight");
+    }
+    if (starts[0] != 0 || starts[ex->nprocs] != nops) {
+        return exec_bad("starts do not cover the ops");
+    }
+    ex->ranks = PyMem_Calloc((size_t)ex->nprocs, sizeof(Rank));
+    if (ex->ranks == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (r = 0; r < ex->nprocs; r++) {
+        if (starts[r + 1] < starts[r] || starts[r + 1] > nops) {
+            return exec_bad("starts are not a partition of the ops");
+        }
+        ex->ranks[r].pc = starts[r];
+        ex->ranks[r].end = starts[r + 1];
+        for (i = starts[r]; i < starts[r + 1]; i++) {
+            const int64_t *op = ex->ops + 4 * i;
+            int ok = op[0] == OP_DELAY
+                ? op[3] >= 0 && op[3] < ndelays
+                : (op[0] == OP_SEND || op[0] == OP_RECV) && op[1] >= 0
+                    && op[1] < ex->nprocs && op[1] != r
+                    && (op[0] == OP_RECV || (op[3] >= 0 && op[3] < nsizes));
+            if (!ok) {
+                return exec_bad("op out of range");
+            }
+        }
+    }
+    return 0;
+}
+
+static int exec_push(QueueObject *q, double t, int kind, int64_t rank) {
+    Event e = {t, q->seq, NULL, NULL, ((uint64_t)rank << 2) | (uint64_t)kind};
+    if (heap_push(q, &e) < 0) {
+        return -1;
+    }
+    q->seq++;
+    return 0;
+}
+
+/* Engine._start_transfer: the flow begins after the first packet's
+ * pipeline fill (no fault delay: the same `+ 0.0`). */
+static int exec_start(QueueObject *q, const Exec *ex, int64_t sender,
+                      double now) {
+    return exec_push(q, now + ex->wire_latency + 0.0, EV_FLOW_BEGIN, sender);
+}
+
+/* Engine._post_recv: match the source's posted send or post. */
+static int exec_post_recv(QueueObject *q, Exec *ex, int64_t r,
+                          const int64_t *op, double now) {
+    Rank *src = &ex->ranks[op[1]];
+    if (src->send_posted) {
+        const int64_t *send = ex->ops + 4 * src->cur;
+        if (send[1] == r && send[2] == op[2]) {
+            src->send_posted = 0;
+            return exec_start(q, ex, op[1], now);
+        }
+    }
+    ex->ranks[r].recv_posted = 1;
+    return 0;
+}
+
+/* Engine._post_send: match the destination's posted receive or post. */
+static int exec_post_send(QueueObject *q, Exec *ex, int64_t r, double now) {
+    const int64_t *op = ex->ops + 4 * ex->ranks[r].cur;
+    Rank *dst = &ex->ranks[op[1]];
+    if (dst->recv_posted) {
+        const int64_t *recv = ex->ops + 4 * dst->cur;
+        if (recv[1] == r && recv[2] == op[2]) {
+            dst->recv_posted = 0;
+            return exec_start(q, ex, r, now);
+        }
+    }
+    ex->ranks[r].send_posted = 1;
+    return 0;
+}
+
+/* Engine._resume + _dispatch: close the rank's op, start its next. */
+static int exec_resume(QueueObject *q, Exec *ex, int64_t r, double now) {
+    Rank *rank = &ex->ranks[r];
+    if (rank->blocked) {
+        rank->wait += now - rank->last;
+    }
+    if (rank->pc == rank->end) {
+        rank->blocked = 0;
+        rank->done = 1;
+        rank->finish = now;
+        return 0;
+    }
+    const int64_t *op = ex->ops + 4 * rank->pc;
+    rank->cur = rank->pc++;
+    rank->blocked = op[0] != OP_DELAY;
+    rank->last = now;
+    if (op[0] == OP_SEND) {
+        return exec_push(q, now + ex->send_setup, EV_POST_SEND, r);
+    }
+    if (op[0] == OP_RECV) {
+        return exec_post_recv(q, ex, r, op, now);
+    }
+    return exec_push(q, now + ex->delays[op[3]], EV_RESUME, r);
+}
+
+/* The next jitter normal (FluidNetwork.begin_flow's draw). */
+static int exec_next_z(Exec *ex, double *z) {
+    if (ex->zi == PyList_GET_SIZE(ex->z)) {
+        PyObject *block = PyObject_CallNoArgs(ex->z_block);
+        if (block == NULL) {
+            return -1;
+        }
+        if (!PyList_Check(block) || PyList_GET_SIZE(block) == 0) {
+            Py_DECREF(block);
+            PyErr_SetString(PyExc_TypeError,
+                            "z_block() must return a non-empty list");
+            return -1;
+        }
+        Py_SETREF(ex->z, block);
+        ex->zi = 0;
+    }
+    *z = PyFloat_AsDouble(PyList_GET_ITEM(ex->z, ex->zi++));
+    return (*z == -1.0 && PyErr_Occurred()) ? -1 : 0;
+}
+
+/* Engine._flow_begin, i.e. FluidNetwork.begin_flow: the wire size,
+ * inflated by the routing jitter, on the FatTree.route_slot route. */
+static int exec_flow_begin(Exec *ex, StoreObject *st, int64_t src,
+                           double now) {
+    const int64_t *op = ex->ops + 4 * ex->ranks[src].cur;
+    int64_t dst = op[1], s = src, d = dst, top = 0, level;
+    int64_t links[2 * MAX_LEVELS];
+    double wire = ex->wire[op[3]];
+    if (ex->jitter > 0) {
+        double z;
+        if (exec_next_z(ex, &z) < 0) {
+            return -1;
+        }
+        wire *= 1.0 + ex->jitter * z / ex->sqrt_packets[op[3]];
+    }
+    while (s != d) {
+        s /= ex->arity;
+        d /= ex->arity;
+        top++;
+    }
+    s = src;
+    d = dst;
+    for (level = 1; level <= top; level++) {
+        links[level - 1] = ex->up_base[level] + s;
+        links[2 * top - level] = ex->down_base[level] + d;
+        s /= ex->arity;
+        d /= ex->arity;
+    }
+    double rate_cap = ex->level_bw[top];
+    for (;;) {
+        int rc = begin_flow(st, now, NULL, wire, rate_cap, src, dst, links,
+                            2 * top);
+        if (rc != 0) {
+            return rc < 0 ? -1 : 0;
+        }
+        long long cap = st->cap;
+        PyObject *r = PyObject_CallFunction(ex->grow, "L", st->n + 1);
+        if (r == NULL) {
+            return -1;
+        }
+        Py_DECREF(r);
+        if (st->cap <= cap) {
+            PyErr_SetString(PyExc_RuntimeError, "grow() left no free slot");
+            return -1;
+        }
+    }
+}
+
+/* Engine._flow_complete for one retired flow: the rendezvous ack
+ * resumes the sender now, the receiver after its service time. */
+typedef struct {
+    QueueObject *q;
+    Exec *ex;
+    double now;
+} MessageTake;
+
+static int take_message(void *ctx, StoreObject *st, int64_t f) {
+    MessageTake *mt = ctx;
+    Py_DECREF(((PyObject **)st->tab[T_KEYS])[f]);
+    mt->ex->messages++;
+    if (exec_push(mt->q, mt->now, EV_RESUME, ((int64_t *)st->tab[T_SRCS])[f]) < 0
+        || exec_push(mt->q, mt->now + mt->ex->recv_service, EV_RESUME,
+                     ((int64_t *)st->tab[T_DSTS])[f]) < 0) {
+        return -1;
+    }
+    return 0;
+}
+
+static int exec_event(QueueObject *q, StoreObject *st, Exec *ex,
+                      uint64_t code, double now) {
+    int64_t r = (int64_t)(code >> 2);
+    if (ex == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "executor event outside a schedule run");
+        return -1;
+    }
+    switch (code & 3) {
+    case EV_RESUME:
+        return exec_resume(q, ex, r, now);
+    case EV_POST_SEND:
+        return exec_post_send(q, ex, r, now);
+    default:
+        return exec_flow_begin(ex, st, r, now);
+    }
+}
+
+/* (messages, finish_times, wait_times), or None when a rank did not
+ * finish. */
+static PyObject *exec_result(const Exec *ex) {
+    PyObject *finish = PyList_New((Py_ssize_t)ex->nprocs);
+    PyObject *wait = PyList_New((Py_ssize_t)ex->nprocs);
+    PyObject *res = NULL;
+    if (finish == NULL || wait == NULL) {
+        goto out;
+    }
+    for (int64_t r = 0; r < ex->nprocs; r++) {
+        const Rank *rank = &ex->ranks[r];
+        if (!rank->done) {
+            Py_INCREF(Py_None);
+            res = Py_None;
+            goto out;
+        }
+        PyObject *f = PyFloat_FromDouble(rank->finish);
+        PyObject *w = PyFloat_FromDouble(rank->wait);
+        if (f == NULL || w == NULL) {
+            Py_XDECREF(f);
+            Py_XDECREF(w);
+            goto out;
+        }
+        PyList_SET_ITEM(finish, (Py_ssize_t)r, f);
+        PyList_SET_ITEM(wait, (Py_ssize_t)r, w);
+    }
+    res = Py_BuildValue("(KOO)", ex->messages, finish, wait);
+out:
+    Py_XDECREF(finish);
+    Py_XDECREF(wait);
+    return res;
+}
+
 /* Engine._net_check: unless a later arm superseded it, retire every
- * flow drained by now and hand each key to engine._flow_complete. */
-static int net_check(StoreObject *st, PyObject *ev_store, uint64_t gen,
-                     double now, PyObject *complete) {
+ * flow drained by now and complete each: in the executor (ex), else by
+ * handing its key to engine._flow_complete. */
+static int net_check(QueueObject *q, StoreObject *st, Exec *ex,
+                     PyObject *ev_store, uint64_t gen, double now,
+                     PyObject *complete) {
     if (ev_store != (PyObject *)st) {
         PyErr_SetString(PyExc_RuntimeError,
                         "net check of a network this run does not drive");
@@ -972,35 +1436,38 @@ static int net_check(StoreObject *st, PyObject *ev_store, uint64_t gen,
     if (gen != st->gen) {
         return 0; /* stale: the flow set changed since it was armed */
     }
-    if (st->n == 0) {
-        if (check_forward(st, now) < 0) {
-            return -1;
-        }
-        if (now > st->now) {
-            st->now = now;
-        }
-        return 0;
-    }
-    if (st->dirty && now > st->now) {
+    if (st->n > 0 && st->dirty && now > st->now) {
         st->allocations++;
         if (store_recompute(st) < 0) {
             return -1;
         }
     }
-    PyObject *done = retire_at(st, now);
-    if (done == NULL) {
+    int64_t ndone = drain_to(st, now);
+    if (ndone <= 0) {
+        return (int)ndone;
+    }
+    if (ex != NULL) {
+        MessageTake mt = {q, ex, now};
+        return compact(st, take_message, &mt);
+    }
+    KeyTake kt = {PyList_New((Py_ssize_t)ndone), 0};
+    if (kt.list == NULL) {
         return -1;
     }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(done); i++) {
-        PyObject *r = PyObject_CallOneArg(complete, PyList_GET_ITEM(done, i));
-        if (r == NULL) {
-            Py_DECREF(done);
-            return -1;
-        }
-        Py_DECREF(r);
+    int rc = compact(st, take_key, &kt);
+    for (Py_ssize_t i = 0; rc == 0 && i < ndone; i++) {
+        rc = PySet_Discard(st->keys, PyList_GET_ITEM(kt.list, i)) < 0 ? -1 : 0;
     }
-    Py_DECREF(done);
-    return 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < ndone; i++) {
+        PyObject *r = PyObject_CallOneArg(complete, PyList_GET_ITEM(kt.list, i));
+        if (r == NULL) {
+            rc = -1;
+        } else {
+            Py_DECREF(r);
+        }
+    }
+    Py_DECREF(kt.list);
+    return rc;
 }
 
 /* The drain loop.  With engine._native_net a FlowStore, the network's
@@ -1009,11 +1476,25 @@ static int net_check(StoreObject *st, PyObject *ev_store, uint64_t gen,
  * (native_arm), and a popped net check retires in C and calls
  * engine._flow_complete(key) per completed key.  Otherwise (an engine
  * without a store) it calls engine._arm_network_event() when
- * engine._net_changed is set, like the Python loop. */
-static PyObject *queue_run(QueueObject *q, PyObject *engine) {
+ * engine._net_changed is set, like the Python loop.
+ *
+ * run(engine, program) needs the store and runs the schedule executor:
+ * it queues every rank's first resume at 0.0, in rank order, as
+ * Engine.run does, completes retired flows in the executor, sets
+ * engine.now once, when the queue has drained (nothing reads it in
+ * between), and returns exec_result's tuple or None. */
+static PyObject *queue_run(QueueObject *q, PyObject *const *args,
+                           Py_ssize_t nargs) {
     double now;
     StoreObject *st = NULL;
+    Exec exec, *ex = NULL;
     PyObject *complete = NULL, *result = NULL;
+    if (nargs != 1 && nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "run() takes 1 or 2 arguments (%zd given)", nargs);
+        return NULL;
+    }
+    PyObject *engine = args[0];
     PyObject *o = PyObject_GetAttr(engine, str_now);
     if (o == NULL) {
         return NULL;
@@ -1031,12 +1512,30 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
         PyErr_Clear();
     } else if (Py_IS_TYPE(o, &StoreType)) {
         st = (StoreObject *)o;
+    } else {
+        Py_DECREF(o);
+    }
+    if (nargs == 2) {
+        if (st == NULL) {
+            PyErr_SetString(PyExc_TypeError,
+                            "a schedule program needs engine._native_net, "
+                            "a FlowStore");
+            return NULL;
+        }
+        ex = &exec;
+        if (exec_open(ex, args[1], st) < 0) {
+            goto done;
+        }
+        for (int64_t r = 0; r < ex->nprocs; r++) {
+            if (exec_push(q, 0.0, EV_RESUME, r) < 0) {
+                goto done;
+            }
+        }
+    } else if (st != NULL) {
         complete = PyObject_GetAttr(engine, str_flow_complete);
         if (complete == NULL) {
             goto done;
         }
-    } else {
-        Py_DECREF(o);
     }
     while (q->size > 0) {
         double t = q->heap[0].time;
@@ -1053,7 +1552,7 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
         }
         if (t > now) {
             now = t;
-            if (set_now(engine, now) < 0) {
+            if (ex == NULL && set_now(engine, now) < 0) {
                 goto done;
             }
         }
@@ -1063,8 +1562,12 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
             Event e;
             heap_pop(q, &e);
             if (e.args == NULL) {
-                rc = net_check(st, e.fn, e.gen, now, complete);
-                Py_DECREF(e.fn);
+                if (e.fn == NULL) {
+                    rc = exec_event(q, st, ex, e.gen, now);
+                } else {
+                    rc = net_check(q, st, ex, e.fn, e.gen, now, complete);
+                    Py_DECREF(e.fn);
+                }
                 if (rc < 0) {
                     goto done;
                 }
@@ -1096,9 +1599,18 @@ static PyObject *queue_run(QueueObject *q, PyObject *engine) {
             goto done;
         }
     }
-    Py_INCREF(Py_None);
-    result = Py_None;
+    if (ex != NULL) {
+        if (set_now(engine, now) == 0) {
+            result = exec_result(ex);
+        }
+    } else {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    }
 done:
+    if (ex != NULL) {
+        exec_close(ex);
+    }
     Py_XDECREF(complete);
     Py_XDECREF(st);
     return result;
@@ -1111,10 +1623,12 @@ static PyMethodDef queue_methods[] = {
      "Remove and return the earliest (time, fn, args)."},
     {"peek_time", (PyCFunction)queue_peek_time, METH_NOARGS,
      "Timestamp of the earliest pending event, or None when empty."},
-    {"run", (PyCFunction)queue_run, METH_O,
-     "run(engine): drain every event, advancing engine.now instant by "
-     "instant and arming the network after each one.  Nothing but this "
-     "loop writes engine.now."},
+    {"run", (PyCFunction)(void (*)(void))queue_run, METH_FASTCALL,
+     "run(engine[, program]): drain every event, advancing engine.now "
+     "instant by instant and arming the network after each one.  Nothing "
+     "but this loop writes engine.now.  With a schedule program, run its "
+     "ranks in the loop; return (messages, finish_times, wait_times), or "
+     "None when a rank did not finish."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -15,7 +15,11 @@
   arm–check–retire cycle on the store, traced runs included: rate
   reallocation (contention penalty plus the progressive fill of
   :func:`repro.machine.bandwidth.max_min_rates`), completion scan and
-  retirement.
+  retirement.  Given a schedule's flat rank programs, its ``run`` also
+  runs the ranks (the compiled schedule executor behind an untraced,
+  fault-free :func:`repro.schedules.execute_schedule`): rendezvous,
+  software overheads, pack/unpack delays and flow starts, with no
+  Python call per message.
 
 So a build has one network path: with the kernel, ``begin`` and the
 compiled cycle; without it, the engine's Python arm and the NumPy
@@ -36,7 +40,8 @@ The kernel is strictly optional:
 Which path ran never shows in a result — results are bit-for-bit
 identical by construction (same IEEE-754 operation order, compiled with
 ``-ffp-contract=off`` and without ``-ffast-math``; the event queue
-fires events in the same ``(time, seq)`` order).
+fires events in the same ``(time, seq)`` order, and the schedule
+executor pushes the generator path's events in that order too).
 """
 
 from __future__ import annotations

@@ -48,6 +48,7 @@ the bit (same operations, same order, same doubles).
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -55,7 +56,7 @@ import numpy as np
 from . import _fastfill
 from .bandwidth import AllocationWorkspace, max_min_rates
 from .fattree import FatTree, LinkId
-from .params import wire_bytes
+from .params import FAT_TREE_ARITY, wire_bytes
 
 __all__ = ["FluidNetwork", "FlowStore", "NetworkStallError"]
 
@@ -260,6 +261,46 @@ class FluidNetwork:
         kernel."""
         return self.store if self._k is not None else None
 
+    def _executor_part(self, sizes: List[int]) -> tuple:
+        """This network's half of a compiled schedule program (see
+        ``Engine._run_compiled``): per payload size in ``sizes`` the
+        wire bytes and sqrt(packet count) :meth:`begin_flow` uses, the
+        jitter scale and normals stream, the slot-growth callback, and
+        the fat tree's per-level link bases and level bandwidths, from
+        which the kernel builds :meth:`FatTree.route_slot`'s routes."""
+        wire = [self._wire_size(b) for b in sizes]
+        tree = self.tree
+        return (
+            array("d", [w for w, _ in wire]),
+            array("d", [sqrt_packets for _, sqrt_packets in wire]),
+            self._jitter,
+            self._z,
+            self._z_next,
+            self._z_block,
+            self._grow_slots,
+            array("q", tree._up_base),
+            array("q", tree._down_base),
+            array("d", self._level_bw),
+            FAT_TREE_ARITY,
+        )
+
+    def _wire_size(self, payload: int) -> Tuple[float, float]:
+        """Wire bytes and sqrt(packet count) of a ``payload``-byte
+        message, cached: both depend only on the payload size, and
+        exchanges reuse a handful of sizes ~10^5 times."""
+        cached = self._wire_cache.get(payload)
+        if cached is None:
+            w = float(wire_bytes(payload))
+            cached = self._wire_cache[payload] = (w, math.sqrt(w / 20.0))
+        return cached
+
+    def _z_block(self) -> List[float]:
+        """Draw the next block of jitter normals (for begin_flow and the
+        compiled schedule executor) and return it."""
+        self._z = np.abs(self._rng.standard_normal(_Z_BLOCK)).tolist()
+        self._z_next = 0
+        return self._z
+
     def _refresh_table(self) -> None:
         """Repoint the kernel store's table (layout: ``kernel().TABLE``)."""
         ws = self._alloc_ws
@@ -324,18 +365,14 @@ class FluidNetwork:
             raise ValueError(f"duplicate flow key: {key!r}")
         cached = self._wire_cache.get(payload)
         if cached is None:
-            # Wire size and sqrt(packet count) depend only on the payload
-            # size; exchanges reuse a handful of sizes ~10^5 times.
-            w = float(wire_bytes(payload))
-            cached = (w, math.sqrt(w / 20.0))
-            self._wire_cache[payload] = cached
+            cached = self._wire_size(payload)
         wire, sqrt_packets = cached
         if self._jitter > 0:
             # Random-routing variance: relative inflation ~ j*|Z|/sqrt(p)
             # over p packets (conflicts average out for long messages).
             i = self._z_next
             if i == len(self._z):
-                self._z = np.abs(self._rng.standard_normal(_Z_BLOCK)).tolist()
+                self._z_block()
                 i = 0
             self._z_next = i + 1
             wire *= 1.0 + self._jitter * self._z[i] / sqrt_packets

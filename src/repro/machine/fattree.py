@@ -210,17 +210,6 @@ class FatTree:
             self.route_slots[(src, dst)] = slot
         return slot
 
-    def path_indices(self, src: int, dst: int) -> np.ndarray:
-        """Dense link indices of :meth:`path`, cached across runs.
-
-        Returns a read-only view of the route's slice of the
-        :attr:`route_buffer` table.
-        """
-        off, length = self.route_slot(src, dst)
-        view = self.route_buffer[0][off : off + length]
-        view.setflags(write=False)
-        return view
-
     def path(self, src: int, dst: int) -> Tuple[LinkId, ...]:
         """The up-over-down sequence of links from ``src`` to ``dst``.
 

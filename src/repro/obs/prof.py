@@ -36,12 +36,26 @@ and a call into the kernel's network entry point (its module function
 ``begin`` and the ``FlowStore`` methods) counts as ``arm``, wherever it
 is made.  The arm–check–retire cycle the compiled drain loop runs
 itself makes no call at all, so it shows only as the
-``Engine._flow_complete`` calls it hands each retired flow to.  The engine is deterministic, so counts are
-exactly reproducible; a second plain-counter run (no phase logic) provides the
-``direct_total`` cross-check the acceptance criterion compares against
-— the two count the same events, so they agree exactly, but the table
-records both so a future refactor of the profiler itself cannot
-silently skew the attribution.
+``Engine._flow_complete`` calls it hands each retired flow to.
+
+With the kernel loaded, the untraced exchange and irregular workloads
+take the compiled schedule executor (see
+:func:`repro.schedules.execute_schedule`): the ranks run inside the
+compiled drain loop too, so such a profile has no ``resume``,
+``dispatch`` or ``rendezvous`` calls at all: one ``queue`` call
+(``run``), the engine's construction and the loop's callbacks (slot
+growth, jitter blocks) under ``other``, and under ``arm`` only the
+``FlowStore.set_table`` calls that point the store at its columns.  The
+markers then describe the generator path, which the kernel-less build,
+traced runs and fault plans (``fault_pex_n16_b256``) still take.  The
+counted runs execute a schedule the warm-up already ran, so its cached
+rank programs are built outside them: a profile counts the simulation,
+not the schedule's construction.  The engine is deterministic, so
+counts are exactly reproducible; a second plain-counter run (no phase
+logic) provides the ``direct_total`` cross-check the acceptance
+criterion compares against — the two count the same events, so they
+agree exactly, but the table records both so a future refactor of the
+profiler itself cannot silently skew the attribution.
 
 The optional **sampling mode** (:func:`run_sampling_profile`) takes
 wall-clock stack samples from a background thread and emits
@@ -144,7 +158,8 @@ def marker_table() -> Dict[object, str]:
         Tracer.op_begin,
         Tracer.op_end,
     )
-    # The handlers the drain loop invokes carry their own markers.
+    # The handlers the drain loop invokes carry their own markers.  The
+    # compiled schedule executor invokes none of them.
     mark("queue", EventQueue.push, EventQueue.run, Engine.run)
     return table
 
@@ -216,9 +231,9 @@ class PhaseReport:
 def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
     """Profile one workload's execute step with phase attribution.
 
-    The schedule is built unprofiled; only the simulation runs under
-    :func:`sys.setprofile`.  With ``direct_check`` (the default) a
-    second, freshly built execution is counted by a bare event counter
+    The schedule is built and executed once unprofiled; only a second
+    execution runs under :func:`sys.setprofile`.  With ``direct_check``
+    (the default) a third execution is counted by a bare event counter
     with no phase logic — the deterministic engine makes the two totals
     directly comparable (the acceptance bar is 10 %; in practice they
     are equal because both count the same 'call'/'c_call' stream).
@@ -227,10 +242,13 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
     from ..sim.events import event_queue
 
     wl = _find_workload(name)
-    # Warm up with the workload itself: the first execution populates
-    # lazy per-size caches (path tables, ufunc setup), so both counted
-    # runs below see the identical deterministic call stream.
-    wl.execute(wl.build())
+    # Warm up on the schedule both counted runs execute: the first
+    # execution builds the schedule's cached rank programs (and their
+    # flat form, for the compiled executor) and populates lazy per-size
+    # caches (path tables, ufunc setup), so the counted runs below see
+    # the identical deterministic call stream of the simulation alone.
+    sched = wl.build()
+    wl.execute(sched)
     markers = marker_table()
     # Only a compiled queue's methods show up as C calls bound to it.
     queue_type = type(event_queue())
@@ -258,7 +276,6 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
             else:
                 counts[stack[-1]] += 1
 
-    sched = wl.build()
     t0 = time.perf_counter()
     sys.setprofile(_attr)
     try:
@@ -275,10 +292,9 @@ def run_phase_profile(name: str, direct_check: bool = True) -> PhaseReport:
             if event == "call" or event == "c_call":
                 box[0] += 1
 
-        sched2 = wl.build()
         sys.setprofile(_plain)
         try:
-            wl.execute(sched2)
+            wl.execute(sched)
         finally:
             sys.setprofile(None)
         direct_total = box[0]

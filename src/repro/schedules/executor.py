@@ -28,18 +28,32 @@ Every send has :meth:`Comm.reliable_send` semantics — free on a healthy
 machine, and under a fault plan with message drops every schedule still
 completes via timeout/retry-with-backoff (the retries are visible in the
 trace).
+
+Two paths run the same programs.  The generator path —
+:func:`schedule_program` on every rank via :func:`run_spmd` — is the
+reference, and the only one for fault plans, traces and tracers.  An
+untraced, fault-free run with the compiled kernel loaded takes the
+compiled schedule executor instead: :func:`rank_programs` flattened to
+integer ops (``_flat_programs``), interpreted inside the compiled drain
+loop with bit-identical timings.  A run whose ranks do not all finish
+there is re-run on the generator path, so a deadlock raises the
+reference's :class:`~repro.sim.engine.DeadlockError`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..cmmd.api import Comm
 from ..cmmd.program import run_spmd
 from ..faults.plan import FaultPlan
+from ..machine._fastfill import kernel
 from ..machine.params import MachineConfig
-from ..sim.engine import SimResult
+from ..sim.engine import Engine, SimResult
 from ..sim.process import DROPPED, RankProgram, Recv, Send
 from .schedule import LOWER_SEND_FIRST, Schedule, Transfer
 
@@ -190,6 +204,66 @@ def schedule_program(
                 inbox[t.src] = got
 
 
+#: Op codes of a flat program (the kernel's OP_SEND, OP_RECV, OP_DELAY).
+_SEND, _RECV, _DELAY = 0, 1, 2
+
+#: ``(ops, starts, sizes, copies)``, see :meth:`Engine._run_compiled`.
+_FlatPrograms = Tuple[np.ndarray, np.ndarray, List[int], List[int]]
+
+
+def _flat_programs(schedule: Schedule) -> Optional[_FlatPrograms]:
+    """:func:`rank_programs` flattened for the compiled executor, cached
+    on the schedule, or None when a transfer is outside its scope.
+
+    Each rank's ops are the requests :func:`schedule_program` yields
+    from its seat, in order: a send's pack memcpy ``Delay`` and its
+    ``Send``, a ``Recv`` and its unpack ``Delay``.  The scope is every
+    transfer having ``0 <= src != dst < nprocs`` and non-negative
+    integer byte counts; a schedule outside it (only a hand-built one
+    can be) runs on the generator path, whose checks raise as before.
+    """
+    try:
+        return schedule._flat_programs  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    # One pass collects (kind, peer, tag, byte count) per op; the byte
+    # counts become indices into the distinct sizes afterwards.
+    ops: List[int] = []
+    starts = [0]
+    for program in rank_programs(schedule):
+        for is_send, step_idx, t in program:
+            if is_send:
+                if t.pack_bytes:
+                    ops += (_DELAY, 0, 0, t.pack_bytes)
+                ops += (_SEND, t.dst, step_idx, t.nbytes)
+            else:
+                ops += (_RECV, t.src, step_idx, 0)
+                if t.unpack_bytes:
+                    ops += (_DELAY, 0, 0, t.unpack_bytes)
+        starts.append(len(ops) >> 2)
+    flat: Optional[_FlatPrograms] = None
+    try:
+        table = np.frombuffer(array("q", ops), dtype=np.int64).reshape(-1, 4)
+    except (TypeError, OverflowError):  # a byte count that is no int64
+        table = None
+    if table is not None:
+        n = schedule.nprocs
+        kind, peer, nbytes = table[:, 0], table[:, 1], table[:, 3]
+        rank = np.repeat(np.arange(n), np.diff(starts))
+        delays = kind == _DELAY
+        if (
+            (nbytes >= 0).all()
+            and ((peer >= 0) & (peer < n) & (peer != rank) | delays).all()
+        ):
+            table = table.copy()
+            sends = kind == _SEND
+            sizes, table[sends, 3] = np.unique(nbytes[sends], return_inverse=True)
+            copies, table[delays, 3] = np.unique(nbytes[delays], return_inverse=True)
+            flat = (table, np.array(starts), sizes.tolist(), copies.tolist())
+    object.__setattr__(schedule, "_flat_programs", flat)
+    return flat
+
+
 def execute_schedule(
     schedule: Schedule,
     config: MachineConfig,
@@ -208,6 +282,10 @@ def execute_schedule(
     trace lists on large fault sweeps.  ``tracer`` attaches a
     :class:`repro.obs.Tracer` (rank-op timelines, link utilization and
     an ``execute/fluid`` wall span) without perturbing timings.
+
+    Without ``trace``, ``faults`` or a tracer (attached or current), and
+    with the kernel loaded, the run takes the compiled schedule
+    executor (see the module docstring); the result is the same.
     """
     if schedule.nprocs != config.nprocs:
         raise ValueError(
@@ -218,16 +296,27 @@ def execute_schedule(
 
     effective = tracer if tracer is not None else obs.current()
     with obs.span(f"execute/{schedule.name}", category="execute"):
-        sim = run_spmd(
-            config,
-            schedule_program,
-            schedule,
-            trace=trace,
-            seed=seed,
-            faults=faults,
-            max_trace_records=max_trace_records,
-            tracer=effective,
-        )
+        sim = None
+        if (
+            kernel() is not None
+            and not trace
+            and effective is None
+            and faults is None
+        ):
+            flat = _flat_programs(schedule)
+            if flat is not None:
+                sim = Engine(config, seed=seed)._run_compiled(*flat)
+        if sim is None:
+            sim = run_spmd(
+                config,
+                schedule_program,
+                schedule,
+                trace=trace,
+                seed=seed,
+                faults=faults,
+                max_trace_records=max_trace_records,
+                tracer=effective,
+            )
     if effective is not None:
         effective.meta["algorithm"] = schedule.name
     return ExecutionResult(

@@ -24,6 +24,13 @@ with the calibrated defaults, matching the paper's Section 2.
 
 Determinism: no wall-clock, no unseeded randomness; identical inputs
 give identical timelines.
+
+:meth:`Engine.run` drives generators.  A schedule's ranks can also run
+without them: ``Engine._run_compiled`` hands the compiled drain loop
+the schedule's flat rank programs, and the kernel's schedule executor
+replays this module's handlers (``_resume``/``_dispatch``, the
+rendezvous, ``_start_transfer``, ``_flow_begin``, ``_flow_complete``)
+for a healthy, untraced machine, event for event.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 import gc
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -290,6 +298,47 @@ class Engine:
             message_count=self._messages_done,
             wait_times=[p.wait_time for p in self.procs],
             failed_ranks=sorted(self.dead_ranks),
+        )
+
+    def _run_compiled(
+        self, ops: Any, starts: Any, sizes: List[int], copies: List[int]
+    ) -> Optional[SimResult]:
+        """Run flat schedule rank programs in the compiled drain loop.
+
+        ``ops`` and ``starts`` are
+        :func:`repro.schedules.executor.rank_programs` flattened (see
+        ``_flat_programs`` there): four int64 per Send, Recv or memcpy
+        Delay the generator ``schedule_program`` would yield, rank r's
+        at ``[starts[r], starts[r+1])``; a send names its payload by its
+        index in ``sizes``, a delay its byte count by its index in
+        ``copies``.  The kernel's schedule executor (it must be loaded)
+        runs them with this engine's semantics on a healthy, untraced
+        machine, with no Python call per message, and the result is
+        bit-identical to :meth:`run` on those generators.  Returns None
+        when a rank did not finish: the caller then re-runs the
+        generators, which raise the :class:`DeadlockError`.
+        """
+        memcpy_time = self.params.memcpy_time
+        program = (
+            ops,
+            starts,
+            array("d", [memcpy_time(b) for b in copies]),
+            self._send_setup,
+            self._recv_service,
+            self.params.wire_latency,
+        ) + self.net._executor_part(sizes)
+        self._native_net = self.net.store
+        out = self.queue.run(self, program)
+        if out is None:
+            return None
+        self._messages_done, finish, wait = out
+        return SimResult(
+            makespan=max(finish) if finish else 0.0,
+            finish_times=finish,
+            results=[None] * len(finish),
+            trace=self.trace,
+            message_count=self._messages_done,
+            wait_times=wait,
         )
 
     # ==================================================================

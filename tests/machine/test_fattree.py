@@ -112,6 +112,13 @@ class TestCache:
         assert fat_tree_for(cfg_a) is not fat_tree_for(cfg_b)
 
 
+def route(tree, src, dst):
+    """Dense link indices of ``tree.path(src, dst)``, read from the
+    flat route table through :meth:`FatTree.route_slot`."""
+    off, length = tree.route_slot(src, dst)
+    return tree.route_buffer[0][off : off + length].tolist()
+
+
 class TestRouteTable:
     def test_path_indices_match_path(self, tree32):
         index = tree32.link_index
@@ -119,7 +126,7 @@ class TestRouteTable:
             for dst in range(32):
                 if src != dst:
                     want = [index[l] for l in tree32.path(src, dst)]
-                    assert tree32.path_indices(src, dst).tolist() == want
+                    assert route(tree32, src, dst) == want
 
     def test_concurrent_first_use_appends_every_route_once(self):
         # Trees are shared across runs (fat_tree_for), so two threads
@@ -155,4 +162,4 @@ class TestRouteTable:
         assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
         for src, dst in pairs:
             want = [index[l] for l in tree.path(src, dst)]
-            assert tree.path_indices(src, dst).tolist() == want
+            assert route(tree, src, dst) == want

@@ -48,7 +48,7 @@ def test_series_integrates_to_the_bytes_on_the_wire(build, nprocs, nbytes):
     )
     tree = fat_tree_for(config)
     sent = sum(
-        wire_bytes(m.nbytes) * len(tree.path_indices(m.src, m.dst))
+        wire_bytes(m.nbytes) * tree.route_slot(m.src, m.dst)[1]
         for m in res.sim.trace.messages
     )
     assert moved / sent == pytest.approx(1.0, abs=1e-6)

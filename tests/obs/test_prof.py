@@ -37,21 +37,29 @@ class TestPhaseProfile:
         return run_phase_profile("pex_n16_b512")
 
     def test_counts_cover_every_phase(self, report):
+        from repro.machine._fastfill import kernel
+
         assert set(report.calls) == set(PHASES)
         assert report.messages > 0
-        # The engine cannot run a message without at least a dispatch
-        # and a queue operation.
-        assert report.calls["dispatch"] > 0
+        # Every run drains the event queue.
         assert report.calls["queue"] > 0
+        if kernel() is None:
+            # The generator path cannot run a message without a
+            # dispatch.
+            assert report.calls["dispatch"] > 0
 
     def test_compiled_queue_calls_count_as_queue(self, report):
         from repro.machine._fastfill import kernel
 
         if kernel() is None:
             pytest.skip("compiled kernel not loaded")
-        # About six event pushes per message, each one C call.
-        assert 4.0 <= report.calls["queue"] / report.messages <= 8.0
-        assert report.calls_per_message <= 80.0
+        # An untraced execute_schedule runs the schedule executor inside
+        # the compiled drain loop: its one run() call counts as queue,
+        # and no message makes an interpreter call.
+        assert report.calls["queue"] >= 1
+        for phase in ("resume", "dispatch", "rendezvous"):
+            assert report.calls[phase] == 0, phase
+        assert report.calls_per_message < 1.0
 
     def test_attributed_total_matches_direct_count(self, report):
         # Acceptance bar from the issue: attributed total within 10 %

@@ -138,6 +138,30 @@ def test_pinned_trace_digest(case):
     assert _exchange_digest(case) == PINNED_DIGESTS[case]
 
 
+@pytest.mark.parametrize("case", ["pex_n64_b1920", "bex_n64_b0"])
+def test_untraced_run_matches_its_pinned_traced_twin(case):
+    """An untraced run (the compiled schedule executor, with the kernel)
+    reports the traced run's makespan, wait sum and finish times: the
+    pinned digest recomputed over the traced event stream and the
+    untraced numbers is unchanged."""
+    algo, n, b = case.split("_")
+    sched = EXCHANGE_BUILDERS[algo](int(n[1:]), int(b[1:]))
+    config = MachineConfig(int(n[1:]))
+    traced = execute_schedule(sched, config, trace=True).sim
+    untraced = execute_schedule(sched, config).sim
+    assert not untraced.trace.messages
+    twin = SimpleNamespace(
+        sim=SimpleNamespace(
+            trace=traced.trace,
+            makespan=untraced.makespan,
+            message_count=untraced.message_count,
+            wait_times=untraced.wait_times,
+            finish_times=untraced.finish_times,
+        )
+    )
+    assert digest_result(twin) == PINNED_DIGESTS[case]
+
+
 def test_pinned_greedy_table11_digest():
     """A Table 11-style GS schedule (25% density, 1 KB) at N=32."""
     assert _greedy_digest() == PINNED_DIGESTS["gs_n32_d25_b1024"]
