@@ -30,12 +30,7 @@ from .schedule import (
     validate_structure,
 )
 from .lex import linear_exchange, linear_schedule
-from .pex import (
-    pairing_schedule,
-    pairwise_exchange,
-    pairwise_schedule,
-    uniform_pairing_schedule,
-)
+from .pex import pairing_schedule, pairwise_exchange, pairwise_schedule
 from .rex import recursive_exchange, rex_partner, verify_block_routing
 from .bex import balanced_exchange, balanced_schedule, bex_partner
 from .broadcast import linear_broadcast, recursive_broadcast
@@ -97,7 +92,6 @@ __all__ = [
     "pairing_schedule",
     "pairwise_exchange",
     "pairwise_schedule",
-    "uniform_pairing_schedule",
     "recursive_exchange",
     "rex_partner",
     "verify_block_routing",

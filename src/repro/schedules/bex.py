@@ -25,30 +25,32 @@ pattern.
 
 from __future__ import annotations
 
+from typing import Any
+
 from .pattern import CommPattern
 from .schedule import Schedule
-from .pex import pairing_schedule, uniform_pairing_schedule
+from .pex import pairing_schedule
 
 __all__ = ["balanced_schedule", "balanced_exchange", "bex_partner"]
 
 
-def bex_partner(rank: int, j: int, nprocs: int) -> int:
-    """Figure 4's partner computation (virtual-renumbered XOR pairing)."""
-    virtual = (rank + 1) % nprocs
-    node = (virtual ^ j) - 1
-    if node == -1:
-        node = nprocs - 1
-    return node
+def bex_partner(rank: Any, j: Any, nprocs: int) -> Any:
+    """Figure 4's partner computation (virtual-renumbered XOR pairing);
+    ``rank`` and ``j`` may be ints or integer arrays.  Virtual node 0
+    (``virtual ^ j == 0``) is physical node ``nprocs - 1``."""
+    return (((rank + 1) % nprocs ^ j) - 1) % nprocs
 
 
 def balanced_schedule(pattern: CommPattern, name: str = "BS") -> Schedule:
     """Balanced Scheduling of an irregular pattern (paper Table 9)."""
     n = pattern.nprocs
-    return pairing_schedule(pattern, lambda r, j: bex_partner(r, j, n), name)
+    return pairing_schedule(
+        n, lambda r, j: bex_partner(r, j, n), name, pattern=pattern
+    )
 
 
 def balanced_exchange(nprocs: int, nbytes: int) -> Schedule:
     """Balanced Exchange: complete exchange in N-1 steps (Table 4)."""
-    return uniform_pairing_schedule(
-        nprocs, nbytes, lambda r, j: bex_partner(r, j, nprocs), "BEX"
+    return pairing_schedule(
+        nprocs, lambda r, j: bex_partner(r, j, nprocs), "BEX", nbytes=nbytes
     )

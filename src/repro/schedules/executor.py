@@ -29,22 +29,24 @@ machine, and under a fault plan with message drops every schedule still
 completes via timeout/retry-with-backoff (the retries are visible in the
 trace).
 
-Two paths run the same programs.  The generator path —
-:func:`schedule_program` on every rank via :func:`run_spmd` — is the
-reference, and the only one for fault plans, traces and tracers.  An
-untraced, fault-free run with the compiled kernel loaded takes the
-compiled schedule executor instead: :func:`rank_programs` flattened to
-integer ops (``_flat_programs``), interpreted inside the compiled drain
-loop with bit-identical timings.  A run whose ranks do not all finish
-there is re-run on the generator path, so a deadlock raises the
-reference's :class:`~repro.sim.engine.DeadlockError`.
+:func:`compiled_program` compiles these rules once per schedule, from
+its int64 step columns in one vectorized pass, into every rank's
+program of int64 ops (:func:`step_actions` is the per-step statement
+of the same rules, kept for the adaptive executor).  Two paths run
+that one program.  The generator path — :func:`schedule_program` on
+every rank via :func:`run_spmd` — is the reference, and the only one
+for fault plans, traces and tracers.  An untraced, fault-free run with
+the compiled kernel loaded takes the compiled schedule executor
+instead: the same ops interpreted inside the compiled drain loop with
+bit-identical timings.  A run whose ranks do not all finish there is
+re-run on the generator path, so a deadlock raises the reference's
+:class:`~repro.sim.engine.DeadlockError`.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,12 +57,13 @@ from ..machine._fastfill import kernel
 from ..machine.params import MachineConfig
 from ..sim.engine import Engine, SimResult
 from ..sim.process import DROPPED, RankProgram, Recv, Send
-from .schedule import LOWER_SEND_FIRST, Schedule, Transfer
+from .schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST, Schedule, Transfer
 
 __all__ = [
     "ExecutionResult",
+    "Program",
+    "compiled_program",
     "execute_schedule",
-    "rank_programs",
     "schedule_program",
     "step_actions",
 ]
@@ -127,47 +130,118 @@ def step_actions(
     return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
 
 
-#: One blocking rendezvous of a rank program: ``(is_send, step, transfer)``.
-Op = Tuple[bool, int, Transfer]
+#: Op codes of a compiled program (the kernel's OP_SEND, OP_RECV, OP_DELAY).
+SEND, RECV, DELAY = 0, 1, 2
 
 
-def rank_programs(schedule: Schedule) -> List[List[Op]]:
-    """Every rank's blocking program, in :func:`step_actions` order.
+class Program(NamedTuple):
+    """Every rank's blocking program as int64 ops; see :func:`compiled_program`."""
 
-    ``rank_programs(schedule)[rank]`` lists the rank's wire operations
-    over all steps as flat ``(is_send, step, transfer)`` triples.  Both
-    :func:`schedule_program` and the linter's deadlock replay consume
-    this one list, so the schedule that is checked is the schedule that
-    runs.  Built once per schedule and cached on the frozen object; a
-    transfer naming a rank outside ``0..nprocs-1`` has no program seat.
+    #: ``(K, 4)`` rows ``(kind, peer, tag, index)``.  A SEND names its
+    #: destination, its step as the tag and its payload size's index in
+    #: ``sizes``; a RECV its source and step; a DELAY its memcpy size's
+    #: index in ``copies``.
+    ops: np.ndarray
+    #: Rank r's ops are ``ops[starts[r]:starts[r + 1]]``.
+    starts: np.ndarray
+    sizes: List[int]
+    copies: List[int]
+    #: Every transfer has ``0 <= src != dst < nprocs`` and non-negative
+    #: byte counts: the compiled executor's scope.
+    native: bool
+
+
+def compiled_program(schedule: Schedule) -> Program:
+    """Every rank's program in :func:`step_actions` order, compiled once
+    from the schedule's columns and cached on it.
+
+    Rank r's ops are the requests :func:`schedule_program` yields from
+    its seat, in order: a send's pack memcpy ``Delay`` and its ``Send``,
+    a ``Recv`` and its unpack ``Delay``.  The generator path, the
+    compiled executor and the linter's deadlock replay all read this
+    one program, so the schedule that is checked is the schedule that
+    runs.  A transfer naming a rank outside ``0..nprocs-1`` gives that
+    rank no seat.
+
+    One sort places every op: each transfer is a send record on its
+    source and a receive record on its destination, ordered by (rank,
+    step, class, peer) with class 0 for a receive from a lower rank, 1
+    for a send and 2 for a receive from a higher rank.  That is
+    :func:`step_actions`' mixed-partner and receive-only order.  An
+    exchange (a rank's step is one send and one receive with the same
+    partner) sorts as Figure 3 (``LOWER_SEND_FIRST``) and is flipped
+    for Figure 2.
     """
     try:
-        return schedule._programs  # type: ignore[attr-defined]
+        return schedule._program  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    nprocs = schedule.nprocs
-    order = schedule.exchange_order
-    programs: List[List[Op]] = [[] for _ in range(nprocs)]
-    for step_idx, step in enumerate(schedule.steps):
-        by_rank: Dict[int, Tuple[List[Transfer], List[Transfer]]] = {}
-        for t in step.transfers:
-            ops = by_rank.get(t.src)
-            if ops is None:
-                by_rank[t.src] = ([t], [])
-            else:
-                ops[0].append(t)
-            ops = by_rank.get(t.dst)
-            if ops is None:
-                by_rank[t.dst] = ([], [t])
-            else:
-                ops[1].append(t)
-        for rank, (sends, recvs) in by_rank.items():
-            if 0 <= rank < nprocs:
-                program = programs[rank]
-                for kind, t in step_actions(rank, sends, recvs, order):
-                    program.append((kind == "send", step_idx, t))
-    object.__setattr__(schedule, "_programs", programs)
-    return programs
+    program = _compile(schedule)
+    object.__setattr__(schedule, "_program", program)
+    return program
+
+
+def _compile(schedule: Schedule) -> Program:
+    n = schedule.nprocs
+    cols = schedule.columns
+    step, src, dst, nbytes, pack, unpack = cols
+    m = step.size
+    native = bool(
+        ((src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (src != dst)).all()
+        and (cols[3:] >= 0).all()
+    )
+    # Record k < m is transfer k's send, record m + k its receive.
+    rank = np.concatenate((src, dst))
+    peer = np.concatenate((dst, src))
+    index = np.concatenate((np.arange(m), np.arange(m)))
+    send = np.arange(2 * m) < m
+    klass = np.concatenate((np.ones(m, dtype=np.int64), 2 * (src > dst)))
+    if not native:
+        seated = (rank >= 0) & (rank < n)
+        rank, peer, index, send, klass = (
+            a[seated] for a in (rank, peer, index, send, klass)
+        )
+    tag = step[index]
+    order = np.lexsort((peer, klass, tag, rank))
+    rank, peer, tag, send = rank[order], peer[order], tag[order], send[order]
+    # Ops i and i + 1 make up their rank's whole step: an exchange.
+    same = (rank[1:] == rank[:-1]) & (tag[1:] == tag[:-1])
+    pair = same & (peer[1:] == peer[:-1]) & (send[1:] != send[:-1])
+    pair[1:] &= ~same[:-1]
+    pair[:-1] &= ~same[1:]
+    i = np.flatnonzero(pair)
+    if schedule.exchange_order == LOWER_RECV_FIRST:
+        order[i], order[i + 1] = order[i + 1], order[i]
+        send[i] ^= True
+        send[i + 1] ^= True
+    if not native:
+        # A receive from itself stays only as half of a lone exchange.
+        keep = send | (peer != rank)
+        keep[i] = keep[i + 1] = True
+        order, rank, peer, tag, send = (a[keep] for a in (order, rank, peer, tag, send))
+    index = index[order]
+    wire = nbytes[index]
+    sizes = np.unique(wire[send])
+    ops = np.empty((send.size, 4), dtype=np.int64)
+    ops[:, 0] = ~send  # SEND 0, RECV 1
+    ops[:, 1] = peer
+    ops[:, 2] = tag
+    ops[:, 3] = np.searchsorted(sizes, wire) * send
+    # A memcpy Delay row goes before its send, after its receive.
+    copy = np.where(send, pack[index], unpack[index])
+    at = np.flatnonzero(copy)
+    copies = np.unique(copy[at])
+    if at.size:
+        delays = np.zeros((at.size, 4), dtype=np.int64)
+        delays[:, 0] = DELAY
+        delays[:, 3] = np.searchsorted(copies, copy[at])
+        ops = np.insert(ops, at + ~send[at], delays, axis=0)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(rank, minlength=n) + np.bincount(rank[at], minlength=n),
+        out=starts[1:],
+    )
+    return Program(ops, starts, sizes.tolist(), copies.tolist(), native)
 
 
 def schedule_program(
@@ -184,84 +258,25 @@ def schedule_program(
     Store-and-forward schedules (REX) must not use payload mode — their
     wire transfers carry staged aggregates, not per-pair payloads.
 
-    One flat generator walks the rank's :func:`rank_programs` entry; the
-    step index doubles as the message tag.  A send reported
+    One flat generator walks the rank's ops of :func:`compiled_program`;
+    the step index doubles as the message tag.  A send reported
     :data:`DROPPED` enters the retry loop of :meth:`Comm.reliable_send`
     (:meth:`Comm.resend_dropped`).
     """
-    for is_send, step_idx, t in rank_programs(schedule)[comm.rank]:
-        if is_send:
-            if t.pack_bytes:
-                yield comm.memcpy(t.pack_bytes)
-            payload = outbox.get(t.dst) if outbox is not None else None
-            if (yield Send(t.dst, t.nbytes, payload, step_idx)) is DROPPED:
-                yield from comm.resend_dropped(t.dst, t.nbytes, payload, step_idx)
-        else:
-            got = yield Recv(t.src, step_idx)
-            if t.unpack_bytes:
-                yield comm.memcpy(t.unpack_bytes)
+    program = compiled_program(schedule)
+    sizes, copies, starts = program.sizes, program.copies, program.starts
+    r = comm.rank
+    for kind, peer, tag, index in program.ops[starts[r] : starts[r + 1]].tolist():
+        if kind == SEND:
+            payload = outbox.get(peer) if outbox is not None else None
+            if (yield Send(peer, sizes[index], payload, tag)) is DROPPED:
+                yield from comm.resend_dropped(peer, sizes[index], payload, tag)
+        elif kind == RECV:
+            got = yield Recv(peer, tag)
             if inbox is not None:
-                inbox[t.src] = got
-
-
-#: Op codes of a flat program (the kernel's OP_SEND, OP_RECV, OP_DELAY).
-_SEND, _RECV, _DELAY = 0, 1, 2
-
-#: ``(ops, starts, sizes, copies)``, see :meth:`Engine._run_compiled`.
-_FlatPrograms = Tuple[np.ndarray, np.ndarray, List[int], List[int]]
-
-
-def _flat_programs(schedule: Schedule) -> Optional[_FlatPrograms]:
-    """:func:`rank_programs` flattened for the compiled executor, cached
-    on the schedule, or None when a transfer is outside its scope.
-
-    Each rank's ops are the requests :func:`schedule_program` yields
-    from its seat, in order: a send's pack memcpy ``Delay`` and its
-    ``Send``, a ``Recv`` and its unpack ``Delay``.  The scope is every
-    transfer having ``0 <= src != dst < nprocs`` and non-negative
-    integer byte counts; a schedule outside it (only a hand-built one
-    can be) runs on the generator path, whose checks raise as before.
-    """
-    try:
-        return schedule._flat_programs  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    # One pass collects (kind, peer, tag, byte count) per op; the byte
-    # counts become indices into the distinct sizes afterwards.
-    ops: List[int] = []
-    starts = [0]
-    for program in rank_programs(schedule):
-        for is_send, step_idx, t in program:
-            if is_send:
-                if t.pack_bytes:
-                    ops += (_DELAY, 0, 0, t.pack_bytes)
-                ops += (_SEND, t.dst, step_idx, t.nbytes)
-            else:
-                ops += (_RECV, t.src, step_idx, 0)
-                if t.unpack_bytes:
-                    ops += (_DELAY, 0, 0, t.unpack_bytes)
-        starts.append(len(ops) >> 2)
-    flat: Optional[_FlatPrograms] = None
-    try:
-        table = np.frombuffer(array("q", ops), dtype=np.int64).reshape(-1, 4)
-    except (TypeError, OverflowError):  # a byte count that is no int64
-        table = None
-    if table is not None:
-        n = schedule.nprocs
-        kind, peer, nbytes = table[:, 0], table[:, 1], table[:, 3]
-        rank = np.repeat(np.arange(n), np.diff(starts))
-        delays = kind == _DELAY
-        if (
-            (nbytes >= 0).all()
-            and ((peer >= 0) & (peer < n) & (peer != rank) | delays).all()
-        ):
-            table = table.copy()
-            sends = kind == _SEND
-            sizes, table[sends, 3] = np.unique(nbytes[sends], return_inverse=True)
-            copies, table[delays, 3] = np.unique(nbytes[delays], return_inverse=True)
-            flat = (table, np.array(starts), sizes.tolist(), copies.tolist())
-    object.__setattr__(schedule, "_flat_programs", flat)
-    return flat
+                inbox[peer] = got
+        else:
+            yield comm.memcpy(copies[index])
 
 
 def execute_schedule(
@@ -303,9 +318,11 @@ def execute_schedule(
             and effective is None
             and faults is None
         ):
-            flat = _flat_programs(schedule)
-            if flat is not None:
-                sim = Engine(config, seed=seed)._run_compiled(*flat)
+            program = compiled_program(schedule)
+            if program.native:
+                sim = Engine(config, seed=seed)._run_compiled(
+                    program.ops, program.starts, program.sizes, program.copies
+                )
         if sim is None:
             sim = run_spmd(
                 config,

@@ -15,13 +15,27 @@ irregular ``Pattern`` matrix: in step *i* only the processors with
 
 from __future__ import annotations
 
-from typing import List
+import operator
+
+import numpy as np
 
 from .. import obs
 from .pattern import CommPattern
-from .schedule import Schedule, Step, Transfer
+from .schedule import Schedule, compact_steps
 
 __all__ = ["linear_schedule", "linear_exchange"]
+
+
+def _linear(
+    nprocs: int, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, name: str
+) -> Schedule:
+    """Columns of a linear schedule: transfers sorted by receiver, then
+    sender, one step per receiver present."""
+    step = compact_steps(dst)
+    zeros = np.zeros_like(nbytes)
+    return Schedule.from_columns(
+        nprocs, np.stack((step, src, dst, nbytes, zeros, zeros)), name=name
+    )
 
 
 def linear_schedule(pattern: CommPattern, name: str = "LS") -> Schedule:
@@ -34,15 +48,8 @@ def linear_schedule(pattern: CommPattern, name: str = "LS") -> Schedule:
     """
     n = pattern.nprocs
     with obs.span(f"build/{name}", category="build", nprocs=n):
-        steps: List[Step] = []
-        for receiver in range(n):
-            transfers = tuple(
-                Transfer(src=src, dst=receiver, nbytes=nbytes)
-                for src, nbytes in pattern.recvs_of(receiver)
-            )
-            if transfers:
-                steps.append(Step(transfers))
-        return Schedule(nprocs=n, steps=tuple(steps), name=name)
+        dst, src = np.nonzero(pattern.matrix.T)
+        return _linear(n, src, dst, pattern.matrix[src, dst], name)
 
 
 def linear_exchange(nprocs: int, nbytes: int) -> Schedule:
@@ -51,19 +58,15 @@ def linear_exchange(nprocs: int, nbytes: int) -> Schedule:
     Zero-byte messages are kept (the rendezvous and its latency still
     happen), so the Figure 5/6 sweeps can start at 0 bytes.
     """
+    nbytes = operator.index(nbytes)
     if nprocs < 2:
         raise ValueError(f"need at least 2 processors, got {nprocs}")
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     with obs.span("build/LEX", category="build", nprocs=nprocs):
-        steps = tuple(
-            Step(
-                tuple(
-                    Transfer(src=j, dst=i, nbytes=nbytes)
-                    for j in range(nprocs)
-                    if j != i
-                )
-            )
-            for i in range(nprocs)
-        )
-        return Schedule(nprocs=nprocs, steps=steps, name="LEX")
+        # Receiver i hears from every j != i: j < i, then j + 1 for j >= i.
+        dst = np.repeat(np.arange(nprocs), nprocs - 1)
+        src = np.tile(np.arange(nprocs - 1), nprocs)
+        src += src >= dst
+        size = np.full(dst.size, nbytes, dtype=np.int64)
+        return _linear(nprocs, src, dst, size, "LEX")

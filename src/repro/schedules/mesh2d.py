@@ -21,11 +21,9 @@ steps, so an all-rows exchange really is concurrent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .broadcast import recursive_broadcast
-from .pattern import CommPattern
-from .pex import pairing_schedule
 from .schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
 
 __all__ = ["ProcessorMesh"]

@@ -15,112 +15,95 @@ receives first (captured as ``exchange_order=LOWER_RECV_FIRST``).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+import operator
+from typing import Callable, Optional
+
+import numpy as np
 
 from .. import obs
 from .pattern import CommPattern
-from .schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
+from .schedule import LOWER_RECV_FIRST, Schedule, compact_steps
 
 __all__ = ["pairwise_schedule", "pairwise_exchange", "pairing_schedule"]
 
 
 def pairing_schedule(
-    pattern: CommPattern,
-    partner_fn: Callable[[int, int], int],
+    nprocs: int,
+    partner_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     name: str,
-    nsteps: Optional[int] = None,
-    keep_empty_steps: bool = False,
+    pattern: Optional[CommPattern] = None,
+    nbytes: int = 0,
 ) -> Schedule:
     """Build a schedule from a per-step perfect pairing of processors.
 
-    ``partner_fn(rank, step_j)`` must be an involution for every step
-    (``partner_fn(partner_fn(r, j), j) == r``) with no fixed points.
-    Both PEX and BEX (and their irregular variants) are instances — they
-    differ only in the pairing function.
+    ``partner_fn(ranks, j)`` maps an array of ranks to their partners in
+    step ``j`` (arrays broadcast); for every step it must be an
+    involution with no fixed points.  Both PEX and BEX (and their
+    irregular variants) are instances — they differ only in the pairing
+    function.  Step ``j`` (1..N-1) lists each pair ``lo < hi`` once, in
+    ascending ``lo``: ``lo -> hi`` then ``hi -> lo``.
 
-    Empty steps (no pair needs to communicate) are dropped unless
-    ``keep_empty_steps`` — the paper counts only non-empty steps
-    (Tables 8 and 9).
+    Without ``pattern`` it is a uniform complete exchange of ``nbytes``
+    per message, zero-byte messages kept: the paper's Figures 5-8 sweep
+    message sizes down to 0 bytes, where the exchange still performs
+    every rendezvous and pays every latency.  With ``pattern`` a pair
+    moves only the pattern's non-zero entries, and steps left empty are
+    dropped — the paper counts only non-empty steps (Tables 8 and 9).
     """
-    n = pattern.nprocs
-    if n & (n - 1):
+    n = nprocs
+    nbytes = operator.index(nbytes)
+    if n < 2 or n & (n - 1):
         raise ValueError(f"pairing schedules need a power-of-two size, got {n}")
-    total_steps = nsteps if nsteps is not None else n - 1
-    with obs.span(f"build/{name}", category="build", nprocs=n):
-        steps: List[Step] = []
-        for j in range(1, total_steps + 1):
-            transfers: List[Transfer] = []
-            for rank in range(n):
-                partner = partner_fn(rank, j)
-                if partner == rank:
-                    raise ValueError(
-                        f"{name}: pairing has a fixed point at rank {rank}, step {j}"
-                    )
-                if partner_fn(partner, j) != rank:
-                    raise ValueError(
-                        f"{name}: pairing is not an involution at step {j}: "
-                        f"{rank}->{partner}->{partner_fn(partner, j)}"
-                    )
-                if rank < partner:  # emit each unordered pair once
-                    fwd = pattern[rank, partner]
-                    rev = pattern[partner, rank]
-                    if fwd:
-                        transfers.append(Transfer(rank, partner, fwd))
-                    if rev:
-                        transfers.append(Transfer(partner, rank, rev))
-            if transfers or keep_empty_steps:
-                steps.append(Step(tuple(transfers)))
-        return Schedule(
-            nprocs=n,
-            steps=tuple(steps),
-            name=name,
-            exchange_order=LOWER_RECV_FIRST,
-        )
-
-
-def uniform_pairing_schedule(
-    nprocs: int,
-    nbytes: int,
-    partner_fn: Callable[[int, int], int],
-    name: str,
-) -> Schedule:
-    """Pairing schedule for a *uniform* complete exchange.
-
-    Unlike :func:`pairing_schedule` this keeps zero-byte messages: the
-    paper's Figures 5-8 sweep message sizes down to 0 bytes, where the
-    exchange still performs every rendezvous and pays every latency.
-    """
-    if nprocs < 2 or nprocs & (nprocs - 1):
-        raise ValueError(f"pairing schedules need a power-of-two size, got {nprocs}")
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
-    with obs.span(f"build/{name}", category="build", nprocs=nprocs):
-        steps = []
-        for j in range(1, nprocs):
-            transfers = []
-            for rank in range(nprocs):
-                partner = partner_fn(rank, j)
-                if rank < partner:
-                    transfers.append(Transfer(rank, partner, nbytes))
-                    transfers.append(Transfer(partner, rank, nbytes))
-            steps.append(Step(tuple(transfers)))
-        return Schedule(
-            nprocs=nprocs,
-            steps=tuple(steps),
+    with obs.span(f"build/{name}", category="build", nprocs=n):
+        j = np.arange(1, n)[:, None]
+        ranks = np.arange(n)[None, :]
+        partner = np.broadcast_to(partner_fn(ranks, j), (n - 1, n))
+        back = partner_fn(partner, j)
+        bad = np.flatnonzero((partner == ranks) | (back != ranks))
+        if bad.size:
+            step, rank = divmod(int(bad[0]), n)
+            if partner[step, rank] == rank:
+                raise ValueError(
+                    f"{name}: pairing has a fixed point at rank {rank}, "
+                    f"step {step + 1}"
+                )
+            raise ValueError(
+                f"{name}: pairing is not an involution at step {step + 1}: "
+                f"{rank}->{partner[step, rank]}->{back[step, rank]}"
+            )
+        step, lo = np.nonzero(ranks < partner)
+        hi = partner[step, lo]
+        # Each pair's two directions, interleaved: lo -> hi, hi -> lo.
+        step = np.repeat(step, 2)
+        src = np.stack((lo, hi), axis=1).ravel()
+        dst = np.stack((hi, lo), axis=1).ravel()
+        if pattern is None:
+            size = np.full(src.size, nbytes, dtype=np.int64)
+        else:
+            size = pattern.matrix[src, dst]
+            keep = size != 0
+            step, src, dst, size = step[keep], src[keep], dst[keep], size[keep]
+            step = compact_steps(step)
+        zeros = np.zeros_like(size)
+        return Schedule.from_columns(
+            n,
+            np.stack((step, src, dst, size, zeros, zeros)),
             name=name,
             exchange_order=LOWER_RECV_FIRST,
         )
 
 
-def _xor_partner(rank: int, j: int) -> int:
+def _xor_partner(rank: np.ndarray, j: np.ndarray) -> np.ndarray:
     return rank ^ j
 
 
 def pairwise_schedule(pattern: CommPattern, name: str = "PS") -> Schedule:
     """Pairwise Scheduling of an irregular pattern (paper Table 8)."""
-    return pairing_schedule(pattern, _xor_partner, name)
+    return pairing_schedule(pattern.nprocs, _xor_partner, name, pattern=pattern)
 
 
 def pairwise_exchange(nprocs: int, nbytes: int) -> Schedule:
     """Pairwise Exchange: complete exchange in N-1 steps (Table 2)."""
-    return uniform_pairing_schedule(nprocs, nbytes, _xor_partner, "PEX")
+    return pairing_schedule(nprocs, _xor_partner, "PEX", nbytes=nbytes)

@@ -11,6 +11,16 @@ algorithm modules (:mod:`repro.schedules.pex` etc.), checked by the
 validators here, measured by :mod:`repro.schedules.metrics`, and priced
 by :mod:`repro.schedules.executor`.
 
+A schedule has two equal forms.  ``steps`` holds :class:`Step` and
+:class:`Transfer` objects; :attr:`Schedule.columns` holds the same
+transfers as six int64 columns (:data:`COLUMNS`), one entry per
+transfer in schedule order.  The executor and the linter compile from
+the columns.  The PEX/BEX/LEX and PS/BS/LS builders make their
+schedules with :meth:`Schedule.from_columns`, so a schedule that is
+only executed never builds its ``Transfer`` objects; ``steps`` is
+materialized on first read.  A schedule built from ``steps`` derives
+its columns on first use.
+
 Store-and-forward algorithms (REX) move *staged* data: a transfer's
 ``pack_bytes`` / ``unpack_bytes`` record the buffer shuffling the node
 must perform around the wire operation, and the transferred bytes need
@@ -21,12 +31,18 @@ their own algorithm-specific routing checks instead of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+import operator
+from array import array
+from dataclasses import dataclass
+from typing import Any, Dict, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from .pattern import CommPattern
 
 __all__ = [
+    "COLUMNS",
+    "compact_steps",
     "Transfer",
     "Step",
     "Schedule",
@@ -45,9 +61,31 @@ class ScheduleError(ValueError):
     """A schedule violates a structural or coverage invariant."""
 
 
+#: The rows of :attr:`Schedule.columns`: a transfer's step index, then
+#: its :class:`Transfer` fields.
+COLUMNS = ("step", "src", "dst", "nbytes", "pack_bytes", "unpack_bytes")
+_FIELDS = COLUMNS[1:]
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _check_integer(field: str, value: Any) -> None:
+    """A rank or byte count is an integer: ``operator.index`` accepts it
+    (a NumPy integer does) and it is no bool."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)
+            return
+        except TypeError:
+            pass
+    raise ScheduleError(f"transfer {field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Transfer:
-    """One directed message within a step."""
+    """One directed message within a step.
+
+    Its ranks and byte counts are integers that fit int64, the columns'
+    dtype."""
 
     src: int
     dst: int
@@ -58,10 +96,27 @@ class Transfer:
     unpack_bytes: int = 0
 
     def __post_init__(self) -> None:
+        if not (
+            type(self.src)
+            is type(self.dst)
+            is type(self.nbytes)
+            is type(self.pack_bytes)
+            is type(self.unpack_bytes)
+            is int
+        ):
+            for name in _FIELDS:
+                _check_integer(name, getattr(self, name))
         if self.src == self.dst:
             raise ScheduleError(f"self-transfer at rank {self.src}")
         if self.nbytes < 0 or self.pack_bytes < 0 or self.unpack_bytes < 0:
             raise ScheduleError(f"negative byte count in {self}")
+        if min(self.src, self.dst) < _INT64_MIN or max(
+            self.src, self.dst, self.nbytes, self.pack_bytes, self.unpack_bytes
+        ) > _INT64_MAX:
+            for name in _FIELDS:
+                value = getattr(self, name)
+                if not _INT64_MIN <= value <= _INT64_MAX:
+                    raise ScheduleError(f"transfer {name} {value} does not fit int64")
 
     @property
     def pair(self) -> Tuple[int, int]:
@@ -148,9 +203,75 @@ class Schedule:
                         f"transfer {t.src}->{t.dst} outside 0..{self.nprocs - 1}"
                     )
 
+    @classmethod
+    def from_columns(
+        cls,
+        nprocs: int,
+        columns: Any,
+        name: str = "schedule",
+        exchange_order: str = LOWER_RECV_FIRST,
+    ) -> "Schedule":
+        """A schedule given as step columns, checked without a Python loop.
+
+        ``columns`` is an integer array of shape ``(6, M)``, its rows
+        :data:`COLUMNS`, one entry per transfer: step indices start at 0
+        and never decrease, and transfers keep schedule order within a
+        step (a skipped index is an empty step).  Every check of the
+        ``steps`` constructor applies, with the same error texts.
+        ``steps`` is built on first read.
+        """
+        cols = np.asarray(columns)
+        if cols.ndim != 2 or cols.shape[0] != len(COLUMNS):
+            raise ScheduleError(
+                f"schedule columns must have shape (6, M), got {cols.shape}"
+            )
+        if cols.dtype.kind not in "iu" or not np.can_cast(cols.dtype, np.int64):
+            raise ScheduleError(f"schedule columns must be int64, got {cols.dtype}")
+        cols = cols.astype(np.int64)
+        cols.setflags(write=False)
+        _check_columns(cols, nprocs, exchange_order)
+        sched = object.__new__(cls)
+        for field, value in (
+            ("nprocs", nprocs),
+            ("name", name),
+            ("exchange_order", exchange_order),
+            ("_columns", cols),
+        ):
+            object.__setattr__(sched, field, value)
+        return sched
+
+    def __getattr__(self, name: str) -> Any:
+        # Called only for a missing attribute: ``steps`` of a schedule
+        # built from columns, materialized here once.
+        cols = self.__dict__.get("_columns")
+        if name != "steps" or cols is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        steps = _steps_of(cols)
+        object.__setattr__(self, "steps", steps)
+        return steps
+
+    @property
+    def columns(self) -> np.ndarray:
+        """The transfers as a read-only int64 array of shape ``(6, M)``,
+        rows :data:`COLUMNS`, in schedule order; derived from ``steps``
+        in one pass on first use."""
+        cols = self.__dict__.get("_columns")
+        if cols is None:
+            cols = _columns_of(self)
+            object.__setattr__(self, "_columns", cols)
+        return cols
+
+    def _materialized(self) -> bool:
+        return "steps" in self.__dict__
+
     @property
     def nsteps(self) -> int:
-        return len(self.steps)
+        if self._materialized():
+            return len(self.steps)
+        step = self._columns[0]
+        return int(step[-1]) + 1 if step.size else 0
 
     def __iter__(self) -> Iterator[Step]:
         return iter(self.steps)
@@ -163,11 +284,15 @@ class Schedule:
 
     @property
     def total_bytes(self) -> int:
-        return sum(t.nbytes for _, t in self.all_transfers())
+        if self._materialized():
+            return sum(t.nbytes for _, t in self.all_transfers())
+        return int(self._columns[3].sum())
 
     @property
     def n_messages(self) -> int:
-        return sum(len(s) for s in self.steps)
+        if self._materialized():
+            return sum(len(s) for s in self.steps)
+        return self._columns.shape[1]
 
     def rank_ops(self, rank: int, step_idx: int) -> Tuple[List[Transfer], List[Transfer]]:
         """This rank's (sends, recvs) within one step, schedule order.
@@ -197,6 +322,92 @@ class Schedule:
         for i, step in enumerate(self.steps, start=1):
             lines.append(f"  Step {i}: {step.render()}")
         return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Columns
+# ----------------------------------------------------------------------
+def _new_transfer(src: int, dst: int, nbytes: int, pack: int, unpack: int) -> Transfer:
+    """A :class:`Transfer` from fields that are already checked."""
+    t = object.__new__(Transfer)
+    t.__dict__.update(
+        src=src, dst=dst, nbytes=nbytes, pack_bytes=pack, unpack_bytes=unpack
+    )
+    return t
+
+
+def compact_steps(step: np.ndarray) -> np.ndarray:
+    """A non-decreasing step column renumbered 0, 1, 2, ...: the steps
+    no transfer names are dropped, as the paper counts only non-empty
+    steps."""
+    out = np.zeros(step.size, dtype=np.int64)
+    np.cumsum(step[1:] != step[:-1], out=out[1:])
+    return out
+
+
+def _check_columns(cols: np.ndarray, nprocs: int, exchange_order: str) -> None:
+    """The ``steps`` constructor's checks over columns, raising the first
+    error that building the steps in order would raise: a transfer's
+    own (self, sign) or its step's duplicate pair, then the schedule's
+    (exchange order, rank range)."""
+    step, src, dst = cols[0], cols[1], cols[2]
+    nprocs = operator.index(nprocs)
+    if step.size and (step[0] < 0 or (np.diff(step) < 0).any()):
+        raise ScheduleError(
+            "schedule step column must start at 0 or more and never decrease"
+        )
+    bad = np.flatnonzero((src == dst) | (cols[3:] < 0).any(axis=0))
+    inside = (src >= 0) & (src < nprocs) & (dst >= 0) & (dst < nprocs)
+    # The first transfer repeating an earlier one's (step, src, dst).  A
+    # stable sort by (src, dst) of the step-ordered columns is ordered by
+    # (src, dst, step), so a repeat follows its original.
+    order = np.lexsort((dst, src))
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for column in (src, dst, step):
+        key = column[order]
+        same &= key[1:] == key[:-1]
+    repeat = order[1:][same]
+    dup = int(repeat.min()) if repeat.size else None
+    if bad.size and (dup is None or step[bad[0]] <= step[dup]):
+        t = _new_transfer(*cols[1:, bad[0]].tolist())
+        if t.src == t.dst:
+            raise ScheduleError(f"self-transfer at rank {t.src}")
+        raise ScheduleError(f"negative byte count in {t}")
+    if dup is not None:
+        raise ScheduleError(f"duplicate transfer {src[dup]}->{dst[dup]} in step")
+    if exchange_order not in _ORDERS:
+        raise ScheduleError(f"unknown exchange order {exchange_order!r}")
+    if not inside.all():
+        i = np.flatnonzero(~inside)[0]
+        raise ScheduleError(f"transfer {src[i]}->{dst[i]} outside 0..{nprocs - 1}")
+
+
+def _steps_of(cols: np.ndarray) -> Tuple[Step, ...]:
+    """The :class:`Step` tuple of checked columns."""
+    step = cols[0]
+    nsteps = int(step[-1]) + 1 if step.size else 0
+    transfers = [_new_transfer(*row) for row in zip(*cols[1:].tolist())]
+    bounds = np.searchsorted(step, np.arange(nsteps + 1)).tolist()
+    steps = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        s = object.__new__(Step)
+        s.__dict__["transfers"] = tuple(transfers[lo:hi])
+        steps.append(s)
+    return tuple(steps)
+
+
+def _columns_of(schedule: Schedule) -> np.ndarray:
+    """One pass over ``steps`` into :data:`COLUMNS` rows."""
+    flat = [
+        value
+        for i, step in enumerate(schedule.steps)
+        for t in step.transfers
+        for value in (i, t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes)
+    ]
+    cols = np.frombuffer(array("q", flat), dtype=np.int64)
+    cols = cols.reshape(-1, len(COLUMNS)).T.copy()
+    cols.setflags(write=False)
+    return cols
 
 
 # ----------------------------------------------------------------------

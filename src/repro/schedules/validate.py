@@ -22,10 +22,11 @@ Four families of checks:
 * **deadlock** — the executor's Figure-2/3 orderings induce, per rank,
   a sequence of blocking rendezvous operations.  The linter replays the
   executor's own per-rank programs
-  (:func:`~repro.schedules.executor.rank_programs`, the list
-  :func:`~repro.schedules.executor.schedule_program` runs) with one
-  cursor per rank, in O(messages), and on a stall names the cycle in
-  the wait-for graph (rank A waits for B waits for ... A);
+  (:func:`~repro.schedules.executor.compiled_program`, the ops both
+  :func:`~repro.schedules.executor.schedule_program` and the compiled
+  executor run) with one cursor per rank, in O(messages), and on a
+  stall names the cycle in the wait-for graph (rank A waits for B
+  waits for ... A);
 * **payload mode** — REX-style store-and-forward schedules must not be
   executed in payload mode (their transfers carry staged aggregates,
   not per-pair payloads); ``payload_mode=True`` turns that into an
@@ -41,7 +42,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .executor import Op, rank_programs
+import numpy as np
+
+from .executor import DELAY, SEND, compiled_program
 from .pattern import CommPattern
 from .schedule import Schedule
 
@@ -277,16 +280,11 @@ def _check_conservation(
 # ----------------------------------------------------------------------
 # Deadlock
 # ----------------------------------------------------------------------
-def _partner(op: Op) -> int:
-    is_send, _, t = op
-    return t.dst if is_send else t.src
-
-
-def _describe(op: Op) -> str:
-    is_send, step, t = op
-    if is_send:
-        return f"send->{t.dst} (step {step + 1})"
-    return f"recv<-{t.src} (step {step + 1})"
+def _describe(op: List[int]) -> str:
+    kind, peer, step = op
+    if kind == SEND:
+        return f"send->{peer} (step {step + 1})"
+    return f"recv<-{peer} (step {step + 1})"
 
 
 def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
@@ -294,8 +292,9 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
 
     Each rank's head op waits for its partner's matching op (synchronous
     CMMD semantics: a send blocks until the receive is posted and vice
-    versa).  The replay keeps one cursor per rank over
-    :func:`~repro.schedules.executor.rank_programs`.  A rank that
+    versa).  The replay keeps one cursor per rank over the wire ops
+    (``Delay`` rows skipped) of
+    :func:`~repro.schedules.executor.compiled_program`.  A rank that
     advances re-examines its own new head, and its partner goes on the
     work list; a match is symmetric, so whichever side of a completable
     rendezvous advanced last finds it.  Every op retires at most once,
@@ -306,33 +305,30 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
     rendezvous deadlock) or a dangling wait on a rank that already
     finished (an unmatched operation).
     """
-    programs = rank_programs(schedule)
-    n = len(programs)
-    ends = [len(prog) for prog in programs]
-    pos = [0] * n
+    program = compiled_program(schedule)
+    wire = program.ops[:, 0] != DELAY
+    # (kind, peer, step) per wire op; rank r's are ops[pos[r]:ends[r]].
+    ops = program.ops[wire, :3].tolist()
+    bounds = np.concatenate(([0], np.cumsum(wire)))[program.starts].tolist()
+    n = schedule.nprocs
+    pos, ends = bounds[:-1], bounds[1:]
     todo = list(range(n))
     while todo:
         r = todo.pop()
-        prog = programs[r]
         i, end = pos[r], ends[r]
         while i < end:
-            is_send, step, t = prog[i]
-            p = t.dst if is_send else t.src
+            kind, p, step = ops[i]
             if not 0 <= p < n or pos[p] == ends[p]:
                 break
-            mate_send, mate_step, m = programs[p][pos[p]]
-            if (
-                mate_send is is_send
-                or mate_step != step
-                or (m.dst if mate_send else m.src) != r
-            ):
+            mate_kind, mate_peer, mate_step = ops[pos[p]]
+            if mate_kind == kind or mate_step != step or mate_peer != r:
                 break
             i += 1
             pos[p] += 1
             todo.append(p)
         pos[r] = i
 
-    stuck = {r: programs[r][pos[r]] for r in range(n) if pos[r] < ends[r]}
+    stuck = {r: ops[pos[r]] for r in range(n) if pos[r] < ends[r]}
     if not stuck:
         return
 
@@ -346,7 +342,7 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
         while r in stuck and r not in order:
             order[r] = len(chain)
             chain.append(r)
-            r = _partner(stuck[r])
+            r = stuck[r][1]
         if r in order:
             cycle = chain[order[r]:]
             break
@@ -362,7 +358,7 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
         )
     else:
         for r in sorted(stuck):
-            partner = _partner(stuck[r])
+            partner = stuck[r][1]
             if partner not in stuck:
                 issues.append(
                     LintIssue(

@@ -305,11 +305,11 @@ class Engine:
     ) -> Optional[SimResult]:
         """Run flat schedule rank programs in the compiled drain loop.
 
-        ``ops`` and ``starts`` are
-        :func:`repro.schedules.executor.rank_programs` flattened (see
-        ``_flat_programs`` there): four int64 per Send, Recv or memcpy
-        Delay the generator ``schedule_program`` would yield, rank r's
-        at ``[starts[r], starts[r+1])``; a send names its payload by its
+        ``(ops, starts, sizes, copies)`` is a schedule's
+        :func:`repro.schedules.executor.compiled_program`: four int64
+        per Send, Recv or memcpy Delay the generator
+        ``schedule_program`` yields from the same program, rank r's at
+        ``[starts[r], starts[r+1])``; a send names its payload by its
         index in ``sizes``, a delay its byte count by its index in
         ``copies``.  The kernel's schedule executor (it must be loaded)
         runs them with this engine's semantics on a healthy, untraced

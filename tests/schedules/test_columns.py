@@ -1,0 +1,299 @@
+"""Column-built schedules against step-built ones.
+
+PEX/BEX/LEX and PS/BS/LS are built as int64 step columns
+(:meth:`Schedule.from_columns`).  The oracles here are the per-transfer
+loops those builders used to be: the column-built schedule must have
+the same ``steps``, serialize to the same bytes, and agree with its
+step-built twin under ``==``, ``hash``, ``repr`` and
+``dataclasses.replace``.  ``from_columns`` must reject exactly what the
+``steps`` constructor rejects, with the same first error.
+"""
+
+import pickle
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.schedules import (
+    CommPattern,
+    Schedule,
+    ScheduleError,
+    Step,
+    Transfer,
+    balanced_exchange,
+    balanced_schedule,
+    linear_exchange,
+    linear_schedule,
+    pairing_schedule,
+    pairwise_exchange,
+    pairwise_schedule,
+    schedule_to_json,
+)
+from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
+
+
+# ----------------------------------------------------------------------
+# The per-transfer builders, kept as oracles.
+# ----------------------------------------------------------------------
+def old_bex_partner(rank, j, nprocs):
+    virtual = (rank + 1) % nprocs
+    node = (virtual ^ j) - 1
+    if node == -1:
+        node = nprocs - 1
+    return node
+
+
+def old_xor_partner(rank, j):
+    return rank ^ j
+
+
+def old_pairing_schedule(pattern, partner_fn, name):
+    n = pattern.nprocs
+    steps = []
+    for j in range(1, n):
+        transfers = []
+        for rank in range(n):
+            partner = partner_fn(rank, j)
+            if rank < partner:
+                fwd = pattern[rank, partner]
+                rev = pattern[partner, rank]
+                if fwd:
+                    transfers.append(Transfer(rank, partner, fwd))
+                if rev:
+                    transfers.append(Transfer(partner, rank, rev))
+        if transfers:
+            steps.append(Step(tuple(transfers)))
+    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
+
+
+def old_uniform_pairing_schedule(nprocs, nbytes, partner_fn, name):
+    steps = []
+    for j in range(1, nprocs):
+        transfers = []
+        for rank in range(nprocs):
+            partner = partner_fn(rank, j)
+            if rank < partner:
+                transfers.append(Transfer(rank, partner, nbytes))
+                transfers.append(Transfer(partner, rank, nbytes))
+        steps.append(Step(tuple(transfers)))
+    return Schedule(nprocs, tuple(steps), name, LOWER_RECV_FIRST)
+
+
+def old_linear_schedule(pattern, name="LS"):
+    steps = []
+    for receiver in range(pattern.nprocs):
+        transfers = tuple(
+            Transfer(src=src, dst=receiver, nbytes=nbytes)
+            for src, nbytes in pattern.recvs_of(receiver)
+        )
+        if transfers:
+            steps.append(Step(transfers))
+    return Schedule(nprocs=pattern.nprocs, steps=tuple(steps), name=name)
+
+
+def old_linear_exchange(nprocs, nbytes):
+    steps = tuple(
+        Step(tuple(Transfer(src=j, dst=i, nbytes=nbytes) for j in range(nprocs) if j != i))
+        for i in range(nprocs)
+    )
+    return Schedule(nprocs=nprocs, steps=steps, name="LEX")
+
+
+def assert_same_schedule(new, old):
+    """``new`` is column-built and not yet materialized."""
+    assert "steps" not in vars(new)
+    assert (new.nsteps, new.n_messages, new.total_bytes) == (
+        old.nsteps,
+        old.n_messages,
+        old.total_bytes,
+    )
+    assert np.array_equal(new.columns, old.columns)
+    assert new == old and hash(new) == hash(old)
+    assert new.steps == old.steps
+    assert schedule_to_json(new) == schedule_to_json(old)
+    renamed = replace(new, name="renamed")
+    assert renamed == replace(old, name="renamed")
+    assert hash(renamed) == hash(replace(old, name="renamed"))
+
+
+EXCHANGES = {
+    "PEX": (pairwise_exchange, lambda n, b: old_uniform_pairing_schedule(n, b, old_xor_partner, "PEX")),
+    "BEX": (
+        balanced_exchange,
+        lambda n, b: old_uniform_pairing_schedule(
+            n, b, lambda r, j: old_bex_partner(r, j, n), "BEX"
+        ),
+    ),
+    "LEX": (linear_exchange, old_linear_exchange),
+}
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 512, 1920])
+@pytest.mark.parametrize("nprocs", [2, 4, 8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_exchange_builders_match_the_per_transfer_loops(name, nprocs, nbytes):
+    build, old = EXCHANGES[name]
+    assert_same_schedule(build(nprocs, nbytes), old(nprocs, nbytes))
+
+
+@pytest.mark.parametrize("nprocs", [3, 5, 12])
+def test_linear_exchange_on_any_size(nprocs):
+    assert_same_schedule(linear_exchange(nprocs, 64), old_linear_exchange(nprocs, 64))
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_repr_and_pickle_match(name):
+    build, old = EXCHANGES[name]
+    assert repr(build(16, 8)) == repr(old(16, 8))
+    # Pickled before its steps are read, a schedule keeps its columns.
+    copy = pickle.loads(pickle.dumps(build(16, 8)))
+    assert "steps" not in vars(copy)
+    assert copy == old(16, 8)
+
+
+@st.composite
+def patterns(draw):
+    """Random patterns, some rows and columns all zero."""
+    n = draw(st.sampled_from((2, 4, 8, 16, 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = (rng.random((n, n)) < draw(st.floats(0.0, 1.0))) * rng.integers(1, 3000, (n, n))
+    np.fill_diagonal(m, 0)
+    m[rng.random(n) < 0.3] = 0
+    m[:, rng.random(n) < 0.3] = 0
+    return CommPattern(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=patterns())
+def test_pattern_builders_match_the_per_transfer_loops(pattern):
+    n = pattern.nprocs
+    assert_same_schedule(
+        pairwise_schedule(pattern), old_pairing_schedule(pattern, old_xor_partner, "PS")
+    )
+    assert_same_schedule(
+        balanced_schedule(pattern),
+        old_pairing_schedule(pattern, lambda r, j: old_bex_partner(r, j, n), "BS"),
+    )
+    assert_same_schedule(linear_schedule(pattern), old_linear_schedule(pattern))
+
+
+@pytest.mark.parametrize(
+    "partner, message",
+    [
+        (lambda r, j: r, "pairing has a fixed point at rank 0, step 1"),
+        (lambda r, j: (r + j) % 4, "pairing is not an involution at step 1: 0->1->2"),
+    ],
+    ids=["fixed-point", "not-involution"],
+)
+@pytest.mark.parametrize("pattern", [None, CommPattern.complete_exchange(4, 8)])
+def test_pairing_is_checked_for_exchanges_and_patterns(partner, message, pattern):
+    with pytest.raises(ValueError, match=message):
+        pairing_schedule(4, partner, "X", pattern=pattern, nbytes=8)
+
+
+def test_non_integral_nbytes_rejected():
+    with pytest.raises(TypeError):
+        pairwise_exchange(8, 1.5)
+    with pytest.raises(TypeError):
+        linear_exchange(8, float("nan"))
+
+
+# ----------------------------------------------------------------------
+# from_columns checks: the steps constructor's errors, first one first.
+# ----------------------------------------------------------------------
+def steps_built(nprocs, cols, order):
+    """Build the same schedule the per-transfer way (raises the same)."""
+    step = cols[0].tolist()
+    rows = cols[1:].T.tolist()
+    nsteps = step[-1] + 1 if step else 0
+    steps = tuple(
+        Step(tuple(Transfer(*row) for s, row in zip(step, rows) if s == i))
+        for i in range(nsteps)
+    )
+    return Schedule(nprocs, steps, "drawn", order)
+
+
+def outcome(build):
+    try:
+        return build()
+    except ScheduleError as exc:
+        return str(exc)
+
+
+@st.composite
+def column_sets(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 12))
+    rank = st.integers(-1, n)
+    size = st.sampled_from((0, 0, 5, -1))
+    step = sorted(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)))
+    cols = np.array(
+        [
+            step,
+            draw(st.lists(rank, min_size=m, max_size=m)),
+            draw(st.lists(rank, min_size=m, max_size=m)),
+            draw(st.lists(size, min_size=m, max_size=m)),
+            draw(st.lists(size, min_size=m, max_size=m)),
+            draw(st.lists(size, min_size=m, max_size=m)),
+        ],
+        dtype=np.int64,
+    ).reshape(6, m)
+    order = draw(st.sampled_from((LOWER_RECV_FIRST, LOWER_SEND_FIRST, "sideways")))
+    return n, cols, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=column_sets())
+@example(  # one pair in two steps is no repeat
+    case=(
+        2,
+        np.array([[0, 1], [0, 0], [1, 1], [5, 5], [0, 0], [0, 0]]),
+        LOWER_RECV_FIRST,
+    )
+)
+def test_from_columns_raises_what_the_steps_constructor_raises(case):
+    n, cols, order = case
+    got = outcome(lambda: Schedule.from_columns(n, cols, "drawn", order))
+    want = outcome(lambda: steps_built(n, cols, order))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_schedule(got, want)
+
+
+def test_from_columns_names_the_first_repeat():
+    # 0->1 occurs first, but 2->3 is the first transfer to repeat.
+    cols = np.array(
+        [[0, 0, 0, 0], [0, 2, 2, 0], [1, 3, 3, 1], [8] * 4, [0] * 4, [0] * 4]
+    )
+    want = outcome(lambda: steps_built(4, cols, LOWER_RECV_FIRST))
+    assert want == "duplicate transfer 2->3 in step"
+    assert outcome(lambda: Schedule.from_columns(4, cols)) == want
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (np.zeros((6, 2)), "must be int64"),
+        (np.zeros((6, 2), dtype=bool), "must be int64"),
+        (np.zeros((6, 2), dtype=np.uint64), "must be int64"),
+        (np.zeros((5, 2), dtype=np.int64), "shape"),
+        ([[1, 0], [0, 1], [1, 0], [8, 8], [0, 0], [0, 0]], "never decrease"),
+        ([[-1], [0], [1], [8], [0], [0]], "never decrease"),
+    ],
+    ids=["float", "bool", "uint64", "shape", "decreasing", "negative-step"],
+)
+def test_from_columns_rejects_malformed_columns(columns, message):
+    with pytest.raises(ScheduleError, match=message):
+        Schedule.from_columns(4, columns)
+
+
+def test_columns_are_read_only_and_cached():
+    sched = pairwise_exchange(8, 64)
+    assert not sched.columns.flags.writeable
+    built = Schedule(8, sched.steps, "PEX")
+    assert built.columns is built.columns
+    assert not built.columns.flags.writeable

@@ -28,7 +28,8 @@ from repro.schedules import (
     recursive_exchange,
     schedule_program,
 )
-from repro.schedules.executor import _flat_programs
+from repro.schedules import schedule as schedule_module
+from repro.schedules.executor import compiled_program
 from repro.schedules.irregular import EXCHANGE_ALGORITHMS, IRREGULAR_ALGORITHMS
 from repro.schedules.schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
 from repro.sim.engine import DeadlockError, Engine
@@ -132,6 +133,37 @@ def test_untraced_default_run_takes_the_compiled_executor():
     assert res.sim.message_count == 56
 
 
+@needs_kernel
+def test_untraced_exchange_constructs_no_transfer(monkeypatch):
+    """PEX is built as columns and compiled from them: an untraced run
+    never makes a Transfer object.  Transfers come from the validating
+    constructor or, for a column-built schedule's ``steps``, from
+    ``_new_transfer``; both are counted."""
+    made = []
+    post_init, new_transfer = Transfer.__post_init__, schedule_module._new_transfer
+
+    def counted_post_init(self):
+        made.append(self)
+        post_init(self)
+
+    def counted_new_transfer(*fields):
+        made.append(fields)
+        return new_transfer(*fields)
+
+    monkeypatch.setattr(Transfer, "__post_init__", counted_post_init)
+    monkeypatch.setattr(schedule_module, "_new_transfer", counted_new_transfer)
+    sched = pairwise_exchange(128, 512)
+    with counting_resumes() as resumes:
+        res = execute_schedule(sched, MachineConfig(128))
+    assert res.sim.message_count == 128 * 127
+    assert resumes[0] == 0
+    assert made == []
+    # The counters see both routes.
+    sched.steps
+    Transfer(0, 1, 8)
+    assert len(made) == 128 * 127 + 1
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -199,9 +231,9 @@ def test_deadlock_raises_the_generator_paths_error():
     )
     config = MachineConfig(4)
     if kernel() is not None:
-        flat = _flat_programs(sched)
-        assert flat is not None
-        assert Engine(config)._run_compiled(*flat) is None
+        p = compiled_program(sched)
+        assert p.native
+        assert Engine(config)._run_compiled(p.ops, p.starts, p.sizes, p.copies) is None
     got = _error(lambda: execute_schedule(sched, config))
     want = _error(lambda: run_spmd(config, schedule_program, sched))
     assert got == want
@@ -221,7 +253,7 @@ def test_deadlock_raises_the_generator_paths_error():
 def test_malformed_transfers_raise_the_generator_paths_error(transfer, message):
     bad = _unchecked(Transfer, pack_bytes=0, unpack_bytes=0, **transfer)
     sched = _schedule(4, [[Transfer(0, 1, 8)], [bad]])
-    assert _flat_programs(sched) is None
+    assert not compiled_program(sched).native
     config = MachineConfig(4)
     got = _error(lambda: execute_schedule(sched, config))
     want = _error(lambda: run_spmd(config, schedule_program, sched))
@@ -229,7 +261,7 @@ def test_malformed_transfers_raise_the_generator_paths_error(transfer, message):
 
 
 def test_run_is_repeatable_on_one_schedule():
-    # The flat programs are cached on the schedule; a second run (and a
+    # The compiled program is cached on the schedule; a second run (and a
     # different machine speed) reuses them.
     sched = recursive_exchange(16, 512)
     fast = MachineConfig(16)
@@ -250,7 +282,7 @@ def test_run_is_repeatable_on_one_schedule():
 )
 def test_malformed_flat_program_is_rejected(corrupt):
     """The kernel checks every index it will follow before running."""
-    ops, starts, sizes, copies = _flat_programs(pairwise_exchange(4, 64))
+    ops, starts, sizes, copies, _ = compiled_program(pairwise_exchange(4, 64))
     ops, starts = ops.copy(), starts.copy()
     if corrupt == "starts-past-ops":
         starts[1] = len(ops) + 5

@@ -9,12 +9,13 @@
   issues, in the same order and with the same messages, as
   :func:`lint_schedule` on thousands of mutated schedules.
 
-Also pins that each schedule's per-rank programs are built once and
-shared by the linter and the executor.
+Also pins that each schedule's program is compiled once and shared by
+the linter and the executor, and holds the compile to the
+``step_actions`` ordering on random step sets.
 """
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -517,40 +518,140 @@ def test_lint_reports_deadlock_exactly_when_the_engine_does(schedule):
 # ----------------------------------------------------------------------
 # One program per schedule
 # ----------------------------------------------------------------------
+@st.composite
+def step_sets(draw):
+    """Random steps for the compile oracle: any set of directed pairs per
+    step, so exchanges, lone sends and receives, linear multi-receive
+    steps and greedy mixed steps all occur, with pack/unpack bytes.  A
+    hand-built step may add a transfer naming a rank outside the
+    machine, or a self-transfer; the schedule is then built unchecked."""
+    n = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    size = st.sampled_from((0, 0, 8, 64))
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        shape = draw(st.sampled_from(("any", "linear", "exchanges")))
+        if shape == "linear":  # one receiver drains some senders
+            dst = draw(st.integers(0, n - 1))
+            senders = draw(st.sets(st.integers(0, n - 1).filter(lambda r: r != dst)))
+            chosen = [(src, dst) for src in senders]
+        elif shape == "exchanges":  # disjoint pairs, both directions
+            ranks = draw(st.permutations(range(n)))
+            cut = draw(st.integers(0, n // 2))
+            chosen = [
+                edge
+                for a, b in zip(ranks[: 2 * cut : 2], ranks[1 : 2 * cut : 2])
+                for edge in ((a, b), (b, a))
+            ]
+        else:
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+        steps.append(
+            [Transfer(a, b, draw(size), draw(size), draw(size)) for a, b in chosen]
+        )
+    order = draw(st.sampled_from(ORDERS))
+    odd = draw(st.sampled_from((None, "outside", "negative", "self")))
+    if odd is None or not steps:
+        return Schedule(n, tuple(Step(tuple(s)) for s in steps), "drawn", order)
+    rank = draw(st.integers(0, n - 1))
+    peer = {"outside": n + draw(st.integers(0, 1)), "negative": -1, "self": rank}[odd]
+    src, dst = (rank, peer) if draw(st.booleans()) else (peer, rank)
+    t = object.__new__(Transfer)
+    for field_, value in zip(
+        ("src", "dst", "nbytes", "pack_bytes", "unpack_bytes"), (src, dst, 16, 0, 0)
+    ):
+        object.__setattr__(t, field_, value)
+    at = draw(st.integers(0, len(steps) - 1))
+    steps[at].insert(draw(st.integers(0, len(steps[at]))), t)
+    out = object.__new__(Schedule)
+    for field_, value in (
+        ("nprocs", n),
+        ("steps", tuple(Step(tuple(s)) for s in steps)),
+        ("name", "drawn"),
+        ("exchange_order", order),
+    ):
+        object.__setattr__(out, field_, value)
+    return out
+
+
+def step_actions_program(sched: Schedule, rank: int) -> List[tuple]:
+    """The oracle: a rank's requests, step by step from ``step_actions``,
+    as ``(kind, peer, tag, bytes)`` (a Delay has no peer or tag)."""
+    want = []
+    for step_idx in range(sched.nsteps):
+        sends, recvs = sched.rank_ops(rank, step_idx)
+        for kind, t in executor.step_actions(rank, sends, recvs, sched.exchange_order):
+            if kind == "send":
+                if t.pack_bytes:
+                    want.append((executor.DELAY, 0, 0, t.pack_bytes))
+                want.append((executor.SEND, t.dst, step_idx, t.nbytes))
+            else:
+                want.append((executor.RECV, t.src, step_idx, 0))
+                if t.unpack_bytes:
+                    want.append((executor.DELAY, 0, 0, t.unpack_bytes))
+    return want
+
+
 class TestOneProgramPerSchedule:
     def test_lint_then_execute_builds_programs_once(self, monkeypatch):
         calls = []
-        real = executor.step_actions
+        real = executor._compile
 
-        def counted(*args):
-            calls.append(args[0])
-            return real(*args)
+        def counted(schedule):
+            calls.append(schedule.name)
+            return real(schedule)
 
-        monkeypatch.setattr(executor, "step_actions", counted)
+        monkeypatch.setattr(executor, "_compile", counted)
         pattern = CommPattern.synthetic(8, 0.5, 64, seed=4)
         sched = schedule_irregular(pattern, "greedy")
         assert lint_schedule(sched, pattern).ok
-        built = len(calls)
-        assert built > 0
+        assert len(calls) == 1
+        program = executor.compiled_program(sched)
         execute_schedule(sched, MachineConfig(8))
+        execute_schedule(sched, MachineConfig(8), trace=True)
         lint_schedule(sched, pattern)
-        assert len(calls) == built
+        assert len(calls) == 1
+        assert executor.compiled_program(sched) is program
+
+    @settings(max_examples=300, deadline=None)
+    @given(sched=step_sets())
+    def test_program_is_the_concatenated_step_actions(self, sched):
+        assert_program_is_the_concatenated_step_actions(sched)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize(
         "build", [linear_exchange, pairwise_exchange, balanced_exchange, recursive_exchange]
     )
-    def test_program_is_the_concatenated_step_actions(self, build, order):
-        sched = replace(build(8, 64), exchange_order=order)
-        programs = executor.rank_programs(sched)
-        assert executor.rank_programs(sched) is programs
-        for rank in range(sched.nprocs):
-            want = []
-            for step_idx in range(sched.nsteps):
-                sends, recvs = sched.rank_ops(rank, step_idx)
-                if sends or recvs:
-                    want.extend(
-                        (kind == "send", step_idx, t)
-                        for kind, t in executor.step_actions(rank, sends, recvs, order)
-                    )
-            assert programs[rank] == want
+    def test_builder_program_is_the_concatenated_step_actions(self, build, order):
+        # REX's multi-step pack/unpack included.
+        built = build(8, 64)
+        sched = Schedule(8, built.steps, built.name, order)
+        assert_program_is_the_concatenated_step_actions(sched)
+
+
+def assert_program_is_the_concatenated_step_actions(sched: Schedule) -> None:
+    """Every rank's compiled ops are its ``step_actions`` requests."""
+    program = executor.compiled_program(sched)
+    ops = program.ops.tolist()
+    starts = program.starts.tolist()
+    assert starts[0] == 0 and starts[-1] == len(ops)
+    for rank in range(sched.nprocs):
+        got = []
+        for kind, peer, tag, index in ops[starts[rank] : starts[rank + 1]]:
+            if kind == executor.SEND:
+                got.append((kind, peer, tag, program.sizes[index]))
+            elif kind == executor.RECV:
+                got.append((kind, peer, tag, index))
+            else:
+                got.append((kind, peer, tag, program.copies[index]))
+        assert got == step_actions_program(sched, rank)
+    n = sched.nprocs
+    assert program.native == all(
+        0 <= t.src < n and 0 <= t.dst < n and t.src != t.dst
+        for _, t in sched.all_transfers()
+    )
+    if program.native:
+        # The same transfers given as columns compile to the same ops.
+        twin = Schedule.from_columns(
+            n, sched.columns, sched.name, sched.exchange_order
+        )
+        assert executor.compiled_program(twin).ops.tolist() == ops

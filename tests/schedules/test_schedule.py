@@ -1,5 +1,6 @@
 """Unit tests for the schedule IR and its validators."""
 
+import numpy as np
 import pytest
 
 from repro.schedules import (
@@ -27,6 +28,31 @@ class TestTransfer:
             Transfer(0, 1, -8)
         with pytest.raises(ScheduleError):
             Transfer(0, 1, 8, pack_bytes=-1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 1, float("nan")), (0, 1, 1.5), (True, 0, 8)],
+        ids=["nan-bytes", "float-bytes", "bool-rank"],
+    )
+    def test_non_integral_fields_rejected(self, fields):
+        # A NaN used to pass and fail later in the engine's wire_bytes.
+        with pytest.raises(ScheduleError, match="must be an integer"):
+            Transfer(*fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 1, 2**63), (0, 1, 8, 2**64), (-(2**63) - 1, 0, 8), (0, 2**63, 8)],
+        ids=["nbytes", "pack-bytes", "src", "dst"],
+    )
+    def test_fields_outside_int64_rejected(self, fields):
+        # The columns the executor and linter compile from are int64.
+        with pytest.raises(ScheduleError, match="does not fit int64"):
+            Transfer(*fields)
+        assert Transfer(0, 1, 2**63 - 1).nbytes == 2**63 - 1
+
+    def test_numpy_integers_accepted(self):
+        t = Transfer(np.int64(0), np.int32(1), np.int64(8), pack_bytes=np.uint8(2))
+        assert t == Transfer(0, 1, 8, pack_bytes=2)
 
     def test_pair_is_unordered(self):
         assert Transfer(2, 1, 8).pair == (1, 2)

@@ -153,6 +153,20 @@ class TestValidateCommand:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"{_NON_INTEGER[case][1]} must be an integer" in lines[0]
 
+    def test_byte_count_outside_int64_exits_2(self, tmp_path, capsys):
+        from repro.schedules import pairwise_exchange, schedule_to_json
+
+        doc = json.loads(schedule_to_json(pairwise_exchange(4, 64)))
+        doc["steps"][0][0][2] = 2**63
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--schedule", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nbytes 9223372036854775808 does not fit int64" in lines[0]
+
 
 class TestConformanceCommand:
     def test_quick_conformance_passes(self, tmp_path, monkeypatch, capsys):
