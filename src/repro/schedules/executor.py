@@ -149,6 +149,9 @@ class Program(NamedTuple):
     #: Every transfer has ``0 <= src != dst < nprocs`` and non-negative
     #: byte counts: the compiled executor's scope.
     native: bool
+    #: The ranks cannot stall: ``native``, no step repeats a
+    #: ``(src, dst)``, and every Figure 2 flip has its mirror.
+    live: bool
 
 
 def compiled_program(schedule: Schedule) -> Program:
@@ -171,6 +174,9 @@ def compiled_program(schedule: Schedule) -> Program:
     exchange (a rank's step is one send and one receive with the same
     partner) sorts as Figure 3 (``LOWER_SEND_FIRST``) and is flipped
     for Figure 2.
+
+    The same order makes :attr:`Program.live` a deadlock-freedom
+    certificate (the argument is in :mod:`repro.schedules.validate`).
     """
     try:
         return schedule._program  # type: ignore[attr-defined]
@@ -210,7 +216,14 @@ def _compile(schedule: Schedule) -> Program:
     pair[1:] &= ~same[:-1]
     pair[:-1] &= ~same[1:]
     i = np.flatnonzero(pair)
+    # A repeated (step, src, dst) puts two equal records side by side.
+    repeated = same & (peer[1:] == peer[:-1]) & (send[1:] == send[:-1])
+    live = native and not repeated.any()
     if schedule.exchange_order == LOWER_RECV_FIRST:
+        # A flip covers a send and a receive record of two transfers; it
+        # is mirrored iff each transfer's other record is flipped too.
+        flipped = index[order[np.concatenate((i, i + 1))]]
+        live = live and not (np.bincount(flipped) == 1).any()
         order[i], order[i + 1] = order[i + 1], order[i]
         send[i] ^= True
         send[i + 1] ^= True
@@ -241,7 +254,7 @@ def _compile(schedule: Schedule) -> Program:
         np.bincount(rank, minlength=n) + np.bincount(rank[at], minlength=n),
         out=starts[1:],
     )
-    return Program(ops, starts, sizes.tolist(), copies.tolist(), native)
+    return Program(ops, starts, sizes.tolist(), copies.tolist(), native, live)
 
 
 def schedule_program(

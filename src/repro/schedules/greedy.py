@@ -14,15 +14,20 @@ For a complete exchange this reduces exactly to pairwise exchange; for
 sparse patterns it finishes in fewer steps than PS/BS — the mechanism
 behind GS winning below ~50% density — but at high density its unaligned
 choices can exceed N-1 steps, which is where BS takes over (Table 11).
+
+The greedy loop runs over plain ints and emits the schedule as int64
+step columns (:meth:`~repro.schedules.schedule.Schedule.from_columns`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from .. import obs
 from .pattern import CommPattern
-from .schedule import LOWER_RECV_FIRST, Schedule, ScheduleError, Step, Transfer
+from .schedule import LOWER_RECV_FIRST, Schedule, ScheduleError
 
 __all__ = ["greedy_schedule"]
 
@@ -56,54 +61,53 @@ def greedy_schedule(
 
 def _greedy_build(pattern: CommPattern, name: str, order: str) -> Schedule:
     n = pattern.nprocs
-
-    def dest_list(i: int) -> List[int]:
-        sends = pattern.sends_of(i)
-        if order == "largest_first":
-            # Stable: ties fall back to the paper's lowest-first rule.
-            sends = sorted(sends, key=lambda dn: (-dn[1], dn[0]))
-        return [j for j, _ in sends]
-
-    remaining: Dict[int, List[int]] = {i: dest_list(i) for i in range(n)}
-    pending: Set[Tuple[int, int]] = {
-        (i, j) for i in range(n) for j in remaining[i]
-    }
-    steps: List[Step] = []
-    max_steps = max(1, len(pending)) * _MAX_STEP_FACTOR + n
+    matrix = pattern.matrix.tolist()
+    # remaining[i]: the destinations rank i still owes, in preference
+    # order; owed[i]: the same as a set.
+    remaining = [np.flatnonzero(row).tolist() for row in pattern.matrix]
+    if order == "largest_first":
+        # Stable: ties fall back to the paper's lowest-first rule.
+        remaining = [
+            sorted(dests, key=lambda j: -row[j])
+            for dests, row in zip(remaining, matrix)
+        ]
+    owed = [set(dests) for dests in remaining]
+    pending = sum(map(len, remaining))
+    max_steps = max(1, pending) * _MAX_STEP_FACTOR + n
+    rows: List[int] = []  # step, src, dst, nbytes per transfer
+    step = 0
 
     while pending:
-        if len(steps) > max_steps:  # pragma: no cover - progress is proven
+        if step > max_steps:  # pragma: no cover - progress is proven
             raise ScheduleError(f"{name}: failed to drain pattern")
         send_free = [True] * n
         recv_free = [True] * n
-        transfers: List[Transfer] = []
+        picked: List[Tuple[int, int]] = []
         for i in range(n):
             if not send_free[i]:
                 continue
             for j in remaining[i]:
-                if (j, i) in pending:
+                if i in owed[j]:
                     # Reverse message also pending: must be an exchange.
                     if send_free[j] and recv_free[i] and recv_free[j]:
-                        transfers.append(Transfer(i, j, pattern[i, j]))
-                        transfers.append(Transfer(j, i, pattern[j, i]))
+                        picked += ((i, j), (j, i))
                         send_free[i] = send_free[j] = False
                         recv_free[i] = recv_free[j] = False
                         break
                 elif recv_free[j]:
-                    transfers.append(Transfer(i, j, pattern[i, j]))
+                    picked.append((i, j))
                     send_free[i] = False
                     recv_free[j] = False
                     break
-        if not transfers:  # pragma: no cover - first pick always succeeds
-            raise ScheduleError(f"{name}: no progress with {len(pending)} pending")
-        for t in transfers:
-            pending.discard((t.src, t.dst))
-            remaining[t.src].remove(t.dst)
-        steps.append(Step(tuple(transfers)))
+        if not picked:  # pragma: no cover - first pick always succeeds
+            raise ScheduleError(f"{name}: no progress with {pending} pending")
+        for i, j in picked:
+            owed[i].discard(j)
+            remaining[i].remove(j)
+            rows += (step, i, j, matrix[i][j])
+        pending -= len(picked)
+        step += 1
 
-    return Schedule(
-        nprocs=n,
-        steps=tuple(steps),
-        name=name,
-        exchange_order=LOWER_RECV_FIRST,
-    )
+    cols = np.zeros((6, len(rows) // 4), dtype=np.int64)
+    cols[:4] = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    return Schedule.from_columns(n, cols, name, LOWER_RECV_FIRST)

@@ -142,6 +142,13 @@ class CommPattern:
         for i, j in zip(src_idx.tolist(), dst_idx.tolist()):
             yield i, j, int(self._m[i, j])
 
+    def operations_not_in(self, src: np.ndarray, dst: np.ndarray) -> Iterator:
+        """The :meth:`operations` that no ``(src[k], dst[k])`` names."""
+        left = self._m != 0
+        left[src, dst] = False
+        i, j = np.nonzero(left)
+        return zip(i.tolist(), j.tolist(), self._m[i, j].tolist())
+
     @property
     def n_operations(self) -> int:
         return int(np.count_nonzero(self._m))

@@ -14,10 +14,11 @@ by :mod:`repro.schedules.executor`.
 A schedule has two equal forms.  ``steps`` holds :class:`Step` and
 :class:`Transfer` objects; :attr:`Schedule.columns` holds the same
 transfers as six int64 columns (:data:`COLUMNS`), one entry per
-transfer in schedule order.  The executor and the linter compile from
-the columns.  The PEX/BEX/LEX and PS/BS/LS builders make their
-schedules with :meth:`Schedule.from_columns`, so a schedule that is
-only executed never builds its ``Transfer`` objects; ``steps`` is
+transfer in schedule order.  The executor, the linter, the validators
+here and the JSON writer read the columns.  The PEX/BEX/LEX and
+PS/BS/LS/GS builders make their schedules with
+:meth:`Schedule.from_columns`, so a schedule that is only linted,
+executed or saved never builds its ``Transfer`` objects; ``steps`` is
 materialized on first read.  A schedule built from ``steps`` derives
 its columns on first use.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -263,12 +264,9 @@ class Schedule:
             object.__setattr__(self, "_columns", cols)
         return cols
 
-    def _materialized(self) -> bool:
-        return "steps" in self.__dict__
-
     @property
     def nsteps(self) -> int:
-        if self._materialized():
+        if "steps" in self.__dict__:  # a trailing step may be empty
             return len(self.steps)
         step = self._columns[0]
         return int(step[-1]) + 1 if step.size else 0
@@ -284,15 +282,11 @@ class Schedule:
 
     @property
     def total_bytes(self) -> int:
-        if self._materialized():
-            return sum(t.nbytes for _, t in self.all_transfers())
-        return int(self._columns[3].sum())
+        return int(self.columns[3].sum())
 
     @property
     def n_messages(self) -> int:
-        if self._materialized():
-            return sum(len(s) for s in self.steps)
-        return self._columns.shape[1]
+        return self.columns.shape[1]
 
     def rank_ops(self, rank: int, step_idx: int) -> Tuple[List[Transfer], List[Transfer]]:
         """This rank's (sends, recvs) within one step, schedule order.
@@ -327,12 +321,19 @@ class Schedule:
 # ----------------------------------------------------------------------
 # Columns
 # ----------------------------------------------------------------------
+_set = object.__setattr__
+
+
 def _new_transfer(src: int, dst: int, nbytes: int, pack: int, unpack: int) -> Transfer:
-    """A :class:`Transfer` from fields that are already checked."""
+    """A :class:`Transfer` from fields that are already checked, set as
+    ``__init__`` sets them: writing ``__dict__`` before any ``Transfer(...)``
+    ran makes every later ``Transfer`` in the process twice as large."""
     t = object.__new__(Transfer)
-    t.__dict__.update(
-        src=src, dst=dst, nbytes=nbytes, pack_bytes=pack, unpack_bytes=unpack
-    )
+    _set(t, "src", src)
+    _set(t, "dst", dst)
+    _set(t, "nbytes", nbytes)
+    _set(t, "pack_bytes", pack)
+    _set(t, "unpack_bytes", unpack)
     return t
 
 
@@ -343,6 +344,24 @@ def compact_steps(step: np.ndarray) -> np.ndarray:
     out = np.zeros(step.size, dtype=np.int64)
     np.cumsum(step[1:] != step[:-1], out=out[1:])
     return out
+
+
+def first_occurrence(*keys: np.ndarray, ordered: bool = False) -> np.ndarray:
+    """For each row, the index of the first row equal to it in every key
+    column (its own index when no earlier row is).  With ``ordered``, the
+    rows are already in non-decreasing order of the first key, and one
+    stable sort by the other keys groups equal rows."""
+    order = np.lexsort(keys[:0:-1] if ordered else keys[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        key = key[order]
+        new[1:] |= key[1:] != key[:-1]
+    if new.all():
+        return np.arange(order.size)
+    first = np.empty_like(order)
+    first[order] = order[new][np.cumsum(new) - 1]
+    return first
 
 
 def _check_columns(cols: np.ndarray, nprocs: int, exchange_order: str) -> None:
@@ -358,16 +377,9 @@ def _check_columns(cols: np.ndarray, nprocs: int, exchange_order: str) -> None:
         )
     bad = np.flatnonzero((src == dst) | (cols[3:] < 0).any(axis=0))
     inside = (src >= 0) & (src < nprocs) & (dst >= 0) & (dst < nprocs)
-    # The first transfer repeating an earlier one's (step, src, dst).  A
-    # stable sort by (src, dst) of the step-ordered columns is ordered by
-    # (src, dst, step), so a repeat follows its original.
-    order = np.lexsort((dst, src))
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
-    for column in (src, dst, step):
-        key = column[order]
-        same &= key[1:] == key[:-1]
-    repeat = order[1:][same]
-    dup = int(repeat.min()) if repeat.size else None
+    first = first_occurrence(step, src, dst, ordered=True)
+    repeat = np.flatnonzero(first != np.arange(step.size))
+    dup = int(repeat[0]) if repeat.size else None
     if bad.size and (dup is None or step[bad[0]] <= step[dup]):
         t = _new_transfer(*cols[1:, bad[0]].tolist())
         if t.src == t.dst:
@@ -391,7 +403,7 @@ def _steps_of(cols: np.ndarray) -> Tuple[Step, ...]:
     steps = []
     for lo, hi in zip(bounds, bounds[1:]):
         s = object.__new__(Step)
-        s.__dict__["transfers"] = tuple(transfers[lo:hi])
+        _set(s, "transfers", tuple(transfers[lo:hi]))
         steps.append(s)
     return tuple(steps)
 
@@ -424,26 +436,22 @@ def validate_structure(
     constraint for the linear (LEX/LS) family, whose defining pathology
     is exactly that one node receives from everybody in a step — the
     messages still *happen*, just serialized, which the executor prices.
+    The first failing step is named; within it, a sender before a
+    receiver, each in order of first appearance.
     """
-    for idx, step in enumerate(schedule.steps):
-        send_count: Dict[int, int] = {}
-        recv_count: Dict[int, int] = {}
-        for t in step:
-            send_count[t.src] = send_count.get(t.src, 0) + 1
-            recv_count[t.dst] = recv_count.get(t.dst, 0) + 1
-        for rank, c in send_count.items():
-            if c > 1:
-                raise ScheduleError(
-                    f"{schedule.name}: rank {rank} sends {c} messages in "
-                    f"step {idx + 1}"
-                )
-        if not allow_multi_recv:
-            for rank, c in recv_count.items():
-                if c > 1:
-                    raise ScheduleError(
-                        f"{schedule.name}: rank {rank} receives {c} messages "
-                        f"in step {idx + 1}"
-                    )
+    step, src, dst = schedule.columns[:3]
+    found = []
+    checks = [(src, "sends")] + ([] if allow_multi_recv else [(dst, "receives")])
+    for rank, verb in checks:
+        first = first_occurrence(step, rank, ordered=True)
+        count = np.bincount(first, minlength=step.size)
+        multi = np.flatnonzero(count > 1)
+        if multi.size:
+            k = multi[0]
+            text = f"rank {rank[k]} {verb} {count[k]} messages in step {step[k] + 1}"
+            found.append((step[k], text))
+    if found:
+        raise ScheduleError(f"{schedule.name}: {min(found, key=lambda f: f[0])[1]}")
 
 
 def check_covers_pattern(schedule: Schedule, pattern: CommPattern) -> None:
@@ -459,28 +467,23 @@ def check_covers_pattern(schedule: Schedule, pattern: CommPattern) -> None:
             f"{schedule.name}: schedule is for {schedule.nprocs} procs, "
             f"pattern for {pattern.nprocs}"
         )
-    seen: Dict[Tuple[int, int], int] = {}
-    for step_idx, t in schedule.all_transfers():
-        key = (t.src, t.dst)
-        if key in seen:
-            raise ScheduleError(
-                f"{schedule.name}: duplicate transfer {t.src}->{t.dst} "
-                f"(steps {seen[key] + 1} and {step_idx + 1})"
+    step, src, dst, nbytes = schedule.columns[:4]
+    first = first_occurrence(src, dst)
+    required = pattern.matrix[src, dst]
+    repeat = first != np.arange(first.size)
+    bad = np.flatnonzero(repeat | (required == 0) | (nbytes != required))
+    if bad.size:
+        k = bad[0]
+        t = f"{src[k]}->{dst[k]}"
+        if repeat[k]:
+            steps = f"steps {step[first[k]] + 1} and {step[k] + 1}"
+            problem = f"duplicate transfer {t} ({steps})"
+        elif not required[k]:
+            problem = f"spurious transfer {t} (pattern requires none)"
+        else:
+            problem = (
+                f"transfer {t} carries {nbytes[k]}B, pattern requires {required[k]}B"
             )
-        seen[key] = step_idx
-        required = pattern[t.src, t.dst]
-        if required == 0:
-            raise ScheduleError(
-                f"{schedule.name}: spurious transfer {t.src}->{t.dst} "
-                f"(pattern requires none)"
-            )
-        if t.nbytes != required:
-            raise ScheduleError(
-                f"{schedule.name}: transfer {t.src}->{t.dst} carries "
-                f"{t.nbytes}B, pattern requires {required}B"
-            )
-    for src, dst, nbytes in pattern.operations():
-        if (src, dst) not in seen:
-            raise ScheduleError(
-                f"{schedule.name}: missing transfer {src}->{dst} ({nbytes}B)"
-            )
+        raise ScheduleError(f"{schedule.name}: {problem}")
+    for a, b, need in pattern.operations_not_in(src, dst):
+        raise ScheduleError(f"{schedule.name}: missing transfer {a}->{b} ({need}B)")

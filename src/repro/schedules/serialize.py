@@ -20,6 +20,8 @@ import json
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .schedule import Schedule, ScheduleError, Step, Transfer
 
 __all__ = [
@@ -34,20 +36,17 @@ _VERSION = 1
 
 
 def schedule_to_json(schedule: Schedule) -> str:
-    """Stable JSON encoding of a schedule."""
+    """Stable JSON encoding of a schedule, read from its columns."""
+    cols = schedule.columns
+    rows = cols[1:].T.tolist()
+    bounds = np.searchsorted(cols[0], np.arange(schedule.nsteps + 1)).tolist()
     doc = {
         "format": _FORMAT,
         "version": _VERSION,
         "name": schedule.name,
         "nprocs": schedule.nprocs,
         "exchange_order": schedule.exchange_order,
-        "steps": [
-            [
-                [t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes]
-                for t in step
-            ]
-            for step in schedule.steps
-        ],
+        "steps": [rows[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
     }
     return json.dumps(doc, separators=(",", ":"))
 

@@ -20,17 +20,34 @@ Four families of checks:
   store-and-forward schedules whose wire transfers carry staged
   aggregates);
 * **deadlock** — the executor's Figure-2/3 orderings induce, per rank,
-  a sequence of blocking rendezvous operations.  The linter replays the
-  executor's own per-rank programs
-  (:func:`~repro.schedules.executor.compiled_program`, the ops both
-  :func:`~repro.schedules.executor.schedule_program` and the compiled
-  executor run) with one cursor per rank, in O(messages), and on a
-  stall names the cycle in the wait-for graph (rank A waits for B
-  waits for ... A);
+  a sequence of blocking rendezvous operations: the executor's own
+  per-rank programs (:func:`~repro.schedules.executor.compiled_program`,
+  the ops both :func:`~repro.schedules.executor.schedule_program` and
+  the compiled executor run).  Name each op by its transfer's ``(src,
+  dst)``: rank r's receive from a lower rank p is ``(p, r)``, a send
+  ``(r, q)``, a receive from a higher rank ``(p, r)`` with ``p > r``.
+  Inside a step every rank runs its ops in increasing ``(src, dst)``
+  order, and steps only go forward, so ``(step, src, dst)`` order is a
+  topological order of every rank's program: the least unfinished
+  transfer is always both its ranks' next op, and nothing can stall.
+  The one exception is a Figure 2 flip of a rank's whole-step
+  exchange; when the partner flips it too, the pair touches no other
+  op of its step and both ranks run it in the same order, so swapping
+  the two keeps the order topological.  The compile certifies all
+  transfers seated, none repeated in a step and every flip mirrored
+  as :attr:`~repro.schedules.executor.Program.live`.  Only a program
+  without the certificate is replayed, with one cursor per rank, in
+  O(messages); on a stall the replay names the cycle in the wait-for
+  graph (rank A waits for B waits for ... A) or the unmatched wait;
 * **payload mode** — REX-style store-and-forward schedules must not be
   executed in payload mode (their transfers carry staged aggregates,
   not per-pair payloads); ``payload_mode=True`` turns that into an
   error.
+
+Every check reads :attr:`Schedule.columns
+<repro.schedules.schedule.Schedule.columns>`, so linting a column-built
+schedule makes no :class:`~repro.schedules.schedule.Transfer`; findings
+are built only for the failing rows.
 
 Use :func:`lint_schedule` for a report, :func:`validate_schedule` to
 raise :class:`LintError` on the first failing report.
@@ -38,15 +55,14 @@ raise :class:`LintError` on the first failing report.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .executor import DELAY, SEND, compiled_program
+from .executor import DELAY, SEND, Program, compiled_program
 from .pattern import CommPattern
-from .schedule import Schedule
+from .schedule import Schedule, first_occurrence
 
 __all__ = [
     "LintIssue",
@@ -128,81 +144,53 @@ class LintReport:
 # Structure
 # ----------------------------------------------------------------------
 def _check_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
+    """Per step, each failing transfer's findings in schedule order, then
+    its senders of more than one message in order of first appearance."""
     n = schedule.nprocs
-    for step_idx, step in enumerate(schedule.steps):
-        where = f"step {step_idx + 1}"
-        seen_pairs: Set[Tuple[int, int]] = set()
-        senders: List[int] = []
-        for t in step.transfers:
-            src, dst = t.src, t.dst
-            if not (0 <= src < n and 0 <= dst < n):
-                issues.append(
-                    LintIssue(
-                        "structure.rank-range",
-                        ERROR,
-                        f"{where}: transfer {src}->{dst} outside "
-                        f"ranks 0..{n - 1}",
-                    )
-                )
-            if src == dst:
-                issues.append(
-                    LintIssue(
-                        "structure.self-transfer",
-                        ERROR,
-                        f"{where}: rank {src} sends to itself",
-                    )
-                )
-            if t.nbytes < 0 or t.pack_bytes < 0 or t.unpack_bytes < 0:
-                issues.append(
-                    LintIssue(
-                        "structure.negative-bytes",
-                        ERROR,
-                        f"{where}: transfer {src}->{dst} has a "
-                        f"negative byte count",
-                    )
-                )
-            key = (src, dst)
-            if key in seen_pairs:
-                issues.append(
-                    LintIssue(
-                        "structure.duplicate-pair",
-                        ERROR,
-                        f"{where}: duplicate transfer {src}->{dst}",
-                    )
-                )
-            seen_pairs.add(key)
-            senders.append(src)
-        if len(set(senders)) == len(senders):
-            continue
-        for rank, c in Counter(senders).items():
-            if c > 1:
-                issues.append(
-                    LintIssue(
-                        "structure.multi-send",
-                        ERROR,
-                        f"{where}: rank {rank} sends {c} "
-                        f"messages (one network interface)",
-                    )
-                )
+    cols = schedule.columns
+    step, src, dst = cols[:3]
+    flags = (
+        (src < 0) | (src >= n) | (dst < 0) | (dst >= n),
+        src == dst,
+        (cols[3:] < 0).any(axis=0),
+        first_occurrence(step, src, dst, ordered=True) != np.arange(step.size),
+    )
+    sender = first_occurrence(step, src, ordered=True)
+    sends = np.bincount(sender, minlength=step.size)
+    found = []
+    for k in np.flatnonzero(np.logical_or.reduce(flags) | (sends > 1)).tolist():
+        s, a, b = cols[:3, k].tolist()
+        where = f"step {s + 1}"
+        texts = (
+            ("rank-range", f"transfer {a}->{b} outside ranks 0..{n - 1}"),
+            ("self-transfer", f"rank {a} sends to itself"),
+            ("negative-bytes", f"transfer {a}->{b} has a negative byte count"),
+            ("duplicate-pair", f"duplicate transfer {a}->{b}"),
+        )
+        for flag, (code, text) in zip(flags, texts):
+            if flag[k]:
+                found.append(((s, 0), f"structure.{code}", f"{where}: {text}"))
+        if sends[k] > 1:
+            text = f"rank {a} sends {sends[k]} messages (one network interface)"
+            found.append(((s, 1), "structure.multi-send", f"{where}: {text}"))
+    found.sort(key=lambda f: f[0])
+    issues.extend(LintIssue(code, ERROR, text) for _, code, text in found)
 
 
 # ----------------------------------------------------------------------
 # Conservation
 # ----------------------------------------------------------------------
-def _staged_count(schedule: Schedule) -> int:
-    """Transfers carrying staged aggregates (REX-style store-and-forward)."""
-    return sum(
-        1
-        for step in schedule.steps
-        for t in step.transfers
-        if t.pack_bytes or t.unpack_bytes
-    )
-
-
 def _check_conservation(
     schedule: Schedule, pattern: CommPattern, issues: List[LintIssue]
 ) -> None:
-    """Every pattern byte in exactly one transfer, nothing extra."""
+    """Every pattern byte in exactly one transfer, nothing extra.
+
+    A transfer's claim is on its ``(src, dst)`` entry; the first claim
+    counts and a later one is a duplicate.  A zero-byte transfer on a
+    zero entry is a sync message (the Figure 5 axis includes size 0):
+    it carries no pattern bytes, so conservation has no claim on it.  A
+    rank outside the pattern was reported by the structure check.
+    """
     n = pattern.nprocs
     if schedule.nprocs != n:
         issues.append(
@@ -213,68 +201,45 @@ def _check_conservation(
             )
         )
         return
-    matrix = pattern.matrix.tolist()
-    seen: Dict[Tuple[int, int], int] = {}
-    covered = 0  # distinct pattern entries some transfer claims
-    for step_idx, step in enumerate(schedule.steps):
-        for t in step.transfers:
-            src, dst, nbytes = t.src, t.dst, t.nbytes
-            if 0 <= src < n and 0 <= dst < n:
-                required = matrix[src][dst]
-                if not nbytes and not required:
-                    # Zero-byte sync message (the Figure 5 axis includes
-                    # size 0): carries no pattern bytes, so conservation
-                    # has no claim on it.
-                    continue
-            else:
-                required = None  # already reported by the structure check
-            key = (src, dst)
-            if key in seen:
-                issues.append(
-                    LintIssue(
-                        "conservation.duplicate",
-                        ERROR,
-                        f"transfer {src}->{dst} appears in steps "
-                        f"{seen[key] + 1} and {step_idx + 1}: bytes would "
-                        f"be delivered twice",
-                    )
-                )
-                continue
-            seen[key] = step_idx
-            if required is None:
-                continue
-            if not required:
-                issues.append(
-                    LintIssue(
-                        "conservation.spurious",
-                        ERROR,
-                        f"step {step_idx + 1}: transfer {src}->{dst} "
-                        f"carries {nbytes}B but the pattern requires none",
-                    )
-                )
-                continue
-            covered += 1
-            if nbytes != required:
-                issues.append(
-                    LintIssue(
-                        "conservation.byte-count",
-                        ERROR,
-                        f"step {step_idx + 1}: transfer {src}->{dst} "
-                        f"carries {nbytes}B, pattern requires {required}B",
-                    )
-                )
-    if covered == pattern.n_operations:
-        return
-    for src, dst, nbytes in pattern.operations():
-        if (src, dst) not in seen:
-            issues.append(
-                LintIssue(
-                    "conservation.missing",
-                    ERROR,
-                    f"pattern bytes lost: no transfer {src}->{dst} "
-                    f"({nbytes}B) in any step",
-                )
+    cols = schedule.columns
+    step, src, dst, nbytes = cols[:4]
+    inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    required = pattern.matrix[src * inside, dst * inside] * inside
+    claims = np.flatnonzero(~inside | (nbytes != 0) | (required != 0))
+    first = claims[first_occurrence(src[claims], dst[claims])]
+    wrong = inside & ((required == 0) | (nbytes != required))
+    bad = (first != claims) | wrong[claims]
+    for k, f in zip(claims[bad].tolist(), first[bad].tolist()):
+        s, a, b, carried = cols[:4, k].tolist()
+        need = int(required[k])
+        if k != f:
+            code = "duplicate"
+            text = (
+                f"transfer {a}->{b} appears in steps {step[f] + 1} and {s + 1}: "
+                f"bytes would be delivered twice"
             )
+        elif not need:
+            code = "spurious"
+            text = (
+                f"step {s + 1}: transfer {a}->{b} carries {carried}B but the "
+                f"pattern requires none"
+            )
+        else:
+            code = "byte-count"
+            text = (
+                f"step {s + 1}: transfer {a}->{b} carries {carried}B, "
+                f"pattern requires {need}B"
+            )
+        issues.append(LintIssue(f"conservation.{code}", ERROR, text))
+    seen = claims[inside[claims]]
+    for a, b, need in pattern.operations_not_in(src[seen], dst[seen]):
+        issues.append(
+            LintIssue(
+                "conservation.missing",
+                ERROR,
+                f"pattern bytes lost: no transfer {a}->{b} ({need}B) in any step",
+            )
+        )
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +253,15 @@ def _describe(op: List[int]) -> str:
 
 
 def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
-    """Replay the executor's rank programs; name any wait cycle.
+    """Name any wait cycle of the executor's rank programs; a ``live``
+    program cannot stall (module docstring) and is not replayed."""
+    program = compiled_program(schedule)
+    if not program.live:
+        _replay(program, issues)
+
+
+def _replay(program: Program, issues: List[LintIssue]) -> None:
+    """Replay the rank programs; report the ranks left waiting.
 
     Each rank's head op waits for its partner's matching op (synchronous
     CMMD semantics: a send blocks until the receive is posted and vice
@@ -305,13 +278,12 @@ def _check_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
     rendezvous deadlock) or a dangling wait on a rank that already
     finished (an unmatched operation).
     """
-    program = compiled_program(schedule)
     wire = program.ops[:, 0] != DELAY
     # (kind, peer, step) per wire op; rank r's are ops[pos[r]:ends[r]].
     ops = program.ops[wire, :3].tolist()
     bounds = np.concatenate(([0], np.cumsum(wire)))[program.starts].tolist()
-    n = schedule.nprocs
     pos, ends = bounds[:-1], bounds[1:]
+    n = len(pos)
     todo = list(range(n))
     while todo:
         r = todo.pop()
@@ -424,7 +396,8 @@ def lint_schedule(
     )
     report.checks.append("structure")
     _check_structure(schedule, report.issues)
-    staged = _staged_count(schedule)
+    # Transfers carrying staged aggregates (REX-style store-and-forward).
+    staged = int(np.count_nonzero(schedule.columns[4:].any(axis=0)))
     if pattern is not None:
         if staged:
             report.checks.append("conservation(skipped)")

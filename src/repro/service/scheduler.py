@@ -908,10 +908,7 @@ class Scheduler:
         order = None
         if key.canonical:
             _, order = canonical_form(pattern)
-        staged = any(
-            t.pack_bytes or t.unpack_bytes
-            for _, t in schedule.all_transfers()
-        )
+        staged = bool(schedule.columns[4:].any())
         self.store.put(
             StoreEntry(
                 key=key,

@@ -1,6 +1,6 @@
 """Column-built schedules against step-built ones.
 
-PEX/BEX/LEX and PS/BS/LS are built as int64 step columns
+PEX/BEX/LEX and PS/BS/LS/GS are built as int64 step columns
 (:meth:`Schedule.from_columns`).  The oracles here are the per-transfer
 loops those builders used to be: the column-built schedule must have
 the same ``steps``, serialize to the same bytes, and agree with its
@@ -25,11 +25,13 @@ from repro.schedules import (
     Transfer,
     balanced_exchange,
     balanced_schedule,
+    greedy_schedule,
     linear_exchange,
     linear_schedule,
     pairing_schedule,
     pairwise_exchange,
     pairwise_schedule,
+    paper_pattern_P,
     schedule_to_json,
 )
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
@@ -100,6 +102,45 @@ def old_linear_exchange(nprocs, nbytes):
         for i in range(nprocs)
     )
     return Schedule(nprocs=nprocs, steps=steps, name="LEX")
+
+
+def old_greedy_schedule(pattern, order="lowest", name="GS"):
+    n = pattern.nprocs
+
+    def dest_list(i):
+        sends = pattern.sends_of(i)
+        if order == "largest_first":
+            sends = sorted(sends, key=lambda dn: (-dn[1], dn[0]))
+        return [j for j, _ in sends]
+
+    remaining = {i: dest_list(i) for i in range(n)}
+    pending = {(i, j) for i in range(n) for j in remaining[i]}
+    steps = []
+    while pending:
+        send_free = [True] * n
+        recv_free = [True] * n
+        transfers = []
+        for i in range(n):
+            if not send_free[i]:
+                continue
+            for j in remaining[i]:
+                if (j, i) in pending:
+                    if send_free[j] and recv_free[i] and recv_free[j]:
+                        transfers.append(Transfer(i, j, pattern[i, j]))
+                        transfers.append(Transfer(j, i, pattern[j, i]))
+                        send_free[i] = send_free[j] = False
+                        recv_free[i] = recv_free[j] = False
+                        break
+                elif recv_free[j]:
+                    transfers.append(Transfer(i, j, pattern[i, j]))
+                    send_free[i] = False
+                    recv_free[j] = False
+                    break
+        for t in transfers:
+            pending.discard((t.src, t.dst))
+            remaining[t.src].remove(t.dst)
+        steps.append(Step(tuple(transfers)))
+    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
 
 
 def assert_same_schedule(new, old):
@@ -178,6 +219,32 @@ def test_pattern_builders_match_the_per_transfer_loops(pattern):
         old_pairing_schedule(pattern, lambda r, j: old_bex_partner(r, j, n), "BS"),
     )
     assert_same_schedule(linear_schedule(pattern), old_linear_schedule(pattern))
+
+
+@pytest.mark.parametrize("order", ["lowest", "largest_first"])
+@pytest.mark.parametrize(
+    "pattern",
+    [paper_pattern_P()]
+    + [
+        CommPattern.synthetic(n, density, 64, seed=n)
+        for n in (8, 16, 32)
+        for density in (0.1, 0.25, 0.5, 0.75, 1.0)
+    ],
+    ids=lambda p: f"n{p.nprocs}-m{p.n_operations}",
+)
+def test_greedy_matches_the_per_transfer_loop(pattern, order):
+    assert_same_schedule(
+        greedy_schedule(pattern, order=order), old_greedy_schedule(pattern, order)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(pattern=patterns(), order=st.sampled_from(["lowest", "largest_first"]))
+def test_greedy_matches_the_per_transfer_loop_on_random_patterns(pattern, order):
+    # Mixed byte counts, so "largest_first" reorders destinations.
+    assert_same_schedule(
+        greedy_schedule(pattern, order=order), old_greedy_schedule(pattern, order)
+    )
 
 
 @pytest.mark.parametrize(

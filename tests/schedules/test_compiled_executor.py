@@ -26,7 +26,11 @@ from repro.schedules import (
     lint_schedule,
     pairwise_exchange,
     recursive_exchange,
+    schedule_from_json,
+    schedule_irregular,
     schedule_program,
+    schedule_to_json,
+    validate_schedule,
 )
 from repro.schedules import schedule as schedule_module
 from repro.schedules.executor import compiled_program
@@ -133,12 +137,10 @@ def test_untraced_default_run_takes_the_compiled_executor():
     assert res.sim.message_count == 56
 
 
-@needs_kernel
-def test_untraced_exchange_constructs_no_transfer(monkeypatch):
-    """PEX is built as columns and compiled from them: an untraced run
-    never makes a Transfer object.  Transfers come from the validating
-    constructor or, for a column-built schedule's ``steps``, from
-    ``_new_transfer``; both are counted."""
+def counting_transfers(monkeypatch):
+    """A list that grows by one per Transfer object made.  Transfers
+    come from the validating constructor or, for a column-built
+    schedule's ``steps``, from ``_new_transfer``; both are counted."""
     made = []
     post_init, new_transfer = Transfer.__post_init__, schedule_module._new_transfer
 
@@ -152,6 +154,14 @@ def test_untraced_exchange_constructs_no_transfer(monkeypatch):
 
     monkeypatch.setattr(Transfer, "__post_init__", counted_post_init)
     monkeypatch.setattr(schedule_module, "_new_transfer", counted_new_transfer)
+    return made
+
+
+@needs_kernel
+def test_untraced_exchange_constructs_no_transfer(monkeypatch):
+    """PEX is built as columns and compiled from them: an untraced run
+    never makes a Transfer object."""
+    made = counting_transfers(monkeypatch)
     sched = pairwise_exchange(128, 512)
     with counting_resumes() as resumes:
         res = execute_schedule(sched, MachineConfig(128))
@@ -162,6 +172,22 @@ def test_untraced_exchange_constructs_no_transfer(monkeypatch):
     sched.steps
     Transfer(0, 1, 8)
     assert len(made) == 128 * 127 + 1
+
+
+@needs_kernel
+@pytest.mark.parametrize("algorithm", ["linear", "pairwise", "balanced", "greedy"])
+def test_untraced_irregular_op_constructs_no_transfer(monkeypatch, algorithm):
+    """Build, lint against the pattern, execute and serialize all read
+    the columns."""
+    made = counting_transfers(monkeypatch)
+    pattern = CommPattern.synthetic(32, 0.5, 256, seed=11)
+    sched = schedule_irregular(pattern, algorithm)
+    assert validate_schedule(sched, pattern).ok
+    res = execute_schedule(sched, MachineConfig(32))
+    text = schedule_to_json(sched)
+    assert made == []
+    assert res.sim.message_count == pattern.n_operations
+    assert schedule_from_json(text) == sched
 
 
 @pytest.mark.parametrize(
@@ -282,7 +308,7 @@ def test_run_is_repeatable_on_one_schedule():
 )
 def test_malformed_flat_program_is_rejected(corrupt):
     """The kernel checks every index it will follow before running."""
-    ops, starts, sizes, copies, _ = compiled_program(pairwise_exchange(4, 64))
+    ops, starts, sizes, copies = compiled_program(pairwise_exchange(4, 64))[:4]
     ops, starts = ops.copy(), starts.copy()
     if corrupt == "starts-past-ops":
         starts[1] = len(ops) + 5

@@ -10,8 +10,10 @@
   :func:`lint_schedule` on thousands of mutated schedules.
 
 Also pins that each schedule's program is compiled once and shared by
-the linter and the executor, and holds the compile to the
-``step_actions`` ordering on random step sets.
+the linter and the executor, holds the compile to the
+``step_actions`` ordering on random step sets, and checks that a
+program certified ``live`` (which the linter does not replay) never
+stalls in the replay.
 """
 
 import copy
@@ -37,7 +39,7 @@ from repro.schedules import (
     recursive_exchange,
     schedule_irregular,
 )
-from repro.schedules import executor
+from repro.schedules import executor, validate
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 from repro.schedules.validate import ERROR, WARNING, LintIssue
 from repro.sim import DeadlockError
@@ -516,6 +518,60 @@ def test_lint_reports_deadlock_exactly_when_the_engine_does(schedule):
 
 
 # ----------------------------------------------------------------------
+# The live certificate
+# ----------------------------------------------------------------------
+class TestLiveCertificate:
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_a_live_program_never_stalls(self, seed):
+        certified = 0
+        for schedule, _, _ in mutated_cases(1200, seed, 0.15):
+            program = executor.compiled_program(schedule)
+            if not program.live:
+                continue
+            issues: List[LintIssue] = []
+            validate._replay(program, issues)
+            assert issues == [], schedule.render_table()
+            ref_deadlock(schedule, issues)
+            assert issues == [], schedule.render_table()
+            certified += 1
+        assert certified > 100
+
+    @pytest.mark.parametrize("build", EXCHANGES)
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_generator_schedules_are_certified(self, build, order):
+        built = build(8, 64)
+        assert executor.compiled_program(Schedule(8, built.steps, "x", order)).live
+
+    def test_a_one_sided_flip_is_replayed(self):
+        # Rank 0's step is an exchange with rank 1, which Figure 2 flips
+        # (0 receives first); rank 1 also receives from rank 2, so it
+        # takes the mixed order and receives from rank 0 first.
+        steps = (Step((Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64))),)
+        sched = Schedule(3, steps, "one-sided", LOWER_RECV_FIRST)
+        program = executor.compiled_program(sched)
+        assert program.native and not program.live
+        issues = lint_schedule(sched).issues
+        assert [i.code for i in issues] == ["deadlock.cycle"]
+        assert issues == ref_lint_issues(sched, None, False)
+        # Without the flip the same steps are certified, and run.
+        assert executor.compiled_program(Schedule(3, steps, "x", LOWER_SEND_FIRST)).live
+
+    def test_a_repeated_transfer_is_not_certified(self):
+        step = object.__new__(Step)
+        object.__setattr__(step, "transfers", (Transfer(0, 1, 8), Transfer(0, 1, 8)))
+        sched = object.__new__(Schedule)
+        for field_, value in (
+            ("nprocs", 2),
+            ("steps", (step,)),
+            ("name", "repeat"),
+            ("exchange_order", LOWER_RECV_FIRST),
+        ):
+            object.__setattr__(sched, field_, value)
+        program = executor.compiled_program(sched)
+        assert program.native and not program.live
+
+
+# ----------------------------------------------------------------------
 # One program per schedule
 # ----------------------------------------------------------------------
 @st.composite
@@ -655,3 +711,13 @@ def assert_program_is_the_concatenated_step_actions(sched: Schedule) -> None:
             n, sched.columns, sched.name, sched.exchange_order
         )
         assert executor.compiled_program(twin).ops.tolist() == ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(sched=step_sets(), with_pattern=st.booleans())
+def test_same_findings_as_reference_on_drawn_steps(sched, with_pattern):
+    # Empty steps, linear and mixed steps, unseated ranks and
+    # self-transfers, against a complete exchange of 8 bytes.
+    pattern = CommPattern.complete_exchange(sched.nprocs, 8) if with_pattern else None
+    got = lint_schedule(sched, pattern).issues
+    assert got == ref_lint_issues(sched, pattern, False)

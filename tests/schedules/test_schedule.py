@@ -1,7 +1,15 @@
 """Unit tests for the schedule IR and its validators."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.schedules import (
     CommPattern,
@@ -104,6 +112,48 @@ class TestSchedule:
     def test_render_table_contains_steps(self):
         text = sched([[Transfer(0, 1, 8)]], name="demo").render_table()
         assert "demo" in text and "Step 1" in text
+
+
+_TRANSFER_BYTES = textwrap.dedent(
+    """
+    import sys
+    import tracemalloc
+
+    from repro.schedules import Transfer, linear_exchange
+
+    if sys.argv[1] == "materialized":
+        made = sum(1 for _ in linear_exchange(33, 8).all_transfers())
+        assert made >= 1000, made
+    tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    kept = [Transfer(0, 1, 2) for _ in range(5000)]
+    print((tracemalloc.get_traced_memory()[0] - before) / len(kept))
+    """
+)
+
+
+def _bytes_per_transfer(mode):
+    """Bytes per ``Transfer(...)`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _TRANSFER_BYTES, mode],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(out.stdout)
+
+
+def test_materialized_steps_keep_later_transfers_small():
+    # Column-built steps materialize their transfers without running the
+    # constructor; done first in a process, that once made every later
+    # Transfer(...) more than twice as large.
+    fresh = _bytes_per_transfer("fresh")
+    after = _bytes_per_transfer("materialized")
+    assert after <= 1.2 * fresh, (fresh, after)
 
 
 class TestValidateStructure:
