@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,6 +59,11 @@ class Gauge:
 #: latency SLOs while keeping a histogram a handful of integers.
 _SUBBUCKETS = 8
 
+#: A histogram sum counts units of ``2**-_SUM_BITS``, the least
+#: subnormal double, of which every finite double is a whole multiple.
+_SUM_BITS = 1074
+_SUM_UNIT = 1 << _SUM_BITS
+
 
 def bucket_index(v: float) -> int:
     """Deterministic fixed-log bucket index of a positive value.
@@ -88,10 +92,11 @@ class Histogram:
     Observations land in deterministic fixed-log buckets (see
     :func:`bucket_index`); non-positive values are kept in a dedicated
     ``zero_count`` bucket that sorts below every log bucket.  The sum is
-    accumulated as an exact :class:`~fractions.Fraction` (floats convert
-    exactly), which makes it *order-independent*: merging two histograms
-    yields bit-identical state to observing the concatenated stream in
-    any order — the property that lets worker processes ship histogram
+    exact: every finite double is an integer multiple of ``2**-1074``
+    (the least subnormal), so it is kept as a Python int in those units.
+    That makes it *order-independent*: merging two histograms yields
+    bit-identical state to observing the concatenated stream in any
+    order — the property that lets worker processes ship histogram
     deltas to the parent (:mod:`repro.obs.telemetry`) without the merge
     order perturbing the serialized bytes.
     """
@@ -107,12 +112,16 @@ class Histogram:
         self.zero_count = 0
         #: bucket index -> observation count.
         self.buckets: Dict[int, int] = {}
-        self._sum = Fraction(0)
+        #: The exact sum in units of ``2**-1074``.
+        self._sum = 0
 
     def observe(self, v: float) -> None:
         v = float(v)
         self.count += 1
-        self._sum += Fraction(v)
+        # ``d`` is a power of two no larger than 2**1074; NaN and
+        # infinities raise here.
+        n, d = v.as_integer_ratio()
+        self._sum += n << (_SUM_BITS + 1 - d.bit_length())
         if v < self.minimum:
             self.minimum = v
         if v > self.maximum:
@@ -126,11 +135,13 @@ class Histogram:
     # -- derived views --------------------------------------------------
     @property
     def total(self) -> float:
-        return float(self._sum)
+        # Int true division rounds correctly: the double nearest the
+        # exact sum.
+        return self._sum / _SUM_UNIT
 
     @property
     def mean(self) -> float:
-        return float(self._sum / self.count) if self.count else 0.0
+        return self._sum / (self.count * _SUM_UNIT) if self.count else 0.0
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile estimate from the bucket counts.
@@ -175,7 +186,7 @@ class Histogram:
 
         ``merge(h1, h2)`` leaves ``h1`` bit-identical to a histogram
         that observed both streams back to back: counts and buckets are
-        integers, min/max are order-free, and the exact-fraction sums
+        integers, min/max are order-free, and the exact integer sums
         add associatively.
         """
         self.count += other.count
@@ -191,34 +202,56 @@ class Histogram:
     def state(self) -> Dict[str, object]:
         """Exact JSON-able state (the wire format for worker deltas).
 
-        The sum travels as an integer ``[numerator, denominator]`` pair
-        so a state round-trip loses nothing; bucket keys are stringified
-        in sorted order for byte-stable serialization.
+        The sum travels as a reduced integer ``[numerator, denominator]``
+        pair (the denominator a power of two) so a state round-trip loses
+        nothing; bucket keys are stringified in sorted order for
+        byte-stable serialization.
         """
+        total = self._sum
+        # Cancel the common powers of two: the trailing zero bits of the
+        # numerator, at most _SUM_BITS of them (all of them for 0).
+        shift = _SUM_BITS
+        if total:
+            shift = min((total & -total).bit_length() - 1, shift)
         return {
             "count": self.count,
             "zero": self.zero_count,
             "min": self.minimum if self.count else None,
             "max": self.maximum if self.count else None,
-            "sum": [self._sum.numerator, self._sum.denominator],
+            "sum": [total >> shift, 1 << (_SUM_BITS - shift)],
             "buckets": {str(k): self.buckets[k] for k in sorted(self.buckets)},
         }
 
     @classmethod
     def from_state(cls, state: Dict[str, object]) -> "Histogram":
+        """The histogram a :meth:`state` document describes.
+
+        Raises :class:`ValueError` for any malformed state: a missing or
+        mistyped field, or a sum whose denominator is not a power of two
+        no larger than ``2**1074`` (no stream of doubles sums to that).
+        """
         h = cls()
-        h.count = int(state["count"])
-        h.zero_count = int(state["zero"])
-        if state["min"] is not None:
-            h.minimum = float(state["min"])  # type: ignore[arg-type]
-        if state["max"] is not None:
-            h.maximum = float(state["max"])  # type: ignore[arg-type]
-        num, den = state["sum"]  # type: ignore[misc]
-        h._sum = Fraction(int(num), int(den))
-        h.buckets = {
-            int(k): int(n)
-            for k, n in state["buckets"].items()  # type: ignore[union-attr]
-        }
+        try:
+            h.count = int(state["count"])  # type: ignore[call-overload]
+            h.zero_count = int(state["zero"])  # type: ignore[call-overload]
+            if state["min"] is not None:
+                h.minimum = float(state["min"])  # type: ignore[arg-type]
+            if state["max"] is not None:
+                h.maximum = float(state["max"])  # type: ignore[arg-type]
+            num, den = state["sum"]  # type: ignore[misc]
+            num, den = int(num), int(den)
+            h.buckets = {
+                int(k): int(n)
+                for k, n in state["buckets"].items()  # type: ignore[union-attr]
+            }
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed histogram state: {exc!r}") from exc
+        if den <= 0 or den & (den - 1) or den > _SUM_UNIT:
+            raise ValueError(
+                f"histogram sum denominator {den} is not a power of two "
+                f"in 1..2**{_SUM_BITS}"
+            )
+        h._sum = num * (_SUM_UNIT // den)
         return h
 
 

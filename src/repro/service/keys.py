@@ -70,12 +70,20 @@ def canonical_order(matrix: np.ndarray) -> Optional[np.ndarray]:
     returned — callers fall back to the exact matrix hash.
     """
     n = matrix.shape[0]
+    # Plain ints, read once: each rank's (partner, bytes) out- and
+    # in-edges, in partner order.
+    out_edges = [
+        [(j, b) for j, b in enumerate(row) if b] for row in matrix.tolist()
+    ]
+    in_edges = [
+        [(j, b) for j, b in enumerate(col) if b] for col in matrix.T.tolist()
+    ]
     colors = [
         _sha(
             repr(
                 (
-                    sorted(int(b) for b in matrix[i] if b),
-                    sorted(int(b) for b in matrix[:, i] if b),
+                    sorted(b for _, b in out_edges[i]),
+                    sorted(b for _, b in in_edges[i]),
                 )
             ).encode()
         )
@@ -90,16 +98,8 @@ def canonical_order(matrix: np.ndarray) -> Optional[np.ndarray]:
                 repr(
                     (
                         colors[i],
-                        sorted(
-                            (colors[j], int(matrix[i, j]))
-                            for j in range(n)
-                            if matrix[i, j]
-                        ),
-                        sorted(
-                            (colors[j], int(matrix[j, i]))
-                            for j in range(n)
-                            if matrix[j, i]
-                        ),
+                        sorted((colors[j], b) for j, b in out_edges[i]),
+                        sorted((colors[j], b) for j, b in in_edges[i]),
                     )
                 ).encode()
             )

@@ -56,7 +56,7 @@ class TestHistogramDeterminism:
         for v in a + b:
             hc.observe(v)
         h1.merge(h2)
-        # Exact state equality — not approximate: sums are fractions.
+        # Exact state equality — not approximate: sums are exact.
         assert h1.state() == hc.state()
 
     @settings(max_examples=60, deadline=None)
@@ -75,6 +75,76 @@ class TestHistogramDeterminism:
             h.observe(v)
         wire = json.loads(json.dumps(h.state()))
         assert Histogram.from_state(wire).state() == h.state()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(
+                    min_value=-1e-300, max_value=1e-300, allow_subnormal=True
+                ),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+            ),
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_sum_equals_a_fraction_reference(self, values, cuts, order):
+        """Subnormals, negatives, zeros and huge values, split into parts
+        merged in any order: state, total and mean equal what an exact
+        Fraction sum gives."""
+        from fractions import Fraction
+
+        bounds = sorted({0, len(values), *(c for c in cuts if c <= len(values))})
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            h = Histogram()
+            for v in values[lo:hi]:
+                h.observe(v)
+            parts.append(h)
+        order.shuffle(parts)
+        merged = Histogram()
+        for h in parts:
+            merged.merge(h)
+        ref = sum((Fraction(v) for v in values), Fraction(0))
+        assert merged.state()["sum"] == [ref.numerator, ref.denominator]
+
+        def as_float(value):
+            try:
+                return float(value())
+            except OverflowError:
+                return "overflow"
+
+        assert as_float(lambda: merged.total) == as_float(lambda: float(ref))
+        if values:
+            assert as_float(lambda: merged.mean) == as_float(
+                lambda: float(ref / len(values))
+            )
+
+    @pytest.mark.parametrize(
+        "value, error", [(float("nan"), ValueError), (float("inf"), OverflowError),
+                         (float("-inf"), OverflowError)]
+    )
+    def test_non_finite_observations_raise_as_fraction_does(self, value, error):
+        from fractions import Fraction
+
+        with pytest.raises(error) as ref:
+            Fraction(value)
+        with pytest.raises(error) as got:
+            Histogram().observe(value)
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "sum_", [[1, 0], [1, -4], [1, 3], [1, 2**1075], [1, 2**1074 * 3]]
+    )
+    def test_from_state_rejects_impossible_sums(self, sum_):
+        h = Histogram()
+        h.observe(0.5)
+        state = dict(h.state(), sum=sum_)
+        with pytest.raises(ValueError):
+            Histogram.from_state(state)
 
     def test_quantiles_bracket_observations(self):
         h = Histogram()

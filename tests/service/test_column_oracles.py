@@ -1,0 +1,325 @@
+"""The service's column paths against the per-transfer code they replace.
+
+Relabeling, warm-start adaptation and canonical color refinement read
+step columns and plain ints.  The oracles here are the versions that
+walked ``Transfer`` objects and NumPy scalars: on random patterns,
+permutations and drifts the column paths must serve the same bytes and
+derive the same keys.  A served request (cold build, hit, warm adapt,
+isomorphic relabel) must construct no ``Transfer`` at all.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.faults.model import FaultModel
+from repro.faults.plan import FaultPlan
+from repro.machine import MachineConfig
+from repro.machine.fattree import fat_tree_for
+from repro.schedules import (
+    CommPattern,
+    Schedule,
+    Step,
+    Transfer,
+    recursive_exchange,
+    schedule_to_json,
+)
+from repro.schedules.irregular import IRREGULAR_ALGORITHMS
+from repro.schedules.repair import rank_steps
+from repro.service import (
+    Scheduler,
+    adapt_schedule,
+    canonical_form,
+    canonical_order,
+    derive_key,
+    drift_variant,
+)
+from repro.service.scheduler import _base_name, _relabel
+
+from ..schedules.test_compiled_executor import counting_transfers
+from ..schedules.test_properties import patterns
+
+
+# ----------------------------------------------------------------------
+# The per-transfer versions, kept as oracles.
+# ----------------------------------------------------------------------
+def old_relabel(schedule, mapping, name):
+    steps = tuple(
+        Step(
+            tuple(
+                Transfer(
+                    src=int(mapping[t.src]),
+                    dst=int(mapping[t.dst]),
+                    nbytes=t.nbytes,
+                    pack_bytes=t.pack_bytes,
+                    unpack_bytes=t.unpack_bytes,
+                )
+                for t in step
+            )
+        )
+        for step in schedule.steps
+    )
+    return Schedule(
+        nprocs=schedule.nprocs,
+        steps=steps,
+        name=name,
+        exchange_order=schedule.exchange_order,
+    )
+
+
+def old_adapt_schedule(donor, donor_pattern, pattern, config):
+    if donor.nprocs != pattern.nprocs:
+        return None
+    for _, t in donor.all_transfers():
+        if t.pack_bytes or t.unpack_bytes:
+            return None
+    diff = donor_pattern != pattern.matrix
+    changed = {
+        (int(i), int(j)): int(pattern.matrix[i, j])
+        for i, j in zip(*np.nonzero(diff))
+    }
+    steps = []
+    for step in donor.steps:
+        edited = []
+        for t in step:
+            want = changed.get((t.src, t.dst))
+            if want is None:
+                edited.append(t)
+            elif want > 0:
+                edited.append(Transfer(t.src, t.dst, want))
+        if edited:
+            steps.append(edited)
+    covered = {(t.src, t.dst) for s in steps for t in s}
+    added = [
+        (i, j, b)
+        for (i, j), b in sorted(changed.items())
+        if b > 0 and (i, j) not in covered and donor_pattern[i, j] == 0
+    ]
+    new_steps = []
+    for i, j, b in added:
+        for ns in new_steps:
+            if all(t.src != i and t.dst != j for t in ns):
+                ns.append(Transfer(i, j, b))
+                break
+        else:
+            new_steps.append([Transfer(i, j, b)])
+    steps.extend(new_steps)
+    if not steps:
+        return None
+    final = [Step(tuple(s)) for s in steps]
+    healthy = FaultModel(FaultPlan(()), fat_tree_for(config))
+    order = rank_steps(final, config, healthy)
+    return Schedule(
+        nprocs=donor.nprocs,
+        steps=tuple(final[i] for i in order),
+        name=f"{_base_name(donor.name)}+warm",
+        exchange_order=donor.exchange_order,
+    )
+
+
+def _sha(*parts):
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(p)
+    return h.hexdigest()
+
+
+def old_canonical_order(matrix):
+    n = matrix.shape[0]
+    colors = [
+        _sha(
+            repr(
+                (
+                    sorted(int(b) for b in matrix[i] if b),
+                    sorted(int(b) for b in matrix[:, i] if b),
+                )
+            ).encode()
+        )
+        for i in range(n)
+    ]
+    distinct = len(set(colors))
+    for _ in range(64):
+        if distinct == n:
+            break
+        new = [
+            _sha(
+                repr(
+                    (
+                        colors[i],
+                        sorted(
+                            (colors[j], int(matrix[i, j]))
+                            for j in range(n)
+                            if matrix[i, j]
+                        ),
+                        sorted(
+                            (colors[j], int(matrix[j, i]))
+                            for j in range(n)
+                            if matrix[j, i]
+                        ),
+                    )
+                ).encode()
+            )
+            for i in range(n)
+        ]
+        new_distinct = len(set(new))
+        if new_distinct == distinct:
+            colors = new
+            break
+        colors, distinct = new, new_distinct
+    if distinct != n:
+        return None
+    return np.array(sorted(range(n), key=lambda i: colors[i]), dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
+# Strategies
+# ----------------------------------------------------------------------
+ALGORITHMS = sorted(IRREGULAR_ALGORITHMS)
+
+
+@st.composite
+def drifts(draw, pattern):
+    """A near pattern: some cells grow or shrink, some messages vanish,
+    some new ones appear (self-messages stay zero)."""
+    n = pattern.nprocs
+    m = pattern.matrix.copy()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for _ in range(draw(st.integers(1, 2 * n))):
+        i, j = cells[int(rng.integers(len(cells)))]
+        kind = draw(st.sampled_from(["grow", "drop", "add"]))
+        if kind == "grow":
+            m[i, j] = (int(m[i, j]) or 1) * int(rng.integers(2, 5))
+        elif kind == "drop":
+            m[i, j] = 0
+        else:
+            m[i, j] = int(rng.integers(1, 4096))
+    return CommPattern(m)
+
+
+# ----------------------------------------------------------------------
+# Oracle properties
+# ----------------------------------------------------------------------
+@given(
+    pattern=patterns(sizes=(4, 8, 16)),
+    algorithm=st.sampled_from(ALGORITHMS),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_relabel_matches_the_transfer_walk(pattern, algorithm, seed):
+    donor = IRREGULAR_ALGORITHMS[algorithm](pattern)
+    mapping = np.random.default_rng(seed).permutation(pattern.nprocs)
+    new = _relabel(donor, mapping, "x+iso")
+    old = old_relabel(donor, mapping, "x+iso")
+    assert schedule_to_json(new) == schedule_to_json(old)
+    assert new == old and repr(new) == repr(old)
+
+
+def test_relabel_keeps_store_and_forward_bytes():
+    donor = recursive_exchange(8, 64)
+    mapping = np.random.default_rng(4).permutation(8)
+    new, old = _relabel(donor, mapping, "r"), old_relabel(donor, mapping, "r")
+    assert schedule_to_json(new) == schedule_to_json(old)
+
+
+@given(
+    data=st.data(),
+    pattern=patterns(sizes=(4, 8, 16)),
+    algorithm=st.sampled_from(ALGORITHMS),
+)
+@settings(max_examples=120, deadline=None)
+def test_adapt_matches_the_transfer_walk(data, pattern, algorithm):
+    """Random drifts; sometimes the donor's recorded pattern is not the
+    one it was built for, so kept, rewritten and dropped transfers also
+    meet cells the donor does not cover."""
+    donor = IRREGULAR_ALGORITHMS[algorithm](pattern)
+    target = data.draw(drifts(pattern))
+    recorded = pattern
+    if data.draw(st.booleans()):
+        recorded = data.draw(drifts(pattern))
+    config = MachineConfig(pattern.nprocs)
+    new = adapt_schedule(donor, recorded.matrix, target, config)
+    old = old_adapt_schedule(donor, recorded.matrix, target, config)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert schedule_to_json(new) == schedule_to_json(old)
+        assert new == old
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("seed", range(4))
+def test_adapt_matches_on_table_11_drifts(algorithm, seed):
+    """The served case: an N=32 pattern drifted by one cell."""
+    pattern = CommPattern.synthetic(32, (0.1, 0.25, 0.5, 0.75)[seed], 256, seed=seed)
+    donor = IRREGULAR_ALGORITHMS[algorithm](pattern)
+    target = drift_variant(pattern, 1000 + seed)
+    config = MachineConfig(32)
+    new = adapt_schedule(donor, pattern.matrix, target, config)
+    old = old_adapt_schedule(donor, pattern.matrix, target, config)
+    assert schedule_to_json(new) == schedule_to_json(old)
+
+
+def test_adapt_refuses_what_the_transfer_walk_refuses():
+    config = MachineConfig(8)
+    staged = recursive_exchange(8, 64)
+    pattern = CommPattern.complete_exchange(8, 64)
+    assert adapt_schedule(staged, pattern.matrix, pattern, config) is None
+    # Every message dropped: nothing left to serve.
+    donor = IRREGULAR_ALGORITHMS["greedy"](pattern)
+    empty = CommPattern(np.zeros((8, 8), dtype=np.int64))
+    assert adapt_schedule(donor, pattern.matrix, empty, config) is None
+    assert old_adapt_schedule(donor, pattern.matrix, empty, config) is None
+
+
+@given(pattern=patterns(sizes=(4, 8, 16, 32)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_canonical_order_and_digests_match(pattern, seed):
+    perm = np.random.default_rng(seed).permutation(pattern.nprocs)
+    for p in (pattern, CommPattern(pattern.matrix[np.ix_(perm, perm)])):
+        new, old = canonical_order(p.matrix), old_canonical_order(p.matrix)
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert new.tolist() == old.tolist()
+
+
+def test_key_digests_unchanged_on_symmetric_and_tied_patterns():
+    """Patterns whose refinement ties (complete exchange) or needs rounds
+    (a ring) derive the same keys as the reference order gives."""
+    config = MachineConfig(16)
+    ring = np.zeros((16, 16), dtype=np.int64)
+    for i in range(16):
+        ring[i, (i + 1) % 16] = 64 + (i == 3)
+    for p in (CommPattern.complete_exchange(16, 64), CommPattern(ring)):
+        canonical_form.cache_clear()
+        key = derive_key(p, "greedy", config)
+        order = old_canonical_order(p.matrix)
+        got = canonical_order(p.matrix)
+        assert (got is None) == (order is None) == (not key.canonical)
+        if order is not None:
+            assert got.tolist() == order.tolist()
+
+
+# ----------------------------------------------------------------------
+# No served request builds a Transfer
+# ----------------------------------------------------------------------
+def test_served_requests_construct_no_transfer(monkeypatch):
+    """At N=32 on a 50% Table 11-style pattern: a cold build, a hit, a
+    warm adapt and an isomorphic relabel, each a first serve, make no
+    Transfer by either constructor."""
+    pattern = CommPattern.synthetic(32, 0.5, 256, seed=11)
+    perm = np.random.default_rng(5).permutation(32)
+    relabeled = CommPattern(pattern.matrix[np.ix_(perm, perm)])
+    drifted = drift_variant(pattern, 7)
+    config = MachineConfig(32)
+    canonical_form.cache_clear()
+    made = counting_transfers(monkeypatch)
+    with Scheduler(workers=0) as scheduler:
+        sources = [
+            scheduler.request(p, "greedy", config).source
+            for p in (pattern, pattern, drifted, relabeled)
+        ]
+    assert sources == ["cold", "hit", "warm", "isomorphic"]
+    assert made == []

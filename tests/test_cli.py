@@ -523,6 +523,37 @@ class TestMetricsCommand:
         captured = capsys.readouterr()
         assert "prom exposition valid" in captured.err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["state"].__setitem__("sum", [1, 0]),
+            lambda h: h["state"].pop("sum"),
+            lambda h: h["state"].__setitem__("buckets", None),
+            lambda h: h.__setitem__("state", 5),
+            lambda h: h["state"].__setitem__("sum", [1, 3]),
+        ],
+        ids=["zero-denominator", "missing-sum", "null-buckets", "int-state",
+             "odd-denominator"],
+    )
+    def test_check_rejects_malformed_histogram_state(self, tmp_path, capsys, edit):
+        """A broken histogram state is a usage error: one line, exit 2."""
+        from repro.obs import metrics_to_json
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for v in (0.25, 3e-5):
+            registry.histogram("service.latency").observe(v)
+        doc = metrics_to_json(registry)
+        out = tmp_path / "metrics.json"
+        out.write_text(json.dumps(doc))
+        assert main(["metrics", "--check", str(out)]) == 0
+        edit(doc["histograms"]["service.latency"])
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", "--check", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_check_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.prom"
         bad.write_text("metric one two\n")
