@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Tuple
+from typing import Any, Tuple
 
 #: Branching factor of the CM-5 data network.  Each internal switch of the
 #: fat tree serves four children; processing nodes sit at the leaves.
@@ -296,6 +296,12 @@ class MachineConfig:
     def is_global(self, src: int, dst: int) -> bool:
         """True when the (src, dst) route leaves the 4-node cluster."""
         return self.route_level(src, dst) > 1
+
+    def leaves_cluster(self, src: Any, dst: Any) -> Any:
+        """:meth:`is_global` elementwise over integer rank arrays (ranks
+        unchecked): a route climbs above level 1 exactly when its two
+        ends sit in different clusters of four."""
+        return src // FAT_TREE_ARITY != dst // FAT_TREE_ARITY
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:

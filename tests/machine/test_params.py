@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.machine import (
@@ -133,6 +134,12 @@ class TestMachineConfig:
         cfg = MachineConfig(16)
         assert not cfg.is_global(0, 3)
         assert cfg.is_global(0, 4)
+
+    def test_leaves_cluster_is_is_global_over_arrays(self):
+        cfg = MachineConfig(64)
+        src, dst = np.divmod(np.arange(64 * 64), 64)
+        expect = [cfg.is_global(a, b) for a, b in zip(src.tolist(), dst.tolist())]
+        assert cfg.leaves_cluster(src, dst).tolist() == expect
 
     def test_rank_bounds_checked(self):
         cfg = MachineConfig(8)

@@ -358,6 +358,15 @@ def test_from_columns_rejects_malformed_columns(columns, message):
         Schedule.from_columns(4, columns)
 
 
+def test_from_columns_counts_trailing_empty_steps():
+    cols = np.array([[0, 1], [0, 2], [1, 3], [8, 8], [0, 0], [0, 0]])
+    sched = Schedule.from_columns(4, cols, nsteps=4)
+    assert sched.nsteps == 4
+    assert sched == Schedule(4, Schedule.from_columns(4, cols).steps + (Step(()),) * 2)
+    with pytest.raises(ScheduleError, match="1 steps cannot hold step index 1"):
+        Schedule.from_columns(4, cols, nsteps=1)
+
+
 def test_columns_are_read_only_and_cached():
     sched = pairwise_exchange(8, 64)
     assert not sched.columns.flags.writeable
