@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -66,16 +66,16 @@ class UnstructuredMesh:
 
     @cached_property
     def edges(self) -> np.ndarray:
-        """Unique undirected edges as a sorted ``(ne, 2)`` array."""
-        simplex = self.cells
-        k = simplex.shape[1]
-        pairs = []
-        for a in range(k):
-            for b in range(a + 1, k):
-                pairs.append(simplex[:, (a, b)])
-        e = np.vstack(pairs)
-        e.sort(axis=1)
-        e = np.unique(e, axis=0)
+        """Unique undirected edges as a sorted ``(ne, 2)`` array.
+
+        Each cell's vertex pairs are packed as ``lo * n_vertices + hi``;
+        one ``np.unique`` of that int64 key sorts and dedups them."""
+        nv = self.n_vertices
+        a, b = np.triu_indices(self.cells.shape[1], 1)
+        u, v = self.cells[:, a].ravel(), self.cells[:, b].ravel()
+        key = np.unique(np.minimum(u, v).astype(np.int64) * nv + np.maximum(u, v))
+        e = np.empty((key.size, 2), dtype=self.cells.dtype)
+        e[:, 0], e[:, 1] = np.divmod(key, nv)
         return e
 
     @property
@@ -85,19 +85,16 @@ class UnstructuredMesh:
     @cached_property
     def vertex_adjacency(self) -> List[np.ndarray]:
         """adjacency[v] = sorted array of vertices sharing an edge with v."""
-        adj: List[List[int]] = [[] for _ in range(self.n_vertices)]
-        for a, b in self.edges:
-            adj[a].append(int(b))
-            adj[b].append(int(a))
-        return [np.array(sorted(x), dtype=np.int64) for x in adj]
+        nv = self.n_vertices
+        e = self.edges.astype(np.int64)
+        src = np.concatenate((e[:, 0], e[:, 1]))
+        dst = np.concatenate((e[:, 1], e[:, 0]))
+        nbrs = dst[np.argsort(src * nv + dst)]
+        return np.split(nbrs, np.cumsum(self.vertex_degree)[:-1])
 
     @cached_property
     def vertex_degree(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_vertices)
 
     def laplacian(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Graph Laplacian in COO form ``(rows, cols, vals)``.

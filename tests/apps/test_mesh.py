@@ -107,3 +107,77 @@ class TestPaperMeshes:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             paper_mesh("euler1M")
+
+
+# ----------------------------------------------------------------------
+# The per-edge code, kept as oracles.
+# ----------------------------------------------------------------------
+def old_edges(mesh):
+    simplex = mesh.cells
+    k = simplex.shape[1]
+    pairs = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            pairs.append(simplex[:, (a, b)])
+    e = np.vstack(pairs)
+    e.sort(axis=1)
+    return np.unique(e, axis=0)
+
+
+def old_vertex_adjacency(mesh):
+    adj = [[] for _ in range(mesh.n_vertices)]
+    for a, b in old_edges(mesh):
+        adj[a].append(int(b))
+        adj[b].append(int(a))
+    return [np.array(sorted(x), dtype=np.int64) for x in adj]
+
+
+def old_vertex_degree(mesh):
+    deg = np.zeros(mesh.n_vertices, dtype=np.int64)
+    for a, b in old_edges(mesh):
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: paper_mesh("euler545"),
+        lambda: paper_mesh("euler2k"),
+        lambda: paper_mesh("cg16k"),
+        lambda: structured_triangle_mesh(9, 6),
+        # An isolated vertex: no edge, an empty adjacency, degree 0.
+        lambda: UnstructuredMesh(np.zeros((4, 2)), np.array([[0, 2, 3]])),
+    ],
+    ids=["euler545", "euler2k", "cg16k", "structured", "isolated-vertex"],
+)
+def test_packed_combinatorics_match_the_per_edge_code(build):
+    mesh = build()
+    want = old_edges(mesh)
+    got = mesh.edges
+    assert got.dtype == want.dtype == mesh.cells.dtype
+    assert got.shape == want.shape and np.array_equal(got, want)
+    degree = mesh.vertex_degree
+    assert degree.dtype == np.int64
+    assert np.array_equal(degree, old_vertex_degree(mesh))
+    adjacency = mesh.vertex_adjacency
+    reference = old_vertex_adjacency(mesh)
+    assert len(adjacency) == len(reference) == mesh.n_vertices
+    for a, b in zip(adjacency, reference):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_combinatorics_use_no_row_wise_sort(monkeypatch):
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        if kwargs.get("axis") is not None:
+            calls.append(kwargs["axis"])
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    mesh = delaunay_mesh(300, dim=3, seed=4)
+    mesh.edges, mesh.vertex_adjacency, mesh.laplacian()
+    assert calls == []

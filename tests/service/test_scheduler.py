@@ -196,6 +196,60 @@ class TestStats:
         assert stats["service.hits"] == 1
         assert stats["service.warm_hits"] == 1
 
+    def test_registry_after_each_request_of_a_fixed_stream(self):
+        # Counters and histogram counts after each request, as the
+        # scheduler reported them when every update looked its metric up
+        # by name: a metric is listed once it fires, never before.
+        p = CommPattern.synthetic(16, 0.5, 128, seed=3)
+        perm = np.random.default_rng(2).permutation(16)
+        stream = [
+            p,
+            p,
+            drift_variant(p, 5),
+            CommPattern(p.matrix[np.ix_(perm, perm)]),
+            p,
+            drift_variant(p, 5),
+        ]
+        tiers = {
+            "service.requests": [1, 2, 3, 4, 5, 6],
+            "service.cold_builds": [1, 1, 1, 1, 1, 1],
+            "service.hits": [0, 1, 1, 1, 2, 2],
+            "service.warm_hits": [0, 0, 1, 1, 1, 2],
+            "service.iso_hits": [0, 0, 0, 1, 1, 1],
+        }
+        histograms = {
+            "service.build_seconds": [1, 1, 1, 1, 1, 1],
+            "service.latency": [1, 2, 3, 4, 5, 6],
+            "service.latency.cold": [1, 1, 1, 1, 1, 1],
+            "service.latency.hit": [0, 1, 1, 1, 2, 2],
+            "service.latency.warm": [0, 0, 1, 1, 1, 2],
+            "service.latency.isomorphic": [0, 0, 0, 1, 1, 1],
+            "service.lint_seconds": [0, 0, 1, 2, 2, 2],
+        }
+        sources = []
+        with obs.tracing() as tracer, Scheduler() as sched:
+            assert sched.stats() == {}
+            assert sched.metrics_snapshot()["histograms"] == {}
+            for i, request in enumerate(stream):
+                response = sched.request(request, "greedy", MachineConfig(16))
+                sources.append(response.source)
+                want = {k: v[i] for k, v in tiers.items() if v[i]}
+                assert sched.stats() == want
+                doc = sched.metrics_snapshot()
+                assert doc["counters"] == want and doc["gauges"] == {}
+                got = {k: h["count"] for k, h in doc["histograms"].items()}
+                assert got == {k: v[i] for k, v in histograms.items() if v[i]}
+                # The response carries its own finished trace.
+                assert response.trace.source == response.source
+                assert response.trace.latency == response.latency
+            mirrored = {
+                name: c.value
+                for name, c in tracer.metrics.counters.items()
+                if name in tiers
+            }
+        assert sources == ["cold", "hit", "warm", "isomorphic", "hit", "warm"]
+        assert mirrored == sched.stats()
+
 
 class TestErrors:
     def test_unknown_algorithm(self):
