@@ -256,7 +256,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name -> metric, created on first use."""
+    """Name -> metric, created on first use.  Creation is one
+    ``dict.setdefault``, so threads that ask for a new name at once all
+    get the one metric the registry keeps."""
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -266,19 +268,19 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         c = self.counters.get(name)
         if c is None:
-            c = self.counters[name] = Counter()
+            c = self.counters.setdefault(name, Counter())
         return c
 
     def gauge(self, name: str) -> Gauge:
         g = self.gauges.get(name)
         if g is None:
-            g = self.gauges[name] = Gauge()
+            g = self.gauges.setdefault(name, Gauge())
         return g
 
     def histogram(self, name: str) -> Histogram:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = Histogram()
+            h = self.histograms.setdefault(name, Histogram())
         return h
 
     def snapshot(self) -> Dict[str, Dict[str, float]]:

@@ -38,6 +38,26 @@ class TestRegistry:
         snap = reg.snapshot()["histograms"]["h"]
         assert snap["min"] == 0.0 and snap["max"] == 0.0 and snap["count"] == 0
 
+    @pytest.mark.parametrize("kind", ["counters", "gauges", "histograms"])
+    def test_creation_race_keeps_one_metric(self, kind):
+        # Another thread creates the metric between this call's miss and
+        # its insert: both callers must end up with the registry's one.
+        reg = MetricsRegistry()
+        get_or_create = getattr(reg, kind[:-1])
+        other = []
+
+        class Racing(dict):
+            def get(self, name, default=None):
+                found = super().get(name, default)
+                if found is None and not other:
+                    other.append(None)
+                    other[0] = get_or_create(name)
+                return found
+
+        setattr(reg, kind, Racing())
+        mine = get_or_create("m")
+        assert mine is other[0] is getattr(reg, kind)["m"]
+
 
 class _StubTree:
     """Two-link topology: ids in canonical order, caps 10 and 20 B/s."""
