@@ -63,6 +63,9 @@ _SUBBUCKETS = 8
 #: subnormal double, of which every finite double is a whole multiple.
 _SUM_BITS = 1074
 _SUM_UNIT = 1 << _SUM_BITS
+#: ``math.frexp(v)[0] * 2**_MANT_BITS`` is ``v``'s exact integer mantissa.
+_MANT_BITS = 53
+_MANT_SCALE = float(1 << _MANT_BITS)
 
 
 def bucket_index(v: float) -> int:
@@ -93,7 +96,9 @@ class Histogram:
     :func:`bucket_index`); non-positive values are kept in a dedicated
     ``zero_count`` bucket that sorts below every log bucket.  The sum is
     exact: every finite double is an integer multiple of ``2**-1074``
-    (the least subnormal), so it is kept as a Python int in those units.
+    (the least subnormal), so it is a Python int in those units.
+    ``observe`` keeps one small-int sum of 53-bit mantissas per binary
+    exponent; they are folded into those units only when read.
     That makes it *order-independent*: merging two histograms yields
     bit-identical state to observing the concatenated stream in any
     order — the property that lets worker processes ship histogram
@@ -101,7 +106,7 @@ class Histogram:
     order perturbing the serialized bytes.
     """
 
-    __slots__ = ("count", "minimum", "maximum", "zero_count", "buckets", "_sum")
+    __slots__ = ("count", "minimum", "maximum", "zero_count", "buckets", "_sums")
 
     def __init__(self) -> None:
         self.count = 0
@@ -112,27 +117,43 @@ class Histogram:
         self.zero_count = 0
         #: bucket index -> observation count.
         self.buckets: Dict[int, int] = {}
-        #: The exact sum in units of ``2**-1074``.
-        self._sum = 0
+        #: Binary exponent ``e`` -> sum of the integer mantissas ``n``
+        #: of the observations ``n * 2**(e - 53)``.
+        self._sums: Dict[int, int] = {}
 
     def observe(self, v: float) -> None:
         v = float(v)
         self.count += 1
-        # ``d`` is a power of two no larger than 2**1074; NaN and
-        # infinities raise here.
-        n, d = v.as_integer_ratio()
-        self._sum += n << (_SUM_BITS + 1 - d.bit_length())
+        m, e = math.frexp(v)
+        try:
+            n = int(m * _MANT_SCALE)  # exact for every finite double
+        except (OverflowError, ValueError):
+            v.as_integer_ratio()  # NaN and infinities raise as Fraction does
+            raise
+        sums = self._sums
+        sums[e] = sums.get(e, 0) + n
         if v < self.minimum:
             self.minimum = v
         if v > self.maximum:
             self.maximum = v
         if v > 0.0:
-            k = bucket_index(v)
+            k = (e << 3) | int((m - 0.5) * 16.0)  # bucket_index(v)
             self.buckets[k] = self.buckets.get(k, 0) + 1
         else:
             self.zero_count += 1
 
     # -- derived views --------------------------------------------------
+    @property
+    def _sum(self) -> int:
+        """The exact sum in units of ``2**-1074``."""
+        # A copy of the items: an observe in another thread may add a
+        # key.  The shifted sum is a whole multiple of 2**53 (the lowest
+        # exponent, -1073, still shifts by one).
+        scaled = sum(
+            n << (e + _SUM_BITS) for e, n in list(self._sums.items())
+        )
+        return scaled >> _MANT_BITS
+
     @property
     def total(self) -> float:
         # Int true division rounds correctly: the double nearest the
@@ -190,7 +211,8 @@ class Histogram:
         add associatively.
         """
         self.count += other.count
-        self._sum += other._sum
+        for e, n in list(other._sums.items()):
+            self._sums[e] = self._sums.get(e, 0) + n
         if other.minimum < self.minimum:
             self.minimum = other.minimum
         if other.maximum > self.maximum:
@@ -251,7 +273,8 @@ class Histogram:
                 f"histogram sum denominator {den} is not a power of two "
                 f"in 1..2**{_SUM_BITS}"
             )
-        h._sum = num * (_SUM_UNIT // den)
+        # At exponent 53 - 1074 a mantissa counts units of 2**-1074.
+        h._sums = {_MANT_BITS - _SUM_BITS: num * (_SUM_UNIT // den)}
         return h
 
 

@@ -6,15 +6,15 @@ machine configuration, the algorithm name, and the builder parameters.
 digest names the cached artifact — two requests collide exactly when a
 cached schedule can serve both.
 
-Pattern hashing canonicalizes first (Träff et al.'s isomorphic-pattern
-argument): two patterns that differ only by a relabeling of ranks have
-schedules that differ only by the same relabeling, so they should share
-one cache entry.  Canonicalization uses iterative color refinement on
-the weighted communication digraph and *applies* only when refinement
-separates every rank (the permutation is then unique and isomorphism-
-invariant); symmetric patterns such as a complete exchange keep their
-exact hash — a wrong merge is a correctness bug, a missed merge is just
-a cold build.
+Pattern hashing canonicalizes first: two patterns that differ only by
+a relabeling of ranks have schedules that differ only by the same
+relabeling, so they should share one cache entry.  Canonicalization
+runs 1-dimensional (Weisfeiler-Leman) color refinement on the weighted
+communication digraph and *applies* only when refinement separates
+every rank (the permutation is then unique and isomorphism-invariant);
+symmetric patterns such as a complete exchange keep their exact hash —
+a wrong merge is a correctness bug, a missed merge is just a cold
+build.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 #: Bump when key semantics change so stale disk tiers never serve.
-KEY_VERSION = 1
+KEY_VERSION = 2
 
 #: Refinement is capped at this many rounds; colors stabilize in at most
 #: ``nprocs`` rounds, the cap only guards pathological inputs.
@@ -56,63 +56,58 @@ def _sha(*parts: bytes) -> str:
     return h.hexdigest()
 
 
+def _rank_rows(signature: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each row's rank among the distinct rows in lexicographic integer
+    order, and the number of distinct rows."""
+    order = np.lexsort(signature.T[::-1])
+    rows = signature[order]
+    splits = np.any(rows[1:] != rows[:-1], axis=1)
+    ranks = np.concatenate(([0], np.cumsum(splits)))
+    colors = np.empty_like(ranks)
+    colors[order] = ranks
+    return colors, int(ranks[-1]) + 1
+
+
 def canonical_order(matrix: np.ndarray) -> Optional[np.ndarray]:
     """Isomorphism-invariant rank ordering, or None when ambiguous.
 
-    Runs 1-dimensional color refinement on the weighted digraph: a
-    rank's initial color summarizes its in/out byte multisets, and each
-    round folds in the colors of its communication partners (weighted by
-    the byte counts on the edges).  When refinement ends with all
-    ``nprocs`` colors distinct, sorting ranks by color is a canonical
-    order shared by every relabeling of the pattern.  When two ranks
-    stay color-tied (the pattern has a potential automorphism, e.g. any
-    complete exchange) canonicalization does not apply and ``None`` is
-    returned — callers fall back to the exact matrix hash.
+    Runs 1-dimensional color refinement on the weighted digraph, with
+    integer colors.  Byte values are densified to ids; an edge's key is
+    ``color[partner] * n_ids + byte_id`` (non-edges sort first as -1).
+    Each round a rank's signature is its own color, its sorted out-edge
+    keys and its sorted in-edge keys, and its new color is the rank of
+    that signature among the distinct ones.  The first round, from one
+    shared color, gives each rank its in/out byte multisets.  When
+    refinement ends with all ``nprocs`` colors distinct, sorting ranks
+    by color is a canonical order shared by every relabeling of the
+    pattern.  When two ranks stay color-tied (the pattern has a
+    potential automorphism, e.g. any complete exchange) canonicalization
+    does not apply and ``None`` is returned — callers fall back to the
+    exact matrix hash.
     """
-    n = matrix.shape[0]
-    # Plain ints, read once: each rank's (partner, bytes) out- and
-    # in-edges, in partner order.
-    out_edges = [
-        [(j, b) for j, b in enumerate(row) if b] for row in matrix.tolist()
-    ]
-    in_edges = [
-        [(j, b) for j, b in enumerate(col) if b] for col in matrix.T.tolist()
-    ]
-    colors = [
-        _sha(
-            repr(
-                (
-                    sorted(b for _, b in out_edges[i]),
-                    sorted(b for _, b in in_edges[i]),
-                )
-            ).encode()
-        )
-        for i in range(n)
-    ]
-    distinct = len(set(colors))
-    for _ in range(_MAX_ROUNDS):
+    m = np.asarray(matrix)
+    n = m.shape[0]
+    values, ids = np.unique(m, return_inverse=True)
+    ids = ids.reshape(n, n).astype(np.int64)
+    edge, width = m != 0, len(values)
+    colors, distinct = np.zeros(n, dtype=np.int64), 1
+    # One more round than the cap: the first only sets initial colors.
+    for _ in range(_MAX_ROUNDS + 1):
         if distinct == n:
             break
-        new = [
-            _sha(
-                repr(
-                    (
-                        colors[i],
-                        sorted((colors[j], b) for j, b in out_edges[i]),
-                        sorted((colors[j], b) for j, b in in_edges[i]),
-                    )
-                ).encode()
+        out_keys = np.where(edge, colors * width + ids, -1)
+        in_keys = np.where(edge, colors[:, None] * width + ids, -1)
+        colors, new_distinct = _rank_rows(
+            np.hstack(
+                [colors[:, None], np.sort(out_keys, 1), np.sort(in_keys, 0).T]
             )
-            for i in range(n)
-        ]
-        new_distinct = len(set(new))
+        )
         if new_distinct == distinct:
-            colors = new
             break
-        colors, distinct = new, new_distinct
+        distinct = new_distinct
     if distinct != n:
         return None
-    return np.array(sorted(range(n), key=lambda i: colors[i]), dtype=np.int64)
+    return np.argsort(colors)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -124,9 +119,9 @@ def canonical_form(
     ``order[k]`` is the original rank seated at canonical position
     ``k``; the canonical matrix is the pattern relabeled through that
     seating, identical for every relabeling of the same pattern.
-    Memoized — refinement costs more than a small cold build, and the
-    scheduler consults the canonical form on both the key and the
-    store-entry sides of one request.
+    Memoized — the scheduler consults the canonical form on both the key
+    and the store-entry sides of one request, and each refinement round
+    sorts two ``nprocs``-square key matrices.
     """
     order = canonical_order(pattern.matrix)
     if order is None:

@@ -15,8 +15,10 @@ a ``.tmp`` file the loader's ``*.json`` glob never matches.  Corrupt or
 forged files are **quarantined** — moved to a ``corrupt/`` sibling
 directory and counted (``service.store.quarantined``,
 :attr:`ScheduleStore.quarantined`) — never trusted and never silently
-reloaded on the next start.  Hit/miss traffic is reported through
-``repro.obs`` counters (``service.store.*``).
+reloaded on the next start.  Entries under an older ``KEY_VERSION``
+stay on disk but are not loaded, so they are neither hits nor warm-start
+donors.  Hit/miss traffic is reported through ``repro.obs`` counters
+(``service.store.*``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .. import obs
 from ..schedules.pattern import CommPattern
-from .keys import ScheduleKey
+from .keys import KEY_VERSION, ScheduleKey
 
 __all__ = ["StoreEntry", "ScheduleStore"]
 
@@ -166,6 +168,8 @@ class ScheduleStore:
             if entry.key.digest != p.stem:
                 self._quarantine(p)  # renamed/forged: content must name itself
                 continue
+            if entry.key.version != KEY_VERSION:
+                continue  # built under older key semantics
             self._index(p.stem, entry)
         if self.quarantined:
             print(

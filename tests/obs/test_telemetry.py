@@ -123,6 +123,48 @@ class TestHistogramDeterminism:
                 lambda: float(ref / len(values))
             )
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(
+                    min_value=-1e-300, max_value=1e-300, allow_subnormal=True
+                ),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+            ),
+            max_size=40,
+        ),
+        cuts=st.lists(st.integers(0, 40), max_size=3),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_state_matches_the_python_int_reference(self, values, cuts, order):
+        """Per-exponent mantissa sums give the state the single shifted
+        Python int gave: one stream, or its parts merged in any order."""
+        units = 0
+        for v in values:
+            n, d = v.as_integer_ratio()
+            units += n << (1075 - d.bit_length())
+        shift = min((units & -units).bit_length() - 1, 1074) if units else 1074
+        ref_sum = [units >> shift, 1 << (1074 - shift)]
+
+        whole = Histogram()
+        for v in values:
+            whole.observe(v)
+        assert whole.state()["sum"] == ref_sum
+        bounds = sorted({0, len(values), *(c for c in cuts if c <= len(values))})
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            h = Histogram()
+            for v in values[lo:hi]:
+                h.observe(v)
+            parts.append(Histogram.from_state(h.state()) if lo % 2 else h)
+        order.shuffle(parts)
+        merged = Histogram()
+        for h in parts:
+            merged.merge(h)
+        assert json.dumps(merged.state()) == json.dumps(whole.state())
+
     @pytest.mark.parametrize(
         "value, error", [(float("nan"), ValueError), (float("inf"), OverflowError),
                          (float("-inf"), OverflowError)]

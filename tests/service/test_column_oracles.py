@@ -1,13 +1,16 @@
 """The service's column paths against the per-transfer code they replace.
 
-Relabeling, warm-start adaptation and canonical color refinement read
-step columns and plain ints.  The oracles here are the versions that
-walked ``Transfer`` objects and NumPy scalars: on random patterns,
-permutations and drifts the column paths must serve the same bytes and
-derive the same keys.  A served request (cold build, hit, warm adapt,
-isomorphic relabel) must construct no ``Transfer`` at all.
+Relabeling and warm-start adaptation read step columns and plain ints.
+The oracles here are the versions that walked ``Transfer`` objects: on
+random patterns, permutations and drifts the column paths must serve
+the same bytes.  Color refinement runs on integer colors; its oracle is
+the SHA-256-colored refinement it replaced, which must give the same
+verdict (discrete or ``None``) on every pattern.  A served request
+(cold build, hit, warm adapt, isomorphic relabel) must construct no
+``Transfer`` at all and hash a constant number of times.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -30,12 +33,16 @@ from repro.schedules import (
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
 from repro.schedules.repair import rank_steps
 from repro.service import (
+    KEY_VERSION,
     Scheduler,
+    ScheduleStore,
+    StoreEntry,
     adapt_schedule,
     canonical_form,
     canonical_order,
     derive_key,
     drift_variant,
+    machine_fingerprint,
 )
 from repro.service.scheduler import _base_name, _relabel
 
@@ -274,32 +281,82 @@ def test_adapt_refuses_what_the_transfer_walk_refuses():
     assert old_adapt_schedule(donor, pattern.matrix, empty, config) is None
 
 
+def ring(n, bump=3):
+    """A directed ring whose one heavier edge takes refinement rounds
+    to propagate around."""
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        m[i, (i + 1) % n] = 64 + (i == bump)
+    return CommPattern(m)
+
+
 @given(pattern=patterns(sizes=(4, 8, 16, 32)), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_canonical_order_and_digests_match(pattern, seed):
+def test_canonical_verdict_matches_the_sha_reference(pattern, seed):
+    """Integer colors split ranks exactly as SHA-256 colors did, so the
+    verdict is the reference's, on the pattern and on a relabeling."""
     perm = np.random.default_rng(seed).permutation(pattern.nprocs)
     for p in (pattern, CommPattern(pattern.matrix[np.ix_(perm, perm)])):
         new, old = canonical_order(p.matrix), old_canonical_order(p.matrix)
         assert (new is None) == (old is None)
         if new is not None:
-            assert new.tolist() == old.tolist()
+            assert sorted(new.tolist()) == list(range(p.nprocs))
 
 
-def test_key_digests_unchanged_on_symmetric_and_tied_patterns():
-    """Patterns whose refinement ties (complete exchange) or needs rounds
-    (a ring) derive the same keys as the reference order gives."""
+def test_key_canonical_flag_matches_the_sha_reference():
+    """A complete exchange stays tied and a ring needs rounds; the key is
+    canonical exactly when the reference's refinement is discrete."""
     config = MachineConfig(16)
-    ring = np.zeros((16, 16), dtype=np.int64)
-    for i in range(16):
-        ring[i, (i + 1) % 16] = 64 + (i == 3)
-    for p in (CommPattern.complete_exchange(16, 64), CommPattern(ring)):
+    tied = CommPattern.complete_exchange(16, 64)
+    for p, discrete in ((tied, False), (ring(16), True)):
         canonical_form.cache_clear()
-        key = derive_key(p, "greedy", config)
-        order = old_canonical_order(p.matrix)
-        got = canonical_order(p.matrix)
-        assert (got is None) == (order is None) == (not key.canonical)
-        if order is not None:
-            assert got.tolist() == order.tolist()
+        assert derive_key(p, "greedy", config).canonical is discrete
+        assert (canonical_order(p.matrix) is not None) is discrete
+        assert (old_canonical_order(p.matrix) is not None) is discrete
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+def test_canonical_matrix_is_relabel_invariant(n):
+    """Every relabeling seats the same canonical matrix, and an int32 or
+    a Fortran-ordered copy of the matrix gets the same order."""
+    rng = np.random.default_rng(n)
+    for p in (CommPattern.synthetic(n, 0.5, 256, seed=n), ring(n)):
+        canonical_form.cache_clear()
+        cm, order = canonical_form(p)
+        assert cm is not None
+        for _ in range(4):
+            perm = rng.permutation(n)
+            relabeled = CommPattern(p.matrix[np.ix_(perm, perm)])
+            np.testing.assert_array_equal(canonical_form(relabeled)[0], cm)
+        for copy in (p.matrix.astype(np.int32), np.asfortranarray(p.matrix)):
+            assert canonical_order(copy).tolist() == order.tolist()
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_version_1_entries_never_serve(tmp_path, drift):
+    """Entries under version-1 keys are not loaded: their pattern, or a
+    drift of it, is built cold, not served as a hit or warm-adapted.
+    One has the SHA-colored canonical hash a version-1 service wrote,
+    one differs from today's key only in the version."""
+    assert KEY_VERSION == 2
+    pattern = CommPattern.synthetic(16, 0.5, 256, seed=3)
+    config = MachineConfig(16)
+    key = derive_key(pattern, "greedy", config)
+    order = old_canonical_order(pattern.matrix)
+    cm = np.ascontiguousarray(pattern.matrix[np.ix_(order, order)])
+    serialized = schedule_to_json(IRREGULAR_ALGORITHMS["greedy"](pattern))
+    writer = ScheduleStore(tmp_path)
+    for pattern_hash in (_sha(b"16", cm.tobytes()), key.pattern):
+        stale = dataclasses.replace(key, pattern=pattern_hash, version=1)
+        writer.put(
+            StoreEntry(stale, pattern.matrix.copy(), order, serialized, False)
+        )
+    store = ScheduleStore(tmp_path)
+    assert len(store) == 0 and store.quarantined == 0
+    request = drift_variant(pattern, 7) if drift else pattern
+    with Scheduler(store=store, workers=0) as scheduler:
+        assert scheduler.request(request, "greedy", config).source == "cold"
+    assert len(list(tmp_path.glob("*.json"))) == 3
 
 
 # ----------------------------------------------------------------------
@@ -323,3 +380,29 @@ def test_served_requests_construct_no_transfer(monkeypatch):
         ]
     assert sources == ["cold", "hit", "warm", "isomorphic"]
     assert made == []
+
+
+def test_served_requests_hash_a_constant_number_of_times(monkeypatch):
+    """A never-seen cold request and an isomorphic relabel call SHA-256
+    as often at N=128 as at N=32: refinement hashes nothing per rank."""
+    sha256 = hashlib.sha256
+    counts = []
+    for n in (32, 128):
+        pattern = CommPattern.synthetic(n, 0.5, 256, seed=11)
+        perm = np.random.default_rng(5).permutation(n)
+        relabeled = CommPattern(pattern.matrix[np.ix_(perm, perm)])
+        canonical_form.cache_clear()
+        machine_fingerprint.cache_clear()
+        calls = []
+        monkeypatch.setattr(
+            hashlib, "sha256", lambda *a: calls.append(1) or sha256(*a)
+        )
+        with Scheduler(workers=0) as scheduler:
+            sources = [
+                scheduler.request(p, "greedy", MachineConfig(n)).source
+                for p in (pattern, relabeled)
+            ]
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        assert sources == ["cold", "isomorphic"]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 8
