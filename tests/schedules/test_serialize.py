@@ -237,10 +237,16 @@ def documents(draw):
 _ORDERS = {"lower_recv_first", "lower_send_first"}
 
 #: Ways to break one part of a document, each (name, edit of a row
-#: ``[step, index]`` or of the whole document).
+#: ``[step, index]`` or of the whole document). Edits compose: a row
+#: edit applies to whatever an earlier edit left in the row (a string
+#: field, four fields or fewer).
 _ROW_EDITS = {
-    "float": lambda row, k: row.__setitem__(k, row[k] + 0.5),
-    "whole-float": lambda row, k: row.__setitem__(k, float(row[k])),
+    "float": lambda row, k: row.__setitem__(
+        k, (row[k] if type(row[k]) is int else 0) + 0.5
+    ),
+    "whole-float": lambda row, k: row.__setitem__(
+        k, float(row[k] if type(row[k]) is int else 0)
+    ),
     "bool": lambda row, k: row.__setitem__(k, True),
     "str": lambda row, k: row.__setitem__(k, str(row[k])),
     "4-fields": lambda row, k: row.pop(),
@@ -248,7 +254,9 @@ _ROW_EDITS = {
     "too-big": lambda row, k: row.__setitem__(k, 2**63),
     "too-small": lambda row, k: row.__setitem__(k, -(2**63) - 1),
     "self": lambda row, k: row.__setitem__(1, row[0]),
-    "negative": lambda row, k: row.__setitem__(2 + k % 3, -1),
+    "negative": lambda row, k: row.__setitem__(
+        min(2 + k % 3, len(row) - 1), -1
+    ),
     "rank-range": lambda row, k: row.__setitem__(k % 2, 99),
     "rank-negative": lambda row, k: row.__setitem__(k % 2, -1),
 }
