@@ -4,14 +4,16 @@
  * included, and the discrete-event engine's event queue with its drain
  * loop (repro.sim.events).
  *
- * The filling loop is a transliteration of the NumPy round loop in
- * bandwidth.py (the reference the kernel-less build runs): every
- * floating-point operation is performed in the same order on the same
- * IEEE-754 doubles, and every reduction used is order-independent
- * (min / boolean-or / integer counts), so the computed rates are
- * bit-identical to the NumPy path.  Compile WITHOUT -ffast-math and
- * with -ffp-contract=off: fused multiply-adds or reassociation would
- * break that equivalence.
+ * The rate reallocation (recompute) computes the doubles of the NumPy
+ * round loop in bandwidth.py (the reference the kernel-less build
+ * runs) by the same IEEE-754 operations in the same order, with
+ * order-independent reductions only (min / integer counts), so the
+ * rates are bit-identical to the NumPy path; it skips only work whose
+ * result it already has (per-link memo, one rate and one cap_left per
+ * round and cap class, saturation flags, shrinking lists, pruned
+ * divisions: the five arguments are at recompute).  Compile WITHOUT
+ * -ffast-math and with -ffp-contract=off: fused multiply-adds or
+ * reassociation would break that equivalence.
  *
  * The module's one function is the engine's flow start (METH_FASTCALL,
  * so a call converts only its scalar arguments):
@@ -52,202 +54,261 @@
 
 enum {
     T_LINK_CAPS, T_LINK_SCALES, T_FLOW_PTR, T_CSR, T_RATE_CAP, T_RATE,
-    T_SAT_THRESH, T_CAP_THRESH, T_REMAINING, T_COUNTS, T_CAP_LEFT,
-    T_ACTIVE, T_TOUCHED, T_WIRE, T_SRCS, T_DSTS, T_KEYS, T_SIZE
+    T_REMAINING, T_COUNTS, T_LIVE_LINKS, T_LINK_MEMO, T_LINK_SAT,
+    T_LIVE_FLOWS, T_FLOW_CLASS, T_CAP_CLASSES, T_WIRE, T_SRCS, T_DSTS,
+    T_KEYS, T_SIZE
 };
 
 static const char *const table_names[T_SIZE] = {
     "link_caps", "link_scales", "flow_ptr", "csr_links", "rate_cap", "rate",
-    "sat_thresh", "cap_thresh", "remaining", "counts", "cap_left",
-    "active", "touched", "wire", "srcs", "dsts", "keys",
+    "remaining", "counts", "live_links", "link_memo", "link_sat",
+    "live_flows", "flow_class", "cap_classes", "wire", "srcs", "dsts",
+    "keys",
 };
 
-/* The round loop of recompute(), which has initialized
- * remaining_cap (effective link caps), counts (per-link active-flow
- * counts), rates (0), cap_left (flow caps) and active (1), and collected
- * the distinct links the flows touch into touched[0..ntouched).
- *
- * The round's delta is the minimum of remaining_cap/counts over links
- * with counts > 0 and of cap_left over active flows.  The NumPy path
- * takes, per active flow, the minimum of its path's link increments and
- * its cap_left, then the minimum over flows.  Both minimize the same
- * set of doubles: every link of an active path has counts > 0, and
- * every link with counts > 0 lies on an active path.  min is exact, so
- * delta is bit-identical while reading each touched link once instead
- * of every path entry.
- *
- * On success every flow froze exactly once, so counts — incremented
- * per path entry up front and decremented per path entry on freeze —
- * has returned to all zeros; on failure recompute() restores that. */
-static int fill_rounds(
-    int64_t nflows,
-    const int64_t *flow_ptr,
-    const int64_t *flow_links,
-    const int64_t *touched,
-    int64_t ntouched,
-    const double *sat_thresh,
-    const double *cap_thresh,
-    double *rates,
-    double *remaining_cap,
-    int64_t *counts,
-    double *cap_left,
-    uint8_t *active
-) {
-    int64_t f, l, s, i, round_;
-    int64_t remaining = nflows;
+/* A row of FluidNetwork._link_memo (four 8-byte words, zeroed at
+ * construction): what recompute() derives from a link's live-flow
+ * count, for the count it was last derived at (0: never). */
+typedef struct {
+    int64_t count;
+    double cap;   /* the penalized, scaled capacity */
+    double sat;   /* cap * 1e-12 + 1e-15, the saturation threshold */
+    double share; /* cap / count, the link's first-round increment */
+} LinkMemo;
 
-    for (round_ = 0; round_ <= nflows; round_++) {
-        if (remaining == 0) {
-            return 0;
-        }
-        double delta = INFINITY;
-        for (i = 0; i < ntouched; i++) {
-            l = touched[i];
-            if (counts[l] > 0) {
-                double v = remaining_cap[l] / (double)counts[l];
-                if (v < delta) {
-                    delta = v;
-                }
-            }
-        }
-        for (f = 0; f < nflows; f++) {
-            if (active[f] && cap_left[f] < delta) {
-                delta = cap_left[f];
-            }
-        }
-        if (!isfinite(delta)) {
-            return 1;
-        }
-        for (f = 0; f < nflows; f++) {
-            if (active[f]) {
-                rates[f] += delta;
-                cap_left[f] -= delta;
-            }
-        }
-        /* counts == 0 links would subtract exactly 0.0: skipping them is
-         * bit-neutral (x - 0.0 == x for every IEEE double). */
-        for (i = 0; i < ntouched; i++) {
-            l = touched[i];
-            if (counts[l] > 0) {
-                remaining_cap[l] -= (double)counts[l] * delta;
-            }
-        }
-        /* Freeze flows that hit their cap or whose path saturated a
-         * link.  counts is only read by the NEXT round, so decrementing
-         * it inside the freeze scan matches the NumPy path's
-         * subtract-after-the-mask exactly. */
-        int64_t frozen = 0;
-        for (f = 0; f < nflows; f++) {
-            if (!active[f]) {
-                continue;
-            }
-            int hit = cap_left[f] <= cap_thresh[f];
-            if (!hit) {
-                for (s = flow_ptr[f]; s < flow_ptr[f + 1]; s++) {
-                    if (remaining_cap[flow_links[s]] <= sat_thresh[flow_links[s]]) {
-                        hit = 1;
-                        break;
-                    }
-                }
-            }
-            if (hit) {
-                active[f] = 0;
-                frozen++;
-                remaining--;
-                for (s = flow_ptr[f]; s < flow_ptr[f + 1]; s++) {
-                    counts[flow_links[s]]--;
-                }
-            }
-        }
-        if (frozen == 0) {
-            return 2;
-        }
-    }
-    return remaining == 0 ? 0 : 3;
+/* A row of FluidNetwork._cap_classes: the flows of one reallocation
+ * whose rate_cap has this bit pattern. */
+typedef struct {
+    double cap;
+    double thresh;  /* cap * 1e-12 + 1e-15 */
+    double left;    /* cap - d1 - ... - dk, every member's cap_left */
+    int64_t active; /* members not yet frozen */
+} CapClass;
+
+static inline uint64_t double_bits(double x) {
+    uint64_t u;
+    memcpy(&u, &x, sizeof(u));
+    return u;
 }
 
-/* Fused rate reallocation: per-link flow counts, switch-contention
- * penalty, freeze thresholds and the progressive fill.  Mirrors
- * FluidNetwork._recompute + max_min_rates (check=False) with the same
- * operation order on the same doubles:
+/* Rate reallocation of the store's nflows flows: the contention penalty
+ * and progressive fill of FluidNetwork._recompute + max_min_rates
+ * (check=False), the reference, whose steps are
  *
  *   counts  = bincount(flow_links)
  *   penalty = min(max(counts - 1, 0) * contention_c + 1.0, contention_cap)
  *   eff     = link_caps / penalty            (skipped when c <= 0)
  *   eff     = eff * link_scales[l]           (when scales != NULL)
- *   sat     = eff * 1e-12 + 1e-15
- *   capt    = flow_caps * 1e-12 + 1e-15
+ *   sat     = eff * 1e-12 + 1e-15;  capt = flow_caps * 1e-12 + 1e-15
+ *   remaining = eff, rates = 0, cap_left = flow_caps, every flow active
+ *   per round, until no flow is active:
+ *     delta = min over active flows of cap_left and of remaining/counts
+ *             over the flow's path
+ *     rates += delta and cap_left -= delta on active flows
+ *     remaining -= counts * delta
+ *     freeze the active flows with cap_left <= capt or a path link with
+ *       remaining <= sat, and subtract their paths from counts
  *
- * 1e-12 is bandwidth._REL_EPS.  Relies on the all-zero counts
- * invariant (the workspace allocates counts zeroed; every fill
- * restores it), so only the links on this wave's paths are visited —
- * the rest of the per-link arrays hold stale values nothing reads. */
-static int recompute(void **p, int64_t nflows, double contention_c,
-                     double contention_cap) {
+ * (1e-12 is bandwidth._REL_EPS).  Every double this computes is the one
+ * the reference computes, by the same IEEE operations in the same
+ * order, and every reduction is order-free (min, integer counts), so
+ * the rates are bit-identical.  It does fewer operations:
+ *
+ * 1. Memo.  eff, sat and the first-round share eff / counts depend only
+ *    on the link's count at the start (link_caps, link_scales and the
+ *    contention constants are fixed for a network's life), so each
+ *    LinkMemo row keeps them for the last count its link had and is
+ *    rederived only when the count differs.  In round 1 remaining ==
+ *    eff, so the links' increments are their memoized shares.
+ * 2. One rate per round.  An active flow's rate is 0.0 + d1 + ... + dk,
+ *    added in round order, so every flow frozen in round k gets the
+ *    same R_k, accumulated once per round and stored at the freeze.
+ * 3. Cap classes.  Flows whose rate_cap has one bit pattern start with
+ *    one cap_left and capt and lose the same delta per round, so one
+ *    CapClass row carries them: cap_left's minimum, subtraction and
+ *    freeze test run per class.  A reallocation has at most nflows
+ *    classes and the table has a row per flow slot.
+ * 4. Pruning.  delta is a minimum, so a link whose increment cannot go
+ *    below the running one may skip its division: with 0 < delta < inf
+ *    and R > delta * c * (1 + 2**-50) (R the link's remaining, c its
+ *    count), R lies above fl(delta * c), a double above a rounded
+ *    product lies above the exact product, so R / c > delta and, as
+ *    rounding is monotone and delta a double, fl(R / c) >= delta.
+ * 5. Saturation flags and shrinking lists.  Only links with active
+ *    flows (counts > 0) change, and those are the links of the active
+ *    paths, so the reference's freeze test reads links updated in this
+ *    round; the update pass flags each link whose remaining fell to
+ *    sat (one byte per link), and the freeze pass reads the flags of a
+ *    path only in a round where some link saturated.  A flagged link
+ *    has no active flow after the freeze pass.  The pass after it drops
+ *    links without active flows (their update would be x - 0.0 == x),
+ *    clearing their flags, and computes the next round's link minimum;
+ *    the freeze pass drops frozen flows.
+ *
+ * counts and link_sat hold all zeros between calls (both are allocated
+ * zeroed and every call restores that), so only the links on this
+ * reallocation's paths are visited; the other per-link entries hold
+ * stale values nothing reads.  Returns the number
+ * of fill rounds, or -1 with the reference's RuntimeError set. */
+static int64_t recompute(void **p, int64_t nflows, double contention_c,
+                         double contention_cap) {
     const double *link_caps = p[T_LINK_CAPS];
     const double *link_scales = p[T_LINK_SCALES];
     const int64_t *flow_ptr = p[T_FLOW_PTR];
     const int64_t *flow_links = p[T_CSR];
     const double *flow_caps = p[T_RATE_CAP];
     double *rates = p[T_RATE];
-    double *sat_thresh = p[T_SAT_THRESH];
-    double *cap_thresh = p[T_CAP_THRESH];
-    double *remaining_cap = p[T_REMAINING];
+    double *remaining = p[T_REMAINING];
     int64_t *counts = p[T_COUNTS];
-    double *cap_left = p[T_CAP_LEFT];
-    uint8_t *active = p[T_ACTIVE];
-    int64_t *touched = p[T_TOUCHED];
-    int64_t f, l, s, i, ntouched = 0;
+    int64_t *live = p[T_LIVE_LINKS];
+    LinkMemo *memo = p[T_LINK_MEMO];
+    uint8_t *sat = p[T_LINK_SAT];
+    int64_t *flows = p[T_LIVE_FLOWS];
+    int64_t *flow_class = p[T_FLOW_CLASS];
+    CapClass *classes = p[T_CAP_CLASSES];
+    int64_t f, l, s, i, c, w, nlive = 0, nactive = nflows, nclasses = 0;
+    int64_t rounds = 0;
+    double delta = INFINITY, rate = 0.0;
+    const char *err;
 
     for (s = 0; s < flow_ptr[nflows]; s++) {
         l = flow_links[s];
         if (counts[l]++ == 0) {
-            touched[ntouched++] = l;
+            live[nlive++] = l;
         }
     }
-    for (i = 0; i < ntouched; i++) {
-        l = touched[i];
-        double cap = link_caps[l];
-        if (contention_c > 0.0) {
-            int64_t pen = counts[l] - 1;
-            if (pen < 0) {
-                pen = 0;
+    for (i = 0; i < nlive; i++) {
+        l = live[i];
+        LinkMemo *m = &memo[l];
+        if (m->count != counts[l]) {
+            double cap = link_caps[l];
+            if (contention_c > 0.0) {
+                double pf = (double)(counts[l] - 1) * contention_c;
+                pf = pf + 1.0;
+                if (pf > contention_cap) {
+                    pf = contention_cap;
+                }
+                cap = cap / pf;
             }
-            double pf = (double)pen * contention_c;
-            pf = pf + 1.0;
-            if (pf > contention_cap) {
-                pf = contention_cap;
+            if (link_scales != NULL) {
+                cap = cap * link_scales[l];
             }
-            cap = cap / pf;
+            m->count = counts[l];
+            m->cap = cap;
+            m->sat = cap * 1e-12 + 1e-15;
+            m->share = cap / (double)counts[l];
         }
-        if (link_scales != NULL) {
-            cap = cap * link_scales[l];
+        remaining[l] = m->cap;
+        if (m->share < delta) {
+            delta = m->share;
         }
-        remaining_cap[l] = cap;
-        sat_thresh[l] = cap * 1e-12 + 1e-15;
     }
-    for (f = 0; f < nflows; f++) {
-        cap_thresh[f] = flow_caps[f] * 1e-12 + 1e-15;
-        rates[f] = 0.0;
-        cap_left[f] = flow_caps[f];
-        active[f] = 1;
+    for (f = 0, c = 0; f < nflows; f++) {
+        uint64_t bits = double_bits(flow_caps[f]);
+        if (c == nclasses || double_bits(classes[c].cap) != bits) {
+            for (c = 0; c < nclasses && double_bits(classes[c].cap) != bits; c++) {
+            }
+            if (c == nclasses) {
+                CapClass *k = &classes[nclasses++];
+                k->cap = k->left = flow_caps[f];
+                k->thresh = k->cap * 1e-12 + 1e-15;
+                k->active = 0;
+                if (k->left < delta) {
+                    delta = k->left;
+                }
+            }
+        }
+        classes[c].active++;
+        flow_class[f] = c;
+        flows[f] = f;
     }
-    int rc = fill_rounds(nflows, flow_ptr, flow_links, touched, ntouched,
-                         sat_thresh, cap_thresh, rates, remaining_cap, counts,
-                         cap_left, active);
-    if (rc == 0) {
-        return 0;
+
+    for (;;) {
+        if (!isfinite(delta)) {
+            err = "unbounded flow: a path has no finite constraint";
+            goto fail;
+        }
+        rounds++;
+        rate += delta;
+        for (c = 0; c < nclasses; c++) {
+            if (classes[c].active > 0) {
+                classes[c].left -= delta;
+            }
+        }
+        int any_sat = 0;
+        for (i = 0; i < nlive; i++) {
+            l = live[i];
+            double r = remaining[l] - (double)counts[l] * delta;
+            remaining[l] = r;
+            if (r <= memo[l].sat) {
+                sat[l] = 1;
+                any_sat = 1;
+            }
+        }
+        /* Freeze.  counts is only read by the next round, so decrementing
+         * it inside the scan matches the reference's subtract-after-the-
+         * mask. */
+        for (i = 0, w = 0; i < nactive; i++) {
+            f = flows[i];
+            CapClass *k = &classes[flow_class[f]];
+            int hit = k->left <= k->thresh;
+            for (s = flow_ptr[f]; any_sat && !hit && s < flow_ptr[f + 1]; s++) {
+                hit = sat[flow_links[s]];
+            }
+            if (!hit) {
+                flows[w++] = f;
+                continue;
+            }
+            rates[f] = rate;
+            k->active--;
+            for (s = flow_ptr[f]; s < flow_ptr[f + 1]; s++) {
+                counts[flow_links[s]]--;
+            }
+        }
+        if (w == nactive) {
+            err = "progressive filling made no progress";
+            goto fail;
+        }
+        nactive = w;
+        delta = INFINITY;
+        for (i = 0, w = 0; i < nlive; i++) {
+            l = live[i];
+            if (counts[l] == 0) {
+                sat[l] = 0;
+                continue;
+            }
+            live[w++] = l;
+            double cnt = (double)counts[l], r = remaining[l];
+            if (delta > 0.0 && delta < INFINITY
+                && r > delta * cnt * (1.0 + 0x1p-50)) {
+                continue;
+            }
+            double v = r / cnt;
+            if (v < delta) {
+                delta = v;
+            }
+        }
+        nlive = w;
+        if (nactive == 0) {
+            return rounds;
+        }
+        for (c = 0; c < nclasses; c++) {
+            if (classes[c].active > 0 && classes[c].left < delta) {
+                delta = classes[c].left;
+            }
+        }
     }
-    /* The NumPy path's RuntimeError, after restoring the all-zero
-     * counts invariant. */
-    for (i = 0; i < ntouched; i++) {
-        counts[touched[i]] = 0;
+fail:
+    /* Restore the all-zero counts: every link still counted lies on an
+     * active path.  No link is flagged: a round that flags one freezes
+     * a flow, and the pass after the freeze clears the flag. */
+    for (i = 0; i < nactive; i++) {
+        f = flows[i];
+        for (s = flow_ptr[f]; s < flow_ptr[f + 1]; s++) {
+            counts[flow_links[s]] = 0;
+        }
     }
-    PyErr_SetString(
-        PyExc_RuntimeError,
-        rc == 1 ? "unbounded flow: a path has no finite constraint"
-        : rc == 2 ? "progressive filling made no progress"
-        : "max-min allocation failed to converge");
+    PyErr_SetString(PyExc_RuntimeError, err);
     return -1;
 }
 
@@ -319,6 +380,7 @@ typedef struct {
     char changed;
     unsigned long long gen;
     unsigned long long allocations;
+    unsigned long long fill_rounds;
 } StoreObject;
 
 static PyTypeObject StoreType;
@@ -432,6 +494,8 @@ static PyMemberDef store_members[] = {
      "arm generation: a net check armed under an older one is stale"},
     {"allocations", T_ULONGLONG, offsetof(StoreObject, allocations), READONLY,
      "reallocations run by the compiled drain loop and begin"},
+    {"fill_rounds", T_ULONGLONG, offsetof(StoreObject, fill_rounds), READONLY,
+     "progressive-fill rounds of those reallocations"},
     {"observer", T_OBJECT, offsetof(StoreObject, observer), 0,
      "observer(now), called after every reallocation, or None"},
     {NULL},
@@ -470,9 +534,13 @@ static PyTypeObject StoreType = {
  * completion goes with them.  Then the observer, if any, sees the new
  * rates; an exception it raises propagates. */
 static int store_recompute(StoreObject *st) {
-    if (st->n > 0
-        && recompute(st->tab, st->n, st->contention, st->contention_cap) < 0) {
-        return -1;
+    if (st->n > 0) {
+        int64_t rounds = recompute(st->tab, st->n, st->contention,
+                                   st->contention_cap);
+        if (rounds < 0) {
+            return -1;
+        }
+        st->fill_rounds += (unsigned long long)rounds;
     }
     st->dirty = 0;
     st->has_next = 0;
@@ -1010,7 +1078,7 @@ static int native_arm(QueueObject *q, StoreObject *st, PyObject *engine,
 
 /* ------------------------------------------------------------------
  * The schedule executor: run(engine, program) runs the flat rank
- * programs of repro.schedules.executor (rank_programs(schedule), one
+ * programs of repro.schedules.executor (compiled_program(schedule), one
  * op per Send, Recv or pack/unpack Delay the generator
  * schedule_program yields) on a healthy machine, with the engine's
  * semantics and none of its Python calls: per rank a program cursor,

@@ -19,8 +19,10 @@ loop.  The fluid network runs it when the compiled kernel
 (:mod:`repro.machine._fastfill`) is not loaded, passing an
 :class:`AllocationWorkspace` plus ``check=False`` so repeated calls over
 one topology reuse every buffer and skip input validation; the
-kernel's fused ``recompute`` transliterates the same rounds and yields
-bit-identical rates.
+kernel's ``recompute`` computes the same doubles with fewer operations
+(memoized link penalties, one rate per round, saturation flags; see
+``_fastfill.c``) and yields bit-identical rates.  Each call counts one
+``net.allocations`` and its rounds as ``net.fill_rounds``.
 """
 
 from __future__ import annotations
@@ -54,12 +56,9 @@ class AllocationWorkspace:
         self.counts = np.zeros(nlinks, dtype=np.int64)
         self.link_incr = np.empty(nlinks)
         self.sat_thresh = np.empty(nlinks)
-        #: Distinct links on the current wave's paths (C kernel work).
-        self.touched = np.empty(nlinks, dtype=np.int64)
         self._fcap = 0
         self.cap_left = np.empty(0)
         self.cap_thresh = np.empty(0)
-        self.active = np.empty(0, dtype=np.uint8)
         self.ensure_flows(1)
 
     def ensure_flows(self, nflows: int) -> None:
@@ -67,7 +66,6 @@ class AllocationWorkspace:
             self._fcap = max(16, 2 * self._fcap, nflows)
             self.cap_left = np.empty(self._fcap)
             self.cap_thresh = np.empty(self._fcap)
-            self.active = np.empty(self._fcap, dtype=np.uint8)
 
 
 def max_min_rates(
@@ -202,7 +200,7 @@ def max_min_rates(
     remaining = nflows
 
     # Each round freezes at least one flow, so nflows rounds suffice.
-    for _ in range(nflows + 1):
+    for rounds in range(nflows + 1):
         if remaining == 0:
             break
         # Allowable uniform rate increment through each link.
@@ -235,6 +233,7 @@ def max_min_rates(
     else:  # pragma: no cover - loop bound is provably sufficient
         raise RuntimeError("max-min allocation failed to converge")
 
+    obs.count("net.fill_rounds", rounds)
     return rates
 
 

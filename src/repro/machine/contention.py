@@ -195,6 +195,15 @@ class FluidNetwork:
         # then converts a handful of scalars.
         self._k = _fastfill.kernel()
         if self._k is not None:
+            # The kernel reallocation's private buffers (row layouts in
+            # _fastfill.c): per link a live-list entry, a memo row
+            # (count 0: empty) and a saturation flag (all zero between
+            # reallocations); per flow slot a live-list entry, a cap
+            # class index and a class row.
+            self._live_links = np.empty(nlinks, dtype=np.int64)
+            self._link_memo = np.zeros((nlinks, 4))
+            self._link_sat = np.zeros(nlinks, dtype=np.uint8)
+            self._kernel_flow_buffers()
             self.store = self._k.FlowStore(
                 self._key_set,
                 float(tree.params.switch_contention),
@@ -301,6 +310,12 @@ class FluidNetwork:
         self._z_next = 0
         return self._z
 
+    def _kernel_flow_buffers(self) -> None:
+        """(Re)allocate the kernel reallocation's per-slot buffers."""
+        self._live_flows = np.empty(self._cap, dtype=np.int64)
+        self._flow_class = np.empty(self._cap, dtype=np.int64)
+        self._cap_classes = np.empty((self._cap, 4))
+
     def _refresh_table(self) -> None:
         """Repoint the kernel store's table (layout: ``kernel().TABLE``)."""
         ws = self._alloc_ws
@@ -311,13 +326,14 @@ class FluidNetwork:
             "csr_links": self._csr_links,
             "rate_cap": self._rate_cap,
             "rate": self._rate,
-            "sat_thresh": ws.sat_thresh,
-            "cap_thresh": ws.cap_thresh,
             "remaining": ws.remaining,
             "counts": ws.counts,
-            "cap_left": ws.cap_left,
-            "active": ws.active,
-            "touched": ws.touched,
+            "live_links": self._live_links,
+            "link_memo": self._link_memo,
+            "link_sat": self._link_sat,
+            "live_flows": self._live_flows,
+            "flow_class": self._flow_class,
+            "cap_classes": self._cap_classes,
             "wire": self._wire,
             "srcs": self._srcs,
             "dsts": self._dsts,
@@ -348,6 +364,7 @@ class FluidNetwork:
         self._alloc_ws.ensure_flows(new_cap)
         self._cap = new_cap
         if self._k is not None:
+            self._kernel_flow_buffers()
             self._refresh_table()
 
     # ------------------------------------------------------------------

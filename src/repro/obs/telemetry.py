@@ -66,6 +66,7 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "sim.makespan_seconds": ("gauge", "simulated makespan of the last run"),
     # -- fluid network --------------------------------------------------
     "net.allocations": ("counter", "max-min rate reallocations"),
+    "net.fill_rounds": ("counter", "progressive-fill rounds of those reallocations"),
     # -- fault injection ------------------------------------------------
     "faults.delays": ("counter", "messages delayed by the fault plan"),
     "faults.delay_seconds": ("histogram", "injected per-message delay"),

@@ -257,9 +257,11 @@ class Engine:
 
         # With the kernel loaded, the compiled drain loop runs the
         # network's arm–check–retire cycle itself (traced or not); its
-        # reallocations and the kernel begin's are counted on the store.
+        # reallocations and the kernel begin's, and their fill rounds,
+        # are counted on the store.
         self._native_net = native = self.net.native_store()
-        allocations = native.allocations if native is not None else 0
+        if native is not None:
+            allocations, rounds = native.allocations, native.fill_rounds
         # The drain allocates heavily (events, in-flight records)
         # but creates no cycles the collector could free mid-run; pausing
         # generational GC avoids repeated full-heap scans over the
@@ -274,6 +276,7 @@ class Engine:
                 gc.enable()
             if native is not None and native.allocations != allocations:
                 obs.count("net.allocations", native.allocations - allocations)
+                obs.count("net.fill_rounds", native.fill_rounds - rounds)
 
         unfinished = [
             p

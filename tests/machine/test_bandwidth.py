@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import FluidNetwork, MachineConfig, _fastfill, bandwidth, fat_tree_for
+from repro.machine import (
+    FAT_TREE_ARITY,
+    CM5Params,
+    FluidNetwork,
+    MachineConfig,
+    _fastfill,
+    bandwidth,
+    fat_tree_for,
+)
 from repro.machine.bandwidth import build_incidence, max_min_rates
 from tests.machine.test_contention import DrainDriver
 
@@ -289,8 +297,67 @@ def run_network(net, waves):
     return driver.run(), series
 
 
+def route_level(src, dst):
+    """Level of the highest switch on the src -> dst route."""
+    level = 0
+    while src != dst:
+        src //= FAT_TREE_ARITY
+        dst //= FAT_TREE_ARITY
+        level += 1
+    return level
+
+
+@st.composite
+def churn_runs(draw):
+    """Long begin/retire churn on a 64- or 128-node fat tree.
+
+    Many waves at short gaps, so flows retire while others start and
+    each link's live-flow count rises, falls and comes back (the
+    kernel's per-link memo is reused and rederived); flows at every
+    route level (every rate cap); switch contention off or on; degraded
+    links.
+    """
+    nprocs = draw(st.sampled_from([64, 128]))
+    params = CM5Params(
+        switch_contention=draw(st.sampled_from([0.0, 0.12, 0.5])),
+        contention_cap=draw(st.sampled_from([1.5, 4.0])),
+    )
+    tree = fat_tree_for(MachineConfig(nprocs, params))
+    degraded = draw(
+        st.dictionaries(
+            st.sampled_from(tree.sorted_link_ids), st.floats(0.05, 1.0),
+            max_size=6,
+        )
+    )
+
+    @st.composite
+    def flows(draw):
+        src = draw(st.integers(0, nprocs - 1))
+        level = draw(st.integers(1, tree.levels))
+        peers = [d for d in range(nprocs) if route_level(src, d) == level]
+        payload = draw(st.sampled_from([0, 64, 512, 1920, 4096]))
+        return src, draw(st.sampled_from(peers)), payload
+
+    waves = draw(
+        st.lists(
+            st.tuples(st.floats(0.0, 3e-4), st.lists(flows(), min_size=2, max_size=32)),
+            min_size=12,
+            max_size=24,
+        )
+    )
+    return tree, degraded, waves
+
+
+def kernel_and_numpy_networks(tree, link_scales=None):
+    fast = FluidNetwork(tree, seed=3, link_scales=link_scales)
+    with mock.patch.object(_fastfill, "kernel", return_value=None):
+        slow = FluidNetwork(tree, seed=3, link_scales=link_scales)
+    assert type(fast.store) is not type(slow.store)
+    return fast, slow
+
+
+@pytest.mark.skipif(_fastfill.kernel() is None, reason="kernel not loaded")
 class TestKernelNetwork:
-    @pytest.mark.skipif(_fastfill.kernel() is None, reason="kernel not loaded")
     @given(network_runs())
     @settings(max_examples=60, deadline=None)
     def test_kernel_and_numpy_networks_bit_identical(self, problem):
@@ -300,11 +367,92 @@ class TestKernelNetwork:
         the bit: completions, per-flow rates and link-utilization
         series."""
         tree, degraded, waves = problem
-        fast = FluidNetwork(tree, seed=3, link_scales=degraded)
-        with mock.patch.object(_fastfill, "kernel", return_value=None):
-            slow = FluidNetwork(tree, seed=3, link_scales=degraded)
-        assert type(fast.store) is not type(slow.store)
+        fast, slow = kernel_and_numpy_networks(tree, degraded)
         assert run_network(fast, waves) == run_network(slow, waves)
+
+    @given(churn_runs())
+    @settings(max_examples=25, deadline=None)
+    def test_bit_identical_under_churn_at_scale(self, problem):
+        """The same at N = 64 and 128, under long churn."""
+        tree, degraded, waves = problem
+        fast, slow = kernel_and_numpy_networks(tree, degraded)
+        completions, series = run_network(fast, waves)
+        assert (completions, series) == run_network(slow, waves)
+        assert len(completions) == sum(len(flows) for _, flows in waves)
+
+    @given(
+        st.lists(st.floats(1e5, 3e7), min_size=4, max_size=8, unique=True),
+        st.lists(st.tuples(st.integers(0, 15), st.integers(1, 15)), max_size=24),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_begin_with_more_rate_caps_than_levels(self, pool, pairs, data):
+        """Flows started through the kernel's begin with more distinct
+        rate caps than the tree has levels (more cap classes than a
+        schedule run makes) get the NumPy reference's rates."""
+        tree = fat_tree_for(MachineConfig(16))
+        assert len(pool) > tree.levels
+        # Every pool cap at least once, some several times.
+        caps = pool + [data.draw(st.sampled_from(pool)) for _ in pairs]
+        pairs = pairs + [(i, 1 + i) for i in range(len(pool))]
+        k = _fastfill.kernel()
+        fast, slow = kernel_and_numpy_networks(tree)
+        for key, ((src, hop), cap) in enumerate(zip(pairs, caps)):
+            dst = (src + hop) % 16
+            off, length = tree.route_slot(src, dst)
+            while not k.begin(
+                fast.store, 0.0, key, 1e4, cap, src, dst,
+                tree.route_buffer[1], off, length,
+            ):
+                fast._grow_slots(fast.store.n + 1)
+            slow.begin_flow(0.0, key, src, dst, 512)
+            slow._rate_cap[key] = cap
+        n = len(caps)
+        fast.begin_flow(1e-9, n, 0, 1, 512)  # reallocates in the kernel
+        slow.advance_to(1e-9)
+        assert fast._rate[:n].tobytes() == slow._rate[:n].tobytes()
+
+    @pytest.mark.parametrize(
+        "rate_cap, route",
+        [
+            # Round 1's increment is -inf, with every link counted.
+            (-math.inf, (3, 12)),
+            # No link and a NaN cap: the flow never freezes, so the fill
+            # fails once the others froze, after rounds that saturated
+            # links.
+            (math.nan, None),
+        ],
+    )
+    def test_failed_reallocation_restores_the_kernel_invariants(
+        self, rate_cap, route
+    ):
+        """A reallocation that raises through the public begin leaves
+        the per-link counts and saturation flags all zero, so the next
+        one on the same store still equals the NumPy network's."""
+        tree = fat_tree_for(MachineConfig(16, CM5Params(routing_jitter=0.0)))
+        fast, slow = kernel_and_numpy_networks(tree)
+        good = [(0, 5, 512), (1, 9, 4096), (2, 3, 64), (5, 0, 512), (4, 7, 1920)]
+        for net in (fast, slow):
+            for key, (src, dst, payload) in enumerate(good):
+                net.begin_flow(0.0, key, src, dst, payload)
+        # The failing flow has no bytes, so the next check retires it.
+        off, length = (0, 0) if route is None else tree.route_slot(*route)
+        assert _fastfill.kernel().begin(
+            fast.store, 0.0, "bad", 0.0, rate_cap, 0, 1,
+            tree.route_buffer[1], off, length,
+        )
+        with pytest.raises(RuntimeError, match="unbounded flow"):
+            fast.begin_flow(1e-6, "late", 3, 12, 512)
+        assert fast.store.dirty and fast.now == 0.0
+        assert not fast._alloc_ws.counts.any()
+        assert not fast._link_sat.any()
+        assert fast.pop_completed_keys(0.0) == ["bad"]
+        for net in (fast, slow):
+            net.begin_flow(1e-6, "late", 3, 12, 512)
+        n = len(good) + 1
+        assert fast._rate[:n].tobytes() == slow._rate[:n].tobytes()
+        assert fast._wire[:n].tobytes() == slow._wire[:n].tobytes()
+        assert fast.snapshot_rates() == slow.snapshot_rates()
 
 
 class TestDegradedScales:

@@ -19,6 +19,7 @@ import weakref
 
 import pytest
 
+from repro import obs
 from repro.cmmd.api import Comm
 from repro.faults import (
     FaultPlan,
@@ -32,6 +33,7 @@ from repro.machine import MachineConfig
 from repro.machine._fastfill import kernel
 from repro.machine.contention import NetworkStallError
 from repro.obs import Tracer
+from repro.schedules import balanced_exchange, execute_schedule, pairwise_exchange
 from repro.sim import Engine
 from repro.sim.process import Delay, Recv, Send
 from tests.sim.test_batched_drain import _run_script, digest_result
@@ -137,6 +139,36 @@ def test_fault_cases_match_the_python_arm():
     )
     fallback = json.loads(_run_script(script, {"REPRO_NO_FASTFILL": "1"}))
     assert fallback == {n: fault_digest(n) for n in sorted(FAULT_CASES)}
+
+
+def traced_net_counters():
+    """``net.allocations`` and ``net.fill_rounds`` of traced N=16 PEX
+    and BEX runs at 512 B."""
+    out = {}
+    for build in (pairwise_exchange, balanced_exchange):
+        with obs.tracing() as tracer:
+            execute_schedule(build(NPROCS, 512), MachineConfig(NPROCS))
+        counters = tracer.metrics.counters
+        out[build.__name__] = [
+            counters[name].value for name in ("net.allocations", "net.fill_rounds")
+        ]
+    return out
+
+
+@_needs_kernel
+def test_traced_counters_match_the_numpy_network():
+    """The kernel store's reallocation and fill-round counts, as the
+    engine reports them, equal the NumPy reference's."""
+    script = (
+        "import json\n"
+        "from tests.sim.test_native_cycle import traced_net_counters\n"
+        "print(json.dumps(traced_net_counters()))"
+    )
+    fallback = json.loads(_run_script(script, {"REPRO_NO_FASTFILL": "1"}))
+    counts = traced_net_counters()
+    assert fallback == counts
+    # Rounds per reallocation above 1: some flows freeze in later rounds.
+    assert all(rounds > allocations > 0 for allocations, rounds in counts.values())
 
 
 def _one_message(rank):
