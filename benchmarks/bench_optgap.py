@@ -3,7 +3,7 @@
 Runs :func:`repro.analysis.optgap.run_optgap` over the Table 11 density
 sweep and the Table 12 application patterns, pricing every irregular
 scheduler (LS/PS/BS/GS, König coloring, local search) through all three
-backends and dividing by the flow/LP lower bound.  The assertions are
+backends and dividing by the endpoint/bisection lower bound.  The assertions are
 the harness's teeth:
 
 * every gap >= 1.0 (a smaller gap means the bound is unsound);
@@ -13,7 +13,7 @@ the harness's teeth:
   Table 12 application pattern.
 
 Artifacts land in ``results/optgap.{txt,json}`` (schema
-``repro-optgap/1``).  Run under pytest (``PYTHONPATH=src python -m
+``repro-optgap/2``).  Run under pytest (``PYTHONPATH=src python -m
 pytest benchmarks/bench_optgap.py``; quick scale when
 ``REPRO_BENCH_SCALE=small``); from the command line, ``python -m repro
 optgap [--quick]`` runs the same sweep.

@@ -2,8 +2,8 @@
 
 ROADMAP item 3 asks how far the paper's 1992 heuristics sit from
 optimal.  :mod:`repro.schedules.bound` supplies schedule-independent
-makespan lower bounds (endpoint serialized work, fat-tree cut loads,
-and their LP combination); this harness prices every irregular
+makespan lower bounds (endpoint serialized work and fat-tree cut
+loads, combined by their max); this harness prices every irregular
 scheduler — the paper's LS/PS/BS/GS, the König coloring, and the
 local-search refiner — with all three conformance backends and reports
 the **gap**::
@@ -20,7 +20,7 @@ Workloads mirror the conformance harness: the Table 11 density sweep
 and the Table 12 application patterns at 32 nodes (full scale), or a
 small N=8/16 grid (``quick``).  ``write_optgap`` emits
 ``results/optgap.txt`` and ``results/optgap.json``
-(schema ``repro-optgap/1``); the CLI (``python -m repro optgap``) exits
+(schema ``repro-optgap/2``); the CLI (``python -m repro optgap``) exits
 non-zero when any gap dips below 1.0 or any schedule fails the linter.
 """
 
@@ -52,7 +52,7 @@ __all__ = [
     "write_optgap",
 ]
 
-OPTGAP_SCHEMA = "repro-optgap/1"
+OPTGAP_SCHEMA = "repro-optgap/2"
 
 #: Slack below 1.0 tolerated before a gap counts as a soundness
 #: violation: floating-point rounding only, not model error.
@@ -300,7 +300,6 @@ def optgap_json(report: OptgapReport) -> Dict[str, object]:
                         if g.bound.bisection_cut is not None
                         else None
                     ),
-                    "lp": g.bound.lp,
                     "binding": g.bound.binding,
                 },
                 "times_ms": {

@@ -6,9 +6,9 @@ straggler or brownout discovered at step 3 of 31 then convoys steps
 **append-only dispatch order** grown while the run executes:
 
 * Every rank executes, in dispatch order, exactly the dispatched steps
-  it participates in — the same per-step action orderings as the static
-  executor (:func:`~repro.schedules.executor.step_actions`), so each
-  step keeps its Figure 2/3 deadlock-freedom argument.
+  it participates in — each step's ops read from the static executor's
+  compiled program (:func:`~repro.schedules.executor.compiled_program`),
+  so each step keeps its Figure 2/3 deadlock-freedom argument.
 * A rank with no dispatched work left *pulls*: the planner re-scores
   the remaining steps with
   :func:`~repro.schedules.repair.step_cost_estimate` under the
@@ -34,13 +34,14 @@ to a dead rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..cmmd.api import Comm, RetryPolicy
 from ..faults.plan import FaultPlan
 from ..machine.params import MachineConfig
-from ..schedules.executor import step_actions
+from ..schedules.executor import SEND, compiled_program
 from ..schedules.repair import rank_steps
 from ..schedules.schedule import Schedule, ScheduleError
 from ..sim.engine import Engine, SimResult
@@ -154,13 +155,14 @@ class AdaptivePlanner:
         config: MachineConfig,
         monitor: HealthMonitor,
     ):
-        for _, t in schedule.all_transfers():
-            if t.pack_bytes or t.unpack_bytes:
-                raise ScheduleError(
-                    f"{schedule.name}: store-and-forward schedules carry "
-                    "inter-step data dependencies and cannot be re-sequenced"
-                )
+        program = compiled_program(schedule)
+        if program.copies:
+            raise ScheduleError(
+                f"{schedule.name}: store-and-forward schedules carry "
+                "inter-step data dependencies and cannot be re-sequenced"
+            )
         self.schedule = schedule
+        self.program = program
         self.config = config
         self.monitor = monitor
         self.participants = [
@@ -173,10 +175,6 @@ class AdaptivePlanner:
         #: Number of times the remaining steps were re-ranked because
         #: the monitor's inference moved (reporting/tests).
         self.rerank_count = -1
-
-    @property
-    def exchange_order(self) -> str:
-        return self.schedule.exchange_order
 
     def is_dead(self, rank: int) -> bool:
         return rank in self.monitor.dead
@@ -229,47 +227,51 @@ def _adaptive_program(
     manifest: DeliveryManifest,
     policy: RetryPolicy,
 ) -> RankProgram:
-    """One rank's program: execute dispatched steps, pull when starved."""
+    """One rank's program: execute dispatched steps, pull when starved.
+
+    Step ``sid``'s ops are the rows of the rank's compiled program whose
+    tag is ``sid``.  With no memcpy ``DELAY`` rows (store-and-forward
+    schedules are rejected) the tags never decrease, so two binary
+    searches find them.
+    """
     rank = comm.rank
+    program = planner.program
+    ops = program.ops[program.starts[rank] : program.starts[rank + 1]].tolist()
+    tags = [op[2] for op in ops]
+    sizes = program.sizes
     pos = 0
     while True:
         kind, pos, sid = planner.next_for(rank, pos)
         if kind == "done":
             return
-        sends, recvs = planner.schedule.rank_ops(rank, sid)
-        for akind, t in step_actions(rank, sends, recvs, planner.exchange_order):
-            if akind == "send":
-                if planner.is_dead(t.dst):
-                    manifest.mark(sid, t.src, t.dst, "dead_dst")
+        lo, hi = bisect_left(tags, sid), bisect_left(tags, sid + 1)
+        for op, peer, _, index in ops[lo:hi]:
+            if op == SEND:
+                if planner.is_dead(peer):
+                    manifest.mark(sid, rank, peer, "dead_dst")
                     continue
-                if t.pack_bytes:
-                    yield comm.memcpy(t.pack_bytes)
                 attempt = 0
                 while True:
-                    outcome = yield comm.send(t.dst, t.nbytes, tag=sid)
+                    outcome = yield comm.send(peer, sizes[index], tag=sid)
                     if outcome is not DROPPED:
-                        manifest.mark(sid, t.src, t.dst, "delivered")
+                        manifest.mark(sid, rank, peer, "delivered")
                         break
-                    if planner.is_dead(t.dst):
-                        manifest.mark(sid, t.src, t.dst, "dead_dst")
+                    if planner.is_dead(peer):
+                        manifest.mark(sid, rank, peer, "dead_dst")
                         break
                     if attempt >= policy.max_retries:
-                        manifest.mark(sid, t.src, t.dst, "lost")
+                        manifest.mark(sid, rank, peer, "lost")
                         break
                     yield comm.delay(policy.backoff(attempt))
                     attempt += 1
             else:
-                if planner.is_dead(t.src):
-                    manifest.mark(sid, t.src, t.dst, "dead_src")
+                if planner.is_dead(peer):
+                    manifest.mark(sid, peer, rank, "dead_src")
                     continue
-                got = yield comm.recv(t.src, tag=sid)
-                if got is DROPPED:
-                    # Only a dead source resolves a receive this way.
-                    manifest.mark(sid, t.src, t.dst, "dead_src")
-                    continue
-                if t.unpack_bytes:
-                    yield comm.memcpy(t.unpack_bytes)
-                manifest.mark(sid, t.src, t.dst, "delivered")
+                got = yield comm.recv(peer, tag=sid)
+                # Only a dead source resolves a receive with DROPPED.
+                status = "dead_src" if got is DROPPED else "delivered"
+                manifest.mark(sid, peer, rank, status)
 
 
 @dataclass(frozen=True)

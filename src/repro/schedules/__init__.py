@@ -47,7 +47,6 @@ from .bound import (
     LowerBound,
     bisection_bound,
     endpoint_bound,
-    lp_bound,
     makespan_lower_bound,
 )
 from .estimate import estimate_schedule_time, estimate_step_time
@@ -111,7 +110,6 @@ __all__ = [
     "LowerBound",
     "endpoint_bound",
     "bisection_bound",
-    "lp_bound",
     "makespan_lower_bound",
     "estimate_schedule_time",
     "estimate_step_time",

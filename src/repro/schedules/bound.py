@@ -9,7 +9,7 @@ schedule-independent quantities every backend (analytic estimator, fluid
 DES, packet simulation) must exceed, in the spirit of the certified
 optimal-schedule constructions of Träff's broadcast work (PAPERS.md).
 
-Three bounds, each sound for all three cost backends:
+Two bounds, each sound for all three cost backends:
 
 * **endpoint** — each rank's software layer is serial, so a rank pays its
   per-message overheads (``send_overhead`` per send, ``recv_overhead``
@@ -25,28 +25,20 @@ Three bounds, each sound for all three cost backends:
   level-``l`` link, the same profile the fluid and packet networks use;
   contention penalties only lower it).  The binding cut under the CM-5
   profile is usually a root link — the bisection.
-* **lp** — the LP relaxation combining both families: minimize ``T``
-  subject to ``T >= load(r)`` for every rank resource and ``T >=
-  load(c)`` for every link cut.  With fixed (deterministic up-over-down)
-  routing the constraint loads are data, not variables, so the LP
-  optimum equals the max of the resource loads — the fractional
-  relaxation of the scheduling integer program collapses to its
-  congestion bound.  We still solve it as an LP (scipy when available,
-  a deterministic pure-numpy simplex otherwise) so the machinery is in
-  place for topologies with routing freedom, and so the reported bound
-  is the solution of a stated optimization problem rather than an
-  ad-hoc max.
 
-``makespan_lower_bound`` returns the combined bound with its breakdown;
+Both hold for every schedule, so their max does too.  The fat tree routes
+deterministically (up-over-down), so every load is data, not a variable:
+the LP relaxation ``min T s.t. T >= load`` over both families has exactly
+that max as its optimum, and combining them yields nothing tighter.
+``makespan_lower_bound`` returns that max with its breakdown;
 ``repro.analysis.optgap`` divides measured makespans by it to report
 per-pattern optimality gaps.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -62,9 +54,7 @@ __all__ = [
     "LowerBound",
     "endpoint_bound",
     "bisection_bound",
-    "lp_bound",
     "makespan_lower_bound",
-    "simplex_min_max",
 ]
 
 #: Cut identifier: (direction, level, subtree index) — the fat tree's
@@ -76,7 +66,7 @@ CutKey = Tuple[str, int, int]
 class LowerBound:
     """A makespan lower bound with its per-family breakdown."""
 
-    #: The combined bound (seconds): max of the families = LP optimum.
+    #: The combined bound (seconds): ``max(endpoint, bisection)``.
     seconds: float
     #: Tightest per-rank serialized-work bound and the rank it binds on.
     endpoint: float
@@ -84,10 +74,6 @@ class LowerBound:
     #: Tightest per-link cut bound and the link it binds on.
     bisection: float
     bisection_cut: Optional[CutKey]
-    #: LP relaxation optimum (== max(endpoint, bisection) on the fat
-    #: tree's fixed routing; kept separate so a future topology with
-    #: routing freedom can report a strictly tighter LP).
-    lp: float
     #: Which family binds: "endpoint" or "bisection".
     binding: str
 
@@ -159,11 +145,7 @@ def endpoint_bound(
 # ----------------------------------------------------------------------
 # Bisection / cut bound
 # ----------------------------------------------------------------------
-def _cut_loads(
-    pattern: CommPattern,
-    config: MachineConfig,
-    params: CM5Params,
-) -> Dict[CutKey, float]:
+def _cut_loads(pattern: CommPattern, params: CM5Params) -> Dict[CutKey, float]:
     """Seconds of traffic per fat-tree link: wire bytes / aggregate cap.
 
     A message from ``src`` to ``dst`` whose route peaks at level ``top``
@@ -213,113 +195,11 @@ def bisection_bound(
             f"{config.nprocs}"
         )
     params = params or config.params
-    loads = _cut_loads(pattern, config, params)
+    loads = _cut_loads(pattern, params)
     if not loads:
         return 0.0, None
     cut = max(loads, key=lambda k: (loads[k], k))
     return loads[cut], cut
-
-
-# ----------------------------------------------------------------------
-# LP relaxation
-# ----------------------------------------------------------------------
-def simplex_min_max(loads: np.ndarray) -> float:
-    """Deterministic dense simplex for ``min T s.t. T >= loads_i``.
-
-    Standard-form phase-II simplex with Bland's rule on the epigraph
-    LP::
-
-        min  T
-        s.t. T - s_i = loads_i,   s_i >= 0
-
-    i.e. ``T = loads_i + s_i``.  Substituting out ``T`` leaves the
-    trivially bounded problem whose optimum is ``max(loads)``; we still
-    pivot through the tableau so the pure-numpy path exercises the same
-    code shape a non-degenerate LP would (and so a future formulation
-    with genuine routing variables can reuse it).  Deterministic: Bland's
-    smallest-index rule, no randomized pricing.
-    """
-    loads = np.asarray(loads, dtype=np.float64)
-    if loads.size == 0:
-        return 0.0
-    n = loads.size
-    # Tableau over basis {T} ∪ {s_i : i != pivot}: start from the basis
-    # where T equals loads_0 and slack rows carry loads_i - loads_0;
-    # Bland pivots T's defining row to the most violated constraint until
-    # all slacks are feasible.  Equivalent to max(loads), computed via
-    # explicit ratio-test pivots.
-    basis_row = 0
-    t_value = float(loads[0])
-    for _ in range(n + 1):
-        slacks = t_value - loads
-        violated = np.nonzero(slacks < -1e-15)[0]
-        if violated.size == 0:
-            break
-        enter = int(violated[0])  # Bland: smallest index
-        t_value = float(loads[enter])
-        basis_row = enter
-    else:  # pragma: no cover - n pivots always suffice
-        raise RuntimeError("simplex failed to converge on epigraph LP")
-    del basis_row
-    return t_value
-
-
-def lp_bound(
-    pattern: CommPattern,
-    config: MachineConfig,
-    params: Optional[CM5Params] = None,
-) -> float:
-    """Optimum of the LP relaxation combining endpoint and cut bounds.
-
-    ``min T`` subject to ``T >= load_i`` for every rank resource
-    (endpoint serialized work) and every fat-tree link (cut drain time).
-    Solved with :func:`scipy.optimize.linprog` when scipy is importable
-    and ``REPRO_NO_SCIPY`` is unset, otherwise (or on solver failure)
-    with the deterministic pure-numpy simplex — both paths return the
-    same value to solver precision, and the fallback is exact.
-    """
-    params = params or config.params
-    rank_loads = _endpoint_loads(pattern, config, params)
-    cut_loads = list(_cut_loads(pattern, config, params).values())
-    loads = np.array(rank_loads + cut_loads, dtype=np.float64)
-    if loads.size == 0:
-        return 0.0
-    if not os.environ.get("REPRO_NO_SCIPY"):
-        try:
-            from scipy.optimize import linprog
-
-            # min c^T x with x = (T,); A_ub x <= b_ub encodes -T <= -load.
-            res = linprog(
-                c=[1.0],
-                A_ub=-np.ones((loads.size, 1)),
-                b_ub=-loads,
-                bounds=[(0.0, None)],
-                method="highs",
-            )
-            if res.status == 0:
-                return float(res.fun)
-        except Exception:  # pragma: no cover - scipy absent or solver hiccup
-            pass
-    return simplex_min_max(loads)
-
-
-def _endpoint_loads(
-    pattern: CommPattern, config: MachineConfig, params: CM5Params
-) -> List[float]:
-    """Per-rank endpoint loads (the endpoint_bound vector, all ranks)."""
-    m = pattern.matrix
-    nz = m > 0
-    wires = np.zeros_like(m, dtype=np.float64)
-    if nz.any():
-        wires[nz] = np.vectorize(wire_bytes, otypes=[np.int64])(m[nz])
-    software = (
-        nz.sum(axis=1) * params.send_overhead
-        + nz.sum(axis=0) * params.recv_overhead
-    )
-    per_rank = software + (
-        np.maximum(wires.sum(axis=1), wires.sum(axis=0)) / params.bw_level1
-    )
-    return [float(x) for x in per_rank]
 
 
 # ----------------------------------------------------------------------
@@ -332,21 +212,17 @@ def makespan_lower_bound(
 ) -> LowerBound:
     """The combined makespan lower bound with its breakdown.
 
-    ``seconds`` is the LP optimum, which on the fixed-routing fat tree
-    equals ``max(endpoint, bisection)``; ``binding`` names the family
-    that achieves it.
+    ``seconds`` is ``max(endpoint, bisection)``; ``binding`` names the
+    family that achieves it.
     """
     params = params or config.params
     ep, rank = endpoint_bound(pattern, config, params)
     bi, cut = bisection_bound(pattern, config, params)
-    lp = lp_bound(pattern, config, params)
-    combined = max(ep, bi, lp)
     return LowerBound(
-        seconds=combined,
+        seconds=max(ep, bi),
         endpoint=ep,
         endpoint_rank=rank,
         bisection=bi,
         bisection_cut=cut,
-        lp=lp,
         binding="endpoint" if ep >= bi else "bisection",
     )

@@ -31,16 +31,16 @@ trace).
 
 :func:`compiled_program` compiles these rules once per schedule, from
 its int64 step columns in one vectorized pass, into every rank's
-program of int64 ops (:func:`step_actions` is the per-step statement
-of the same rules, kept for the adaptive executor).  Two paths run
-that one program.  The generator path — :func:`schedule_program` on
-every rank via :func:`run_spmd` — is the reference, and the only one
-for fault plans, traces and tracers.  An untraced, fault-free run with
+program of int64 ops.  Two paths run that one program.  The generator
+path — :func:`schedule_program` on every rank via :func:`run_spmd` — is
+the reference, and the only one for fault plans, traces and tracers.  An untraced, fault-free run with
 the compiled kernel loaded takes the compiled schedule executor
 instead: the same ops interpreted inside the compiled drain loop with
 bit-identical timings.  A run whose ranks do not all finish there is
 re-run on the generator path, so a deadlock raises the reference's
-:class:`~repro.sim.engine.DeadlockError`.
+:class:`~repro.sim.engine.DeadlockError`.  The adaptive executor
+(:mod:`repro.resilience.adaptive`) runs the same ops too, one step at
+a time in its own dispatch order.
 """
 
 from __future__ import annotations
@@ -59,9 +59,7 @@ from ..sim.engine import Engine, SimResult
 from ..sim.process import DROPPED, RankProgram, Recv, Send
 from .schedule import (
     LOWER_RECV_FIRST,
-    LOWER_SEND_FIRST,
     Schedule,
-    Transfer,
     packed_key,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "compiled_program",
     "execute_schedule",
     "schedule_program",
-    "step_actions",
 ]
 
 
@@ -93,47 +90,6 @@ class ExecutionResult:
             f"ExecutionResult({self.schedule_name}, nprocs={self.nprocs}, "
             f"time={self.time_ms:.3f} ms)"
         )
-
-
-def step_actions(
-    rank: int,
-    sends: List[Transfer],
-    recvs: List[Transfer],
-    exchange_order: str,
-) -> List[tuple]:
-    """Deadlock-free ``("send"|"recv", transfer)`` order for one rank's step.
-
-    This is the ordering core of the executor (the rules in the module
-    docstring), shared with the adaptive executor so a re-sequenced run
-    keeps the same intra-step deadlock-freedom arguments.  A "send"
-    action implies the pack memcpy before the wire op; a "recv" action
-    implies the unpack memcpy after it.
-    """
-    if len(sends) == 1:
-        out = sends[0]
-        if not recvs:
-            return [("send", out)]
-        if len(recvs) == 1 and out.dst == recvs[0].src:
-            inc = recvs[0]
-            # Figure 3 (LOWER_SEND_FIRST): lower rank sends first;
-            # Figure 2 (LOWER_RECV_FIRST): lower rank receives first.
-            if (rank < out.dst) == (exchange_order == LOWER_SEND_FIRST):
-                return [("send", out), ("recv", inc)]
-            return [("recv", inc), ("send", out)]
-    elif not sends and len(recvs) == 1:
-        return [("recv", recvs[0])]
-    if sends:
-        # Mixed partners (greedy): receive-before-send iff the source
-        # outranks us downward; see module docstring.
-        early = sorted((r for r in recvs if r.src < rank), key=lambda t: t.src)
-        late = sorted((r for r in recvs if r.src > rank), key=lambda t: t.src)
-        return (
-            [("recv", t) for t in early]
-            + [("send", t) for t in sorted(sends, key=lambda t: t.dst)]
-            + [("recv", t) for t in late]
-        )
-    # Linear-family step: the receiver drains sources in order.
-    return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
 
 
 #: Op codes of a compiled program (the kernel's OP_SEND, OP_RECV, OP_DELAY).
@@ -161,8 +117,8 @@ class Program(NamedTuple):
 
 
 def compiled_program(schedule: Schedule) -> Program:
-    """Every rank's program in :func:`step_actions` order, compiled once
-    from the schedule's columns and cached on it.
+    """Every rank's program in the module docstring's order, compiled
+    once from the schedule's columns and cached on it.
 
     Rank r's ops are the requests :func:`schedule_program` yields from
     its seat, in order: a send's pack memcpy ``Delay`` and its ``Send``,
@@ -180,9 +136,8 @@ def compiled_program(schedule: Schedule) -> Program:
     for a native program of T steps at most ``((rank * T + step) * 3 +
     class) * n + peer``) and sorted once, stably; a peer that cannot be
     packed (negative, or too large: only a hand-built schedule has one)
-    falls back to ``np.lexsort``.  That is
-    :func:`step_actions`' mixed-partner and receive-only order.  An
-    exchange (a rank's step is one send and one receive with the same
+    falls back to ``np.lexsort``.  That is the mixed-partner and
+    receive-only order.  An exchange (a rank's step is one send and one receive with the same
     partner) sorts as Figure 3 (``LOWER_SEND_FIRST``) and is flipped
     for Figure 2.
 

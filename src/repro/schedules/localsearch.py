@@ -21,11 +21,6 @@ Move set
 * **swap** — exchange two transfers between two steps when each fits in
   the other's slots; escapes local minima where every one-way move is
   blocked by a full slot.
-* **reorder** — swap adjacent steps, accepted on strict estimate
-  improvement.  The shipped estimator prices steps independently (the
-  sum is order-invariant), so this move never fires today; it is kept so
-  an order-sensitive cost model (e.g. one pricing the fluid executor's
-  cross-step pipelining) activates it without search changes.
 
 Acceptance is strict first-improvement on the summed step estimates;
 candidate visiting order is shuffled by a seeded generator, so the
@@ -46,7 +41,7 @@ from typing import List, Optional, Set
 import numpy as np
 
 from .. import obs
-from ..machine.params import CM5Params, MachineConfig
+from ..machine.params import MachineConfig
 from .coloring import coloring_schedule
 from .estimate import estimate_step_time
 from .greedy import greedy_schedule
@@ -265,23 +260,6 @@ def _local_build(
                             break
                     if swapped:
                         break
-                if swapped:
-                    continue
-
-        # ---- reorder phase: adjacent-step swaps on strict improvement.
-        # The shipped estimator is order-invariant (steps are priced
-        # independently), so this never accepts; see module docstring.
-        for i in range(len(steps) - 1):
-            if evals >= budget:
-                break
-            before = cost[i] + cost[i + 1]
-            after = step_cost(steps[i + 1]) + step_cost(steps[i])
-            if after < before - _EPS:  # pragma: no cover - order-invariant
-                steps[i], steps[i + 1] = steps[i + 1], steps[i]
-                send_used[i], send_used[i + 1] = send_used[i + 1], send_used[i]
-                recv_used[i], recv_used[i + 1] = recv_used[i + 1], recv_used[i]
-                cost[i], cost[i + 1] = cost[i + 1], cost[i]
-                improved_any = True
 
     refined = Schedule(
         nprocs=pattern.nprocs,

@@ -289,28 +289,6 @@ class Schedule:
     def n_messages(self) -> int:
         return self.columns.shape[1]
 
-    def rank_ops(self, rank: int, step_idx: int) -> Tuple[List[Transfer], List[Transfer]]:
-        """This rank's (sends, recvs) within one step, schedule order.
-
-        Backed by a lazily built per-step index: the adaptive executor
-        asks for every (rank, step) pair, and rescanning the step each
-        time is O(nprocs * n_messages) over a run — quadratic in machine
-        size.
-        """
-        try:
-            index = self._rank_index
-        except AttributeError:
-            index = []
-            for step in self.steps:
-                by_rank: dict = {}
-                for t in step:
-                    by_rank.setdefault(t.src, ([], []))[0].append(t)
-                    by_rank.setdefault(t.dst, ([], []))[1].append(t)
-                index.append(by_rank)
-            object.__setattr__(self, "_rank_index", index)
-        ops = index[step_idx].get(rank)
-        return ops if ops is not None else ([], [])
-
     def render_table(self) -> str:
         """Multi-line, paper-style rendering of the whole schedule."""
         lines = [f"{self.name} ({self.nprocs} processors, {self.nsteps} steps)"]

@@ -1,5 +1,6 @@
 """Chaos harness: plan generation, invariants, report round-trip."""
 
+import hashlib
 import json
 
 from repro.faults import FaultPlan
@@ -55,6 +56,24 @@ def test_quick_campaign_holds_all_invariants():
     assert report.ok, [r.violations for r in report.violations]
     # Every run carries a replay digest (the determinism check ran).
     assert all(r.digest for r in report.runs)
+
+
+#: SHA-256 over the quick campaign's per-run ``digest makespan.hex()
+#: bytes`` lines: pins every adaptive run's op sequence and timing.
+QUICK_CAMPAIGN_SHA256 = (
+    "14970cedac91ab50375d291f7de38a9b344c2523840d2b164c7c5dff3a02f003"
+)
+
+
+def test_quick_campaign_runs_are_pinned():
+    report = run_campaign(quick=True)
+    lines = [
+        f"{r.digest} {r.makespan.hex()} {sorted(r.bytes.items())}"
+        for r in report.runs
+    ]
+    assert len(lines) == 20
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == QUICK_CAMPAIGN_SHA256
 
 
 def test_campaign_seed_base_shifts_plans():

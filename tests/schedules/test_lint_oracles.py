@@ -10,8 +10,8 @@
   :func:`lint_schedule` on thousands of mutated schedules.
 
 Also pins that each schedule's program is compiled once and shared by
-the linter and the executor, holds the compile to the
-``step_actions`` ordering on random step sets, and checks that a
+the linter and the executor, holds the compile to a per-step
+statement of the orderings (``step_actions``) on random step sets, and checks that a
 program certified ``live`` (which the linter does not replay) never
 stalls in the replay.
 """
@@ -629,13 +629,45 @@ def step_sets(draw):
     return out
 
 
+def step_actions(
+    rank: int, sends: List[Transfer], recvs: List[Transfer], exchange_order: str
+) -> List[tuple]:
+    """The executor's ordering rules for one rank's step, stated per step:
+    ``("send"|"recv", transfer)`` in the order the rank issues them."""
+    if len(sends) == 1:
+        out = sends[0]
+        if not recvs:
+            return [("send", out)]
+        if len(recvs) == 1 and out.dst == recvs[0].src:
+            inc = recvs[0]
+            # Figure 3 (LOWER_SEND_FIRST): lower rank sends first;
+            # Figure 2 (LOWER_RECV_FIRST): lower rank receives first.
+            if (rank < out.dst) == (exchange_order == LOWER_SEND_FIRST):
+                return [("send", out), ("recv", inc)]
+            return [("recv", inc), ("send", out)]
+    elif not sends and len(recvs) == 1:
+        return [("recv", recvs[0])]
+    if sends:
+        # Mixed partners: receive-before-send iff the source is lower.
+        early = sorted((r for r in recvs if r.src < rank), key=lambda t: t.src)
+        late = sorted((r for r in recvs if r.src > rank), key=lambda t: t.src)
+        return (
+            [("recv", t) for t in early]
+            + [("send", t) for t in sorted(sends, key=lambda t: t.dst)]
+            + [("recv", t) for t in late]
+        )
+    # Linear-family step: the receiver drains sources in order.
+    return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
+
+
 def step_actions_program(sched: Schedule, rank: int) -> List[tuple]:
     """The oracle: a rank's requests, step by step from ``step_actions``,
     as ``(kind, peer, tag, bytes)`` (a Delay has no peer or tag)."""
     want = []
-    for step_idx in range(sched.nsteps):
-        sends, recvs = sched.rank_ops(rank, step_idx)
-        for kind, t in executor.step_actions(rank, sends, recvs, sched.exchange_order):
+    for step_idx, step in enumerate(sched.steps):
+        sends = [t for t in step if t.src == rank]
+        recvs = [t for t in step if t.dst == rank]
+        for kind, t in step_actions(rank, sends, recvs, sched.exchange_order):
             if kind == "send":
                 if t.pack_bytes:
                     want.append((executor.DELAY, 0, 0, t.pack_bytes))

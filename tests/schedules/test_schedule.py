@@ -103,12 +103,6 @@ class TestSchedule:
         assert s.n_messages == 2
         assert s.total_bytes == 24
 
-    def test_rank_ops(self):
-        s = sched([[Transfer(0, 1, 8), Transfer(2, 0, 4)]])
-        sends, recvs = s.rank_ops(0, 0)
-        assert [t.dst for t in sends] == [1]
-        assert [t.src for t in recvs] == [2]
-
     def test_render_table_contains_steps(self):
         text = sched([[Transfer(0, 1, 8)]], name="demo").render_table()
         assert "demo" in text and "Step 1" in text

@@ -190,7 +190,7 @@ class TestOptgapCommand:
         import json
 
         doc = json.loads(js.read_text())
-        assert doc["schema"] == "repro-optgap/1"
+        assert doc["schema"] == "repro-optgap/2"
         assert doc["ok"] is True
 
 
