@@ -101,6 +101,17 @@ class TestArtifacts:
         g = doc["groups"]["t/8"]
         assert g["bound"]["seconds"] > 0
         assert g["bound"]["binding"] in ("endpoint", "bisection")
+        assert set(g["bound"]) == {
+            "seconds",
+            "endpoint",
+            "endpoint_rank",
+            "bisection",
+            "bisection_cut",
+            "binding",
+        }
+        assert g["bound"]["seconds"] == max(
+            g["bound"]["endpoint"], g["bound"]["bisection"]
+        )
         assert set(g["gaps"]) == set(g["times_ms"])
         json.dumps(doc)  # round-trips
 

@@ -12,6 +12,7 @@ Three claims are pinned here:
   delivery manifest accounting every pattern byte.
 """
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, NodeFailure, NodeStraggler
@@ -25,6 +26,7 @@ from repro.schedules import (
     repair_schedule,
     schedule_irregular,
 )
+from repro.schedules.executor import compiled_program
 
 CFG32 = MachineConfig(32, CM5Params(routing_jitter=0.0))
 
@@ -61,6 +63,19 @@ def test_healthy_makespan_comparable_to_static():
     # Same steps, same intra-step orderings; the pull order may differ
     # but must not regress materially.
     assert adaptive <= static * 1.10
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["linear", "pairwise", "balanced", "greedy"]
+)
+def test_step_tags_never_decrease_per_rank(algorithm):
+    """The adaptive executor finds a step's ops by binary search on each
+    rank's tag column: without memcpy copies the tags must be sorted."""
+    program = compiled_program(_schedule(algorithm, 0.4, nbytes=4096))
+    assert program.copies == []
+    for rank in range(32):
+        tags = program.ops[program.starts[rank] : program.starts[rank + 1], 2]
+        assert (np.diff(tags) >= 0).all(), rank
 
 
 def test_rejects_store_and_forward():
