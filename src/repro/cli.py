@@ -11,9 +11,8 @@ The exhibits (``schedules``, ``fig5``-``fig11``, ``table5/11/12``,
 sweeps to small machines and ``--csv DIR`` also writes figure data.
 The oracles (``validate``, ``conformance``, ``optgap``, ``chaos``,
 ``serve-chaos``) exit 1 on a failed check, after writing their
-artifacts under ``results/``; ``serve-bench`` writes the BENCH
-document; ``trace``, ``critpath``, ``roottraffic``, ``gantt``,
-``metrics`` and ``profile`` observe one run.
+artifacts under ``results/``; ``trace``, ``critpath``, ``roottraffic``,
+``gantt``, ``metrics`` and ``profile`` observe one run.
 
 Each command accepts exactly the options it reads: :data:`COMMANDS`
 names its function and options, and :data:`OPTIONS` defines every
@@ -62,7 +61,6 @@ from .schedules import (
     pairwise_schedule,
     recursive_exchange,
 )
-from .service.arrivals import arrival_names
 
 __all__ = ["main", "CLIError", "COMMANDS", "OPTIONS"]
 
@@ -668,61 +666,6 @@ def cmd_chaos(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> None:
-    """Benchmark the scheduling service under a Zipf request stream.
-
-    Serves a stream of scheduling requests through the content-addressed
-    cache / warm-start / single-flight tiers of :mod:`repro.service` and
-    writes the scale-routed BENCH document (schema
-    ``repro-bench-service/3``): full runs go to ``BENCH_service.json``,
-    ``--quick``/custom runs to the ``BENCH_service_quick.json`` side
-    path so a smoke run can never clobber the committed full-scale
-    artifact (``--force`` overrides the guard).  A text table lands in
-    ``results/service_bench.txt``.  ``--requests/--corpus/--skew/
-    --arrival/--jobs`` shape the workload; ``--quick`` is the CI smoke
-    scale.  Exits 1 when any served schedule fails the linter or the
-    cache never hits — a serving layer that rebuilds everything (or
-    serves garbage) is broken, however fast.
-    """
-    from .service import (
-        render_service_bench,
-        run_service_bench,
-        write_service_bench,
-    )
-
-    bench = run_service_bench(
-        quick=args.quick,
-        skew=args.skew,
-        arrival=args.arrival,
-        workers=args.jobs,
-        corpus_size=args.corpus,
-        requests=args.requests,
-        progress=print,
-    )
-    try:
-        with _writing():
-            out = write_service_bench(bench, force=args.force)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-    report = render_service_bench(bench)
-    _save("results/service_bench.txt", report + "\n")
-    print()
-    print(report)
-    print(f"[bench written to {out}]")
-    bad = [
-        name
-        for name, wl in bench["workloads"].items()
-        if wl["lint_failures"] or wl["hit_rate"] <= 0
-    ]
-    if bad:
-        print(
-            f"serve-bench: lint failures or zero hit rate in "
-            f"{', '.join(bad)}",
-            file=sys.stderr,
-        )
-        raise SystemExit(1)
-
-
 def cmd_serve_chaos(args: argparse.Namespace) -> None:
     """Service chaos campaign: seeded faults vs. the guarded scheduler.
 
@@ -938,7 +881,6 @@ _POWER_OF_TWO = _checked(
 )
 _NON_NEGATIVE_INT = _checked(int, lambda n: n >= 0, ">= 0")
 _POSITIVE_INT = _checked(int, lambda n: n > 0, "> 0")
-_NON_NEGATIVE_FLOAT = _checked(float, lambda x: 0 <= x < math.inf, "finite and >= 0")
 _POSITIVE_FLOAT = _checked(float, lambda x: 0 < x < math.inf, "finite and > 0")
 
 
@@ -1005,23 +947,7 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
         "--plan", metavar="FILE",
         help="load a FaultPlan from a JSON file (overrides the fault flags)",
     ),
-    # scheduling service
-    "requests": _option(
-        "--requests", type=_POSITIVE_INT, metavar="N",
-        help="requests per workload (default: scale preset)",
-    ),
-    "corpus": _option(
-        "--corpus", type=_POSITIVE_INT, metavar="N",
-        help="distinct patterns per workload (default: scale preset)",
-    ),
-    "skew": _option(
-        "--skew", type=_NON_NEGATIVE_FLOAT, default=1.1, metavar="S",
-        help="Zipf skew of the request mix (0 = uniform, default 1.1)",
-    ),
-    "arrival": _option(
-        "--arrival", choices=arrival_names(), default="poisson",
-        help="arrival process (default poisson)",
-    ),
+    # chaos campaigns
     "jobs": _option(
         "--jobs", type=_NON_NEGATIVE_INT, default=0, metavar="N",
         help="worker processes (0 = inline, the default)",
@@ -1029,10 +955,6 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "runs": _option(
         "--runs", type=_POSITIVE_INT, metavar="N",
         help="scenario count (default: scale preset)",
-    ),
-    "force": _option(
-        "--force", action="store_true",
-        help="overwrite a full-scale BENCH_service.json from a non-full run",
     ),
     # schedule validation and observability runs
     "nprocs": _option(
@@ -1124,10 +1046,6 @@ COMMANDS: Dict[str, Command] = {
     "gantt": Command(cmd_gantt, ("quick", "trace")),
     "report": Command(cmd_report),
     "calibrate": Command(cmd_calibrate, ("quick",)),
-    "serve-bench": Command(
-        cmd_serve_bench,
-        ("quick", "requests", "corpus", "skew", "arrival", "jobs", "force"),
-    ),
     "serve-chaos": Command(cmd_serve_chaos, ("quick", "runs", "fault_seed")),
     "validate": Command(cmd_validate, ("nprocs", "lint_algorithm", "schedule")),
     "conformance": Command(cmd_conformance, ("quick",)),

@@ -161,10 +161,6 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
         "histogram",
         "time spent linting responses before they leave the service",
     ),
-    "service.sojourn_seconds": (
-        "histogram",
-        "virtual-queue sojourn time per request (bench driver)",
-    ),
 }
 
 

@@ -10,13 +10,10 @@ serving layer:
   :class:`ScheduleStore` of serialized schedules;
 * :mod:`repro.service.scheduler` — the :class:`Scheduler` service:
   exact hits, isomorphic relabel hits, warm-start repair on near-miss
-  patterns, single-flight dedup, and a process-pool cold-build tier;
+  patterns, single-flight dedup, and a process-pool cold-build tier
+  (plus :func:`drift_variant`, the one-cell near-miss warm start serves);
 * :mod:`repro.service.pool` — the shared :class:`WorkerPool` (also the
   engine of ``repro chaos --jobs``);
-* :mod:`repro.service.arrivals` — pluggable arrival-process registry
-  (Poisson, bursty, closed-loop);
-* :mod:`repro.service.driver` — Zipf streaming workload driver and the
-  ``BENCH_service.json`` bench (schema ``repro-bench-service/3``);
 * :mod:`repro.service.guard` — reliability guardrails: per-request
   deadline budgets, seeded-jitter retry backoff, a worker circuit
   breaker, and admission control / load shedding;
@@ -33,33 +30,12 @@ Quick start::
     resp.source      # "cold" the first time, "hit" after
 """
 
-from .arrivals import (
-    ARRIVAL_PROCESSES,
-    ArrivalProcess,
-    BurstyArrivals,
-    ClosedLoopArrivals,
-    PoissonArrivals,
-    arrival_names,
-    make_arrivals,
-    register_arrival,
-)
 from .chaos import (
     SERVICE_CHAOS_SCHEMA,
     ServiceChaosRun,
     render_service_chaos,
     run_service_campaign,
     write_service_chaos,
-)
-from .driver import (
-    SERVICE_SCHEMA,
-    drift_variant,
-    pattern_corpus,
-    render_service_bench,
-    request_stream,
-    run_service_bench,
-    run_service_cell,
-    write_service_bench,
-    zipf_mix,
 )
 from .guard import (
     BREAKER_STATES,
@@ -85,33 +61,21 @@ from .keys import (
     pattern_digest,
 )
 from .pool import WorkerPool
-from .scheduler import Scheduler, ServiceResponse, adapt_schedule
+from .scheduler import (
+    Scheduler,
+    ServiceResponse,
+    adapt_schedule,
+    drift_variant,
+)
 from .store import ScheduleStore, StoreEntry
 from .tracing import RequestTrace
 
 __all__ = [
-    "ARRIVAL_PROCESSES",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "ClosedLoopArrivals",
-    "PoissonArrivals",
-    "arrival_names",
-    "make_arrivals",
-    "register_arrival",
     "SERVICE_CHAOS_SCHEMA",
     "ServiceChaosRun",
     "render_service_chaos",
     "run_service_campaign",
     "write_service_chaos",
-    "SERVICE_SCHEMA",
-    "drift_variant",
-    "pattern_corpus",
-    "render_service_bench",
-    "request_stream",
-    "run_service_bench",
-    "run_service_cell",
-    "write_service_bench",
-    "zipf_mix",
     "BREAKER_STATES",
     "SHED_POLICIES",
     "AdmissionGate",
@@ -136,6 +100,7 @@ __all__ = [
     "ServiceResponse",
     "RequestTrace",
     "adapt_schedule",
+    "drift_variant",
     "ScheduleStore",
     "StoreEntry",
 ]

@@ -81,7 +81,13 @@ from .pool import WorkerPool
 from .store import ScheduleStore, StoreEntry
 from .tracing import RequestTrace
 
-__all__ = ["ServiceResponse", "Scheduler", "adapt_schedule", "RequestTrace"]
+__all__ = [
+    "ServiceResponse",
+    "Scheduler",
+    "adapt_schedule",
+    "drift_variant",
+    "RequestTrace",
+]
 
 #: Response provenance values, cheapest tier first.
 SOURCES = ("hit", "isomorphic", "warm", "cold")
@@ -286,6 +292,21 @@ def adapt_schedule(
         name=f"{_base_name(donor.name)}+warm",
         exchange_order=donor.exchange_order,
     )
+
+
+def drift_variant(pattern: CommPattern, seed: int) -> CommPattern:
+    """One-cell drift: a single message doubles in size.
+
+    Models the per-iteration pattern drift of an adaptive application
+    (a halo message grows after repartitioning); the result is a
+    near-miss of the original at edit distance 1, i.e. warm-start bait.
+    """
+    rng = np.random.default_rng(seed)
+    m = pattern.matrix.copy()
+    nz = np.argwhere(m)
+    i, j = nz[int(rng.integers(len(nz)))]
+    m[i, j] = int(m[i, j]) * 2
+    return CommPattern(m)
 
 
 class Scheduler:

@@ -5,9 +5,9 @@ Every :meth:`repro.service.Scheduler.request` fills one
 and whether it coalesced onto another thread's build.  The scheduler
 attaches the trace to the :class:`~repro.service.ServiceResponse` and
 feeds the stage timings into tier-labeled histograms
-(``service.latency.<tier>``, ``service.build_seconds``, ...), so the
-bench's SLO view and `repro metrics` both read straight from the
-registry with no extra bookkeeping in callers.
+(``service.latency.<tier>``, ``service.build_seconds``, ...), so
+``Scheduler.metrics_snapshot()`` and `repro metrics` both read straight
+from the registry with no extra bookkeeping in callers.
 
 The trace is carried through the serving tiers in a ``threading.local``
 slot on the scheduler — the tier methods are deep call chains (the
@@ -41,9 +41,6 @@ class RequestTrace:
     source: str = ""
     #: End-to-end request latency.
     latency: float = 0.0
-    #: Virtual-queue sojourn (set by the bench driver, which owns the
-    #: arrival process; the scheduler itself has no queue).
-    sojourn: float = 0.0
     #: Time spent waiting on another thread's in-flight build.
     singleflight_wait: float = 0.0
     #: Parent-side cold-build time, including the pool round-trip.
@@ -81,7 +78,6 @@ class RequestTrace:
         return {
             "source": self.source,
             "latency": self.latency,
-            "sojourn": self.sojourn,
             "singleflight_wait": self.singleflight_wait,
             "build_seconds": self.build_seconds,
             "worker_build_seconds": self.worker_build_seconds,

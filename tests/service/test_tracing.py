@@ -64,7 +64,6 @@ class TestTraceTiers:
         assert list(doc) == [
             "source",
             "latency",
-            "sojourn",
             "singleflight_wait",
             "build_seconds",
             "worker_build_seconds",
