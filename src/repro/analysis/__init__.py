@@ -8,7 +8,7 @@
   crossovers);
 * :mod:`repro.analysis.calibrate` — provenance of the model constants;
 * :mod:`repro.analysis.cache` — persistent memo of expensive runs;
-* :mod:`repro.analysis.perf` — the canonical profile workloads;
+* :mod:`repro.analysis.perf` — the pinned simulator workloads;
 * :mod:`repro.analysis.conformance` — cross-backend agreement harness
   (``results/conformance.{txt,json}``);
 * :mod:`repro.analysis.optgap` — optimality gaps vs makespan lower

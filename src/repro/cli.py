@@ -12,7 +12,7 @@ sweeps to small machines and ``--csv DIR`` also writes figure data.
 The oracles (``validate``, ``conformance``, ``optgap``, ``chaos``,
 ``serve-chaos``) exit 1 on a failed check, after writing their
 artifacts under ``results/``; ``trace``, ``critpath``, ``roottraffic``,
-``gantt``, ``metrics`` and ``profile`` observe one run.
+``gantt`` and ``metrics`` observe one run.
 
 Each command accepts exactly the options it reads: :data:`COMMANDS`
 names its function and options, and :data:`OPTIONS` defines every
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import re
 import sys
 import tempfile
@@ -47,7 +46,6 @@ from .analysis.experiments import (
 )
 from .analysis.figures import FigureData
 from .analysis.tables import format_comparison
-from .obs.prof import profile_workload_names
 from .schedules import (
     EXCHANGE_ALGORITHMS,
     IRREGULAR_ALGORITHMS,
@@ -320,54 +318,6 @@ def cmd_metrics(args: argparse.Namespace) -> None:
         print(f"[metrics written to {out}]")
     else:
         print(text, end="")
-
-
-def cmd_profile(args: argparse.Namespace) -> None:
-    """Profile one workload's hot loop (`--mode phases|sample`).
-
-    ``phases`` (default) counts interpreter-level calls per engine phase
-    under :func:`sys.setprofile`, prints the per-message attribution
-    table, and exits 1 if the attributed total drifts more than 10 %
-    from a direct plain-counter run — the determinism contract.
-    ``sample`` takes wall-clock stack samples and writes collapsed
-    stacks for flamegraph tools.  ``--workload`` names any profile
-    workload (default ``pex_n256_b512``); ``--out`` overrides the
-    artifact path under ``results/``.
-    """
-    from .obs import prof
-
-    workload = args.workload
-    if args.mode == "phases":
-        print(f"profiling {workload} (phase counters)...")
-        report = prof.run_phase_profile(workload)
-        table = prof.render_phase_table(report)
-        out = _save(args.out or f"results/profile_{workload}.txt", table)
-        print(table, end="")
-        print(f"[attribution table written to {out}]")
-        if report.direct_total:
-            delta = abs(report.total - report.direct_total) / report.direct_total
-            if delta > 0.10:
-                print(
-                    f"profile: attributed total drifts {delta:.1%} from the "
-                    "direct count (limit 10%)",
-                    file=sys.stderr,
-                )
-                raise SystemExit(1)
-    else:
-        print(f"profiling {workload} (sampling every {args.interval * 1e3:g} ms)...")
-        lines, taken, wall = prof.run_sampling_profile(
-            workload, interval=args.interval
-        )
-        out = _save(
-            args.out or f"results/flame_{workload}.txt",
-            "\n".join(lines) + ("\n" if lines else ""),
-        )
-        print(
-            f"{taken} samples over {wall:.1f}s, "
-            f"{len(lines)} distinct stacks"
-        )
-        print(f"[collapsed stacks written to {out}; feed to flamegraph.pl "
-              "or speedscope]")
 
 
 def cmd_critpath(args: argparse.Namespace) -> None:
@@ -881,7 +831,6 @@ _POWER_OF_TWO = _checked(
 )
 _NON_NEGATIVE_INT = _checked(int, lambda n: n >= 0, ">= 0")
 _POSITIVE_INT = _checked(int, lambda n: n > 0, "> 0")
-_POSITIVE_FLOAT = _checked(float, lambda x: 0 < x < math.inf, "finite and > 0")
 
 
 def _writable_dir(text: str) -> Path:
@@ -998,20 +947,6 @@ OPTIONS: Dict[str, Tuple[str, Dict[str, Any]]] = {
         "--format", choices=("json", "prom"), default="json",
         help="repro-metrics/1 JSON snapshot (default) or Prometheus text",
     ),
-    "mode": _option(
-        "--mode", choices=("phases", "sample"), default="phases",
-        help="deterministic per-phase call counters (default) or "
-        "collapsed-stack flamegraph samples",
-    ),
-    "workload": _option(
-        "--workload", choices=profile_workload_names(),
-        default="pex_n256_b512", metavar="NAME",
-        help="profile workload to run (default pex_n256_b512)",
-    ),
-    "interval": _option(
-        "--interval", type=_POSITIVE_FLOAT, default=0.002, metavar="SECONDS",
-        help="sampling interval for --mode sample (default 0.002)",
-    ),
 }
 
 
@@ -1054,7 +989,6 @@ COMMANDS: Dict[str, Command] = {
     "critpath": Command(cmd_critpath, (*_EXCHANGE_RUN, "trace")),
     "roottraffic": Command(cmd_roottraffic, ("nprocs", "nbytes")),
     "metrics": Command(cmd_metrics, (*_EXCHANGE_RUN, "format", "out", "check")),
-    "profile": Command(cmd_profile, ("mode", "workload", "interval", "out")),
     "all": Command(cmd_all, _FIGURE),
 }
 

@@ -1,4 +1,4 @@
-"""Pinned simulated results of the quick profile workloads.
+"""Pinned simulated results of the perf workloads.
 
 Each workload's makespan and message count are the model's answer, so
 they must not move between revisions unless the model itself changed.
@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.perf import perf_workloads
 
-#: ``(sim_ms, messages)`` per quick workload, recorded by the earlier
+#: ``(sim_ms, messages)`` per workload, recorded by the earlier
 #: wall-clock harness.  Never regenerate these to make a test pass: a
 #: mismatch means simulated behaviour changed.
 PINNED = {
@@ -24,12 +24,12 @@ PINNED = {
 }
 
 
-def test_every_quick_workload_is_pinned():
-    assert [wl.name for wl in perf_workloads(quick=True)] == list(PINNED)
+def test_every_workload_is_pinned():
+    assert [wl.name for wl in perf_workloads()] == list(PINNED)
 
 
 @pytest.mark.parametrize(
-    "workload", perf_workloads(quick=True), ids=lambda wl: wl.name
+    "workload", perf_workloads(), ids=lambda wl: wl.name
 )
 def test_simulated_result_is_pinned(workload):
     res = workload.execute(workload.build())

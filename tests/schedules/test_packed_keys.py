@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.apps import paper_workload
+from repro.machine import MachineConfig
 from repro.schedules import (
     CommPattern,
     Schedule,
@@ -25,7 +27,9 @@ from repro.schedules import (
     linear_exchange,
     pairwise_exchange,
     recursive_exchange,
+    execute_schedule,
     schedule_irregular,
+    validate_schedule,
 )
 from repro.schedules import executor
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
@@ -225,3 +229,33 @@ def test_native_compile_sorts_no_multi_key(monkeypatch):
         object.__setattr__(bad, field_, value)
     executor._compile(bad)
     assert calls == [1]
+
+
+def test_halo_build_and_irregular_op_sort_no_multi_key(monkeypatch):
+    """Building a Table 12 halo pattern, then an LS/PS/BS/GS op at N=32
+    (build, lint against the pattern, execute) on it and on a 50 %
+    Table 11-style pattern, calls neither ``np.lexsort`` nor a row-wise
+    ``np.unique``."""
+    calls = []
+    lexsort, unique = np.lexsort, np.unique
+
+    def counted_lexsort(*args, **kwargs):
+        calls.append("lexsort")
+        return lexsort(*args, **kwargs)
+
+    def counted_unique(*args, **kwargs):
+        if kwargs.get("axis") is not None:
+            calls.append("unique(axis=...)")
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    monkeypatch.setattr(np, "unique", counted_unique)
+    halo = paper_workload("euler545").pattern
+    synthetic = CommPattern.synthetic(32, 0.5, 256, seed=11)
+    for pattern in (halo, synthetic):
+        for algorithm in ("linear", "pairwise", "balanced", "greedy"):
+            sched = schedule_irregular(pattern, algorithm)
+            assert validate_schedule(sched, pattern).ok
+            res = execute_schedule(sched, MachineConfig(32))
+            assert res.sim.message_count == pattern.n_operations
+    assert calls == []

@@ -569,50 +569,6 @@ class TestMetricsCommand:
         assert "FILE" in capsys.readouterr().err
 
 
-class TestProfileCommand:
-    def test_phase_profile_writes_table(self, tmp_path, capsys):
-        out = tmp_path / "profile.txt"
-        assert (
-            main(
-                ["profile", "--workload", "pex_n16_b512",
-                 "--out", str(out)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        table = out.read_text()
-        assert "calls/msg" in table
-        assert "dispatch" in table and "queue" in table
-
-    def test_sample_profile_writes_collapsed_stacks(self, tmp_path, capsys):
-        out = tmp_path / "flame.txt"
-        assert (
-            main(
-                ["profile", "--mode", "sample", "--workload", "pex_n16_b512",
-                 "--interval", "0.001", "--out", str(out)]
-            )
-            == 0
-        )
-        assert "samples over" in capsys.readouterr().out
-        for line in out.read_text().splitlines():
-            stack, _, count = line.rpartition(" ")
-            assert stack and int(count) > 0
-
-    def test_unknown_workload_exits_2(self, capsys):
-        assert main(["profile", "--workload", "nope"]) == 2
-        assert "nope" in capsys.readouterr().err
-
-    def test_bad_interval_exits_2(self, capsys):
-        assert (
-            main(
-                ["profile", "--mode", "sample", "--workload", "pex_n16_b512",
-                 "--interval", "0"]
-            )
-            == 2
-        )
-        assert "interval" in capsys.readouterr().err
-
-
 class TestUsageErrors:
     """Each command takes only its own options; bad input exits 2."""
 
@@ -686,7 +642,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["profile", "--workload", "pex_n16_b512"],
             ["trace", "--nprocs", "8"],
             ["metrics", "--nprocs", "8"],
         ],

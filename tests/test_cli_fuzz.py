@@ -30,12 +30,6 @@ def _ints(**bounds):
     return st.integers(**bounds).map(str)
 
 
-def _floats(**bounds):
-    return st.floats(allow_nan=False, **bounds).map(repr)
-
-
-_NON_FINITE = st.sampled_from(["inf", "-inf", "nan"])
-
 #: Invalid values per option name, by what the option declares.
 _INVALID = {
     "nprocs": st.one_of(
@@ -48,7 +42,6 @@ _INVALID = {
     "runs": st.one_of(_NOT_A_NUMBER, _ints(max_value=0)),
     "fault_seed": _NOT_A_NUMBER,
     "drop": _NOT_A_NUMBER,
-    "interval": st.one_of(_NOT_A_NUMBER, _NON_FINITE, _floats(max_value=0.0)),
     "plan": _MISSING_FILE,
     "schedule": _MISSING_FILE,
     "trace": _MISSING_FILE,
@@ -127,14 +120,20 @@ def test_foreign_or_bare_option_is_one_error_line(command, data):
     _assert_one_error_line([command, *flags])
 
 
-#: Flags that only the deleted ``serve-bench`` command took.
-_REMOVED_FLAGS = ("--requests", "--corpus", "--skew", "--arrival", "--force")
+#: Commands the CLI no longer has.
+_REMOVED_COMMANDS = ("serve-bench", "profile")
+#: Flags that only a deleted command took: ``serve-bench``'s, then
+#: ``profile``'s.
+_REMOVED_FLAGS = (
+    "--requests", "--corpus", "--skew", "--arrival", "--force",
+    "--mode", "--workload", "--interval",
+)
 
 
-@pytest.mark.parametrize("removed", ["serve-bench", *_REMOVED_FLAGS])
-def test_removed_service_bench_surface_is_one_error_line(removed):
+@pytest.mark.parametrize("removed", [*_REMOVED_COMMANDS, *_REMOVED_FLAGS])
+def test_removed_surface_is_one_error_line(removed):
     # The command is unknown, and no command reads its flags any more.
-    if removed == "serve-bench":
+    if removed in _REMOVED_COMMANDS:
         _assert_one_error_line([removed])
         return
     assert removed not in {flag for flag, _ in OPTIONS.values()}
