@@ -132,9 +132,11 @@ class Histogram:
             raise
         sums = self._sums
         sums[e] = sums.get(e, 0) + n
-        if v < self.minimum:
+        # The zeros compare equal, so -0.0 is ranked below 0.0: min and
+        # max then do not depend on the order the zeros arrive in.
+        if v < self.minimum or (v == self.minimum and math.copysign(1.0, v) < 0.0):
             self.minimum = v
-        if v > self.maximum:
+        if v > self.maximum or (v == self.maximum and math.copysign(1.0, v) > 0.0):
             self.maximum = v
         if v > 0.0:
             k = (e << 3) | int((m - 0.5) * 16.0)  # bucket_index(v)
@@ -213,10 +215,11 @@ class Histogram:
         self.count += other.count
         for e, n in list(other._sums.items()):
             self._sums[e] = self._sums.get(e, 0) + n
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
+        lo, hi = other.minimum, other.maximum
+        if lo < self.minimum or (lo == self.minimum and math.copysign(1.0, lo) < 0.0):
+            self.minimum = lo
+        if hi > self.maximum or (hi == self.maximum and math.copysign(1.0, hi) > 0.0):
+            self.maximum = hi
         self.zero_count += other.zero_count
         for k, n in other.buckets.items():
             self.buckets[k] = self.buckets.get(k, 0) + n

@@ -7,7 +7,11 @@ The fault workload covers retries and degraded links.
 
 import pytest
 
+from repro.analysis import perf
 from repro.analysis.perf import perf_workloads
+from repro.machine._fastfill import kernel_description
+from repro.schedules import validate_schedule
+from repro.schedules.serialize import schedule_from_json, schedule_to_json
 
 #: ``(sim_ms, messages)`` per workload, recorded by the earlier
 #: wall-clock harness.  Never regenerate these to make a test pass: a
@@ -34,3 +38,26 @@ def test_every_workload_is_pinned():
 def test_simulated_result_is_pinned(workload):
     res = workload.execute(workload.build())
     assert (res.time_ms, res.sim.message_count) == PINNED[workload.name]
+
+
+@pytest.mark.parametrize(
+    "workload", perf_workloads(), ids=lambda wl: wl.name
+)
+def test_built_schedule_passes_lint(workload):
+    assert validate_schedule(workload.build()).ok
+
+
+@pytest.mark.parametrize(
+    "workload", perf_workloads(), ids=lambda wl: wl.name
+)
+def test_schedule_reloaded_from_json_gives_the_pinned_result(workload):
+    text = schedule_to_json(workload.build())
+    reloaded = schedule_from_json(text)
+    assert schedule_to_json(reloaded) == text
+    res = workload.execute(reloaded)
+    assert (res.time_ms, res.sim.message_count) == PINNED[workload.name]
+
+
+def test_kernel_description_is_reexported():
+    # perfbench/run.py reads the kernel state from this module.
+    assert perf.kernel_description is kernel_description

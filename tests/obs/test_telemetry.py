@@ -1,6 +1,7 @@
 """Telemetry tests: histogram determinism, exposition, frozen names."""
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -187,6 +188,39 @@ class TestHistogramDeterminism:
         state = dict(h.state(), sum=sum_)
         with pytest.raises(ValueError):
             Histogram.from_state(state)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0, -0.0], [-0.0, 1.0, 0.0],
+         [0.0, -2.0, -0.0]],
+    )
+    def test_signed_zero_extremes_do_not_depend_on_order(self, values):
+        # -0.0 == 0.0, so a plain comparison keeps whichever zero came
+        # first; -0.0 must rank below 0.0 on observe and on merge alike.
+        expected = (min(values), max(values))
+        for stream in (values, values[::-1]):
+            whole = Histogram()
+            for v in stream:
+                whole.observe(v)
+            merged = Histogram()
+            for v in stream:
+                part = Histogram()
+                part.observe(v)
+                merged.merge(part)
+            for h in (whole, merged):
+                if expected[0] == 0.0:
+                    assert math.copysign(1.0, h.minimum) == -1.0
+                if expected[1] == 0.0:
+                    assert math.copysign(1.0, h.maximum) == 1.0
+                assert (h.minimum, h.maximum) == expected
+            assert json.dumps(merged.state()) == json.dumps(whole.state())
+
+    def test_negative_zero_minimum_survives_json(self):
+        h = Histogram()
+        h.observe(-0.0)
+        back = Histogram.from_state(json.loads(json.dumps(h.state())))
+        assert math.copysign(1.0, back.minimum) == -1.0
+        assert json.dumps(back.state()) == json.dumps(h.state())
 
     def test_quantiles_bracket_observations(self):
         h = Histogram()
