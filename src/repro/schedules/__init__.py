@@ -13,9 +13,12 @@ Irregular patterns (Section 4), driven by a :class:`CommPattern`:
   :func:`balanced_schedule` (BS), :func:`greedy_schedule` (GS), plus the
   :data:`IRREGULAR_ALGORITHMS` registry.
 
-Schedules are inspected with :func:`analyze` (locality metrics),
-validated with :func:`validate_structure` / :func:`check_covers_pattern`,
-and priced on the machine model with :func:`execute_schedule`.
+Both :class:`Schedule` constructors reject a malformed schedule (a rank
+outside the machine, a self-transfer, a negative byte count, a repeated
+pair in a step).  Schedules are inspected with :func:`analyze`
+(locality metrics), linted with :func:`validate_schedule` (one send per
+rank per step, pattern conservation, deadlock freedom), and priced on
+the machine model with :func:`execute_schedule`.
 """
 
 from .pattern import CommPattern, paper_pattern_P
@@ -26,8 +29,6 @@ from .schedule import (
     ScheduleError,
     Step,
     Transfer,
-    check_covers_pattern,
-    validate_structure,
 )
 from .lex import linear_exchange, linear_schedule
 from .pex import pairing_schedule, pairwise_exchange, pairwise_schedule
@@ -84,8 +85,6 @@ __all__ = [
     "ScheduleError",
     "Step",
     "Transfer",
-    "check_covers_pattern",
-    "validate_structure",
     "linear_exchange",
     "linear_schedule",
     "pairing_schedule",

@@ -36,9 +36,11 @@ path — :func:`schedule_program` on every rank via :func:`run_spmd` — is
 the reference, and the only one for fault plans, traces and tracers.  An untraced, fault-free run with
 the compiled kernel loaded takes the compiled schedule executor
 instead: the same ops interpreted inside the compiled drain loop with
-bit-identical timings.  A run whose ranks do not all finish there is
-re-run on the generator path, so a deadlock raises the reference's
-:class:`~repro.sim.engine.DeadlockError`.  The adaptive executor
+bit-identical timings.  Every schedule is in its scope, since the
+:class:`Schedule` constructors admit only in-range ranks, no
+self-transfer and no negative byte count.  A run whose ranks do not
+all finish there is re-run on the generator path, so a deadlock raises
+the reference's :class:`~repro.sim.engine.DeadlockError`.  The adaptive executor
 (:mod:`repro.resilience.adaptive`) runs the same ops too, one step at
 a time in its own dispatch order.
 """
@@ -108,11 +110,7 @@ class Program(NamedTuple):
     starts: np.ndarray
     sizes: List[int]
     copies: List[int]
-    #: Every transfer has ``0 <= src != dst < nprocs`` and non-negative
-    #: byte counts: the compiled executor's scope.
-    native: bool
-    #: The ranks cannot stall: ``native``, no step repeats a
-    #: ``(src, dst)``, and every Figure 2 flip has its mirror.
+    #: The ranks cannot stall: every Figure 2 flip has its mirror.
     live: bool
 
 
@@ -125,19 +123,17 @@ def compiled_program(schedule: Schedule) -> Program:
     a ``Recv`` and its unpack ``Delay``.  The generator path, the
     compiled executor and the linter's deadlock replay all read this
     one program, so the schedule that is checked is the schedule that
-    runs.  A transfer naming a rank outside ``0..nprocs-1`` gives that
-    rank no seat.
+    runs.
 
     One sort places every op: each transfer is a send record on its
     source and a receive record on its destination, ordered by (rank,
     step, class, peer) with class 0 for a receive from a lower rank, 1
     for a send and 2 for a receive from a higher rank.  The four keys
     are packed into one int64 (:func:`~repro.schedules.schedule.packed_key`;
-    for a native program of T steps at most ``((rank * T + step) * 3 +
-    class) * n + peer``) and sorted once, stably; a peer that cannot be
-    packed (negative, or too large: only a hand-built schedule has one)
-    falls back to ``np.lexsort``.  That is the mixed-partner and
-    receive-only order.  An exchange (a rank's step is one send and one receive with the same
+    for a program of T steps at most ``((rank * T + step) * 3 + class) *
+    n + peer``) and sorted once, stably; keys too wide to pack (sparse
+    step indices near 2**55) fall back to ``np.lexsort``.  That is the
+    mixed-partner and receive-only order.  An exchange (a rank's step is one send and one receive with the same
     partner) sorts as Figure 3 (``LOWER_SEND_FIRST``) and is flipped
     for Figure 2.
 
@@ -155,27 +151,17 @@ def compiled_program(schedule: Schedule) -> Program:
 
 def _compile(schedule: Schedule) -> Program:
     n = schedule.nprocs
-    cols = schedule.columns
-    step, src, dst, nbytes, pack, unpack = cols
+    step, src, dst, nbytes, pack, unpack = schedule.columns
     m = step.size
-    native = bool(
-        ((src >= 0) & (src < n) & (dst >= 0) & (dst < n) & (src != dst)).all()
-        and (cols[3:] >= 0).all()
-    )
     # Record k < m is transfer k's send, record m + k its receive.
     rank = np.concatenate((src, dst))
     peer = np.concatenate((dst, src))
     index = np.concatenate((np.arange(m), np.arange(m)))
     send = np.arange(2 * m) < m
     klass = np.concatenate((np.ones(m, dtype=np.int64), 2 * (src > dst)))
-    if not native:
-        seated = (rank >= 0) & (rank < n)
-        rank, peer, index, send, klass = (
-            a[seated] for a in (rank, peer, index, send, klass)
-        )
     tag = step[index]
     packed = packed_key(rank, tag, klass, peer)
-    if packed is None:  # a negative or huge peer: hand-built schedules only
+    if packed is None:  # sparse step indices near 2**55 overflow the key
         order = np.lexsort((peer, klass, tag, rank))
     else:
         order = np.argsort(packed, kind="stable")
@@ -186,22 +172,15 @@ def _compile(schedule: Schedule) -> Program:
     pair[1:] &= ~same[:-1]
     pair[:-1] &= ~same[1:]
     i = np.flatnonzero(pair)
-    # A repeated (step, src, dst) puts two equal records side by side.
-    repeated = same & (peer[1:] == peer[:-1]) & (send[1:] == send[:-1])
-    live = native and not repeated.any()
+    live = True
     if schedule.exchange_order == LOWER_RECV_FIRST:
         # A flip covers a send and a receive record of two transfers; it
         # is mirrored iff each transfer's other record is flipped too.
         flipped = index[order[np.concatenate((i, i + 1))]]
-        live = live and not (np.bincount(flipped) == 1).any()
+        live = not (np.bincount(flipped) == 1).any()
         order[i], order[i + 1] = order[i + 1], order[i]
         send[i] ^= True
         send[i + 1] ^= True
-    if not native:
-        # A receive from itself stays only as half of a lone exchange.
-        keep = send | (peer != rank)
-        keep[i] = keep[i + 1] = True
-        order, rank, peer, tag, send = (a[keep] for a in (order, rank, peer, tag, send))
     index = index[order]
     wire = nbytes[index]
     sizes = np.unique(wire[send])
@@ -224,7 +203,7 @@ def _compile(schedule: Schedule) -> Program:
         np.bincount(rank, minlength=n) + np.bincount(rank[at], minlength=n),
         out=starts[1:],
     )
-    return Program(ops, starts, sizes.tolist(), copies.tolist(), native, live)
+    return Program(ops, starts, sizes.tolist(), copies.tolist(), live)
 
 
 def schedule_program(
@@ -302,10 +281,9 @@ def execute_schedule(
             and faults is None
         ):
             program = compiled_program(schedule)
-            if program.native:
-                sim = Engine(config, seed=seed)._run_compiled(
-                    program.ops, program.starts, program.sizes, program.copies
-                )
+            sim = Engine(config, seed=seed)._run_compiled(
+                program.ops, program.starts, program.sizes, program.copies
+            )
         if sim is None:
             sim = run_spmd(
                 config,

@@ -7,28 +7,34 @@ opposite-direction transfers with the same partner performs an
 *exchange* (rendered ``i <-> j``), a single direction renders ``i -> j``.
 
 Schedules are pure data — no simulated time.  They are produced by the
-algorithm modules (:mod:`repro.schedules.pex` etc.), checked by the
-validators here, measured by :mod:`repro.schedules.metrics`, and priced
-by :mod:`repro.schedules.executor`.
+algorithm modules (:mod:`repro.schedules.pex` etc.), linted by
+:mod:`repro.schedules.validate`, measured by
+:mod:`repro.schedules.metrics`, and priced by
+:mod:`repro.schedules.executor`.
 
 A schedule has two equal forms.  ``steps`` holds :class:`Step` and
 :class:`Transfer` objects; :attr:`Schedule.columns` holds the same
 transfers as six int64 columns (:data:`COLUMNS`), one entry per
-transfer in schedule order.  The executor, the linter, the validators
-here and the JSON writer read the columns.  The PEX/BEX/LEX and
-PS/BS/LS/GS builders, the JSON reader and the scheduling service's
-relabel and warm adapt make their schedules with
+transfer in schedule order.  The executor, the linter and the JSON
+writer read the columns.  The PEX/BEX/LEX and PS/BS/LS/GS builders,
+the JSON reader and the scheduling service's relabel and warm adapt
+make their schedules with
 :meth:`Schedule.from_columns`, so a schedule that is only linted,
 executed, saved, loaded or served never builds its ``Transfer``
 objects; ``steps`` is materialized on first read.  A schedule built
-from ``steps`` derives its columns on first use.
+from ``steps`` derives its columns in its constructor.
+
+Both constructors run one gate over the columns (:func:`_check_columns`):
+a schedule that exists is well-formed, so the linter, the compile and
+the executor never meet an out-of-range rank, a self-transfer, a
+negative byte count or a repeated pair in a step.
 
 Store-and-forward algorithms (REX) move *staged* data: a transfer's
 ``pack_bytes`` / ``unpack_bytes`` record the buffer shuffling the node
 must perform around the wire operation, and the transferred bytes need
 not equal any single pattern entry.  Such schedules are validated by
-their own algorithm-specific routing checks instead of
-:func:`check_covers_pattern`.
+their own algorithm-specific routing checks instead of the linter's
+conservation check.
 """
 
 from __future__ import annotations
@@ -40,17 +46,14 @@ from typing import Any, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .pattern import CommPattern
-
 __all__ = [
     "COLUMNS",
+    "MAX_NPROCS",
     "compact_steps",
     "Transfer",
     "Step",
     "Schedule",
     "ScheduleError",
-    "validate_structure",
-    "check_covers_pattern",
 ]
 
 #: Exchange-ordering conventions (who moves first inside a pairwise swap).
@@ -70,16 +73,26 @@ _FIELDS = COLUMNS[1:]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+#: The most processors a schedule may name: the CM-5's largest configuration.
+MAX_NPROCS = 16384
+
+
+def _is_int(value: Any) -> bool:
+    """``operator.index`` accepts ``value`` (a NumPy integer passes) and
+    it is no bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _check_integer(field: str, value: Any) -> None:
-    """A rank or byte count is an integer: ``operator.index`` accepts it
-    (a NumPy integer does) and it is no bool."""
-    if not isinstance(value, bool):
-        try:
-            operator.index(value)
-            return
-        except TypeError:
-            pass
-    raise ScheduleError(f"transfer {field} must be an integer, got {value!r}")
+    """A rank or byte count is an integer (:func:`_is_int`)."""
+    if not _is_int(value):
+        raise ScheduleError(f"transfer {field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -123,14 +136,6 @@ class Step:
     """A set of concurrent transfers."""
 
     transfers: Tuple[Transfer, ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for t in self.transfers:
-            key = (t.src, t.dst)
-            if key in seen:
-                raise ScheduleError(f"duplicate transfer {t.src}->{t.dst} in step")
-            seen.add(key)
 
     def __iter__(self) -> Iterator[Transfer]:
         return iter(self.transfers)
@@ -188,14 +193,9 @@ class Schedule:
     exchange_order: str = LOWER_RECV_FIRST
 
     def __post_init__(self) -> None:
-        if self.exchange_order not in _ORDERS:
-            raise ScheduleError(f"unknown exchange order {self.exchange_order!r}")
-        for step in self.steps:
-            for t in step:
-                if not (0 <= t.src < self.nprocs and 0 <= t.dst < self.nprocs):
-                    raise ScheduleError(
-                        f"transfer {t.src}->{t.dst} outside 0..{self.nprocs - 1}"
-                    )
+        cols = _columns_of(self.steps)
+        _check_columns(cols, self.nprocs, self.exchange_order)
+        object.__setattr__(self, "_columns", cols)
 
     @classmethod
     def from_columns(
@@ -214,8 +214,8 @@ class Schedule:
         step (a skipped index is an empty step).  ``nsteps`` counts the
         steps when the last ones are empty, which the columns cannot
         show; by default the schedule ends at its last transfer's step.
-        Every check of the ``steps`` constructor applies, with the same
-        error texts.  ``steps`` is built on first read.
+        The ``steps`` constructor's gate (:func:`_check_columns`) checks
+        them and ``nsteps``.  ``steps`` is built on first read.
         """
         cols = np.asarray(columns)
         if cols.ndim != 2 or cols.shape[0] != len(COLUMNS):
@@ -226,12 +226,7 @@ class Schedule:
             raise ScheduleError(f"schedule columns must be int64, got {cols.dtype}")
         cols = cols.astype(np.int64)
         cols.setflags(write=False)
-        _check_columns(cols, nprocs, exchange_order)
-        last = int(cols[0, -1]) + 1 if cols.shape[1] else 0
-        if nsteps is None:
-            nsteps = last
-        elif nsteps < last:
-            raise ScheduleError(f"{nsteps} steps cannot hold step index {last - 1}")
+        nsteps = _check_columns(cols, nprocs, exchange_order, nsteps)
         sched = object.__new__(cls)
         for field, value in (
             ("nprocs", nprocs),
@@ -246,25 +241,19 @@ class Schedule:
     def __getattr__(self, name: str) -> Any:
         # Called only for a missing attribute: ``steps`` of a schedule
         # built from columns, materialized here once.
-        cols = self.__dict__.get("_columns")
-        if name != "steps" or cols is None:
+        if name != "steps":
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        steps = _steps_of(cols, self._nsteps)
+        steps = _steps_of(self._columns, self._nsteps)
         object.__setattr__(self, "steps", steps)
         return steps
 
     @property
     def columns(self) -> np.ndarray:
         """The transfers as a read-only int64 array of shape ``(6, M)``,
-        rows :data:`COLUMNS`, in schedule order; derived from ``steps``
-        in one pass on first use."""
-        cols = self.__dict__.get("_columns")
-        if cols is None:
-            cols = _columns_of(self)
-            object.__setattr__(self, "_columns", cols)
-        return cols
+        rows :data:`COLUMNS`, in schedule order."""
+        return self._columns
 
     @property
     def nsteps(self) -> int:
@@ -346,8 +335,9 @@ def packed_key(*keys: np.ndarray) -> Optional[np.ndarray]:
     key columns do, the first most significant: ``(k0 * r1 + k1) * r2 +
     k2 ...``, each radix one past its column's largest value.  ``None``
     when a column is negative or the product of the radixes passes
-    2**63; such keys (only malformed schedules have them) are grouped
-    with ``np.lexsort`` instead."""
+    2**63; such keys (a rank the schedule gate is about to reject, or
+    the compile's sparse step indices near 2**55) are grouped with
+    ``np.lexsort`` instead."""
     packed = None
     span = 1
     for key in keys:
@@ -392,19 +382,31 @@ def first_occurrence(*keys: np.ndarray, ordered: bool = False) -> np.ndarray:
     return first
 
 
-def _check_columns(cols: np.ndarray, nprocs: int, exchange_order: str) -> None:
-    """The ``steps`` constructor's checks over columns, raising the first
-    error that building the steps in order would raise: a transfer's
-    own (self, sign) or its step's duplicate pair, then the schedule's
-    (exchange order, rank range)."""
+def _check_columns(
+    cols: np.ndarray,
+    nprocs: int,
+    exchange_order: str,
+    nsteps: Optional[int] = None,
+) -> int:
+    """The one validity gate of every schedule, run by both constructors
+    on its columns; returns the step count (``nsteps``, by default one
+    past the last transfer's step).
+
+    The first error raised is the one building the steps in order would
+    meet first: a transfer's own (self, sign) or its step's duplicate
+    pair, then the schedule's (exchange order, processor count, rank
+    range, step count).  ``nprocs`` is a non-bool integer in
+    2..:data:`MAX_NPROCS`: a :class:`~repro.schedules.pattern.CommPattern`
+    and a machine both need two nodes, and the ceiling, the CM-5's
+    largest configuration, bounds the O(nprocs) arrays the compile and
+    the linter allocate for a schedule read from a file.
+    """
     step, src, dst = cols[0], cols[1], cols[2]
-    nprocs = operator.index(nprocs)
     if step.size and (step[0] < 0 or (np.diff(step) < 0).any()):
         raise ScheduleError(
             "schedule step column must start at 0 or more and never decrease"
         )
     bad = np.flatnonzero((src == dst) | (cols[3:] < 0).any(axis=0))
-    inside = (src >= 0) & (src < nprocs) & (dst >= 0) & (dst < nprocs)
     first = first_occurrence(step, src, dst, ordered=True)
     repeat = np.flatnonzero(first != np.arange(step.size))
     dup = int(repeat[0]) if repeat.size else None
@@ -414,9 +416,22 @@ def _check_columns(cols: np.ndarray, nprocs: int, exchange_order: str) -> None:
         raise ScheduleError(f"duplicate transfer {src[dup]}->{dst[dup]} in step")
     if exchange_order not in _ORDERS:
         raise ScheduleError(f"unknown exchange order {exchange_order!r}")
+    if not (_is_int(nprocs) and 2 <= nprocs <= MAX_NPROCS):
+        raise ScheduleError(
+            f"schedule nprocs must be an integer in 2..{MAX_NPROCS}, got {nprocs!r}"
+        )
+    inside = (src >= 0) & (src < nprocs) & (dst >= 0) & (dst < nprocs)
     if not inside.all():
         i = np.flatnonzero(~inside)[0]
         raise ScheduleError(f"transfer {src[i]}->{dst[i]} outside 0..{nprocs - 1}")
+    last = int(step[-1]) + 1 if step.size else 0
+    if nsteps is None:
+        return last
+    if not _is_int(nsteps):
+        raise ScheduleError(f"schedule nsteps must be an integer, got {nsteps!r}")
+    if nsteps < last:
+        raise ScheduleError(f"{nsteps} steps cannot hold step index {last - 1}")
+    return nsteps
 
 
 def _steps_of(cols: np.ndarray, nsteps: int) -> Tuple[Step, ...]:
@@ -432,11 +447,11 @@ def _steps_of(cols: np.ndarray, nsteps: int) -> Tuple[Step, ...]:
     return tuple(steps)
 
 
-def _columns_of(schedule: Schedule) -> np.ndarray:
+def _columns_of(steps: Tuple[Step, ...]) -> np.ndarray:
     """One pass over ``steps`` into :data:`COLUMNS` rows."""
     flat = [
         value
-        for i, step in enumerate(schedule.steps)
+        for i, step in enumerate(steps)
         for t in step.transfers
         for value in (i, t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes)
     ]
@@ -444,70 +459,3 @@ def _columns_of(schedule: Schedule) -> np.ndarray:
     cols = cols.reshape(-1, len(COLUMNS)).T.copy()
     cols.setflags(write=False)
     return cols
-
-
-# ----------------------------------------------------------------------
-# Validators
-# ----------------------------------------------------------------------
-def validate_structure(
-    schedule: Schedule, allow_multi_recv: bool = False
-) -> None:
-    """Check per-step resource constraints.
-
-    Every processor may appear in at most one send and at most one
-    receive per step (it has one network interface and the software
-    layer is sequential).  ``allow_multi_recv`` relaxes the receive
-    constraint for the linear (LEX/LS) family, whose defining pathology
-    is exactly that one node receives from everybody in a step — the
-    messages still *happen*, just serialized, which the executor prices.
-    The first failing step is named; within it, a sender before a
-    receiver, each in order of first appearance.
-    """
-    step, src, dst = schedule.columns[:3]
-    found = []
-    checks = [(src, "sends")] + ([] if allow_multi_recv else [(dst, "receives")])
-    for rank, verb in checks:
-        first = first_occurrence(step, rank, ordered=True)
-        count = np.bincount(first, minlength=step.size)
-        multi = np.flatnonzero(count > 1)
-        if multi.size:
-            k = multi[0]
-            text = f"rank {rank[k]} {verb} {count[k]} messages in step {step[k] + 1}"
-            found.append((step[k], text))
-    if found:
-        raise ScheduleError(f"{schedule.name}: {min(found, key=lambda f: f[0])[1]}")
-
-
-def check_covers_pattern(schedule: Schedule, pattern: CommPattern) -> None:
-    """Check the schedule delivers the pattern exactly.
-
-    Every required ``(src, dst)`` transfer must appear exactly once with
-    exactly the pattern's byte count, and nothing else may appear.  Not
-    applicable to store-and-forward schedules (REX), which are validated
-    by block routing instead.
-    """
-    if schedule.nprocs != pattern.nprocs:
-        raise ScheduleError(
-            f"{schedule.name}: schedule is for {schedule.nprocs} procs, "
-            f"pattern for {pattern.nprocs}"
-        )
-    step, src, dst, nbytes = schedule.columns[:4]
-    first = first_occurrence(src, dst)
-    required = pattern.matrix[src, dst]
-    repeat = first != np.arange(first.size)
-    bad = np.flatnonzero(repeat | (required == 0) | (nbytes != required))
-    if bad.size:
-        k = bad[0]
-        t = f"{src[k]}->{dst[k]}"
-        if repeat[k]:
-            steps = f"steps {step[first[k]] + 1} and {step[k] + 1}"
-            problem = f"duplicate transfer {t} ({steps})"
-        elif not required[k]:
-            problem = f"spurious transfer {t} (pattern requires none)"
-        else:
-            problem = (
-                f"transfer {t} carries {nbytes[k]}B, pattern requires {required[k]}B"
-            )
-        raise ScheduleError(f"{schedule.name}: {problem}")
-    for a, b, need in pattern.operations_not_in(src, dst):
-        raise ScheduleError(f"{schedule.name}: missing transfer {a}->{b} ({need}B)")

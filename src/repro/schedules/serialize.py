@@ -97,8 +97,9 @@ def _decode(doc: dict) -> Schedule:
     ``nprocs`` and both names present, is checked in one pass and its
     transfers' own checks run on the columns; any other is read row by
     row (:func:`_scan`).  Either way the first error in document order
-    is raised: a row's, then ``nprocs``', then the names', then the
-    exchange order's and rank range's."""
+    is raised: a row's, then ``nprocs``' type, then the names', then
+    the schedule gate's (exchange order, ``nprocs`` range, rank
+    range)."""
     steps = doc["steps"]
     nprocs = doc.get("nprocs")
     cols = None

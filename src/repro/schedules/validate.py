@@ -8,12 +8,14 @@ schedule JSON fails loudly with named ranks and steps instead of
 producing a confidently wrong number — the same role Träff's
 checkable-schedule artifacts play for provably optimal broadcast trees.
 
-Four families of checks:
+A schedule that exists already passed the constructors' gate (in-range
+ranks, no self-transfer, no negative byte count, no directed ``(src,
+dst)`` pair twice in a step; see
+:class:`~repro.schedules.schedule.Schedule`).  Four families of checks
+go beyond it:
 
-* **structure** — in-range ranks, no self-transfers, no negative byte
-  counts, at most one transfer per directed ``(src, dst)`` pair per
-  step, at most one send per rank per step (multi-receive is legal: the
-  linear family's defining pathology);
+* **structure** — at most one send per rank per step (multi-receive is
+  legal: the linear family's defining pathology);
 * **conservation** — against a :class:`CommPattern`: every pattern byte
   appears in exactly one transfer, with no duplicates, spurious
   transfers, or wrong byte counts (skipped, with a warning, for
@@ -33,12 +35,11 @@ Four families of checks:
   The one exception is a Figure 2 flip of a rank's whole-step
   exchange; when the partner flips it too, the pair touches no other
   op of its step and both ranks run it in the same order, so swapping
-  the two keeps the order topological.  The compile certifies all
-  transfers seated, none repeated in a step and every flip mirrored
-  as :attr:`~repro.schedules.executor.Program.live`.  Only a program
-  without the certificate is replayed, with one cursor per rank, in
+  the two keeps the order topological.  The compile certifies every
+  flip mirrored as :attr:`~repro.schedules.executor.Program.live`.
+  Only a program without the certificate is replayed, with one cursor per rank, in
   O(messages); on a stall the replay names the cycle in the wait-for
-  graph (rank A waits for B waits for ... A) or the unmatched wait;
+  graph (rank A waits for B waits for ... A);
 * **payload mode** — REX-style store-and-forward schedules must not be
   executed in payload mode (their transfers carry staged aggregates,
   not per-pair payloads); ``payload_mode=True`` turns that into an
@@ -144,37 +145,15 @@ class LintReport:
 # Structure
 # ----------------------------------------------------------------------
 def _check_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
-    """Per step, each failing transfer's findings in schedule order, then
-    its senders of more than one message in order of first appearance."""
-    n = schedule.nprocs
-    cols = schedule.columns
-    step, src, dst = cols[:3]
-    flags = (
-        (src < 0) | (src >= n) | (dst < 0) | (dst >= n),
-        src == dst,
-        (cols[3:] < 0).any(axis=0),
-        first_occurrence(step, src, dst, ordered=True) != np.arange(step.size),
-    )
-    sender = first_occurrence(step, src, ordered=True)
-    sends = np.bincount(sender, minlength=step.size)
-    found = []
-    for k in np.flatnonzero(np.logical_or.reduce(flags) | (sends > 1)).tolist():
-        s, a, b = cols[:3, k].tolist()
-        where = f"step {s + 1}"
-        texts = (
-            ("rank-range", f"transfer {a}->{b} outside ranks 0..{n - 1}"),
-            ("self-transfer", f"rank {a} sends to itself"),
-            ("negative-bytes", f"transfer {a}->{b} has a negative byte count"),
-            ("duplicate-pair", f"duplicate transfer {a}->{b}"),
+    """Per step, its senders of more than one message in order of first
+    appearance."""
+    step, src = schedule.columns[:2]
+    sends = np.bincount(first_occurrence(step, src, ordered=True), minlength=step.size)
+    for k in np.flatnonzero(sends > 1).tolist():
+        text = f"rank {src[k]} sends {sends[k]} messages (one network interface)"
+        issues.append(
+            LintIssue("structure.multi-send", ERROR, f"step {step[k] + 1}: {text}")
         )
-        for flag, (code, text) in zip(flags, texts):
-            if flag[k]:
-                found.append(((s, 0), f"structure.{code}", f"{where}: {text}"))
-        if sends[k] > 1:
-            text = f"rank {a} sends {sends[k]} messages (one network interface)"
-            found.append(((s, 1), "structure.multi-send", f"{where}: {text}"))
-    found.sort(key=lambda f: f[0])
-    issues.extend(LintIssue(code, ERROR, text) for _, code, text in found)
 
 
 # ----------------------------------------------------------------------
@@ -188,8 +167,7 @@ def _check_conservation(
     A transfer's claim is on its ``(src, dst)`` entry; the first claim
     counts and a later one is a duplicate.  A zero-byte transfer on a
     zero entry is a sync message (the Figure 5 axis includes size 0):
-    it carries no pattern bytes, so conservation has no claim on it.  A
-    rank outside the pattern was reported by the structure check.
+    it carries no pattern bytes, so conservation has no claim on it.
     """
     n = pattern.nprocs
     if schedule.nprocs != n:
@@ -203,11 +181,10 @@ def _check_conservation(
         return
     cols = schedule.columns
     step, src, dst, nbytes = cols[:4]
-    inside = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    required = pattern.matrix[src * inside, dst * inside] * inside
-    claims = np.flatnonzero(~inside | (nbytes != 0) | (required != 0))
+    required = pattern.matrix[src, dst]
+    claims = np.flatnonzero((nbytes != 0) | (required != 0))
     first = claims[first_occurrence(src[claims], dst[claims])]
-    wrong = inside & ((required == 0) | (nbytes != required))
+    wrong = (required == 0) | (nbytes != required)
     bad = (first != claims) | wrong[claims]
     for k, f in zip(claims[bad].tolist(), first[bad].tolist()):
         s, a, b, carried = cols[:4, k].tolist()
@@ -231,8 +208,7 @@ def _check_conservation(
                 f"pattern requires {need}B"
             )
         issues.append(LintIssue(f"conservation.{code}", ERROR, text))
-    seen = claims[inside[claims]]
-    for a, b, need in pattern.operations_not_in(src[seen], dst[seen]):
+    for a, b, need in pattern.operations_not_in(src[claims], dst[claims]):
         issues.append(
             LintIssue(
                 "conservation.missing",
@@ -274,9 +250,11 @@ def _replay(program: Program, issues: List[LintIssue]) -> None:
     so the replay is O(messages).  Matching is confluent, so the stuck
     set does not depend on visit order.  When no head matches, the
     remaining ranks form a wait-for graph in which every stuck rank has
-    exactly one outgoing edge, so a stall is either a cycle (classic
-    rendezvous deadlock) or a dangling wait on a rank that already
-    finished (an unmatched operation).
+    exactly one outgoing edge.  Its head's mate is the other record of
+    the same transfer, unique since no ``(step, src, dst)`` repeats, so
+    a partner that finished would have retired it: the partner is stuck
+    too, and following the edges from the least stuck rank ends in a
+    cycle (classic rendezvous deadlock).
     """
     wire = program.ops[:, 0] != DELAY
     # (kind, peer, step) per wire op; rank r's are ops[pos[r]:ends[r]].
@@ -290,7 +268,7 @@ def _replay(program: Program, issues: List[LintIssue]) -> None:
         i, end = pos[r], ends[r]
         while i < end:
             kind, p, step = ops[i]
-            if not 0 <= p < n or pos[p] == ends[p]:
+            if pos[p] == ends[p]:
                 break
             mate_kind, mate_peer, mate_step = ops[pos[p]]
             if mate_kind == kind or mate_step != step or mate_peer != r:
@@ -304,43 +282,21 @@ def _replay(program: Program, issues: List[LintIssue]) -> None:
     if not stuck:
         return
 
-    # Follow the single outgoing wait-for edge of each stuck rank until a
-    # rank repeats (a cycle) — or, failing that, report dangling waits.
-    cycle: Optional[List[int]] = None
-    for start in sorted(stuck):
-        order: Dict[int, int] = {}
-        chain: List[int] = []
-        r = start
-        while r in stuck and r not in order:
-            order[r] = len(chain)
-            chain.append(r)
-            r = stuck[r][1]
-        if r in order:
-            cycle = chain[order[r]:]
-            break
-    if cycle is not None:
-        described = ", ".join(f"rank {r} {_describe(stuck[r])}" for r in cycle)
-        issues.append(
-            LintIssue(
-                "deadlock.cycle",
-                ERROR,
-                f"cyclic rendezvous wait-for graph among ranks "
-                f"{cycle}: {described}",
-            )
+    # Follow the wait-for edges from the least stuck rank until one repeats.
+    order: Dict[int, int] = {}
+    r = min(stuck)
+    while r not in order:
+        order[r] = len(order)
+        r = stuck[r][1]
+    cycle = list(order)[order[r]:]
+    described = ", ".join(f"rank {r} {_describe(stuck[r])}" for r in cycle)
+    issues.append(
+        LintIssue(
+            "deadlock.cycle",
+            ERROR,
+            f"cyclic rendezvous wait-for graph among ranks {cycle}: {described}",
         )
-    else:
-        for r in sorted(stuck):
-            partner = stuck[r][1]
-            if partner not in stuck:
-                issues.append(
-                    LintIssue(
-                        "deadlock.unmatched",
-                        ERROR,
-                        f"rank {r} blocks forever on "
-                        f"{_describe(stuck[r])}: rank {partner} "
-                        f"posts no matching operation",
-                    )
-                )
+    )
 
 
 # ----------------------------------------------------------------------

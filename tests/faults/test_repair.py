@@ -1,10 +1,11 @@
 """Property tests: schedule repair preserves every structural invariant.
 
 :func:`repro.schedules.repair_schedule` only permutes steps, so for any
-pattern and any fault plan the repaired schedule must still be
-contention-free per step (``validate_structure``) and deliver every
-pattern byte exactly once (``check_covers_pattern``) — and the executor
-must still drive it to completion under the same faults.
+pattern and any fault plan the repaired schedule must still lint clean
+against the pattern (``validate_schedule``: one send per rank per step,
+every pattern byte delivered exactly once, no deadlock), receive at
+most once per rank per step — and the executor must still drive it to
+completion under the same faults.
 """
 
 import numpy as np
@@ -18,14 +19,15 @@ from repro.schedules import (
     CommPattern,
     ScheduleError,
     balanced_schedule,
-    check_covers_pattern,
     execute_schedule,
     greedy_schedule,
     pairwise_schedule,
     recursive_exchange,
     repair_schedule,
-    validate_structure,
+    validate_schedule,
 )
+
+from ..schedules.checks import assert_one_receive_per_rank_per_step
 
 BUILDERS = {
     "pairwise": pairwise_schedule,
@@ -84,8 +86,8 @@ def test_repair_preserves_coverage_and_structure(name, pattern, plan):
     sched = BUILDERS[name](pattern)
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     repaired = repair_schedule(sched, plan, cfg)
-    validate_structure(repaired)
-    check_covers_pattern(repaired, pattern)
+    validate_schedule(repaired, pattern)
+    assert_one_receive_per_rank_per_step(repaired)
     assert repaired.nsteps == sched.nsteps
     assert _step_multiset(repaired) == _step_multiset(sched)
 

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from repro.machine import CM5Params, MachineConfig
 from repro.schedules import (
     CommPattern,
-    check_covers_pattern,
     coloring_schedule,
     execute_schedule,
     greedy_schedule,
     optimal_step_count,
     paper_pattern_P,
-    validate_structure,
+    validate_schedule,
 )
+
+from .checks import assert_one_receive_per_rank_per_step
 
 
 class TestOptimalBound:
@@ -38,15 +39,15 @@ class TestColoring:
         P = paper_pattern_P()
         s = coloring_schedule(P)
         assert s.nsteps == optimal_step_count(P) == 6
-        check_covers_pattern(s, P)
-        validate_structure(s)
+        validate_schedule(s, P)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_complete_exchange_optimal(self):
         pat = CommPattern.complete_exchange(16, 8)
         s = coloring_schedule(pat)
         assert s.nsteps == 15
-        check_covers_pattern(s, pat)
-        validate_structure(s)
+        validate_schedule(s, pat)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_never_beaten_by_greedy(self):
         for seed in range(10):
@@ -76,8 +77,8 @@ class TestColoring:
             m[0, 1] = 8
         pat = CommPattern(m)
         s = coloring_schedule(pat)
-        check_covers_pattern(s, pat)
-        validate_structure(s)
+        validate_schedule(s, pat)
+        assert_one_receive_per_rank_per_step(s)
         assert s.nsteps == optimal_step_count(pat)
 
     def test_empty_pattern_via_zero_colors(self):

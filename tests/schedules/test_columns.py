@@ -36,6 +36,8 @@ from repro.schedules import (
 )
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 
+from .checks import checked_step
+
 
 # ----------------------------------------------------------------------
 # The per-transfer builders, kept as oracles.
@@ -277,7 +279,7 @@ def steps_built(nprocs, cols, order):
     rows = cols[1:].T.tolist()
     nsteps = step[-1] + 1 if step else 0
     steps = tuple(
-        Step(tuple(Transfer(*row) for s, row in zip(step, rows) if s == i))
+        checked_step([Transfer(*row) for s, row in zip(step, rows) if s == i])
         for i in range(nsteps)
     )
     return Schedule(nprocs, steps, "drawn", order)

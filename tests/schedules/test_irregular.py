@@ -7,14 +7,15 @@ from repro.schedules import (
     IRREGULAR_ALGORITHMS,
     algorithm_names,
     balanced_schedule,
-    check_covers_pattern,
     greedy_schedule,
     linear_schedule,
     paper_pattern_P,
     pairwise_schedule,
     schedule_irregular,
-    validate_structure,
+    validate_schedule,
 )
+
+from .checks import assert_one_receive_per_rank_per_step
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +41,7 @@ class TestLinearScheduling:
 
     def test_only_pattern_messages_scheduled(self, P):
         s = linear_schedule(P)
-        check_covers_pattern(s, P)
-        validate_structure(s, allow_multi_recv=True)
+        validate_schedule(s, P)
 
     def test_empty_receivers_dropped(self):
         # A pattern where processor 2 receives nothing: its step vanishes.
@@ -66,8 +66,8 @@ class TestPairwiseScheduling:
 
     def test_coverage_and_structure(self, P):
         s = pairwise_schedule(P)
-        check_covers_pattern(s, P)
-        validate_structure(s)
+        validate_schedule(s, P)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_pairs_follow_xor(self, P):
         for step in pairwise_schedule(P).steps:
@@ -83,8 +83,8 @@ class TestBalancedScheduling:
 
     def test_coverage_and_structure(self, P):
         s = balanced_schedule(P)
-        check_covers_pattern(s, P)
-        validate_structure(s)
+        validate_schedule(s, P)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_pairs_follow_virtual_xor(self, P):
         n = P.nprocs
@@ -115,8 +115,8 @@ class TestGreedyScheduling:
 
     def test_coverage_and_structure(self, P):
         s = greedy_schedule(P)
-        check_covers_pattern(s, P)
-        validate_structure(s)
+        validate_schedule(s, P)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_complete_exchange_reduces_to_pairwise_pairs(self):
         """Section 4.4: on a complete exchange GS = PEX's pairing."""
@@ -167,7 +167,7 @@ class TestRegistry:
     def test_dispatch(self, P):
         for name in algorithm_names():
             s = schedule_irregular(P, name)
-            check_covers_pattern(s, P)
+            validate_schedule(s, P)
 
     def test_unknown_name(self, P):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -193,8 +193,8 @@ class TestGreedyOrderExtension:
 
         skewed = P.scaled(64)
         sched = gs(skewed, order="largest_first")
-        check_covers_pattern(sched, skewed)
-        validate_structure(sched)
+        validate_schedule(sched, skewed)
+        assert_one_receive_per_rank_per_step(sched)
 
     def test_largest_first_on_uniform_equals_lowest_pairs(self, P):
         """Uniform sizes: the size key ties everywhere, so the stable

@@ -6,16 +6,17 @@ import pytest
 from repro.machine import CM5Params, MachineConfig
 from repro.schedules import (
     CommPattern,
-    check_covers_pattern,
     estimate_schedule_time,
     local_schedule,
     schedule_irregular,
-    validate_structure,
+    validate_schedule,
 )
 from repro.schedules.coloring import coloring_schedule
 from repro.schedules.greedy import greedy_schedule
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
 from repro.schedules.validate import lint_schedule
+
+from .checks import assert_one_receive_per_rank_per_step
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +32,8 @@ def pat16():
 class TestCorrectness:
     def test_covers_and_validates(self, pat16):
         s = local_schedule(pat16)
-        check_covers_pattern(s, pat16)
-        validate_structure(s)
+        validate_schedule(s, pat16)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_lints_clean(self, pat16):
         report = lint_schedule(local_schedule(pat16), pat16)
@@ -85,7 +86,7 @@ class TestRegistry:
     def test_registered_as_local(self, pat16):
         assert IRREGULAR_ALGORITHMS["local"] is local_schedule
         s = schedule_irregular(pat16, "local")
-        check_covers_pattern(s, pat16)
+        validate_schedule(s, pat16)
 
     def test_registry_dispatch_matches_direct_call(self, pat16):
         assert schedule_irregular(pat16, "local").steps == \

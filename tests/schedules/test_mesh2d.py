@@ -3,8 +3,10 @@
 import pytest
 
 from repro.machine import CM5Params, MachineConfig
-from repro.schedules import execute_schedule, validate_structure
+from repro.schedules import execute_schedule, validate_schedule
 from repro.schedules.mesh2d import ProcessorMesh
+
+from .checks import assert_one_receive_per_rank_per_step
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +68,8 @@ class TestLineBroadcasts:
 class TestLineExchanges:
     def test_row_exchange_structure(self, mesh44):
         sched = mesh44.row_exchange(64)
-        validate_structure(sched)
+        validate_schedule(sched)
+        assert_one_receive_per_rank_per_step(sched)
         assert sched.nsteps == 3
         # 4 rows x (4*3) directed messages each.
         assert sched.n_messages == 4 * 12
@@ -91,7 +94,8 @@ class TestLineExchanges:
 class TestGridTranspose:
     def test_permutation_pairs(self, mesh44):
         sched = mesh44.transpose_permutation(128)
-        validate_structure(sched)
+        validate_schedule(sched)
+        assert_one_receive_per_rank_per_step(sched)
         assert sched.nsteps == 1
         assert sched.n_messages == 16 - 4  # diagonal stays put
 

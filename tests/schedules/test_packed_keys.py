@@ -5,8 +5,8 @@ compile's record order group rows by one packed int64 key
 (:func:`repro.schedules.schedule.packed_key`), with ``np.lexsort`` left
 as the fallback for keys that are negative or too wide to pack.  The
 oracles here are the ``np.lexsort`` versions: on drawn keys, and on
-native and malformed schedules under both exchange orders, the packed
-paths must give the same indices and the same programs.
+drawn and built schedules under both exchange orders, the packed paths
+must give the same indices and the same programs.
 """
 
 from contextlib import contextmanager
@@ -21,8 +21,6 @@ from repro.machine import MachineConfig
 from repro.schedules import (
     CommPattern,
     Schedule,
-    Step,
-    Transfer,
     balanced_exchange,
     linear_exchange,
     pairwise_exchange,
@@ -87,7 +85,7 @@ def assert_same_program(got, want):
     assert got.ops.tolist() == want.ops.tolist()
     assert got.starts.tolist() == want.starts.tolist()
     assert (got.sizes, got.copies) == (want.sizes, want.copies)
-    assert (got.native, got.live) == (want.native, want.live)
+    assert got.live == want.live
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +182,7 @@ def test_unordered_first_occurrence_on_narrow_and_wide_spans(width):
 @settings(max_examples=300, deadline=None)
 @given(sched=step_sets())
 def test_compile_matches_lexsort_on_drawn_schedules(sched):
-    # Exchanges, linear and mixed steps, unseated and negative ranks and
-    # self-transfers, under both exchange orders.
+    # Exchanges, linear and mixed steps, under both exchange orders.
     assert_same_program(*programs(sched))
 
 
@@ -207,28 +204,27 @@ def test_compile_matches_lexsort_on_irregular_schedules(algorithm):
         assert_same_program(*programs(twin))
 
 
-def test_native_compile_sorts_no_multi_key(monkeypatch):
+def test_compile_takes_lexsort_only_past_the_packed_span(monkeypatch):
     calls = []
     real = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
     pattern = CommPattern.synthetic(16, 0.5, 64, seed=2)
     for algorithm in sorted(IRREGULAR_ALGORITHMS):
         executor._compile(schedule_irregular(pattern, algorithm))
-    executor._compile(pairwise_exchange(16, 64))
+    dense = pairwise_exchange(16, 64)
+    want = executor._compile(dense)
     assert calls == []
-    # A transfer to a negative rank takes the fallback.
-    t = Transfer(0, 1, 8)
-    object.__setattr__(t, "dst", -1)
-    bad = object.__new__(Schedule)
-    for field_, value in (
-        ("nprocs", 4),
-        ("steps", (Step((t,)),)),
-        ("name", "bad"),
-        ("exchange_order", LOWER_RECV_FIRST),
-    ):
-        object.__setattr__(bad, field_, value)
-    executor._compile(bad)
+    # Step indices near 2**55 pass the gate, but at 16 nodes the key's
+    # span (16 * 2**55 * 3 * 16) passes 2**63: the fallback runs and
+    # compiles the same program with the steps shifted.
+    cols = dense.columns.copy()
+    cols[0] += 2**55
+    got = executor._compile(Schedule.from_columns(16, cols, dense.name))
     assert calls == [1]
+    assert got.ops[:, [0, 1, 3]].tolist() == want.ops[:, [0, 1, 3]].tolist()
+    assert (got.ops[:, 2] == want.ops[:, 2] + 2**55).all()
+    assert got.starts.tolist() == want.starts.tolist()
+    assert got.live == want.live
 
 
 def test_halo_build_and_irregular_op_sort_no_multi_key(monkeypatch):

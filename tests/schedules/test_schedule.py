@@ -1,5 +1,6 @@
-"""Unit tests for the schedule IR and its validators."""
+"""Unit tests for the schedule IR and its validity gate."""
 
+import json
 import os
 import subprocess
 import sys
@@ -12,14 +13,13 @@ import pytest
 import repro
 
 from repro.schedules import (
-    CommPattern,
     Schedule,
     ScheduleError,
     Step,
     Transfer,
-    check_covers_pattern,
-    validate_structure,
+    schedule_from_json,
 )
+from repro.schedules.schedule import MAX_NPROCS
 
 
 def sched(steps, n=4, name="t"):
@@ -68,10 +68,6 @@ class TestTransfer:
 
 
 class TestStep:
-    def test_duplicate_directed_transfer_rejected(self):
-        with pytest.raises(ScheduleError):
-            Step((Transfer(0, 1, 8), Transfer(0, 1, 16)))
-
     def test_participants(self):
         s = Step((Transfer(0, 1, 8), Transfer(2, 3, 8)))
         assert s.participants == {0, 1, 2, 3}
@@ -92,6 +88,10 @@ class TestSchedule:
     def test_out_of_range_transfer_rejected(self):
         with pytest.raises(ScheduleError):
             sched([[Transfer(0, 5, 8)]], n=4)
+
+    def test_duplicate_directed_transfer_rejected(self):
+        with pytest.raises(ScheduleError, match="duplicate transfer 0->1 in step"):
+            sched([[Transfer(0, 1, 8), Transfer(0, 1, 16)]])
 
     def test_unknown_exchange_order_rejected(self):
         with pytest.raises(ScheduleError):
@@ -150,59 +150,125 @@ def test_materialized_steps_keep_later_transfers_small():
     assert after <= 1.2 * fresh, (fresh, after)
 
 
-class TestValidateStructure:
-    def test_double_send_rejected(self):
-        s = sched([[Transfer(0, 1, 8), Transfer(0, 2, 8)]])
-        with pytest.raises(ScheduleError, match="sends 2"):
-            validate_structure(s)
-
-    def test_double_recv_rejected_by_default(self):
-        s = sched([[Transfer(1, 0, 8), Transfer(2, 0, 8)]])
-        with pytest.raises(ScheduleError, match="receives 2"):
-            validate_structure(s)
-
-    def test_multi_recv_allowed_for_linear_family(self):
-        s = sched([[Transfer(1, 0, 8), Transfer(2, 0, 8)]])
-        validate_structure(s, allow_multi_recv=True)
-
-    def test_clean_schedule_passes(self):
-        s = sched([[Transfer(0, 1, 8), Transfer(1, 0, 8), Transfer(2, 3, 8)]])
-        validate_structure(s)
+# ----------------------------------------------------------------------
+# The gate: both constructors and the JSON reader reject the same input
+# with the same text.
+# ----------------------------------------------------------------------
+def _document(nprocs, steps):
+    return json.dumps(
+        {
+            "format": "repro-schedule",
+            "version": 1,
+            "name": "t",
+            "nprocs": nprocs,
+            "exchange_order": "lower_recv_first",
+            "steps": steps,
+        }
+    )
 
 
-class TestCoverage:
-    def pattern(self):
-        return CommPattern([[0, 8, 0, 0], [0, 0, 4, 0], [0, 0, 0, 0], [2, 0, 0, 0]])
+def _rejections(nprocs, steps, edit=None):
+    """The ``ScheduleError`` text of each entry point on the same schedule:
+    the steps constructor over transfers ``edit`` mutates after they were
+    built, ``Schedule.from_columns`` and ``schedule_from_json`` over the
+    edited rows (without the reader's "malformed schedule document: "
+    prefix, which it puts on every error of a well-framed document)."""
+    built = [[Transfer(*row) for row in step] for step in steps]
+    if edit is not None:
+        edit(built)
+    rows = [[[t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes] for t in s] for s in built]
+    cols = np.array(
+        [[i, *row] for i, step in enumerate(rows) for row in step], dtype=np.int64
+    ).reshape(-1, 6).T
+    texts = []
+    for build in (
+        lambda: Schedule(nprocs, tuple(Step(tuple(s)) for s in built), "t"),
+        lambda: Schedule.from_columns(nprocs, cols, "t", nsteps=len(rows)),
+        lambda: schedule_from_json(_document(nprocs, rows)),
+    ):
+        with pytest.raises(ScheduleError) as info:
+            build()
+        texts.append(str(info.value))
+    prefix = "malformed schedule document: "
+    assert texts[2].startswith(prefix)
+    return texts[:2] + [texts[2][len(prefix) :]]
 
-    def test_exact_coverage_passes(self):
-        s = sched([[Transfer(0, 1, 8), Transfer(3, 0, 2)], [Transfer(1, 2, 4)]])
-        check_covers_pattern(s, self.pattern())
 
-    def test_missing_transfer_detected(self):
-        s = sched([[Transfer(0, 1, 8)], [Transfer(1, 2, 4)]])
-        with pytest.raises(ScheduleError, match="missing"):
-            check_covers_pattern(s, self.pattern())
+def _set(step, k, field, value):
+    def edit(built):
+        object.__setattr__(built[step][k], field, value)
 
-    def test_wrong_bytes_detected(self):
-        s = sched([[Transfer(0, 1, 9), Transfer(3, 0, 2)], [Transfer(1, 2, 4)]])
-        with pytest.raises(ScheduleError, match="carries"):
-            check_covers_pattern(s, self.pattern())
+    return edit
 
-    def test_spurious_transfer_detected(self):
-        s = sched(
-            [[Transfer(0, 1, 8), Transfer(3, 0, 2)], [Transfer(1, 2, 4), Transfer(2, 1, 4)]]
-        )
-        with pytest.raises(ScheduleError, match="spurious"):
-            check_covers_pattern(s, self.pattern())
 
-    def test_duplicate_transfer_detected(self):
-        s = sched(
-            [[Transfer(0, 1, 8), Transfer(3, 0, 2)], [Transfer(1, 2, 4)], [Transfer(0, 1, 8)]]
-        )
-        with pytest.raises(ScheduleError, match="duplicate"):
-            check_covers_pattern(s, self.pattern())
+class TestGate:
+    STEPS = [[(0, 1, 64), (1, 0, 64)], [(2, 3, 8), (2, 1, 8)]]
 
-    def test_size_mismatch_detected(self):
-        s = sched([[Transfer(0, 1, 8)]], n=8)
-        with pytest.raises(ScheduleError, match="procs"):
-            check_covers_pattern(s, self.pattern())
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_set(1, 0, "src", 4), "transfer 4->3 outside 0..3"),
+            (_set(1, 0, "dst", 9), "transfer 2->9 outside 0..3"),
+            (_set(1, 0, "src", -1), "transfer -1->3 outside 0..3"),
+            (_set(1, 0, "dst", 2), "self-transfer at rank 2"),
+            (
+                _set(1, 0, "nbytes", -5),
+                "negative byte count in Transfer(src=2, dst=3, nbytes=-5, "
+                "pack_bytes=0, unpack_bytes=0)",
+            ),
+            (
+                _set(1, 0, "pack_bytes", -1),
+                "negative byte count in Transfer(src=2, dst=3, nbytes=8, "
+                "pack_bytes=-1, unpack_bytes=0)",
+            ),
+            (
+                _set(1, 0, "unpack_bytes", -1),
+                "negative byte count in Transfer(src=2, dst=3, nbytes=8, "
+                "pack_bytes=0, unpack_bytes=-1)",
+            ),
+            (_set(1, 1, "dst", 3), "duplicate transfer 2->3 in step"),
+        ],
+        ids=[
+            "src-past-nprocs",
+            "dst-past-nprocs",
+            "negative-rank",
+            "self-transfer",
+            "negative-nbytes",
+            "negative-pack",
+            "negative-unpack",
+            "repeated-pair",
+        ],
+    )
+    def test_every_entry_point_rejects_a_crafted_edit(self, edit, message):
+        assert _rejections(4, self.STEPS, edit) == [message] * 3
+
+    @pytest.mark.parametrize("nprocs", [-3, 0, 1, MAX_NPROCS + 1, 2**70])
+    def test_nprocs_outside_the_machine_rejected(self, nprocs):
+        message = f"schedule nprocs must be an integer in 2..16384, got {nprocs}"
+        assert _rejections(nprocs, []) == [message] * 3
+
+    @pytest.mark.parametrize("nprocs", [1.5, True, "4"])
+    def test_non_integer_nprocs_rejected(self, nprocs):
+        message = f"schedule nprocs must be an integer in 2..16384, got {nprocs!r}"
+        empty = np.zeros((6, 0), dtype=np.int64)
+        for build in (
+            lambda: Schedule(nprocs, ()),
+            lambda: Schedule.from_columns(nprocs, empty),
+        ):
+            with pytest.raises(ScheduleError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_nprocs_bounds_accepted(self):
+        assert Schedule(2, ()).nprocs == 2
+        assert Schedule.from_columns(np.int64(MAX_NPROCS), np.zeros((6, 0), int)).nsteps == 0
+
+    @pytest.mark.parametrize("nsteps", [2.5, True, "3"])
+    def test_non_integer_nsteps_rejected(self, nsteps):
+        with pytest.raises(ScheduleError) as info:
+            Schedule.from_columns(4, np.zeros((6, 0), dtype=np.int64), nsteps=nsteps)
+        assert str(info.value) == f"schedule nsteps must be an integer, got {nsteps!r}"
+
+    def test_integer_nsteps_accepted(self):
+        empty = np.zeros((6, 0), dtype=np.int64)
+        assert Schedule.from_columns(4, empty, nsteps=np.int64(3)).nsteps == 3

@@ -22,6 +22,7 @@ from repro.schedules import (
 )
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
 
+from .checks import checked_step
 from .test_compiled_executor import counting_transfers
 from .test_properties import patterns
 
@@ -160,7 +161,7 @@ class TestSerializeProperties:
 # The per-transfer decoder, kept as the oracle of the column decoder.
 # ----------------------------------------------------------------------
 def old_schedule_from_json(text):
-    from repro.schedules import Schedule, Step, Transfer
+    from repro.schedules import Schedule, Transfer
 
     try:
         doc = json.loads(text)
@@ -186,11 +187,11 @@ def old_schedule_from_json(text):
 
     try:
         steps = tuple(
-            Step(
-                tuple(
+            checked_step(
+                [
                     transfer(step_no, index, fields)
                     for index, fields in enumerate(step, start=1)
-                )
+                ]
             )
             for step_no, step in enumerate(doc["steps"], start=1)
         )

@@ -7,8 +7,10 @@ from repro.schedules import (
     execute_schedule,
     linear_exchange_time,
     shift_schedule,
-    validate_structure,
+    validate_schedule,
 )
+
+from .checks import assert_one_receive_per_rank_per_step
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +25,8 @@ class TestShift:
         assert {(t.src, t.dst) for t in s.steps[0]} == {
             (i, (i + 1) % 8) for i in range(8)
         }
-        validate_structure(s)
+        validate_schedule(s)
+        assert_one_receive_per_rank_per_step(s)
 
     def test_negative_offset(self):
         s = shift_schedule(8, -1, 64)

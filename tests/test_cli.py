@@ -1,9 +1,14 @@
 """CLI smoke tests (quick mode)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from tests.schedules.test_serialize import _NON_INTEGER, non_integer_document
 
@@ -152,6 +157,40 @@ class TestValidateCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert f"{_NON_INTEGER[case][1]} must be an integer" in lines[0]
+
+    @pytest.mark.parametrize(
+        "edit, status",
+        [("none", 0), ("float-nbytes", 2), ("negative-nprocs", 2)],
+    )
+    def test_saved_schedule_file_in_a_fresh_interpreter(self, tmp_path, edit, status):
+        # ``python -m repro validate --schedule FILE`` as a shell runs it:
+        # exit 0 and a clean stderr, or exit 2 and exactly one error line.
+        from repro.schedules import pairwise_exchange, schedule_to_json
+
+        doc = json.loads(schedule_to_json(pairwise_exchange(8, 256)))
+        if edit == "float-nbytes":
+            doc["steps"][0][0][2] = 256.5
+        elif edit == "negative-nprocs":
+            doc.update(nprocs=-3, steps=[])
+        path = tmp_path / "pex8.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "validate", "--schedule", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == status, proc.stderr
+        lines = proc.stderr.splitlines()
+        if status == 0:
+            assert proc.stdout.startswith("OK PEX") and lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert "OK" not in proc.stdout
 
     def test_byte_count_outside_int64_exits_2(self, tmp_path, capsys):
         from repro.schedules import pairwise_exchange, schedule_to_json
