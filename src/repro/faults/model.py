@@ -4,7 +4,7 @@ The engine asks this object four questions, all O(1) after construction:
 
 * :meth:`link_scale_vector` — per-link capacity multipliers for the
   fluid network's max-min allocation;
-* :meth:`compute_slowdown` / :meth:`overhead_slowdown` — per-rank
+* :meth:`compute_slowdowns` / :meth:`overhead_slowdowns` — per-rank
   multipliers on local work and per-message software overheads;
 * :meth:`message_delay` — extra wire latency for one delivery attempt;
 * :meth:`message_drop` — whether one delivery attempt is lost (and how
@@ -20,12 +20,13 @@ without simulating it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..machine.fattree import FatTree, LinkId
+from ..machine.params import FAT_TREE_ARITY
 from .plan import (
     HEALTHY,
     FaultPlan,
@@ -103,34 +104,34 @@ class FaultModel:
             [self._link_scales.get(l, 1.0) for l in link_order], dtype=float
         )
 
-    def path_degradation(self, src: int, dst: int) -> float:
-        """Worst capacity scale along the (src, dst) route (1.0 = healthy).
+    def path_degradation(self, src: Any, dst: Any) -> np.ndarray:
+        """Worst capacity scale along each (src, dst) route, elementwise
+        over rank arrays (1.0 = healthy; ranks unchecked): the route to
+        level ``top`` climbs ``src``'s up links and descends ``dst``'s
+        down links, levels 1 to ``top``.
 
         Used by :func:`~repro.schedules.repair.repair_schedule` to score
         steps without running the simulator.
         """
+        worst = np.ones(np.shape(src))
         if not self._link_scales:
-            return 1.0
-        return min(
-            (self._link_scales.get(l, 1.0) for l in self.tree.path(src, dst)),
-            default=1.0,
-        )
+            return worst
+        top = self.tree.config.route_levels(src, dst)
+        for (kind, level, index), scale in self._link_scales.items():
+            ends = src if kind == "up" else dst
+            on = (top >= level) & (ends // FAT_TREE_ARITY ** (level - 1) == index)
+            worst = np.where(on, np.minimum(worst, scale), worst)
+        return worst
 
     # ------------------------------------------------------------------
     # Stragglers
     # ------------------------------------------------------------------
-    def compute_slowdown(self, rank: int) -> float:
-        """Multiplier on Delay-charged local work (compute, pack/unpack)."""
-        return float(self._compute_slow[rank])
-
-    def overhead_slowdown(self, rank: int) -> float:
-        """Multiplier on per-message software overheads."""
-        return float(self._overhead_slow[rank])
-
     def compute_slowdowns(self) -> np.ndarray:
+        """Per-rank multipliers on local work (compute, pack/unpack)."""
         return self._compute_slow
 
     def overhead_slowdowns(self) -> np.ndarray:
+        """Per-rank multipliers on per-message software overheads."""
         return self._overhead_slow
 
     # ------------------------------------------------------------------

@@ -297,11 +297,14 @@ class MachineConfig:
         """True when the (src, dst) route leaves the 4-node cluster."""
         return self.route_level(src, dst) > 1
 
-    def leaves_cluster(self, src: Any, dst: Any) -> Any:
-        """:meth:`is_global` elementwise over integer rank arrays (ranks
-        unchecked): a route climbs above level 1 exactly when its two
-        ends sit in different clusters of four."""
-        return src // FAT_TREE_ARITY != dst // FAT_TREE_ARITY
+    def route_levels(self, src: Any, dst: Any) -> Any:
+        """:meth:`route_level` elementwise over integer rank arrays (ranks
+        unchecked): one plus the levels whose subtrees part the ends."""
+        level = 1
+        for _ in range(self.levels):
+            src, dst = src // FAT_TREE_ARITY, dst // FAT_TREE_ARITY
+            level = level + (src != dst)
+        return level
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nprocs:

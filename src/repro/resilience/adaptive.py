@@ -38,6 +38,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..cmmd.api import Comm, RetryPolicy
 from ..faults.plan import FaultPlan
 from ..machine.params import MachineConfig
@@ -82,11 +84,10 @@ class DeliveryManifest:
     """
 
     def __init__(self, schedule: Schedule):
-        self._outcomes: Dict[Tuple[int, int, int], TransferOutcome] = {}
-        for sid, t in schedule.all_transfers():
-            self._outcomes[(sid, t.src, t.dst)] = TransferOutcome(
-                step=sid, src=t.src, dst=t.dst, nbytes=t.nbytes
-            )
+        self._outcomes: Dict[Tuple[int, int, int], TransferOutcome] = {
+            (sid, src, dst): TransferOutcome(sid, src, dst, nbytes)
+            for sid, src, dst, nbytes in zip(*schedule.columns[:4].tolist())
+        }
 
     def mark(self, step: int, src: int, dst: int, status: str) -> None:
         oc = self._outcomes[(step, src, dst)]
@@ -165,9 +166,10 @@ class AdaptivePlanner:
         self.program = program
         self.config = config
         self.monitor = monitor
-        self.participants = [
-            frozenset(s.participants) for s in schedule.steps
-        ]
+        step, src, dst = schedule.columns[:3]
+        takes_part = np.zeros((schedule.nsteps, schedule.nprocs), dtype=bool)
+        takes_part[step, src] = takes_part[step, dst] = True
+        self.takes_part = takes_part.tolist()  # [sid][rank]: rank is in step sid
         self.dispatched: List[int] = []
         self._remaining: Set[int] = set(range(schedule.nsteps))
         self._ranked: List[int] = []
@@ -183,10 +185,14 @@ class AdaptivePlanner:
     def _ensure_ranking(self) -> None:
         if self._ranked_gen == self.monitor.generation:
             return
-        remaining = sorted(self._remaining)
-        steps = [self.schedule.steps[i] for i in remaining]
-        order = rank_steps(steps, self.config, self.monitor.inferred_model())
-        self._ranked = [remaining[j] for j in order]
+        remaining = np.array(sorted(self._remaining), dtype=np.int64)
+        cols = self.schedule.columns
+        left = cols[:, np.isin(cols[0], remaining)]
+        left[0] = np.searchsorted(remaining, left[0])  # relabelled 0..k-1
+        order = rank_steps(
+            left, remaining.size, self.config, self.monitor.inferred_model()
+        )
+        self._ranked = remaining[order].tolist()
         self._ranked_gen = self.monitor.generation
         self.rerank_count += 1
 
@@ -208,11 +214,11 @@ class AdaptivePlanner:
             while pos < len(d):
                 sid = d[pos]
                 pos += 1
-                if rank in self.participants[sid]:
+                if self.takes_part[sid][rank]:
                     return ("step", pos, sid)
             self._ensure_ranking()
             picked = next(
-                (s for s in self._ranked if rank in self.participants[s]),
+                (s for s in self._ranked if self.takes_part[s][rank]),
                 None,
             )
             if picked is None:

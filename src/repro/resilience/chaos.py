@@ -243,7 +243,7 @@ def _baseline(nprocs: int, algorithm: str) -> Tuple[float, int]:
     """A cell's healthy makespan and message count."""
     schedule, config = _cell(nprocs, algorithm)
     healthy = adaptive_execute(schedule, config, trace=False).time
-    return healthy, sum(1 for _ in schedule.all_transfers())
+    return healthy, schedule.n_messages
 
 
 def _run_one(

@@ -50,7 +50,7 @@ from .bound import (
     endpoint_bound,
     makespan_lower_bound,
 )
-from .estimate import estimate_schedule_time, estimate_step_time
+from .estimate import estimate_schedule_time, estimate_step_times
 from .shift import shift_schedule
 from .mesh2d import ProcessorMesh
 from .repair import rank_steps, repair_schedule, step_cost_estimate
@@ -111,7 +111,7 @@ __all__ = [
     "bisection_bound",
     "makespan_lower_bound",
     "estimate_schedule_time",
-    "estimate_step_time",
+    "estimate_step_times",
     "shift_schedule",
     "ProcessorMesh",
     "SelectionResult",

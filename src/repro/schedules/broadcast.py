@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from .. import obs
-from .schedule import Schedule, Step, Transfer
+from .schedule import Schedule, transfer_columns
 
 __all__ = ["linear_broadcast", "recursive_broadcast"]
 
@@ -46,12 +48,12 @@ def linear_broadcast(
     """LIB: the root sends to every group member in turn (N-1 steps)."""
     members = _resolve_group(nprocs, root, group)
     with obs.span("build/LIB", category="build", nprocs=nprocs):
-        steps = tuple(
-            Step((Transfer(root, dst, nbytes),))
-            for dst in members
-            if dst != root
+        dst = np.array([m for m in members if m != root], dtype=np.int64)
+        return Schedule.from_columns(
+            nprocs,
+            transfer_columns(np.arange(dst.size), root, dst, nbytes),
+            name="LIB",
         )
-        return Schedule(nprocs=nprocs, steps=steps, name="LIB")
 
 
 def recursive_broadcast(
@@ -72,18 +74,17 @@ def recursive_broadcast(
     if n & (n - 1):
         raise ValueError(f"REB group size must be a power of two, got {n}")
     rpos = members.index(root)
-
-    def member_at(pos: int) -> int:
-        return members[(pos + rpos) % n]
+    # Group-relative position p is member ring[p], the root at 0.
+    ring = np.array(members, dtype=np.int64)[(np.arange(n) + rpos) % n]
 
     with obs.span("build/REB", category="build", nprocs=nprocs):
-        steps: List[Step] = []
+        # Step s (0-based) has 2**s senders, at multiples of 2 * distance.
         nsteps = n.bit_length() - 1
-        for j in range(1, nsteps + 1):
-            distance = n >> j
-            transfers = tuple(
-                Transfer(member_at(pos), member_at(pos + distance), nbytes)
-                for pos in range(0, n, 2 * distance)
-            )
-            steps.append(Step(transfers))
-        return Schedule(nprocs=nprocs, steps=tuple(steps), name="REB")
+        step = np.repeat(np.arange(nsteps), 1 << np.arange(nsteps))
+        distance = n >> (step + 1)
+        pos = (np.arange(step.size) - (1 << step) + 1) * 2 * distance
+        return Schedule.from_columns(
+            nprocs,
+            transfer_columns(step, ring[pos], ring[pos + distance], nbytes),
+            name="REB",
+        )

@@ -23,12 +23,12 @@ precisely the gap the ablation exposes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .pattern import CommPattern
-from .schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
+from .schedule import LOWER_RECV_FIRST, Schedule, compact_steps, transfer_columns
 
 __all__ = ["coloring_schedule", "optimal_step_count"]
 
@@ -51,7 +51,7 @@ def coloring_schedule(pattern: CommPattern, name: str = "OPT") -> Schedule:
     n = pattern.nprocs
     ncolors = optimal_step_count(pattern)
     if ncolors == 0:
-        return Schedule(nprocs=n, steps=(), name=name)
+        return Schedule.from_columns(n, np.zeros((6, 0), dtype=np.int64), name=name)
 
     # sender_color[u][c] = v if edge u->v has color c (and mirror).
     sender_color: List[Dict[int, int]] = [dict() for _ in range(n)]
@@ -101,19 +101,17 @@ def coloring_schedule(pattern: CommPattern, name: str = "OPT") -> Schedule:
         sender_color[src][cu] = dst
         recv_color[dst][cu] = src
 
-    steps: List[Step] = []
-    for c in range(ncolors):
-        transfers = tuple(
-            Transfer(src, dst, pattern[src, dst])
-            for src in range(n)
-            for col, dst in sender_color[src].items()
-            if col == c
-        )
-        if transfers:
-            steps.append(Step(transfers))
-    return Schedule(
-        nprocs=n,
-        steps=tuple(steps),
+    # Step by color, senders ascending within a step; colors no edge
+    # kept are dropped.
+    color, src, dst = np.array(
+        [(c, u, v) for u in range(n) for c, v in sender_color[u].items()],
+        dtype=np.int64,
+    ).T
+    order = np.argsort(color * n + src, kind="stable")
+    color, src, dst = color[order], src[order], dst[order]
+    return Schedule.from_columns(
+        n,
+        transfer_columns(compact_steps(color), src, dst, pattern.matrix[src, dst]),
         name=name,
         exchange_order=LOWER_RECV_FIRST,
     )

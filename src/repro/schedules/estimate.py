@@ -14,6 +14,10 @@ overheads plus packetized wire time at its route's level bandwidth,
 degraded by the same capped contention factor the fluid model applies
 when the step loads an upper link beyond its capacity profile.
 
+All steps are priced in one NumPy pass over the schedule's columns
+(:func:`estimate_step_times`), each to the bits a per-transfer loop
+gives it.
+
 It deliberately ignores cross-step pipelining (a fast pair starting its
 next step early) and routing jitter, so it is an *approximation*, not a
 bound; the tests check it tracks the simulator within a modest factor
@@ -22,88 +26,105 @@ across the paper's workloads, and that it ranks LEX/PEX correctly.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Optional, Tuple
+from typing import Optional, Sequence
+
+import numpy as np
 
 from ..machine.params import (
     CM5Params,
     FAT_TREE_ARITY,
+    PACKET_BYTES,
+    PACKET_PAYLOAD_BYTES,
     MachineConfig,
-    wire_bytes,
 )
-from .schedule import Schedule, Step
+from .schedule import Schedule, first_occurrence
 
-__all__ = ["estimate_schedule_time", "estimate_step_time"]
-
-LinkKey = Tuple[int, int, str]  # (level, subtree index, direction)
+__all__ = ["estimate_schedule_time", "estimate_step_times"]
 
 
-def _link_loads(step: Step, config: MachineConfig) -> Dict[LinkKey, int]:
-    """Concurrent transfers through each upper fat-tree link this step.
+def wire_bytes_of(nbytes: np.ndarray) -> np.ndarray:
+    """:func:`~repro.machine.params.wire_bytes` elementwise, as floats
+    of the same values (dividing by 16 commutes with rounding)."""
+    return np.maximum(np.ceil(nbytes / PACKET_PAYLOAD_BYTES), 1.0) * PACKET_BYTES
 
-    Concurrency is bounded by endpoints, not message counts: a sender
-    injects one message at a time and a receiver drains one at a time
-    (the synchronous rendezvous), so a link's concurrent load is the
-    number of *distinct* senders below it (up direction) or distinct
-    receivers below it (down direction).  This is what keeps the
-    estimator honest on the linear family, whose N-1 messages per step
-    share a single serialized receiver.
+
+def level_bandwidths(
+    config: MachineConfig, params: CM5Params, level: np.ndarray
+) -> np.ndarray:
+    """:meth:`~repro.machine.params.CM5Params.level_bandwidth` elementwise."""
+    levels = range(1, config.levels + 1)
+    return np.array([params.level_bandwidth(top) for top in levels])[level - 1]
+
+
+def busiest_rank(
+    columns: np.ndarray,
+    at_src: Sequence[np.ndarray],
+    at_dst: Sequence[np.ndarray],
+    nsteps: int,
+    nprocs: int,
+) -> np.ndarray:
+    """Per step, the largest per-rank sum of work: the terms ``at_src``
+    charged to each source, then ``at_dst`` to each destination,
+    transfer by transfer, each rank's terms added in that order
+    (``np.bincount`` adds in order).  An empty step costs 0.0."""
+    step, src, dst = columns[:3]
+    ends = (step * nprocs + src,) * len(at_src) + (step * nprocs + dst,) * len(at_dst)
+    slots, inverse = np.unique(np.stack(ends, axis=1), return_inverse=True)
+    work = np.stack((*at_src, *at_dst), axis=1).ravel()
+    sums = np.bincount(inverse.ravel(), weights=work, minlength=slots.size)
+    out = np.zeros(nsteps)
+    owner = slots // nprocs
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    out[owner[first]] = np.maximum.reduceat(sums, first) if slots.size else 0.0
+    return out
+
+
+def estimate_step_times(
+    columns: np.ndarray,
+    nsteps: int,
+    config: MachineConfig,
+    params: Optional[CM5Params] = None,
+) -> np.ndarray:
+    """Analytic cost of each of ``nsteps`` steps given as columns
+    (:attr:`~repro.schedules.schedule.Schedule.columns`, step indices
+    non-decreasing): the max over processors of their sequential work.
+
+    A message's rate is its route level's bandwidth, capped at each
+    upper link it climbs by the link's capacity shared among its load:
+    the *distinct* senders (up) or receivers (down) below it, since a
+    rank injects or drains one message at a time (the synchronous
+    rendezvous).  This keeps the estimator honest on the linear family,
+    whose N-1 messages per step share one serialized receiver.
     """
-    endpoints: Dict[LinkKey, set] = defaultdict(set)
-    for t in step:
-        top = config.route_level(t.src, t.dst)
-        s, d = t.src, t.dst
-        for level in range(2, top + 1):
-            s //= FAT_TREE_ARITY
-            d //= FAT_TREE_ARITY
-            endpoints[(level, s, "up")].add(t.src)
-            endpoints[(level, d, "down")].add(t.dst)
-    return {k: len(v) for k, v in endpoints.items()}
-
-
-def estimate_step_time(
-    step: Step, config: MachineConfig, params: Optional[CM5Params] = None
-) -> float:
-    """Analytic cost of one step: max over processors of sequential work."""
     params = params or config.params
-    loads = _link_loads(step, config)
-
-    def subtree(node: int, level: int) -> int:
-        return node // (FAT_TREE_ARITY ** (level - 1))
-
-    per_proc: Dict[int, float] = defaultdict(float)
-    recv_count: Dict[int, int] = defaultdict(int)
-    for t in step:
-        top = config.route_level(t.src, t.dst)
-        rate = params.level_bandwidth(top)
-        for level in range(2, top + 1):
-            for node, dirn in ((t.src, "up"), (t.dst, "down")):
-                load = loads.get((level, subtree(node, level), dirn), 1)
-                penalty = min(
-                    1.0 + params.switch_contention * max(load - 1, 0),
-                    params.contention_cap,
-                )
-                capacity = (
-                    FAT_TREE_ARITY ** (level - 1)
-                    * params.level_bandwidth(level)
-                    / penalty
-                )
-                rate = min(rate, capacity / max(load, 1))
-        wire = wire_bytes(t.nbytes) / rate
-        # The pack memcpy happens on the sender, the unpack on the
-        # receiver; charging the sum to both ends double-counts the
-        # store-and-forward reshuffle (REX pays it twice over).
-        pack = params.memcpy_time(t.pack_bytes)
-        unpack = params.memcpy_time(t.unpack_bytes)
-        per_proc[t.src] += params.zero_byte_latency + wire + pack
-        # A serialized receiver overlaps later senders' setup with its
-        # own drain: messages after the first cost service + wire only.
-        recv_count[t.dst] += 1
-        if recv_count[t.dst] == 1:
-            per_proc[t.dst] += params.zero_byte_latency + wire + unpack
-        else:
-            per_proc[t.dst] += params.recv_overhead + wire + unpack
-    return max(per_proc.values(), default=0.0)
+    nprocs = config.nprocs
+    step, src, dst, nbytes, pack, unpack = columns
+    top = config.route_levels(src, dst)
+    rate = level_bandwidths(config, params, top)
+    for level in range(2, int(top.max(initial=1)) + 1):
+        rows = np.flatnonzero(top >= level)
+        span = FAT_TREE_ARITY ** (level - 1)
+        for ends in (src[rows], dst[rows]):
+            # Distinct endpoints per (step, subtree of ``span`` leaves).
+            slot = step[rows] * nprocs + ends
+            groups, count = np.unique(np.unique(slot) // span, return_counts=True)
+            load = count[np.searchsorted(groups, slot // span)]
+            penalty = np.minimum(
+                1.0 + params.switch_contention * (load - 1), params.contention_cap
+            )
+            link = span * params.level_bandwidth(level) / penalty / load
+            rate[rows] = np.minimum(rate[rows], link)
+    wire = wire_bytes_of(nbytes) / rate
+    # The pack memcpy happens on the sender, the unpack on the receiver;
+    # charging the sum to both ends double-counts the store-and-forward
+    # reshuffle (REX pays it twice over).  A serialized receiver overlaps
+    # later senders' setup with its own drain: messages after its first
+    # in a step cost service + wire only.
+    first = first_occurrence(step, dst, ordered=True) == np.arange(step.size)
+    recv = np.where(first, params.zero_byte_latency, params.recv_overhead)
+    send = params.zero_byte_latency + wire + pack / params.memcpy_bandwidth
+    recv = recv + wire + unpack / params.memcpy_bandwidth
+    return busiest_rank(columns, (send,), (recv,), nsteps, nprocs)
 
 
 def estimate_schedule_time(
@@ -117,5 +138,7 @@ def estimate_schedule_time(
             f"schedule is for {schedule.nprocs} procs, machine has "
             f"{config.nprocs}"
         )
-    params = params or config.params
-    return sum(estimate_step_time(step, config, params) for step in schedule.steps)
+    times = estimate_step_times(schedule.columns, schedule.nsteps, config, params)
+    # Python's sum adds in step order, as the per-step loop did;
+    # ``np.sum`` adds pairwise and would change the last bits.
+    return sum(times.tolist())

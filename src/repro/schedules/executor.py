@@ -131,11 +131,11 @@ def compiled_program(schedule: Schedule) -> Program:
     for a send and 2 for a receive from a higher rank.  The four keys
     are packed into one int64 (:func:`~repro.schedules.schedule.packed_key`;
     for a program of T steps at most ``((rank * T + step) * 3 + class) *
-    n + peer``) and sorted once, stably; keys too wide to pack (sparse
-    step indices near 2**55) fall back to ``np.lexsort``.  That is the
-    mixed-partner and receive-only order.  An exchange (a rank's step is one send and one receive with the same
-    partner) sorts as Figure 3 (``LOWER_SEND_FIRST``) and is flipped
-    for Figure 2.
+    n + peer``, which :data:`~repro.schedules.schedule.MAX_STEPS` keeps
+    inside int64) and sorted once, stably.  That is the mixed-partner
+    and receive-only order.  An exchange (a rank's step is one send and
+    one receive with the same partner) sorts as Figure 3
+    (``LOWER_SEND_FIRST``) and is flipped for Figure 2.
 
     The same order makes :attr:`Program.live` a deadlock-freedom
     certificate (the argument is in :mod:`repro.schedules.validate`).
@@ -160,11 +160,7 @@ def _compile(schedule: Schedule) -> Program:
     send = np.arange(2 * m) < m
     klass = np.concatenate((np.ones(m, dtype=np.int64), 2 * (src > dst)))
     tag = step[index]
-    packed = packed_key(rank, tag, klass, peer)
-    if packed is None:  # sparse step indices near 2**55 overflow the key
-        order = np.lexsort((peer, klass, tag, rank))
-    else:
-        order = np.argsort(packed, kind="stable")
+    order = np.argsort(packed_key(rank, tag, klass, peer), kind="stable")
     rank, peer, tag, send = rank[order], peer[order], tag[order], send[order]
     # Ops i and i + 1 make up their rank's whole step: an exchange.
     same = (rank[1:] == rank[:-1]) & (tag[1:] == tag[:-1])

@@ -5,7 +5,7 @@ coloring (:mod:`repro.schedules.coloring`) is step-optimal but blind to
 bytes and locality.  This module closes the loop: start from the better
 of the two seeds and *refine* the step assignment with cost-guided local
 moves, priced by the analytic estimator
-(:func:`repro.schedules.estimate.estimate_step_time`) — the optimizing
+(:func:`repro.schedules.estimate.estimate_step_times`) — the optimizing
 counterpart to the lower bounds in :mod:`repro.schedules.bound`, which
 `repro.analysis.optgap` uses to report how much gap the refinement
 closes.
@@ -36,17 +36,17 @@ unrefined seed if a check ever fails.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..machine.params import MachineConfig
 from .coloring import coloring_schedule
-from .estimate import estimate_step_time
+from .estimate import estimate_step_times
 from .greedy import greedy_schedule
 from .pattern import CommPattern
-from .schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
+from .schedule import LOWER_RECV_FIRST, Schedule
 from .validate import lint_schedule
 
 __all__ = ["local_schedule"]
@@ -107,53 +107,80 @@ def _local_build(
 ) -> Schedule:
     cfg = config or _cost_config(pattern.nprocs)
     params = cfg.params
-
-    def sched_cost(schedule: Schedule) -> float:
-        return sum(
-            estimate_step_time(step, cfg, params) for step in schedule.steps
-        )
-
     seeds = [
         greedy_schedule(pattern, name=name),
         coloring_schedule(pattern, name=name),
     ]
-    seed_costs = [sched_cost(s) for s in seeds]
+    seed_costs = [
+        sum(estimate_step_times(s.columns, s.nsteps, cfg, params).tolist())
+        for s in seeds
+    ]
     base = seeds[min(range(len(seeds)), key=lambda i: (seed_costs[i], i))]
     if base.nsteps == 0:
         return base
 
-    steps: List[List[Transfer]] = [list(s.transfers) for s in base.steps]
-    cost: List[float] = [
-        estimate_step_time(s, cfg, params) for s in base.steps
-    ]
-    send_used: List[Set[int]] = [{t.src for t in s} for s in steps]
-    recv_used: List[Set[int]] = [{t.dst for t in s} for s in steps]
+    # Each step is a list of indices into the seed's columns; a pattern
+    # names each (src, dst) pair once, so an index is a transfer.
+    cols = base.columns
+    src, dst = cols[1].tolist(), cols[2].tolist()
+    bounds = np.searchsorted(cols[0], np.arange(base.nsteps + 1)).tolist()
+    steps = [list(range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    cost: List[float] = estimate_step_times(cols, base.nsteps, cfg, params).tolist()
+    send_used: List[Set[int]] = [{src[t] for t in s} for s in steps]
+    recv_used: List[Set[int]] = [{dst[t] for t in s} for s in steps]
 
-    n_messages = sum(len(s) for s in steps)
+    n_messages = len(src)
     budget = (
         max_evals if max_evals is not None else 80 * max(1, n_messages) + 2000
     )
     evals = 0
 
-    def step_cost(transfers: List[Transfer]) -> float:
+    # Step costs by content (the transfer order sets the last bits).  The
+    # search prefetches the candidates it may try next, so one NumPy pass
+    # prices a batch of them.
+    priced: Dict[Tuple[int, ...], float] = {}
+
+    def prefetch(candidates: List[List[int]]) -> None:
+        todo = list({tuple(c): 0 for c in candidates if c and tuple(c) not in priced})
+        if todo:
+            batch = cols[:, [t for c in todo for t in c]]
+            batch[0] = np.repeat(np.arange(len(todo)), [len(c) for c in todo])
+            times = estimate_step_times(batch, len(todo), cfg, params).tolist()
+            priced.update(zip(todo, times))
+
+    def step_cost(transfers: List[int]) -> float:
         nonlocal evals
         evals += 1
-        if not transfers:
-            return 0.0
-        return estimate_step_time(Step(tuple(transfers)), cfg, params)
+        prefetch([transfers])
+        return priced.get(tuple(transfers), 0.0)  # an empty step is free
 
-    def fits(t: Transfer, b: int) -> bool:
-        return t.src not in send_used[b] and t.dst not in recv_used[b]
+    def fits(t: int, b: int) -> bool:
+        return src[t] not in send_used[b] and dst[t] not in recv_used[b]
 
-    def detach(t: Transfer, a: int) -> None:
+    def detach(t: int, a: int) -> None:
         steps[a].remove(t)
-        send_used[a].discard(t.src)
-        recv_used[a].discard(t.dst)
+        send_used[a].discard(src[t])
+        recv_used[a].discard(dst[t])
 
-    def attach(t: Transfer, b: int) -> None:
+    def attach(t: int, b: int) -> None:
         steps[b].append(t)
-        send_used[b].add(t.src)
-        recv_used[b].add(t.dst)
+        send_used[b].add(src[t])
+        recv_used[b].add(dst[t])
+
+    def by_pair(t: int) -> Tuple[int, int]:
+        return (src[t], dst[t])
+
+    def without(a: int, t: int) -> List[int]:
+        return [x for x in steps[a] if x != t]
+
+    def swappable(t: int, a: int, u: int, b: int) -> bool:
+        # t (in step a) and u (in step b) each fit the other's step.
+        return not (
+            src[u] in send_used[a] - {src[t]}
+            or dst[u] in recv_used[a] - {dst[t]}
+            or src[t] in send_used[b] - {src[u]}
+            or dst[t] in recv_used[b] - {dst[u]}
+        )
 
     rng = np.random.default_rng(seed)
     improved_any = True
@@ -169,14 +196,16 @@ def _local_build(
         for a in by_cost_desc:
             if evals >= budget:
                 break
-            units = sorted(steps[a], key=lambda t: (t.src, t.dst))
+            units = sorted(steps[a], key=by_pair)
             rng.shuffle(units)  # deterministic in `seed`
-            for t in units:
+            for k, t in enumerate(units):
                 if evals >= budget:
                     break
                 if t not in steps[a]:
                     continue  # displaced by an earlier accepted swap
-                removed = [x for x in steps[a] if x != t]
+                removed = without(a, t)
+                if tuple(removed) not in priced:
+                    prefetch([without(a, u) for u in units[k:]])
                 new_a = step_cost(removed)
                 gain_a = cost[a] - new_a
                 if gain_a <= _EPS:
@@ -184,11 +213,13 @@ def _local_build(
                     # only pays when the source step gets cheaper.
                     continue
                 placed = False
-                for b in sorted(
-                    range(len(steps)), key=lambda i: (cost[i], i)
-                ):
-                    if b == a or not fits(t, b):
-                        continue
+                targets = [
+                    b
+                    for b in sorted(range(len(steps)), key=lambda i: (cost[i], i))
+                    if b != a and fits(t, b)
+                ]
+                prefetch([steps[b] + [t] for b in targets[: budget - evals]] + [[t]])
+                for b in targets:
                     if evals >= budget:
                         break
                     new_b = step_cost(steps[b] + [t])
@@ -206,8 +237,8 @@ def _local_build(
                 if new_a + solo < cost[a] - _EPS:
                     detach(t, a)
                     steps.append([t])
-                    send_used.append({t.src})
-                    recv_used.append({t.dst})
+                    send_used.append({src[t]})
+                    recv_used.append({dst[t]})
                     cost[a] = new_a
                     cost.append(solo)
                     improved_any = True
@@ -219,7 +250,7 @@ def _local_build(
         for a in by_cost_desc[:_SWAP_TOP_K]:
             if evals >= budget:
                 break
-            for t in sorted(steps[a], key=lambda t: (t.src, t.dst)):
+            for t in sorted(steps[a], key=by_pair):
                 if evals >= budget:
                     break
                 if t not in steps[a]:
@@ -230,26 +261,17 @@ def _local_build(
                 ):
                     if b == a or evals >= budget:
                         continue
-                    for u in sorted(steps[b], key=lambda x: (x.src, x.dst)):
-                        rest_a_send = send_used[a] - {t.src}
-                        rest_a_recv = recv_used[a] - {t.dst}
-                        rest_b_send = send_used[b] - {u.src}
-                        rest_b_recv = recv_used[b] - {u.dst}
-                        if (
-                            u.src in rest_a_send
-                            or u.dst in rest_a_recv
-                            or t.src in rest_b_send
-                            or t.dst in rest_b_recv
-                        ):
-                            continue
+                    trades = [
+                        (u, without(a, t) + [u], without(b, u) + [t])
+                        for u in sorted(steps[b], key=by_pair)
+                        if swappable(t, a, u, b)
+                    ]
+                    prefetch([c for _, *pair in trades[: budget - evals] for c in pair])
+                    for u, into_a, into_b in trades:
                         if evals >= budget:
                             break
-                        new_a = step_cost(
-                            [x for x in steps[a] if x != t] + [u]
-                        )
-                        new_b = step_cost(
-                            [x for x in steps[b] if x != u] + [t]
-                        )
+                        new_a = step_cost(into_a)
+                        new_b = step_cost(into_b)
                         if new_a + new_b < cost[a] + cost[b] - _EPS:
                             detach(t, a)
                             detach(u, b)
@@ -261,11 +283,11 @@ def _local_build(
                     if swapped:
                         break
 
-    refined = Schedule(
-        nprocs=pattern.nprocs,
-        steps=tuple(Step(tuple(s)) for s in steps if s),
-        name=name,
-        exchange_order=LOWER_RECV_FIRST,
+    kept = [s for s in steps if s]
+    refined_cols = cols[:, [t for s in kept for t in s]]
+    refined_cols[0] = np.repeat(np.arange(len(kept)), [len(s) for s in kept])
+    refined = Schedule.from_columns(
+        pattern.nprocs, refined_cols, name=name, exchange_order=LOWER_RECV_FIRST
     )
     # The moves preserve every invariant by construction; lint anyway and
     # fall back to the seed rather than ever returning a broken schedule.

@@ -23,8 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from .broadcast import recursive_broadcast
-from .schedule import LOWER_RECV_FIRST, Schedule, Step, Transfer
+from .schedule import LOWER_RECV_FIRST, Schedule, transfer_columns
 
 __all__ = ["ProcessorMesh"]
 
@@ -70,11 +72,8 @@ class ProcessorMesh:
         sched = recursive_broadcast(
             self.nprocs, self.rank_of(i, root_col), nbytes, group=group
         )
-        return Schedule(
-            nprocs=self.nprocs,
-            steps=sched.steps,
-            name=f"ROWBCAST[{i}]",
-            exchange_order=sched.exchange_order,
+        return Schedule.from_columns(
+            self.nprocs, sched.columns, f"ROWBCAST[{i}]", nsteps=sched.nsteps
         )
 
     def col_broadcast(self, j: int, root_row: int, nbytes: int) -> Schedule:
@@ -83,11 +82,8 @@ class ProcessorMesh:
         sched = recursive_broadcast(
             self.nprocs, self.rank_of(root_row, j), nbytes, group=group
         )
-        return Schedule(
-            nprocs=self.nprocs,
-            steps=sched.steps,
-            name=f"COLBCAST[{j}]",
-            exchange_order=sched.exchange_order,
+        return Schedule.from_columns(
+            self.nprocs, sched.columns, f"COLBCAST[{j}]", nsteps=sched.nsteps
         )
 
     # ------------------------------------------------------------------
@@ -100,23 +96,26 @@ class ProcessorMesh:
         size = len(lines[0])
         if size & (size - 1):
             raise ValueError(f"line length must be a power of two, got {size}")
-        steps: List[List[Transfer]] = [[] for _ in range(size - 1)]
-        for members in lines:
-            for j in range(1, size):
-                for a in range(size):
-                    b = a ^ j
-                    if a < b:
-                        steps[j - 1].append(
-                            Transfer(members[a], members[b], nbytes)
-                        )
-                        steps[j - 1].append(
-                            Transfer(members[b], members[a], nbytes)
-                        )
-        return Schedule(
-            nprocs=self.nprocs,
-            steps=tuple(Step(tuple(s)) for s in steps),
+        # Step j - 1 pairs line position a with a ^ j, in every line:
+        # lines in order, each pair lo < hi as lo -> hi, then hi -> lo.
+        pos = np.arange(size)
+        upward = pos < pos ^ np.arange(1, size)[:, None]  # (step, position)
+        step, line, lo = np.nonzero(
+            np.broadcast_to(upward[:, None], (size - 1, len(lines), size))
+        )
+        members = np.array(lines, dtype=np.int64)
+        a, b = members[line, lo], members[line, lo ^ (step + 1)]
+        return Schedule.from_columns(
+            self.nprocs,
+            transfer_columns(
+                np.repeat(step, 2),
+                np.stack((a, b), axis=1).ravel(),
+                np.stack((b, a), axis=1).ravel(),
+                nbytes,
+            ),
             name=name,
             exchange_order=LOWER_RECV_FIRST,
+            nsteps=size - 1,
         )
 
     def row_exchange(self, nbytes: int) -> Schedule:
@@ -140,16 +139,12 @@ class ProcessorMesh:
         """
         if self.rows != self.cols:
             raise ValueError("grid transpose needs a square mesh")
-        transfers: List[Transfer] = []
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if i != j:
-                    transfers.append(
-                        Transfer(self.rank_of(i, j), self.rank_of(j, i), nbytes)
-                    )
-        return Schedule(
-            nprocs=self.nprocs,
-            steps=(Step(tuple(transfers)),),
+        i, j = np.nonzero(~np.eye(self.rows, dtype=bool))
+        return Schedule.from_columns(
+            self.nprocs,
+            transfer_columns(0, i * self.cols + j, j * self.cols + i, nbytes),
             name="GRIDT",
             exchange_order=LOWER_RECV_FIRST,
+            nsteps=1,
         )
+

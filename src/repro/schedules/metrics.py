@@ -112,39 +112,35 @@ def analyze(schedule: Schedule, config: MachineConfig) -> ScheduleMetrics:
             f"{config.nprocs}"
         )
     top = config.levels
-    per_step: List[StepLocality] = []
-    participants: List[frozenset] = []
-    for idx, step in enumerate(schedule.steps):
-        participants.append(frozenset(step.participants))
-        n_local = n_global = 0
-        b_local = b_global = b_root = 0
-        for t in step:
-            level = config.route_level(t.src, t.dst)
-            if level == 1:
-                n_local += 1
-                b_local += t.nbytes
-            else:
-                n_global += 1
-                b_global += t.nbytes
-            if level >= top and top > 1:
-                b_root += t.nbytes
-        per_step.append(
-            StepLocality(
-                step=idx + 1,
-                n_transfers=len(step),
-                n_local=n_local,
-                n_global=n_global,
-                bytes_local=b_local,
-                bytes_global=b_global,
-                bytes_through_root=b_root,
-            )
-        )
+    nsteps = schedule.nsteps
+    step, src, dst, nbytes = schedule.columns[:4]
+    level = config.route_levels(src, dst)
+
+    def per_step(rows: np.ndarray, weights: np.ndarray) -> List[int]:
+        out = np.zeros(nsteps, dtype=np.int64)
+        np.add.at(out, step[rows], weights[rows])
+        return out.tolist()
+
+    local, ones = level == 1, np.ones_like(nbytes)
+    n_local, n_global = per_step(local, ones), per_step(~local, ones)
+    b_local, b_global = per_step(local, nbytes), per_step(~local, nbytes)
+    b_root = per_step((level >= top) & (top > 1), nbytes)
+    bounds = np.searchsorted(step, np.arange(nsteps + 1)).tolist()
+    ranks = np.stack((src, dst), axis=1).ravel().tolist()
+    participants = [
+        frozenset(ranks[2 * lo : 2 * hi]) for lo, hi in zip(bounds, bounds[1:])
+    ]
     return ScheduleMetrics(
         name=schedule.name,
         nprocs=schedule.nprocs,
-        nsteps=schedule.nsteps,
+        nsteps=nsteps,
         n_messages=schedule.n_messages,
         total_bytes=schedule.total_bytes,
-        per_step=per_step,
+        per_step=[
+            StepLocality(i + 1, nl + ng, nl, ng, bl, bg, br)
+            for i, (nl, ng, bl, bg, br) in enumerate(
+                zip(n_local, n_global, b_local, b_global, b_root)
+            )
+        ],
         _participants=participants,
     )

@@ -20,12 +20,12 @@ describing *known* degradations, and permutes the steps:
    back-to-back — the same spreading argument behind BEX, applied to
    the degraded machine.
 
-The permutation preserves every structural invariant: steps themselves
-are untouched, so per-step contention-freedom, pattern coverage, and the
-deadlock-free intra-step orderings all survive (the property tests in
-``tests/faults/test_repair.py`` check exactly this).  Store-and-forward
-schedules (REX) carry data dependencies *between* steps and cannot be
-re-sequenced; they are rejected.
+The permutation moves whole blocks of the schedule's columns, one per
+step, and leaves each block as it was, so per-step contention-freedom,
+pattern coverage, and the deadlock-free intra-step orderings all survive
+(the property tests in ``tests/faults/test_repair.py`` check exactly
+this).  Store-and-forward schedules (REX) carry data dependencies
+*between* steps and cannot be re-sequenced; they are rejected.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ from .. import obs
 from ..faults.model import FaultModel
 from ..faults.plan import FaultPlan
 from ..machine.fattree import fat_tree_for
-from ..machine.params import MachineConfig, wire_bytes
-from .schedule import Schedule, ScheduleError, Step
+from ..machine.params import MachineConfig
+from .estimate import busiest_rank, level_bandwidths, wire_bytes_of
+from .schedule import Schedule, ScheduleError
 
 __all__ = [
     "repair_schedule",
     "step_cost_estimate",
     "rank_steps",
-    "rank_columns",
-    "order_steps",
 ]
 
 #: Relative tolerance for grouping steps as "equally impacted".
@@ -54,13 +53,16 @@ _IMPACT_RTOL = 1e-9
 
 
 def step_cost_estimate(
-    step: Step,
+    columns: np.ndarray,
+    nsteps: int,
     config: MachineConfig,
     model: Optional[FaultModel] = None,
-) -> float:
-    """Analytic time estimate of one step under an optional fault model.
+) -> np.ndarray:
+    """Analytic time estimate of each of ``nsteps`` steps given as
+    columns (:attr:`~repro.schedules.schedule.Schedule.columns`), under
+    an optional fault model.
 
-    Per rank, the step costs its software overheads plus the wire time
+    Per rank, a step costs its software overheads plus the wire time
     of its transfers at the route's level bandwidth, scaled down by the
     worst degraded link on the path; the step completes when its
     busiest rank does.  A known straggler is priced as generally slow at
@@ -70,48 +72,20 @@ def step_cost_estimate(
     plan names).
     """
     params = config.params
-    busy = {}
-    for t in step:
-        level = config.route_level(t.src, t.dst)
-        degrade = model.path_degradation(t.src, t.dst) if model else 1.0
-        wire = wire_bytes(t.nbytes) / (params.level_bandwidth(level) * degrade)
-        # A straggler stretches only the work on its own clock — the
-        # software overheads and pack/unpack copies.  Wire time is the
-        # network's and is priced through link degradation alone.
-        send_sw = params.send_overhead + params.memcpy_time(t.pack_bytes)
-        recv_sw = params.recv_overhead + params.memcpy_time(t.unpack_bytes)
-        if model is not None:
-            send_sw *= max(
-                model.compute_slowdown(t.src), model.overhead_slowdown(t.src)
-            )
-            recv_sw *= max(
-                model.compute_slowdown(t.dst), model.overhead_slowdown(t.dst)
-            )
-        busy[t.src] = busy.get(t.src, 0.0) + send_sw + wire
-        busy[t.dst] = busy.get(t.dst, 0.0) + recv_sw + wire
-    return max(busy.values(), default=0.0)
-
-
-def _root_bytes(step: Step, config: MachineConfig) -> int:
-    """Bytes the step pushes through links above the clusters of four."""
-    return sum(
-        t.nbytes for t in step if config.route_level(t.src, t.dst) > 1
-    )
-
-
-def _step_key(step: Step) -> Tuple:
-    """Canonical content key of a step, independent of its position.
-
-    All ordering tie-breaks use this key (not the step's index) so that
-    the repaired order is a function of the step *multiset* only —
-    which is what makes :func:`repair_schedule` idempotent.
-    """
-    return tuple(
-        sorted(
-            (t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes)
-            for t in step
-        )
-    )
+    _, src, dst, nbytes, pack, unpack = columns
+    bandwidth = level_bandwidths(config, params, config.route_levels(src, dst))
+    if model is not None:
+        bandwidth = bandwidth * model.path_degradation(src, dst)
+    wire = wire_bytes_of(nbytes) / bandwidth
+    # A straggler stretches only the work on its own clock — the
+    # software overheads and pack/unpack copies.  Wire time is the
+    # network's and is priced through link degradation alone.
+    send = params.send_overhead + pack / params.memcpy_bandwidth
+    recv = params.recv_overhead + unpack / params.memcpy_bandwidth
+    if model is not None:
+        slow = np.maximum(model.compute_slowdowns(), model.overhead_slowdowns())
+        send, recv = send * slow[src], recv * slow[dst]
+    return busiest_rank(columns, (send, wire), (recv, wire), nsteps, config.nprocs)
 
 
 def _spread(
@@ -138,58 +112,42 @@ def _spread(
 
 
 def rank_steps(
-    steps: Sequence[Step],
+    columns: np.ndarray,
+    nsteps: int,
     config: MachineConfig,
-    model: FaultModel,
+    model: Optional[FaultModel] = None,
 ) -> List[int]:
-    """Indices of ``steps`` in repair order under ``model``.
+    """Indices of ``nsteps`` steps given as columns (step indices in any
+    order) in repair order under ``model``.
 
     Fault-impacted steps first (largest estimated inflation over the
     healthy cost), root-heavy steps interleaved with local-heavy ones
     within equally-impacted groups.  This is the ordering of
-    :func:`repair_schedule`, exposed so the adaptive executor can
-    re-rank the *remaining* steps mid-run under an inferred model.
-    """
-    impact = [
-        step_cost_estimate(s, config, model) - step_cost_estimate(s, config)
-        for s in steps
-    ]
-    root = [float(_root_bytes(s, config)) for s in steps]
-    return order_steps(impact, root, [_step_key(s) for s in steps])
-
-
-def rank_columns(
-    columns: np.ndarray, nsteps: int, config: MachineConfig
-) -> List[int]:
-    """:func:`rank_steps` under a healthy fault model, read from step
-    columns (:attr:`~repro.schedules.schedule.Schedule.columns`).
-
-    With no fault every step's degraded estimate equals its healthy
-    one, so each impact is 0.0 and only root-traffic spreading orders
-    the steps; root bytes and content keys are :func:`_root_bytes` and
-    :func:`_step_key` of each step, computed over the columns without
-    building a ``Transfer``.  The scheduling service's warm adapt
-    orders its edited schedules here.
+    :func:`repair_schedule`, of the adaptive executor's mid-run
+    re-ranking, and (with no model: every impact 0.0, nothing priced)
+    of the scheduling service's warm adapt.  Ties break on each step's
+    sorted transfer fields, never its index, so the order depends only
+    on the step multiset: :func:`repair_schedule` is idempotent.
     """
     step, src, dst, nbytes = columns[:4]
+    if model is None:
+        impact = [0.0] * nsteps
+    else:
+        impact = (
+            step_cost_estimate(columns, nsteps, config, model)
+            - step_cost_estimate(columns, nsteps, config)
+        ).tolist()
+    # Bytes each step pushes through links above the clusters of four.
     root = np.zeros(nsteps, dtype=np.int64)
-    np.add.at(root, step, np.where(config.leaves_cluster(src, dst), nbytes, 0))
+    np.add.at(root, step, np.where(config.route_levels(src, dst) > 1, nbytes, 0))
+    weights = root.astype(float).tolist()
     by_key = np.lexsort(columns[::-1])  # step, then the five fields
     rows = list(zip(*columns[1:, by_key].tolist()))
     bounds = np.searchsorted(step[by_key], np.arange(nsteps + 1)).tolist()
     keys = [tuple(rows[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return order_steps([0.0] * nsteps, root.astype(float).tolist(), keys)
 
-
-def order_steps(
-    impact: Sequence[float], root: Sequence[float], keys: Sequence[Tuple]
-) -> List[int]:
-    """The ordering core of :func:`rank_steps` and :func:`rank_columns`,
-    from each step's fault impact, root-link bytes and content key
-    (:func:`_step_key`)."""
-    # Heaviest fault impact first; step content breaks ties (so the
-    # order depends only on the step multiset, never on input order).
-    order = sorted(range(len(keys)), key=lambda i: (-impact[i], keys[i]))
+    # Heaviest fault impact first; step content breaks ties.
+    order = sorted(range(nsteps), key=lambda i: (-impact[i], keys[i]))
 
     # Rebalance root traffic inside equal-impact groups.
     rebalanced: List[int] = []
@@ -197,10 +155,10 @@ def order_steps(
     scale = max(max((abs(x) for x in impact), default=0.0), 1e-30)
     for idx in order:
         if group and abs(impact[group[0]] - impact[idx]) > _IMPACT_RTOL * scale:
-            rebalanced.extend(_spread(group, root, keys))
+            rebalanced.extend(_spread(group, weights, keys))
             group = []
         group.append(idx)
-    rebalanced.extend(_spread(group, root, keys))
+    rebalanced.extend(_spread(group, weights, keys))
     return rebalanced
 
 
@@ -228,23 +186,30 @@ def repair_schedule(
         )
     if not plan.stragglers and not plan.link_degrades:
         return schedule
-    for _, t in schedule.all_transfers():
-        if t.pack_bytes or t.unpack_bytes:
-            raise ScheduleError(
-                f"{schedule.name}: store-and-forward schedules carry "
-                "inter-step data dependencies and cannot be re-sequenced"
-            )
+    cols = schedule.columns
+    if cols[4:].any():
+        raise ScheduleError(
+            f"{schedule.name}: store-and-forward schedules carry "
+            "inter-step data dependencies and cannot be re-sequenced"
+        )
 
     with obs.span("build/repair", category="build", nprocs=schedule.nprocs):
         model = FaultModel(plan, fat_tree_for(config))
-        rebalanced = rank_steps(schedule.steps, config, model)
-        steps: Tuple[Step, ...] = tuple(schedule.steps[i] for i in rebalanced)
+        nsteps = schedule.nsteps
+        order = rank_steps(cols, nsteps, config, model)
+        # Step ``order[k]``'s block of rows moves to step ``k``.
+        seat = np.empty(nsteps, dtype=np.int64)
+        seat[order] = np.arange(nsteps)
+        perm = np.argsort(seat[cols[0]], kind="stable")
+        out = cols[:, perm]
+        out[0] = seat[cols[0]][perm]
         name = schedule.name
         if not name.endswith("+repair"):
             name = f"{name}+repair"
-        return Schedule(
-            nprocs=schedule.nprocs,
-            steps=steps,
+        return Schedule.from_columns(
+            schedule.nprocs,
+            out,
             name=name,
             exchange_order=schedule.exchange_order,
+            nsteps=nsteps,
         )

@@ -19,10 +19,12 @@ lower-numbered processor of each pair packs and *sends* first
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
+
+import numpy as np
 
 from .. import obs
-from .schedule import LOWER_SEND_FIRST, Schedule, ScheduleError, Step, Transfer
+from .schedule import LOWER_SEND_FIRST, Schedule, ScheduleError, transfer_columns
 
 __all__ = ["recursive_exchange", "rex_partner", "verify_block_routing"]
 
@@ -49,25 +51,13 @@ def recursive_exchange(nprocs: int, nbytes: int) -> Schedule:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     staged = nbytes * (nprocs // 2)
     with obs.span("build/REX", category="build", nprocs=nprocs):
-        steps: List[Step] = []
-        nsteps = nprocs.bit_length() - 1  # lg N
-        for i in range(nsteps):
-            transfers: List[Transfer] = []
-            for rank in range(nprocs):
-                partner = rex_partner(rank, i, nprocs)
-                transfers.append(
-                    Transfer(
-                        src=rank,
-                        dst=partner,
-                        nbytes=staged,
-                        pack_bytes=staged,
-                        unpack_bytes=staged,
-                    )
-                )
-            steps.append(Step(tuple(transfers)))
-        return Schedule(
-            nprocs=nprocs,
-            steps=tuple(steps),
+        # Step i pairs each rank with the one half a group of N / 2**i
+        # away: the partner differs in the bit N / 2**(i + 1).
+        step, rank = np.divmod(np.arange((nprocs.bit_length() - 1) * nprocs), nprocs)
+        partner = rank ^ (nprocs >> (step + 1))
+        return Schedule.from_columns(
+            nprocs,
+            transfer_columns(step, rank, partner, staged, staged),
             name="REX",
             exchange_order=LOWER_SEND_FIRST,
         )

@@ -12,17 +12,15 @@ algorithm modules (:mod:`repro.schedules.pex` etc.), linted by
 :mod:`repro.schedules.metrics`, and priced by
 :mod:`repro.schedules.executor`.
 
-A schedule has two equal forms.  ``steps`` holds :class:`Step` and
-:class:`Transfer` objects; :attr:`Schedule.columns` holds the same
-transfers as six int64 columns (:data:`COLUMNS`), one entry per
-transfer in schedule order.  The executor, the linter and the JSON
-writer read the columns.  The PEX/BEX/LEX and PS/BS/LS/GS builders,
-the JSON reader and the scheduling service's relabel and warm adapt
-make their schedules with
-:meth:`Schedule.from_columns`, so a schedule that is only linted,
-executed, saved, loaded or served never builds its ``Transfer``
-objects; ``steps`` is materialized on first read.  A schedule built
-from ``steps`` derives its columns in its constructor.
+A schedule's one form is :attr:`Schedule.columns`: six int64 columns
+(:data:`COLUMNS`), one entry per transfer in schedule order.  Every
+builder makes its schedule with :meth:`Schedule.from_columns`, and
+everything in the library that reads a schedule (the executor, the
+linter, the estimators, the metrics, repair, the JSON writer and the
+scheduling service) reads the columns.  ``steps``, a tuple of
+:class:`Step` of :class:`Transfer`, is a view built on first read, for
+:meth:`Schedule.render_table`, tests and debugging; a schedule may also
+be given as ``steps``, and then derives its columns in its constructor.
 
 Both constructors run one gate over the columns (:func:`_check_columns`):
 a schedule that exists is well-formed, so the linter, the compile and
@@ -49,7 +47,9 @@ import numpy as np
 __all__ = [
     "COLUMNS",
     "MAX_NPROCS",
+    "MAX_STEPS",
     "compact_steps",
+    "transfer_columns",
     "Transfer",
     "Step",
     "Schedule",
@@ -75,6 +75,12 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 #: The most processors a schedule may name: the CM-5's largest configuration.
 MAX_NPROCS = 16384
+
+#: The most steps a schedule may have: no builder makes more steps than
+#: a pattern has messages (at most ``MAX_NPROCS**2``), and the compile's
+#: packed (rank, step, class, peer) key, at most ``MAX_NPROCS * MAX_STEPS
+#: * 3 * MAX_NPROCS`` = 3 * 2**56, then always fits int64.
+MAX_STEPS = MAX_NPROCS**2
 
 
 def _is_int(value: Any) -> bool:
@@ -142,14 +148,6 @@ class Step:
 
     def __len__(self) -> int:
         return len(self.transfers)
-
-    @property
-    def participants(self) -> Set[int]:
-        out: Set[int] = set()
-        for t in self.transfers:
-            out.add(t.src)
-            out.add(t.dst)
-        return out
 
     def exchanges_and_singles(
         self,
@@ -261,15 +259,6 @@ class Schedule:
             return len(self.steps)
         return self._nsteps
 
-    def __iter__(self) -> Iterator[Step]:
-        return iter(self.steps)
-
-    def all_transfers(self) -> Iterator[Tuple[int, Transfer]]:
-        """Yield ``(step_index, transfer)`` over the whole schedule."""
-        for i, step in enumerate(self.steps):
-            for t in step:
-                yield i, t
-
     @property
     def total_bytes(self) -> int:
         return int(self.columns[3].sum())
@@ -321,6 +310,15 @@ def check_transfer(src: int, dst: int, nbytes: int, pack: int, unpack: int) -> N
                 raise ScheduleError(f"transfer {name} {value} does not fit int64")
 
 
+def transfer_columns(
+    step: Any, src: Any, dst: Any, nbytes: Any, staged: Any = 0
+) -> np.ndarray:
+    """The :data:`COLUMNS` rows of transfers given field by field (arrays,
+    or scalars broadcast to them), ``staged`` pack and unpack bytes each;
+    :meth:`Schedule.from_columns` rejects a non-integer field's array."""
+    return np.stack(np.broadcast_arrays(step, src, dst, nbytes, staged, staged))
+
+
 def compact_steps(step: np.ndarray) -> np.ndarray:
     """A non-decreasing step column renumbered 0, 1, 2, ...: the steps
     no transfer names are dropped, as the paper counts only non-empty
@@ -335,9 +333,8 @@ def packed_key(*keys: np.ndarray) -> Optional[np.ndarray]:
     key columns do, the first most significant: ``(k0 * r1 + k1) * r2 +
     k2 ...``, each radix one past its column's largest value.  ``None``
     when a column is negative or the product of the radixes passes
-    2**63; such keys (a rank the schedule gate is about to reject, or
-    the compile's sparse step indices near 2**55) are grouped with
-    ``np.lexsort`` instead."""
+    2**63; such keys (a rank the schedule gate is about to reject) are
+    grouped with ``np.lexsort`` instead."""
     packed = None
     span = 1
     for key in keys:
@@ -399,7 +396,8 @@ def _check_columns(
     2..:data:`MAX_NPROCS`: a :class:`~repro.schedules.pattern.CommPattern`
     and a machine both need two nodes, and the ceiling, the CM-5's
     largest configuration, bounds the O(nprocs) arrays the compile and
-    the linter allocate for a schedule read from a file.
+    the linter allocate for a schedule read from a file.  The step count
+    is at most :data:`MAX_STEPS`.
     """
     step, src, dst = cols[0], cols[1], cols[2]
     if step.size and (step[0] < 0 or (np.diff(step) < 0).any()):
@@ -426,11 +424,13 @@ def _check_columns(
         raise ScheduleError(f"transfer {src[i]}->{dst[i]} outside 0..{nprocs - 1}")
     last = int(step[-1]) + 1 if step.size else 0
     if nsteps is None:
-        return last
-    if not _is_int(nsteps):
+        nsteps = last
+    elif not _is_int(nsteps):
         raise ScheduleError(f"schedule nsteps must be an integer, got {nsteps!r}")
-    if nsteps < last:
+    elif nsteps < last:
         raise ScheduleError(f"{nsteps} steps cannot hold step index {last - 1}")
+    if nsteps > MAX_STEPS:
+        raise ScheduleError(f"schedule has {nsteps} steps, more than {MAX_STEPS}")
     return nsteps
 
 

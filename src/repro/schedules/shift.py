@@ -12,7 +12,9 @@ synchronous sends).
 
 from __future__ import annotations
 
-from .schedule import Schedule, Step, Transfer
+import numpy as np
+
+from .schedule import Schedule, transfer_columns
 
 __all__ = ["shift_schedule"]
 
@@ -28,13 +30,9 @@ def shift_schedule(nprocs: int, offset: int, nbytes: int) -> Schedule:
     if nbytes < 0:
         raise ValueError(f"nbytes must be non-negative, got {nbytes}")
     k = offset % nprocs
-    if k == 0:
-        return Schedule(nprocs=nprocs, steps=(), name="SHIFT0")
-    transfers = tuple(
-        Transfer(src, (src + k) % nprocs, nbytes) for src in range(nprocs)
-    )
-    return Schedule(
-        nprocs=nprocs,
-        steps=(Step(transfers),),
-        name=f"SHIFT{offset:+d}",
+    src = np.arange(nprocs if k else 0)
+    return Schedule.from_columns(
+        nprocs,
+        transfer_columns(0, src, (src + k) % nprocs, nbytes),
+        name=f"SHIFT{offset:+d}" if k else "SHIFT0",
     )

@@ -15,8 +15,8 @@ params)`` — resolves through four tiers, cheapest first:
 3. **warm start** — no key match, but a cached entry in the same
    (machine, algorithm, params) bucket is within a small edit distance;
    the cached schedule's columns are edited cell by cell, rebalanced
-   with the ordering of :func:`repro.schedules.repair.rank_steps`, and
-   re-validated — the
+   with the healthy ordering of :func:`repro.schedules.repair.rank_steps`,
+   and re-validated — the
    paper's "schedules outlive the iteration" argument applied to
    pattern drift (a mesh repartition moves a few halo edges, not the
    whole pattern);
@@ -54,7 +54,7 @@ from ..obs.metrics import Counter, Histogram, MetricsRegistry
 from ..obs.telemetry import merge_state, metrics_to_json, registry_state
 from ..schedules.irregular import IRREGULAR_ALGORITHMS
 from ..schedules.pattern import CommPattern
-from ..schedules.repair import rank_columns
+from ..schedules.repair import rank_steps
 from ..schedules.schedule import Schedule, compact_steps
 from ..schedules.serialize import schedule_from_json, schedule_to_json
 from ..schedules.validate import lint_schedule, validate_schedule
@@ -233,9 +233,8 @@ def adapt_schedule(
     appended steps (one send per sender, one receive per receiver per
     new step, mirroring the matching-like structure every builder
     emits).  The edited step multiset is then re-sequenced by
-    :func:`~repro.schedules.repair.rank_columns`, the order
-    :func:`~repro.schedules.repair.rank_steps` gives it under a healthy
-    fault model — the same root-traffic spreading
+    :func:`~repro.schedules.repair.rank_steps` with no fault model —
+    the same root-traffic spreading
     :func:`~repro.schedules.repair.repair_schedule` applies, here
     rebalancing around the edits.  All of it reads and writes the
     donor's columns; no ``Transfer`` is made.
@@ -283,7 +282,7 @@ def adapt_schedule(
     out[:4] = step, src, dst, nbytes
 
     seat = np.empty(nsteps, dtype=np.int64)
-    seat[rank_columns(out, nsteps, config)] = np.arange(nsteps)
+    seat[rank_steps(out, nsteps, config)] = np.arange(nsteps)
     out[0] = seat[step]
     perm = np.argsort(out[0], kind="stable")
     return Schedule.from_columns(

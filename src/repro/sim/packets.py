@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Tuple
+
+import numpy as np
 
 from ..machine.fattree import FatTree, LinkId
 from ..machine.params import PACKET_BYTES, MachineConfig, wire_bytes
@@ -151,26 +152,26 @@ def packet_schedule_time(schedule: "Schedule", config: MachineConfig) -> float:
         )
     from .. import obs
     from ..machine.fattree import fat_tree_for
+    from ..schedules.estimate import busiest_rank
 
     params = config.params
     net = PacketNetwork(fat_tree_for(config))
+    step, _, _, _, pack, unpack = cols = schedule.columns
+    software = busiest_rank(
+        cols,
+        (params.send_overhead + pack / params.memcpy_bandwidth,),
+        (params.recv_overhead + unpack / params.memcpy_bandwidth,),
+        schedule.nsteps,
+        config.nprocs,
+    )
+    bounds = np.searchsorted(step, np.arange(schedule.nsteps + 1)).tolist()
+    messages = [PacketMessage(*fields) for fields in zip(*cols[1:4].tolist())]
     total = 0.0
     with obs.span(
         f"execute/packet[{schedule.name}]",
         category="execute",
         nprocs=config.nprocs,
     ):
-        for step in schedule.steps:
-            messages = [PacketMessage(t.src, t.dst, t.nbytes) for t in step]
-            wire_done = max(net.run(messages), default=0.0)
-            endpoint: Dict[int, float] = defaultdict(float)
-            for t in step:
-                endpoint[t.src] += params.send_overhead + params.memcpy_time(
-                    t.pack_bytes
-                )
-                endpoint[t.dst] += params.recv_overhead + params.memcpy_time(
-                    t.unpack_bytes
-                )
-            software = max(endpoint.values(), default=0.0)
-            total += wire_done + software
+        for lo, hi, busy in zip(bounds, bounds[1:], software.tolist()):
+            total += max(net.run(messages[lo:hi]), default=0.0) + busy
     return total

@@ -143,9 +143,9 @@ def test_straggler_slowdowns_and_out_of_range_rank():
         FaultPlan((NodeStraggler(3, 4.0, overhead_factor=2.0), NodeStraggler(99, 8.0))),
         tree(),
     )
-    assert model.compute_slowdown(3) == 4.0
-    assert model.overhead_slowdown(3) == 2.0
-    assert model.compute_slowdown(0) == 1.0
+    assert model.compute_slowdowns()[3] == 4.0
+    assert model.overhead_slowdowns()[3] == 2.0
+    assert model.compute_slowdowns()[0] == 1.0
     # Rank 99 does not exist on 16 nodes: ignored, not an error.
     assert list(model.compute_slowdowns()).count(1.0) == 15
 

@@ -28,6 +28,7 @@ from repro.schedules import (
 )
 
 from ..schedules.checks import assert_one_receive_per_rank_per_step
+from ..schedules.scalar_oracles import old_rank_steps
 
 BUILDERS = {
     "pairwise": pairwise_schedule,
@@ -92,6 +93,39 @@ def test_repair_preserves_coverage_and_structure(name, pattern, plan):
     assert _step_multiset(repaired) == _step_multiset(sched)
 
 
+def old_repair_schedule(schedule, plan, config):
+    """The per-step repair: permute the ``Step`` objects."""
+    from repro.faults.model import FaultModel
+    from repro.machine.fattree import fat_tree_for
+    from repro.schedules import Schedule
+
+    if not plan.stragglers and not plan.link_degrades:
+        return schedule
+    model = FaultModel(plan, fat_tree_for(config))
+    order = old_rank_steps(schedule.steps, config, model)
+    name = schedule.name
+    if not name.endswith("+repair"):
+        name = f"{name}+repair"
+    steps = tuple(schedule.steps[i] for i in order)
+    return Schedule(schedule.nprocs, steps, name, schedule.exchange_order)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@given(pattern=patterns(sizes=(4, 8, 16)), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_repair_permutes_as_the_per_step_repair(name, pattern, data):
+    """The column blocks move as the ``Step`` objects did, and a
+    schedule whose steps were never materialized stays so."""
+    plan = data.draw(fault_plans(nprocs=pattern.nprocs))
+    cfg = MachineConfig(pattern.nprocs, CM5Params(routing_jitter=0.0))
+    sched = BUILDERS[name](pattern)
+    repaired = repair_schedule(sched, plan, cfg)
+    assert "steps" not in vars(repaired)
+    want = old_repair_schedule(sched, plan, cfg)
+    assert (repaired.name, repaired.nsteps) == (want.name, want.nsteps)
+    assert np.array_equal(repaired.columns, want.columns)
+
+
 @given(pattern=patterns(sizes=(4,)), plan=fault_plans(nprocs=4))
 @settings(
     max_examples=15,
@@ -151,19 +185,19 @@ def test_step_cost_scales_software_not_wire():
     from repro.faults.model import FaultModel
     from repro.machine import wire_bytes
     from repro.machine.fattree import fat_tree_for
-    from repro.schedules import Step, Transfer
+    from repro.schedules import Schedule
     from repro.schedules.repair import step_cost_estimate
 
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     params = cfg.params
     nbytes = 4096
-    step = Step((Transfer(src=0, dst=1, nbytes=nbytes),))
+    step = Schedule.from_columns(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
     factor = 5.0
     plan = FaultPlan((NodeStraggler(0, factor),))
     model = FaultModel(plan, fat_tree_for(cfg))
 
-    healthy = step_cost_estimate(step, cfg)
-    degraded = step_cost_estimate(step, cfg, model)
+    (healthy,) = step_cost_estimate(step, 1, cfg)
+    (degraded,) = step_cost_estimate(step, 1, cfg, model)
     level = cfg.route_level(0, 1)
     wire = wire_bytes(nbytes) / params.level_bandwidth(level)
     # Sender side dominates once its overhead is stretched 5x; the wire
@@ -183,18 +217,18 @@ def test_step_cost_link_degrade_scales_wire_only():
     from repro.faults.model import FaultModel
     from repro.machine import wire_bytes
     from repro.machine.fattree import fat_tree_for
-    from repro.schedules import Step, Transfer
+    from repro.schedules import Schedule
     from repro.schedules.repair import step_cost_estimate
 
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     params = cfg.params
     nbytes = 4096
-    step = Step((Transfer(src=0, dst=1, nbytes=nbytes),))
+    step = Schedule.from_columns(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
     plan = FaultPlan((LinkDegrade(1, 0, 0.25),))
     model = FaultModel(plan, fat_tree_for(cfg))
     level = cfg.route_level(0, 1)
     wire = wire_bytes(nbytes) / params.level_bandwidth(level)
-    degraded = step_cost_estimate(step, cfg, model)
+    (degraded,) = step_cost_estimate(step, 1, cfg, model)
     assert degraded == pytest.approx(params.recv_overhead + wire / 0.25)
 
 
@@ -223,7 +257,7 @@ def test_repair_never_doubles_the_suffix():
 
 
 # ----------------------------------------------------------------------
-# rank_columns is rank_steps under a healthy plan, read from columns
+# rank_steps without a fault model is its healthy ranking
 # ----------------------------------------------------------------------
 @given(
     pattern=patterns(sizes=(4, 8, 16)),
@@ -231,23 +265,21 @@ def test_repair_never_doubles_the_suffix():
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_rank_columns_matches_healthy_rank_steps(pattern, name, seed):
-    """Random step sets (a builder's steps, shuffled, REX's staged
-    bytes included) rank the same from columns as from steps."""
+def test_rank_steps_without_a_model_is_the_healthy_ranking(pattern, name, seed):
+    """A builder's steps relabelled in random order (REX's staged bytes
+    included), as the service's warm adapt hands them over."""
     from repro.faults.model import FaultModel
     from repro.machine.fattree import fat_tree_for
-    from repro.schedules import Schedule
-    from repro.schedules.repair import rank_columns, rank_steps
+    from repro.schedules.repair import rank_steps
 
     config = MachineConfig(pattern.nprocs)
     if name == "recursive":
         built = recursive_exchange(pattern.nprocs, 64)
     else:
         built = BUILDERS[name](pattern)
-    steps = list(built.steps)
-    np.random.default_rng(seed).shuffle(steps)
-    shuffled = Schedule(built.nprocs, tuple(steps), exchange_order=built.exchange_order)
+    cols = built.columns.copy()
+    cols[0] = np.random.default_rng(seed).permutation(built.nsteps)[cols[0]]
     model = FaultModel(FaultPlan(()), fat_tree_for(config))
-    assert rank_columns(shuffled.columns, len(steps), config) == rank_steps(
-        steps, config, model
+    assert rank_steps(cols, built.nsteps, config) == rank_steps(
+        cols, built.nsteps, config, model
     )

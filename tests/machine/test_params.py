@@ -135,11 +135,12 @@ class TestMachineConfig:
         assert not cfg.is_global(0, 3)
         assert cfg.is_global(0, 4)
 
-    def test_leaves_cluster_is_is_global_over_arrays(self):
-        cfg = MachineConfig(64)
-        src, dst = np.divmod(np.arange(64 * 64), 64)
-        expect = [cfg.is_global(a, b) for a, b in zip(src.tolist(), dst.tolist())]
-        assert cfg.leaves_cluster(src, dst).tolist() == expect
+    @pytest.mark.parametrize("nprocs", [2, 4, 8, 64, 256])
+    def test_route_levels_is_route_level_over_arrays(self, nprocs):
+        cfg = MachineConfig(nprocs)
+        src, dst = np.divmod(np.arange(nprocs * nprocs), nprocs)
+        expect = [cfg.route_level(a, b) for a, b in zip(src.tolist(), dst.tolist())]
+        assert cfg.route_levels(src, dst).tolist() == expect
 
     def test_rank_bounds_checked(self):
         cfg = MachineConfig(8)

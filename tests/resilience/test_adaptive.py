@@ -28,6 +28,8 @@ from repro.schedules import (
 )
 from repro.schedules.executor import compiled_program
 
+from ..schedules.checks import transfers
+
 CFG32 = MachineConfig(32, CM5Params(routing_jitter=0.0))
 
 
@@ -148,7 +150,7 @@ def test_node_failure_survivors_deliver_their_traffic():
     res = adaptive_execute(sched, CFG32, faults=plan)
     survivor_bytes = sum(
         t.nbytes
-        for _, t in sched.all_transfers()
+        for _, t in transfers(sched)
         if t.src != 3 and t.dst != 3
     )
     # Byte conservation among survivors: every survivor-to-survivor
@@ -182,7 +184,7 @@ def test_failure_before_start_degrades_whole_rank():
 # ----------------------------------------------------------------------
 def test_manifest_first_final_status_wins():
     sched = _schedule("greedy", 0.4, nbytes=4096)
-    sid, t = next(sched.all_transfers())
+    sid, t = next(transfers(sched))
     m = DeliveryManifest(sched)
     m.mark(sid, t.src, t.dst, "delivered")
     m.mark(sid, t.src, t.dst, "dead_dst")  # late duplicate: ignored

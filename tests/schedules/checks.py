@@ -12,6 +12,11 @@ def assert_one_receive_per_rank_per_step(schedule):
     assert len(seats) == step.size, f"{schedule.name}: a rank receives twice in a step"
 
 
+def transfers(schedule):
+    """``(step_index, transfer)`` over the schedule's ``steps`` view."""
+    return ((i, t) for i, step in enumerate(schedule.steps) for t in step)
+
+
 def checked_step(transfers):
     """A :class:`Step` of ``transfers``, raising on a repeated pair the
     error the schedule constructor raises for it.  A per-transfer reader

@@ -4,6 +4,8 @@ import pytest
 
 from repro.schedules import linear_broadcast, recursive_broadcast
 
+from .checks import transfers
+
 
 class TestLIB:
     def test_step_count(self):
@@ -17,13 +19,13 @@ class TestLIB:
 
     def test_reaches_everyone_once(self):
         s = linear_broadcast(8, 0, 64)
-        dests = [t.dst for _, t in s.all_transfers()]
+        dests = [t.dst for _, t in transfers(s)]
         assert sorted(dests) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_group_restriction(self):
         s = linear_broadcast(16, 4, 64, group=[4, 5, 6, 7])
         assert s.nsteps == 3
-        assert {t.dst for _, t in s.all_transfers()} == {5, 6, 7}
+        assert {t.dst for _, t in transfers(s)} == {5, 6, 7}
 
 
 class TestREB:
@@ -41,7 +43,7 @@ class TestREB:
     def test_message_count_and_reach(self):
         s = recursive_broadcast(16, 0, 64)
         assert s.n_messages == 15
-        assert {t.dst for _, t in s.all_transfers()} == set(range(1, 16))
+        assert {t.dst for _, t in transfers(s)} == set(range(1, 16))
 
     def test_senders_already_have_the_message(self):
         """Store-and-forward sanity: nobody forwards before receiving."""

@@ -1,6 +1,7 @@
 """Column-built schedules against step-built ones.
 
-PEX/BEX/LEX and PS/BS/LS/GS are built as int64 step columns
+Every builder (PEX/BEX/LEX/REX, PS/BS/LS/GS, the broadcasts, shift,
+coloring and the mesh schedules) makes int64 step columns
 (:meth:`Schedule.from_columns`).  The oracles here are the per-transfer
 loops those builders used to be: the column-built schedule must have
 the same ``steps``, serialize to the same bytes, and agree with its
@@ -22,17 +23,25 @@ from repro.schedules import (
     Schedule,
     ScheduleError,
     Step,
+    ProcessorMesh,
     Transfer,
     balanced_exchange,
     balanced_schedule,
+    coloring_schedule,
     greedy_schedule,
+    linear_broadcast,
     linear_exchange,
     linear_schedule,
+    optimal_step_count,
     pairing_schedule,
     pairwise_exchange,
     pairwise_schedule,
     paper_pattern_P,
+    recursive_broadcast,
+    recursive_exchange,
+    rex_partner,
     schedule_to_json,
+    shift_schedule,
 )
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 
@@ -268,6 +277,219 @@ def test_non_integral_nbytes_rejected():
         pairwise_exchange(8, 1.5)
     with pytest.raises(TypeError):
         linear_exchange(8, float("nan"))
+
+
+# ----------------------------------------------------------------------
+# REX, the broadcasts, shift, coloring and the mesh builders
+# ----------------------------------------------------------------------
+def old_recursive_exchange(nprocs, nbytes):
+    staged = nbytes * (nprocs // 2)
+    steps = []
+    for i in range(nprocs.bit_length() - 1):
+        steps.append(
+            Step(
+                tuple(
+                    Transfer(rank, rex_partner(rank, i, nprocs), staged, staged, staged)
+                    for rank in range(nprocs)
+                )
+            )
+        )
+    return Schedule(nprocs, tuple(steps), "REX", LOWER_SEND_FIRST)
+
+
+def old_linear_broadcast(nprocs, root, nbytes, group=None):
+    members = list(group) if group is not None else list(range(nprocs))
+    steps = tuple(
+        Step((Transfer(root, dst, nbytes),)) for dst in members if dst != root
+    )
+    return Schedule(nprocs=nprocs, steps=steps, name="LIB")
+
+
+def old_recursive_broadcast(nprocs, root, nbytes, group=None):
+    members = list(group) if group is not None else list(range(nprocs))
+    n = len(members)
+    rpos = members.index(root)
+
+    def member_at(pos):
+        return members[(pos + rpos) % n]
+
+    steps = []
+    for j in range(1, n.bit_length()):
+        distance = n >> j
+        steps.append(
+            Step(
+                tuple(
+                    Transfer(member_at(pos), member_at(pos + distance), nbytes)
+                    for pos in range(0, n, 2 * distance)
+                )
+            )
+        )
+    return Schedule(nprocs=nprocs, steps=tuple(steps), name="REB")
+
+
+def old_shift_schedule(nprocs, offset, nbytes):
+    k = offset % nprocs
+    if k == 0:
+        return Schedule(nprocs=nprocs, steps=(), name="SHIFT0")
+    transfers = tuple(Transfer(s, (s + k) % nprocs, nbytes) for s in range(nprocs))
+    return Schedule(nprocs=nprocs, steps=(Step(transfers),), name=f"SHIFT{offset:+d}")
+
+
+def old_coloring_schedule(pattern, name="OPT"):
+    n = pattern.nprocs
+    ncolors = optimal_step_count(pattern)
+    if ncolors == 0:
+        return Schedule(nprocs=n, steps=(), name=name)
+    sender_color = [dict() for _ in range(n)]
+    recv_color = [dict() for _ in range(n)]
+
+    def free_color(used):
+        return next(c for c in range(ncolors) if c not in used)
+
+    for src, dst, _nbytes in pattern.operations():
+        cu = free_color(sender_color[src])
+        cv = free_color(recv_color[dst])
+        if cu == cv:
+            sender_color[src][cu] = dst
+            recv_color[dst][cu] = src
+            continue
+        chain = []
+        node, node_is_recv, color = dst, True, cu
+        while True:
+            if node_is_recv:
+                partner = recv_color[node].get(color)
+                if partner is None:
+                    break
+                chain.append((partner, node, color))
+            else:
+                partner = sender_color[node].get(color)
+                if partner is None:
+                    break
+                chain.append((node, partner, color))
+            node = partner
+            node_is_recv = not node_is_recv
+            color = cv if color == cu else cu
+        for s, r, col in chain:
+            del sender_color[s][col]
+            del recv_color[r][col]
+        for s, r, col in chain:
+            other = cv if col == cu else cu
+            sender_color[s][other] = r
+            recv_color[r][other] = s
+        sender_color[src][cu] = dst
+        recv_color[dst][cu] = src
+
+    steps = []
+    for c in range(ncolors):
+        transfers = tuple(
+            Transfer(src, dst, pattern[src, dst])
+            for src in range(n)
+            for col, dst in sender_color[src].items()
+            if col == c
+        )
+        if transfers:
+            steps.append(Step(transfers))
+    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
+
+
+def old_line_exchange(mesh, lines, nbytes, name):
+    size = len(lines[0])
+    steps = [[] for _ in range(size - 1)]
+    for members in lines:
+        for j in range(1, size):
+            for a in range(size):
+                b = a ^ j
+                if a < b:
+                    steps[j - 1].append(Transfer(members[a], members[b], nbytes))
+                    steps[j - 1].append(Transfer(members[b], members[a], nbytes))
+    steps = tuple(Step(tuple(s)) for s in steps)
+    return Schedule(mesh.nprocs, steps, name, LOWER_RECV_FIRST)
+
+
+def old_transpose(mesh, nbytes):
+    transfers = tuple(
+        Transfer(mesh.rank_of(i, j), mesh.rank_of(j, i), nbytes)
+        for i in range(mesh.rows)
+        for j in range(mesh.cols)
+        if i != j
+    )
+    return Schedule(mesh.nprocs, (Step(transfers),), "GRIDT", LOWER_RECV_FIRST)
+
+
+def old_line_broadcast(mesh, group, root, nbytes, name):
+    sched = old_recursive_broadcast(mesh.nprocs, root, nbytes, group=group)
+    return Schedule(mesh.nprocs, sched.steps, name, sched.exchange_order)
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, 700])
+@pytest.mark.parametrize("nprocs", [2, 4, 8, 16, 64, 256])
+def test_rex_and_broadcasts_match_the_per_transfer_loops(nprocs, nbytes):
+    assert_same_schedule(
+        recursive_exchange(nprocs, nbytes), old_recursive_exchange(nprocs, nbytes)
+    )
+    for root in {0, nprocs // 3, nprocs - 1}:
+        assert_same_schedule(
+            linear_broadcast(nprocs, root, nbytes),
+            old_linear_broadcast(nprocs, root, nbytes),
+        )
+        assert_same_schedule(
+            recursive_broadcast(nprocs, root, nbytes),
+            old_recursive_broadcast(nprocs, root, nbytes),
+        )
+
+
+@pytest.mark.parametrize(
+    "group, root",
+    [([5], 5), ([7, 2], 2), ([9, 1, 4, 12], 4), ([3, 0, 15, 8, 6, 11, 2, 13], 13)],
+)
+def test_group_broadcasts_match_the_per_transfer_loops(group, root):
+    assert_same_schedule(
+        linear_broadcast(16, root, 96, group=group),
+        old_linear_broadcast(16, root, 96, group=group),
+    )
+    assert_same_schedule(
+        recursive_broadcast(16, root, 96, group=group),
+        old_recursive_broadcast(16, root, 96, group=group),
+    )
+
+
+@pytest.mark.parametrize("offset", [-17, -1, 0, 1, 3, 16, 31])
+@pytest.mark.parametrize("nprocs", [2, 5, 16])
+def test_shift_matches_the_per_transfer_loop(nprocs, offset):
+    assert_same_schedule(
+        shift_schedule(nprocs, offset, 48), old_shift_schedule(nprocs, offset, 48)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=patterns())
+def test_coloring_matches_the_per_transfer_loop(pattern):
+    assert_same_schedule(coloring_schedule(pattern), old_coloring_schedule(pattern))
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 2), (4, 2), (4, 4), (8, 8), (2, 16)])
+def test_mesh_builders_match_the_per_transfer_loops(shape):
+    mesh = ProcessorMesh(*shape)
+    rows = [mesh.row_ranks(i) for i in range(mesh.rows)]
+    cols = [mesh.col_ranks(j) for j in range(mesh.cols)]
+    exchanges = ((rows, mesh.row_exchange, "ROWXCHG"), (cols, mesh.col_exchange, "COLXCHG"))
+    for lines, build, name in exchanges:
+        if len(lines[0]) & (len(lines[0]) - 1) == 0:
+            assert_same_schedule(build(64), old_line_exchange(mesh, lines, 64, name))
+    if mesh.rows == mesh.cols:
+        assert_same_schedule(mesh.transpose_permutation(80), old_transpose(mesh, 80))
+    i, j = mesh.rows - 1, mesh.cols // 2
+    root = mesh.rank_of(i, j)
+    if mesh.cols & (mesh.cols - 1) == 0:
+        assert_same_schedule(
+            mesh.row_broadcast(i, j, 500),
+            old_line_broadcast(mesh, mesh.row_ranks(i), root, 500, f"ROWBCAST[{i}]"),
+        )
+    if mesh.rows & (mesh.rows - 1) == 0:
+        assert_same_schedule(
+            mesh.col_broadcast(j, i, 500),
+            old_line_broadcast(mesh, mesh.col_ranks(j), root, 500, f"COLBCAST[{j}]"),
+        )
 
 
 # ----------------------------------------------------------------------

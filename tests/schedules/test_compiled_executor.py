@@ -17,19 +17,30 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cmmd import run_spmd
-from repro.faults import FaultPlan, NodeStraggler
+from repro.faults import FaultPlan, LinkDegrade, NodeStraggler
 from repro.machine import CM5Params, MachineConfig
 from repro.machine._fastfill import kernel
+from repro.resilience import adaptive_execute
 from repro.schedules import (
     CommPattern,
+    ProcessorMesh,
+    analyze,
+    auto_schedule,
+    coloring_schedule,
+    estimate_schedule_time,
     execute_schedule,
+    linear_broadcast,
     lint_schedule,
+    local_schedule,
     pairwise_exchange,
+    recursive_broadcast,
     recursive_exchange,
+    repair_schedule,
     schedule_from_json,
     schedule_irregular,
     schedule_program,
     schedule_to_json,
+    shift_schedule,
     validate_schedule,
 )
 from repro.schedules import schedule as schedule_module
@@ -37,6 +48,7 @@ from repro.schedules.executor import compiled_program
 from repro.schedules.irregular import EXCHANGE_ALGORITHMS, IRREGULAR_ALGORITHMS
 from repro.schedules.schedule import Schedule, Step, Transfer
 from repro.sim.engine import DeadlockError, Engine
+from repro.sim.packets import packet_schedule_time
 
 needs_kernel = pytest.mark.skipif(
     kernel() is None, reason="compiled kernel not loaded"
@@ -188,6 +200,56 @@ def test_untraced_irregular_op_constructs_no_transfer(monkeypatch, algorithm):
     assert made == []
     assert res.sim.message_count == pattern.n_operations
     assert schedule_from_json(text) == sched
+
+
+def _pattern(n=16):
+    return CommPattern.synthetic(n, 0.5, 256, seed=11)
+
+
+_FAULTS = FaultPlan((NodeStraggler(3, 4.0, 2.0), LinkDegrade(2, 1, 0.25)))
+
+#: Everything below ``Schedule.steps`` that makes or reads a schedule.
+COLUMN_PATHS = {
+    "estimate": lambda: estimate_schedule_time(
+        schedule_irregular(_pattern(), "greedy"), MachineConfig(16)
+    ),
+    "auto_schedule": lambda: auto_schedule(_pattern(), MachineConfig(16)),
+    "local_schedule": lambda: local_schedule(_pattern()),
+    "repair_schedule": lambda: repair_schedule(
+        schedule_irregular(_pattern(), "balanced"), _FAULTS, MachineConfig(16)
+    ),
+    "analyze": lambda: analyze(pairwise_exchange(16, 64), MachineConfig(16)),
+    "packet_schedule_time": lambda: packet_schedule_time(
+        recursive_exchange(8, 64), MachineConfig(8)
+    ),
+    "adaptive_execute": lambda: adaptive_execute(
+        schedule_irregular(_pattern(), "greedy"), MachineConfig(16), faults=_FAULTS
+    ),
+    "REX": lambda: recursive_exchange(16, 64),
+    "LIB": lambda: linear_broadcast(16, 2, 64, group=[1, 2, 5, 9]),
+    "REB": lambda: recursive_broadcast(16, 2, 64),
+    "shift": lambda: shift_schedule(16, -5, 64),
+    "coloring": lambda: coloring_schedule(_pattern()),
+    "mesh2d": lambda: [
+        build(ProcessorMesh(4, 4))
+        for build in (
+            lambda m: m.row_exchange(64),
+            lambda m: m.col_exchange(64),
+            lambda m: m.row_broadcast(1, 2, 64),
+            lambda m: m.col_broadcast(3, 0, 64),
+            lambda m: m.transpose_permutation(64),
+        )
+    ],
+}
+
+
+@pytest.mark.parametrize("path", sorted(COLUMN_PATHS))
+def test_column_paths_construct_no_transfer(monkeypatch, path):
+    """Builders emit columns and readers price from them: the
+    ``Transfer`` view is for rendering, tests and debugging only."""
+    made = counting_transfers(monkeypatch)
+    COLUMN_PATHS[path]()
+    assert made == []
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from repro.machine import CM5Params, MachineConfig
 from repro.schedules import (
     balanced_exchange,
     estimate_schedule_time,
-    estimate_step_time,
+    estimate_step_times,
     execute_schedule,
     greedy_schedule,
     linear_exchange,
@@ -71,8 +71,9 @@ class TestProperties:
     def test_additive_over_steps(self, cfg32):
         sched = pairwise_exchange(32, 256)
         total = estimate_schedule_time(sched, cfg32)
-        parts = sum(estimate_step_time(s, cfg32) for s in sched.steps)
-        assert total == pytest.approx(parts)
+        parts = estimate_step_times(sched.columns, sched.nsteps, cfg32)
+        assert parts.shape == (31,)
+        assert total == sum(parts.tolist())
 
     def test_rex_charges_reshuffle(self, params):
         cheap = MachineConfig(32, params.scaled(memcpy_bandwidth=1e9))
@@ -90,17 +91,15 @@ class TestProperties:
         """Regression: the pack memcpy belongs to the sender and the
         unpack to the receiver; the old code added pack+unpack to *both*
         endpoints, double-charging every store-and-forward step."""
-        from repro.schedules import Step, Transfer
+        from repro.schedules import Schedule
         from repro.machine.params import wire_bytes
 
         cfg = MachineConfig(8, params)
-        step = Step(
-            (Transfer(src=0, dst=1, nbytes=64, pack_bytes=4096, unpack_bytes=1024),)
-        )
+        step = Schedule.from_columns(8, [[0], [0], [1], [64], [4096], [1024]])
         wire = wire_bytes(64) / params.level_bandwidth(1)
         sender = params.zero_byte_latency + wire + params.memcpy_time(4096)
         receiver = params.zero_byte_latency + wire + params.memcpy_time(1024)
-        assert estimate_step_time(step, cfg) == pytest.approx(
+        assert estimate_step_times(step.columns, 1, cfg)[0] == pytest.approx(
             max(sender, receiver)
         )
 

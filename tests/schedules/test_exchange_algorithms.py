@@ -14,7 +14,7 @@ from repro.schedules import (
     validate_schedule,
 )
 
-from .checks import assert_one_receive_per_rank_per_step
+from .checks import assert_one_receive_per_rank_per_step, transfers
 
 
 class TestLEX:
@@ -62,7 +62,7 @@ class TestPEX:
     def test_each_step_is_perfect_matching(self):
         s = pairwise_exchange(16, 8)
         for step in s.steps:
-            assert step.participants == set(range(16))
+            assert {t.src for t in step} | {t.dst for t in step} == set(range(16))
             exchanges, singles = step.exchanges_and_singles()
             assert not singles
             assert len(exchanges) == 8
@@ -87,7 +87,7 @@ class TestREX:
 
     def test_message_size_is_n_times_half_machine(self):
         s = recursive_exchange(8, 100)
-        for _, t in s.all_transfers():
+        for _, t in transfers(s):
             assert t.nbytes == 100 * 4
             assert t.pack_bytes == t.unpack_bytes == 400
 

@@ -57,6 +57,8 @@ from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 from repro.schedules.validate import ERROR, WARNING, LintIssue
 from repro.sim import DeadlockError
 
+from .checks import transfers
+
 ORDERS = (LOWER_RECV_FIRST, LOWER_SEND_FIRST)
 EXCHANGES = (linear_exchange, pairwise_exchange, balanced_exchange, recursive_exchange)
 IRREGULAR = ("linear", "pairwise", "balanced", "greedy")
@@ -90,7 +92,7 @@ def ref_conservation(
         ))
         return
     seen: Dict[Tuple[int, int], int] = {}
-    for step_idx, t in schedule.all_transfers():
+    for step_idx, t in transfers(schedule):
         key = (t.src, t.dst)
         if t.nbytes == 0 and int(pattern[key]) == 0:
             continue
@@ -252,7 +254,7 @@ def ref_lint_issues(
     issues: List[LintIssue] = []
     ref_structure(schedule, issues)
     staged = sum(
-        1 for _, t in schedule.all_transfers() if t.pack_bytes or t.unpack_bytes
+        1 for _, t in transfers(schedule) if t.pack_bytes or t.unpack_bytes
     )
     if pattern is not None:
         if staged:

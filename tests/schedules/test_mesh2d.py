@@ -6,7 +6,7 @@ from repro.machine import CM5Params, MachineConfig
 from repro.schedules import execute_schedule, validate_schedule
 from repro.schedules.mesh2d import ProcessorMesh
 
-from .checks import assert_one_receive_per_rank_per_step
+from .checks import assert_one_receive_per_rank_per_step, transfers
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +46,8 @@ class TestCoordinates:
 class TestLineBroadcasts:
     def test_row_broadcast_reaches_only_the_row(self, mesh44):
         sched = mesh44.row_broadcast(2, root_col=0, nbytes=256)
-        touched = {t.src for _, t in sched.all_transfers()} | {
-            t.dst for _, t in sched.all_transfers()
+        touched = {t.src for _, t in transfers(sched)} | {
+            t.dst for _, t in transfers(sched)
         }
         assert touched == set(mesh44.row_ranks(2))
         assert sched.n_messages == 3  # lg-tree over 4 members
@@ -76,7 +76,7 @@ class TestLineExchanges:
 
     def test_exchange_stays_within_lines(self, mesh44):
         sched = mesh44.col_exchange(64)
-        for _, t in sched.all_transfers():
+        for _, t in transfers(sched):
             _, cs = mesh44.coords_of(t.src)
             _, cd = mesh44.coords_of(t.dst)
             assert cs == cd

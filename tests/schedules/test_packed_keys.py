@@ -2,11 +2,13 @@
 
 ``first_occurrence`` (the schedule checks and the linter) and the
 compile's record order group rows by one packed int64 key
-(:func:`repro.schedules.schedule.packed_key`), with ``np.lexsort`` left
-as the fallback for keys that are negative or too wide to pack.  The
-oracles here are the ``np.lexsort`` versions: on drawn keys, and on
-drawn and built schedules under both exchange orders, the packed paths
-must give the same indices and the same programs.
+(:func:`repro.schedules.schedule.packed_key`).  ``first_occurrence``
+keeps ``np.lexsort`` as the fallback for keys that are negative or too
+wide to pack; the compile's key always packs, because the schedule gate
+caps ranks and steps.  The oracles here are the ``np.lexsort``
+versions: on drawn keys, and on drawn and built schedules under both
+exchange orders, the packed paths must give the same indices and the
+same programs.
 """
 
 from contextlib import contextmanager
@@ -62,10 +64,10 @@ def old_first_occurrence(*keys, ordered=False):
 
 @contextmanager
 def lexsort_compile():
-    """``_compile`` with every key unpackable: its 4-key ``np.lexsort``
-    order, (rank, step, class, peer)."""
+    """``_compile`` sorting by its 4-key ``np.lexsort`` order, (rank,
+    step, class, peer): each record's key is its place in that order."""
     real = executor.packed_key
-    executor.packed_key = lambda *keys: None
+    executor.packed_key = lambda *keys: np.argsort(np.lexsort(keys[::-1]))
     try:
         yield
     finally:
@@ -202,29 +204,6 @@ def test_compile_matches_lexsort_on_irregular_schedules(algorithm):
     for order in ORDERS:
         twin = Schedule.from_columns(32, sched.columns, sched.name, order)
         assert_same_program(*programs(twin))
-
-
-def test_compile_takes_lexsort_only_past_the_packed_span(monkeypatch):
-    calls = []
-    real = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or real(keys))
-    pattern = CommPattern.synthetic(16, 0.5, 64, seed=2)
-    for algorithm in sorted(IRREGULAR_ALGORITHMS):
-        executor._compile(schedule_irregular(pattern, algorithm))
-    dense = pairwise_exchange(16, 64)
-    want = executor._compile(dense)
-    assert calls == []
-    # Step indices near 2**55 pass the gate, but at 16 nodes the key's
-    # span (16 * 2**55 * 3 * 16) passes 2**63: the fallback runs and
-    # compiles the same program with the steps shifted.
-    cols = dense.columns.copy()
-    cols[0] += 2**55
-    got = executor._compile(Schedule.from_columns(16, cols, dense.name))
-    assert calls == [1]
-    assert got.ops[:, [0, 1, 3]].tolist() == want.ops[:, [0, 1, 3]].tolist()
-    assert (got.ops[:, 2] == want.ops[:, 2] + 2**55).all()
-    assert got.starts.tolist() == want.starts.tolist()
-    assert got.live == want.live
 
 
 def test_halo_build_and_irregular_op_sort_no_multi_key(monkeypatch):

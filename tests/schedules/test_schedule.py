@@ -17,9 +17,10 @@ from repro.schedules import (
     ScheduleError,
     Step,
     Transfer,
+    pairwise_exchange,
     schedule_from_json,
 )
-from repro.schedules.schedule import MAX_NPROCS
+from repro.schedules.schedule import MAX_NPROCS, MAX_STEPS
 
 
 def sched(steps, n=4, name="t"):
@@ -68,10 +69,6 @@ class TestTransfer:
 
 
 class TestStep:
-    def test_participants(self):
-        s = Step((Transfer(0, 1, 8), Transfer(2, 3, 8)))
-        assert s.participants == {0, 1, 2, 3}
-
     def test_exchange_detection(self):
         s = Step((Transfer(0, 1, 8), Transfer(1, 0, 8), Transfer(2, 3, 8)))
         exchanges, singles = s.exchanges_and_singles()
@@ -116,7 +113,7 @@ _TRANSFER_BYTES = textwrap.dedent(
     from repro.schedules import Transfer, linear_exchange
 
     if sys.argv[1] == "materialized":
-        made = sum(1 for _ in linear_exchange(33, 8).all_transfers())
+        made = sum(map(len, linear_exchange(33, 8).steps))
         assert made >= 1000, made
     tracemalloc.start()
     before = tracemalloc.get_traced_memory()[0]
@@ -272,3 +269,24 @@ class TestGate:
     def test_integer_nsteps_accepted(self):
         empty = np.zeros((6, 0), dtype=np.int64)
         assert Schedule.from_columns(4, empty, nsteps=np.int64(3)).nsteps == 3
+
+    def test_sparse_step_indices_past_the_step_cap_rejected(self):
+        # PEX on 16 nodes with every step index shifted by 2**55: the
+        # schedule would have 2**55 + 15 steps.
+        cols = pairwise_exchange(16, 64).columns.copy()
+        cols[0] += 2**55
+        with pytest.raises(ScheduleError) as info:
+            Schedule.from_columns(16, cols)
+        assert str(info.value) == (
+            f"schedule has {2**55 + 15} steps, more than {MAX_STEPS}"
+        )
+
+    def test_step_cap_bounds_nsteps(self):
+        empty = np.zeros((6, 0), dtype=np.int64)
+        assert Schedule.from_columns(4, empty, nsteps=MAX_STEPS).nsteps == MAX_STEPS
+        with pytest.raises(ScheduleError, match=f"more than {MAX_STEPS}"):
+            Schedule.from_columns(4, empty, nsteps=MAX_STEPS + 1)
+        last = np.array([[MAX_STEPS - 1], [0], [1], [8], [0], [0]])
+        assert Schedule.from_columns(4, last).nsteps == MAX_STEPS
+        with pytest.raises(ScheduleError, match=f"more than {MAX_STEPS}"):
+            Schedule.from_columns(4, last + [[1], [0], [0], [0], [0], [0]])

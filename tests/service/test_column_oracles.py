@@ -31,7 +31,6 @@ from repro.schedules import (
     schedule_to_json,
 )
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
-from repro.schedules.repair import rank_steps
 from repro.service import (
     KEY_VERSION,
     Scheduler,
@@ -46,6 +45,8 @@ from repro.service import (
 )
 from repro.service.scheduler import _base_name, _relabel
 
+from ..schedules.checks import transfers
+from ..schedules.scalar_oracles import old_rank_steps
 from ..schedules.test_compiled_executor import counting_transfers
 from ..schedules.test_properties import patterns
 
@@ -80,7 +81,7 @@ def old_relabel(schedule, mapping, name):
 def old_adapt_schedule(donor, donor_pattern, pattern, config):
     if donor.nprocs != pattern.nprocs:
         return None
-    for _, t in donor.all_transfers():
+    for _, t in transfers(donor):
         if t.pack_bytes or t.unpack_bytes:
             return None
     diff = donor_pattern != pattern.matrix
@@ -118,7 +119,7 @@ def old_adapt_schedule(donor, donor_pattern, pattern, config):
         return None
     final = [Step(tuple(s)) for s in steps]
     healthy = FaultModel(FaultPlan(()), fat_tree_for(config))
-    order = rank_steps(final, config, healthy)
+    order = old_rank_steps(final, config, healthy)
     return Schedule(
         nprocs=donor.nprocs,
         steps=tuple(final[i] for i in order),

@@ -192,6 +192,24 @@ class TestValidateCommand:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert "OK" not in proc.stdout
 
+    def test_schedule_file_past_the_step_cap_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A document past the real cap (2**28 steps) would be hundreds
+        # of megabytes, so the cap is lowered below PEX's 7 steps.
+        from repro.schedules import pairwise_exchange, save_schedule
+        from repro.schedules import schedule as schedule_module
+
+        path = tmp_path / "long.json"
+        save_schedule(pairwise_exchange(8, 64), path)
+        monkeypatch.setattr(schedule_module, "MAX_STEPS", 6)
+        assert main(["validate", "--schedule", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "OK" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "schedule has 7 steps, more than 6" in lines[0]
+
     def test_byte_count_outside_int64_exits_2(self, tmp_path, capsys):
         from repro.schedules import pairwise_exchange, schedule_to_json
 
