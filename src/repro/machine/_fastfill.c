@@ -15,26 +15,33 @@
  * -ffast-math and with -ffp-contract=off: fused multiply-adds or
  * reassociation would break that equivalence.
  *
- * The module's one function is the engine's flow start (METH_FASTCALL,
- * so a call converts only its scalar arguments):
+ * The module has two functions, both METH_FASTCALL, so a call converts
+ * only its own arguments:
  *
  *   begin(st, t, key, wire, rate_cap, src, dst, routes, off, length)
- *       -> bool   advance to t (reallocating first on a dirty store),
- *                 append one flow; False, changing nothing, when the
- *                 slot columns are full
+ *       -> bool   the engine's flow start: advance to t (reallocating
+ *                 first on a dirty store), append one flow; False,
+ *                 changing nothing, when the slot columns are full
+ *   compile_program(columns, nprocs, lower_recv_first)
+ *       -> (ops, starts, sizes, copies, live)
+ *                 a schedule's rank programs from its int64 step
+ *                 columns, bit for bit the program of the NumPy
+ *                 reference repro.schedules.executor._compile (the
+ *                 argument is at the end of the file)
  *
  * ``st`` is the network's FlowStore: the flow store's scalar state
  * (live count, clock, dirty and changed flags, memoized next
- * completion, arm generation), its pointer table, one address per
+ * completion, arm generation), its pointer table, one pointer per
  * buffer in the order of the TABLE tuple this module exports (the T_*
- * enum below), and its optional rate observer, called after every
- * reallocation.  ``routes`` is the address of the fat tree's flat route
- * table (FatTree.route_buffer), passed per call because that table is
- * shared by every network over the tree and may be reallocated by any
- * of them.  The Python side owns every buffer and keeps the table
- * current across reallocations.
+ * enum below), which set_table takes from the buffers themselves, and
+ * its optional rate observer, called after every reallocation.
+ * ``routes`` is the address of the fat tree's flat route table
+ * (FatTree.route_buffer), passed per call because that table is shared
+ * by every network over the tree and may be reallocated by any of them.
+ * The Python side owns every buffer and hands the store the new set
+ * whenever it grows one (FluidNetwork._grow_slots).
  *
- * The EventQueue type (end of file) is the compiled twin of
+ * The EventQueue type (after begin) is the compiled twin of
  * repro.sim.events.EventQueue: push / pop / peek_time / len, and
  * run(engine), the engine's drain loop, which also runs the network's
  * arm–check–retire cycle on the engine's FlowStore: reallocation,
@@ -430,34 +437,43 @@ static void store_dealloc(StoreObject *st) {
     Py_TYPE(st)->tp_free((PyObject *)st);
 }
 
-/* set_table(addresses, buffers, capacity): point the kernels at a new
- * set of column arrays (one address per TABLE entry, 0 for an absent
- * one) holding room for ``capacity`` flows. */
+/* set_table(buffers, capacity): point the kernels at a new set of
+ * column arrays, one per TABLE entry (None for an absent one, which
+ * reads as NULL), holding room for ``capacity`` flows.  Each address is
+ * its buffer's, taken through the buffer protocol; the tuple is kept,
+ * so every address stays valid while the table names it. */
 static PyObject *store_set_table(StoreObject *st, PyObject *const *args,
                                  Py_ssize_t nargs) {
     void *tab[T_SIZE];
     long long cap;
-    if (nargs != 3 || !PyTuple_Check(args[0]) || !PyTuple_Check(args[1])
+    if (nargs != 2 || !PyTuple_Check(args[0])
         || PyTuple_GET_SIZE(args[0]) != T_SIZE) {
         PyErr_SetString(PyExc_TypeError,
-                        "set_table(addresses, buffers, capacity) takes a "
-                        "tuple of one address per TABLE entry");
+                        "set_table(buffers, capacity) takes a tuple of one "
+                        "buffer or None per TABLE entry");
         return NULL;
     }
-    cap = PyLong_AsLongLong(args[2]);
+    cap = PyLong_AsLongLong(args[1]);
     if (cap == -1 && PyErr_Occurred()) {
         return NULL;
     }
     for (int i = 0; i < T_SIZE; i++) {
-        tab[i] = PyLong_AsVoidPtr(PyTuple_GET_ITEM(args[0], i));
-        if (tab[i] == NULL && PyErr_Occurred()) {
+        PyObject *o = PyTuple_GET_ITEM(args[0], i);
+        Py_buffer v;
+        tab[i] = NULL;
+        if (o == Py_None) {
+            continue;
+        }
+        if (PyObject_GetBuffer(o, &v, PyBUF_C_CONTIGUOUS) < 0) {
             return NULL;
         }
+        tab[i] = v.buf;
+        PyBuffer_Release(&v);
     }
     memcpy(st->tab, tab, sizeof(tab));
     st->cap = cap;
-    Py_INCREF(args[1]);
-    Py_XSETREF(st->buffers, args[1]);
+    Py_INCREF(args[0]);
+    Py_XSETREF(st->buffers, args[0]);
     Py_RETURN_NONE;
 }
 
@@ -509,7 +525,7 @@ static PyGetSetDef store_getset[] = {
 
 static PyMethodDef store_methods[] = {
     {"set_table", (PyCFunction)(void (*)(void))store_set_table, METH_FASTCALL,
-     "set_table(addresses, buffers, capacity): repoint the column table."},
+     "set_table(buffers, capacity): repoint the column table."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1143,6 +1159,16 @@ typedef struct {
     unsigned long long messages;
 } Exec;
 
+/* The buffer's items are 8-byte kind 'd' (float64) or 'q' (int64). */
+static int buffer_is(const Py_buffer *v, char kind) {
+    const char *fmt = v->format != NULL ? v->format : "B";
+    if (*fmt == '@' || *fmt == '=' || *fmt == '<') {
+        fmt++;
+    }
+    return v->itemsize == 8 && fmt[0] != '\0' && fmt[1] == '\0'
+        && (kind == 'd' ? fmt[0] == 'd' : (fmt[0] == 'q' || fmt[0] == 'l'));
+}
+
 /* A contiguous 8-byte buffer of kind 'd' (float64) or 'q' (int64) with
  * at least min_len items; its length goes to *len. */
 static int exec_view(Exec *ex, PyObject *o, char kind, Py_ssize_t min_len,
@@ -1152,13 +1178,7 @@ static int exec_view(Exec *ex, PyObject *o, char kind, Py_ssize_t min_len,
         return -1;
     }
     ex->nviews++;
-    const char *fmt = v->format != NULL ? v->format : "B";
-    if (*fmt == '@' || *fmt == '=' || *fmt == '<') {
-        fmt++;
-    }
-    int ok = v->itemsize == 8 && fmt[0] != '\0' && fmt[1] == '\0'
-        && (kind == 'd' ? fmt[0] == 'd' : (fmt[0] == 'q' || fmt[0] == 'l'));
-    if (!ok || v->len / 8 < min_len) {
+    if (!buffer_is(v, kind) || v->len / 8 < min_len) {
         PyErr_Format(PyExc_ValueError,
                      "schedule program: expected %s buffer of at least %zd "
                      "items", kind == 'd' ? "a float64" : "an int64", min_len);
@@ -1719,12 +1739,349 @@ static PyTypeObject QueueType = {
     .tp_methods = queue_methods,
 };
 
+/* ------------------------------------------------------------------
+ * Schedule compile: the twin of repro.schedules.executor._compile, the
+ * NumPy reference (and the path without the kernel), whose program it
+ * returns bit for bit.
+ *
+ *   compile_program(columns, nprocs, lower_recv_first)
+ *       -> (ops, starts, sizes, copies, live)
+ *
+ * ``columns`` is a schedule's C-contiguous (6, M) int64 columns
+ * (Schedule.columns): step, src, dst, nbytes, pack_bytes,
+ * unpack_bytes.  ops and starts come back as bytearrays of int64 (four
+ * per op, and nprocs + 1), sizes and copies as sorted lists of
+ * distinct ints, live as a bool: the fields of executor.Program.
+ *
+ * Transfer k is a send record on its source and a receive record on
+ * its destination.  The reference sorts the records by (rank, step,
+ * class, peer), class 0 for a receive from a lower rank, 1 for a send
+ * and 2 for a receive from a higher rank.  Here a counting sort places
+ * them by rank; the columns are in step order (the schedule gate checks
+ * it), so each rank's records come out in step order too, and only
+ * each (rank, step) group is sorted, by (class, peer).  Those keys are
+ * distinct in a group unless a pair repeats in a step, which the gate
+ * rejects and this check does too, so the two sorts agree.  A group of
+ * one send and one receive with the same peer is an exchange: its
+ * sorted order is Figure 3's, flipped for Figure 2, and live is false
+ * when a flipped transfer's other record is not flipped.  A send's pack
+ * DELAY row goes before it, a receive's unpack DELAY row after it.  The
+ * sizes and copies are the distinct byte counts the reference's
+ * np.unique finds, and an index into them is its searchsorted.  Every
+ * step is integer work, so the program is the reference's exactly. */
+
+/* A record is 2k for transfer k's send and 2k + 1 for its receive; in
+ * a group sort word it sits under its (class, peer) key. */
+#define KEY_SHIFT 48
+#define REC_MASK ((UINT64_C(1) << KEY_SHIFT) - 1)
+
+/* Sort a[0..n) ascending, tmp n words of scratch: insertion sort for
+ * short runs, else LSD radix by byte over the bits of ``bits``, skipping
+ * the bytes every value shares. */
+static void sort_u64(uint64_t *a, int64_t n, uint64_t *tmp, uint64_t bits) {
+    if (n <= 32) {
+        for (int64_t i = 1; i < n; i++) {
+            uint64_t v = a[i];
+            int64_t j = i;
+            for (; j > 0 && a[j - 1] > v; j--) {
+                a[j] = a[j - 1];
+            }
+            a[j] = v;
+        }
+        return;
+    }
+    uint64_t diff = 0, *from = a, *to = tmp;
+    for (int64_t i = 1; i < n; i++) {
+        diff |= a[i] ^ a[0];
+    }
+    diff &= bits;
+    for (int shift = 0; shift < 64; shift += 8) {
+        int64_t at[257];
+        if (((diff >> shift) & 0xff) == 0) {
+            continue;
+        }
+        memset(at, 0, sizeof(at));
+        for (int64_t i = 0; i < n; i++) {
+            at[((from[i] >> shift) & 0xff) + 1]++;
+        }
+        for (int b = 0; b < 256; b++) {
+            at[b + 1] += at[b];
+        }
+        for (int64_t i = 0; i < n; i++) {
+            to[at[(from[i] >> shift) & 0xff]++] = from[i];
+        }
+        uint64_t *swap = from;
+        from = to;
+        to = swap;
+    }
+    if (from != a) {
+        memcpy(a, from, (size_t)n * sizeof(uint64_t));
+    }
+}
+
+/* Sort a[0..n) and drop repeats; returns the distinct count. */
+static int64_t sort_distinct(uint64_t *a, int64_t n, uint64_t *tmp) {
+    int64_t d = 0;
+    sort_u64(a, n, tmp, ~UINT64_C(0));
+    for (int64_t i = 0; i < n; i++) {
+        if (d == 0 || a[i] != a[d - 1]) {
+            a[d++] = a[i];
+        }
+    }
+    return d;
+}
+
+/* The index of v in the distinct sorted a[0..n), which holds it. */
+static int64_t find_u64(const uint64_t *a, int64_t n, uint64_t v) {
+    const uint64_t *lo = a;
+    while (n > 1) {
+        int64_t half = n / 2;
+        lo = lo[half] <= v ? lo + half : lo;
+        n -= half;
+    }
+    return lo - a;
+}
+
+static PyObject *distinct_list(const uint64_t *a, int64_t n) {
+    PyObject *out = PyList_New((Py_ssize_t)n);
+    for (int64_t i = 0; out != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLongLong((long long)a[i]);
+        if (v == NULL) {
+            Py_CLEAR(out);
+            break;
+        }
+        PyList_SET_ITEM(out, i, v);
+    }
+    return out;
+}
+
+/* A schedule's columns, one int64 row of m entries each. */
+typedef struct {
+    const int64_t *step, *src, *dst, *nbytes, *pack, *unpack;
+    int64_t m;
+} Columns;
+
+/* Record rec's peer: a send's destination, a receive's source. */
+static inline int64_t record_peer(const Columns *c, uint64_t rec) {
+    return rec & 1 ? c->src[rec >> 1] : c->dst[rec >> 1];
+}
+
+static int compile_bad(int64_t k) {
+    PyErr_Format(PyExc_ValueError,
+                 "compile_program: transfer %lld is not a checked schedule's",
+                 (long long)k);
+    return -1;
+}
+
+/* Check the columns for the compile: nprocs in 2..16384 (so a group key
+ * class * nprocs + peer fits the bits above KEY_SHIFT), ranks in range,
+ * no self-transfer, non-negative steps that never decrease and
+ * non-negative byte counts.  compile_columns finds a repeated pair. */
+static int compile_check(const Columns *c, int64_t n) {
+    if (n < 2 || n > 16384) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compile_program: nprocs outside 2..16384");
+        return -1;
+    }
+    if (c->m > (int64_t)(REC_MASK / 2)) {
+        PyErr_SetString(PyExc_ValueError, "compile_program: too many transfers");
+        return -1;
+    }
+    for (int64_t k = 0; k < c->m; k++) {
+        if (c->step[k] < 0 || (k > 0 && c->step[k] < c->step[k - 1])
+            || c->src[k] < 0 || c->src[k] >= n || c->dst[k] < 0
+            || c->dst[k] >= n || c->src[k] == c->dst[k] || c->nbytes[k] < 0
+            || c->pack[k] < 0 || c->unpack[k] < 0) {
+            return compile_bad(k);
+        }
+    }
+    return 0;
+}
+
+/* Sort rank r's group recs[a..b) by (class, peer) and flip it if it is
+ * an exchange and flip is set, counting each flipped transfer's flipped
+ * records in flips; 0, or -1 with an exception set on a repeated pair. */
+static int compile_group(const Columns *c, int64_t n, int64_t r, int flip,
+                         uint64_t *recs, int64_t a, int64_t b, uint64_t *tmp,
+                         unsigned char *flips) {
+    for (int64_t i = a; i < b; i++) {
+        int64_t peer = record_peer(c, recs[i]);
+        int64_t klass = recs[i] & 1 ? (peer > r) * 2 : 1;
+        recs[i] |= (uint64_t)(klass * n + peer) << KEY_SHIFT;
+    }
+    sort_u64(recs + a, b - a, tmp, ~REC_MASK);
+    for (int64_t i = a + 1; i < b; i++) {
+        if (recs[i] >> KEY_SHIFT == recs[i - 1] >> KEY_SHIFT) {
+            return compile_bad((int64_t)(recs[i] & REC_MASK) >> 1);
+        }
+    }
+    for (int64_t i = a; i < b; i++) {
+        recs[i] &= REC_MASK;
+    }
+    uint64_t x = recs[a], y = recs[a + 1];
+    if (flip && b - a == 2 && (x & 1) != (y & 1)
+        && record_peer(c, x) == record_peer(c, y)) {
+        recs[a] = y;
+        recs[a + 1] = x;
+        flips[x >> 1]++;
+        flips[y >> 1]++;
+    }
+    return 0;
+}
+
+/* A DELAY row of copy index i at op; returns the next row. */
+static inline int64_t *emit_delay(int64_t *op, int64_t i) {
+    op[0] = OP_DELAY;
+    op[1] = op[2] = 0;
+    op[3] = i;
+    return op + 4;
+}
+
+static PyObject *compile_columns(const Columns *c, int64_t n, int flip) {
+    const int64_t m = c->m, nrec = 2 * m;
+    PyObject *ops = NULL, *starts = NULL, *sizes = NULL, *copies = NULL;
+    PyObject *result = NULL;
+    /* off: rank r's records at recs[off[r]..off[r + 1]); fill: the next
+     * free place per rank; vals: the distinct payload sizes, then the
+     * distinct memcpy sizes; flips: per transfer, its flipped records. */
+    int64_t *off = PyMem_Calloc((size_t)(2 * n + 1), sizeof(int64_t));
+    uint64_t *recs = PyMem_Malloc((size_t)(2 * nrec + 1) * sizeof(uint64_t));
+    uint64_t *vals = PyMem_Malloc((size_t)(3 * m + 1) * sizeof(uint64_t));
+    unsigned char *flips = PyMem_Calloc((size_t)m + 1, 1);
+    if (off == NULL || recs == NULL || vals == NULL || flips == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int64_t *fill = off + n + 1;
+    uint64_t *tmp = recs + nrec, *size_of = vals, *copy_of = vals + m;
+    for (int64_t k = 0; k < m; k++) {
+        off[c->src[k] + 1]++;
+        off[c->dst[k] + 1]++;
+    }
+    for (int64_t r = 0; r < n; r++) {
+        off[r + 1] += off[r];
+        fill[r] = off[r];
+    }
+    for (int64_t k = 0; k < m; k++) {
+        recs[fill[c->src[k]]++] = (uint64_t)(2 * k);
+        recs[fill[c->dst[k]]++] = (uint64_t)(2 * k + 1);
+    }
+    for (int64_t r = 0; r < n; r++) {
+        for (int64_t a = off[r], b; a < off[r + 1]; a = b) {
+            int64_t step = c->step[recs[a] >> 1];
+            for (b = a + 1; b < off[r + 1] && c->step[recs[b] >> 1] == step;
+                 b++) {
+            }
+            if (b - a > 1
+                && compile_group(c, n, r, flip, recs, a, b, tmp, flips) < 0) {
+                goto done;
+            }
+        }
+    }
+    int live = 1;
+    for (int64_t k = 0; k < m; k++) {
+        live &= flips[k] != 1;
+    }
+    int64_t ndelays = 0;
+    for (int64_t k = 0; k < m; k++) {
+        size_of[k] = (uint64_t)c->nbytes[k];
+        if (c->pack[k]) {
+            copy_of[ndelays++] = (uint64_t)c->pack[k];
+        }
+        if (c->unpack[k]) {
+            copy_of[ndelays++] = (uint64_t)c->unpack[k];
+        }
+    }
+    const int64_t nsizes = sort_distinct(size_of, m, tmp);
+    const int64_t ncopies = sort_distinct(copy_of, ndelays, tmp);
+    sizes = distinct_list(size_of, nsizes);
+    copies = distinct_list(copy_of, ncopies);
+    ops = PyByteArray_FromStringAndSize(
+        NULL, (Py_ssize_t)((nrec + ndelays) * 4 * (int64_t)sizeof(int64_t)));
+    starts = PyByteArray_FromStringAndSize(
+        NULL, (Py_ssize_t)((n + 1) * (int64_t)sizeof(int64_t)));
+    if (sizes == NULL || copies == NULL || ops == NULL || starts == NULL) {
+        goto done;
+    }
+    /* Rank by rank, each record's op (OP_SEND 0 and OP_RECV 1 are its
+     * low bit) with its memcpy DELAY row: before a send, after a
+     * receive. */
+    int64_t *const first = (int64_t *)PyByteArray_AS_STRING(ops), *op = first;
+    int64_t *start = (int64_t *)PyByteArray_AS_STRING(starts);
+    start[0] = 0;
+    for (int64_t r = 0; r < n; r++) {
+        for (int64_t i = off[r]; i < off[r + 1]; i++) {
+            uint64_t rec = recs[i], k = rec >> 1;
+            int64_t recv = (int64_t)(rec & 1);
+            if (!recv && c->pack[k]) {
+                op = emit_delay(
+                    op, find_u64(copy_of, ncopies, (uint64_t)c->pack[k]));
+            }
+            op[0] = recv;
+            op[1] = record_peer(c, rec);
+            op[2] = c->step[k];
+            op[3] = recv ? 0
+                         : find_u64(size_of, nsizes, (uint64_t)c->nbytes[k]);
+            op += 4;
+            if (recv && c->unpack[k]) {
+                op = emit_delay(
+                    op, find_u64(copy_of, ncopies, (uint64_t)c->unpack[k]));
+            }
+        }
+        start[r + 1] = (op - first) / 4;
+    }
+    result = PyTuple_Pack(5, ops, starts, sizes, copies,
+                          live ? Py_True : Py_False);
+done:
+    Py_XDECREF(ops);
+    Py_XDECREF(starts);
+    Py_XDECREF(sizes);
+    Py_XDECREF(copies);
+    PyMem_Free(off);
+    PyMem_Free(recs);
+    PyMem_Free(vals);
+    PyMem_Free(flips);
+    return result;
+}
+
+static PyObject *py_compile_program(PyObject *mod, PyObject *const *args,
+                                    Py_ssize_t nargs) {
+    Py_buffer v;
+    int64_t n;
+    int flip;
+    if (check_nargs("compile_program", nargs, 3) < 0 || arg_i64(args[1], &n) < 0
+        || (flip = PyObject_IsTrue(args[2])) < 0
+        || PyObject_GetBuffer(args[0], &v, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        return NULL;
+    }
+    PyObject *result = NULL;
+    if (v.ndim != 2 || v.shape[0] != 6 || !buffer_is(&v, 'q')) {
+        PyErr_SetString(PyExc_ValueError,
+                        "compile_program: columns must be a C-contiguous "
+                        "int64 (6, M) buffer");
+    } else {
+        const int64_t *cells = v.buf;
+        int64_t m = v.shape[1];
+        Columns c = {cells, cells + m, cells + 2 * m, cells + 3 * m,
+                     cells + 4 * m, cells + 5 * m, m};
+        if (compile_check(&c, n) == 0) {
+            result = compile_columns(&c, n, flip);
+        }
+    }
+    PyBuffer_Release(&v);
+    return result;
+}
+
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef methods[] = {
     {"begin", (PyCFunction)(void (*)(void))py_begin, METH_FASTCALL,
      "advance_to(t) and append one flow; False if the slot columns are "
      "full."},
+    {"compile_program", (PyCFunction)(void (*)(void))py_compile_program,
+     METH_FASTCALL,
+     "compile_program(columns, nprocs, lower_recv_first) -> (ops, starts, "
+     "sizes, copies, live): a schedule's rank programs."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -74,11 +74,6 @@ _Z_BLOCK = 256
 _COLUMNS = ("_wire", "_rate", "_rate_cap", "_srcs", "_dsts", "_keys")
 
 
-def _address(arr: np.ndarray) -> int:
-    """Address of an array's first element (for the kernel's table)."""
-    return arr.__array_interface__["data"][0]
-
-
 class NetworkStallError(RuntimeError):
     """Active flows cannot make progress: their fair rate is zero.
 
@@ -190,7 +185,7 @@ class FluidNetwork:
 
         # The compiled kernel (None -> NumPy reference) and the store
         # its begin and drain loop take: the scalar state plus a table of
-        # every buffer's address, in the kernel's TABLE order, rebuilt
+        # every buffer, in the kernel's TABLE order, handed over again
         # only when an array is reallocated (_grow_slots).  Each begin
         # then converts a handful of scalars.
         self._k = _fastfill.kernel()
@@ -339,11 +334,8 @@ class FluidNetwork:
             "dsts": self._dsts,
             "keys": self._keys,
         }
-        buffers = tuple(arrays[name] for name in self._k.TABLE)
         self.store.set_table(
-            tuple(0 if a is None else _address(a) for a in buffers),
-            buffers,
-            self._cap,
+            tuple(arrays[name] for name in self._k.TABLE), self._cap
         )
 
     def _grow_slots(self, need: int) -> None:

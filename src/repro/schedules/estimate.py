@@ -140,5 +140,6 @@ def estimate_schedule_time(
         )
     times = estimate_step_times(schedule.columns, schedule.nsteps, config, params)
     # Python's sum adds in step order, as the per-step loop did;
-    # ``np.sum`` adds pairwise and would change the last bits.
-    return sum(times.tolist())
+    # ``np.sum`` adds pairwise and would change the last bits.  The 0.0
+    # start makes a schedule with no steps cost 0.0, not the int 0.
+    return sum(times.tolist(), 0.0)

@@ -30,8 +30,11 @@ completes via timeout/retry-with-backoff (the retries are visible in the
 trace).
 
 :func:`compiled_program` compiles these rules once per schedule, from
-its int64 step columns in one vectorized pass, into every rank's
-program of int64 ops.  Two paths run that one program.  The generator
+its int64 step columns, into every rank's program of int64 ops.  The
+NumPy compile (one vectorized pass) is the reference and the path
+without the compiled kernel; with the kernel loaded, its C twin
+``compile_program`` returns the same program bit for bit in one call.
+Two paths run that one program.  The generator
 path — :func:`schedule_program` on every rank via :func:`run_spmd` — is
 the reference, and the only one for fault plans, traces and tracers.  An untraced, fault-free run with
 the compiled kernel loaded takes the compiled schedule executor
@@ -139,17 +142,43 @@ def compiled_program(schedule: Schedule) -> Program:
 
     The same order makes :attr:`Program.live` a deadlock-freedom
     certificate (the argument is in :mod:`repro.schedules.validate`).
+
+    This is :func:`_compile`, the NumPy reference, when the kernel is not
+    loaded, and its kernel twin when it is: the kernel places the
+    records by rank with a counting sort (the columns are in step order
+    already) and sorts only each (rank, step) group by (class, peer),
+    the same order, so the programs are equal field by field.
     """
     try:
         return schedule._program  # type: ignore[attr-defined]
     except AttributeError:
         pass
-    program = _compile(schedule)
+    k = kernel()
+    program = _compile(schedule) if k is None else _kernel_compile(k, schedule)
     object.__setattr__(schedule, "_program", program)
     return program
 
 
+def _kernel_compile(k: Any, schedule: Schedule) -> Program:
+    """The kernel's ``compile_program``: :func:`_compile`'s program, bit
+    for bit (the argument is in ``_fastfill.c``), in one call.  ``ops``
+    and ``starts`` are views of the int64 bytes it returns."""
+    ops, starts, sizes, copies, live = k.compile_program(
+        schedule.columns,
+        schedule.nprocs,
+        schedule.exchange_order == LOWER_RECV_FIRST,
+    )
+    return Program(
+        np.frombuffer(ops, dtype=np.int64).reshape(-1, 4),
+        np.frombuffer(starts, dtype=np.int64),
+        sizes,
+        copies,
+        live,
+    )
+
+
 def _compile(schedule: Schedule) -> Program:
+    """The NumPy compile: the reference, and the path without the kernel."""
     n = schedule.nprocs
     step, src, dst, nbytes, pack, unpack = schedule.columns
     m = step.size

@@ -112,7 +112,7 @@ def _local_build(
         coloring_schedule(pattern, name=name),
     ]
     seed_costs = [
-        sum(estimate_step_times(s.columns, s.nsteps, cfg, params).tolist())
+        sum(estimate_step_times(s.columns, s.nsteps, cfg, params).tolist(), 0.0)
         for s in seeds
     ]
     base = seeds[min(range(len(seeds)), key=lambda i: (seed_costs[i], i))]

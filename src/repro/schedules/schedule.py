@@ -222,7 +222,7 @@ class Schedule:
             )
         if cols.dtype.kind not in "iu" or not np.can_cast(cols.dtype, np.int64):
             raise ScheduleError(f"schedule columns must be int64, got {cols.dtype}")
-        cols = cols.astype(np.int64)
+        cols = cols.astype(np.int64, order="C")
         cols.setflags(write=False)
         nsteps = _check_columns(cols, nprocs, exchange_order, nsteps)
         sched = object.__new__(cls)
@@ -249,8 +249,9 @@ class Schedule:
 
     @property
     def columns(self) -> np.ndarray:
-        """The transfers as a read-only int64 array of shape ``(6, M)``,
-        rows :data:`COLUMNS`, in schedule order."""
+        """The transfers as a read-only, C-contiguous int64 array of
+        shape ``(6, M)``, rows :data:`COLUMNS`, in schedule order (the
+        kernel's compile reads it through the buffer protocol)."""
         return self._columns
 
     @property

@@ -231,20 +231,26 @@ class ScheduleStore:
         ``1..limit`` (0 would be an exact hit), sorted by distance then
         by key digest so the choice is deterministic.  Distance is the
         number of differing matrix cells — the natural metric for
-        "one more halo neighbour" / "one message grew" drift.
+        "one more halo neighbour" / "one message grew" drift.  The
+        bucket's candidate patterns are stacked and compared with the
+        request's in one pass, so the scan makes no NumPy call per entry.
         """
         with self._lock:
             digests = list(self._buckets.get(self._bucket_key(key), ()))
             entries = [self._mem[d] for d in digests if d in self._mem]
-        out: List[Tuple[int, StoreEntry]] = []
-        for entry in entries:
-            if entry.staged:
-                continue
-            if entry.pattern.shape != pattern.matrix.shape:
-                continue
-            dist = int(np.count_nonzero(entry.pattern != pattern.matrix))
-            if 1 <= dist <= limit:
-                out.append((dist, entry))
+        matrix = pattern.matrix
+        entries = [
+            e for e in entries if not e.staged and e.pattern.shape == matrix.shape
+        ]
+        if not entries:
+            return []
+        stack = np.stack([e.pattern for e in entries])
+        dists = np.count_nonzero(stack != matrix, axis=(1, 2)).tolist()
+        out = [
+            (dist, entry)
+            for dist, entry in zip(dists, entries)
+            if 1 <= dist <= limit
+        ]
         out.sort(key=lambda de: (de[0], de[1].key.digest))
         return out
 

@@ -1,5 +1,6 @@
 """Tests for the simulation-free schedule cost estimator."""
 
+import numpy as np
 import pytest
 
 from repro.machine import CM5Params, MachineConfig
@@ -14,6 +15,7 @@ from repro.schedules import (
     paper_pattern_P,
     pairwise_exchange,
     recursive_exchange,
+    Schedule,
 )
 
 
@@ -67,6 +69,13 @@ class TestProperties:
         from repro.schedules import shift_schedule
 
         assert estimate_schedule_time(shift_schedule(32, 0, 64), cfg32) == 0.0
+
+    def test_zero_step_schedule_costs_a_float(self, cfg32):
+        # A bare sum of no step times would be the int 0.
+        empty = np.zeros((6, 0), dtype=np.int64)
+        for sched in (Schedule(32, ()), Schedule.from_columns(32, empty, nsteps=3)):
+            cost = estimate_schedule_time(sched, cfg32)
+            assert type(cost) is float and cost.hex() == (0.0).hex()
 
     def test_additive_over_steps(self, cfg32):
         sched = pairwise_exchange(32, 256)

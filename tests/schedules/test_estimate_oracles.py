@@ -140,7 +140,7 @@ def test_step_times_match_the_scalar_estimator(sched):
     got = estimate_step_times(sched.columns, sched.nsteps, config)
     want = [old_estimate_step_time(s, config) for s in sched.steps]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
-    assert float(estimate_schedule_time(sched, config)).hex() == float(sum(want)).hex()
+    assert estimate_schedule_time(sched, config).hex() == sum(want, 0.0).hex()
 
 
 @pytest.mark.parametrize("sched", builders(), ids=lambda s: s.name)

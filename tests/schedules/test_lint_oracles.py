@@ -594,14 +594,21 @@ def step_actions_program(sched: Schedule, rank: int) -> List[tuple]:
 
 class TestOneProgramPerSchedule:
     def test_lint_then_execute_builds_programs_once(self, monkeypatch):
+        # Every compile counts: the kernel's when it is loaded, NumPy's
+        # without it.
         calls = []
-        real = executor._compile
+        real_numpy, real_kernel = executor._compile, executor._kernel_compile
 
-        def counted(schedule):
+        def counted_numpy(schedule):
             calls.append(schedule.name)
-            return real(schedule)
+            return real_numpy(schedule)
 
-        monkeypatch.setattr(executor, "_compile", counted)
+        def counted_kernel(k, schedule):
+            calls.append(schedule.name)
+            return real_kernel(k, schedule)
+
+        monkeypatch.setattr(executor, "_compile", counted_numpy)
+        monkeypatch.setattr(executor, "_kernel_compile", counted_kernel)
         pattern = CommPattern.synthetic(8, 0.5, 64, seed=4)
         sched = schedule_irregular(pattern, "greedy")
         assert lint_schedule(sched, pattern).ok

@@ -217,6 +217,57 @@ class TestNearMisses:
         key = derive_key(drifted, "balanced", MachineConfig(8))
         assert store.near_misses(key, drifted, limit=4) == []
 
+    def test_stacked_scan_matches_per_entry_loop(self):
+        # One bucket of plain, staged and differently shaped entries
+        # (a forged file can pair an 8-proc key with any matrix).
+        rng = np.random.default_rng(5)
+        base = make_entry(seed=3).pattern
+        store = ScheduleStore()
+        for i in range(24):
+            m = base.copy()
+            cells = rng.choice(56, size=i % 7, replace=False)
+            off = np.flatnonzero(~np.eye(8, dtype=bool))[cells]
+            m.flat[off] += 1 + i
+            entry = make_entry(seed=100 + i, staged=i % 5 == 0)
+            shape = (4, 4) if i % 6 == 1 else None
+            pattern = m if shape is None else np.arange(16).reshape(shape)
+            store.put(
+                StoreEntry(
+                    key=entry.key,
+                    pattern=pattern,
+                    order=None,
+                    serialized=entry.serialized,
+                    staged=entry.staged,
+                )
+            )
+
+        def per_entry(key, pattern, limit):
+            digests = store._buckets[store._bucket_key(key)]
+            out = []
+            for entry in (store._mem[d] for d in digests):
+                if entry.staged or entry.pattern.shape != pattern.matrix.shape:
+                    continue
+                dist = int(np.count_nonzero(entry.pattern != pattern.matrix))
+                if 1 <= dist <= limit:
+                    out.append((dist, entry))
+            out.sort(key=lambda de: (de[0], de[1].key.digest))
+            return out
+
+        key = make_entry(seed=3).key
+        small = np.arange(16).reshape(4, 4)
+        small[0, 1] = 7
+        np.fill_diagonal(small, 0)
+        for pattern in (CommPattern(base), CommPattern(small)):
+            for limit in (0, 1, 3, 6, 100):
+                got = store.near_misses(key, pattern, limit)
+                want = per_entry(key, pattern, limit)
+                assert [(d, e.key.digest) for d, e in got] == [
+                    (d, e.key.digest) for d, e in want
+                ]
+                assert all(a is b for (_, a), (_, b) in zip(got, want))
+        assert len(store.near_misses(key, CommPattern(base), 100)) > 5
+        assert store.near_misses(key, CommPattern(small), 100)
+
 
 class TestEntryJson:
     def test_roundtrip(self):
