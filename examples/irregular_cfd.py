@@ -8,24 +8,12 @@ End-to-end reproduction of how Table 12's workloads arise:
    bisection,
 3. extract the halo-exchange ``Pattern`` matrix,
 4. schedule it with all four of the paper's algorithms (plus the
-   edge-coloring optimum this library adds) and race them,
-5. actually run a few iterations of the distributed Euler solver and
-   the CG solver to show the schedules carrying real numerics.
+   edge-coloring optimum this library adds) and race them.
 
 Run:  python examples/irregular_cfd.py
 """
 
-import numpy as np
-
-from repro.apps import (
-    DistributedCG,
-    DistributedEuler,
-    delaunay_mesh,
-    isentropic_blob,
-    mesh_system,
-    paper_workload,
-    rcb_partition,
-)
+from repro.apps import paper_workload
 from repro.machine import MachineConfig
 from repro.schedules import (
     algorithm_names,
@@ -60,33 +48,5 @@ def pattern_pipeline() -> None:
           "(the paper: greedy wins below 50% density)")
 
 
-def solvers_on_top() -> None:
-    print("\n=== the schedules carrying real numerics ===")
-    mesh = delaunay_mesh(400, dim=2, seed=1)
-    labels = rcb_partition(mesh.points, 8)
-    cfg = MachineConfig(8)
-
-    euler = DistributedEuler(mesh, labels, cfg, algorithm="greedy")
-    u0 = isentropic_blob(mesh)
-    u, t = euler.run(u0, dt=1e-4, n_steps=10)
-    drift = np.abs(
-        euler.kernel.total_conserved(u) - euler.kernel.total_conserved(u0)
-    ).max()
-    print(
-        f"  Euler, 10 iterations on 8 nodes: {t * 1e3:7.2f} ms simulated, "
-        f"conservation drift {drift:.2e}"
-    )
-
-    cg = DistributedCG(mesh, labels, cfg, algorithm="greedy")
-    res = cg.solve(tol=1e-8)
-    a, b = mesh_system(mesh)
-    rel = np.linalg.norm(a @ res.x - b) / np.linalg.norm(b)
-    print(
-        f"  CG, {res.iterations} iterations on 8 nodes: "
-        f"{res.sim_time * 1e3:7.2f} ms simulated, relative residual {rel:.2e}"
-    )
-
-
 if __name__ == "__main__":
     pattern_pipeline()
-    solvers_on_top()

@@ -1,13 +1,11 @@
-"""Applications driving the schedulers: FFT, CG, Euler, meshes.
+"""Applications driving the schedulers: meshes and the 2-D FFT.
 
 * :mod:`repro.apps.mesh` / :mod:`repro.apps.partition` /
   :mod:`repro.apps.halo` / :mod:`repro.apps.workloads` — unstructured
   meshes, RCB partitioning, ghost analysis, and the packaged Table 12
   workloads (the irregular-pattern pipeline of Section 4);
 * :mod:`repro.apps.transpose` / :mod:`repro.apps.fft2d` — the 2-D FFT of
-  Table 5 built on complete exchange;
-* :mod:`repro.apps.cg` — distributed conjugate-gradient solver;
-* :mod:`repro.apps.euler` — unstructured finite-volume Euler solver.
+  Table 5 built on complete exchange.
 """
 
 from .mesh import (
@@ -22,9 +20,6 @@ from .halo import HaloExchange, build_halo, halo_pattern
 from .workloads import PAPER_TABLE12_STATS, Workload, paper_workload, workload_names
 from .transpose import EXCHANGE_ALGORITHMS, block_bytes, transpose_schedule
 from .fft2d import FFT2DTiming, distributed_fft2d, fft2d_time, fft_flops
-from .cg import CGResult, DistributedCG, mesh_system
-from .euler import DistributedEuler, Euler2D, isentropic_blob
-from .stencil import DistributedJacobi, jacobi_reference
 
 __all__ = [
     "PAPER_MESHES",
@@ -49,12 +44,4 @@ __all__ = [
     "distributed_fft2d",
     "fft2d_time",
     "fft_flops",
-    "CGResult",
-    "DistributedCG",
-    "mesh_system",
-    "DistributedEuler",
-    "Euler2D",
-    "isentropic_blob",
-    "DistributedJacobi",
-    "jacobi_reference",
 ]

@@ -27,8 +27,6 @@ from .schedule import (
     LOWER_SEND_FIRST,
     Schedule,
     ScheduleError,
-    Step,
-    Transfer,
 )
 from .lex import linear_exchange, linear_schedule
 from .pex import pairing_schedule, pairwise_exchange, pairwise_schedule
@@ -51,8 +49,6 @@ from .bound import (
     makespan_lower_bound,
 )
 from .estimate import estimate_schedule_time, estimate_step_times
-from .shift import shift_schedule
-from .mesh2d import ProcessorMesh
 from .repair import rank_steps, repair_schedule, step_cost_estimate
 from .validate import (
     LintError,
@@ -83,8 +79,6 @@ __all__ = [
     "LOWER_SEND_FIRST",
     "Schedule",
     "ScheduleError",
-    "Step",
-    "Transfer",
     "linear_exchange",
     "linear_schedule",
     "pairing_schedule",
@@ -112,8 +106,6 @@ __all__ = [
     "makespan_lower_bound",
     "estimate_schedule_time",
     "estimate_step_times",
-    "shift_schedule",
-    "ProcessorMesh",
     "SelectionResult",
     "auto_schedule",
     "paper_rule",

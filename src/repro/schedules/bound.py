@@ -4,12 +4,24 @@ The König chromatic index (:func:`repro.schedules.coloring.optimal_step_count`)
 bounds the *step count* of any schedule, but steps are free in that model:
 it says nothing about bytes or locality, so it cannot anchor a *time*
 optimality gap.  This module derives lower bounds on the makespan of any
-schedule that delivers a :class:`CommPattern` on the CM-5 machine model —
-schedule-independent quantities every backend (analytic estimator, fluid
-DES, packet simulation) must exceed, in the spirit of the certified
-optimal-schedule constructions of Träff's broadcast work (PAPERS.md).
+direct-delivery schedule of a :class:`CommPattern` on the CM-5 machine
+model — schedule-independent quantities every backend (analytic
+estimator, fluid DES, packet simulation) must exceed, in the spirit of
+the certified optimal-schedule constructions of Träff's broadcast work
+(PAPERS.md).
 
-Two bounds, each sound for all three cost backends:
+A *direct-delivery* schedule sends each pattern message once, as its
+own wire message, from its source to its destination: no transfer
+stages data (``pack_bytes == 0``).  Every builder here but REX is one
+(LEX/PEX/BEX, LIB/REB, LS/PS/BS/GS, coloring, ``local``).  REX combines
+messages: a rank sends log2 N messages rather than N - 1 and pays log2 N
+overheads, so it undercuts the endpoint bound (at no jitter, the least
+of its three backend times is 0.24-0.50 of the bound at 16 B and
+0.56-0.65 at 64 B on 8-64 nodes).  A bound sound under combining is
+left open.
+
+Two bounds, each sound for all three cost backends on direct-delivery
+schedules:
 
 * **endpoint** — each rank's software layer is serial, so a rank pays its
   per-message overheads (``send_overhead`` per send, ``recv_overhead``
@@ -26,7 +38,7 @@ Two bounds, each sound for all three cost backends:
   contention penalties only lower it).  The binding cut under the CM-5
   profile is usually a root link — the bisection.
 
-Both hold for every schedule, so their max does too.  The fat tree routes
+Both hold for every direct-delivery schedule, so their max does too.  The fat tree routes
 deterministically (up-over-down), so every load is data, not a variable:
 the LP relaxation ``min T s.t. T >= load`` over both families has exactly
 that max as its optimum, and combining them yields nothing tighter.
@@ -210,7 +222,8 @@ def makespan_lower_bound(
     config: MachineConfig,
     params: Optional[CM5Params] = None,
 ) -> LowerBound:
-    """The combined makespan lower bound with its breakdown.
+    """The combined makespan lower bound of a direct-delivery schedule
+    of ``pattern`` (module docstring), with its breakdown.
 
     ``seconds`` is ``max(endpoint, bisection)``; ``binding`` names the
     family that achieves it.

@@ -49,7 +49,7 @@ def linear_broadcast(
     members = _resolve_group(nprocs, root, group)
     with obs.span("build/LIB", category="build", nprocs=nprocs):
         dst = np.array([m for m in members if m != root], dtype=np.int64)
-        return Schedule.from_columns(
+        return Schedule(
             nprocs,
             transfer_columns(np.arange(dst.size), root, dst, nbytes),
             name="LIB",
@@ -83,7 +83,7 @@ def recursive_broadcast(
         step = np.repeat(np.arange(nsteps), 1 << np.arange(nsteps))
         distance = n >> (step + 1)
         pos = (np.arange(step.size) - (1 << step) + 1) * 2 * distance
-        return Schedule.from_columns(
+        return Schedule(
             nprocs,
             transfer_columns(step, ring[pos], ring[pos + distance], nbytes),
             name="REB",

@@ -51,7 +51,7 @@ def coloring_schedule(pattern: CommPattern, name: str = "OPT") -> Schedule:
     n = pattern.nprocs
     ncolors = optimal_step_count(pattern)
     if ncolors == 0:
-        return Schedule.from_columns(n, np.zeros((6, 0), dtype=np.int64), name=name)
+        return Schedule(n, np.zeros((6, 0), dtype=np.int64), name=name)
 
     # sender_color[u][c] = v if edge u->v has color c (and mirror).
     sender_color: List[Dict[int, int]] = [dict() for _ in range(n)]
@@ -109,7 +109,7 @@ def coloring_schedule(pattern: CommPattern, name: str = "OPT") -> Schedule:
     ).T
     order = np.argsort(color * n + src, kind="stable")
     color, src, dst = color[order], src[order], dst[order]
-    return Schedule.from_columns(
+    return Schedule(
         n,
         transfer_columns(compact_steps(color), src, dst, pattern.matrix[src, dst]),
         name=name,

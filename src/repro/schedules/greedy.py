@@ -16,7 +16,7 @@ behind GS winning below ~50% density — but at high density its unaligned
 choices can exceed N-1 steps, which is where BS takes over (Table 11).
 
 The greedy loop runs over plain ints and emits the schedule as int64
-step columns (:meth:`~repro.schedules.schedule.Schedule.from_columns`).
+step columns (:class:`~repro.schedules.schedule.Schedule`).
 """
 
 from __future__ import annotations
@@ -110,4 +110,4 @@ def _greedy_build(pattern: CommPattern, name: str, order: str) -> Schedule:
 
     cols = np.zeros((6, len(rows) // 4), dtype=np.int64)
     cols[:4] = np.array(rows, dtype=np.int64).reshape(-1, 4).T
-    return Schedule.from_columns(n, cols, name, LOWER_RECV_FIRST)
+    return Schedule(n, cols, name, LOWER_RECV_FIRST)

@@ -33,7 +33,7 @@ def _linear(
     sender, one step per receiver present."""
     step = compact_steps(dst)
     zeros = np.zeros_like(nbytes)
-    return Schedule.from_columns(
+    return Schedule(
         nprocs, np.stack((step, src, dst, nbytes, zeros, zeros)), name=name
     )
 

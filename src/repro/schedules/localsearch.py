@@ -286,7 +286,7 @@ def _local_build(
     kept = [s for s in steps if s]
     refined_cols = cols[:, [t for s in kept for t in s]]
     refined_cols[0] = np.repeat(np.arange(len(kept)), [len(s) for s in kept])
-    refined = Schedule.from_columns(
+    refined = Schedule(
         pattern.nprocs, refined_cols, name=name, exchange_order=LOWER_RECV_FIRST
     )
     # The moves preserve every invariant by construction; lint anyway and

@@ -87,7 +87,7 @@ def pairing_schedule(
             step, src, dst, size = step[keep], src[keep], dst[keep], size[keep]
             step = compact_steps(step)
         zeros = np.zeros_like(size)
-        return Schedule.from_columns(
+        return Schedule(
             n,
             np.stack((step, src, dst, size, zeros, zeros)),
             name=name,

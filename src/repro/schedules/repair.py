@@ -206,7 +206,7 @@ def repair_schedule(
         name = schedule.name
         if not name.endswith("+repair"):
             name = f"{name}+repair"
-        return Schedule.from_columns(
+        return Schedule(
             schedule.nprocs,
             out,
             name=name,

@@ -55,7 +55,7 @@ def recursive_exchange(nprocs: int, nbytes: int) -> Schedule:
         # away: the partner differs in the bit N / 2**(i + 1).
         step, rank = np.divmod(np.arange((nprocs.bit_length() - 1) * nprocs), nprocs)
         partner = rank ^ (nprocs >> (step + 1))
-        return Schedule.from_columns(
+        return Schedule(
             nprocs,
             transfer_columns(step, rank, partner, staged, staged),
             name="REX",

@@ -14,15 +14,12 @@ algorithm modules (:mod:`repro.schedules.pex` etc.), linted by
 
 A schedule's one form is :attr:`Schedule.columns`: six int64 columns
 (:data:`COLUMNS`), one entry per transfer in schedule order.  Every
-builder makes its schedule with :meth:`Schedule.from_columns`, and
-everything in the library that reads a schedule (the executor, the
-linter, the estimators, the metrics, repair, the JSON writer and the
-scheduling service) reads the columns.  ``steps``, a tuple of
-:class:`Step` of :class:`Transfer`, is a view built on first read, for
-:meth:`Schedule.render_table`, tests and debugging; a schedule may also
-be given as ``steps``, and then derives its columns in its constructor.
+builder makes its schedule from columns, and everything in the library
+that reads a schedule (the executor, the linter, the estimators, the
+metrics, repair, the JSON writer, :meth:`Schedule.render_table` and the
+scheduling service) reads them.
 
-Both constructors run one gate over the columns (:func:`_check_columns`):
+The constructor runs one gate over the columns (:func:`_check_columns`):
 a schedule that exists is well-formed, so the linter, the compile and
 the executor never meet an out-of-range rank, a self-transfer, a
 negative byte count or a repeated pair in a step.
@@ -38,9 +35,8 @@ conservation check.
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -50,8 +46,6 @@ __all__ = [
     "MAX_STEPS",
     "compact_steps",
     "transfer_columns",
-    "Transfer",
-    "Step",
     "Schedule",
     "ScheduleError",
 ]
@@ -66,8 +60,9 @@ class ScheduleError(ValueError):
     """A schedule violates a structural or coverage invariant."""
 
 
-#: The rows of :attr:`Schedule.columns`: a transfer's step index, then
-#: its :class:`Transfer` fields.
+#: The rows of :attr:`Schedule.columns`: a transfer's step index, source
+#: and destination ranks, payload bytes, and the bytes the sender packs and
+#: the receiver unpacks around the wire (REX's staging).
 COLUMNS = ("step", "src", "dst", "nbytes", "pack_bytes", "unpack_bytes")
 _FIELDS = COLUMNS[1:]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -95,127 +90,31 @@ def _is_int(value: Any) -> bool:
     return True
 
 
-def _check_integer(field: str, value: Any) -> None:
-    """A rank or byte count is an integer (:func:`_is_int`)."""
-    if not _is_int(value):
-        raise ScheduleError(f"transfer {field} must be an integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class Transfer:
-    """One directed message within a step.
-
-    Its ranks and byte counts are integers that fit int64, the columns'
-    dtype."""
-
-    src: int
-    dst: int
-    nbytes: int
-    #: Bytes the sender must gather into a staging buffer first (REX).
-    pack_bytes: int = 0
-    #: Bytes the receiver must scatter out of the staging buffer after.
-    unpack_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        if not (
-            type(self.src)
-            is type(self.dst)
-            is type(self.nbytes)
-            is type(self.pack_bytes)
-            is type(self.unpack_bytes)
-            is int
-        ):
-            for name in _FIELDS:
-                _check_integer(name, getattr(self, name))
-        check_transfer(
-            self.src, self.dst, self.nbytes, self.pack_bytes, self.unpack_bytes
-        )
-
-    @property
-    def pair(self) -> Tuple[int, int]:
-        """Unordered endpoint pair."""
-        return (self.src, self.dst) if self.src < self.dst else (self.dst, self.src)
-
-
-@dataclass(frozen=True)
-class Step:
-    """A set of concurrent transfers."""
-
-    transfers: Tuple[Transfer, ...]
-
-    def __iter__(self) -> Iterator[Transfer]:
-        return iter(self.transfers)
-
-    def __len__(self) -> int:
-        return len(self.transfers)
-
-    def exchanges_and_singles(
-        self,
-    ) -> Tuple[List[Tuple[Transfer, Transfer]], List[Transfer]]:
-        """Split into exchange pairs (both directions) and lone transfers."""
-        directed = {(t.src, t.dst): t for t in self.transfers}
-        exchanges: List[Tuple[Transfer, Transfer]] = []
-        singles: List[Transfer] = []
-        used: Set[Tuple[int, int]] = set()
-        for t in self.transfers:
-            key = (t.src, t.dst)
-            if key in used:
-                continue
-            rev = directed.get((t.dst, t.src))
-            if rev is not None:
-                lo, hi = sorted((t, rev), key=lambda x: x.src)
-                exchanges.append((lo, hi))
-                used.add(key)
-                used.add((t.dst, t.src))
-            else:
-                singles.append(t)
-                used.add(key)
-        return exchanges, singles
-
-    def render(self) -> str:
-        """Paper-style cell list: ``0<->4  3->5`` etc."""
-        exchanges, singles = self.exchanges_and_singles()
-        cells = [f"{lo.src}<->{hi.src}" for lo, hi in exchanges]
-        cells += [f"{t.src}->{t.dst}" for t in singles]
-        return "  ".join(cells)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
-    """An ordered sequence of steps implementing a communication pattern."""
+    """An ordered sequence of steps implementing a communication pattern,
+    given as step columns and checked without a Python loop.
+
+    ``columns`` is an integer array of shape ``(6, M)``, its rows
+    :data:`COLUMNS`, one entry per transfer: step indices start at 0 and
+    never decrease, and transfers keep schedule order within a step (a
+    skipped index is an empty step).  The schedule stores it as a
+    read-only, C-contiguous int64 array (the kernel's compile reads it
+    through the buffer protocol).  ``nsteps`` counts the steps when the
+    last ones are empty, which the columns cannot show; by default the
+    schedule ends at its last transfer's step.  The gate
+    (:func:`_check_columns`) checks both.
+    """
 
     nprocs: int
-    steps: Tuple[Step, ...]
+    columns: np.ndarray
     name: str = "schedule"
     #: Who moves first within an exchange (see module docstring).
     exchange_order: str = LOWER_RECV_FIRST
+    nsteps: Optional[int] = None
 
     def __post_init__(self) -> None:
-        cols = _columns_of(self.steps)
-        _check_columns(cols, self.nprocs, self.exchange_order)
-        object.__setattr__(self, "_columns", cols)
-
-    @classmethod
-    def from_columns(
-        cls,
-        nprocs: int,
-        columns: Any,
-        name: str = "schedule",
-        exchange_order: str = LOWER_RECV_FIRST,
-        nsteps: Optional[int] = None,
-    ) -> "Schedule":
-        """A schedule given as step columns, checked without a Python loop.
-
-        ``columns`` is an integer array of shape ``(6, M)``, its rows
-        :data:`COLUMNS`, one entry per transfer: step indices start at 0
-        and never decrease, and transfers keep schedule order within a
-        step (a skipped index is an empty step).  ``nsteps`` counts the
-        steps when the last ones are empty, which the columns cannot
-        show; by default the schedule ends at its last transfer's step.
-        The ``steps`` constructor's gate (:func:`_check_columns`) checks
-        them and ``nsteps``.  ``steps`` is built on first read.
-        """
-        cols = np.asarray(columns)
+        cols = np.asarray(self.columns)
         if cols.ndim != 2 or cols.shape[0] != len(COLUMNS):
             raise ScheduleError(
                 f"schedule columns must have shape (6, M), got {cols.shape}"
@@ -224,41 +123,22 @@ class Schedule:
             raise ScheduleError(f"schedule columns must be int64, got {cols.dtype}")
         cols = cols.astype(np.int64, order="C")
         cols.setflags(write=False)
-        nsteps = _check_columns(cols, nprocs, exchange_order, nsteps)
-        sched = object.__new__(cls)
-        for field, value in (
-            ("nprocs", nprocs),
-            ("name", name),
-            ("exchange_order", exchange_order),
-            ("_columns", cols),
-            ("_nsteps", nsteps),
-        ):
-            object.__setattr__(sched, field, value)
-        return sched
+        nsteps = _check_columns(cols, self.nprocs, self.exchange_order, self.nsteps)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "nsteps", nsteps)
 
-    def __getattr__(self, name: str) -> Any:
-        # Called only for a missing attribute: ``steps`` of a schedule
-        # built from columns, materialized here once.
-        if name != "steps":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        steps = _steps_of(self._columns, self._nsteps)
-        object.__setattr__(self, "steps", steps)
-        return steps
+    def _key(self) -> Tuple[Any, ...]:
+        return (self.nprocs, self.name, self.exchange_order, self.nsteps)
 
-    @property
-    def columns(self) -> np.ndarray:
-        """The transfers as a read-only, C-contiguous int64 array of
-        shape ``(6, M)``, rows :data:`COLUMNS`, in schedule order (the
-        kernel's compile reads it through the buffer protocol)."""
-        return self._columns
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(
+            self.columns, other.columns
+        )
 
-    @property
-    def nsteps(self) -> int:
-        if "steps" in self.__dict__:
-            return len(self.steps)
-        return self._nsteps
+    def __hash__(self) -> int:
+        return hash((self._key(), self.columns.tobytes()))
 
     @property
     def total_bytes(self) -> int:
@@ -269,41 +149,41 @@ class Schedule:
         return self.columns.shape[1]
 
     def render_table(self) -> str:
-        """Multi-line, paper-style rendering of the whole schedule."""
+        """Multi-line, paper-style rendering of the whole schedule, one
+        line of cells per step: each pair that sends both ways renders
+        ``lo<->hi`` in the order of its first send, then each one-way
+        send ``src->dst`` (``0<->4  3->5``)."""
+        rows = list(zip(*self.columns[:3].tolist()))
+        sent = set(rows)
+        seen: Set[Tuple[int, int, int]] = set()
+        exchanges: List[List[str]] = [[] for _ in range(self.nsteps)]
+        singles: List[List[str]] = [[] for _ in range(self.nsteps)]
+        for step, src, dst in rows:
+            seen.add((step, src, dst))
+            if (step, dst, src) not in sent:
+                singles[step].append(f"{src}->{dst}")
+            elif (step, dst, src) not in seen:
+                exchanges[step].append(f"{min(src, dst)}<->{max(src, dst)}")
         lines = [f"{self.name} ({self.nprocs} processors, {self.nsteps} steps)"]
-        for i, step in enumerate(self.steps, start=1):
-            lines.append(f"  Step {i}: {step.render()}")
+        for i, (pairs, sends) in enumerate(zip(exchanges, singles), start=1):
+            lines.append(f"  Step {i}: " + "  ".join(pairs + sends))
         return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
 # Columns
 # ----------------------------------------------------------------------
-_set = object.__setattr__
-
-
-def _new_transfer(src: int, dst: int, nbytes: int, pack: int, unpack: int) -> Transfer:
-    """A :class:`Transfer` from fields that are already checked, set as
-    ``__init__`` sets them: writing ``__dict__`` before any ``Transfer(...)``
-    ran makes every later ``Transfer`` in the process twice as large."""
-    t = object.__new__(Transfer)
-    _set(t, "src", src)
-    _set(t, "dst", dst)
-    _set(t, "nbytes", nbytes)
-    _set(t, "pack_bytes", pack)
-    _set(t, "unpack_bytes", unpack)
-    return t
-
-
 def check_transfer(src: int, dst: int, nbytes: int, pack: int, unpack: int) -> None:
-    """A transfer's own checks on integer fields, in the constructor's
-    order and with its texts: no self-transfer, no negative byte count,
-    every field fits int64."""
+    """A transfer's own checks on integer fields: no self-transfer, no
+    negative byte count, every field fits int64.  The texts are the ones
+    ``repro validate --schedule`` prints."""
     if src == dst:
         raise ScheduleError(f"self-transfer at rank {src}")
     if nbytes < 0 or pack < 0 or unpack < 0:
-        t = _new_transfer(src, dst, nbytes, pack, unpack)
-        raise ScheduleError(f"negative byte count in {t}")
+        raise ScheduleError(
+            f"negative byte count in Transfer(src={src}, dst={dst}, "
+            f"nbytes={nbytes}, pack_bytes={pack}, unpack_bytes={unpack})"
+        )
     values = (src, dst, nbytes, pack, unpack)
     if min(src, dst) < _INT64_MIN or max(values) > _INT64_MAX:
         for name, value in zip(_FIELDS, values):
@@ -316,7 +196,7 @@ def transfer_columns(
 ) -> np.ndarray:
     """The :data:`COLUMNS` rows of transfers given field by field (arrays,
     or scalars broadcast to them), ``staged`` pack and unpack bytes each;
-    :meth:`Schedule.from_columns` rejects a non-integer field's array."""
+    :class:`Schedule` rejects a non-integer field's array."""
     return np.stack(np.broadcast_arrays(step, src, dst, nbytes, staged, staged))
 
 
@@ -386,12 +266,12 @@ def _check_columns(
     exchange_order: str,
     nsteps: Optional[int] = None,
 ) -> int:
-    """The one validity gate of every schedule, run by both constructors
+    """The one validity gate of every schedule, run by its constructor
     on its columns; returns the step count (``nsteps``, by default one
     past the last transfer's step).
 
-    The first error raised is the one building the steps in order would
-    meet first: a transfer's own (self, sign) or its step's duplicate
+    The first error raised is the one a transfer-by-transfer read in
+    step order would meet first: a transfer's own (self, sign) or its step's duplicate
     pair, then the schedule's (exchange order, processor count, rank
     range, step count).  ``nprocs`` is a non-bool integer in
     2..:data:`MAX_NPROCS`: a :class:`~repro.schedules.pattern.CommPattern`
@@ -433,30 +313,3 @@ def _check_columns(
     if nsteps > MAX_STEPS:
         raise ScheduleError(f"schedule has {nsteps} steps, more than {MAX_STEPS}")
     return nsteps
-
-
-def _steps_of(cols: np.ndarray, nsteps: int) -> Tuple[Step, ...]:
-    """The ``nsteps`` :class:`Step` tuple of checked columns."""
-    step = cols[0]
-    transfers = [_new_transfer(*row) for row in zip(*cols[1:].tolist())]
-    bounds = np.searchsorted(step, np.arange(nsteps + 1)).tolist()
-    steps = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        s = object.__new__(Step)
-        _set(s, "transfers", tuple(transfers[lo:hi]))
-        steps.append(s)
-    return tuple(steps)
-
-
-def _columns_of(steps: Tuple[Step, ...]) -> np.ndarray:
-    """One pass over ``steps`` into :data:`COLUMNS` rows."""
-    flat = [
-        value
-        for i, step in enumerate(steps)
-        for t in step.transfers
-        for value in (i, t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes)
-    ]
-    cols = np.frombuffer(array("q", flat), dtype=np.int64)
-    cols = cols.reshape(-1, len(COLUMNS)).T.copy()
-    cols.setflags(write=False)
-    return cols

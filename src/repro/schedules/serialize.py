@@ -16,13 +16,12 @@ store-and-forward schedules (REX) round-trip exactly.
 Both directions work on the int64 step columns
 (:attr:`~repro.schedules.schedule.Schedule.columns`): the writer splits
 them at the step bounds, and the reader checks the decoded rows in one
-pass and builds the columns with one array, so neither makes a
-``Transfer`` object.  Every malformed document raises the
-:class:`ScheduleError` a transfer-by-transfer read would, first error
-in document order first; a document the one-pass check refuses is
-re-read row by row to find it.  Empty steps survive a round trip, a
-trailing one too (the reader passes the document's step count to
-:meth:`~repro.schedules.schedule.Schedule.from_columns`).
+pass and builds the columns with one array.  Every malformed document
+raises the :class:`ScheduleError` a transfer-by-transfer read would,
+first error in document order first; a document the one-pass check
+refuses is re-read row by row to find it.  Empty steps survive a round
+trip, a trailing one too (the reader passes the document's step count
+to :class:`~repro.schedules.schedule.Schedule`).
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def _decode(doc: dict) -> Schedule:
         if type(nprocs) is not int:
             raise _not_int("nprocs", nprocs)
         cols = _columns(steps)
-    return Schedule.from_columns(
+    return Schedule(
         nprocs, cols, str(doc["name"]), str(doc["exchange_order"]), len(steps)
     )
 

@@ -46,8 +46,7 @@ go beyond it:
   error.
 
 Every check reads :attr:`Schedule.columns
-<repro.schedules.schedule.Schedule.columns>`, so linting a column-built
-schedule makes no :class:`~repro.schedules.schedule.Transfer`; findings
+<repro.schedules.schedule.Schedule.columns>` in NumPy passes; findings
 are built only for the failing rows.
 
 Use :func:`lint_schedule` for a report, :func:`validate_schedule` to

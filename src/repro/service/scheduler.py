@@ -207,7 +207,7 @@ def _relabel(schedule: Schedule, mapping: np.ndarray, name: str) -> Schedule:
     """Apply a rank mapping to every transfer (steps keep their order)."""
     cols = schedule.columns.copy()
     cols[1:3] = mapping[cols[1:3]]
-    return Schedule.from_columns(
+    return Schedule(
         schedule.nprocs, cols, name, schedule.exchange_order
     )
 
@@ -237,7 +237,7 @@ def adapt_schedule(
     the same root-traffic spreading
     :func:`~repro.schedules.repair.repair_schedule` applies, here
     rebalancing around the edits.  All of it reads and writes the
-    donor's columns; no ``Transfer`` is made.
+    donor's columns.
 
     Returns ``None`` for store-and-forward donors (their steps carry
     data dependencies; editing them is not sound).  Callers must lint
@@ -285,7 +285,7 @@ def adapt_schedule(
     seat[rank_steps(out, nsteps, config)] = np.arange(nsteps)
     out[0] = seat[step]
     perm = np.argsort(out[0], kind="stable")
-    return Schedule.from_columns(
+    return Schedule(
         donor.nprocs,
         out[:, perm],
         name=f"{_base_name(donor.name)}+warm",

@@ -22,11 +22,13 @@ from repro.faults import (
     NodeStraggler,
 )
 from repro.machine import CM5Params, MachineConfig
-from repro.runtime import Distribution, build_plan, run_gather
 from repro.schedules import (
+    CommPattern,
     execute_schedule,
+    greedy_schedule,
     pairwise_exchange,
     recursive_exchange,
+    schedule_program,
 )
 
 CFG8 = MachineConfig(8, CM5Params(routing_jitter=0.0))
@@ -133,17 +135,40 @@ def test_retry_policy_budget_is_respected():
 
 
 def test_gather_values_correct_under_drops():
-    d = Distribution.block(64, 8)
+    """An irregular gather moves real values through a GS schedule's
+    payload-carrying sends; the reliable sends repair every drop, so
+    each rank receives every requested off-rank value intact."""
     rng = np.random.default_rng(3)
     requests = [rng.integers(0, 64, size=12) for _ in range(8)]
-    plan = build_plan(d, requests)
     data = rng.normal(size=64)
-    res = run_gather(
-        plan, CFG8, data, faults=FaultPlan((MessageDrop(0.3),), seed=11)
-    )
-    for r in range(8):
-        for g in requests[r]:
-            assert res.resolved[r][int(g)] == data[int(g)]
+    owner = np.arange(64) // 8  # a block distribution
+    needs = [
+        {int(src): g[owner[g] == src] for src in np.unique(owner[g]) if src != r}
+        for r, g in enumerate(np.unique(req) for req in requests)
+    ]
+    matrix = np.zeros((8, 8), dtype=np.int64)
+    for r, wanted in enumerate(needs):
+        for src, g in wanted.items():
+            matrix[src, r] = 8 * g.size
+    sched = greedy_schedule(CommPattern(matrix))
+
+    def program(comm: Comm):
+        outbox = {
+            dst: data[wanted[comm.rank]]
+            for dst, wanted in enumerate(needs)
+            if comm.rank in wanted
+        }
+        inbox = {}
+        yield from schedule_program(comm, sched, outbox=outbox, inbox=inbox)
+        return inbox
+
+    plan = FaultPlan((MessageDrop(0.3),), seed=11)
+    sim = run_spmd(CFG8, program, faults=plan, trace=True)
+    assert sim.trace.summary().retry_count > 0
+    for r, wanted in enumerate(needs):
+        assert sorted(sim.results[r]) == sorted(wanted)
+        for src, g in wanted.items():
+            assert sim.results[r][src].tolist() == data[g].tolist()
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,11 @@ from repro.schedules import (
     validate_schedule,
 )
 
-from ..schedules.checks import assert_one_receive_per_rank_per_step
+from ..schedules.checks import (
+    assert_one_receive_per_rank_per_step,
+    schedule_of,
+    steps_of,
+)
 from ..schedules.scalar_oracles import old_rank_steps
 
 BUILDERS = {
@@ -76,7 +80,7 @@ def _step_multiset(sched):
     """Canonical, order-insensitive rendering of a schedule's steps."""
     return sorted(
         sorted((t.src, t.dst, t.nbytes, t.pack_bytes, t.unpack_bytes) for t in s)
-        for s in sched.steps
+        for s in steps_of(sched)
     )
 
 
@@ -97,17 +101,18 @@ def old_repair_schedule(schedule, plan, config):
     """The per-step repair: permute the ``Step`` objects."""
     from repro.faults.model import FaultModel
     from repro.machine.fattree import fat_tree_for
-    from repro.schedules import Schedule
 
     if not plan.stragglers and not plan.link_degrades:
         return schedule
     model = FaultModel(plan, fat_tree_for(config))
-    order = old_rank_steps(schedule.steps, config, model)
+    steps = steps_of(schedule)
+    order = old_rank_steps(steps, config, model)
     name = schedule.name
     if not name.endswith("+repair"):
         name = f"{name}+repair"
-    steps = tuple(schedule.steps[i] for i in order)
-    return Schedule(schedule.nprocs, steps, name, schedule.exchange_order)
+    return schedule_of(
+        schedule.nprocs, [steps[i] for i in order], name, schedule.exchange_order
+    )
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -145,8 +150,8 @@ def test_repair_is_deterministic(pattern, plan):
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     sched = pairwise_schedule(pattern)
     assert (
-        repair_schedule(sched, plan, cfg).steps
-        == repair_schedule(sched, plan, cfg).steps
+        steps_of(repair_schedule(sched, plan, cfg))
+        == steps_of(repair_schedule(sched, plan, cfg))
     )
 
 
@@ -191,7 +196,7 @@ def test_step_cost_scales_software_not_wire():
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     params = cfg.params
     nbytes = 4096
-    step = Schedule.from_columns(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
+    step = Schedule(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
     factor = 5.0
     plan = FaultPlan((NodeStraggler(0, factor),))
     model = FaultModel(plan, fat_tree_for(cfg))
@@ -223,7 +228,7 @@ def test_step_cost_link_degrade_scales_wire_only():
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     params = cfg.params
     nbytes = 4096
-    step = Schedule.from_columns(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
+    step = Schedule(8, [[0], [0], [1], [nbytes], [0], [0]]).columns
     plan = FaultPlan((LinkDegrade(1, 0, 0.25),))
     model = FaultModel(plan, fat_tree_for(cfg))
     level = cfg.route_level(0, 1)
@@ -242,7 +247,7 @@ def test_repair_is_idempotent(name, pattern, plan):
     cfg = MachineConfig(8, CM5Params(routing_jitter=0.0))
     once = repair_schedule(BUILDERS[name](pattern), plan, cfg)
     twice = repair_schedule(once, plan, cfg)
-    assert twice.steps == once.steps
+    assert steps_of(twice) == steps_of(once)
 
 
 def test_repair_never_doubles_the_suffix():

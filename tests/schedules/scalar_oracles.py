@@ -13,6 +13,8 @@ from repro.machine.params import FAT_TREE_ARITY, wire_bytes
 from repro.schedules.metrics import StepLocality
 from repro.sim.packets import PacketMessage, PacketNetwork
 
+from .checks import steps_of
+
 
 # ----------------------------------------------------------------------
 # estimate.py
@@ -68,7 +70,7 @@ def old_estimate_step_time(step, config, params=None):
 
 
 def old_estimate_schedule_time(schedule, config, params=None):
-    return sum(old_estimate_step_time(s, config, params) for s in schedule.steps)
+    return sum(old_estimate_step_time(s, config, params) for s in steps_of(schedule))
 
 
 # ----------------------------------------------------------------------
@@ -153,7 +155,7 @@ def old_analyze(schedule, config) -> Tuple[List[StepLocality], List[frozenset]]:
     top = config.levels
     per_step = []
     participants = []
-    for idx, step in enumerate(schedule.steps):
+    for idx, step in enumerate(steps_of(schedule)):
         participants.append(frozenset({t.src for t in step} | {t.dst for t in step}))
         n_local = n_global = 0
         b_local = b_global = b_root = 0
@@ -179,7 +181,7 @@ def old_packet_schedule_time(schedule, config):
     params = config.params
     net = PacketNetwork(fat_tree_for(config))
     total = 0.0
-    for step in schedule.steps:
+    for step in steps_of(schedule):
         messages = [PacketMessage(t.src, t.dst, t.nbytes) for t in step]
         wire_done = max(net.run(messages), default=0.0)
         endpoint: Dict[int, float] = defaultdict(float)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.schedules import linear_broadcast, recursive_broadcast
 
-from .checks import transfers
+from .checks import steps_of, transfers
 
 
 class TestLIB:
@@ -13,7 +13,7 @@ class TestLIB:
 
     def test_all_sends_from_root(self):
         s = linear_broadcast(8, 3, 64)
-        for step in s.steps:
+        for step in steps_of(s):
             (t,) = step.transfers
             assert t.src == 3
 
@@ -34,7 +34,7 @@ class TestREB:
         s = recursive_broadcast(8, 0, 64)
         assert s.nsteps == 3
         step_pairs = [
-            {(t.src, t.dst) for t in step} for step in s.steps
+            {(t.src, t.dst) for t in step} for step in steps_of(s)
         ]
         assert step_pairs[0] == {(0, 4)}
         assert step_pairs[1] == {(0, 2), (4, 6)}
@@ -49,7 +49,7 @@ class TestREB:
         """Store-and-forward sanity: nobody forwards before receiving."""
         s = recursive_broadcast(32, 0, 64)
         have = {0}
-        for step in s.steps:
+        for step in steps_of(s):
             for t in step:
                 assert t.src in have, f"{t.src} forwards before receiving"
             have |= {t.dst for t in step}
@@ -59,7 +59,7 @@ class TestREB:
     def test_arbitrary_root_by_rotation(self, root):
         s = recursive_broadcast(16, root, 64)
         have = {root}
-        for step in s.steps:
+        for step in steps_of(s):
             for t in step:
                 assert t.src in have
             have |= {t.dst for t in step}
@@ -70,7 +70,7 @@ class TestREB:
         s = recursive_broadcast(8, 3, 64, group=group)
         assert s.nsteps == 2
         members = {3}
-        for step in s.steps:
+        for step in steps_of(s):
             for t in step:
                 assert t.src in members and t.dst in set(group)
             members |= {t.dst for t in step}

@@ -1,13 +1,13 @@
 """Column-built schedules against step-built ones.
 
-Every builder (PEX/BEX/LEX/REX, PS/BS/LS/GS, the broadcasts, shift,
-coloring and the mesh schedules) makes int64 step columns
-(:meth:`Schedule.from_columns`).  The oracles here are the per-transfer
-loops those builders used to be: the column-built schedule must have
-the same ``steps``, serialize to the same bytes, and agree with its
-step-built twin under ``==``, ``hash``, ``repr`` and
-``dataclasses.replace``.  ``from_columns`` must reject exactly what the
-``steps`` constructor rejects, with the same first error.
+Every builder (PEX/BEX/LEX/REX, PS/BS/LS/GS, the broadcasts and
+coloring) makes int64 step columns.  The oracles here are the
+per-transfer loops those builders used to be, building their schedules
+step by step (:func:`~tests.schedules.checks.schedule_of`): the
+builder's schedule must have the same steps, serialize to the same
+bytes, and agree with the oracle's under ``==``, ``hash``, ``repr`` and
+``dataclasses.replace``.  ``Schedule`` must reject exactly what a
+transfer-by-transfer build rejects, with the same first error.
 """
 
 import pickle
@@ -22,9 +22,6 @@ from repro.schedules import (
     CommPattern,
     Schedule,
     ScheduleError,
-    Step,
-    ProcessorMesh,
-    Transfer,
     balanced_exchange,
     balanced_schedule,
     coloring_schedule,
@@ -41,11 +38,10 @@ from repro.schedules import (
     recursive_exchange,
     rex_partner,
     schedule_to_json,
-    shift_schedule,
 )
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 
-from .checks import checked_step
+from .checks import Step, Transfer, checked_step, schedule_of, shift_pattern, steps_of
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +75,7 @@ def old_pairing_schedule(pattern, partner_fn, name):
                     transfers.append(Transfer(partner, rank, rev))
         if transfers:
             steps.append(Step(tuple(transfers)))
-    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
+    return schedule_of(n, steps, name, LOWER_RECV_FIRST)
 
 
 def old_uniform_pairing_schedule(nprocs, nbytes, partner_fn, name):
@@ -92,7 +88,7 @@ def old_uniform_pairing_schedule(nprocs, nbytes, partner_fn, name):
                 transfers.append(Transfer(rank, partner, nbytes))
                 transfers.append(Transfer(partner, rank, nbytes))
         steps.append(Step(tuple(transfers)))
-    return Schedule(nprocs, tuple(steps), name, LOWER_RECV_FIRST)
+    return schedule_of(nprocs, steps, name, LOWER_RECV_FIRST)
 
 
 def old_linear_schedule(pattern, name="LS"):
@@ -104,7 +100,7 @@ def old_linear_schedule(pattern, name="LS"):
         )
         if transfers:
             steps.append(Step(transfers))
-    return Schedule(nprocs=pattern.nprocs, steps=tuple(steps), name=name)
+    return schedule_of(nprocs=pattern.nprocs, steps=steps, name=name)
 
 
 def old_linear_exchange(nprocs, nbytes):
@@ -112,7 +108,7 @@ def old_linear_exchange(nprocs, nbytes):
         Step(tuple(Transfer(src=j, dst=i, nbytes=nbytes) for j in range(nprocs) if j != i))
         for i in range(nprocs)
     )
-    return Schedule(nprocs=nprocs, steps=steps, name="LEX")
+    return schedule_of(nprocs=nprocs, steps=steps, name="LEX")
 
 
 def old_greedy_schedule(pattern, order="lowest", name="GS"):
@@ -151,12 +147,11 @@ def old_greedy_schedule(pattern, order="lowest", name="GS"):
             pending.discard((t.src, t.dst))
             remaining[t.src].remove(t.dst)
         steps.append(Step(tuple(transfers)))
-    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
+    return schedule_of(n, steps, name, LOWER_RECV_FIRST)
 
 
 def assert_same_schedule(new, old):
-    """``new`` is column-built and not yet materialized."""
-    assert "steps" not in vars(new)
+    """``new`` is the builder's schedule, ``old`` its oracle's."""
     assert (new.nsteps, new.n_messages, new.total_bytes) == (
         old.nsteps,
         old.n_messages,
@@ -164,7 +159,6 @@ def assert_same_schedule(new, old):
     )
     assert np.array_equal(new.columns, old.columns)
     assert new == old and hash(new) == hash(old)
-    assert new.steps == old.steps
     assert schedule_to_json(new) == schedule_to_json(old)
     renamed = replace(new, name="renamed")
     assert renamed == replace(old, name="renamed")
@@ -200,9 +194,7 @@ def test_linear_exchange_on_any_size(nprocs):
 def test_repr_and_pickle_match(name):
     build, old = EXCHANGES[name]
     assert repr(build(16, 8)) == repr(old(16, 8))
-    # Pickled before its steps are read, a schedule keeps its columns.
     copy = pickle.loads(pickle.dumps(build(16, 8)))
-    assert "steps" not in vars(copy)
     assert copy == old(16, 8)
 
 
@@ -280,7 +272,7 @@ def test_non_integral_nbytes_rejected():
 
 
 # ----------------------------------------------------------------------
-# REX, the broadcasts, shift, coloring and the mesh builders
+# REX, the broadcasts and coloring
 # ----------------------------------------------------------------------
 def old_recursive_exchange(nprocs, nbytes):
     staged = nbytes * (nprocs // 2)
@@ -294,7 +286,7 @@ def old_recursive_exchange(nprocs, nbytes):
                 )
             )
         )
-    return Schedule(nprocs, tuple(steps), "REX", LOWER_SEND_FIRST)
+    return schedule_of(nprocs, steps, "REX", LOWER_SEND_FIRST)
 
 
 def old_linear_broadcast(nprocs, root, nbytes, group=None):
@@ -302,7 +294,7 @@ def old_linear_broadcast(nprocs, root, nbytes, group=None):
     steps = tuple(
         Step((Transfer(root, dst, nbytes),)) for dst in members if dst != root
     )
-    return Schedule(nprocs=nprocs, steps=steps, name="LIB")
+    return schedule_of(nprocs=nprocs, steps=steps, name="LIB")
 
 
 def old_recursive_broadcast(nprocs, root, nbytes, group=None):
@@ -324,22 +316,14 @@ def old_recursive_broadcast(nprocs, root, nbytes, group=None):
                 )
             )
         )
-    return Schedule(nprocs=nprocs, steps=tuple(steps), name="REB")
-
-
-def old_shift_schedule(nprocs, offset, nbytes):
-    k = offset % nprocs
-    if k == 0:
-        return Schedule(nprocs=nprocs, steps=(), name="SHIFT0")
-    transfers = tuple(Transfer(s, (s + k) % nprocs, nbytes) for s in range(nprocs))
-    return Schedule(nprocs=nprocs, steps=(Step(transfers),), name=f"SHIFT{offset:+d}")
+    return schedule_of(nprocs=nprocs, steps=steps, name="REB")
 
 
 def old_coloring_schedule(pattern, name="OPT"):
     n = pattern.nprocs
     ncolors = optimal_step_count(pattern)
     if ncolors == 0:
-        return Schedule(nprocs=n, steps=(), name=name)
+        return schedule_of(nprocs=n, steps=(), name=name)
     sender_color = [dict() for _ in range(n)]
     recv_color = [dict() for _ in range(n)]
 
@@ -389,36 +373,7 @@ def old_coloring_schedule(pattern, name="OPT"):
         )
         if transfers:
             steps.append(Step(transfers))
-    return Schedule(n, tuple(steps), name, LOWER_RECV_FIRST)
-
-
-def old_line_exchange(mesh, lines, nbytes, name):
-    size = len(lines[0])
-    steps = [[] for _ in range(size - 1)]
-    for members in lines:
-        for j in range(1, size):
-            for a in range(size):
-                b = a ^ j
-                if a < b:
-                    steps[j - 1].append(Transfer(members[a], members[b], nbytes))
-                    steps[j - 1].append(Transfer(members[b], members[a], nbytes))
-    steps = tuple(Step(tuple(s)) for s in steps)
-    return Schedule(mesh.nprocs, steps, name, LOWER_RECV_FIRST)
-
-
-def old_transpose(mesh, nbytes):
-    transfers = tuple(
-        Transfer(mesh.rank_of(i, j), mesh.rank_of(j, i), nbytes)
-        for i in range(mesh.rows)
-        for j in range(mesh.cols)
-        if i != j
-    )
-    return Schedule(mesh.nprocs, (Step(transfers),), "GRIDT", LOWER_RECV_FIRST)
-
-
-def old_line_broadcast(mesh, group, root, nbytes, name):
-    sched = old_recursive_broadcast(mesh.nprocs, root, nbytes, group=group)
-    return Schedule(mesh.nprocs, sched.steps, name, sched.exchange_order)
+    return schedule_of(n, steps, name, LOWER_RECV_FIRST)
 
 
 @pytest.mark.parametrize("nbytes", [0, 1, 700])
@@ -453,12 +408,26 @@ def test_group_broadcasts_match_the_per_transfer_loops(group, root):
     )
 
 
+def old_shift_schedule(nprocs, offset, nbytes):
+    k = offset % nprocs
+    if k == 0:
+        return schedule_of(nprocs=nprocs, steps=(), name="SHIFT0")
+    transfers = tuple(Transfer(s, (s + k) % nprocs, nbytes) for s in range(nprocs))
+    return schedule_of(nprocs=nprocs, steps=(Step(transfers),), name=f"SHIFT{offset:+d}")
+
+
 @pytest.mark.parametrize("offset", [-17, -1, 0, 1, 3, 16, 31])
 @pytest.mark.parametrize("nprocs", [2, 5, 16])
 def test_shift_matches_the_per_transfer_loop(nprocs, offset):
-    assert_same_schedule(
-        shift_schedule(nprocs, offset, 48), old_shift_schedule(nprocs, offset, 48)
-    )
+    # A shift is a permutation: the optimal coloring schedules it as the
+    # one step of the per-transfer shift loop, in the loop's order, and
+    # GS finds the same step (an N/2 shift as exchange pairs).
+    old = old_shift_schedule(nprocs, offset, 48)
+    pattern = shift_pattern(nprocs, offset, 48)
+    assert_same_schedule(coloring_schedule(pattern, name=old.name), old)
+    gs = greedy_schedule(pattern)
+    assert gs.nsteps == old.nsteps
+    assert sorted(zip(*gs.columns.tolist())) == sorted(zip(*old.columns.tolist()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -467,33 +436,8 @@ def test_coloring_matches_the_per_transfer_loop(pattern):
     assert_same_schedule(coloring_schedule(pattern), old_coloring_schedule(pattern))
 
 
-@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 2), (4, 2), (4, 4), (8, 8), (2, 16)])
-def test_mesh_builders_match_the_per_transfer_loops(shape):
-    mesh = ProcessorMesh(*shape)
-    rows = [mesh.row_ranks(i) for i in range(mesh.rows)]
-    cols = [mesh.col_ranks(j) for j in range(mesh.cols)]
-    exchanges = ((rows, mesh.row_exchange, "ROWXCHG"), (cols, mesh.col_exchange, "COLXCHG"))
-    for lines, build, name in exchanges:
-        if len(lines[0]) & (len(lines[0]) - 1) == 0:
-            assert_same_schedule(build(64), old_line_exchange(mesh, lines, 64, name))
-    if mesh.rows == mesh.cols:
-        assert_same_schedule(mesh.transpose_permutation(80), old_transpose(mesh, 80))
-    i, j = mesh.rows - 1, mesh.cols // 2
-    root = mesh.rank_of(i, j)
-    if mesh.cols & (mesh.cols - 1) == 0:
-        assert_same_schedule(
-            mesh.row_broadcast(i, j, 500),
-            old_line_broadcast(mesh, mesh.row_ranks(i), root, 500, f"ROWBCAST[{i}]"),
-        )
-    if mesh.rows & (mesh.rows - 1) == 0:
-        assert_same_schedule(
-            mesh.col_broadcast(j, i, 500),
-            old_line_broadcast(mesh, mesh.col_ranks(j), root, 500, f"COLBCAST[{j}]"),
-        )
-
-
 # ----------------------------------------------------------------------
-# from_columns checks: the steps constructor's errors, first one first.
+# The constructor's checks: a per-transfer build's errors, first one first.
 # ----------------------------------------------------------------------
 def steps_built(nprocs, cols, order):
     """Build the same schedule the per-transfer way (raises the same)."""
@@ -504,7 +448,7 @@ def steps_built(nprocs, cols, order):
         checked_step([Transfer(*row) for s, row in zip(step, rows) if s == i])
         for i in range(nsteps)
     )
-    return Schedule(nprocs, steps, "drawn", order)
+    return schedule_of(nprocs, steps, "drawn", order)
 
 
 def outcome(build):
@@ -545,9 +489,9 @@ def column_sets(draw):
         LOWER_RECV_FIRST,
     )
 )
-def test_from_columns_raises_what_the_steps_constructor_raises(case):
+def test_columns_raise_what_a_per_transfer_build_raises(case):
     n, cols, order = case
-    got = outcome(lambda: Schedule.from_columns(n, cols, "drawn", order))
+    got = outcome(lambda: Schedule(n, cols, "drawn", order))
     want = outcome(lambda: steps_built(n, cols, order))
     if isinstance(want, str):
         assert got == want
@@ -555,14 +499,14 @@ def test_from_columns_raises_what_the_steps_constructor_raises(case):
         assert_same_schedule(got, want)
 
 
-def test_from_columns_names_the_first_repeat():
+def test_columns_name_the_first_repeat():
     # 0->1 occurs first, but 2->3 is the first transfer to repeat.
     cols = np.array(
         [[0, 0, 0, 0], [0, 2, 2, 0], [1, 3, 3, 1], [8] * 4, [0] * 4, [0] * 4]
     )
     want = outcome(lambda: steps_built(4, cols, LOWER_RECV_FIRST))
     assert want == "duplicate transfer 2->3 in step"
-    assert outcome(lambda: Schedule.from_columns(4, cols)) == want
+    assert outcome(lambda: Schedule(4, cols)) == want
 
 
 @pytest.mark.parametrize(
@@ -577,23 +521,22 @@ def test_from_columns_names_the_first_repeat():
     ],
     ids=["float", "bool", "uint64", "shape", "decreasing", "negative-step"],
 )
-def test_from_columns_rejects_malformed_columns(columns, message):
+def test_malformed_columns_rejected(columns, message):
     with pytest.raises(ScheduleError, match=message):
-        Schedule.from_columns(4, columns)
+        Schedule(4, columns)
 
 
-def test_from_columns_counts_trailing_empty_steps():
+def test_nsteps_counts_trailing_empty_steps():
     cols = np.array([[0, 1], [0, 2], [1, 3], [8, 8], [0, 0], [0, 0]])
-    sched = Schedule.from_columns(4, cols, nsteps=4)
+    sched = Schedule(4, cols, nsteps=4)
     assert sched.nsteps == 4
-    assert sched == Schedule(4, Schedule.from_columns(4, cols).steps + (Step(()),) * 2)
+    assert sched == schedule_of(4, steps_of(Schedule(4, cols)) + (Step(()),) * 2)
     with pytest.raises(ScheduleError, match="1 steps cannot hold step index 1"):
-        Schedule.from_columns(4, cols, nsteps=1)
+        Schedule(4, cols, nsteps=1)
 
 
-def test_columns_are_read_only_and_cached():
-    sched = pairwise_exchange(8, 64)
+def test_columns_are_read_only_and_c_contiguous():
+    cols = np.asfortranarray(pairwise_exchange(8, 64).columns)
+    sched = Schedule(8, cols, "PEX")
+    assert sched.columns is not cols and sched.columns.flags.c_contiguous
     assert not sched.columns.flags.writeable
-    built = Schedule(8, sched.steps, "PEX")
-    assert built.columns is built.columns
-    assert not built.columns.flags.writeable

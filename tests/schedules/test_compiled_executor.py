@@ -17,38 +17,26 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.cmmd import run_spmd
-from repro.faults import FaultPlan, LinkDegrade, NodeStraggler
+from repro.faults import FaultPlan, NodeStraggler
 from repro.machine import CM5Params, MachineConfig
 from repro.machine._fastfill import kernel
-from repro.resilience import adaptive_execute
 from repro.schedules import (
     CommPattern,
-    ProcessorMesh,
-    analyze,
-    auto_schedule,
-    coloring_schedule,
-    estimate_schedule_time,
     execute_schedule,
-    linear_broadcast,
     lint_schedule,
-    local_schedule,
     pairwise_exchange,
-    recursive_broadcast,
     recursive_exchange,
-    repair_schedule,
     schedule_from_json,
     schedule_irregular,
     schedule_program,
     schedule_to_json,
-    shift_schedule,
     validate_schedule,
 )
-from repro.schedules import schedule as schedule_module
 from repro.schedules.executor import compiled_program
 from repro.schedules.irregular import EXCHANGE_ALGORITHMS, IRREGULAR_ALGORITHMS
-from repro.schedules.schedule import Schedule, Step, Transfer
 from repro.sim.engine import DeadlockError, Engine
-from repro.sim.packets import packet_schedule_time
+
+from .checks import Transfer, schedule_of
 
 needs_kernel = pytest.mark.skipif(
     kernel() is None, reason="compiled kernel not loaded"
@@ -149,107 +137,29 @@ def test_untraced_default_run_takes_the_compiled_executor():
     assert res.sim.message_count == 56
 
 
-def counting_transfers(monkeypatch):
-    """A list that grows by one per Transfer object made.  Transfers
-    come from the validating constructor or, for a column-built
-    schedule's ``steps``, from ``_new_transfer``; both are counted."""
-    made = []
-    post_init, new_transfer = Transfer.__post_init__, schedule_module._new_transfer
-
-    def counted_post_init(self):
-        made.append(self)
-        post_init(self)
-
-    def counted_new_transfer(*fields):
-        made.append(fields)
-        return new_transfer(*fields)
-
-    monkeypatch.setattr(Transfer, "__post_init__", counted_post_init)
-    monkeypatch.setattr(schedule_module, "_new_transfer", counted_new_transfer)
-    return made
-
-
 @needs_kernel
-def test_untraced_exchange_constructs_no_transfer(monkeypatch):
-    """PEX is built as columns and compiled from them: an untraced run
-    never makes a Transfer object."""
-    made = counting_transfers(monkeypatch)
-    sched = pairwise_exchange(128, 512)
+def test_untraced_exchange_at_scale_takes_the_compiled_executor():
+    """PEX is built as columns and compiled from them: 128 ranks run in
+    the kernel's loop without resuming a generator."""
     with counting_resumes() as resumes:
-        res = execute_schedule(sched, MachineConfig(128))
+        res = execute_schedule(pairwise_exchange(128, 512), MachineConfig(128))
     assert res.sim.message_count == 128 * 127
     assert resumes[0] == 0
-    assert made == []
-    # The counters see both routes.
-    sched.steps
-    Transfer(0, 1, 8)
-    assert len(made) == 128 * 127 + 1
 
 
 @needs_kernel
-@pytest.mark.parametrize("algorithm", ["linear", "pairwise", "balanced", "greedy"])
-def test_untraced_irregular_op_constructs_no_transfer(monkeypatch, algorithm):
+@pytest.mark.parametrize("algorithm", IRREGULAR)
+def test_untraced_irregular_op_lints_runs_and_round_trips(algorithm):
     """Build, lint against the pattern, execute and serialize all read
-    the columns."""
-    made = counting_transfers(monkeypatch)
+    the columns: one irregular op end to end."""
     pattern = CommPattern.synthetic(32, 0.5, 256, seed=11)
     sched = schedule_irregular(pattern, algorithm)
     assert validate_schedule(sched, pattern).ok
-    res = execute_schedule(sched, MachineConfig(32))
-    text = schedule_to_json(sched)
-    assert made == []
+    with counting_resumes() as resumes:
+        res = execute_schedule(sched, MachineConfig(32))
+    assert resumes[0] == 0
     assert res.sim.message_count == pattern.n_operations
-    assert schedule_from_json(text) == sched
-
-
-def _pattern(n=16):
-    return CommPattern.synthetic(n, 0.5, 256, seed=11)
-
-
-_FAULTS = FaultPlan((NodeStraggler(3, 4.0, 2.0), LinkDegrade(2, 1, 0.25)))
-
-#: Everything below ``Schedule.steps`` that makes or reads a schedule.
-COLUMN_PATHS = {
-    "estimate": lambda: estimate_schedule_time(
-        schedule_irregular(_pattern(), "greedy"), MachineConfig(16)
-    ),
-    "auto_schedule": lambda: auto_schedule(_pattern(), MachineConfig(16)),
-    "local_schedule": lambda: local_schedule(_pattern()),
-    "repair_schedule": lambda: repair_schedule(
-        schedule_irregular(_pattern(), "balanced"), _FAULTS, MachineConfig(16)
-    ),
-    "analyze": lambda: analyze(pairwise_exchange(16, 64), MachineConfig(16)),
-    "packet_schedule_time": lambda: packet_schedule_time(
-        recursive_exchange(8, 64), MachineConfig(8)
-    ),
-    "adaptive_execute": lambda: adaptive_execute(
-        schedule_irregular(_pattern(), "greedy"), MachineConfig(16), faults=_FAULTS
-    ),
-    "REX": lambda: recursive_exchange(16, 64),
-    "LIB": lambda: linear_broadcast(16, 2, 64, group=[1, 2, 5, 9]),
-    "REB": lambda: recursive_broadcast(16, 2, 64),
-    "shift": lambda: shift_schedule(16, -5, 64),
-    "coloring": lambda: coloring_schedule(_pattern()),
-    "mesh2d": lambda: [
-        build(ProcessorMesh(4, 4))
-        for build in (
-            lambda m: m.row_exchange(64),
-            lambda m: m.col_exchange(64),
-            lambda m: m.row_broadcast(1, 2, 64),
-            lambda m: m.col_broadcast(3, 0, 64),
-            lambda m: m.transpose_permutation(64),
-        )
-    ],
-}
-
-
-@pytest.mark.parametrize("path", sorted(COLUMN_PATHS))
-def test_column_paths_construct_no_transfer(monkeypatch, path):
-    """Builders emit columns and readers price from them: the
-    ``Transfer`` view is for rendering, tests and debugging only."""
-    made = counting_transfers(monkeypatch)
-    COLUMN_PATHS[path]()
-    assert made == []
+    assert schedule_from_json(schedule_to_json(sched)) == sched
 
 
 @pytest.mark.parametrize(
@@ -293,10 +203,8 @@ def test_deadlock_raises_the_generator_paths_error():
         [(3, 0), (0, 1), (2, 1), (1, 0)],
         [(2, 0), (3, 1), (0, 3), (1, 3)],
     ]
-    sched = Schedule(
-        4,
-        tuple(Step(tuple(Transfer(a, b, 64) for a, b in s)) for s in steps),
-        name="hand",
+    sched = schedule_of(
+        4, [[Transfer(a, b, 64) for a, b in s] for s in steps], name="hand"
     )
     config = MachineConfig(4)
     if kernel() is not None:

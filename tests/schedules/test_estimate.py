@@ -66,14 +66,13 @@ class TestProperties:
         assert large > small
 
     def test_empty_schedule_is_free(self, cfg32):
-        from repro.schedules import shift_schedule
-
-        assert estimate_schedule_time(shift_schedule(32, 0, 64), cfg32) == 0.0
+        empty = np.zeros((6, 0), dtype=np.int64)
+        assert estimate_schedule_time(Schedule(32, empty, "SHIFT0"), cfg32) == 0.0
 
     def test_zero_step_schedule_costs_a_float(self, cfg32):
         # A bare sum of no step times would be the int 0.
         empty = np.zeros((6, 0), dtype=np.int64)
-        for sched in (Schedule(32, ()), Schedule.from_columns(32, empty, nsteps=3)):
+        for sched in (Schedule(32, empty), Schedule(32, empty, nsteps=3)):
             cost = estimate_schedule_time(sched, cfg32)
             assert type(cost) is float and cost.hex() == (0.0).hex()
 
@@ -104,7 +103,7 @@ class TestProperties:
         from repro.machine.params import wire_bytes
 
         cfg = MachineConfig(8, params)
-        step = Schedule.from_columns(8, [[0], [0], [1], [64], [4096], [1024]])
+        step = Schedule(8, [[0], [0], [1], [64], [4096], [1024]])
         wire = wire_bytes(64) / params.level_bandwidth(1)
         sender = params.zero_byte_latency + wire + params.memcpy_time(4096)
         receiver = params.zero_byte_latency + wire + params.memcpy_time(1024)

@@ -20,22 +20,20 @@ from repro.machine.fattree import fat_tree_for
 from repro.schedules import (
     CommPattern,
     Schedule,
-    Step,
-    Transfer,
     analyze,
+    coloring_schedule,
     estimate_schedule_time,
     estimate_step_times,
     linear_broadcast,
     local_schedule,
     recursive_broadcast,
     schedule_irregular,
-    shift_schedule,
 )
 from repro.schedules.irregular import EXCHANGE_ALGORITHMS
-from repro.schedules.mesh2d import ProcessorMesh
 from repro.schedules.repair import rank_steps, step_cost_estimate
 from repro.sim.packets import packet_schedule_time
 
+from .checks import Step, Transfer, schedule_of, steps_of
 from .scalar_oracles import (
     old_analyze,
     old_estimate_schedule_time,
@@ -66,8 +64,8 @@ def drawn_schedules(draw, sizes=SIZES):
     for _ in range(draw(st.integers(0, 5))):
         pairs = draw(st.lists(pair, unique=True, max_size=3 * n))
         fields = [(a, b, draw(BYTES), draw(BYTES), draw(BYTES)) for a, b in pairs]
-        steps.append(Step(tuple(Transfer(*f) for f in fields)))
-    return Schedule(n, tuple(steps), "drawn")
+        steps.append([Transfer(*f) for f in fields])
+    return schedule_of(n, steps, "drawn")
 
 
 @st.composite
@@ -107,7 +105,6 @@ def schedules_and_models(draw):
 def builders(n=16):
     """One schedule of every builder on ``n`` nodes."""
     pattern = CommPattern.synthetic(n, 0.5, 700, seed=4)
-    mesh = ProcessorMesh(4, n // 4)
     out = [build(n, 300) for build in EXCHANGE_ALGORITHMS.values()]
     out += [
         schedule_irregular(pattern, alg)
@@ -115,11 +112,9 @@ def builders(n=16):
     ]
     out += [
         local_schedule(pattern),
+        coloring_schedule(pattern),
         linear_broadcast(n, 3, 99),
         recursive_broadcast(n, 5, 2000),
-        shift_schedule(n, -3, 40),
-        mesh.row_exchange(64),
-        mesh.col_broadcast(1, 2, 500),
     ]
     return out
 
@@ -130,15 +125,15 @@ def builders(n=16):
 @settings(max_examples=300, deadline=None)
 @given(sched=drawn_schedules())
 @example(
-    sched=Schedule(
+    sched=schedule_of(
         8,
-        (Step((Transfer(0, 7, 2**62 + 1, 2**62, 3), Transfer(7, 0, 2**57 + 1))),),
+        [[Transfer(0, 7, 2**62 + 1, 2**62, 3), Transfer(7, 0, 2**57 + 1)]],
     )
 )
 def test_step_times_match_the_scalar_estimator(sched):
     config = MachineConfig(sched.nprocs)
     got = estimate_step_times(sched.columns, sched.nsteps, config)
-    want = [old_estimate_step_time(s, config) for s in sched.steps]
+    want = [old_estimate_step_time(s, config) for s in steps_of(sched)]
     assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
     assert estimate_schedule_time(sched, config).hex() == sum(want, 0.0).hex()
 
@@ -156,7 +151,7 @@ def test_estimate_takes_a_smaller_schedule_on_a_padded_machine():
     sched = schedule_irregular(CommPattern.synthetic(6, 0.6, 300, seed=1), "greedy")
     config = MachineConfig(8)
     got = estimate_step_times(sched.columns, sched.nsteps, config).tolist()
-    assert got == [old_estimate_step_time(s, config) for s in sched.steps]
+    assert got == [old_estimate_step_time(s, config) for s in steps_of(sched)]
 
 
 #: ``estimate_schedule_time(...).hex()`` on the conformance quick grid
@@ -208,7 +203,7 @@ def test_step_cost_estimate_matches_the_scalar_oracle(case):
     config = MachineConfig(sched.nprocs)
     for fault in (None, model):
         got = step_cost_estimate(sched.columns, sched.nsteps, config, fault)
-        want = [old_step_cost_estimate(s, config, fault) for s in sched.steps]
+        want = [old_step_cost_estimate(s, config, fault) for s in steps_of(sched)]
         assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
 
 
@@ -271,7 +266,7 @@ def test_analyze_matches_the_scalar_metrics(sched):
 @settings(max_examples=40, deadline=None)
 @given(sched=drawn_schedules(sizes=(2, 4, 8)))
 def test_packet_time_matches_the_scalar_backend(sched):
-    small = Schedule.from_columns(
+    small = Schedule(
         sched.nprocs,
         np.minimum(sched.columns, [[2**62]] + [[2**62]] * 2 + [[4096]] * 3),
         nsteps=sched.nsteps,

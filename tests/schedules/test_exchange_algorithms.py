@@ -14,7 +14,7 @@ from repro.schedules import (
     validate_schedule,
 )
 
-from .checks import assert_one_receive_per_rank_per_step, transfers
+from .checks import assert_one_receive_per_rank_per_step, steps_of, transfers
 
 
 class TestLEX:
@@ -22,7 +22,7 @@ class TestLEX:
         """Table 1: step i has processor i receiving from everyone else."""
         s = linear_exchange(8, 1)
         assert s.nsteps == 8
-        for i, step in enumerate(s.steps):
+        for i, step in enumerate(steps_of(s)):
             assert all(t.dst == i for t in step)
             assert sorted(t.src for t in step) == [j for j in range(8) if j != i]
 
@@ -47,10 +47,10 @@ class TestPEX:
         s = pairwise_exchange(8, 1)
         assert s.nsteps == 7
         expected_step1 = {(0, 1), (2, 3), (4, 5), (6, 7)}
-        pairs1 = {t.pair for t in s.steps[0]}
+        pairs1 = {t.pair for t in steps_of(s)[0]}
         assert pairs1 == expected_step1
         # Step 4 (j=4): partner across the machine half.
-        pairs4 = {t.pair for t in s.steps[3]}
+        pairs4 = {t.pair for t in steps_of(s)[3]}
         assert pairs4 == {(0, 4), (1, 5), (2, 6), (3, 7)}
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
@@ -61,7 +61,7 @@ class TestPEX:
 
     def test_each_step_is_perfect_matching(self):
         s = pairwise_exchange(16, 8)
-        for step in s.steps:
+        for step in steps_of(s):
             assert {t.src for t in step} | {t.dst for t in step} == set(range(16))
             exchanges, singles = step.exchanges_and_singles()
             assert not singles
@@ -81,9 +81,9 @@ class TestREX:
         entries; the figure's algorithm gives the canonical pairing)."""
         s = recursive_exchange(8, 1)
         assert s.nsteps == 3
-        assert {t.pair for t in s.steps[0]} == {(0, 4), (1, 5), (2, 6), (3, 7)}
-        assert {t.pair for t in s.steps[1]} == {(0, 2), (1, 3), (4, 6), (5, 7)}
-        assert {t.pair for t in s.steps[2]} == {(0, 1), (2, 3), (4, 5), (6, 7)}
+        assert {t.pair for t in steps_of(s)[0]} == {(0, 4), (1, 5), (2, 6), (3, 7)}
+        assert {t.pair for t in steps_of(s)[1]} == {(0, 2), (1, 3), (4, 6), (5, 7)}
+        assert {t.pair for t in steps_of(s)[2]} == {(0, 1), (2, 3), (4, 5), (6, 7)}
 
     def test_message_size_is_n_times_half_machine(self):
         s = recursive_exchange(8, 100)
@@ -124,7 +124,7 @@ class TestBEX:
     def test_figure4_step1_pairs(self):
         """Virtual renumbering: step 1 pairs (0,7),(1,2),(3,4),(5,6)."""
         s = balanced_exchange(8, 1)
-        assert {t.pair for t in s.steps[0]} == {(0, 7), (1, 2), (3, 4), (5, 6)}
+        assert {t.pair for t in steps_of(s)[0]} == {(0, 7), (1, 2), (3, 4), (5, 6)}
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_covers_complete_exchange(self, n):

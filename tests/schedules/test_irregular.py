@@ -1,5 +1,6 @@
 """LS / PS / BS / GS against the paper's Tables 7-10 (pattern 'P')."""
 
+import numpy as np
 import pytest
 
 from repro.schedules import (
@@ -7,6 +8,7 @@ from repro.schedules import (
     IRREGULAR_ALGORITHMS,
     algorithm_names,
     balanced_schedule,
+    coloring_schedule,
     greedy_schedule,
     linear_schedule,
     paper_pattern_P,
@@ -15,7 +17,7 @@ from repro.schedules import (
     validate_schedule,
 )
 
-from .checks import assert_one_receive_per_rank_per_step
+from .checks import assert_one_receive_per_rank_per_step, steps_of
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +38,7 @@ class TestLinearScheduling:
 
     def test_step_i_targets_processor_i(self, P):
         s = linear_schedule(P)
-        for i, step in enumerate(s.steps):
+        for i, step in enumerate(steps_of(s)):
             assert {t.dst for t in step} == {i}
 
     def test_only_pattern_messages_scheduled(self, P):
@@ -60,7 +62,7 @@ class TestPairwiseScheduling:
         assert pairwise_schedule(P).nsteps == 6
 
     def test_first_step_matches_table8(self, P):
-        ex, sg = pairs_of(pairwise_schedule(P).steps[0])
+        ex, sg = pairs_of(steps_of(pairwise_schedule(P))[0])
         assert ex == {(0, 1), (2, 3), (4, 5), (6, 7)}
         assert sg == set()
 
@@ -70,7 +72,7 @@ class TestPairwiseScheduling:
         assert_one_receive_per_rank_per_step(s)
 
     def test_pairs_follow_xor(self, P):
-        for step in pairwise_schedule(P).steps:
+        for step in steps_of(pairwise_schedule(P)):
             # Within a step all pairs share the same XOR value.
             xors = {t.src ^ t.dst for t in step}
             assert len(xors) == 1
@@ -88,7 +90,7 @@ class TestBalancedScheduling:
 
     def test_pairs_follow_virtual_xor(self, P):
         n = P.nprocs
-        for step in balanced_schedule(P).steps:
+        for step in steps_of(balanced_schedule(P)):
             xors = {
                 ((t.src + 1) % n) ^ ((t.dst + 1) % n) for t in step
             }
@@ -108,7 +110,7 @@ class TestGreedyScheduling:
             (set(), {(1, 6), (3, 5), (4, 2)}),
             ({(1, 7)}, {(6, 2)}),
         ]
-        for step, (want_ex, want_sg) in zip(s.steps, expected):
+        for step, (want_ex, want_sg) in zip(steps_of(s), expected):
             ex, sg = pairs_of(step)
             assert ex == want_ex
             assert sg == want_sg
@@ -126,7 +128,7 @@ class TestGreedyScheduling:
         gs = greedy_schedule(pat)
         pex = ps(pat)
         assert gs.nsteps == pex.nsteps
-        for a, b in zip(gs.steps, pex.steps):
+        for a, b in zip(steps_of(gs), steps_of(pex)):
             assert {t.pair for t in a} == {t.pair for t in b}
 
     def test_greedy_uses_fewer_steps_when_sparse(self):
@@ -141,7 +143,7 @@ class TestGreedyScheduling:
         7->1 must wait for step 6's 1<->7 exchange)."""
         s = greedy_schedule(P)
         seen = set()
-        for idx, step in enumerate(s.steps):
+        for idx, step in enumerate(steps_of(s)):
             directed = {(t.src, t.dst) for t in step}
             for t in step:
                 rev = (t.dst, t.src)
@@ -186,7 +188,7 @@ class TestGreedyOrderExtension:
     def test_default_order_reproduces_table10(self, P):
         from repro.schedules.greedy import greedy_schedule as gs
 
-        assert gs(P).steps == gs(P, order="lowest").steps
+        assert steps_of(gs(P)) == steps_of(gs(P, order="lowest"))
 
     def test_largest_first_still_covers(self, P):
         from repro.schedules.greedy import greedy_schedule as gs
@@ -203,7 +205,7 @@ class TestGreedyOrderExtension:
 
         a = gs(P, order="lowest")
         b = gs(P, order="largest_first")
-        assert a.steps == b.steps
+        assert steps_of(a) == steps_of(b)
 
     def test_largest_first_prefers_big_destinations(self):
         from repro.schedules.greedy import greedy_schedule as gs
@@ -211,7 +213,7 @@ class TestGreedyOrderExtension:
         m = [[0, 8, 0, 4096], [0, 0, 8, 0], [8, 0, 0, 0], [0, 0, 0, 0]]
         sched = gs(CommPattern(m), order="largest_first")
         # Rank 0's big message to 3 goes out in step 1.
-        first_step = {(t.src, t.dst) for t in sched.steps[0]}
+        first_step = {(t.src, t.dst) for t in steps_of(sched)[0]}
         assert (0, 3) in first_step
 
     def test_unknown_order_rejected(self, P):
@@ -219,3 +221,52 @@ class TestGreedyOrderExtension:
 
         with pytest.raises(ValueError):
             gs(P, order="random")
+
+
+# ----------------------------------------------------------------------
+# Line patterns on a processor mesh: complete exchanges within every row
+# (or column) of a row-major ``rows x cols`` mesh, all lines at once,
+# and the mesh transpose, a permutation.
+# ----------------------------------------------------------------------
+def mesh_ranks(rows, cols):
+    return np.arange(rows * cols).reshape(rows, cols)
+
+
+def line_exchange_pattern(lines, nbytes):
+    n = lines.size
+    m = np.zeros((n, n), dtype=np.int64)
+    for line in lines:
+        m[np.ix_(line, line)] = nbytes
+    np.fill_diagonal(m, 0)
+    return CommPattern(m)
+
+
+@pytest.mark.parametrize("shape", [(1, 4), (4, 1), (2, 2), (4, 2), (4, 4), (8, 8), (2, 16)])
+def test_line_exchanges_stay_within_lines_and_share_steps(shape):
+    ranks = mesh_ranks(*shape)
+    line_of = {}
+    for lines in (ranks, ranks.T):
+        for k, line in enumerate(lines):
+            line_of.update({int(r): k for r in line})
+        pattern = line_exchange_pattern(lines, 64)
+        length = lines.shape[1]
+        for build in (pairwise_schedule, balanced_schedule, greedy_schedule, coloring_schedule):
+            sched = build(pattern)
+            assert validate_schedule(sched, pattern).ok
+            src, dst = sched.columns[1:3].tolist()
+            assert all(line_of[a] == line_of[b] for a, b in zip(src, dst))
+            assert sched.n_messages == lines.shape[0] * length * (length - 1)
+        # Every line runs its exchange in the same steps: with power-of-two
+        # lines, PS and the optimal coloring take as many steps as one line.
+        assert pairwise_schedule(pattern).nsteps == length - 1
+        assert coloring_schedule(pattern).nsteps == length - 1
+    if shape[0] == shape[1]:
+        flat = ranks.ravel()
+        m = np.zeros((ranks.size, ranks.size), dtype=np.int64)
+        m[flat, ranks.T.ravel()] = 80
+        np.fill_diagonal(m, 0)
+        transpose = CommPattern(m)
+        for build in (greedy_schedule, coloring_schedule):
+            sched = build(transpose)
+            assert sched.nsteps == 1 and sched.n_messages == ranks.size - shape[0]
+            assert_one_receive_per_rank_per_step(sched)

@@ -19,10 +19,7 @@ from repro.machine import MachineConfig
 from repro.machine._fastfill import kernel
 from repro.schedules import (
     CommPattern,
-    ProcessorMesh,
     Schedule,
-    Step,
-    Transfer,
     balanced_exchange,
     coloring_schedule,
     execute_schedule,
@@ -35,12 +32,12 @@ from repro.schedules import (
     recursive_exchange,
     repair_schedule,
     schedule_irregular,
-    shift_schedule,
 )
 from repro.schedules import executor
 from repro.schedules.irregular import IRREGULAR_ALGORITHMS
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 
+from .checks import Transfer, schedule_of
 from .test_lint_oracles import step_sets
 
 pytestmark = pytest.mark.skipif(kernel() is None, reason="compiled kernel not loaded")
@@ -64,7 +61,7 @@ def assert_twin(schedule):
 
 
 def reordered(schedule, order):
-    return Schedule.from_columns(
+    return Schedule(
         schedule.nprocs, schedule.columns, schedule.name, order, schedule.nsteps
     )
 
@@ -76,18 +73,18 @@ def test_drawn_steps_compile_alike(sched):
 
 
 def test_a_one_sided_flip_is_uncertified_alike():
-    steps = (Step((Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64))),)
+    steps = [[Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64)]]
     for order, live in ((LOWER_RECV_FIRST, False), (LOWER_SEND_FIRST, True)):
-        assert assert_twin(Schedule(3, steps, "one-sided", order)).live is live
+        assert assert_twin(schedule_of(3, steps, "one-sided", order)).live is live
 
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_schedules_without_transfers_compile_alike(order):
     empty = np.zeros((6, 0), dtype=np.int64)
     for sched in (
-        Schedule(2, (), "none", order),
-        Schedule(8, (Step(()), Step(())), "idle", order),
-        Schedule.from_columns(16, empty, "columns", order, nsteps=4),
+        Schedule(2, empty, "none", order),
+        Schedule(8, empty, "idle", order, nsteps=2),
+        Schedule(16, empty, "columns", order, nsteps=4),
     ):
         program = assert_twin(sched)
         assert program.ops.shape == (0, 4)
@@ -97,7 +94,6 @@ def test_schedules_without_transfers_compile_alike(order):
 
 def every_builder(n):
     pattern = CommPattern.synthetic(n, 0.5, 128, seed=n)
-    mesh = ProcessorMesh(2, n // 2)
     straggler = FaultPlan((NodeStraggler(1, 4.0),))
     built = [
         linear_exchange(n, 96),
@@ -106,20 +102,13 @@ def every_builder(n):
         recursive_exchange(n, 96),
         linear_broadcast(n, 0, 64),
         recursive_broadcast(n, 3, 64),
-        shift_schedule(n, 3, 64),
         coloring_schedule(pattern),
-        mesh.row_exchange(64),
-        mesh.col_exchange(64),
-        mesh.row_broadcast(1, 2, 64),
-        mesh.col_broadcast(3, 0, 64),
         *(schedule_irregular(pattern, name) for name in IRREGULAR_ALGORITHMS),
         local_schedule(pattern),
         repair_schedule(
             schedule_irregular(pattern, "balanced"), straggler, MachineConfig(n)
         ),
     ]
-    if n == 16:
-        built.append(ProcessorMesh(4, 4).transpose_permutation(64))
     return built
 
 

@@ -9,7 +9,7 @@
   issues, in the same order and with the same messages, as
   :func:`lint_schedule` on thousands of mutated schedules.
 
-Every mutation stays inside the schedule constructors' gate (moves,
+Every mutation stays inside the schedule constructor's gate (moves,
 drops, copies, resizes and added transfers between distinct in-range
 ranks, no pair twice in a step), so the reference sees only schedules
 that can exist; the gate's own rejections are tested in
@@ -34,10 +34,7 @@ from repro.faults import FaultPlan, NodeStraggler
 from repro.machine import MachineConfig
 from repro.schedules import (
     CommPattern,
-    ProcessorMesh,
     Schedule,
-    Step,
-    Transfer,
     balanced_exchange,
     coloring_schedule,
     execute_schedule,
@@ -50,14 +47,13 @@ from repro.schedules import (
     recursive_exchange,
     repair_schedule,
     schedule_irregular,
-    shift_schedule,
 )
 from repro.schedules import executor, validate
 from repro.schedules.schedule import LOWER_RECV_FIRST, LOWER_SEND_FIRST
 from repro.schedules.validate import ERROR, WARNING, LintIssue
 from repro.sim import DeadlockError
 
-from .checks import transfers
+from .checks import Transfer, schedule_of, steps_of, transfers
 
 ORDERS = (LOWER_RECV_FIRST, LOWER_SEND_FIRST)
 EXCHANGES = (linear_exchange, pairwise_exchange, balanced_exchange, recursive_exchange)
@@ -69,7 +65,7 @@ IRREGULAR = ("linear", "pairwise", "balanced", "greedy")
 # written without the executor's rank programs.
 # ----------------------------------------------------------------------
 def ref_structure(schedule: Schedule, issues: List[LintIssue]) -> None:
-    for step_idx, step in enumerate(schedule.steps):
+    for step_idx, step in enumerate(steps_of(schedule)):
         send_count: Dict[int, int] = {}
         for t in step:
             send_count[t.src] = send_count.get(t.src, 0) + 1
@@ -137,10 +133,11 @@ class RefOp:
         return f"{self.kind}{arrow}{self.partner} (step {self.step + 1})"
 
 
-def ref_rank_op_sequence(schedule: Schedule, rank: int) -> List[RefOp]:
-    """The rank's blocking ops, derived independently of the executor."""
+def ref_rank_op_sequence(schedule: Schedule, steps, rank: int) -> List[RefOp]:
+    """The rank's blocking ops over the schedule's ``steps``, derived
+    independently of the executor."""
     ops: List[RefOp] = []
-    for step_idx, step in enumerate(schedule.steps):
+    for step_idx, step in enumerate(steps):
         sends = [t for t in step if t.src == rank]
         recvs = [t for t in step if t.dst == rank]
         if not sends and not recvs:
@@ -182,7 +179,8 @@ def ref_matches(a: RefOp, a_rank: int, b: Optional[RefOp], b_rank: int) -> bool:
 
 
 def ref_deadlock(schedule: Schedule, issues: List[LintIssue]) -> None:
-    seqs = {r: ref_rank_op_sequence(schedule, r) for r in range(schedule.nprocs)}
+    steps = steps_of(schedule)
+    seqs = {r: ref_rank_op_sequence(schedule, steps, r) for r in range(schedule.nprocs)}
     pos = {r: 0 for r in seqs}
 
     def head(r: int) -> Optional[RefOp]:
@@ -322,7 +320,7 @@ def move_or_drop(
 
 def mutate(rng: np.random.Generator, schedule: Schedule, nprocs: int) -> Schedule:
     """Moves, drops, copies, resizes and spurious additions."""
-    steps = [list(step) for step in schedule.steps]
+    steps = [list(step) for step in steps_of(schedule)]
     move_or_drop(rng, steps, int(rng.integers(0, 4)))
     for _ in range(int(rng.integers(0, 3))):
         i = int(rng.integers(len(steps)))
@@ -341,9 +339,9 @@ def mutate(rng: np.random.Generator, schedule: Schedule, nprocs: int) -> Schedul
                 steps[i].append(Transfer(a, b, int(rng.choice([0, 64]))))
     for s in steps:
         rng.shuffle(s)
-    return Schedule(
+    return schedule_of(
         nprocs=nprocs,
-        steps=tuple(Step(tuple(s)) for s in steps),
+        steps=steps,
         name=f"{schedule.name}~mut",
         exchange_order=ORDERS[rng.integers(2)],
     )
@@ -395,11 +393,11 @@ def moved_schedules(draw):
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     schedule, _ = base_case(rng, nprocs)
-    steps = [list(step) for step in schedule.steps]
+    steps = [list(step) for step in steps_of(schedule)]
     move_or_drop(rng, steps, draw(st.integers(1, 4)))
-    return Schedule(
+    return schedule_of(
         nprocs=nprocs,
-        steps=tuple(Step(tuple(s)) for s in steps),
+        steps=steps,
         name=f"{schedule.name}~moved",
         exchange_order=draw(st.sampled_from(ORDERS)),
     )
@@ -410,9 +408,9 @@ def test_crossed_sends_are_a_deadlock():
     # sends first; rank 1 (a clean exchange, Figure 2) also sends first.
     # Two heads naming each other at one step are no rendezvous unless
     # one is a receive.
-    sched = Schedule(
+    sched = schedule_of(
         nprocs=4,
-        steps=(Step((Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(3, 0, 64))),),
+        steps=[[Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(3, 0, 64)]],
         name="crossed",
     )
     issues = lint_schedule(sched).issues
@@ -463,32 +461,24 @@ class TestLiveCertificate:
     @pytest.mark.parametrize("order", ORDERS)
     def test_generator_schedules_are_certified(self, build, order, n):
         built = build(n, 64)
-        assert executor.compiled_program(Schedule(n, built.steps, "x", order)).live
+        assert executor.compiled_program(Schedule(n, built.columns, "x", order)).live
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_every_other_builder_is_certified(self, n):
         # The linter replays only an uncertified program, so every
         # builder's own schedule must carry the certificate.
         pattern = CommPattern.synthetic(n, 0.5, 128, seed=n)
-        mesh = ProcessorMesh(2, n // 2)
         straggler = FaultPlan((NodeStraggler(1, 4.0),))
         built = [
             linear_broadcast(n, 0, 64),
             recursive_broadcast(n, 3, 64),
-            shift_schedule(n, 3, 64),
             coloring_schedule(pattern),
-            mesh.row_exchange(64),
-            mesh.col_exchange(64),
-            mesh.row_broadcast(1, 2, 64),
-            mesh.col_broadcast(3, 0, 64),
             *(schedule_irregular(pattern, name) for name in IRREGULAR),
             local_schedule(pattern),
             repair_schedule(
                 schedule_irregular(pattern, "balanced"), straggler, MachineConfig(n)
             ),
         ]
-        if n == 16:
-            built.append(ProcessorMesh(4, 4).transpose_permutation(64))
         for sched in built:
             assert executor.compiled_program(sched).live, sched.name
 
@@ -496,15 +486,15 @@ class TestLiveCertificate:
         # Rank 0's step is an exchange with rank 1, which Figure 2 flips
         # (0 receives first); rank 1 also receives from rank 2, so it
         # takes the mixed order and receives from rank 0 first.
-        steps = (Step((Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64))),)
-        sched = Schedule(3, steps, "one-sided", LOWER_RECV_FIRST)
+        steps = [[Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64)]]
+        sched = schedule_of(3, steps, "one-sided", LOWER_RECV_FIRST)
         program = executor.compiled_program(sched)
         assert not program.live
         issues = lint_schedule(sched).issues
         assert [i.code for i in issues] == ["deadlock.cycle"]
         assert issues == ref_lint_issues(sched, None, False)
         # Without the flip the same steps are certified, and run.
-        assert executor.compiled_program(Schedule(3, steps, "x", LOWER_SEND_FIRST)).live
+        assert executor.compiled_program(schedule_of(3, steps, "x", LOWER_SEND_FIRST)).live
 
 
 # ----------------------------------------------------------------------
@@ -539,7 +529,7 @@ def step_sets(draw):
             [Transfer(a, b, draw(size), draw(size), draw(size)) for a, b in chosen]
         )
     order = draw(st.sampled_from(ORDERS))
-    return Schedule(n, tuple(Step(tuple(s)) for s in steps), "drawn", order)
+    return schedule_of(n, steps, "drawn", order)
 
 
 def step_actions(
@@ -573,11 +563,12 @@ def step_actions(
     return [("recv", t) for t in sorted(recvs, key=lambda t: t.src)]
 
 
-def step_actions_program(sched: Schedule, rank: int) -> List[tuple]:
-    """The oracle: a rank's requests, step by step from ``step_actions``,
-    as ``(kind, peer, tag, bytes)`` (a Delay has no peer or tag)."""
+def step_actions_program(sched: Schedule, steps, rank: int) -> List[tuple]:
+    """The oracle: a rank's requests over the schedule's ``steps``, step
+    by step from ``step_actions``, as ``(kind, peer, tag, bytes)`` (a
+    Delay has no peer or tag)."""
     want = []
-    for step_idx, step in enumerate(sched.steps):
+    for step_idx, step in enumerate(steps):
         sends = [t for t in step if t.src == rank]
         recvs = [t for t in step if t.dst == rank]
         for kind, t in step_actions(rank, sends, recvs, sched.exchange_order):
@@ -632,7 +623,7 @@ class TestOneProgramPerSchedule:
     def test_builder_program_is_the_concatenated_step_actions(self, build, order):
         # REX's multi-step pack/unpack included.
         built = build(8, 64)
-        sched = Schedule(8, built.steps, built.name, order)
+        sched = Schedule(8, built.columns, built.name, order)
         assert_program_is_the_concatenated_step_actions(sched)
 
 
@@ -642,6 +633,7 @@ def assert_program_is_the_concatenated_step_actions(sched: Schedule) -> None:
     ops = program.ops.tolist()
     starts = program.starts.tolist()
     assert starts[0] == 0 and starts[-1] == len(ops)
+    steps = steps_of(sched)
     for rank in range(sched.nprocs):
         got = []
         for kind, peer, tag, index in ops[starts[rank] : starts[rank + 1]]:
@@ -651,12 +643,7 @@ def assert_program_is_the_concatenated_step_actions(sched: Schedule) -> None:
                 got.append((kind, peer, tag, index))
             else:
                 got.append((kind, peer, tag, program.copies[index]))
-        assert got == step_actions_program(sched, rank)
-    # The same transfers given as columns compile to the same ops.
-    twin = Schedule.from_columns(
-        sched.nprocs, sched.columns, sched.name, sched.exchange_order
-    )
-    assert executor.compiled_program(twin).ops.tolist() == ops
+        assert got == step_actions_program(sched, steps, rank)
 
 
 @settings(max_examples=300, deadline=None)

@@ -194,7 +194,7 @@ def test_compile_matches_lexsort_on_drawn_schedules(sched):
 )
 def test_compile_matches_lexsort_on_exchanges(build, order):
     built = build(16, 64)
-    assert_same_program(*programs(Schedule(16, built.steps, built.name, order)))
+    assert_same_program(*programs(Schedule(16, built.columns, built.name, order)))
 
 
 @pytest.mark.parametrize("algorithm", sorted(IRREGULAR_ALGORITHMS))
@@ -202,7 +202,7 @@ def test_compile_matches_lexsort_on_irregular_schedules(algorithm):
     pattern = CommPattern.synthetic(32, 0.5, 256, seed=11)
     sched = schedule_irregular(pattern, algorithm)
     for order in ORDERS:
-        twin = Schedule.from_columns(32, sched.columns, sched.name, order)
+        twin = Schedule(32, sched.columns, sched.name, order)
         assert_same_program(*programs(twin))
 
 

@@ -1,67 +1,80 @@
 """Unit tests for the schedule IR and its validity gate."""
 
+import ast
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repro
-
 from repro.schedules import (
+    CommPattern,
     Schedule,
     ScheduleError,
-    Step,
-    Transfer,
+    balanced_exchange,
+    balanced_schedule,
+    coloring_schedule,
+    greedy_schedule,
+    linear_broadcast,
+    linear_exchange,
+    linear_schedule,
+    local_schedule,
     pairwise_exchange,
+    pairwise_schedule,
+    recursive_broadcast,
+    recursive_exchange,
     schedule_from_json,
 )
-from repro.schedules.schedule import MAX_NPROCS, MAX_STEPS
+from repro.schedules.schedule import MAX_NPROCS, MAX_STEPS, check_transfer
+
+from .checks import Step, Transfer, render_table, schedule_of, steps_of
+from .test_lint_oracles import step_sets
+
+EMPTY = np.zeros((6, 0), dtype=np.int64)
 
 
 def sched(steps, n=4, name="t"):
-    return Schedule(nprocs=n, steps=tuple(Step(tuple(s)) for s in steps), name=name)
+    return schedule_of(n, steps, name=name)
 
 
 class TestTransfer:
     def test_self_transfer_rejected(self):
-        with pytest.raises(ScheduleError):
-            Transfer(1, 1, 8)
+        with pytest.raises(ScheduleError, match="self-transfer at rank 1"):
+            check_transfer(1, 1, 8, 0, 0)
 
     def test_negative_bytes_rejected(self):
-        with pytest.raises(ScheduleError):
-            Transfer(0, 1, -8)
-        with pytest.raises(ScheduleError):
-            Transfer(0, 1, 8, pack_bytes=-1)
+        with pytest.raises(ScheduleError, match="negative byte count"):
+            check_transfer(0, 1, -8, 0, 0)
+        with pytest.raises(ScheduleError, match="negative byte count"):
+            check_transfer(0, 1, 8, -1, 0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [(0, 1, 2**63, 0, 0), (0, 1, 8, 2**64, 0), (-(2**63) - 1, 0, 8, 0, 0), (0, 2**63, 8, 0, 0)],
+        ids=["nbytes", "pack-bytes", "src", "dst"],
+    )
+    def test_fields_outside_int64_rejected(self, fields):
+        # The columns the executor and linter compile from are int64.
+        with pytest.raises(ScheduleError, match="does not fit int64"):
+            check_transfer(*fields)
+        check_transfer(0, 1, 2**63 - 1, 0, 0)
+
+    # The tests' per-transfer view raises the gate's errors as it is built.
     @pytest.mark.parametrize(
         "fields",
         [(0, 1, float("nan")), (0, 1, 1.5), (True, 0, 8)],
         ids=["nan-bytes", "float-bytes", "bool-rank"],
     )
     def test_non_integral_fields_rejected(self, fields):
-        # A NaN used to pass and fail later in the engine's wire_bytes.
         with pytest.raises(ScheduleError, match="must be an integer"):
             Transfer(*fields)
-
-    @pytest.mark.parametrize(
-        "fields",
-        [(0, 1, 2**63), (0, 1, 8, 2**64), (-(2**63) - 1, 0, 8), (0, 2**63, 8)],
-        ids=["nbytes", "pack-bytes", "src", "dst"],
-    )
-    def test_fields_outside_int64_rejected(self, fields):
-        # The columns the executor and linter compile from are int64.
-        with pytest.raises(ScheduleError, match="does not fit int64"):
-            Transfer(*fields)
-        assert Transfer(0, 1, 2**63 - 1).nbytes == 2**63 - 1
 
     def test_numpy_integers_accepted(self):
         t = Transfer(np.int64(0), np.int32(1), np.int64(8), pack_bytes=np.uint8(2))
         assert t == Transfer(0, 1, 8, pack_bytes=2)
+        assert schedule_of(2, [[t]]) == schedule_of(2, [[Transfer(0, 1, 8, 2)]])
 
     def test_pair_is_unordered(self):
         assert Transfer(2, 1, 8).pair == (1, 2)
@@ -69,6 +82,8 @@ class TestTransfer:
 
 
 class TestStep:
+    """The per-step render, the oracle of ``Schedule.render_table``."""
+
     def test_exchange_detection(self):
         s = Step((Transfer(0, 1, 8), Transfer(1, 0, 8), Transfer(2, 3, 8)))
         exchanges, singles = s.exchanges_and_singles()
@@ -77,8 +92,10 @@ class TestStep:
         assert [t.src for t in singles] == [2]
 
     def test_render(self):
-        s = Step((Transfer(0, 1, 8), Transfer(1, 0, 8), Transfer(2, 3, 8)))
-        assert s.render() == "0<->1  2->3"
+        s = Step((Transfer(3, 2, 8), Transfer(0, 1, 8), Transfer(2, 3, 8), Transfer(1, 0, 8)))
+        assert s.render() == "2<->3  0<->1"
+        assert Step((Transfer(0, 1, 8), Transfer(2, 1, 8))).render() == "0->1  2->1"
+        assert Step(()).render() == ""
 
 
 class TestSchedule:
@@ -92,7 +109,7 @@ class TestSchedule:
 
     def test_unknown_exchange_order_rejected(self):
         with pytest.raises(ScheduleError):
-            Schedule(4, (), exchange_order="sideways")
+            Schedule(4, EMPTY, exchange_order="sideways")
 
     def test_counts(self):
         s = sched([[Transfer(0, 1, 8)], [Transfer(1, 0, 16)]])
@@ -101,54 +118,104 @@ class TestSchedule:
         assert s.total_bytes == 24
 
     def test_render_table_contains_steps(self):
-        text = sched([[Transfer(0, 1, 8)]], name="demo").render_table()
-        assert "demo" in text and "Step 1" in text
+        s = sched([[Transfer(0, 1, 8), Transfer(1, 0, 8), Transfer(2, 3, 8)], []], name="demo")
+        assert s.render_table() == (
+            "demo (4 processors, 2 steps)\n  Step 1: 0<->1  2->3\n  Step 2: "
+        )
 
-
-_TRANSFER_BYTES = textwrap.dedent(
-    """
-    import sys
-    import tracemalloc
-
-    from repro.schedules import Transfer, linear_exchange
-
-    if sys.argv[1] == "materialized":
-        made = sum(map(len, linear_exchange(33, 8).steps))
-        assert made >= 1000, made
-    tracemalloc.start()
-    before = tracemalloc.get_traced_memory()[0]
-    kept = [Transfer(0, 1, 2) for _ in range(5000)]
-    print((tracemalloc.get_traced_memory()[0] - before) / len(kept))
-    """
-)
-
-
-def _bytes_per_transfer(mode):
-    """Bytes per ``Transfer(...)`` in a fresh interpreter."""
-    env = dict(os.environ)
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", _TRANSFER_BYTES, mode],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return float(out.stdout)
-
-
-def test_materialized_steps_keep_later_transfers_small():
-    # Column-built steps materialize their transfers without running the
-    # constructor; done first in a process, that once made every later
-    # Transfer(...) more than twice as large.
-    fresh = _bytes_per_transfer("fresh")
-    after = _bytes_per_transfer("materialized")
-    assert after <= 1.2 * fresh, (fresh, after)
+    def test_equality_reads_every_field(self):
+        s = pairwise_exchange(8, 64)
+        assert s == Schedule(8, s.columns.copy(), "PEX") and hash(s) == hash(
+            Schedule(8, s.columns.copy(), "PEX")
+        )
+        cols = s.columns.copy()
+        cols[3, -1] += 1
+        for other in (
+            Schedule(8, cols, "PEX"),
+            Schedule(8, s.columns, "BEX"),
+            Schedule(16, s.columns, "PEX"),
+            Schedule(8, s.columns, "PEX", "lower_send_first"),
+            Schedule(8, s.columns, "PEX", nsteps=8),
+        ):
+            assert s != other
 
 
 # ----------------------------------------------------------------------
-# The gate: both constructors and the JSON reader reject the same input
+# render_table reads the columns; the per-step render is its oracle.
+# ----------------------------------------------------------------------
+def _pattern(n):
+    return CommPattern.synthetic(n, 0.5, 64, seed=3)
+
+
+#: Every builder on ``n`` nodes.
+BUILDERS_ON = {
+    "PEX": lambda n: pairwise_exchange(n, 64),
+    "BEX": lambda n: balanced_exchange(n, 64),
+    "LEX": lambda n: linear_exchange(n, 64),
+    "REX": lambda n: recursive_exchange(n, 64),
+    "LIB": lambda n: linear_broadcast(n, 3 % n, 64),
+    "REB": lambda n: recursive_broadcast(n, 5 % n, 64),
+    "LS": lambda n: linear_schedule(_pattern(n)),
+    "PS": lambda n: pairwise_schedule(_pattern(n)),
+    "BS": lambda n: balanced_schedule(_pattern(n)),
+    "GS": lambda n: greedy_schedule(_pattern(n)),
+    "coloring": lambda n: coloring_schedule(_pattern(n)),
+    "local": lambda n: local_schedule(_pattern(n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS_ON))
+def test_render_table_matches_the_per_step_render_on_builders(name):
+    sched = BUILDERS_ON[name](8)
+    assert sched.render_table() == render_table(sched)
+
+
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("name", sorted(BUILDERS_ON))
+def test_render_table_matches_the_per_step_render_at_other_sizes(name, n):
+    # Two ranks: one pair, so every exchange is the whole step; sixteen:
+    # LEX's fifteen senders into one receiver, REX's staged rows.
+    sched = BUILDERS_ON[name](n)
+    assert sched.render_table() == render_table(sched)
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS_ON))
+def test_steps_round_trip_on_builders(name):
+    # The tests' per-step view of every builder's schedule builds the
+    # same schedule back.
+    sched = BUILDERS_ON[name](8)
+    back = schedule_of(sched.nprocs, steps_of(sched), sched.name, sched.exchange_order)
+    assert back == sched and hash(back) == hash(sched)
+    assert back.columns.tobytes() == sched.columns.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(sched=step_sets())
+def test_render_table_matches_the_per_step_render_on_drawn_steps(sched):
+    # Drawn steps hold exchanges, one-way sends and empty steps.
+    assert sched.render_table() == render_table(sched)
+
+
+def test_src_has_no_per_transfer_view():
+    """The library is columns only: no module under ``src/repro`` defines
+    or imports ``Step`` or ``Transfer``, and a schedule has no ``steps``."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name.split(".")[-1] for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(root)}: {n}" for n in names if n in ("Step", "Transfer")]
+    assert found == []
+    assert not hasattr(pairwise_exchange(8, 64), "steps")
+
+
+# ----------------------------------------------------------------------
+# The gate: the constructor and the JSON reader reject the same input
 # with the same text.
 # ----------------------------------------------------------------------
 def _document(nprocs, steps):
@@ -166,10 +233,10 @@ def _document(nprocs, steps):
 
 def _rejections(nprocs, steps, edit=None):
     """The ``ScheduleError`` text of each entry point on the same schedule:
-    the steps constructor over transfers ``edit`` mutates after they were
-    built, ``Schedule.from_columns`` and ``schedule_from_json`` over the
-    edited rows (without the reader's "malformed schedule document: "
-    prefix, which it puts on every error of a well-framed document)."""
+    ``Schedule`` and ``schedule_from_json`` over the rows of transfers
+    ``edit`` mutates after they were built (without the reader's
+    "malformed schedule document: " prefix, which it puts on every error
+    of a well-framed document)."""
     built = [[Transfer(*row) for row in step] for step in steps]
     if edit is not None:
         edit(built)
@@ -179,16 +246,15 @@ def _rejections(nprocs, steps, edit=None):
     ).reshape(-1, 6).T
     texts = []
     for build in (
-        lambda: Schedule(nprocs, tuple(Step(tuple(s)) for s in built), "t"),
-        lambda: Schedule.from_columns(nprocs, cols, "t", nsteps=len(rows)),
+        lambda: Schedule(nprocs, cols, "t", nsteps=len(rows)),
         lambda: schedule_from_json(_document(nprocs, rows)),
     ):
         with pytest.raises(ScheduleError) as info:
             build()
         texts.append(str(info.value))
     prefix = "malformed schedule document: "
-    assert texts[2].startswith(prefix)
-    return texts[:2] + [texts[2][len(prefix) :]]
+    assert texts[1].startswith(prefix)
+    return [texts[0], texts[1][len(prefix) :]]
 
 
 def _set(step, k, field, value):
@@ -237,38 +303,33 @@ class TestGate:
         ],
     )
     def test_every_entry_point_rejects_a_crafted_edit(self, edit, message):
-        assert _rejections(4, self.STEPS, edit) == [message] * 3
+        assert _rejections(4, self.STEPS, edit) == [message] * 2
 
     @pytest.mark.parametrize("nprocs", [-3, 0, 1, MAX_NPROCS + 1, 2**70])
     def test_nprocs_outside_the_machine_rejected(self, nprocs):
         message = f"schedule nprocs must be an integer in 2..16384, got {nprocs}"
-        assert _rejections(nprocs, []) == [message] * 3
+        assert _rejections(nprocs, []) == [message] * 2
 
     @pytest.mark.parametrize("nprocs", [1.5, True, "4"])
     def test_non_integer_nprocs_rejected(self, nprocs):
         message = f"schedule nprocs must be an integer in 2..16384, got {nprocs!r}"
-        empty = np.zeros((6, 0), dtype=np.int64)
-        for build in (
-            lambda: Schedule(nprocs, ()),
-            lambda: Schedule.from_columns(nprocs, empty),
-        ):
-            with pytest.raises(ScheduleError) as info:
-                build()
-            assert str(info.value) == message
+        with pytest.raises(ScheduleError) as info:
+            Schedule(nprocs, EMPTY)
+        assert str(info.value) == message
 
     def test_nprocs_bounds_accepted(self):
-        assert Schedule(2, ()).nprocs == 2
-        assert Schedule.from_columns(np.int64(MAX_NPROCS), np.zeros((6, 0), int)).nsteps == 0
+        assert Schedule(2, EMPTY).nprocs == 2
+        assert Schedule(np.int64(MAX_NPROCS), np.zeros((6, 0), int)).nsteps == 0
 
     @pytest.mark.parametrize("nsteps", [2.5, True, "3"])
     def test_non_integer_nsteps_rejected(self, nsteps):
         with pytest.raises(ScheduleError) as info:
-            Schedule.from_columns(4, np.zeros((6, 0), dtype=np.int64), nsteps=nsteps)
+            Schedule(4, np.zeros((6, 0), dtype=np.int64), nsteps=nsteps)
         assert str(info.value) == f"schedule nsteps must be an integer, got {nsteps!r}"
 
     def test_integer_nsteps_accepted(self):
         empty = np.zeros((6, 0), dtype=np.int64)
-        assert Schedule.from_columns(4, empty, nsteps=np.int64(3)).nsteps == 3
+        assert Schedule(4, empty, nsteps=np.int64(3)).nsteps == 3
 
     def test_sparse_step_indices_past_the_step_cap_rejected(self):
         # PEX on 16 nodes with every step index shifted by 2**55: the
@@ -276,17 +337,17 @@ class TestGate:
         cols = pairwise_exchange(16, 64).columns.copy()
         cols[0] += 2**55
         with pytest.raises(ScheduleError) as info:
-            Schedule.from_columns(16, cols)
+            Schedule(16, cols)
         assert str(info.value) == (
             f"schedule has {2**55 + 15} steps, more than {MAX_STEPS}"
         )
 
     def test_step_cap_bounds_nsteps(self):
         empty = np.zeros((6, 0), dtype=np.int64)
-        assert Schedule.from_columns(4, empty, nsteps=MAX_STEPS).nsteps == MAX_STEPS
+        assert Schedule(4, empty, nsteps=MAX_STEPS).nsteps == MAX_STEPS
         with pytest.raises(ScheduleError, match=f"more than {MAX_STEPS}"):
-            Schedule.from_columns(4, empty, nsteps=MAX_STEPS + 1)
+            Schedule(4, empty, nsteps=MAX_STEPS + 1)
         last = np.array([[MAX_STEPS - 1], [0], [1], [8], [0], [0]])
-        assert Schedule.from_columns(4, last).nsteps == MAX_STEPS
+        assert Schedule(4, last).nsteps == MAX_STEPS
         with pytest.raises(ScheduleError, match=f"more than {MAX_STEPS}"):
-            Schedule.from_columns(4, last + [[1], [0], [0], [0], [0], [0]])
+            Schedule(4, last + [[1], [0], [0], [0], [0], [0]])

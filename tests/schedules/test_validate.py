@@ -5,9 +5,6 @@ import pytest
 from repro.schedules import (
     CommPattern,
     LintError,
-    Schedule,
-    Step,
-    Transfer,
     balanced_exchange,
     balanced_schedule,
     greedy_schedule,
@@ -20,6 +17,8 @@ from repro.schedules import (
     recursive_exchange,
     validate_schedule,
 )
+
+from .checks import Step, Transfer, schedule_of
 
 
 def codes(report, severity=None):
@@ -84,7 +83,7 @@ class TestGeneratorsAreClean:
 class TestConservation:
     def test_missing_transfer_named(self):
         pattern = CommPattern.complete_exchange(4, 100)
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=4,
             steps=(Step((Transfer(0, 1, 100),)),),
             name="partial",
@@ -99,7 +98,7 @@ class TestConservation:
         pattern = CommPattern(
             [[0, 100], [0, 0]]
         )
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=2,
             steps=(
                 Step((Transfer(0, 1, 100),)),
@@ -115,7 +114,7 @@ class TestConservation:
 
     def test_wrong_byte_count(self):
         pattern = CommPattern([[0, 100], [0, 0]])
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=2, steps=(Step((Transfer(0, 1, 64),)),), name="short"
         )
         report = lint_schedule(sched, pattern)
@@ -123,7 +122,7 @@ class TestConservation:
 
     def test_spurious_transfer(self):
         pattern = CommPattern([[0, 100], [0, 0]])
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=2,
             steps=(Step((Transfer(0, 1, 100), Transfer(1, 0, 100))),),
             name="extra",
@@ -149,7 +148,7 @@ class TestDeadlock:
         # its receive first; rank 1 sees *three* ops, so the executor
         # falls into the mixed-partner ordering and also receives first.
         # Both sides wait for the other's send: a 2-cycle.
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=3,
             steps=(
                 Step(
@@ -174,7 +173,7 @@ class TestDeadlock:
         # A directed 3-cycle of single transfers is exactly what greedy
         # steps produce; the executor's recv-iff-lower-source rule keeps
         # it live and the linter must agree.
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=3,
             steps=(
                 Step(
@@ -200,7 +199,7 @@ class TestDeadlock:
 
 class TestStructure:
     def test_multi_send_flagged(self):
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=3,
             steps=(Step((Transfer(0, 1, 64), Transfer(0, 2, 64))),),
             name="fanout",
@@ -228,7 +227,7 @@ class TestReport:
         assert "structure" in text and "deadlock" in text
 
     def test_render_fail_lists_issues(self):
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=3,
             steps=(Step((Transfer(0, 1, 64), Transfer(0, 2, 64))),),
             name="bad",
@@ -238,7 +237,7 @@ class TestReport:
         assert "structure.multi-send" in text
 
     def test_lint_error_summarizes(self):
-        sched = Schedule(
+        sched = schedule_of(
             nprocs=3,
             steps=(Step((Transfer(0, 1, 64), Transfer(0, 2, 64))),),
             name="bad",

@@ -109,25 +109,12 @@ class TestValidateCommand:
         assert "power of two" in err
 
     def test_deadlocked_schedule_file_rejected(self, tmp_path, capsys):
-        from repro.schedules import Schedule, Step, Transfer, save_schedule
+        from repro.schedules import save_schedule
+        from tests.schedules.checks import Transfer, schedule_of
 
         path = tmp_path / "bad.json"
-        save_schedule(
-            Schedule(
-                nprocs=3,
-                steps=(
-                    Step(
-                        (
-                            Transfer(0, 1, 64),
-                            Transfer(1, 0, 64),
-                            Transfer(2, 1, 64),
-                        )
-                    ),
-                ),
-                name="deadlocked",
-            ),
-            path,
-        )
+        steps = [[Transfer(0, 1, 64), Transfer(1, 0, 64), Transfer(2, 1, 64)]]
+        save_schedule(schedule_of(3, steps, name="deadlocked"), path)
         with pytest.raises(SystemExit):
             main(["validate", "--schedule", str(path)])
         out = capsys.readouterr().out
@@ -223,6 +210,61 @@ class TestValidateCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "nbytes 9223372036854775808 does not fit int64" in lines[0]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([4, 3, 8, 0, 0], "transfer 4->3 outside 0..3"),
+            ([2, 9, 8, 0, 0], "transfer 2->9 outside 0..3"),
+            ([-1, 3, 8, 0, 0], "transfer -1->3 outside 0..3"),
+            ([2, 2, 8, 0, 0], "self-transfer at rank 2"),
+            (
+                [2, 3, -5, 0, 0],
+                "negative byte count in Transfer(src=2, dst=3, nbytes=-5, "
+                "pack_bytes=0, unpack_bytes=0)",
+            ),
+            (
+                [2, 3, 8, -1, 0],
+                "negative byte count in Transfer(src=2, dst=3, nbytes=8, "
+                "pack_bytes=-1, unpack_bytes=0)",
+            ),
+            (
+                [2, 3, 8, 0, -1],
+                "negative byte count in Transfer(src=2, dst=3, nbytes=8, "
+                "pack_bytes=0, unpack_bytes=-1)",
+            ),
+            ([2, 1, 16, 0, 0], "duplicate transfer 2->1 in step"),
+        ],
+        ids=[
+            "src-past-nprocs",
+            "dst-past-nprocs",
+            "negative-rank",
+            "self-transfer",
+            "negative-nbytes",
+            "negative-pack",
+            "negative-unpack",
+            "repeated-pair",
+        ],
+    )
+    def test_gate_error_text_reaches_the_user(self, tmp_path, capsys, row, message):
+        # The schedule gate's texts are what ``validate --schedule``
+        # prints, one line after the file's name.
+        doc = {
+            "format": "repro-schedule",
+            "version": 1,
+            "name": "t",
+            "nprocs": 4,
+            "exchange_order": "lower_recv_first",
+            "steps": [[[0, 1, 64, 0, 0], [1, 0, 64, 0, 0]], [row, [2, 1, 8, 0, 0]]],
+        }
+        path = tmp_path / "crafted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--schedule", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: malformed schedule file {path}: malformed schedule document: {message}"
+        ]
 
 
 class TestConformanceCommand:

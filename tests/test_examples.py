@@ -1,4 +1,4 @@
-"""Smoke tests: every example script compiles; the fast ones run."""
+"""Smoke tests: every example script compiles, runs and prints."""
 
 import pathlib
 import py_compile
@@ -8,24 +8,20 @@ import sys
 import pytest
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
-ALL_SCRIPTS = sorted(EXAMPLES.glob("*.py"))
+SCRIPTS = ("broadcast_tuning.py", "fft2d_transpose.py", "irregular_cfd.py", "quickstart.py")
 
 
-def test_examples_exist():
-    names = {p.name for p in ALL_SCRIPTS}
-    assert "quickstart.py" in names
-    assert len(ALL_SCRIPTS) >= 5
+def test_examples_are_the_listed_scripts():
+    assert sorted(p.name for p in EXAMPLES.glob("*.py")) == list(SCRIPTS)
 
 
-@pytest.mark.parametrize("script", ALL_SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("script", SCRIPTS)
 def test_examples_compile(script):
-    py_compile.compile(str(script), doraise=True)
+    py_compile.compile(str(EXAMPLES / script), doraise=True)
 
 
-@pytest.mark.parametrize(
-    "script", ["stencil_shift.py", "parti_runtime.py"]
-)
-def test_fast_examples_run(script):
+@pytest.mark.parametrize("script", SCRIPTS)
+def test_example_runs(script):
     proc = subprocess.run(
         [sys.executable, str(EXAMPLES / script)],
         capture_output=True,
